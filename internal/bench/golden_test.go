@@ -1,0 +1,178 @@
+package bench
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"correctables/internal/trace"
+)
+
+// The refactor oracle. Every determinism test in this package compares two
+// runs of the same tree, so none of them notices an output that moved
+// between two commits. This one pins the sha256 of each scenario
+// experiment's quick-mode result (seed 42) — and the Chrome trace bytes of
+// the traced runs — to the values the tree produced when the pins were
+// taken. A refactor that is supposed to change no output must leave this
+// file untouched and green; a change that is supposed to move an output
+// updates exactly the pins it means to move, in the same commit.
+//
+// The file deliberately uses only the experiment entry points and
+// encoding/json (the encoding WriteReport applies), so it can be dropped
+// unmodified onto an older tree to find where an output moved.
+
+var goldenCfg = Config{Quick: true, Seed: 42}
+
+// goldenHunt is the clean sweep; Workers is fixed because the worker count
+// is marshalled into the result and defaults to GOMAXPROCS. The planted
+// hunt sweeps two worlds only: every one of them violates, and each
+// finding costs a full delta-debugging pass.
+func goldenHunt(plant bool) HuntOptions {
+	if plant {
+		return HuntOptions{Seeds: 2, Profiles: []string{"tracks-harsh"}, Workers: 2, Plant: true}
+	}
+	return HuntOptions{
+		Seeds:    12,
+		Profiles: []string{"tracks-mild", "tracks-harsh", "tracks-sharded"},
+		Workers:  2,
+	}
+}
+
+// chromeBytes exports a recorded tracer the way icgbench -trace does.
+func chromeBytes(t *testing.T, trc *trace.Tracer, reg *trace.Registry) []byte {
+	t.Helper()
+	if trc == nil {
+		t.Fatal("traced run returned no tracer")
+	}
+	var buf bytes.Buffer
+	if err := trc.WriteChrome(&buf, reg); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestGoldenOutputs(t *testing.T) {
+	with := func(mod func(*Config)) Config {
+		c := goldenCfg
+		mod(&c)
+		return c
+	}
+	faultStudy := func(cfg Config) func(*testing.T) (any, []byte) {
+		return func(t *testing.T) (any, []byte) {
+			res, err := FaultStudy(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cfg.Trace {
+				return res, nil
+			}
+			return res, chromeBytes(t, res.Trace, res.TraceReg)
+		}
+	}
+	failover := func(cfg Config) func(*testing.T) (any, []byte) {
+		return func(t *testing.T) (any, []byte) {
+			res, err := Failover(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cfg.Trace {
+				return res, nil
+			}
+			return res, chromeBytes(t, res.Trace, res.TraceReg)
+		}
+	}
+	overload := func(cfg Config) func(*testing.T) (any, []byte) {
+		return func(t *testing.T) (any, []byte) {
+			res, err := Overload(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, nil
+		}
+	}
+	hunt := func(plant bool) func(*testing.T) (any, []byte) {
+		return func(t *testing.T) (any, []byte) {
+			res, err := Hunt(goldenCfg, goldenHunt(plant))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !plant {
+				return res, nil
+			}
+			if len(res.Findings) == 0 {
+				t.Fatal("planted bug not found")
+			}
+			return res.Findings[0].Repro, nil
+		}
+	}
+
+	for _, g := range []struct {
+		name string
+		// run returns the value to marshal and, for traced runs, the Chrome
+		// trace export.
+		run         func(*testing.T) (any, []byte)
+		json, trace string
+	}{
+		{name: "faultstudy", run: faultStudy(goldenCfg),
+			json: "fe85a3409a7d935bbd56e3c1fdbf180783c223f96ee912533f188d319bbfe3f7"},
+		{name: "faultstudy-check", run: faultStudy(with(func(c *Config) { c.Check = true })),
+			json: "b6d0274068e974b882a552ac34d34ded72d9422dac6aa57933936b2c1324a239"},
+		{name: "faultstudy-trace", run: faultStudy(with(func(c *Config) { c.Trace = true })),
+			json:  "c714cbf8891f417febd8e431dfd1ef7d0f2fe0f0ac0af17989218d581e22636b",
+			trace: "b5ef95f792dc98a2ed38dbbb99d57b9333f7e9a38415a9d7c27bd7521879fd65"},
+		{name: "failover-check", run: failover(with(func(c *Config) { c.Check = true })),
+			json: "f1057a1d9906c1e2f7619a5166ed2e7dd786ac3eb434ffbef63084a5871fddb0"},
+		{name: "failover-check-trace", run: failover(with(func(c *Config) { c.Check, c.Trace = true, true })),
+			json:  "2e7642bd0a8530094f067cf3a2ad9da1c72d8ec1a19c9ee830993efc9cd670c5",
+			trace: "53c855ae6aeac920972caf8b0415995f2c5f08d7f2df473c5698fdf8c81fd7fd"},
+		{name: "overload", run: overload(goldenCfg),
+			json: "e1262c035f3bd530e206d615b4b8b365cc74263f8c67891a08666443a5f0283d"},
+		{name: "overload-trace", run: overload(with(func(c *Config) { c.Trace = true })),
+			json: "553c68067d4d6aaf5262ee5ca78aeb49d2ae050e513ea6402831837ffa373a9f"},
+		{name: "capacity", run: func(*testing.T) (any, []byte) { return Capacity(goldenCfg), nil },
+			json: "d8b848dd146260881a71f014b8cd9abd291111f519c2142b07c48240e8bcb4bb"},
+		{name: "sweep", run: func(*testing.T) (any, []byte) { return Sweep(goldenCfg), nil },
+			json: "4ab18c6a82db78f88e59eb4ce830125e9a0e9074605faa47dcd2f523da6d92b3"},
+		{name: "hunt-clean", run: hunt(false),
+			json: "cea49339535e2953841f97a94d068ed845adfba4c4333fa16415f81df5a384d0"},
+		{name: "hunt-planted-repro", run: hunt(true),
+			json: "b0179e3a0c66330698dbdbf19dc1e83dff859adf96a400af6beddc8b793085e7"},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel() // every experiment is a world of its own
+			res, chrome := g.run(t)
+			js, err := json.MarshalIndent(res, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pin(t, g.name+".json", g.json, js)
+			if g.trace != "" {
+				pin(t, g.name+".trace.json", g.trace, chrome)
+			}
+		})
+	}
+}
+
+// pin compares got's sha256 with the pinned digest. On a mismatch it keeps
+// got on disk for diffing against the same file from the last good tree —
+// under os.TempDir rather than t.TempDir, which is deleted before anyone
+// could read it.
+func pin(t *testing.T, file, want string, got []byte) {
+	t.Helper()
+	sum := sha256.Sum256(got)
+	if digest := hex.EncodeToString(sum[:]); digest != want {
+		dir, err := os.MkdirTemp("", "icg-golden-")
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, file)
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Errorf("%s moved:\n  want sha256 %s\n  got  sha256 %s\n  got bytes kept in %s", file, want, digest, path)
+	}
+}
