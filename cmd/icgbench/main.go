@@ -40,12 +40,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"correctables/internal/bench"
 	"correctables/internal/faults"
-	"correctables/internal/trace"
 )
 
 // experiment is one icgbench entry: the single registry below generates
@@ -73,12 +73,21 @@ var experiments = []experiment{
 		return bench.FormatAblationLag(bench.AblationReplicationLag(c)) +
 			bench.FormatAblationFlush(bench.AblationFlushCost(c))
 	}},
-	{"faultstudy", "YCSB under a deterministic fault schedule (-faults, -check)", false, runFaultStudy},
-	{"failover", "leader partition mid-run: recovery time and availability window", false, runFailover},
-	{"overload", "open-loop burst: metastable retry storm vs admission control", false, runOverload},
-	{"sweep", "read latency vs quorum size and RTT geography", false, runSweep},
-	{"capacity", "sharded-plane capacity study: 10^6 open-loop sessions vs shard count", false, runCapacity},
-	{"hunt", "nemesis hunt: seeds x composed fault tracks, all checkers, shrinking repros", false, runHunt},
+	{"faultstudy", "YCSB under a deterministic fault schedule (-faults, -check)", false,
+		scenario(func(c bench.Config) (bench.Result, error) { return bench.FaultStudy(c) })},
+	{"failover", "leader partition mid-run: recovery time and availability window", false,
+		scenario(func(c bench.Config) (bench.Result, error) {
+			c.Check = true // the CLI run always carries the checked population
+			return bench.Failover(c)
+		})},
+	{"overload", "open-loop burst: metastable retry storm vs admission control", false,
+		scenario(func(c bench.Config) (bench.Result, error) { return bench.Overload(c) })},
+	{"sweep", "read latency vs quorum size and RTT geography", false,
+		scenario(func(c bench.Config) (bench.Result, error) { return bench.Sweep(c), nil })},
+	{"capacity", "sharded-plane capacity study: 10^6 open-loop sessions vs shard count", false,
+		scenario(func(c bench.Config) (bench.Result, error) { return bench.Capacity(c), nil })},
+	{"hunt", "nemesis hunt: seeds x composed fault tracks, all checkers, shrinking repros", false,
+		scenario(func(c bench.Config) (bench.Result, error) { return bench.Hunt(c, huntOptions()) })},
 }
 
 func expNames(paperOnly bool) []string {
@@ -112,6 +121,15 @@ var (
 	reproDir     string
 )
 
+// exitOn reports a non-nil err and exits with status code: 2 for bad
+// input, 1 for a failed write.
+func exitOn(err error, code int) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
+		os.Exit(code)
+	}
+}
+
 // writeArtifact exits on a failed artifact write (JSON report or trace).
 func writeArtifact(path string, err error) {
 	if err != nil {
@@ -120,165 +138,72 @@ func writeArtifact(path string, err error) {
 	}
 }
 
-// writeTrace writes the -trace Chrome trace-event artifact for a traced
-// experiment (Perfetto-loadable; byte-identical across same-seed runs).
-func writeTrace(trc *trace.Tracer, reg *trace.Registry) {
-	if traceOut == "" {
-		return
-	}
-	writeArtifact(traceOut, bench.WriteTrace(traceOut, trc, reg))
-}
-
-// failCheck prints the experiment output, reports the violation count on
-// stderr, and exits with the consistency-gate status.
-func failCheck(out string, violations int, seed int64) {
-	fmt.Print(out)
-	fmt.Fprintf(os.Stderr, "icgbench: consistency check FAILED with %d violations (seed %d replays them byte-identically)\n",
-		violations, seed)
-	os.Exit(3)
-}
-
-func runFaultStudy(c bench.Config) string {
-	res, err := bench.FaultStudy(c)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
-	}
-	if faultJSON != "" {
-		writeArtifact(faultJSON, bench.WriteReport(faultJSON, res))
-	}
-	writeTrace(res.Trace, res.TraceReg)
-	out := bench.FormatFaultStudy(res, c.FaultLog)
-	if res.Check != nil && res.Check.Violations() > 0 {
-		failCheck(out, res.Check.Violations(), c.Seed)
-	}
-	return out
-}
-
-func runFailover(c bench.Config) string {
-	c.Check = true
-	res, err := bench.Failover(c)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
-	}
-	if faultJSON != "" {
-		writeArtifact(faultJSON, bench.WriteReport(faultJSON, res))
-	}
-	writeTrace(res.Trace, res.TraceReg)
-	out := bench.FormatFailover(res, c.FaultLog)
-	if res.Check != nil && res.Check.Violations() > 0 {
-		failCheck(out, res.Check.Violations(), c.Seed)
-	}
-	return out
-}
-
-func runOverload(c bench.Config) string {
-	res, err := bench.Overload(c)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
-	}
-	if faultJSON != "" {
-		writeArtifact(faultJSON, bench.WriteReport(faultJSON, res))
-	}
-	writeTrace(res.Trace, res.TraceReg)
-	out := bench.FormatOverload(res)
-	var violations int
-	for _, m := range res.Modes {
-		if m.Check != nil {
-			violations += m.Check.Violations()
+// scenario adapts a scenario experiment to a registry entry — the one
+// runner behind faultstudy, failover, overload, sweep, capacity and hunt:
+// run it, write the -fault-json report and the -trace Chrome trace-event
+// artifact (Perfetto-loadable; byte-identical across same-seed runs), and
+// return the printed report. A run whose consistency checks found
+// violations prints its report, archives hunt repros, and exits with the
+// consistency-gate status 3.
+func scenario(run func(bench.Config) (bench.Result, error)) func(bench.Config) string {
+	return func(c bench.Config) string {
+		res, err := run(c)
+		exitOn(err, 2)
+		if faultJSON != "" {
+			writeArtifact(faultJSON, bench.WriteReport(faultJSON, res))
 		}
-	}
-	if violations > 0 {
-		failCheck(out, violations, c.Seed)
-	}
-	return out
-}
-
-func runSweep(c bench.Config) string {
-	res := bench.Sweep(c)
-	if faultJSON != "" {
-		writeArtifact(faultJSON, bench.WriteReport(faultJSON, res))
-	}
-	return bench.FormatSweep(res)
-}
-
-func runCapacity(c bench.Config) string {
-	res := bench.Capacity(c)
-	if faultJSON != "" {
-		writeArtifact(faultJSON, bench.WriteReport(faultJSON, res))
-	}
-	out := bench.FormatCapacity(res)
-	var violations int
-	for _, r := range res.Rows {
-		if r.Check != nil {
-			violations += r.Check.Violations()
+		if trc, reg := res.Traced(); trc != nil && traceOut != "" {
+			writeArtifact(traceOut, bench.WriteTrace(traceOut, trc, reg))
 		}
+		out := res.Format(c.FaultLog)
+		if n := res.Violations(); n > 0 {
+			if hunt, ok := res.(*bench.HuntResult); ok {
+				archiveRepros(hunt)
+			}
+			fmt.Print(out)
+			fmt.Fprintf(os.Stderr, "icgbench: consistency check FAILED with %d violations (seed %d replays them byte-identically)\n",
+				n, c.Seed)
+			os.Exit(3)
+		}
+		return out
 	}
-	if violations > 0 {
-		failCheck(out, violations, c.Seed)
-	}
-	return out
 }
 
-func runHunt(c bench.Config) string {
+// huntOptions collects the -hunt-* flags.
+func huntOptions() bench.HuntOptions {
 	opts := bench.HuntOptions{
 		Seeds:     huntSeeds,
 		StartSeed: huntStart,
 		Workers:   huntWorkers,
 		Plant:     huntPlant,
 	}
-	if huntProfiles != "" {
-		for _, p := range strings.Split(huntProfiles, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				opts.Profiles = append(opts.Profiles, p)
-			}
+	for _, p := range strings.Split(huntProfiles, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			opts.Profiles = append(opts.Profiles, p)
 		}
 	}
-	res, err := bench.Hunt(c, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
+	return opts
+}
+
+// archiveRepros writes every finding's shrunk repro under -repro-dir.
+func archiveRepros(res *bench.HuntResult) {
+	exitOn(os.MkdirAll(reproDir, 0o755), 1)
+	for _, f := range res.Findings {
+		path := filepath.Join(reproDir, fmt.Sprintf("hunt-%s-%d.json", f.Profile, f.Seed))
+		writeArtifact(path, bench.WriteReport(path, f.Repro))
+		fmt.Fprintf(os.Stderr, "icgbench: repro archived: %s\n", path)
 	}
-	if faultJSON != "" {
-		writeArtifact(faultJSON, bench.WriteReport(faultJSON, res))
-	}
-	out := bench.FormatHunt(res)
-	if len(res.Findings) > 0 {
-		// Archive every shrunk repro, then fail the consistency gate.
-		if err := os.MkdirAll(reproDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, f := range res.Findings {
-			path := filepath.Join(reproDir, fmt.Sprintf("hunt-%s-%d.json", f.Profile, f.Seed))
-			writeArtifact(path, bench.WriteReport(path, f.Repro))
-			fmt.Fprintf(os.Stderr, "icgbench: repro archived: %s\n", path)
-		}
-		failCheck(out, len(res.Findings), c.Seed)
-	}
-	return out
 }
 
 // runRepro replays an archived hunt repro and reports whether the outcome
 // is byte-identical to the archived violation.
 func runRepro(path string) {
 	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 	r, err := bench.ParseHuntRepro(data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 	res, err := bench.HuntReplay(r)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "icgbench: %v\n", err)
-		os.Exit(2)
-	}
+	exitOn(err, 2)
 	fmt.Printf("replay %s: profile %s seed %d (planted=%v)\n", path, r.Profile, r.Seed, r.Planted)
 	fmt.Printf("  archived: %s\n", r.Violation)
 	fmt.Printf("  replayed: %s\n", res.Violation)
@@ -382,7 +307,7 @@ func main() {
 			names = append(names, name)
 		}
 	}
-	if *sweep && !contains(names, "sweep") {
+	if *sweep && !slices.Contains(names, "sweep") {
 		names = append(names, "sweep")
 	}
 
@@ -393,13 +318,4 @@ func main() {
 		fmt.Print(out)
 		fmt.Printf("-- %s completed in %v (wall)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-func contains(names []string, want string) bool {
-	for _, n := range names {
-		if n == want {
-			return true
-		}
-	}
-	return false
 }

@@ -40,27 +40,12 @@ func AblationReplicationLag(cfg Config) []AblationLagRow {
 	var rows []AblationLagRow
 	for _, delay := range delays {
 		w := ycsb.WorkloadA(ycsb.DistLatest, 1000, 1024)
-		h := newHarness(cfg)
 		d := delay
 		if d == 0 {
 			d = time.Nanosecond // Config treats 0 as "use default"
 		}
-		cluster := h.newCassandra(cfg, cassandraOpts{correctable: true, replicationDelay: d})
-		preloadDataset(cluster, w)
-		results := runGroups(cluster, w, 2, true, threadsTotal/3, ycsb.Options{
-			Duration: dur,
-			Seed:     cfg.Seed,
-		})
-		h.drain()
-		var diverged, prelims int64
-		for _, r := range results {
-			diverged += r.Diverged
-			prelims += r.PrelimReads
-		}
-		pct := 0.0
-		if prelims > 0 {
-			pct = 100 * float64(diverged) / float64(prelims)
-		}
+		pct, prelims := divergence(newFabric(cfg).ycsbRun(cfg, cassandraOpts{correctable: true, replicationDelay: d},
+			w, 2, true, threadsTotal/3, ycsb.Options{Duration: dur}))
 		rows = append(rows, AblationLagRow{ReplicationDelay: delay, DivergencePct: pct, Reads: prelims})
 	}
 	return rows
@@ -95,18 +80,8 @@ func AblationFlushCost(cfg Config) []AblationFlushRow {
 	var baseline float64
 	for _, cost := range costs {
 		w := ycsb.WorkloadC(ycsb.DistZipfian, 1000, 1024)
-		h := newHarness(cfg)
-		cluster := h.newCassandra(cfg, cassandraOpts{correctable: true, flushCost: cost})
-		preloadDataset(cluster, w)
-		results := runGroups(cluster, w, 2, true, threadsTotal/3, ycsb.Options{
-			Duration: dur,
-			Seed:     cfg.Seed,
-		})
-		h.drain()
-		var tp float64
-		for _, r := range results {
-			tp += r.ThroughputOps
-		}
+		tp := totalThroughput(newFabric(cfg).ycsbRun(cfg, cassandraOpts{correctable: true, flushCost: cost},
+			w, 2, true, threadsTotal/3, ycsb.Options{Duration: dur}))
 		row := AblationFlushRow{FlushCost: cost, Throughput: tp}
 		if baseline == 0 {
 			baseline = tp

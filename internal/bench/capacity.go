@@ -103,6 +103,16 @@ type CapacityResult struct {
 	// ScalingX is attained ops throughput at the widest cell over the
 	// 1-shard cell — the capacity-scaling headline.
 	ScalingX float64 `json:"scaling_x"`
+	untraced
+}
+
+// Violations sums every cell's history-check violations.
+func (res *CapacityResult) Violations() int {
+	n := 0
+	for _, r := range res.Rows {
+		n += r.Check.Violations()
+	}
+	return n
 }
 
 func capOwnKey(i int) string    { return fmt.Sprintf("cap-own-%05d", i&(capOwnKeys-1)) }
@@ -128,7 +138,7 @@ func jainIndex(xs []int64) float64 {
 
 // capacityCell runs one shard-count cell on a fresh fabric.
 func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate float64) CapacityRow {
-	h := newHarness(cfg)
+	h := newWorld(cfg, nil, horizon)
 	clock := h.clock
 	cluster := h.newCassandra(cfg, cassandraOpts{
 		correctable: true,
@@ -144,13 +154,6 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 		cluster.Preload(capSharedKey(i), val)
 	}
 
-	// One coordinator Batcher per region: sessions are colocated with
-	// their coordinator (capacity, not geography, is the axis here) and
-	// the clients are token-aware — the dispatch queues are per shard, so
-	// the contact-node routing hop would only re-serialize what sharding
-	// just spread out.
-	batchers := make([]*binding.Batcher, len(regions))
-	bulk := make([]*binding.Client, len(regions))
 	// The gate's static buckets are sized with 2x headroom over the offered
 	// rate — they exist to bound abusive clients, not to shed. Shedding is
 	// the AIMD bucket's job, driven by coordinator queue delay, so aborted
@@ -158,8 +161,7 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 	// global bucket sees all regions: rates are aggregate ops rates.
 	perRegionOps := capOpsPerSession * perRegionRate
 	aggregateOps := perRegionOps * float64(len(regions))
-	gate := load.NewController(load.Config{
-		Clock:          clock,
+	gate := h.gate(load.Config{
 		PerClientRate:  2 * perRegionOps,
 		PerClientBurst: perRegionOps / 2,
 		Sample: func() time.Duration {
@@ -182,9 +184,14 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 		Threshold:   25 * time.Millisecond,
 		MinRate:     aggregateOps / 10,
 		MaxRate:     2 * aggregateOps,
-		Meter:       h.meter,
 	})
-	gate.Start()
+	// One coordinator Batcher per region: sessions are colocated with
+	// their coordinator (capacity, not geography, is the axis here) and
+	// the clients are token-aware — the dispatch queues are per shard, so
+	// the contact-node routing hop would only re-serialize what sharding
+	// just spread out.
+	batchers := make([]*binding.Batcher, len(regions))
+	bulk := make([]*binding.Client, len(regions))
 	for i, region := range regions {
 		cc := cassandra.NewClient(cluster, region, region)
 		cc.TokenAware = true
@@ -204,23 +211,19 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 	weakHist, finalHist := metrics.NewHistogram(), metrics.NewHistogram()
 	weakHist.Reserve(int(horizon.Seconds()*perRegionRate) * 3 / capLatencySample)
 	finalHist.Reserve(int(horizon.Seconds()*perRegionRate) * 3 / capLatencySample)
-	g := clock.NewGroup()
 	ctx := context.Background()
 
 	// One Poisson generator per region. Keys and the sampling decision are
 	// drawn inside fire (arrival order is deterministic); the session body
 	// runs as an actor.
 	for ri := range regions {
-		ri := ri
 		bc := bulk[ri]
 		rng := rand.New(rand.NewSource(cfg.Seed + 1_000_003*int64(ri) + 17))
-		fire := func(i int) {
+		h.arrive(load.NewPoisson(perRegionRate, cfg.Seed+41+int64(ri)), horizon, func(i int) func() {
 			own := capOwnKey(rng.Intn(capOwnKeys))
 			shared := capSharedKey(rng.Intn(capSharedKeys))
 			sample := i%capLatencySample == 0
-			g.Add(1)
-			clock.Go(func() {
-				defer g.Done()
+			return func() {
 				started.Add(1)
 				if _, err := binding.InvokeStrong[binding.Ack](ctx, bc, binding.Put{Key: own, Value: val}).Final(ctx); err != nil {
 					aborted.Add(1)
@@ -250,9 +253,8 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 					finalHist.Record(clock.Now() - t0)
 				}
 				completed.Add(1)
-			})
-		}
-		load.Start(clock, load.NewPoisson(perRegionRate, cfg.Seed+41+int64(ri)), horizon, fire)
+			}
+		})
 	}
 
 	// Checked sub-population: recorded sessions through the same Batchers
@@ -260,30 +262,19 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 	// writes to the register checker), no admission and no retries (a
 	// retried write could land twice server-side and break attribution).
 	rec := history.NewRecorder()
-	for i := 0; i < capCheckedSessions; i++ {
-		sess := binding.NewSession(binding.NewClient(batchers[i%len(batchers)],
-			binding.WithObserver(rec),
-			binding.WithLabel(fmt.Sprintf("chk-%02d", i))))
-		rng := rand.New(rand.NewSource(cfg.Seed + 500_009*int64(i) + 29))
-		g.Add(1)
-		clock.Go(func() {
-			defer g.Done()
-			for clock.Now() < horizon {
-				key := capCheckedKey(rng.Intn(capCheckedKeys))
-				if rng.Float64() < 0.6 {
-					_, _ = sess.Get(ctx, key).Final(ctx)
-				} else {
-					_, _ = sess.Put(ctx, key, val).Final(ctx)
-				}
-				clock.Sleep(10 * time.Millisecond)
-			}
-		})
-	}
+	h.sessions(rec, sessionMix{
+		n:       capCheckedSessions,
+		label:   "chk-%02d",
+		binding: func(i int) binding.Binding { return batchers[i%len(batchers)] },
+		seed:    func(i int) int64 { return cfg.Seed + 500_009*int64(i) + 29 },
+		key:     capCheckedKey,
+		keys:    capCheckedKeys,
+		reads:   0.6,
+		value:   func(*rand.Rand) []byte { return val },
+		pace:    10 * time.Millisecond,
+	})
 
-	g.Wait()
-	gate.Stop()
-	elapsed := clock.Now()
-	h.drain()
+	elapsed := h.run()
 
 	var batchedOps, dispatches int64
 	for _, bt := range batchers {
@@ -300,7 +291,7 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 			busy += srv.BusyModelTime()
 		}
 	}
-	capacity := float64(len(regions)*shards*4) * elapsed.Seconds() // 4 workers per replica
+	capacity := float64(len(regions)*shards*cassandraWorkers) * elapsed.Seconds()
 	row := CapacityRow{
 		Shards:                shards,
 		OfferedSessionsPerSec: perRegionRate * float64(len(regions)),
@@ -318,7 +309,7 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 		UtilizationPct:        100 * busy.Seconds() / capacity,
 		FairnessJain:          jainIndex(perShard),
 		PerShardHandled:       perShard,
-		Check:                 buildCheckReport(rec, capCheckedSessions, "registers"),
+		Check:                 buildCheckReport(rec, capCheckedSessions, modelRegisters),
 	}
 	if dispatches > 0 {
 		row.BatchMeanOps = float64(batchedOps) / float64(dispatches)
@@ -346,10 +337,4 @@ func Capacity(cfg Config) *CapacityResult {
 		res.ScalingX = last.ThroughputOps / first.ThroughputOps
 	}
 	return res
-}
-
-// CapacityJSON renders the study as indented JSON (the BENCH_capacity.json
-// artifact; byte-identical across same-seed runs).
-func CapacityJSON(res *CapacityResult) ([]byte, error) {
-	return marshalReport(res)
 }

@@ -10,7 +10,7 @@ import (
 // keyspace spreads, and the checked sub-population stays clean.
 func TestCapacityQuick(t *testing.T) {
 	res := Capacity(Config{Quick: true, Seed: 11})
-	t.Logf("\n%s", FormatCapacity(res))
+	t.Logf("\n%s", res.Format(false))
 	if got, want := len(res.Rows), 4; got != want {
 		t.Fatalf("rows = %d, want %d shard cells", got, want)
 	}
@@ -58,7 +58,7 @@ func TestCapacityQuick(t *testing.T) {
 // — must be a pure function of the seed.
 func TestCapacityReplayByteIdentical(t *testing.T) {
 	run := func() []byte {
-		js, err := CapacityJSON(Capacity(Config{Quick: true, Seed: 23}))
+		js, err := marshalReport(Capacity(Config{Quick: true, Seed: 23}))
 		if err != nil {
 			t.Fatal(err)
 		}

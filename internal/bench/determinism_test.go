@@ -14,7 +14,7 @@ import (
 // metricFingerprint serializes every observable metric of a run — op
 // counts, throughput, exact histogram statistics, and per-class meter
 // bytes — so two runs can be compared byte for byte.
-func metricFingerprint(h *harness, results []*ycsb.Result) string {
+func metricFingerprint(h *world, results []*ycsb.Result) string {
 	var b strings.Builder
 	histo := func(name string, hg *metrics.Histogram) {
 		fmt.Fprintf(&b, "  %s: n=%d mean=%d p50=%d p99=%d min=%d max=%d\n",
@@ -41,7 +41,7 @@ func metricFingerprint(h *harness, results []*ycsb.Result) string {
 }
 
 // fig6StyleRun executes one Fig 6 saturation cell (YCSB workload A, CC2,
-// three regional client groups) on a fresh harness and returns the full
+// three regional client groups) on a fresh fabric and returns the full
 // metric fingerprint. Callback-timer probes armed across the run record
 // their firing instants into the fingerprint, so the replay gate also
 // covers the RunAt/RunAfter dispatch path (which now carries all
@@ -49,7 +49,7 @@ func metricFingerprint(h *harness, results []*ycsb.Result) string {
 // flushes).
 func fig6StyleRun(cfg Config) string {
 	w := workloadByName("A", ycsb.DistZipfian, 1000, 1024)
-	h := newHarness(cfg)
+	h := newFabric(cfg)
 	cluster := h.newCassandra(cfg, cassandraOpts{correctable: true})
 	preloadDataset(cluster, w)
 	var cbLog []string
@@ -61,12 +61,11 @@ func fig6StyleRun(cfg Config) string {
 			cbLog = append(cbLog, fmt.Sprintf("cb%d@%d", i, h.clock.Now()))
 		})
 	}
-	results := runGroups(cluster, w, 2, true, 8, ycsb.Options{
+	results := h.runGroups(cluster, w, 2, true, 8, ycsb.Options{
 		Duration: 2 * time.Second,
 		Warmup:   200 * time.Millisecond,
 		Seed:     cfg.Seed,
 	})
-	h.drain()
 	return metricFingerprint(h, results) + "callbacks: " + strings.Join(cbLog, " ") + "\n"
 }
 

@@ -6,12 +6,10 @@ import (
 	"math/rand"
 	"time"
 
-	"correctables/internal/binding"
 	"correctables/internal/faults"
 	"correctables/internal/history"
 	"correctables/internal/metrics"
 	"correctables/internal/netsim"
-	"correctables/internal/trace"
 	"correctables/internal/zk"
 )
 
@@ -77,15 +75,13 @@ type FailoverResult struct {
 	Rows        []FailoverRow `json:"rows"`
 	Transitions []string      `json:"transitions"`
 	Check       *CheckReport  `json:"check,omitempty"`
-	// Decomp and Timeseries are the observability plane's output
-	// (Config.Trace runs only); the decomposition's election column is
-	// this experiment's signature — it lights up exactly in the outage
-	// phase. Trace/TraceReg carry the exportable tracer (icgbench -trace).
-	Decomp     []PhaseDecomp      `json:"latency_decomposition,omitempty"`
-	Timeseries []trace.TimeSeries `json:"timeseries,omitempty"`
-	Trace      *trace.Tracer      `json:"-"`
-	TraceReg   *trace.Registry    `json:"-"`
+	// Observed's decomposition has this experiment's signature in its
+	// election column: it lights up exactly in the outage phase.
+	Observed
 }
+
+// Violations reports the checked population's violations.
+func (res *FailoverResult) Violations() int { return res.Check.Violations() }
 
 // Failover runs a closed-loop enqueue workload against Correctable
 // ZooKeeper while a partition severs the leader's region mid-run: the
@@ -111,13 +107,12 @@ func Failover(cfg Config) (*FailoverResult, error) {
 	horizon := 16 * unit
 	threads := cfg.pick(12, 6)
 
-	h := newHarness(cfg)
 	sched := faults.NewSchedule().
 		At(faultAt, faults.Partition{Groups: [][]netsim.Region{
 			{netsim.FRK}, {netsim.IRL, netsim.VRG},
 		}}).
 		At(healAt, faults.Heal{})
-	inj := faults.Attach(h.tr, sched, cfg.Seed+3)
+	h := newWorld(cfg, sched, horizon)
 	e := h.newZK(cfg, zkOpts{
 		correctable:     true,
 		leader:          netsim.FRK,
@@ -125,27 +120,14 @@ func Failover(cfg Config) (*FailoverResult, error) {
 		heartbeat:       hb,
 		electionTimeout: et,
 	})
-	e.SetTrace(h.trc)
 
 	// The sampled time-series (Config.Trace): the commit epoch steps at
 	// the election, the election counter marks attempts, and client-link
 	// traffic shows the enqueue flow surviving the outage as prelims.
-	if h.reg != nil {
-		h.reg.Gauge("commit_epoch", func() float64 {
-			return float64(e.CommitEpoch())
-		})
-		h.reg.Gauge("elections", func() float64 {
-			return float64(len(e.Elections()))
-		})
-		h.reg.Gauge("client_msgs", func() float64 {
-			return float64(h.meter.Class(netsim.LinkClient).Messages)
-		})
-		h.reg.Gauge("dropped_msgs", func() float64 {
-			d := h.meter.SnapshotDropped()
-			return float64(d[netsim.LinkClient].Messages + d[netsim.LinkReplica].Messages)
-		})
-		h.startSampling(horizon)
-	}
+	h.gauge("commit_epoch", func() float64 { return float64(e.CommitEpoch()) })
+	h.gauge("elections", func() float64 { return float64(len(e.Elections())) })
+	h.gaugeClientMsgs()
+	h.gaugeDropped()
 
 	// Queues are created up front (healthy cluster) so the workload phase
 	// measures enqueues only.
@@ -153,59 +135,45 @@ func Failover(cfg Config) (*FailoverResult, error) {
 	pops := []struct {
 		name    string
 		threads int
-		client  func(t int) *zk.QueueClient
-		queue   func(t int) string
+		contact netsim.Region
+		queue   string // fmt pattern for thread t's queue
 	}{
 		// Majority: remote clients contacting a surviving follower — they
 		// lose finals only until the election, prelims throughout.
-		{"majority", threads, func(int) *zk.QueueClient {
-			return zk.NewQueueClient(e, netsim.IRL, netsim.IRL)
-		}, func(t int) string { return fmt.Sprintf("maj-%02d", t) }},
+		{"majority", threads, netsim.IRL, "maj-%02d"},
 		// Minority: clients pinned to the severed old leader — finals fail
 		// for the whole partition, prelims keep coming from local state.
-		{"minority", threads / 2, func(int) *zk.QueueClient {
-			return zk.NewQueueClient(e, netsim.FRK, netsim.FRK)
-		}, func(t int) string { return fmt.Sprintf("min-%02d", t) }},
+		{"minority", threads / 2, netsim.FRK, "min-%02d"},
 	}
 	for _, pop := range pops {
 		for t := 0; t < pop.threads; t++ {
-			if err := setup.CreateQueue(pop.queue(t)); err != nil {
-				return nil, fmt.Errorf("bench: creating %s: %w", pop.queue(t), err)
+			if err := setup.CreateQueue(fmt.Sprintf(pop.queue, t)); err != nil {
+				return nil, fmt.Errorf("bench: creating %s: %w", fmt.Sprintf(pop.queue, t), err)
 			}
 		}
 	}
 
 	payload := make([]byte, 64)
-	shards := make([][][]faultOp, len(pops))
-	g := h.clock.NewGroup()
+	shards := make([][][]opRecord, len(pops))
 	for pi, pop := range pops {
-		pi, pop := pi, pop
-		shards[pi] = make([][]faultOp, pop.threads)
+		shards[pi] = make([][]opRecord, pop.threads)
 		for t := 0; t < pop.threads; t++ {
-			t := t
-			qc := pop.client(t)
-			queue := pop.queue(t)
-			g.Add(1)
-			h.clock.Go(func() {
-				defer g.Done()
-				for {
-					now := h.clock.Now()
-					if now >= horizon {
-						return
+			qc := zk.NewQueueClient(e, pop.contact, pop.contact)
+			queue := fmt.Sprintf(pop.queue, t)
+			// Closed loop, no random draws: the seed is unused.
+			h.loop(0, 0, func(*rand.Rand) {
+				now := h.clock.Now()
+				op := opRecord{start: now}
+				op.err = qc.Enqueue(queue, payload, true, func(v zk.QueueView) {
+					if v.Final {
+						op.final = h.clock.Now() - now
+					} else {
+						op.hasPrelim = true
+						op.prelim = h.clock.Now() - now
 					}
-					op := faultOp{start: now}
-					err := qc.Enqueue(queue, payload, true, func(v zk.QueueView) {
-						if v.Final {
-							op.final = h.clock.Now() - now
-						} else {
-							op.hasPrelim = true
-							op.prelim = h.clock.Now() - now
-						}
-					})
-					op.err = err != nil
-					op.end = h.clock.Now()
-					shards[pi][t] = append(shards[pi][t], op)
-				}
+				})
+				op.end = h.clock.Now()
+				shards[pi][t] = append(shards[pi][t], op)
 			})
 		}
 	}
@@ -214,48 +182,32 @@ func Failover(cfg Config) (*FailoverResult, error) {
 	// pipeline on their own queues, half contacting the old leader, half
 	// the survivor, with a history recorder observing every op.
 	var recorder *history.Recorder
-	checkClients := 0
+	checkClients := cfg.pick(6, 4)
 	if cfg.Check {
 		recorder = history.NewRecorder()
-		checkClients = cfg.pick(6, 4)
+		ctx := context.Background()
 		for t := 0; t < checkClients; t++ {
-			t := t
-			contact := netsim.IRL
-			if t%2 == 1 {
-				contact = netsim.FRK
-			}
+			contact := alternate(t, netsim.IRL, netsim.FRK)
 			queue := fmt.Sprintf("chk-%02d", t)
 			if err := setup.CreateQueue(queue); err != nil {
 				return nil, fmt.Errorf("bench: creating %s: %w", queue, err)
 			}
-			qc := zk.NewQueueClient(e, netsim.IRL, contact)
-			sess := binding.NewSession(binding.NewClient(zk.NewBinding(qc),
-				binding.WithObserver(recorder),
-				binding.WithTracer(h.trc),
-				binding.WithLabel(fmt.Sprintf("sess-%02d", t))))
-			rng := rand.New(rand.NewSource(cfg.Seed + 5_555_557 + int64(t)*1_000_003))
-			g.Add(1)
-			h.clock.Go(func() {
-				defer g.Done()
-				ctx := context.Background()
-				for h.clock.Now() < horizon {
-					if rng.Float64() < 0.7 {
-						_, _ = sess.Enqueue(ctx, queue, payload).Final(ctx)
-					} else {
-						_, _ = sess.Dequeue(ctx, queue).Final(ctx)
-					}
-					// Paced, not closed-loop: each timed-out op enters the
-					// linearizability history as an ambiguous wildcard the
-					// search must branch on, so per-queue op counts are kept
-					// where the check stays conclusive.
-					h.clock.Sleep(unit / 8)
+			sess := h.session(recorder, fmt.Sprintf("sess-%02d", t),
+				zk.NewBinding(zk.NewQueueClient(e, netsim.IRL, contact)))
+			// Paced, not closed-loop: each timed-out op enters the
+			// linearizability history as an ambiguous wildcard the search
+			// must branch on, so per-queue op counts are kept where the
+			// check stays conclusive.
+			h.loop(cfg.Seed+5_555_557+int64(t)*1_000_003, unit/8, func(rng *rand.Rand) {
+				if rng.Float64() < 0.7 {
+					_, _ = sess.Enqueue(ctx, queue, payload).Final(ctx)
+				} else {
+					_, _ = sess.Dequeue(ctx, queue).Final(ctx)
 				}
 			})
 		}
 	}
-	g.Wait()
-	inj.Quiesce()
-	h.drain()
+	h.run()
 
 	res := &FailoverResult{
 		Description: "partition severs the zk leader mid-run; the majority elects, the minority serves prelims, the heal resyncs",
@@ -263,11 +215,9 @@ func Failover(cfg Config) (*FailoverResult, error) {
 		OpTimeoutMs: metrics.Ms(opTimeout),
 		HeartbeatMs: metrics.Ms(hb), ElectionTimeoutMs: metrics.Ms(et),
 		FaultAtMs: metrics.Ms(faultAt), HealAtMs: metrics.Ms(healAt), HorizonMs: metrics.Ms(horizon),
-		Threads: threads,
-		Seed:    cfg.Seed,
-	}
-	for _, tr := range inj.Log() {
-		res.Transitions = append(res.Transitions, tr.At.String()+": "+tr.Desc)
+		Threads:     threads,
+		Seed:        cfg.Seed,
+		Transitions: h.transitions(),
 	}
 
 	// Recovery metrics from the election log: the fault's election is the
@@ -289,7 +239,7 @@ func Failover(cfg Config) (*FailoverResult, error) {
 	firstFinal := time.Duration(-1)
 	for _, shard := range shards[0] {
 		for _, op := range shard {
-			if op.start >= faultAt && !op.err && (firstFinal < 0 || op.end < firstFinal) {
+			if op.start >= faultAt && op.err == nil && (firstFinal < 0 || op.end < firstFinal) {
 				firstFinal = op.end
 			}
 		}
@@ -316,56 +266,32 @@ func Failover(cfg Config) (*FailoverResult, error) {
 	}
 	for pi, pop := range pops {
 		for i, ph := range phases {
-			row := FailoverRow{Population: pop.name, Phase: ph.Name,
-				StartMs: metrics.Ms(ph.Start), EndMs: metrics.Ms(ph.End)}
-			prelim, final := metrics.NewHistogram(), metrics.NewHistogram()
-			var completed int64
+			st := newViewStats()
 			for _, shard := range shards[pi] {
 				for _, op := range shard {
-					if phaseOf(phases, op) != i {
-						continue
-					}
-					row.Ops++
-					if op.hasPrelim {
-						row.Prelims++
-						prelim.Record(op.prelim)
-					}
-					if op.err {
-						row.Errors++
-					} else {
-						completed++
-						final.Record(op.final)
+					if phaseOf(phases, op) == i {
+						st.add(op)
 					}
 				}
 			}
-			row.PrelimMeanMs = metrics.Ms(prelim.Mean())
-			row.PrelimP99Ms = metrics.Ms(prelim.Percentile(99))
-			row.FinalMeanMs = metrics.Ms(final.Mean())
-			row.FinalP99Ms = metrics.Ms(final.Percentile(99))
-			row.FinalAvailabilityPct = 100 * metrics.Ratio(completed, row.Ops)
-			res.Rows = append(res.Rows, row)
+			res.Rows = append(res.Rows, FailoverRow{
+				Population: pop.name, Phase: ph.Name,
+				StartMs: metrics.Ms(ph.Start), EndMs: metrics.Ms(ph.End),
+				Ops: st.ops, Errors: st.errs, Prelims: st.prelims,
+				PrelimMeanMs:         metrics.Ms(st.prelim.Mean()),
+				PrelimP99Ms:          metrics.Ms(st.prelim.Percentile(99)),
+				FinalMeanMs:          metrics.Ms(st.final.Mean()),
+				FinalP99Ms:           metrics.Ms(st.final.Percentile(99)),
+				FinalAvailabilityPct: st.availabilityPct(),
+			})
 		}
 	}
-
-	if h.trc != nil {
-		// The decomposition rows reuse the recovery phases computed above:
-		// the election column is nonzero only where an election window
-		// overlaps the phase — the outage row, by construction.
-		for _, ph := range phases {
-			res.Decomp = append(res.Decomp, decompRow(h.trc, ph.Name, ph.Start, ph.End))
-		}
-		res.Timeseries = h.reg.Series()
-		res.Trace = h.trc
-		res.TraceReg = h.reg
-	}
-
+	// The decomposition rows reuse the recovery phases computed above: the
+	// election column is nonzero only where an election window overlaps the
+	// phase — the outage row, by construction.
+	res.Observed = h.observe(phases)
 	if recorder != nil {
-		res.Check = buildCheckReport(recorder, checkClients, "queues")
+		res.Check = buildCheckReport(recorder, checkClients, modelQueues)
 	}
 	return res, nil
-}
-
-// FailoverJSON marshals a result for BENCH_failover.json.
-func FailoverJSON(res *FailoverResult) ([]byte, error) {
-	return marshalReport(res)
 }

@@ -117,8 +117,8 @@ func TestFailoverRecoveryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err1 := FailoverJSON(res)
-	j2, err2 := FailoverJSON(res2)
+	j1, err1 := marshalReport(res)
+	j2, err2 := marshalReport(res2)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"correctables/internal/history"
 	"correctables/internal/metrics"
 	"correctables/internal/netsim"
-	"correctables/internal/trace"
 	"correctables/internal/ycsb"
 )
 
@@ -75,15 +73,7 @@ type FaultStudyResult struct {
 	Transitions []string `json:"transitions"`
 	// Check is the consistency-check report (Config.Check runs only).
 	Check *CheckReport `json:"check,omitempty"`
-	// Decomp and Timeseries are the observability plane's output
-	// (Config.Trace runs only): per-phase latency decomposition from the
-	// span tracer, and the registry's sampled gauges.
-	Decomp     []PhaseDecomp      `json:"latency_decomposition,omitempty"`
-	Timeseries []trace.TimeSeries `json:"timeseries,omitempty"`
-	// Trace and TraceReg carry the raw tracer and registry for Chrome
-	// trace export (icgbench -trace); they do not marshal.
-	Trace    *trace.Tracer   `json:"-"`
-	TraceReg *trace.Registry `json:"-"`
+	Observed
 }
 
 // CheckReport is the outcome of verifying the checked session population's
@@ -105,40 +95,17 @@ type CheckReport struct {
 	HistoryDigest string `json:"history_digest"`
 }
 
-// Violations reports the total number of detected violations.
+// Violations reports the total number of detected violations (0 for a run
+// without a checked population).
 func (r *CheckReport) Violations() int {
+	if r == nil {
+		return 0
+	}
 	return len(r.SessionViolations) + len(r.LinViolations)
 }
 
-// faultOp is one operation's record in the study.
-type faultOp struct {
-	start     time.Duration
-	end       time.Duration
-	isRead    bool
-	err       bool
-	hasPrelim bool
-	prelim    time.Duration
-	final     time.Duration
-	diverged  bool
-}
-
-// phaseOf buckets one operation: completed operations belong to the phase
-// they started in (their latency reflects the conditions they ran under),
-// failed ones to the phase their timeout fired in (a read that starts just
-// before a fault window and times out inside it is that fault's casualty,
-// not the healthy baseline's). Instants past the last phase clamp into it.
-func phaseOf(phases []faults.Phase, op faultOp) int {
-	at := op.start
-	if op.err {
-		at = op.end
-	}
-	for i, ph := range phases {
-		if at < ph.End {
-			return i
-		}
-	}
-	return len(phases) - 1
-}
+// Violations reports the checked population's violations.
+func (res *FaultStudyResult) Violations() int { return res.Check.Violations() }
 
 // FaultStudy runs YCSB workload B against Correctable Cassandra (CC3:
 // quorum 3, so the strong view needs every region) under a fault schedule,
@@ -168,59 +135,25 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 	opTimeout := 3 * unit
 	threads := cfg.pick(12, 6)
 
-	h := newHarness(cfg)
-	inj := faults.Attach(h.tr, scen.Schedule, cfg.Seed+3)
+	h := newWorld(cfg, scen.Schedule, scen.Horizon)
 	cluster := h.newCassandra(cfg, cassandraOpts{correctable: true, opTimeout: opTimeout})
-	cluster.SetTrace(h.trc)
 	w := workloadByName("B", ycsb.DistZipfian, 1000, 1024)
 	preloadDataset(cluster, w)
 
 	// The sampled time-series (Config.Trace): coordinator backpressure,
-	// fault-schedule message loss, and the hinted-handoff backlog, probed
-	// on a horizon-relative cadence by the registry's model-time ticker.
-	if h.reg != nil {
-		coord := cluster.Replica(netsim.FRK).Server()
-		h.reg.Gauge("coord_queue_delay_ms", func() float64 {
-			return metrics.Ms(coord.QueueDelay())
-		})
-		h.reg.Gauge("dropped_msgs", func() float64 {
-			d := h.meter.SnapshotDropped()
-			return float64(d[netsim.LinkClient].Messages + d[netsim.LinkReplica].Messages)
-		})
-		h.reg.Gauge("hint_backlog", func() float64 {
-			st := cluster.HintStats()
-			return float64(st.Queued - st.Replayed)
-		})
-		h.reg.Gauge("client_msgs", func() float64 {
-			return float64(h.meter.Class(netsim.LinkClient).Messages)
-		})
-		h.startSampling(scen.Horizon)
-	}
+	// fault-schedule message loss, the hinted-handoff backlog, and the
+	// client-link flow.
+	h.gaugeQueueDelay(cluster.Replica(netsim.FRK).Server())
+	h.gaugeDropped()
+	h.gauge("hint_backlog", func() float64 {
+		st := cluster.HintStats()
+		return float64(st.Queued - st.Replayed)
+	})
+	h.gaugeClientMsgs()
 
-	// Cumulative dropped-message, queued-hint and admission-outcome probes
-	// at phase boundaries, armed before traffic so boundary callbacks
-	// interleave deterministically.
-	droppedAt := make([]int64, len(scen.Phases))
-	hintedAt := make([]int64, len(scen.Phases))
-	loadAt := make([]netsim.LoadStats, len(scen.Phases))
-	for i, ph := range scen.Phases {
-		i := i
-		h.clock.RunAt(ph.End, func() {
-			dropped := h.meter.SnapshotDropped()
-			droppedAt[i] = dropped[netsim.LinkClient].Messages + dropped[netsim.LinkReplica].Messages
-			hintedAt[i] = int64(cluster.HintStats().Queued)
-			loadAt[i] = h.meter.Load(netsim.LinkClient)
-		})
-	}
+	probe := h.probePhases(scen.Phases, func() int64 { return int64(cluster.HintStats().Queued) })
 
-	// The measured population: IRL clients on the FRK coordinator (the
-	// paper's remote-contact deployment), closed loop until the scenario
-	// horizon. Per-thread record shards keep the loop contention-free and
-	// the merge order deterministic.
-	client := cassandra.NewClient(cluster, netsim.IRL, netsim.FRK)
 	gen := w.NewGenerator()
-	shards := make([][]faultOp, threads)
-	g := h.clock.NewGroup()
 
 	// A background writer population on the IRL coordinator keeps foreign
 	// writes flowing: the measured coordinator (FRK) learns of them only
@@ -229,13 +162,8 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 	// own coordinator would never observe staleness (cf. runGroups).
 	bgWriter := cassandra.NewClient(cluster, netsim.IRL, netsim.IRL)
 	for t := 0; t < threads/3+1; t++ {
-		rng := rand.New(rand.NewSource(cfg.Seed + 7_777_777 + int64(t)*1_000_003))
-		g.Add(1)
-		h.clock.Go(func() {
-			defer g.Done()
-			for h.clock.Now() < scen.Horizon {
-				_ = bgWriter.Write(ycsb.Key(gen.Next(rng)), w.Value(rng), 1)
-			}
+		h.loop(cfg.Seed+7_777_777+int64(t)*1_000_003, 0, func(rng *rand.Rand) {
+			_ = bgWriter.Write(ycsb.Key(gen.Next(rng)), w.Value(rng), 1)
 		})
 	}
 	// The checked population (Config.Check): session clients running the
@@ -246,81 +174,58 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 	// coordinator, half IRL, which makes cross-coordinator staleness (and
 	// hence the session machinery) actually exercise under faults.
 	var recorder *history.Recorder
-	checkClients := 0
+	checkClients := cfg.pick(6, 4)
 	if cfg.Check {
 		recorder = history.NewRecorder()
-		checkClients = cfg.pick(6, 4)
-		checkKeys := 24
-		for t := 0; t < checkClients; t++ {
-			t := t
-			coord := netsim.FRK
-			if t%2 == 1 {
-				coord = netsim.IRL
-			}
-			cc := cassandra.NewClient(cluster, netsim.IRL, coord)
-			bc := binding.NewClient(cassandra.NewBinding(cc, cassandra.BindingConfig{StrongQuorum: 3}),
-				binding.WithObserver(recorder),
-				binding.WithTracer(h.trc),
-				binding.WithLabel(fmt.Sprintf("sess-%02d", t)))
-			sess := binding.NewSession(bc)
-			rng := rand.New(rand.NewSource(cfg.Seed + 5_555_557 + int64(t)*1_000_003))
-			g.Add(1)
-			h.clock.Go(func() {
-				defer g.Done()
-				ctx := context.Background()
-				for h.clock.Now() < scen.Horizon {
-					key := fmt.Sprintf("chk-%03d", rng.Intn(checkKeys))
-					if rng.Float64() < 0.65 {
-						_, _ = sess.Get(ctx, key).Final(ctx)
-					} else {
-						_, _ = sess.Put(ctx, key, w.Value(rng)).Final(ctx)
-					}
-				}
-			})
-		}
-	}
-	for t := 0; t < threads; t++ {
-		t := t
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*1_000_003))
-		g.Add(1)
-		h.clock.Go(func() {
-			defer g.Done()
-			for {
-				now := h.clock.Now()
-				if now >= scen.Horizon {
-					return
-				}
-				key := ycsb.Key(gen.Next(rng))
-				op := faultOp{start: now}
-				if rng.Float64() < w.ReadProportion {
-					op.isRead = true
-					var confirmed bool
-					err := client.Read(key, 3, true, func(v cassandra.ReadView) {
-						if v.Final {
-							op.final = h.clock.Now() - now
-							confirmed = v.Confirmed
-						} else {
-							op.hasPrelim = true
-							op.prelim = h.clock.Now() - now
-						}
-					})
-					op.err = err != nil
-					op.diverged = op.hasPrelim && !op.err && !confirmed
-				} else {
-					err := client.Write(key, w.Value(rng), 1)
-					op.err = err != nil
-					op.final = h.clock.Now() - now
-				}
-				op.end = h.clock.Now()
-				shards[t] = append(shards[t], op)
-			}
+		h.sessions(recorder, sessionMix{
+			n:     checkClients,
+			label: "sess-%02d",
+			binding: func(t int) binding.Binding {
+				coord := alternate(t, netsim.FRK, netsim.IRL)
+				return cassandra.NewBinding(cassandra.NewClient(cluster, netsim.IRL, coord),
+					cassandra.BindingConfig{StrongQuorum: 3})
+			},
+			seed:  func(t int) int64 { return cfg.Seed + 5_555_557 + int64(t)*1_000_003 },
+			key:   func(k int) string { return fmt.Sprintf("chk-%03d", k) },
+			keys:  24,
+			reads: 0.65,
+			value: w.Value,
 		})
 	}
-	g.Wait()
-	inj.Quiesce()
-	h.drain()
+	// The measured population: IRL clients on the FRK coordinator (the
+	// paper's remote-contact deployment), closed loop until the scenario
+	// horizon. Per-thread record shards keep the loop contention-free and
+	// the merge order deterministic.
+	client := cassandra.NewClient(cluster, netsim.IRL, netsim.FRK)
+	shards := make([][]opRecord, threads)
+	for t := 0; t < threads; t++ {
+		h.loop(cfg.Seed+int64(t)*1_000_003, 0, func(rng *rand.Rand) {
+			now := h.clock.Now()
+			key := ycsb.Key(gen.Next(rng))
+			op := opRecord{start: now}
+			if rng.Float64() < w.ReadProportion {
+				op.isRead = true
+				var confirmed bool
+				op.err = client.Read(key, 3, true, func(v cassandra.ReadView) {
+					if v.Final {
+						op.final = h.clock.Now() - now
+						confirmed = v.Confirmed
+					} else {
+						op.hasPrelim = true
+						op.prelim = h.clock.Now() - now
+					}
+				})
+				op.diverged = op.hasPrelim && op.err == nil && !confirmed
+			} else {
+				op.err = client.Write(key, w.Value(rng), 1)
+				op.final = h.clock.Now() - now
+			}
+			op.end = h.clock.Now()
+			shards[t] = append(shards[t], op)
+		})
+	}
+	h.run()
 
-	// Bucket the merged records by the phase each operation started in.
 	res := &FaultStudyResult{
 		Scenario:    scen.Name,
 		Description: scen.Description,
@@ -328,43 +233,33 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 		OpTimeoutMs: metrics.Ms(opTimeout),
 		Threads:     threads,
 		Seed:        cfg.Seed,
-	}
-	for _, tr := range inj.Log() {
-		res.Transitions = append(res.Transitions, tr.At.String()+": "+tr.Desc)
+		Transitions: h.transitions(),
+		Observed:    h.observe(scen.Phases),
 	}
 	if recorder != nil {
-		res.Check = buildCheckReport(recorder, checkClients, "registers")
+		res.Check = buildCheckReport(recorder, checkClients, modelRegisters)
 	}
+	// Bucket the merged records by phase (phaseOf's casualty rule).
 	for i, ph := range scen.Phases {
 		row := FaultStudyRow{Phase: ph.Name, StartMs: metrics.Ms(ph.Start), EndMs: metrics.Ms(ph.End)}
-		prelim, final, update := metrics.NewHistogram(), metrics.NewHistogram(), metrics.NewHistogram()
-		var completed, diverged, divergeBase int64
+		reads, update := newViewStats(), metrics.NewHistogram()
+		var diverged, divergeBase int64
 		for _, shard := range shards {
 			for _, op := range shard {
 				if phaseOf(scen.Phases, op) != i {
 					continue
 				}
 				if op.isRead {
-					row.Reads++
-					if op.hasPrelim {
-						row.Prelims++
-						prelim.Record(op.prelim)
-					}
-					if op.err {
-						row.ReadErrors++
-					} else {
-						completed++
-						final.Record(op.final)
-						if op.hasPrelim {
-							divergeBase++
-							if op.diverged {
-								diverged++
-							}
+					reads.add(op)
+					if op.err == nil && op.hasPrelim {
+						divergeBase++
+						if op.diverged {
+							diverged++
 						}
 					}
 				} else {
 					row.Writes++
-					if op.err {
+					if op.err != nil {
 						row.WriteErr++
 					} else {
 						update.Record(op.final)
@@ -372,38 +267,18 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 				}
 			}
 		}
-		row.PrelimMeanMs = metrics.Ms(prelim.Mean())
-		row.PrelimP99Ms = metrics.Ms(prelim.Percentile(99))
-		row.FinalMeanMs = metrics.Ms(final.Mean())
-		row.FinalP99Ms = metrics.Ms(final.Percentile(99))
+		row.Reads, row.ReadErrors, row.Prelims = reads.ops, reads.errs, reads.prelims
+		row.PrelimMeanMs = metrics.Ms(reads.prelim.Mean())
+		row.PrelimP99Ms = metrics.Ms(reads.prelim.Percentile(99))
+		row.FinalMeanMs = metrics.Ms(reads.final.Mean())
+		row.FinalP99Ms = metrics.Ms(reads.final.Percentile(99))
 		row.UpdateMeanMs = metrics.Ms(update.Mean())
-		row.ReadAvailabilityPct = 100 * metrics.Ratio(completed, row.Reads)
+		row.ReadAvailabilityPct = reads.availabilityPct()
 		row.DivergencePct = 100 * metrics.Ratio(diverged, divergeBase)
-		var prevDropped, prevHinted int64
-		var prevLoad netsim.LoadStats
-		if i > 0 {
-			prevDropped, prevHinted = droppedAt[i-1], hintedAt[i-1]
-			prevLoad = loadAt[i-1]
-		}
-		row.DroppedMsgs = droppedAt[i] - prevDropped
-		row.HintedMsgs = hintedAt[i] - prevHinted
-		row.Rejected = loadAt[i].Rejected - prevLoad.Rejected
-		row.Shed = loadAt[i].Shed - prevLoad.Shed
-		row.Retried = loadAt[i].Retried - prevLoad.Retried
+		c := probe.during(i)
+		row.DroppedMsgs, row.HintedMsgs = c.dropped, c.hinted
+		row.Rejected, row.Shed, row.Retried = c.rejected, c.shed, c.retried
 		res.Rows = append(res.Rows, row)
 	}
-	if h.trc != nil {
-		for _, ph := range scen.Phases {
-			res.Decomp = append(res.Decomp, decompRow(h.trc, ph.Name, ph.Start, ph.End))
-		}
-		res.Timeseries = h.reg.Series()
-		res.Trace = h.trc
-		res.TraceReg = h.reg
-	}
 	return res, nil
-}
-
-// FaultStudyJSON marshals a result for BENCH_faultstudy.json.
-func FaultStudyJSON(res *FaultStudyResult) ([]byte, error) {
-	return marshalReport(res)
 }

@@ -23,7 +23,7 @@ func faultStudyFingerprint(t *testing.T, cfg Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := FaultStudyJSON(res)
+	data, err := marshalReport(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFaultSeedSweepDeterminism(t *testing.T) {
 				if err != nil {
 					return "", err
 				}
-				data, err := FaultStudyJSON(res)
+				data, err := marshalReport(res)
 				return string(data), err
 			}
 			a, err := run()
@@ -156,7 +156,7 @@ func TestFaultStudyAsymmetry(t *testing.T) {
 // observe OnError, never a hang.
 func TestWeakReadsSurviveMajorityPartition(t *testing.T) {
 	cfg := Config{Seed: 1, Quick: true}
-	h := newHarness(cfg)
+	h := newFabric(cfg)
 	inj := faults.Attach(h.tr, nil, 1)
 	cluster := h.newCassandra(cfg, cassandraOpts{correctable: true, opTimeout: 400 * time.Millisecond})
 	cluster.Preload("k", []byte("v"))

@@ -44,7 +44,7 @@ func Fig10(cfg Config) []Fig10Row {
 				name        string
 				correctable bool
 			}{{"ZK", false}, {"CZK", true}} {
-				h := newHarness(cfg)
+				h := newFabric(cfg)
 				e := h.newZK(cfg, zkOpts{correctable: sys.correctable, leader: netsim.IRL})
 				e.Bootstrap(zk.CreateTxn{Path: "/queues"})
 				e.Bootstrap(zk.CreateTxn{Path: "/queues/ev"})
@@ -65,19 +65,15 @@ func Fig10(cfg Config) []Fig10Row {
 				if perClient == 0 {
 					perClient = 1
 				}
-				wg := h.clock.NewGroup()
 				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					h.clock.Go(func() {
-						defer wg.Done()
+					h.spawn(func() {
 						qc := zk.NewQueueClient(e, netsim.FRK, netsim.FRK)
 						for i := 0; i < perClient; i++ {
 							_ = qc.Dequeue("ev", sys.correctable, func(zk.QueueView) {})
 						}
 					})
 				}
-				wg.Wait()
-				h.drain()
+				h.run()
 				ops := perClient * clients
 				bytes := h.meter.Class(netsim.LinkClient).Bytes - base
 				rows = append(rows, Fig10Row{

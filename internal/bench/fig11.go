@@ -3,12 +3,12 @@ package bench
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"time"
 
 	"correctables/internal/apps/adserver"
 	"correctables/internal/apps/twissandra"
 	"correctables/internal/cassandra"
+	"correctables/internal/metrics"
 	"correctables/internal/netsim"
 	"correctables/internal/ycsb"
 )
@@ -156,7 +156,6 @@ func Fig11(cfg Config) []Fig11Row {
 	}
 
 	var rows []Fig11Row
-	var mu sync.Mutex
 	for _, ac := range cases {
 		for _, wname := range []string{"A", "B", "C"} {
 			for _, threads := range fig11ThreadSweep(cfg) {
@@ -165,7 +164,7 @@ func Fig11(cfg Config) []Fig11Row {
 					correctable bool
 					speculative bool
 				}{{"C2", false, false}, {"CC2", true, true}} {
-					h := newHarness(cfg)
+					h := newFabric(cfg)
 					cluster := h.newCassandra(cfg, cassandraOpts{
 						regions:     ac.regions,
 						correctable: sys.correctable,
@@ -185,11 +184,6 @@ func Fig11(cfg Config) []Fig11Row {
 						Seed:     cfg.Seed,
 					})
 					h.drain()
-					missPct := 0.0
-					if res.PrelimReads > 0 {
-						missPct = 100 * float64(res.Diverged) / float64(res.PrelimReads)
-					}
-					mu.Lock()
 					rows = append(rows, Fig11Row{
 						App:               ac.app,
 						Workload:          wname,
@@ -197,9 +191,8 @@ func Fig11(cfg Config) []Fig11Row {
 						Threads:           threads,
 						Throughput:        res.ThroughputOps,
 						Latency:           res.ReadFinal.Mean(),
-						MisspeculationPct: missPct,
+						MisspeculationPct: 100 * metrics.Ratio(res.Diverged, res.PrelimReads),
 					})
-					mu.Unlock()
 				}
 			}
 		}

@@ -51,18 +51,15 @@ func Fig12(cfg Config) ([]Fig12Point, []Fig12Summary) {
 	var summaries []Fig12Summary
 
 	run := func(system string, correctable bool) {
-		h := newHarness(cfg)
+		h := newFabric(cfg)
 		e := h.newZK(cfg, zkOpts{correctable: correctable, leader: netsim.IRL})
 		tickets.Stock(e, "event", stock)
 
 		var mu sync.Mutex
 		var results []Fig12Point
 		revokedTotal := 0
-		wg := h.clock.NewGroup()
 		for w := 0; w < retailers; w++ {
-			wg.Add(1)
-			h.clock.Go(func() {
-				defer wg.Done()
+			h.spawn(func() {
 				r := tickets.NewRetailer(zk.NewBinding(zk.NewQueueClient(e, netsim.FRK, netsim.FRK)))
 				for {
 					var (
@@ -101,8 +98,7 @@ func Fig12(cfg Config) ([]Fig12Point, []Fig12Summary) {
 				}
 			})
 		}
-		wg.Wait()
-		h.drain()
+		h.run()
 
 		fast, slow := metrics.NewHistogram(), metrics.NewHistogram()
 		for _, p := range results {

@@ -32,7 +32,7 @@ func Fig5(cfg Config) []Fig5Row {
 	const keys = 100
 
 	measure := func(correctable bool, quorum int, wantPrelim bool) (prelim, final *metrics.Histogram) {
-		h := newHarness(cfg)
+		h := newFabric(cfg)
 		cluster := h.newCassandra(cfg, cassandraOpts{correctable: correctable})
 		val := make([]byte, 100)
 		for i := 0; i < keys; i++ {

@@ -60,31 +60,19 @@ func Fig6(cfg Config) []Fig6Row {
 		for _, threadsTotal := range fig6ThreadSweep(cfg) {
 			for _, sys := range systems {
 				w := workloadByName(wname, ycsb.DistZipfian, records, valueSize)
-				h := newHarness(cfg)
-				cluster := h.newCassandra(cfg, cassandraOpts{correctable: sys.correctable})
-				preloadDataset(cluster, w)
-				results := runGroups(cluster, w, sys.quorum, sys.prelim, threadsTotal/3, ycsb.Options{
-					Duration: dur,
-					Warmup:   warmup,
-					Seed:     cfg.Seed,
-				})
-				h.drain()
-				var totalThroughput float64
-				for _, r := range results {
-					totalThroughput += r.ThroughputOps
-				}
-				// The paper reports latency for the IRL client (group order
-				// follows cluster.Regions(): FRK, IRL, VRG -> index 1).
-				irl := results[1]
+				results := newFabric(cfg).ycsbRun(cfg, cassandraOpts{correctable: sys.correctable},
+					w, sys.quorum, sys.prelim, threadsTotal/3, ycsb.Options{Duration: dur, Warmup: warmup})
+				total := totalThroughput(results)
+				irl := results[1] // the paper reports latency for the IRL client
 				if sys.prelim {
 					rows = append(rows,
-						Fig6Row{wname, "CC2 preliminary", threadsTotal, totalThroughput,
+						Fig6Row{wname, "CC2 preliminary", threadsTotal, total,
 							irl.ReadPrelim.Mean(), irl.ReadPrelim.Percentile(99)},
-						Fig6Row{wname, "CC2 final", threadsTotal, totalThroughput,
+						Fig6Row{wname, "CC2 final", threadsTotal, total,
 							irl.ReadFinal.Mean(), irl.ReadFinal.Percentile(99)},
 					)
 				} else {
-					rows = append(rows, Fig6Row{wname, sys.name, threadsTotal, totalThroughput,
+					rows = append(rows, Fig6Row{wname, sys.name, threadsTotal, total,
 						irl.ReadFinal.Mean(), irl.ReadFinal.Percentile(99)})
 				}
 			}

@@ -48,24 +48,8 @@ func Fig7(cfg Config) []Fig7Row {
 		for _, dist := range []ycsb.DistKind{ycsb.DistLatest, ycsb.DistZipfian} {
 			for _, threadsTotal := range fig7ThreadSweep(cfg) {
 				w := workloadByName(wname, dist, records, valueSize)
-				h := newHarness(cfg)
-				cluster := h.newCassandra(cfg, cassandraOpts{correctable: true})
-				preloadDataset(cluster, w)
-				results := runGroups(cluster, w, 2, true, threadsTotal/3, ycsb.Options{
-					Duration: dur,
-					Warmup:   warmup,
-					Seed:     cfg.Seed,
-				})
-				h.drain()
-				var diverged, prelims int64
-				for _, r := range results {
-					diverged += r.Diverged
-					prelims += r.PrelimReads
-				}
-				pct := 0.0
-				if prelims > 0 {
-					pct = 100 * float64(diverged) / float64(prelims)
-				}
+				pct, prelims := divergence(newFabric(cfg).ycsbRun(cfg, cassandraOpts{correctable: true},
+					w, 2, true, threadsTotal/3, ycsb.Options{Duration: dur, Warmup: warmup}))
 				rows = append(rows, Fig7Row{
 					Workload:      wname,
 					Distribution:  dist,

@@ -61,7 +61,7 @@ func Fig8(cfg Config) []Fig8Row {
 				var baseline float64
 				for _, sys := range systems {
 					w := workloadByName(wname, dist, records, valueSize)
-					h := newHarness(cfg)
+					h := newFabric(cfg)
 					cluster := h.newCassandra(cfg, cassandraOpts{
 						correctable: sys.correctable,
 						confirmOpt:  sys.confirmOpt,
@@ -70,11 +70,10 @@ func Fig8(cfg Config) []Fig8Row {
 					base := h.meter.Class(netsim.LinkClient).Bytes
 					// No warmup: the meter integrates the whole run, so ops
 					// and bytes must cover the same span.
-					results := runGroups(cluster, w, sys.quorum, sys.prelim, threadsTotal/3, ycsb.Options{
+					results := h.runGroups(cluster, w, sys.quorum, sys.prelim, threadsTotal/3, ycsb.Options{
 						Duration: dur,
 						Seed:     cfg.Seed,
 					})
-					h.drain()
 					var ops int64
 					for _, r := range results {
 						ops += r.Ops

@@ -47,46 +47,35 @@ func Fig9(cfg Config) []Fig9Row {
 
 	var rows []Fig9Row
 	for _, pc := range fig9Configs() {
-		// CZK: one run collecting both views.
-		h := newHarness(cfg)
-		e := h.newZK(cfg, zkOpts{correctable: true, leader: pc.leader})
-		e.Bootstrap(zk.CreateTxn{Path: "/queues"})
-		e.Bootstrap(zk.CreateTxn{Path: "/queues/ev"})
-		qc := zk.NewQueueClient(e, netsim.IRL, pc.contact)
-		prelim, final := metrics.NewHistogram(), metrics.NewHistogram()
-		for i := 0; i < samples; i++ {
-			sw := h.clock.StartStopwatch()
-			_ = qc.Enqueue("ev", []byte(fmt.Sprintf("ticket-%013d", i)), true, func(v zk.QueueView) {
-				if v.Final {
-					final.Record(sw.ElapsedModel())
-				} else {
-					prelim.Record(sw.ElapsedModel())
-				}
-			})
+		// measure enqueues on a fresh ensemble; vanilla ZK (not correctable)
+		// delivers only the final view.
+		measure := func(correctable bool) (prelim, final *metrics.Histogram) {
+			h := newFabric(cfg)
+			e := h.newZK(cfg, zkOpts{correctable: correctable, leader: pc.leader})
+			e.Bootstrap(zk.CreateTxn{Path: "/queues"})
+			e.Bootstrap(zk.CreateTxn{Path: "/queues/ev"})
+			qc := zk.NewQueueClient(e, netsim.IRL, pc.contact)
+			prelim, final = metrics.NewHistogram(), metrics.NewHistogram()
+			for i := 0; i < samples; i++ {
+				sw := h.clock.StartStopwatch()
+				_ = qc.Enqueue("ev", []byte(fmt.Sprintf("ticket-%013d", i)), correctable, func(v zk.QueueView) {
+					if v.Final {
+						final.Record(sw.ElapsedModel())
+					} else {
+						prelim.Record(sw.ElapsedModel())
+					}
+				})
+			}
+			h.drain()
+			return prelim, final
 		}
-		h.drain()
+		prelim, final := measure(true)
+		_, base := measure(false)
 		rows = append(rows,
 			Fig9Row{pc.name, "CZK preliminary", prelim.Mean(), prelim.Percentile(99)},
 			Fig9Row{pc.name, "CZK final", final.Mean(), final.Percentile(99)},
+			Fig9Row{pc.name, "ZK", base.Mean(), base.Percentile(99)},
 		)
-
-		// Vanilla ZK baseline.
-		h2 := newHarness(cfg)
-		e2 := h2.newZK(cfg, zkOpts{leader: pc.leader})
-		e2.Bootstrap(zk.CreateTxn{Path: "/queues"})
-		e2.Bootstrap(zk.CreateTxn{Path: "/queues/ev"})
-		qc2 := zk.NewQueueClient(e2, netsim.IRL, pc.contact)
-		base := metrics.NewHistogram()
-		for i := 0; i < samples; i++ {
-			sw := h2.clock.StartStopwatch()
-			_ = qc2.Enqueue("ev", []byte(fmt.Sprintf("ticket-%013d", i)), false, func(v zk.QueueView) {
-				if v.Final {
-					base.Record(sw.ElapsedModel())
-				}
-			})
-		}
-		h2.drain()
-		rows = append(rows, Fig9Row{pc.name, "ZK", base.Mean(), base.Percentile(99)})
 	}
 	return rows
 }

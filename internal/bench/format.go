@@ -122,9 +122,58 @@ func formatDecomp(rows []PhaseDecomp) string {
 		out)
 }
 
-// FormatFaultStudy renders the fault study's per-phase rows; withLog
-// appends the applied fault-transition log (the replay record).
-func FormatFaultStudy(res *FaultStudyResult, withLog bool) string {
+// formatTransitions appends the applied fault-transition log (the replay
+// record).
+func formatTransitions(b *strings.Builder, transitions []string) {
+	b.WriteString("fault transitions:\n")
+	for _, tr := range transitions {
+		fmt.Fprintf(b, "  %s\n", tr)
+	}
+}
+
+// formatCheck appends a checked session population's verdict; linLabel
+// names what the linearizability search covered. No-op on a nil report.
+func formatCheck(b *strings.Builder, c *CheckReport, seed int64, linLabel string) {
+	if c == nil {
+		return
+	}
+	fmt.Fprintf(b, "consistency check: %d session clients, %d ops, history sha256 %.12s…\n",
+		c.Clients, c.Ops, c.HistoryDigest)
+	if n := c.Violations(); n == 0 {
+		b.WriteString("  session guarantees (RYW, monotonic reads, WFR): OK\n")
+		fmt.Fprintf(b, "  %s linearizability: OK\n", linLabel)
+	} else {
+		fmt.Fprintf(b, "  %d VIOLATIONS (replay with -seed %d):\n", n, seed)
+		formatViolations(b, c)
+	}
+	for _, k := range c.Inconclusive {
+		fmt.Fprintf(b, "  inconclusive (budget exhausted): %s\n", k)
+	}
+}
+
+// formatCheckLine appends the one-line verdict of a per-mode or per-cell
+// check (violations listed underneath); okLabel names what passed.
+func formatCheckLine(b *strings.Builder, c *CheckReport, seed int64, okLabel string) {
+	if n := c.Violations(); n == 0 {
+		fmt.Fprintf(b, " — %s: OK\n", okLabel)
+	} else {
+		fmt.Fprintf(b, " — %d VIOLATIONS (replay with -seed %d):\n", n, seed)
+		formatViolations(b, c)
+	}
+}
+
+func formatViolations(b *strings.Builder, c *CheckReport) {
+	for _, v := range c.SessionViolations {
+		fmt.Fprintf(b, "  %s\n", v)
+	}
+	for _, v := range c.LinViolations {
+		fmt.Fprintf(b, "  %s\n", v)
+	}
+}
+
+// Format renders the fault study's per-phase rows; withLog appends the
+// applied fault-transition log.
+func (res *FaultStudyResult) Format(withLog bool) string {
 	out := make([][]string, len(res.Rows))
 	for i, r := range res.Rows {
 		out[i] = []string{r.Phase,
@@ -136,49 +185,22 @@ func FormatFaultStudy(res *FaultStudyResult, withLog bool) string {
 			fmt.Sprintf("%d", r.DroppedMsgs), fmt.Sprintf("%d", r.HintedMsgs),
 			fmt.Sprintf("%d", r.Rejected), fmt.Sprintf("%d", r.Shed), fmt.Sprintf("%d", r.Retried)}
 	}
-	s := table(
+	var b strings.Builder
+	b.WriteString(table(
 		fmt.Sprintf("Fault study: weak vs strong views under %q (CC3, YCSB B)", res.Scenario),
 		[]string{"phase", "reads", "errs", "prelim ms", "final ms", "final p99", "avail %", "div %", "dropped", "hinted", "rej", "shed", "retry"},
-		out)
-	s += formatDecomp(res.Decomp)
+		out))
+	b.WriteString(formatDecomp(res.Decomp))
 	if withLog {
-		var b strings.Builder
-		b.WriteString(s)
-		b.WriteString("fault transitions:\n")
-		for _, tr := range res.Transitions {
-			fmt.Fprintf(&b, "  %s\n", tr)
-		}
-		s = b.String()
+		formatTransitions(&b, res.Transitions)
 	}
-	if res.Check != nil {
-		var b strings.Builder
-		b.WriteString(s)
-		fmt.Fprintf(&b, "consistency check: %d session clients, %d ops, history sha256 %.12s…\n",
-			res.Check.Clients, res.Check.Ops, res.Check.HistoryDigest)
-		if n := res.Check.Violations(); n == 0 {
-			b.WriteString("  session guarantees (RYW, monotonic reads, WFR): OK\n")
-			b.WriteString("  per-key register linearizability: OK\n")
-		} else {
-			fmt.Fprintf(&b, "  %d VIOLATIONS (replay with -seed %d):\n", n, res.Seed)
-			for _, v := range res.Check.SessionViolations {
-				fmt.Fprintf(&b, "  %s\n", v)
-			}
-			for _, v := range res.Check.LinViolations {
-				fmt.Fprintf(&b, "  %s\n", v)
-			}
-		}
-		for _, k := range res.Check.Inconclusive {
-			fmt.Fprintf(&b, "  inconclusive (budget exhausted): %s\n", k)
-		}
-		s = b.String()
-	}
-	return s
+	formatCheck(&b, res.Check, res.Seed, "per-key register")
+	return b.String()
 }
 
-// FormatFailover renders the failover experiment: the recovery summary,
-// then the per-population phase table; withLog appends the fault-transition
-// log (the replay record).
-func FormatFailover(res *FailoverResult, withLog bool) string {
+// Format renders the failover experiment: the per-population phase table,
+// then the recovery summary; withLog appends the fault-transition log.
+func (res *FailoverResult) Format(withLog bool) string {
 	out := make([][]string, len(res.Rows))
 	for i, r := range res.Rows {
 		out[i] = []string{r.Population, r.Phase,
@@ -197,30 +219,9 @@ func FormatFailover(res *FailoverResult, withLog bool) string {
 	fmt.Fprintf(&b, "  prelim-only window: %.0fms (first post-fault commit at %.0fms); %d preliminary views served inside it\n",
 		res.PrelimOnlyWindowMs, res.FirstFinalAfterFaultMs, res.OutagePrelims)
 	if withLog {
-		b.WriteString("fault transitions:\n")
-		for _, tr := range res.Transitions {
-			fmt.Fprintf(&b, "  %s\n", tr)
-		}
+		formatTransitions(&b, res.Transitions)
 	}
-	if res.Check != nil {
-		fmt.Fprintf(&b, "consistency check: %d session clients, %d ops, history sha256 %.12s…\n",
-			res.Check.Clients, res.Check.Ops, res.Check.HistoryDigest)
-		if n := res.Check.Violations(); n == 0 {
-			b.WriteString("  session guarantees (RYW, monotonic reads, WFR): OK\n")
-			b.WriteString("  per-queue linearizability: OK\n")
-		} else {
-			fmt.Fprintf(&b, "  %d VIOLATIONS (replay with -seed %d):\n", n, res.Seed)
-			for _, v := range res.Check.SessionViolations {
-				fmt.Fprintf(&b, "  %s\n", v)
-			}
-			for _, v := range res.Check.LinViolations {
-				fmt.Fprintf(&b, "  %s\n", v)
-			}
-		}
-		for _, k := range res.Check.Inconclusive {
-			fmt.Fprintf(&b, "  inconclusive (budget exhausted): %s\n", k)
-		}
-	}
+	formatCheck(&b, res.Check, res.Seed, "per-queue")
 	return b.String()
 }
 
@@ -306,9 +307,9 @@ func FormatFig12(points []Fig12Point, summaries []Fig12Summary) string {
 	return summary + table("Figure 12 series: avg latency (ms) by decile of selling order", header, series)
 }
 
-// FormatOverload renders the overload experiment: one per-phase table per
-// mode, the metastability verdict, and each mode's history-check summary.
-func FormatOverload(res *OverloadResult) string {
+// Format renders the overload experiment: one per-phase table per mode,
+// the metastability verdict, and each mode's history-check summary.
+func (res *OverloadResult) Format(bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Overload: metastable retry storm vs admission-controlled escape ==\n")
 	fmt.Fprintf(&b, "offered %.0f ops/s baseline + %.0f ops/s burst, capacity ~%.0f ops/s, op timeout %.0f ms, %d sessions\n",
@@ -335,14 +336,7 @@ func FormatOverload(res *OverloadResult) string {
 		if c := m.Check; c != nil {
 			fmt.Fprintf(&b, "history check: %d sessions, %d ops, sha256 %.12s…",
 				c.Clients, c.Ops, c.HistoryDigest)
-			if n := c.Violations(); n == 0 {
-				b.WriteString(" — session guarantees + cross-object WFR: OK\n")
-			} else {
-				fmt.Fprintf(&b, " — %d VIOLATIONS (replay with -seed %d):\n", n, res.Seed)
-				for _, v := range c.SessionViolations {
-					fmt.Fprintf(&b, "  %s\n", v)
-				}
-			}
+			formatCheckLine(&b, c, res.Seed, "session guarantees + cross-object WFR")
 		}
 	}
 	off, on := res.Modes[0], res.Modes[1]
@@ -351,9 +345,9 @@ func FormatOverload(res *OverloadResult) string {
 	return b.String()
 }
 
-// FormatCapacity renders the shard-count capacity study: the per-cell
-// table, the scaling headline, and each cell's history-check summary.
-func FormatCapacity(res *CapacityResult) string {
+// Format renders the shard-count capacity study: the per-cell table, the
+// scaling headline, and each cell's history-check summary.
+func (res *CapacityResult) Format(bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "horizon %.0f ms per cell, seed %d\n", res.HorizonMs, res.Seed)
 	out := make([][]string, len(res.Rows))
@@ -376,24 +370,14 @@ func FormatCapacity(res *CapacityResult) string {
 	for _, r := range res.Rows {
 		if c := r.Check; c != nil {
 			fmt.Fprintf(&b, "check shards=%d: %d sessions, %d ops, sha256 %.12s…", r.Shards, c.Clients, c.Ops, c.HistoryDigest)
-			if n := c.Violations(); n == 0 {
-				b.WriteString(" — session guarantees + register linearizability: OK\n")
-			} else {
-				fmt.Fprintf(&b, " — %d VIOLATIONS (replay with -seed %d):\n", n, res.Seed)
-				for _, v := range c.SessionViolations {
-					fmt.Fprintf(&b, "  %s\n", v)
-				}
-				for _, v := range c.LinViolations {
-					fmt.Fprintf(&b, "  %s\n", v)
-				}
-			}
+			formatCheckLine(&b, c, res.Seed, "session guarantees + register linearizability")
 		}
 	}
 	return b.String()
 }
 
-// FormatSweep renders the quorum x geography sweep table.
-func FormatSweep(res *SweepResult) string {
+// Format renders the quorum x geography sweep table.
+func (res *SweepResult) Format(bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload %s, %d threads, %.0f ms per cell, seed %d\n",
 		res.Workload, res.Threads, res.DurationMs, res.Seed)

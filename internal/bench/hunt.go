@@ -2,8 +2,6 @@ package bench
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -77,7 +75,7 @@ type HuntFinding struct {
 	Repro *HuntRepro `json:"repro"`
 }
 
-// HuntResult is the hunt's full output; it marshals to JSON via HuntJSON.
+// HuntResult is the hunt's full output (icgbench -fault-json marshals it).
 type HuntResult struct {
 	Profiles     []string      `json:"profiles"`
 	Seeds        int           `json:"seeds"`
@@ -88,7 +86,11 @@ type HuntResult struct {
 	Ops          int64         `json:"ops"`
 	Inconclusive int           `json:"inconclusive_runs"`
 	Findings     []HuntFinding `json:"findings"`
+	untraced
 }
+
+// Violations counts the violating worlds.
+func (res *HuntResult) Violations() int { return len(res.Findings) }
 
 // huntWorld is one self-contained simulated world: a pure function of its
 // fields. The sweep generates worlds from (profile, seed); the minimizer
@@ -217,8 +219,7 @@ func huntShards(profile string) int {
 //     hold without any session machinery in front of it.
 func runHuntWorld(w huntWorld) *huntOutcome {
 	cfg := Config{Seed: w.Seed}
-	h := newHarness(cfg)
-	inj := faults.Attach(h.tr, faults.Compose(w.Tracks...), w.Seed+3)
+	h := newWorld(cfg, faults.Compose(w.Tracks...), w.Horizon)
 	cluster := h.newCassandra(cfg, cassandraOpts{
 		correctable: true,
 		opTimeout:   3 * w.Unit,
@@ -229,6 +230,7 @@ func runHuntWorld(w huntWorld) *huntOutcome {
 	// register checker would (correctly) flag as phantom writes. The causal
 	// keyspace below is only causal-cut-checked, so preloads are fine there.
 	val := []byte("hunt-payload-0123456789abcdef")
+	constVal := func(*rand.Rand) []byte { return val }
 
 	var st *causal.Store
 	if w.Causal > 0 {
@@ -251,49 +253,35 @@ func runHuntWorld(w huntWorld) *huntOutcome {
 
 	recA := history.NewRecorder() // cassandra sessions + arrivals
 	recB := history.NewRecorder() // plain causal ladder clients
-	g := h.clock.NewGroup()
 	ctx := context.Background()
 
-	newSessionBinding := func(cc *cassandra.Client) binding.Binding {
-		b := cassandra.NewBinding(cc, cassandra.BindingConfig{StrongQuorum: 3})
+	sessionBinding := func(client, coord netsim.Region) binding.Binding {
+		b := cassandra.NewBinding(cassandra.NewClient(cluster, client, coord),
+			cassandra.BindingConfig{StrongQuorum: 3})
 		if w.Plant {
-			return &plantedBinding{Binding: b, inj: inj}
+			return &plantedBinding{Binding: b, inj: h.inj}
 		}
 		return b
 	}
 
 	// Paced session clients.
-	for i := 0; i < w.Sessions; i++ {
-		coord := netsim.FRK
-		if i%2 == 1 {
-			coord = netsim.IRL
-		}
-		cc := cassandra.NewClient(cluster, netsim.IRL, coord)
-		bc := binding.NewClient(newSessionBinding(cc),
-			binding.WithObserver(recA),
-			binding.WithLabel(fmt.Sprintf("sess-%02d", i)))
-		sess := binding.NewSession(bc)
-		rng := rand.New(rand.NewSource(w.Seed + 100_003*int64(i) + 7))
-		g.Add(1)
-		h.clock.Go(func() {
-			defer g.Done()
-			for h.clock.Now() < w.Horizon {
-				key := huntKey(rng.Intn(huntSessionKeys))
-				if rng.Float64() < 0.6 {
-					_, _ = sess.Get(ctx, key).Final(ctx)
-				} else {
-					_, _ = sess.Put(ctx, key, val).Final(ctx)
-				}
-				h.clock.Sleep(w.Unit / 12)
-			}
-		})
-	}
+	h.sessions(recA, sessionMix{
+		n:     w.Sessions,
+		label: "sess-%02d",
+		binding: func(i int) binding.Binding {
+			return sessionBinding(netsim.IRL, alternate(i, netsim.FRK, netsim.IRL))
+		},
+		seed:  func(i int) int64 { return w.Seed + 100_003*int64(i) + 7 },
+		key:   huntKey,
+		keys:  huntSessionKeys,
+		reads: 0.6,
+		value: constVal,
+		pace:  w.Unit / 12,
+	})
 
 	// Open-loop arrival clients through admission control.
-	var gate *load.Controller
 	if w.ArrivalRate > 0 {
-		gate = load.NewController(load.Config{
-			Clock:          h.clock,
+		gate := h.gate(load.Config{
 			PerClientRate:  w.ArrivalRate,
 			PerClientBurst: w.ArrivalRate / 4,
 			Sample:         cluster.Replica(netsim.FRK).Server().QueueDelay,
@@ -301,93 +289,55 @@ func runHuntWorld(w huntWorld) *huntOutcome {
 			Threshold:      w.Unit,
 			MinRate:        20,
 			MaxRate:        2000,
-			Meter:          h.meter,
 		})
-		gate.Start()
 		open := make([]*binding.Session, 2)
 		for i := range open {
-			cc := cassandra.NewClient(cluster, netsim.VRG, netsim.FRK)
 			// No client-side retries here, deliberately: a retried write can
 			// land twice server-side while recording one completed op, which
 			// makes the second version token unattributable and the register
 			// checker unsound. Timed-out ops stay incomplete and enter the
 			// linearizability history as ambiguous writes instead.
-			bc := binding.NewClient(newSessionBinding(cc),
-				binding.WithObserver(recA),
-				binding.WithLabel(fmt.Sprintf("open-%02d", i)),
-				binding.WithAdmission(gate))
-			open[i] = binding.NewSession(bc)
+			open[i] = h.session(recA, fmt.Sprintf("open-%02d", i),
+				sessionBinding(netsim.VRG, netsim.FRK), binding.WithAdmission(gate))
 		}
 		rng := rand.New(rand.NewSource(w.Seed + 31))
-		fire := func(n int) {
+		h.arrive(load.NewPoisson(w.ArrivalRate, w.Seed+41), w.Horizon, func(n int) func() {
 			sess := open[n%len(open)]
 			key := huntKey(rng.Intn(huntSessionKeys))
-			isRead := rng.Float64() < 0.7
-			g.Add(1)
-			h.clock.Go(func() {
-				defer g.Done()
-				if isRead {
-					_, _ = sess.Get(ctx, key).Final(ctx)
-				} else {
-					_, _ = sess.Put(ctx, key, val).Final(ctx)
-				}
-			})
-		}
-		load.Start(h.clock, load.NewPoisson(w.ArrivalRate, w.Seed+41), w.Horizon, fire)
+			if rng.Float64() < 0.7 {
+				return func() { _, _ = sess.Get(ctx, key).Final(ctx) }
+			}
+			return func() { _, _ = sess.Put(ctx, key, val).Final(ctx) }
+		})
 	}
 
 	// Plain causal ladder clients.
 	for i := 0; i < w.Causal; i++ {
-		region := netsim.IRL
-		if i%2 == 1 {
-			region = netsim.VRG
-		}
+		region := alternate(i, netsim.IRL, netsim.VRG)
 		kv := causal.NewKV(causal.NewBinding(causal.NewClient(st, region)),
 			binding.WithObserver(recB),
 			binding.WithLabel(fmt.Sprintf("cau-%02d", i)))
-		rng := rand.New(rand.NewSource(w.Seed + 500_009*int64(i) + 13))
-		g.Add(1)
-		h.clock.Go(func() {
-			defer g.Done()
-			for h.clock.Now() < w.Horizon {
-				key := huntCausalKey(rng.Intn(huntCausalKeys))
-				if rng.Float64() < 0.7 {
-					_, _ = kv.Get(ctx, key).Final(ctx)
-				} else {
-					_, _ = kv.Put(ctx, key, val).Final(ctx)
-				}
-				h.clock.Sleep(w.Unit / 10)
+		h.loop(w.Seed+500_009*int64(i)+13, w.Unit/10, func(rng *rand.Rand) {
+			key := huntCausalKey(rng.Intn(huntCausalKeys))
+			if rng.Float64() < 0.7 {
+				_, _ = kv.Get(ctx, key).Final(ctx)
+			} else {
+				_, _ = kv.Put(ctx, key, val).Final(ctx)
 			}
 		})
 	}
 
-	g.Wait()
-	if gate != nil {
-		gate.Stop()
-	}
-	inj.Quiesce()
-	h.drain()
+	h.run()
 
-	opsA, opsB := recA.Ops(), recB.Ops()
-	out := &huntOutcome{ops: len(opsA) + len(opsB)}
-	if n := recA.Collisions() + recB.Collisions(); n > 0 {
-		out.violations = append(out.violations, history.Violation{
-			Guarantee: "history-integrity",
-			Detail:    fmt.Sprintf("%d client-label collisions — the recorded history is untrustworthy", n),
-		})
+	a, b := checkHistory(recA, modelRegisters), checkHistory(recB, modelLadder)
+	out := &huntOutcome{
+		ops:          len(a.ops) + len(b.ops),
+		inconclusive: a.inconclusive,
+		digest:       historyDigest(a.ops, b.ops),
 	}
-	out.violations = append(out.violations, history.CheckSessionGuarantees(opsA)...)
-	out.violations = append(out.violations, history.CheckCrossObjectWFR(opsA)...)
-	out.violations = append(out.violations, history.CheckCausalCut(opsA)...)
-	linVs, inconclusive := history.CheckRegisters(opsA, 0)
-	out.violations = append(out.violations, linVs...)
-	out.inconclusive = inconclusive
-	out.violations = append(out.violations, history.CheckCausalCut(opsB)...)
-
-	sum := sha256.New()
-	sum.Write(history.SerializeOps(opsA))
-	sum.Write(history.SerializeOps(opsB))
-	out.digest = hex.EncodeToString(sum.Sum(nil))
+	out.violations = append(out.violations, a.session...)
+	out.violations = append(out.violations, a.lin...)
+	out.violations = append(out.violations, b.session...)
 	return out
 }
 
@@ -579,11 +529,6 @@ func worldOf(r *HuntRepro) (huntWorld, error) {
 	return w, nil
 }
 
-// HuntReproJSON marshals a repro for archiving.
-func HuntReproJSON(r *HuntRepro) ([]byte, error) {
-	return marshalReport(r)
-}
-
 // ParseHuntRepro parses an archived repro.
 func ParseHuntRepro(data []byte) (*HuntRepro, error) {
 	r := &HuntRepro{}
@@ -648,19 +593,9 @@ func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
 		}
 	}
 
-	type runSpec struct {
-		profile string
-		seed    int64
-	}
-	specs := make([]runSpec, 0, len(opts.Profiles)*opts.Seeds)
-	for _, p := range opts.Profiles {
-		for s := 0; s < opts.Seeds; s++ {
-			specs = append(specs, runSpec{profile: p, seed: opts.StartSeed + int64(s)})
-		}
-	}
-
-	worlds := make([]huntWorld, len(specs))
-	outcomes := make([]*huntOutcome, len(specs))
+	// World i is profile i/Seeds at seed StartSeed + i%Seeds.
+	worlds := make([]huntWorld, len(opts.Profiles)*opts.Seeds)
+	outcomes := make([]*huntOutcome, len(worlds))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for wk := 0; wk < opts.Workers; wk++ {
@@ -669,10 +604,10 @@ func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
+				if i >= len(worlds) {
 					return
 				}
-				w, err := newHuntWorld(specs[i].profile, specs[i].seed, opts.Plant)
+				w, err := newHuntWorld(opts.Profiles[i/opts.Seeds], opts.StartSeed+int64(i%opts.Seeds), opts.Plant)
 				if err != nil {
 					panic("bench: " + err.Error()) // profiles validated above
 				}
@@ -685,7 +620,7 @@ func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
 
 	res := &HuntResult{
 		Profiles: opts.Profiles, Seeds: opts.Seeds, StartSeed: opts.StartSeed,
-		Workers: opts.Workers, Planted: opts.Plant, Runs: len(specs),
+		Workers: opts.Workers, Planted: opts.Plant, Runs: len(worlds),
 	}
 	for i, o := range outcomes {
 		res.Ops += int64(o.ops)
@@ -697,7 +632,7 @@ func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
 		}
 		tgt := targetOf(o.violations[0])
 		f := HuntFinding{
-			Profile: specs[i].profile, Seed: specs[i].seed,
+			Profile: worlds[i].Profile, Seed: worlds[i].Seed,
 			Guarantee: tgt.Guarantee, Client: tgt.Client, Key: tgt.Key,
 			TracksBefore:  len(worlds[i].Tracks),
 			EventsBefore:  countEvents(worlds[i].Tracks),
@@ -728,8 +663,8 @@ func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
 	return res, nil
 }
 
-// FormatHunt renders a hunt result as the icgbench table.
-func FormatHunt(res *HuntResult) string {
+// Format renders a hunt result as the icgbench table.
+func (res *HuntResult) Format(bool) string {
 	var b strings.Builder
 	planted := ""
 	if res.Planted {
@@ -758,9 +693,4 @@ func FormatHunt(res *HuntResult) string {
 		}
 	}
 	return b.String()
-}
-
-// HuntJSON marshals a hunt result for -fault-json.
-func HuntJSON(res *HuntResult) ([]byte, error) {
-	return marshalReport(res)
 }

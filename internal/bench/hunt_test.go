@@ -63,13 +63,13 @@ func TestHuntShrinkDeterministic(t *testing.T) {
 	if len(first.Findings) == 0 || len(second.Findings) != len(first.Findings) {
 		t.Fatalf("finding counts differ: %d vs %d", len(first.Findings), len(second.Findings))
 	}
-	a, err := HuntReproJSON(first.Findings[0].Repro)
+	a, err := marshalReport(first.Findings[0].Repro)
 	if err != nil {
-		t.Fatalf("HuntReproJSON: %v", err)
+		t.Fatalf("marshalReport: %v", err)
 	}
-	b, err := HuntReproJSON(second.Findings[0].Repro)
+	b, err := marshalReport(second.Findings[0].Repro)
 	if err != nil {
-		t.Fatalf("HuntReproJSON: %v", err)
+		t.Fatalf("marshalReport: %v", err)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("shrunk repros differ across identical hunts:\n%s\n---\n%s", a, b)

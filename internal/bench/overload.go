@@ -79,15 +79,10 @@ type OverloadMode struct {
 	// deliberately not checked here: the measured keyspace is shared with
 	// unrecorded background writers, so it is not a closed world.
 	Check *CheckReport `json:"check"`
-	// Decomp and Timeseries are the observability plane's output
-	// (Config.Trace runs only). The decomposition makes the storm legible:
-	// the queue column explodes in the storm phase with shedding off and
-	// the admission column replaces it with shedding on.
-	Decomp     []PhaseDecomp      `json:"latency_decomposition,omitempty"`
-	Timeseries []trace.TimeSeries `json:"timeseries,omitempty"`
-
-	trc *trace.Tracer
-	reg *trace.Registry
+	// Observed's decomposition makes the storm legible: the queue column
+	// explodes in the storm phase with shedding off and the admission
+	// column replaces it with shedding on.
+	Observed
 }
 
 // OverloadResult is the overload experiment's full output; it marshals
@@ -106,31 +101,28 @@ type OverloadResult struct {
 	Sessions    int            `json:"sessions"`
 	Seed        int64          `json:"seed"`
 	Modes       []OverloadMode `json:"modes"`
-	// Trace and TraceReg carry the shedding-on mode's tracer for Chrome
-	// export (icgbench -trace): the mode whose spans include the full
-	// admission story (rejects, degrades, backoff windows).
-	Trace    *trace.Tracer   `json:"-"`
-	TraceReg *trace.Registry `json:"-"`
 }
 
-// overloadPhase is one window of the scenario timeline.
-type overloadPhase struct {
-	name       string
-	start, end time.Duration
+// Violations sums both modes' history-check violations.
+func (res *OverloadResult) Violations() int {
+	n := 0
+	for _, m := range res.Modes {
+		n += m.Check.Violations()
+	}
+	return n
 }
 
-// overloadOp is one measured operation's record.
-type overloadOp struct {
-	start, end time.Duration
-	err        error
-	degraded   bool
+// Traced returns the shedding-on mode's tracer: the mode whose spans
+// include the full admission story (rejects, degrades, backoff windows).
+func (res *OverloadResult) Traced() (*trace.Tracer, *trace.Registry) {
+	return res.Modes[len(res.Modes)-1].Traced()
 }
 
 // overloadParams fixes the scenario's knobs in one place so both modes run
 // the identical workload.
 type overloadParams struct {
 	unit      time.Duration
-	phases    []overloadPhase
+	phases    []faults.Phase
 	horizon   time.Duration
 	opTimeout time.Duration
 
@@ -148,11 +140,11 @@ func overloadParamsFor(cfg Config) overloadParams {
 	u := cfg.pickDur(time.Second, 300*time.Millisecond)
 	return overloadParams{
 		unit: u,
-		phases: []overloadPhase{
-			{"baseline", 0, 3 * u},
-			{"burst", 3 * u, 5 * u},
-			{"storm", 5 * u, 9 * u},
-			{"recovered", 9 * u, 12 * u},
+		phases: []faults.Phase{
+			{Name: "baseline", Start: 0, End: 3 * u},
+			{Name: "burst", Start: 3 * u, End: 5 * u},
+			{Name: "storm", Start: 5 * u, End: 9 * u},
+			{Name: "recovered", Start: 9 * u, End: 12 * u},
 		},
 		horizon: 12 * u,
 		// The per-attempt timeout is the storm's trigger: once the
@@ -196,7 +188,7 @@ func Overload(cfg Config) (*OverloadResult, error) {
 		OpTimeoutMs:  metrics.Ms(p.opTimeout),
 		BaselineRate: p.baselineRate,
 		BurstRate:    p.burstRate,
-		CapacityOps:  2000, // 4 workers / 2ms service time (newCassandra)
+		CapacityOps:  cassandraCapacityOps,
 		Sessions:     p.sessions,
 		Seed:         cfg.Seed,
 	}
@@ -206,18 +198,15 @@ func Overload(cfg Config) (*OverloadResult, error) {
 			return nil, err
 		}
 		res.Modes = append(res.Modes, *mode)
-		if mode.trc != nil {
-			res.Trace, res.TraceReg = mode.trc, mode.reg
-		}
 	}
 	return res, nil
 }
 
 // runOverloadMode runs the scenario once on a fresh fabric.
 func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode, error) {
-	h := newHarness(cfg)
+	h := newWorld(cfg, nil, p.horizon)
 	cluster := h.newCassandra(cfg, cassandraOpts{correctable: true})
-	cluster.SetTrace(h.trc)
+	coord := cluster.Replica(netsim.FRK).Server()
 	val := make([]byte, 128)
 	for i := range val {
 		val[i] = byte('a' + i%26)
@@ -231,9 +220,7 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 	// delay, sampled in model time.
 	var gate *load.Controller
 	if shedding {
-		coord := cluster.Replica(netsim.FRK).Server()
-		gate = load.NewController(load.Config{
-			Clock:             h.clock,
+		gate = h.gate(load.Config{
 			PerClientRate:     150,
 			PerClientBurst:    30,
 			Sample:            coord.QueueDelay,
@@ -246,9 +233,7 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 			DegradeToWeak:     true,
 			EnterAfter:        2,
 			ExitAfter:         4,
-			Meter:             h.meter,
 		})
-		gate.Start()
 	}
 
 	// The measured population: IRL session clients on the FRK coordinator
@@ -257,12 +242,8 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 	// history the checkers verify.
 	recorder := history.NewRecorder()
 	sessions := make([]*binding.Session, p.sessions)
-	for i := 0; i < p.sessions; i++ {
-		cc := cassandra.NewClient(cluster, netsim.IRL, netsim.FRK)
+	for i := range sessions {
 		opts := []binding.Option{
-			binding.WithObserver(recorder),
-			binding.WithTracer(h.trc),
-			binding.WithLabel(fmt.Sprintf("ovl-%02d", i)),
 			binding.WithOpTimeout(p.opTimeout),
 			binding.WithRetry(binding.RetryPolicy{
 				Max:    p.retryMax,
@@ -278,25 +259,13 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 		if gate != nil {
 			opts = append(opts, binding.WithAdmission(gate))
 		}
-		bc := binding.NewClient(
-			cassandra.NewBinding(cc, cassandra.BindingConfig{StrongQuorum: 2}), opts...)
-		sessions[i] = binding.NewSession(bc)
+		sessions[i] = h.session(recorder, fmt.Sprintf("ovl-%02d", i),
+			cassandra.NewBinding(cassandra.NewClient(cluster, netsim.IRL, netsim.FRK),
+				cassandra.BindingConfig{StrongQuorum: 2}),
+			opts...)
 	}
 
-	// Cumulative admission-outcome probes at phase boundaries (same
-	// cumulative-then-diff pattern as the fault study's dropped counters).
-	type loadProbe struct{ rejected, shed, retried int64 }
-	probes := make([]loadProbe, len(p.phases))
-	snapLoad := func() loadProbe {
-		s := h.meter.SnapshotLoad()[netsim.LinkClient]
-		return loadProbe{rejected: s.Rejected, shed: s.Shed, retried: s.Retried}
-	}
-	for i, ph := range p.phases {
-		i := i
-		h.clock.RunAt(ph.end, func() { probes[i] = snapLoad() })
-	}
-
-	g := h.clock.NewGroup()
+	probe := h.probePhases(p.phases, nil)
 
 	// Background writers on the IRL coordinator create cross-coordinator
 	// staleness on the measured keyspace: without them a degraded weak read
@@ -305,147 +274,115 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 	// load FRK's replication path lightly rather than competing for its
 	// capacity.
 	for t := 0; t < 2; t++ {
-		rng := rand.New(rand.NewSource(cfg.Seed + 7_777_777 + int64(t)*1_000_003))
 		bg := cassandra.NewClient(cluster, netsim.IRL, netsim.IRL)
-		g.Add(1)
-		h.clock.Go(func() {
-			defer g.Done()
-			for h.clock.Now() < p.horizon {
-				_ = bg.Write(overloadKey(rng.Intn(p.keys)), val, 1)
-				h.clock.Sleep(10 * time.Millisecond)
-			}
+		h.loop(cfg.Seed+7_777_777+int64(t)*1_000_003, 10*time.Millisecond, func(rng *rand.Rand) {
+			_ = bg.Write(overloadKey(rng.Intn(p.keys)), val, 1)
 		})
 	}
 
 	// Open-loop arrivals: a Poisson baseline for the whole run plus an
-	// on/off burst riding on top during the burst phase. Arrival callbacks
-	// must not block: each spawns the operation as an actor. The shared rng
-	// and record slice are mutex-guarded for wall-clock runs; under the
-	// virtual clock callbacks are already serialized.
+	// on/off burst riding on top during the burst phase. The shared rng and
+	// record slice are mutex-guarded for wall-clock runs; under the virtual
+	// clock callbacks are already serialized.
 	var (
 		mu       sync.Mutex
 		arrivals int
-		records  []overloadOp
+		records  []opRecord
 		rng      = rand.New(rand.NewSource(cfg.Seed + 17))
 	)
 
 	// The sampled time-series (Config.Trace): the coordinator's queueing
 	// delay is the storm itself; in-flight ops show the retry amplification;
 	// the admission gauges (shedding mode) show the AIMD controller reacting.
-	if h.reg != nil {
-		coord := cluster.Replica(netsim.FRK).Server()
-		h.reg.Gauge("coord_queue_delay_ms", func() float64 {
-			return metrics.Ms(coord.QueueDelay())
+	h.gaugeQueueDelay(coord)
+	h.gauge("inflight_ops", func() float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return float64(arrivals - len(records))
+	})
+	h.gauge("retried_attempts", func() float64 {
+		return float64(h.meter.Load(netsim.LinkClient).Retried)
+	})
+	if gate != nil {
+		h.gauge("admit_rate", gate.AdmitRate)
+		h.gauge("degraded", func() float64 {
+			if gate.Degraded() {
+				return 1
+			}
+			return 0
 		})
-		h.reg.Gauge("inflight_ops", func() float64 {
-			mu.Lock()
-			defer mu.Unlock()
-			return float64(arrivals - len(records))
-		})
-		h.reg.Gauge("retried_attempts", func() float64 {
-			return float64(h.meter.Load(netsim.LinkClient).Retried)
-		})
-		if gate != nil {
-			h.reg.Gauge("admit_rate", gate.AdmitRate)
-			h.reg.Gauge("degraded", func() float64 {
-				if gate.Degraded() {
-					return 1
-				}
-				return 0
-			})
-		}
-		h.startSampling(p.horizon)
 	}
 
 	ctx := context.Background()
-	fire := func(int) {
+	fire := func(int) func() {
 		mu.Lock()
 		sess := sessions[arrivals%len(sessions)]
 		arrivals++
 		key := overloadKey(rng.Intn(p.keys))
 		isRead := rng.Float64() < 0.85
 		mu.Unlock()
-		g.Add(1)
-		h.clock.Go(func() {
-			defer g.Done()
-			rec := overloadOp{start: h.clock.Now()}
+		return func() {
+			rec := opRecord{start: h.clock.Now()}
 			if isRead {
 				v, err := sess.Get(ctx, key, core.LevelStrong).Final(ctx)
 				rec.err = err
 				rec.degraded = err == nil && v.Level != core.LevelStrong
 			} else {
-				_, err := sess.Put(ctx, key, val).Final(ctx)
-				rec.err = err
+				_, rec.err = sess.Put(ctx, key, val).Final(ctx)
 			}
 			rec.end = h.clock.Now()
 			mu.Lock()
 			records = append(records, rec)
 			mu.Unlock()
-		})
+		}
 	}
-	load.Start(h.clock, load.NewPoisson(p.baselineRate, cfg.Seed+11), p.horizon, fire)
-	burstStart := p.phases[1].start
-	burstLen := p.phases[1].end - p.phases[1].start
-	h.clock.RunAt(burstStart, func() {
+	burst := p.phases[1]
+	h.arrive(load.NewPoisson(p.baselineRate, cfg.Seed+11), p.horizon, fire)
+	h.clock.RunAt(burst.Start, func() {
 		// OnOff with one on-window inside the horizon: the burst, then
 		// silence — the recovery question is what happens after its edge.
-		load.Start(h.clock, load.NewOnOff(p.burstRate, burstLen, p.horizon, cfg.Seed+13),
-			p.phases[1].end, fire)
+		h.arrive(load.NewOnOff(p.burstRate, burst.End-burst.Start, p.horizon, cfg.Seed+13), burst.End, fire)
 	})
 
-	g.Wait()
-	if gate != nil {
-		gate.Stop()
-	}
-	h.drain()
-	// Late retries and drains may run past the horizon; fold the final
-	// totals into the last phase's probe.
-	probes[len(probes)-1] = snapLoad()
+	h.run()
+	probe.closeLast()
 
 	modeName := "shedding-off"
 	if shedding {
 		modeName = "shedding-on"
 	}
-	mode := &OverloadMode{Mode: modeName, Shedding: shedding}
+	mode := &OverloadMode{Mode: modeName, Shedding: shedding, Observed: h.observe(p.phases)}
 
-	// Bucket records into phases: completions by start, failures by end.
+	// Bucket records into phases (phaseOf's casualty rule); arrivals count
+	// where they arrived, whatever became of them.
 	for i, ph := range p.phases {
-		row := OverloadRow{Phase: ph.name, StartMs: metrics.Ms(ph.start), EndMs: metrics.Ms(ph.end)}
+		row := OverloadRow{Phase: ph.Name, StartMs: metrics.Ms(ph.Start), EndMs: metrics.Ms(ph.End)}
 		final := metrics.NewHistogram()
 		for _, rec := range records {
-			if rec.err == nil {
-				if overloadPhaseOf(p.phases, rec.start) != i {
-					continue
-				}
+			if phaseAt(p.phases, rec.start) == i {
+				row.Offered++
+			}
+			if phaseOf(p.phases, rec) != i {
+				continue
+			}
+			switch {
+			case rec.err == nil:
 				row.Completed++
 				final.Record(rec.end - rec.start)
 				if rec.degraded {
 					row.Degraded++
 				}
-			} else if overloadPhaseOf(p.phases, rec.end) == i {
-				switch {
-				case errors.Is(rec.err, load.ErrRejected):
-					row.RejectedOps++
-				case errors.Is(rec.err, faults.ErrUnreachable):
-					row.TimedOut++
-				default:
-					row.SessionErrs++
-				}
+			case errors.Is(rec.err, load.ErrRejected):
+				row.RejectedOps++
+			case errors.Is(rec.err, faults.ErrUnreachable):
+				row.TimedOut++
+			default:
+				row.SessionErrs++
 			}
 		}
-		for _, rec := range records {
-			if overloadPhaseOf(p.phases, rec.start) == i {
-				row.Offered++
-			}
-		}
-		var prev loadProbe
-		if i > 0 {
-			prev = probes[i-1]
-		}
-		row.Rejected = probes[i].rejected - prev.rejected
-		row.Shed = probes[i].shed - prev.shed
-		row.Retried = probes[i].retried - prev.retried
-		row.GoodputOps = float64(row.Completed) / (ph.end - ph.start).Seconds()
+		c := probe.during(i)
+		row.Rejected, row.Shed, row.Retried = c.rejected, c.shed, c.retried
+		row.GoodputOps = float64(row.Completed) / (ph.End - ph.Start).Seconds()
 		row.FinalMeanMs = metrics.Ms(final.Mean())
 		row.FinalP99Ms = metrics.Ms(final.Percentile(99))
 		mode.Rows = append(mode.Rows, row)
@@ -462,34 +399,10 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 	}
 	mode.RecoveredGoodputPct = mode.Rows[3].GoodputPct
 
-	if h.trc != nil {
-		for _, ph := range p.phases {
-			mode.Decomp = append(mode.Decomp, decompRow(h.trc, ph.name, ph.start, ph.end))
-		}
-		mode.Timeseries = h.reg.Series()
-		mode.trc, mode.reg = h.trc, h.reg
-	}
-
 	// The always-on history check, with the default checker set (session
 	// guarantees, cross-object WFR, causal-cut).
-	mode.Check = buildCheckReport(recorder, p.sessions, "")
+	mode.Check = buildCheckReport(recorder, p.sessions, modelNone)
 	return mode, nil
 }
 
 func overloadKey(i int) string { return fmt.Sprintf("ovl-%03d", i) }
-
-// overloadPhaseOf maps a model instant into its phase (clamping past the
-// horizon into the last phase, for ops that die during the drain).
-func overloadPhaseOf(phases []overloadPhase, at time.Duration) int {
-	for i, ph := range phases {
-		if at < ph.end {
-			return i
-		}
-	}
-	return len(phases) - 1
-}
-
-// OverloadJSON marshals a result for BENCH_overload.json.
-func OverloadJSON(res *OverloadResult) ([]byte, error) {
-	return marshalReport(res)
-}

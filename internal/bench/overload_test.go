@@ -17,14 +17,14 @@ func TestOverloadMetastableEscape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		js, err := OverloadJSON(res)
+		js, err := marshalReport(res)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, js
 	}
 	res, js := run()
-	t.Logf("\n%s", FormatOverload(res))
+	t.Logf("\n%s", res.Format(false))
 	if len(res.Modes) != 2 {
 		t.Fatalf("modes = %d, want shedding-off and shedding-on", len(res.Modes))
 	}

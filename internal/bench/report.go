@@ -8,10 +8,29 @@ import (
 	"correctables/internal/trace"
 )
 
+// Result is what a front end needs from any scenario experiment's outcome,
+// so that one runner (cmd/icgbench) serves them all; WriteReport marshals
+// the result itself.
+type Result interface {
+	// Format renders the printed report; withLog appends the applied
+	// fault-transition log where the experiment has one.
+	Format(withLog bool) string
+	// Violations counts what the run's consistency checks found.
+	Violations() int
+	// Traced returns the recorded tracer and gauge registry for Chrome
+	// trace export; both nil for an untraced run.
+	Traced() (*trace.Tracer, *trace.Registry)
+}
+
+// untraced is embedded by the results of experiments the trace plane does
+// not reach (sweep, capacity, hunt).
+type untraced struct{}
+
+func (untraced) Traced() (*trace.Tracer, *trace.Registry) { return nil, nil }
+
 // marshalReport is the one JSON encoding every experiment artifact goes
 // through (BENCH_*.json, hunt repros, trace sidecars): two-space indent,
-// stable field order from the result structs. The per-experiment *JSON
-// functions are thin wrappers kept for API stability.
+// stable field order from the result structs.
 func marshalReport(v any) ([]byte, error) {
 	return json.MarshalIndent(v, "", "  ")
 }

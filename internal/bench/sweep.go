@@ -46,25 +46,25 @@ type SweepResult struct {
 	DurationMs  float64    `json:"duration_ms"`
 	Seed        int64      `json:"seed"`
 	Rows        []SweepRow `json:"rows"`
+	untraced
 }
 
-// sweepGeographies returns the RTT geometries, scaling the paper's measured
+// Violations is always 0: the sweep measures latency and runs no checked
+// population.
+func (res *SweepResult) Violations() int { return 0 }
+
+// sweepGeographies are the RTT geometries, scaling the paper's measured
 // EC2 model: x0.25 compresses FRK/IRL/VRG to metro-area distances, x1 is the
 // deployment the paper ran, x2 stretches it to an intercontinental worst
 // case. Service times and bandwidth stay fixed so the sweep isolates the
 // propagation axis.
-func sweepGeographies() []struct {
+var sweepGeographies = []struct {
 	name  string
 	scale float64
-} {
-	return []struct {
-		name  string
-		scale float64
-	}{
-		{"metro", 0.25},
-		{"paper", 1},
-		{"intercontinental", 2},
-	}
+}{
+	{"metro", 0.25},
+	{"paper", 1},
+	{"intercontinental", 2},
 }
 
 // scaledLatencies multiplies every RTT of the paper's model (including the
@@ -100,33 +100,22 @@ func Sweep(cfg Config) *SweepResult {
 		Seed:        cfg.Seed,
 	}
 	cell := func(geoName string, scale float64, quorum, shards int) {
-		h := newHarnessWith(cfg, scaledLatencies(scale))
-		cluster := h.newCassandra(cfg, cassandraOpts{correctable: true, shards: shards})
-		preloadDataset(cluster, w)
-		results := runGroups(cluster, w, quorum, true, threads/3, ycsb.Options{
-			Duration: dur,
-			Warmup:   warmup,
-			Seed:     cfg.Seed,
-		})
-		h.drain()
-		var total float64
-		for _, r := range results {
-			total += r.ThroughputOps
-		}
-		irl := results[1] // group order follows cluster.Regions(): FRK, IRL, VRG
+		results := newFabricWith(cfg, scaledLatencies(scale)).ycsbRun(cfg, cassandraOpts{correctable: true, shards: shards},
+			w, quorum, true, threads/3, ycsb.Options{Duration: dur, Warmup: warmup})
+		irl := results[1]
 		res.Rows = append(res.Rows, SweepRow{
 			Geography:     geoName,
 			RTTScale:      scale,
 			Quorum:        quorum,
 			Shards:        shards,
-			ThroughputOps: total,
+			ThroughputOps: totalThroughput(results),
 			PrelimMeanMs:  metrics.Ms(irl.ReadPrelim.Mean()),
 			FinalMeanMs:   metrics.Ms(irl.ReadFinal.Mean()),
 			PrelimP99Ms:   metrics.Ms(irl.ReadPrelim.Percentile(99)),
 			FinalP99Ms:    metrics.Ms(irl.ReadFinal.Percentile(99)),
 		})
 	}
-	for _, geo := range sweepGeographies() {
+	for _, geo := range sweepGeographies {
 		for quorum := 1; quorum <= 3; quorum++ {
 			cell(geo.name, geo.scale, quorum, 1)
 		}
@@ -137,9 +126,4 @@ func Sweep(cfg Config) *SweepResult {
 		cell("paper", 1, 2, shards)
 	}
 	return res
-}
-
-// SweepJSON renders the sweep table as indented JSON.
-func SweepJSON(res *SweepResult) ([]byte, error) {
-	return marshalReport(res)
 }

@@ -12,14 +12,14 @@ import (
 func TestSweepQuorumGeography(t *testing.T) {
 	run := func() (*SweepResult, []byte) {
 		res := Sweep(Config{Quick: true, Seed: 5})
-		js, err := SweepJSON(res)
+		js, err := marshalReport(res)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, js
 	}
 	res, js := run()
-	t.Logf("\n%s", FormatSweep(res))
+	t.Logf("\n%s", res.Format(false))
 	if len(res.Rows) != 12 {
 		t.Fatalf("rows = %d, want 3 geographies x 3 quorums + 3 shard counts", len(res.Rows))
 	}

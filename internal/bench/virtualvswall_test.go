@@ -13,14 +13,13 @@ import (
 // throughput in ops per model second.
 func saturationSweep(cfg Config) float64 {
 	w := workloadByName("A", ycsb.DistZipfian, 1000, 1024)
-	h := newHarness(cfg)
+	h := newFabric(cfg)
 	cluster := h.newCassandra(cfg, cassandraOpts{correctable: true})
 	preloadDataset(cluster, w)
-	results := runGroups(cluster, w, 2, true, 4, ycsb.Options{
+	results := h.runGroups(cluster, w, 2, true, 4, ycsb.Options{
 		Duration: 2 * time.Second,
 		Seed:     cfg.Seed,
 	})
-	h.drain()
 	var tp float64
 	for _, r := range results {
 		tp += r.ThroughputOps

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"correctables/internal/cassandra"
+	"correctables/internal/metrics"
 	"correctables/internal/netsim"
 	"correctables/internal/ycsb"
 )
@@ -66,6 +67,39 @@ func preloadDataset(cluster *cassandra.Cluster, w ycsb.Workload) {
 	}
 }
 
+// ycsbRun is one YCSB measurement on a fresh fabric: a cluster built from
+// copts, w's dataset preloaded, the three regional client groups driven to
+// completion (runGroups) seeded from cfg.Seed. Results follow
+// cluster.Regions(): FRK, IRL, VRG — the paper reports the IRL client,
+// index 1.
+func (h *world) ycsbRun(cfg Config, copts cassandraOpts, w ycsb.Workload, quorum int, prelim bool,
+	threadsPerGroup int, opts ycsb.Options) []*ycsb.Result {
+	cluster := h.newCassandra(cfg, copts)
+	preloadDataset(cluster, w)
+	opts.Seed = cfg.Seed
+	return h.runGroups(cluster, w, quorum, prelim, threadsPerGroup, opts)
+}
+
+// totalThroughput sums attained ops/s over the client groups.
+func totalThroughput(results []*ycsb.Result) float64 {
+	var total float64
+	for _, r := range results {
+		total += r.ThroughputOps
+	}
+	return total
+}
+
+// divergence is the percentage of preliminary reads, over all client
+// groups, whose final view did not confirm them, and the reads it is over.
+func divergence(results []*ycsb.Result) (pct float64, prelims int64) {
+	var diverged int64
+	for _, r := range results {
+		diverged += r.Diverged
+		prelims += r.PrelimReads
+	}
+	return 100 * metrics.Ratio(diverged, prelims), prelims
+}
+
 // clientGroup is one regional client population of the paper's YCSB
 // deployment ("we deploy 3 clients, one per region, with each client
 // connecting to a remote replica").
@@ -82,9 +116,10 @@ func defaultGroups(cluster *cassandra.Cluster) []clientGroup {
 	return groups
 }
 
-// runGroups drives the workload from all client groups concurrently and
-// returns the per-group results in group order.
-func runGroups(cluster *cassandra.Cluster, w ycsb.Workload, quorum int, prelim bool,
+// runGroups drives the workload from all client groups concurrently,
+// plays the world out (run: background traffic drained), and returns the
+// per-group results in group order.
+func (h *world) runGroups(cluster *cassandra.Cluster, w ycsb.Workload, quorum int, prelim bool,
 	threadsPerGroup int, opts ycsb.Options) []*ycsb.Result {
 	groups := defaultGroups(cluster)
 	results := make([]*ycsb.Result, len(groups))
@@ -93,21 +128,14 @@ func runGroups(cluster *cassandra.Cluster, w ycsb.Workload, quorum int, prelim b
 	// every group would chase its own writes — which its own coordinator
 	// serves fresh — and divergence would vanish.)
 	shared := w.NewGenerator()
-	clock := cluster.Transport().Clock()
-	wg := clock.NewGroup()
 	for i, g := range groups {
-		i, g := i, g
 		db := newCassandraDB(cluster, g.clientRegion, g.coordRegion, quorum, prelim)
 		groupOpts := opts
 		groupOpts.Threads = threadsPerGroup
 		groupOpts.Seed = opts.Seed + int64(i)*77
 		groupOpts.Generator = shared
-		wg.Add(1)
-		clock.Go(func() {
-			defer wg.Done()
-			results[i] = ycsb.Run(w, db, clock, groupOpts)
-		})
+		h.spawn(func() { results[i] = ycsb.Run(w, db, h.clock, groupOpts) })
 	}
-	wg.Wait()
+	h.run()
 	return results
 }

@@ -169,11 +169,6 @@ func NewScheduled[T any](sched Scheduler, levels Levels) (*Correctable[T], Contr
 	return c, Controller[T]{c: c}
 }
 
-// derive creates a child Correctable sharing c's scheduler.
-func (c *Correctable[T]) derive(levels Levels) (*Correctable[T], Controller[T]) {
-	return NewScheduled[T](c.sched, levels)
-}
-
 // deriveAs creates a child Correctable of a different value type sharing c's
 // scheduler (for Speculate/Map chains that change the type).
 func deriveAs[U, T any](c *Correctable[T], levels Levels) (*Correctable[U], Controller[U]) {

@@ -2,77 +2,15 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
-	"time"
 )
 
 // This file holds the features Correctables inherit from modern Promises
 // that the paper mentions but elides for space (§3.2: "error handling,
 // timeouts, or other features inherited from modern Promises, such as
-// aggregation or monadic-style chaining").
-
-// ErrTimeout closes a Correctable abandoned by WithTimeout.
-var ErrTimeout = errors.New("correctable: timed out")
-
-// WithTimeout returns a Correctable mirroring c, except that if c has not
-// closed within d it resolves early: with the latest view received so far
-// (degraded but usable — the "tight latency SLA" pattern of §2.2), or with
-// ErrTimeout if no view arrived at all. Late views from c are ignored.
-// The deadline runs on the Correctable's scheduler time axis: host time by
-// default, model time under a simulation scheduler.
-func (c *Correctable[T]) WithTimeout(d time.Duration) *Correctable[T] {
-	out, ctrl := c.derive(c.Levels())
-	c.scheduler().After(d, func() {
-		// No-op if the source already closed the output (ErrClosed).
-		if v, ok := c.Latest(); ok {
-			_ = ctrl.Close(v.Value, v.Level)
-		} else {
-			_ = ctrl.Fail(fmt.Errorf("%w after %v", ErrTimeout, d))
-		}
-	})
-	c.SetCallbacks(Callbacks[T]{
-		OnUpdate: func(v View[T]) {
-			if v.Final {
-				_ = ctrl.Close(v.Value, v.Level)
-			} else {
-				_ = ctrl.Update(v.Value, v.Level)
-			}
-		},
-		OnError: func(err error) {
-			_ = ctrl.Fail(err)
-		},
-	})
-	return out
-}
-
-// Catch returns a Correctable mirroring c, except that if c fails, handler
-// is consulted: a non-error return closes the result with the recovery
-// value (at LevelNone-adjacent weakest level LevelCache, since a recovered
-// value carries no storage guarantee); returning an error fails the result
-// with it. This is the Promise `catch` combinator.
-func (c *Correctable[T]) Catch(handler func(error) (T, error)) *Correctable[T] {
-	out, ctrl := c.derive(c.Levels())
-	c.SetCallbacks(Callbacks[T]{
-		OnUpdate: func(v View[T]) {
-			if v.Final {
-				_ = ctrl.Close(v.Value, v.Level)
-			} else {
-				_ = ctrl.Update(v.Value, v.Level)
-			}
-		},
-		OnError: func(err error) {
-			val, herr := handler(err)
-			if herr != nil {
-				_ = ctrl.Fail(herr)
-				return
-			}
-			_ = ctrl.Close(val, LevelCache)
-		},
-	})
-	return out
-}
+// aggregation or monadic-style chaining") — those an app, example or
+// experiment here actually calls. Operation timeouts live in the invoke
+// pipeline (binding.WithOpTimeout), not on the Correctable.
 
 // Finally invokes f exactly once when c leaves the Updating state, whether
 // it closed with a view or an error, and returns c for chaining.
@@ -81,27 +19,6 @@ func (c *Correctable[T]) Finally(f func()) *Correctable[T] {
 		OnFinal: func(View[T]) { f() },
 		OnError: func(error) { f() },
 	})
-}
-
-// FilterLevels returns a Correctable that forwards only views at or above
-// min (the final view is always forwarded, whatever its level, so the
-// result still closes). Applications use it to ignore a too-weak cache view
-// while keeping the rest of the ICG stream.
-func (c *Correctable[T]) FilterLevels(min Level) *Correctable[T] {
-	out, ctrl := c.derive(c.Levels())
-	c.SetCallbacks(Callbacks[T]{
-		OnUpdate: func(v View[T]) {
-			if v.Final {
-				_ = ctrl.Close(v.Value, v.Level)
-				return
-			}
-			if v.Level.AtLeast(min) {
-				_ = ctrl.Update(v.Value, v.Level)
-			}
-		},
-		OnError: func(err error) { _ = ctrl.Fail(err) },
-	})
-	return out
 }
 
 // Race returns a Correctable that closes with the first view (of any level)

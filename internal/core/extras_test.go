@@ -5,102 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 )
-
-func TestWithTimeoutDegradesToLatestView(t *testing.T) {
-	c, ctrl := New[any]()
-	out := c.WithTimeout(20 * time.Millisecond)
-	_ = ctrl.Update("prelim", LevelWeak)
-	// The final never arrives in time.
-	v, err := out.Final(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Value != "prelim" || v.Level != LevelWeak {
-		t.Errorf("degraded view = %+v", v)
-	}
-	// The late close on the source must be ignored without panic.
-	_ = ctrl.Close("late", LevelStrong)
-	if got, _ := out.Latest(); got.Value != "prelim" {
-		t.Errorf("late view leaked: %v", got.Value)
-	}
-}
-
-func TestWithTimeoutNoViewsFails(t *testing.T) {
-	c, _ := New[any]()
-	out := c.WithTimeout(10 * time.Millisecond)
-	if _, err := out.Final(context.Background()); !errors.Is(err, ErrTimeout) {
-		t.Errorf("err = %v, want ErrTimeout", err)
-	}
-}
-
-func TestWithTimeoutFastPathUnaffected(t *testing.T) {
-	c, ctrl := New[any]()
-	out := c.WithTimeout(time.Minute)
-	_ = ctrl.Update(1, LevelWeak)
-	_ = ctrl.Close(2, LevelStrong)
-	v, err := out.Final(context.Background())
-	if err != nil || v.Value != 2 || v.Level != LevelStrong {
-		t.Errorf("v = %+v, err = %v", v, err)
-	}
-	if len(out.Views()) != 2 {
-		t.Errorf("views = %+v", out.Views())
-	}
-}
-
-func TestWithTimeoutPropagatesError(t *testing.T) {
-	c, ctrl := New[any]()
-	out := c.WithTimeout(time.Minute)
-	boom := errors.New("x")
-	_ = ctrl.Fail(boom)
-	if _, err := out.Final(context.Background()); !errors.Is(err, boom) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestCatchRecovers(t *testing.T) {
-	c, ctrl := New[any]()
-	out := c.Catch(func(err error) (interface{}, error) {
-		return "fallback", nil
-	})
-	_ = ctrl.Fail(errors.New("storage down"))
-	v, err := out.Final(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Value != "fallback" || v.Level != LevelCache {
-		t.Errorf("recovered = %+v", v)
-	}
-}
-
-func TestCatchRethrows(t *testing.T) {
-	c, ctrl := New[any]()
-	wrapped := errors.New("wrapped")
-	out := c.Catch(func(err error) (interface{}, error) { return nil, wrapped })
-	_ = ctrl.Fail(errors.New("original"))
-	if _, err := out.Final(context.Background()); !errors.Is(err, wrapped) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestCatchPassthroughOnSuccess(t *testing.T) {
-	c, ctrl := New[any]()
-	called := false
-	out := c.Catch(func(error) (interface{}, error) { called = true; return nil, nil })
-	_ = ctrl.Update(1, LevelWeak)
-	_ = ctrl.Close(2, LevelStrong)
-	v, err := out.Final(context.Background())
-	if err != nil || v.Value != 2 {
-		t.Fatalf("v=%+v err=%v", v, err)
-	}
-	if called {
-		t.Error("handler ran on success")
-	}
-	if len(out.Views()) != 2 {
-		t.Errorf("views = %d", len(out.Views()))
-	}
-}
 
 func TestFinallyRunsOnceEitherWay(t *testing.T) {
 	for _, fail := range []bool{false, true} {
@@ -116,31 +21,6 @@ func TestFinallyRunsOnceEitherWay(t *testing.T) {
 		if got := atomic.LoadInt32(&n); got != 1 {
 			t.Errorf("fail=%v: Finally ran %d times", fail, got)
 		}
-	}
-}
-
-func TestFilterLevels(t *testing.T) {
-	c, ctrl := New[any]()
-	out := c.FilterLevels(LevelCausal)
-	_ = ctrl.Update("cache", LevelCache)   // filtered
-	_ = ctrl.Update("causal", LevelCausal) // passes
-	_ = ctrl.Close("strong", LevelStrong)
-	if _, err := out.Final(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	views := out.Views()
-	if len(views) != 2 || views[0].Value != "causal" || views[1].Value != "strong" {
-		t.Errorf("views = %+v", views)
-	}
-}
-
-func TestFilterLevelsAlwaysForwardsFinal(t *testing.T) {
-	c, ctrl := New[any]()
-	out := c.FilterLevels(LevelStrong)
-	_ = ctrl.Close("weak-final", LevelWeak) // below min, but final
-	v, err := out.Final(context.Background())
-	if err != nil || v.Value != "weak-final" {
-		t.Errorf("v=%+v err=%v", v, err)
 	}
 }
 

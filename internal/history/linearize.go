@@ -233,9 +233,9 @@ func (QueueModel) Step(state string, op *LinOp) (string, bool) {
 // keyedOps selects a key's operations from a history.
 func keyedOps(ops []Op, key string) []Op {
 	var out []Op
-	for _, op := range ops {
-		if op.Key == key {
-			out = append(out, op)
+	for i := range ops { // by index: ranging by value copies every Op just to read its key
+		if ops[i].Key == key {
+			out = append(out, ops[i])
 		}
 	}
 	return out

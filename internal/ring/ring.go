@@ -8,19 +8,16 @@
 //   - deterministic placement: the same (seed, shard set) always yields the
 //     same ring, byte for byte, so same-seed experiment runs replay
 //     identically;
-//   - minimal movement on reshard: adding or removing a shard only inserts
-//     or deletes that shard's own virtual nodes — every key whose successor
-//     vnode is untouched keeps its owner, so roughly 1/N of the keyspace
-//     moves and nothing else does.
+//   - minimal movement between ring widths: a ring of N+1 shards is the
+//     ring of N shards plus the new shard's own virtual nodes — every key
+//     whose successor vnode is untouched keeps its owner, so roughly 1/N of
+//     the keyspace moves and nothing else does.
 //
 // The package imports only the standard library and sits below cassandra in
 // the import graph.
 package ring
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Config parameterizes ring construction.
 type Config struct {
@@ -51,8 +48,7 @@ type vnode struct {
 	shard int
 }
 
-// Ring is an immutable token ring. All methods are safe for concurrent use;
-// resharding operations return a new Ring.
+// Ring is an immutable token ring. All methods are safe for concurrent use.
 type Ring struct {
 	cfg    Config
 	shards []int // live shard IDs, ascending
@@ -66,11 +62,6 @@ func New(cfg Config) *Ring {
 	for i := range ids {
 		ids[i] = i
 	}
-	return build(cfg, ids)
-}
-
-// build constructs the ring for an explicit shard set.
-func build(cfg Config, ids []int) *Ring {
 	r := &Ring{cfg: cfg, shards: ids, vnodes: make([]vnode, 0, len(ids)*cfg.VNodes)}
 	for _, id := range ids {
 		for vn := 0; vn < cfg.VNodes; vn++ {
@@ -164,45 +155,8 @@ func (r *Ring) NumShards() int { return len(r.shards) }
 // VNodes returns the total virtual-node count on the ring.
 func (r *Ring) VNodes() int { return len(r.vnodes) }
 
-// Config returns the construction parameters (Shards reflects the original
-// request, not later reshards; use NumShards for the live count).
+// Config returns the construction parameters.
 func (r *Ring) Config() Config { return r.cfg }
-
-// AddShard returns a new ring with one more shard (ID = max live ID + 1).
-// Only keys whose successor vnode is one of the new shard's vnodes move;
-// everything else keeps its owner.
-func (r *Ring) AddShard() *Ring {
-	id := 0
-	for _, s := range r.shards {
-		if s >= id {
-			id = s + 1
-		}
-	}
-	ids := append(append([]int(nil), r.shards...), id)
-	return build(r.cfg, ids)
-}
-
-// RemoveShard returns a new ring without the given shard; its keyspace
-// falls to the successor shards and no other key moves. Removing the last
-// shard or an unknown ID is an error.
-func (r *Ring) RemoveShard(id int) (*Ring, error) {
-	if len(r.shards) == 1 {
-		return nil, fmt.Errorf("ring: cannot remove the last shard")
-	}
-	ids := make([]int, 0, len(r.shards)-1)
-	found := false
-	for _, s := range r.shards {
-		if s == id {
-			found = true
-			continue
-		}
-		ids = append(ids, s)
-	}
-	if !found {
-		return nil, fmt.Errorf("ring: no shard %d", id)
-	}
-	return build(r.cfg, ids), nil
-}
 
 // Fingerprint digests the full token placement. Two rings with the same
 // fingerprint place every possible key identically; the determinism
