@@ -149,32 +149,24 @@ func (s *Service) getAds(refsEncoded []byte) ([]Ad, error) {
 	if len(refs) == 0 {
 		return nil, nil
 	}
-	type fetched struct {
-		i   int
-		ad  Ad
-		err error
-	}
+	// Every fetch fills its own slot of ads and reports only its error, so
+	// no result is boxed on its way through the queue.
+	ads := make([]Ad, len(refs))
 	q := s.clock.NewQueue()
 	for i, ref := range refs {
-		i, ref := i, ref
 		s.clock.Go(func() {
 			v, err := s.kv.GetStrong(context.Background(), AdKey(ref)).Final(context.Background())
-			if err != nil {
-				q.Put(fetched{i: i, err: err})
-				return
+			if err == nil {
+				ads[i] = Ad{Ref: ref, Body: v.Value}
 			}
-			q.Put(fetched{i: i, ad: Ad{Ref: ref, Body: v.Value}})
+			q.Put(err)
 		})
 	}
-	ads := make([]Ad, len(refs))
 	var firstErr error
 	for range refs {
-		f := q.Get().(fetched)
-		if f.err != nil && firstErr == nil {
-			firstErr = f.err
-			continue
+		if err, _ := q.Get().(error); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		ads[f.i] = f.ad
 	}
 	if firstErr != nil {
 		return nil, firstErr

@@ -70,7 +70,7 @@ type batchItem struct {
 func (b *Binding) readBatch(shard int, entries []binding.BatchEntry) {
 	c := b.client
 	cl := c.cluster
-	cfg := cl.cfg
+	cfg := &cl.cfg
 	tr := cl.tr
 	clock := tr.Clock()
 	coord := cl.replicas[c.Coordinator][shard]

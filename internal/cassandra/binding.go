@@ -82,19 +82,12 @@ func (b *Binding) clock() netsim.Clock { return b.client.cluster.tr.Clock() }
 func (b *Binding) get(op binding.Get, levels core.Levels, cb binding.Callback) {
 	wantWeak := levels.Contains(core.LevelWeak)
 	wantStrong := levels.Contains(core.LevelStrong)
-	emit := func(v ReadView, level core.Level) {
-		cb(binding.Result{
-			Value:   append([]byte(nil), v.Value...),
-			Level:   level,
-			Version: v.Version.Token(),
-		})
-	}
 	switch {
 	case wantWeak && wantStrong:
 		if b.client.cluster.cfg.Correctable {
 			// One request, two responses (preliminary + final).
 			err := b.client.read(op.Key, b.cfg.StrongQuorum, true, func(v ReadView) {
-				emit(v, v.Level)
+				emit(cb, v, v.Level)
 			})
 			if err != nil {
 				cb(binding.Result{Err: err})
@@ -108,31 +101,37 @@ func (b *Binding) get(op binding.Get, levels core.Levels, cb binding.Callback) {
 		b.clock().Go(func() {
 			defer weakDone.Fire()
 			_ = b.client.read(op.Key, 1, false, func(v ReadView) {
-				emit(v, core.LevelWeak)
+				emit(cb, v, core.LevelWeak)
 			})
 		})
 		err := b.client.read(op.Key, b.cfg.StrongQuorum, false, func(v ReadView) {
 			weakDone.Wait() // keep view order monotone
-			emit(v, core.LevelStrong)
+			emit(cb, v, core.LevelStrong)
 		})
 		if err != nil {
 			cb(binding.Result{Err: err})
 		}
 	case wantStrong:
 		if err := b.client.read(op.Key, b.cfg.StrongQuorum, false, func(v ReadView) {
-			emit(v, core.LevelStrong)
+			emit(cb, v, core.LevelStrong)
 		}); err != nil {
 			cb(binding.Result{Err: err})
 		}
 	case wantWeak:
 		if err := b.client.read(op.Key, 1, false, func(v ReadView) {
-			emit(v, core.LevelWeak)
+			emit(cb, v, core.LevelWeak)
 		}); err != nil {
 			cb(binding.Result{Err: err})
 		}
 	default:
 		cb(binding.Result{Err: fmt.Errorf("%w: %v", binding.ErrUnsupportedLevel, levels)})
 	}
+}
+
+// emit delivers one read view to the binding callback. ReadView.Value is
+// already the caller's own copy, so it goes out as is.
+func emit(cb binding.Callback, v ReadView, level core.Level) {
+	cb(binding.Result{Value: v.Value, Level: level, Version: v.Version.Token()})
 }
 
 func (b *Binding) put(op binding.Put, levels core.Levels, cb binding.Callback) {

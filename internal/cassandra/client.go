@@ -103,7 +103,7 @@ func (c *Client) Read(key string, quorum int, wantPrelim bool, onView func(ReadV
 }
 
 func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadView)) error {
-	cfg := c.cluster.cfg
+	cfg := &c.cluster.cfg
 	if quorum < 1 || quorum > len(c.cluster.order) {
 		return fmt.Errorf("cassandra: read quorum %d out of range [1,%d]", quorum, len(c.cluster.order))
 	}
@@ -124,8 +124,9 @@ func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadV
 	// coordinating. The flush costs extra coordinator service time and one
 	// client-link response message, delivered as a callback timer — the
 	// off-critical-path flush costs no goroutine.
-	prelimDelivered := clock.NewEvent()
+	var prelimDelivered netsim.Event
 	if wantPrelim {
+		prelimDelivered = clock.NewEvent()
 		// The flush span covers the extra coordinator work plus the wire
 		// trip: it ends when the preliminary actually reaches the client.
 		var flushSp trace.SpanID
@@ -144,8 +145,6 @@ func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadV
 			})
 			prelimDelivered.Fire()
 		})
-	} else {
-		prelimDelivered.Fire()
 	}
 
 	// Quorum gathering: the coordinator counts itself and waits for the
@@ -158,23 +157,24 @@ func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadV
 			quorumSp = trc.Begin(c.cluster.phaseTrk[c.Coordinator], trace.CatQuorum, "read-quorum", key, clock.Now())
 		}
 		peers := c.cluster.othersByProximity(c.Coordinator)[:need]
-		results := clock.NewQueue()
-		for _, peer := range peers {
-			peer := peer
+		g := c.cluster.getGather()
+		for i, peer := range peers {
 			peerReplica := c.cluster.ReplicaAt(shard, peer)
 			clock.Go(func() {
 				tr.Travel(c.Coordinator, peer, netsim.LinkReplica, replicaReadRequestSize(key))
 				peerReplica.server.Process(cfg.ReadServiceTime)
 				v := peerReplica.tab.get(key)
 				tr.Travel(peer, c.Coordinator, netsim.LinkReplica, replicaReadResponseSize(v.Value))
-				results.Put(v)
+				g.replies[i] = v
+				g.arrived.Put(i)
 			})
 		}
-		for i := 0; i < need; i++ {
-			if v := results.Get().(Versioned); v.Newer(reconciled) {
+		for range peers {
+			if v := g.replies[g.arrived.Get().(int)]; v.Newer(reconciled) {
 				reconciled = v
 			}
 		}
+		c.cluster.putGather(g)
 		c.cluster.trc.End(quorumSp, clock.Now())
 		// Blocking read repair among the participants (Cassandra always
 		// reconciles the replicas involved in the read): the coordinator
@@ -213,7 +213,14 @@ func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadV
 		final.Level = core.LevelWeak
 	}
 	tr.Travel(c.Coordinator, c.Region, netsim.LinkClient, respSize)
-	prelimDelivered.Wait() // preserve view order even under jitter
+	if wantPrelim {
+		prelimDelivered.Wait() // preserve view order even under jitter
+		// The flush callback has fired it and returned; a virtual clock
+		// takes the event back for the next read.
+		if r, ok := prelimDelivered.(interface{ Release() }); ok {
+			r.Release()
+		}
+	}
 	onView(final)
 	return nil
 }
@@ -256,7 +263,7 @@ func (c *Client) Write(key string, value []byte, w int) error {
 // write performs the write and returns the committed version (the binding
 // stamps its token on the acknowledgment view).
 func (c *Client) write(key string, value []byte, w int) (Versioned, error) {
-	cfg := c.cluster.cfg
+	cfg := &c.cluster.cfg
 	if w < 1 || w > len(c.cluster.order) {
 		return Versioned{}, fmt.Errorf("cassandra: write quorum %d out of range [1,%d]", w, len(c.cluster.order))
 	}
@@ -280,9 +287,11 @@ func (c *Client) write(key string, value []byte, w int) (Versioned, error) {
 	if trc := c.cluster.trc; trc != nil && needSync > 0 {
 		syncSp = trc.Begin(c.cluster.phaseTrk[c.Coordinator], trace.CatQuorum, "write-sync", key, clock.Now())
 	}
-	acks := clock.NewGroup()
+	var acks netsim.Group // the W-1 synchronous legs; none at W=1
+	if needSync > 0 {
+		acks = clock.NewGroup()
+	}
 	for i, peer := range peers {
-		peer := peer
 		peerReplica := c.cluster.ReplicaAt(shard, peer)
 		if i < needSync {
 			// Synchronous propagation for the write quorum.
@@ -306,7 +315,9 @@ func (c *Client) write(key string, value []byte, w int) (Versioned, error) {
 				})
 		}
 	}
-	acks.Wait()
+	if acks != nil {
+		acks.Wait()
+	}
 	c.cluster.trc.End(syncSp, clock.Now())
 	tr.Travel(c.Coordinator, c.Region, netsim.LinkClient, WriteAckSize)
 	return v, nil

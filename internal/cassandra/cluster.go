@@ -181,6 +181,40 @@ type Cluster struct {
 		mu  sync.Mutex
 		rng *randv2.Rand
 	}
+
+	// gathers recycles the quorum-gathering scratch of finished reads.
+	gatherMu sync.Mutex
+	gathers  []*gather
+}
+
+// gather is the scratch of one quorum read: each peer leg leaves its reply
+// in its own slot and puts the slot index on arrived, so no reply is boxed
+// and a finished read hands the whole thing — queue included, empty again —
+// to the next one.
+type gather struct {
+	arrived netsim.Queue
+	replies []Versioned // one slot per peer, in proximity order
+}
+
+func (c *Cluster) getGather() *gather {
+	c.gatherMu.Lock()
+	n := len(c.gathers)
+	if n == 0 {
+		c.gatherMu.Unlock()
+		return &gather{arrived: c.tr.Clock().NewQueue(), replies: make([]Versioned, len(c.order)-1)}
+	}
+	g := c.gathers[n-1]
+	c.gathers = c.gathers[:n-1]
+	c.gatherMu.Unlock()
+	return g
+}
+
+// putGather recycles g once every peer leg of its read has been received.
+func (c *Cluster) putGather(g *gather) {
+	clear(g.replies) // drop the value references
+	c.gatherMu.Lock()
+	c.gathers = append(c.gathers, g)
+	c.gatherMu.Unlock()
 }
 
 // NewCluster builds a cluster per cfg.

@@ -116,7 +116,8 @@ type Correctable[T any] struct {
 	entries     []*cbEntry[T]
 	dispatching bool
 	done        chan struct{} // lazily created by Done()
-	waiters     []Event       // fired on every transition
+	waiter      Event         // first blocked consumer, fired on every transition
+	moreWaiters []Event       // further ones, in arrival order
 	levelSet    Levels        // advisory: levels this correctable will deliver
 }
 
@@ -237,12 +238,15 @@ func (c *Correctable[T]) deliver(value T, level Level, final bool, failure error
 	}
 	terminal := c.state != StateUpdating
 	done := c.done
-	waiters := c.waiters
-	c.waiters = nil
+	first, more := c.waiter, c.moreWaiters
+	c.waiter, c.moreWaiters = nil, nil
 	c.dispatch()
 	c.mu.Unlock()
 
-	for _, w := range waiters {
+	if first != nil {
+		first.Fire()
+	}
+	for _, w := range more {
 		w.Fire()
 	}
 	if terminal && done != nil {
@@ -424,10 +428,33 @@ func (c *Correctable[T]) awaitTerminal() {
 			c.mu.Unlock()
 			return
 		}
-		w := c.scheduler().NewEvent()
-		c.waiters = append(c.waiters, w)
+		w := c.addWaiterLocked()
 		c.mu.Unlock()
 		w.Wait()
+		releaseEvent(w)
+	}
+}
+
+// addWaiterLocked registers a fresh event that the next transition fires.
+// The first waiter sits in a field of its own, so the usual lone consumer
+// blocked in Final or WaitLevel costs no slice. Callers hold c.mu.
+func (c *Correctable[T]) addWaiterLocked() Event {
+	w := c.scheduler().NewEvent()
+	if c.waiter == nil {
+		c.waiter = w
+	} else {
+		c.moreWaiters = append(c.moreWaiters, w)
+	}
+	return w
+}
+
+// releaseEvent hands a waiter event whose Wait has returned back to its
+// scheduler when that scheduler recycles events (netsim's VirtualClock
+// does). deliver unregistered the event before firing it and the waiter was
+// its only other holder, so nothing refers to it any more.
+func releaseEvent(w Event) {
+	if r, ok := w.(interface{ Release() }); ok {
+		r.Release()
 	}
 }
 
@@ -458,8 +485,7 @@ func (c *Correctable[T]) WaitLevel(ctx context.Context, min Level) (View[T], err
 			c.mu.Unlock()
 			return zero, ErrNoView
 		}
-		w := c.scheduler().NewEvent()
-		c.waiters = append(c.waiters, w)
+		w := c.addWaiterLocked()
 		c.mu.Unlock()
 		if ce, ok := w.(*chanEvent); ok && ctxDone != nil {
 			select {
@@ -469,6 +495,7 @@ func (c *Correctable[T]) WaitLevel(ctx context.Context, min Level) (View[T], err
 			}
 		} else {
 			w.Wait()
+			releaseEvent(w)
 		}
 	}
 }
@@ -506,6 +533,13 @@ type Equaler[T any] interface {
 // consulted first; []byte values then compare by content without
 // reflection; everything else falls back to reflect.DeepEqual.
 func ValuesEqual[T any](a, b T) bool {
+	// T = []byte (which can have no Equaler) is the hot instantiation: every
+	// speculation confirm of a key-value read. Asserting on the operands'
+	// addresses keeps them out of interface boxes — any(a) would allocate a
+	// slice header per operand.
+	if ap, ok := any(&a).(*[]byte); ok {
+		return bytes.Equal(*ap, *any(&b).(*[]byte))
+	}
 	if e, ok := any(a).(Equaler[T]); ok {
 		return e.EqualValue(b)
 	}

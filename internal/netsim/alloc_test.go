@@ -71,3 +71,27 @@ func TestAllocGateQueueHandoff(t *testing.T) {
 	ping.Put(nil)
 	c.Drain()
 }
+
+// TestAllocGateActorSpawn: with a worker parked in the idle pool, starting
+// an actor and running it to its exit allocates nothing on the scheduler's
+// side — no goroutine start, no closure, no fresh rendezvous channel. The
+// body is a prebuilt func, so the caller contributes nothing either.
+func TestAllocGateActorSpawn(t *testing.T) {
+	c := NewVirtualClock()
+	ran := 0
+	fn := func() { ran++ }
+	cycle := func() {
+		c.Go(fn)
+		c.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(2000, cycle); got != 0 {
+		t.Errorf("warm Go+exit allocs/op = %v, want 0", got)
+	}
+	if ran < 2064 {
+		t.Fatalf("only %d actors ran", ran)
+	}
+	c.Drain()
+}

@@ -32,6 +32,33 @@ func BenchmarkSchedulerHandoff(b *testing.B) {
 	c.Drain()
 }
 
+// BenchmarkActorSpawn measures the life of one short actor: Go, the token
+// reaching it, the body, the exit. The root spawns it and sleeps past it,
+// so the actor's worker is back in the idle pool before the next spawn —
+// the steady state of a closed-loop workload, where every Go is served by
+// a parked worker. spawns/op stays exactly 1: Spawned counts actors, not
+// goroutine starts.
+func BenchmarkActorSpawn(b *testing.B) {
+	c := NewVirtualClock()
+	ran := 0
+	fn := func() { ran++ }
+	spawnedBefore := c.Spawned()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Go(fn)
+		c.Sleep(time.Microsecond)
+	}
+	b.StopTimer()
+	c.Drain()
+	if ran != b.N {
+		b.Fatalf("%d of %d actors ran", ran, b.N)
+	}
+	if spawns := c.Spawned() - spawnedBefore; spawns != uint64(b.N) {
+		b.Fatalf("Spawned counted %d actors over %d Go calls", spawns, b.N)
+	}
+}
+
 // BenchmarkAsyncSend compares the two ways to deliver a fire-and-forget
 // simulated message: the callback-timer path Transport.Send now uses
 // (zero goroutines, zero channel rendezvous) against the goroutine-per-

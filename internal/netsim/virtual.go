@@ -38,12 +38,19 @@ import (
 // actor that blocks on a bare channel without BlockOn freezes the whole
 // simulation, since the token is never handed on.
 //
-// Internally the scheduler is built for million-actor runs: the ready set
-// is a head-indexed compacting deque (no reslice churn, memory bounded
-// by the live depth), parked actors are recycled
-// through a freelist that reuses their rendezvous channels (token handoff
-// is a buffered send, not a channel close), and timers live in a concrete
-// 4-ary heap of value entries (no container/heap boxing).
+// Internally the scheduler is built so that one simulated message costs the
+// host as little as possible: the ready set is a head-indexed compacting
+// deque (no reslice churn, memory bounded by the live depth); every park
+// goes through a freelist of rendezvous channels (token handoff is a
+// buffered send, not a channel close); timers live in a concrete 4-ary
+// heap of value entries (no container/heap boxing); and actors run on
+// pooled worker goroutines — a worker whose actor returned parks on its own
+// rendezvous channel in a bounded idle pool, and the next Go hands it the
+// new body instead of starting a goroutine (no newproc, no fresh stack to
+// grow, no closure). Which goroutine runs an actor is invisible to the
+// model: Go stamps the same spawn sequence and takes the same ready-queue
+// slot either way. Idle workers are retired when a Drain reaches
+// quiescence, so a drained clock leaves no goroutine behind.
 //
 // The goroutine that calls NewVirtualClock is the root actor and initially
 // holds the token.
@@ -66,21 +73,42 @@ type VirtualClock struct {
 	inCallback bool
 	// freelist recycles vactors (and their token channels) across parks.
 	freelist []*vactor
-	// spawned counts Go calls, i.e. real goroutine spawns. Benchmarks use
-	// it to prove the callback path costs zero goroutines per message.
+	// idle holds the workers whose actor returned, parked on their own
+	// channel until Go hands them the next body (at most maxIdleWorkers).
+	idle []*vactor
+	// freeEvents recycles events handed back through vEvent.Release.
+	freeEvents []*vEvent
+	// spawned counts Go calls, i.e. actors started. Benchmarks use it to
+	// prove the callback path costs zero actors per message.
 	spawned uint64
 }
+
+// maxIdleWorkers bounds the idle worker pool; a worker that finishes its
+// actor with the pool full exits, as every actor goroutine used to. The
+// bound is what a burst may leave parked until the next Drain — the 10^5
+// actors of a wide ycsb.Run all end at the horizon — and 256 is where the
+// measured reuse levels off: over the measured phase of the benchmark's
+// workloads (seed 101) the deepest the pool ever wants to be is 215
+// (ads_spec_closed), 36 (sessions_rw_checked), 98 (worlds_faults_parallel),
+// 917 (sharded_open_ramp) and 682 (zk_queue_failover, the actors parked
+// through the outage ending together), and the share of Go calls that
+// still start a goroutine is 3.8%, 0, 0, 2.3% and 41% at a bound of 64
+// against 0.002%, 0, 0, 0.2% and 11% at 256 — with no bound, 0.1% on zk
+// and the same elsewhere. Peak RSS did not tell 64, 256 and no bound apart
+// on any of them.
+const maxIdleWorkers = 256
 
 var _ Clock = (*VirtualClock)(nil)
 
 // vactor is one parked actor: a rendezvous channel for the token handoff,
 // a spawn sequence for deterministic tie-breaks, and the handed-off value
-// (queues). The channel is buffered (capacity 1) and reused across parks:
-// waking an actor is a single non-blocking send.
+// (queues) or actor body (workers). The channel is buffered (capacity 1)
+// and reused across parks: waking an actor is a single non-blocking send.
 type vactor struct {
 	seq uint64
 	ch  chan struct{}
 	val any
+	fn  func() // the body a worker runs when woken; nil retires it
 }
 
 // NewVirtualClock returns a virtual clock at model time zero. The calling
@@ -92,24 +120,39 @@ func NewVirtualClock() *VirtualClock {
 // newActorLocked takes a vactor off the freelist (or allocates one) and
 // stamps it with the next spawn sequence. Callers hold c.mu.
 func (c *VirtualClock) newActorLocked() *vactor {
-	var p *vactor
-	if n := len(c.freelist); n > 0 {
-		p = c.freelist[n-1]
-		c.freelist[n-1] = nil
-		c.freelist = c.freelist[:n-1]
-	} else {
-		p = &vactor{ch: make(chan struct{}, 1)}
-	}
+	p := c.freeActorLocked()
 	p.seq = c.seq
 	c.seq++
 	return p
 }
 
+// freeActorLocked takes a vactor off the freelist (or allocates one)
+// without stamping it. Callers hold c.mu.
+func (c *VirtualClock) freeActorLocked() *vactor {
+	if p := popLast(&c.freelist); p != nil {
+		return p
+	}
+	return &vactor{ch: make(chan struct{}, 1)}
+}
+
+// popLast takes the most recently freed element off a freelist, nil when
+// it is empty.
+func popLast[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
 // recycle returns a vactor whose wait has completed to the freelist. The
 // caller must have received the token through p.ch already (so the channel
-// is empty again) and be done with p.val.
+// is empty again) and be done with p.val and p.fn.
 func (c *VirtualClock) recycle(p *vactor) {
-	p.val = nil
+	p.val, p.fn = nil, nil
 	c.mu.Lock()
 	c.freelist = append(c.freelist, p)
 	c.mu.Unlock()
@@ -173,6 +216,7 @@ func (c *VirtualClock) dispatchLocked() {
 			return
 		}
 		if c.idler != nil {
+			c.retireIdleLocked()
 			p := c.idler
 			c.idler = nil
 			p.wake()
@@ -195,8 +239,9 @@ func (c *VirtualClock) dispatchLocked() {
 // Now implements Clock.
 func (c *VirtualClock) Now() time.Duration {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
+	now := c.now
+	c.mu.Unlock()
+	return now
 }
 
 // Sleep implements Clock: parks the actor for d of model time.
@@ -257,31 +302,77 @@ func (c *VirtualClock) RunAfter(d time.Duration, fn func()) {
 }
 
 // Go implements Clock: fn becomes a new actor, enqueued runnable behind the
-// current ready set. It starts executing when the token reaches it.
+// current ready set. It starts executing when the token reaches it. The
+// actor runs on an idle pooled worker when there is one and on a new
+// goroutine otherwise; the spawn sequence and ready-queue position are the
+// same in both cases.
 func (c *VirtualClock) Go(fn func()) {
 	c.mu.Lock()
-	p := c.newActorLocked()
-	c.ready.push(p)
 	c.spawned++
+	w := popLast(&c.idle)
+	pooled := w != nil
+	if pooled {
+		w.seq = c.seq
+		c.seq++
+	} else {
+		w = c.newActorLocked()
+	}
+	w.fn = fn
+	c.ready.push(w)
 	c.mu.Unlock()
-	go func() {
-		<-p.ch
-		c.recycle(p)
-		fn()
-		// The actor exits: hand the token on without re-parking.
-		c.mu.Lock()
-		c.dispatchLocked()
-		c.mu.Unlock()
-	}()
+	if !pooled {
+		go c.work(w)
+	}
 }
 
-// Spawned returns the number of goroutines the clock has started via Go.
+// work is a worker goroutine: it runs the actor body it is woken with,
+// then hands the token on and parks in the idle pool for the next Go — or
+// exits, when the pool is full or a Drain retired it. A worker holds a
+// vactor only while it waits: the one it was woken through goes back to the
+// freelist for the body's own parks, and going idle takes whichever is free
+// then, so the clock needs no more of them than it has waits at once.
+func (c *VirtualClock) work(w *vactor) {
+	for {
+		<-w.ch
+		fn := w.fn
+		c.recycle(w)
+		if fn == nil {
+			return
+		}
+		fn()
+		c.mu.Lock()
+		pooled := len(c.idle) < maxIdleWorkers
+		if pooled {
+			w = c.freeActorLocked()
+			c.idle = append(c.idle, w)
+		}
+		// Dispatch may run a callback whose Go picks this very worker; the
+		// wake then waits in the channel buffer for the receive above.
+		c.dispatchLocked()
+		c.mu.Unlock()
+		if !pooled {
+			return
+		}
+	}
+}
+
+// retireIdleLocked wakes every idle worker without a body, which makes it
+// exit. Callers hold c.mu.
+func (c *VirtualClock) retireIdleLocked() {
+	for _, w := range c.idle {
+		w.wake()
+	}
+	c.idle = nil
+}
+
+// Spawned returns the number of actors the clock has started via Go.
 // Scheduler benchmarks use the delta across a workload to verify that the
 // callback-timer path spawns none.
 func (c *VirtualClock) Spawned() uint64 {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.spawned
+	n := c.spawned
+	c.mu.Unlock()
+	return n
 }
 
 // BlockOn implements Clock: the actor leaves the scheduler while wait runs
@@ -318,10 +409,13 @@ func (c *VirtualClock) BlockOn(wait func()) {
 // Model time advances as far as the pending work requires. Call it from
 // the root actor at the end of an experiment so background traffic
 // (asynchronous replication, commit broadcasts, read repair) runs to
-// completion instead of leaking parked goroutines.
+// completion instead of leaking parked goroutines. At quiescence Drain also
+// retires the idle worker pool: once it returns, every goroutine the clock
+// started has exited or is about to, except actors parked for good.
 func (c *VirtualClock) Drain() {
 	c.mu.Lock()
 	if c.ready.len() == 0 && c.timers.len() == 0 && c.detached == 0 {
+		c.retireIdleLocked()
 		c.mu.Unlock()
 		return
 	}
@@ -338,11 +432,24 @@ func (c *VirtualClock) Drain() {
 	c.recycle(p)
 }
 
-// NewEvent implements Clock.
-func (c *VirtualClock) NewEvent() Event { return &vEvent{c: c} }
+// NewEvent implements Clock. The event has a Release method (see
+// vEvent.Release) for holders that know when they are done with it.
+func (c *VirtualClock) NewEvent() Event {
+	c.mu.Lock()
+	e := popLast(&c.freeEvents)
+	c.mu.Unlock()
+	if e == nil {
+		e = &vEvent{c: c}
+	}
+	return e
+}
 
 // NewQueue implements Clock.
-func (c *VirtualClock) NewQueue() Queue { return &vQueue{c: c} }
+func (c *VirtualClock) NewQueue() Queue {
+	q := &vQueue{c: c}
+	q.waiters.buf = q.waiter0[:0]
+	return q
+}
 
 // NewGroup implements Clock.
 func (c *VirtualClock) NewGroup() Group { return &vGroup{c: c} }
@@ -358,13 +465,34 @@ func (c *VirtualClock) wakeOneLocked(p *vactor) {
 	c.ready.push(p)
 }
 
-// wakeAllLocked moves parked actors to the ready queue (FIFO order
-// preserved).
-func (c *VirtualClock) wakeAllLocked(ps []*vactor) {
-	c.blocked -= len(ps)
-	for _, p := range ps {
+// waitList is the FIFO of actors parked on an event or group. The first
+// waiter is kept inline: most lists only ever hold one, which then costs no
+// slice.
+type waitList struct {
+	first *vactor
+	more  []*vactor
+}
+
+func (l *waitList) add(p *vactor) {
+	if l.first == nil {
+		l.first = p
+	} else {
+		l.more = append(l.more, p)
+	}
+}
+
+// wakeAllLocked moves the parked actors of l to the ready queue (FIFO order
+// preserved) and empties it.
+func (c *VirtualClock) wakeAllLocked(l *waitList) {
+	if l.first == nil {
+		return
+	}
+	c.blocked -= 1 + len(l.more)
+	c.ready.push(l.first)
+	for _, p := range l.more {
 		c.ready.push(p)
 	}
+	*l = waitList{}
 }
 
 // parkLocked parks the calling actor outside the timer heap and hands the
@@ -381,15 +509,14 @@ func (c *VirtualClock) parkLocked(p *vactor) {
 type vEvent struct {
 	c       *VirtualClock
 	fired   bool
-	waiters []*vactor
+	waiters waitList
 }
 
 func (e *vEvent) Fire() {
 	e.c.mu.Lock()
 	if !e.fired {
 		e.fired = true
-		e.c.wakeAllLocked(e.waiters)
-		e.waiters = nil
+		e.c.wakeAllLocked(&e.waiters)
 	}
 	e.c.mu.Unlock()
 }
@@ -402,9 +529,20 @@ func (e *vEvent) Wait() {
 	}
 	e.c.checkCanBlockLocked("Event.Wait")
 	p := e.c.newActorLocked()
-	e.waiters = append(e.waiters, p)
+	e.waiters.add(p)
 	e.c.parkLocked(p)
 	e.c.recycle(p)
+}
+
+// Release hands the event back to its clock, which returns it, unfired,
+// from a later NewEvent. Only the event's last holder may call it, and only
+// once nobody can Fire or Wait on it any more — typically the single
+// waiter of a private event, right after its Wait returned.
+func (e *vEvent) Release() {
+	e.c.mu.Lock()
+	e.fired = false
+	e.c.freeEvents = append(e.c.freeEvents, e)
+	e.c.mu.Unlock()
 }
 
 // fifo is a head-indexed growable FIFO used for the queue item buffer and
@@ -445,11 +583,13 @@ func (f *fifo[T]) pop() T {
 // vQueue is the virtual unbounded FIFO. A Put with waiters present hands
 // the item directly to the longest-waiting actor. Both the item buffer and
 // the waiter list reuse their backing arrays across pops, so a warm
-// handoff allocates nothing.
+// handoff allocates nothing; the waiter list starts out on an inline slot,
+// which is all a single-consumer queue ever needs.
 type vQueue struct {
 	c       *VirtualClock
 	items   fifo[any]
 	waiters fifo[*vactor]
+	waiter0 [1]*vactor
 }
 
 func (q *vQueue) Put(v any) {
@@ -484,7 +624,7 @@ func (q *vQueue) Get() any {
 type vGroup struct {
 	c       *VirtualClock
 	n       int
-	waiters []*vactor
+	waiters waitList
 }
 
 func (g *vGroup) Add(n int) {
@@ -505,8 +645,7 @@ func (g *vGroup) Done() {
 		panic("netsim: negative Group counter")
 	}
 	if g.n == 0 {
-		g.c.wakeAllLocked(g.waiters)
-		g.waiters = nil
+		g.c.wakeAllLocked(&g.waiters)
 	}
 	g.c.mu.Unlock()
 }
@@ -519,7 +658,7 @@ func (g *vGroup) Wait() {
 	}
 	g.c.checkCanBlockLocked("Group.Wait")
 	p := g.c.newActorLocked()
-	g.waiters = append(g.waiters, p)
+	g.waiters.add(p)
 	g.c.parkLocked(p)
 	g.c.recycle(p)
 }
