@@ -2,10 +2,10 @@ package correctables_test
 
 // Benchmarks regenerating the paper's evaluation, one per table/figure
 // (§6). Each benchmark runs the corresponding bench-package driver in quick
-// mode at a fast time scale and reports headline metrics via b.ReportMetric
-// on the paper's units (model-time milliseconds, kB/op, percent), so
-// `go test -bench=.` doubles as a smoke reproduction of the whole
-// evaluation. cmd/icgbench runs the full-size versions.
+// mode and reports headline metrics via b.ReportMetric on the paper's units
+// (model-time milliseconds, kB/op, percent), so `go test -bench=.` doubles
+// as a smoke reproduction of the whole evaluation. cmd/icgbench runs the
+// full-size versions.
 
 import (
 	"testing"
@@ -16,7 +16,7 @@ import (
 )
 
 func quickCfg(seed int64) bench.Config {
-	return bench.Config{Scale: 0.1, Seed: seed, Quick: true}
+	return bench.Config{Seed: seed, Quick: true}
 }
 
 // BenchmarkFig5SingleRequestLatency regenerates Figure 5: single-request

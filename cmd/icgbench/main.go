@@ -3,19 +3,15 @@
 // mirroring the corresponding figure; latencies are always reported in
 // model time (the paper's axes).
 //
-// By default experiments run on the virtual clock: a deterministic
-// discrete-event scheduler that never sleeps, so whole-figure sweeps
-// finish at CPU speed and the same seed reproduces byte-identical output.
-// -clock=wall selects the scaled real-time mode instead (useful for
-// watching an experiment unfold); -scale then sets the model-to-wall
-// speedup.
+// Experiments run on the virtual clock: a deterministic discrete-event
+// scheduler that never sleeps, so whole-figure sweeps finish at CPU speed
+// and the same seed reproduces byte-identical output.
 //
 // Usage:
 //
-//	icgbench -list                           # every experiment, scenario, profile
-//	icgbench -exp fig5                       # one experiment, virtual time
-//	icgbench -exp all -quick                 # smoke-run the paper figures
-//	icgbench -exp fig6 -clock=wall -scale .5 # real-time-ish demo run
+//	icgbench -list            # every experiment, scenario, profile
+//	icgbench -exp fig5        # one experiment
+//	icgbench -exp all -quick  # smoke-run the paper figures
 //
 // Beyond the paper's figures: ablations; faultstudy — YCSB under a
 // deterministic fault schedule (-faults selects the scenario, -fault-log
@@ -57,47 +53,91 @@ type experiment struct {
 	// paper experiments run under -exp all (the figures, in order); the
 	// extras are opt-in by name.
 	paper bool
-	run   func(bench.Config) string
+	// json and trace mark the experiments that write the -fault-json
+	// report and the -trace artifact.
+	json, trace bool
+	run         func(bench.Config) string
 }
 
 var experiments = []experiment{
-	{"fig5", "single-request latency per level (Cassandra binding)", true, func(c bench.Config) string { return bench.FormatFig5(bench.Fig5(c)) }},
-	{"fig6", "YCSB latency vs throughput", true, func(c bench.Config) string { return bench.FormatFig6(bench.Fig6(c)) }},
-	{"fig7", "preliminary-vs-final divergence", true, func(c bench.Config) string { return bench.FormatFig7(bench.Fig7(c)) }},
-	{"fig8", "bandwidth overhead of incremental views", true, func(c bench.Config) string { return bench.FormatFig8(bench.Fig8(c)) }},
-	{"fig9", "ZooKeeper latency gaps per level", true, func(c bench.Config) string { return bench.FormatFig9(bench.Fig9(c)) }},
-	{"fig10", "dequeue bandwidth (Correctable ZK queue)", true, func(c bench.Config) string { return bench.FormatFig10(bench.Fig10(c)) }},
-	{"fig11", "speculation case studies", true, func(c bench.Config) string { return bench.FormatFig11(bench.Fig11(c)) }},
-	{"fig12", "ticket selling end-to-end", true, func(c bench.Config) string { return bench.FormatFig12(bench.Fig12(c)) }},
-	{"ablations", "replication-lag and flush-cost ablations", false, func(c bench.Config) string {
-		return bench.FormatAblationLag(bench.AblationReplicationLag(c)) +
-			bench.FormatAblationFlush(bench.AblationFlushCost(c))
-	}},
-	{"faultstudy", "YCSB under a deterministic fault schedule (-faults, -check)", false,
-		scenario(func(c bench.Config) (bench.Result, error) { return bench.FaultStudy(c) })},
-	{"failover", "leader partition mid-run: recovery time and availability window", false,
-		scenario(func(c bench.Config) (bench.Result, error) {
+	{name: "fig5", desc: "single-request latency per level (Cassandra binding)", paper: true,
+		run: func(c bench.Config) string { return bench.FormatFig5(bench.Fig5(c)) }},
+	{name: "fig6", desc: "YCSB latency vs throughput", paper: true,
+		run: func(c bench.Config) string { return bench.FormatFig6(bench.Fig6(c)) }},
+	{name: "fig7", desc: "preliminary-vs-final divergence", paper: true,
+		run: func(c bench.Config) string { return bench.FormatFig7(bench.Fig7(c)) }},
+	{name: "fig8", desc: "bandwidth overhead of incremental views", paper: true,
+		run: func(c bench.Config) string { return bench.FormatFig8(bench.Fig8(c)) }},
+	{name: "fig9", desc: "ZooKeeper latency gaps per level", paper: true,
+		run: func(c bench.Config) string { return bench.FormatFig9(bench.Fig9(c)) }},
+	{name: "fig10", desc: "dequeue bandwidth (Correctable ZK queue)", paper: true,
+		run: func(c bench.Config) string { return bench.FormatFig10(bench.Fig10(c)) }},
+	{name: "fig11", desc: "speculation case studies", paper: true,
+		run: func(c bench.Config) string { return bench.FormatFig11(bench.Fig11(c)) }},
+	{name: "fig12", desc: "ticket selling end-to-end", paper: true,
+		run: func(c bench.Config) string { return bench.FormatFig12(bench.Fig12(c)) }},
+	{name: "ablations", desc: "replication-lag and flush-cost ablations",
+		run: func(c bench.Config) string {
+			return bench.FormatAblationLag(bench.AblationReplicationLag(c)) +
+				bench.FormatAblationFlush(bench.AblationFlushCost(c))
+		}},
+	{name: "faultstudy", desc: "YCSB under a deterministic fault schedule (-faults, -check)", json: true, trace: true,
+		run: scenario(func(c bench.Config) (bench.Result, error) { return bench.FaultStudy(c) })},
+	{name: "failover", desc: "leader partition mid-run: recovery time and availability window", json: true, trace: true,
+		run: scenario(func(c bench.Config) (bench.Result, error) {
 			c.Check = true // the CLI run always carries the checked population
 			return bench.Failover(c)
 		})},
-	{"overload", "open-loop burst: metastable retry storm vs admission control", false,
-		scenario(func(c bench.Config) (bench.Result, error) { return bench.Overload(c) })},
-	{"sweep", "read latency vs quorum size and RTT geography", false,
-		scenario(func(c bench.Config) (bench.Result, error) { return bench.Sweep(c), nil })},
-	{"capacity", "sharded-plane capacity study: 10^6 open-loop sessions vs shard count", false,
-		scenario(func(c bench.Config) (bench.Result, error) { return bench.Capacity(c), nil })},
-	{"hunt", "nemesis hunt: seeds x composed fault tracks, all checkers, shrinking repros", false,
-		scenario(func(c bench.Config) (bench.Result, error) { return bench.Hunt(c, huntOptions()) })},
+	{name: "overload", desc: "open-loop burst: metastable retry storm vs admission control", json: true, trace: true,
+		run: scenario(func(c bench.Config) (bench.Result, error) { return bench.Overload(c) })},
+	{name: "sweep", desc: "read latency vs quorum size and RTT geography", json: true,
+		run: scenario(func(c bench.Config) (bench.Result, error) { return bench.Sweep(c), nil })},
+	{name: "capacity", desc: "sharded-plane capacity study: 10^6 open-loop sessions vs shard count", json: true,
+		run: scenario(func(c bench.Config) (bench.Result, error) { return bench.Capacity(c), nil })},
+	{name: "hunt", desc: "nemesis hunt: seeds x composed fault tracks, all checkers, shrinking repros", json: true,
+		run: scenario(func(c bench.Config) (bench.Result, error) { return bench.Hunt(c, huntOptions()) })},
 }
 
-func expNames(paperOnly bool) []string {
+// expNames lists, in registry order, the experiments that satisfy has.
+func expNames(has func(experiment) bool) []string {
 	var out []string
 	for _, e := range experiments {
-		if !paperOnly || e.paper {
+		if has(e) {
 			out = append(out, e.name)
 		}
 	}
 	return out
+}
+
+func anyExp(experiment) bool     { return true }
+func paperExp(e experiment) bool { return e.paper }
+func jsonExp(e experiment) bool  { return e.json }
+func traceExp(e experiment) bool { return e.trace }
+
+// checkArtifacts rejects an artifact flag that none of the selected
+// experiments would honour, before anything runs: a run that exits 0
+// having written nothing reads as success.
+func checkArtifacts(selected []string, faultJSON, traceOut string) error {
+	for _, a := range []struct {
+		flag, path string
+		has        func(experiment) bool
+	}{
+		{"-fault-json", faultJSON, jsonExp},
+		{"-trace", traceOut, traceExp},
+	} {
+		if a.path == "" {
+			continue
+		}
+		honoured := slices.ContainsFunc(selected, func(name string) bool {
+			e, _ := expByName(name)
+			return a.has(e)
+		})
+		if !honoured {
+			return fmt.Errorf("%s %s: none of the selected experiments (%s) writes it; supported by %s",
+				a.flag, a.path, strings.Join(selected, ", "), strings.Join(expNames(a.has), ", "))
+		}
+	}
+	return nil
 }
 
 func expByName(name string) (experiment, bool) {
@@ -244,9 +284,7 @@ func list() {
 func main() {
 	var (
 		exp = flag.String("exp", "all",
-			"experiment to run: 'all' (the paper figures), or a comma list of "+strings.Join(expNames(false), ", "))
-		clockMode = flag.String("clock", "virtual", "clock mode: 'virtual' (deterministic, CPU speed) or 'wall' (scaled real time)")
-		scale     = flag.Float64("scale", 0.25, "model-to-wall time scale in -clock=wall mode (1.0 = real time)")
+			"experiment to run: 'all' (the paper figures), or a comma list of "+strings.Join(expNames(anyExp), ", "))
 		seed      = flag.Int64("seed", 42, "random seed")
 		quick     = flag.Bool("quick", false, "reduced samples/durations (smoke run)")
 		faultSpec = flag.String("faults", "",
@@ -262,8 +300,8 @@ func main() {
 		showList = flag.Bool("list", false, "list experiments, fault scenarios and profiles, then exit")
 		repro    = flag.String("repro", "", "replay an archived hunt repro JSON and verify byte-identical reproduction")
 	)
-	flag.StringVar(&faultJSON, "fault-json", "", "write the experiment result as JSON to this path (faultstudy, failover, overload, sweep, capacity, hunt)")
-	flag.StringVar(&traceOut, "trace", "", "record model-time spans and sampled gauges, and write them as Chrome trace-event JSON (Perfetto-loadable) to this path (faultstudy, failover, overload)")
+	flag.StringVar(&faultJSON, "fault-json", "", "write the experiment result as JSON to this path ("+strings.Join(expNames(jsonExp), ", ")+")")
+	flag.StringVar(&traceOut, "trace", "", "record model-time spans and sampled gauges, and write them as Chrome trace-event JSON (Perfetto-loadable) to this path ("+strings.Join(expNames(traceExp), ", ")+")")
 	flag.IntVar(&huntSeeds, "hunt-seeds", 0, "hunt: seeds swept per profile (default 1000, or 16 with -quick)")
 	flag.Int64Var(&huntStart, "hunt-start", 0, "hunt: first seed (default -seed)")
 	flag.StringVar(&huntProfiles, "hunt-profiles", "", "hunt: comma list of fault profiles (default tracks-mild,tracks-harsh)")
@@ -281,27 +319,18 @@ func main() {
 		return
 	}
 
-	var wall bool
-	switch *clockMode {
-	case "virtual":
-	case "wall":
-		wall = true
-	default:
-		fmt.Fprintf(os.Stderr, "icgbench: unknown -clock mode %q (have virtual, wall)\n", *clockMode)
-		os.Exit(2)
-	}
-	cfg := bench.Config{Wall: wall, Scale: *scale, Seed: *seed, Quick: *quick,
+	cfg := bench.Config{Seed: *seed, Quick: *quick,
 		Faults: *faultSpec, FaultLog: *faultLog, Check: *check, Trace: traceOut != ""}
 
 	var names []string
 	if *exp == "all" {
-		names = expNames(true)
+		names = expNames(paperExp)
 	} else {
 		for _, name := range strings.Split(*exp, ",") {
 			name = strings.TrimSpace(name)
 			if _, ok := expByName(name); !ok {
 				fmt.Fprintf(os.Stderr, "icgbench: unknown experiment %q (have %s)\n",
-					name, strings.Join(expNames(false), ", "))
+					name, strings.Join(expNames(anyExp), ", "))
 				os.Exit(2)
 			}
 			names = append(names, name)
@@ -310,6 +339,7 @@ func main() {
 	if *sweep && !slices.Contains(names, "sweep") {
 		names = append(names, "sweep")
 	}
+	exitOn(checkArtifacts(names, faultJSON, traceOut), 2)
 
 	for _, name := range names {
 		e, _ := expByName(name)

@@ -128,10 +128,6 @@ type (
 	Operation = binding.Operation
 	// OperationFor is a typed operation whose result decodes to T.
 	OperationFor[T any] = binding.OperationFor[T]
-	// Keyer reports the replicated-object identity an operation targets.
-	Keyer = binding.Keyer
-	// Mutator classifies an operation as state-changing.
-	Mutator = binding.Mutator
 	// Versioner marks bindings that stamp version tokens on results.
 	Versioner = binding.Versioner
 	// Result is one binding response (the monomorphic wire type).
@@ -304,9 +300,6 @@ func All[T any](cs ...*Correctable[T]) *Correctable[[]T] { return core.All(cs...
 
 // Any mirrors whichever Correctable closes first.
 func Any[T any](cs ...*Correctable[T]) *Correctable[T] { return core.Any(cs...) }
-
-// Race closes with the first view delivered by any child (§4.4).
-func Race[T any](cs ...*Correctable[T]) *Correctable[T] { return core.Race(cs...) }
 
 // Resolved returns an already-final Correctable.
 func Resolved[T any](value T, level Level) *Correctable[T] { return core.Resolved(value, level) }

@@ -13,10 +13,13 @@ import (
 	"correctables/internal/zk"
 )
 
-// newFacadeCluster builds a small CC deployment for facade-level tests.
+// newFacadeCluster builds a small CC deployment for facade-level tests, on a
+// virtual clock whose root actor is the calling test and which is drained
+// when the test ends.
 func newFacadeCluster(t *testing.T) *correctables.Client {
 	t.Helper()
-	clock := netsim.NewClock(0.1)
+	clock := netsim.NewVirtualClock()
+	t.Cleanup(clock.Drain)
 	tr := netsim.NewTransport(clock, netsim.DefaultLatencies(), netsim.NewMeter(), 1)
 	cluster, err := cassandra.NewCluster(cassandra.Config{
 		Regions:          []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG},
@@ -264,7 +267,8 @@ func TestFacadeValuesEqualCustomEqualer(t *testing.T) {
 }
 
 func TestFacadeQueueOps(t *testing.T) {
-	clock := netsim.NewClock(0.1)
+	clock := netsim.NewVirtualClock()
+	defer clock.Drain()
 	tr := netsim.NewTransport(clock, netsim.DefaultLatencies(), netsim.NewMeter(), 1)
 	e, err := zk.NewEnsemble(zk.Config{
 		Regions:      []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG},

@@ -2,12 +2,14 @@ package correctables_test
 
 // Integration tests spanning the full stack: Correctables client ->
 // binding -> simulated store, under concurrent writers. These assert the
-// semantic invariants ICG promises, independent of timing.
+// semantic invariants ICG promises, independent of timing: the two whose
+// outcome depends on how reads and writes interleave sweep invariantSeeds
+// transport seeds, each a different jitter draw and so a different
+// interleaving, replayable by its seed.
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,10 +18,22 @@ import (
 	"correctables/internal/netsim"
 )
 
-func newIntegrationCluster(t *testing.T) *cassandra.Cluster {
+const invariantSeeds = 16
+
+// sweepSeeds runs check as one subtest per transport seed.
+func sweepSeeds(t *testing.T, check func(t *testing.T, seed int64)) {
+	for seed := int64(11); seed < 11+invariantSeeds; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { check(t, seed) })
+	}
+}
+
+// newIntegrationCluster builds the deployment on a fresh virtual clock whose
+// root actor is the calling test; the clock is drained when the test ends.
+func newIntegrationCluster(t *testing.T, seed int64) *cassandra.Cluster {
 	t.Helper()
-	clock := netsim.NewClock(0.05)
-	tr := netsim.NewTransport(clock, netsim.DefaultLatencies(), netsim.NewMeter(), 11)
+	clock := netsim.NewVirtualClock()
+	t.Cleanup(clock.Drain)
+	tr := netsim.NewTransport(clock, netsim.DefaultLatencies(), netsim.NewMeter(), seed)
 	cluster, err := cassandra.NewCluster(cassandra.Config{
 		Regions:          []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG},
 		Transport:        tr,
@@ -40,31 +54,30 @@ func newIntegrationCluster(t *testing.T) *cassandra.Cluster {
 // the final value version is always >= the preliminary's — even under
 // heavy concurrent writing.
 func TestInvariantFinalNeverOlderThanPreliminary(t *testing.T) {
-	cluster := newIntegrationCluster(t)
+	sweepSeeds(t, finalNeverOlderThanPreliminary)
+}
+
+func finalNeverOlderThanPreliminary(t *testing.T, seed int64) {
+	cluster := newIntegrationCluster(t, seed)
+	clock := cluster.Transport().Clock()
 	const keys = 8
 	for i := 0; i < keys; i++ {
 		cluster.Preload(fmt.Sprintf("k%d", i), []byte("v0"))
 	}
 
-	stop := make(chan struct{})
-	var writers sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		w := w
+	stop := false // read and written under the clock's token
+	defer func() { stop = true }()
+	writers := clock.NewGroup()
+	for w, region := range []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG} {
 		writers.Add(1)
-		go func() {
+		clock.Go(func() {
 			defer writers.Done()
-			regions := []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG}
-			client := cassandra.NewClient(cluster, regions[w], regions[w])
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			client := cassandra.NewClient(cluster, region, region)
+			for i := 0; !stop; i++ {
 				key := fmt.Sprintf("k%d", i%keys)
 				_ = client.Write(key, []byte(fmt.Sprintf("w%d-%d", w, i)), 1)
 			}
-		}()
+		})
 	}
 
 	reader := cassandra.NewClient(cluster, netsim.IRL, netsim.FRK)
@@ -91,7 +104,7 @@ func TestInvariantFinalNeverOlderThanPreliminary(t *testing.T) {
 			t.Fatalf("read %d: unconfirmed final despite identical versions", i)
 		}
 	}
-	close(stop)
+	stop = true
 	writers.Wait()
 }
 
@@ -99,7 +112,11 @@ func TestInvariantFinalNeverOlderThanPreliminary(t *testing.T) {
 // speculative ICG read post-processed via Speculate must produce exactly
 // the value a strong read plus sequential post-processing produces.
 func TestInvariantSpeculationEquivalentToBaseline(t *testing.T) {
-	cluster := newIntegrationCluster(t)
+	sweepSeeds(t, speculationEquivalentToBaseline)
+}
+
+func speculationEquivalentToBaseline(t *testing.T, seed int64) {
+	cluster := newIntegrationCluster(t, seed)
 	client := correctables.NewClient(cassandra.NewBinding(
 		cassandra.NewClient(cluster, netsim.IRL, netsim.FRK), cassandra.BindingConfig{}))
 	ctx := context.Background()
@@ -134,7 +151,7 @@ func TestInvariantSpeculationEquivalentToBaseline(t *testing.T) {
 // TestInvariantWeakStrongAgreeOnQuiescentData: with no writes in flight,
 // every level of every API method returns the same value.
 func TestInvariantWeakStrongAgreeOnQuiescentData(t *testing.T) {
-	cluster := newIntegrationCluster(t)
+	cluster := newIntegrationCluster(t, 11)
 	cluster.Preload("q", []byte("settled"))
 	client := correctables.NewClient(cassandra.NewBinding(
 		cassandra.NewClient(cluster, netsim.IRL, netsim.FRK), cassandra.BindingConfig{}))
@@ -168,21 +185,15 @@ func TestInvariantWeakStrongAgreeOnQuiescentData(t *testing.T) {
 // TestInvariantWritesEventuallyVisibleEverywhere: a W=1 write converges to
 // every replica (and hence to weak reads through any coordinator).
 func TestInvariantWritesEventuallyVisibleEverywhere(t *testing.T) {
-	cluster := newIntegrationCluster(t)
+	cluster := newIntegrationCluster(t, 11)
 	writer := cassandra.NewClient(cluster, netsim.IRL, netsim.IRL)
 	if err := writer.Write("conv", []byte("done"), 1); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
+	cluster.Transport().Clock().Drain() // run the asynchronous replication out
 	for _, region := range cluster.Regions() {
-		for {
-			if v := cluster.Replica(region).Get("conv"); string(v.Value) == "done" {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("replica %s never converged", region)
-			}
-			time.Sleep(time.Millisecond)
+		if v := cluster.Replica(region).Get("conv"); string(v.Value) != "done" {
+			t.Errorf("replica %s never converged: %q", region, v.Value)
 		}
 	}
 }

@@ -44,7 +44,7 @@ type PurchaseResult struct {
 	// dequeue assigned — a binding.Item with Exists == false if the final
 	// view found the queue empty (a revoked preliminary confirmation, or a
 	// sold-out decision). Read it with Assigned.Get().(binding.Item).
-	Assigned netsim.Queue
+	Assigned *netsim.Queue
 }
 
 // Retailer sells tickets from a queue-backed stock.

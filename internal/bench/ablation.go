@@ -28,7 +28,6 @@ type AblationLagRow struct {
 // measures divergence under the Fig 7 worst-case conditions (workload A,
 // Latest distribution, 1K objects).
 func AblationReplicationLag(cfg Config) []AblationLagRow {
-	cfg = cfg.withDefaults()
 	dur := cfg.pickDur(10*time.Second, 2*time.Second) // model time
 	threadsTotal := cfg.pick(120, 24)
 	delays := []time.Duration{0, 5 * time.Millisecond, 10 * time.Millisecond,
@@ -67,7 +66,6 @@ type AblationFlushRow struct {
 // measures attained throughput under saturating load (workload C so that
 // every operation exercises the flush path).
 func AblationFlushCost(cfg Config) []AblationFlushRow {
-	cfg = cfg.withDefaults()
 	dur := cfg.pickDur(10*time.Second, 2*time.Second) // model time
 	threadsTotal := cfg.pick(96, 24)
 	costs := []time.Duration{time.Nanosecond, 250 * time.Microsecond,

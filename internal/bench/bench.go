@@ -4,24 +4,16 @@
 // corresponding figure; cmd/icgbench prints them and EXPERIMENTS.md records
 // paper-vs-measured values.
 //
-// All drivers take a Config controlling the time scale (latencies are
-// always reported in model time, i.e. on the paper's axes) and a Quick flag
-// that shrinks sample counts and durations for use in tests and smoke runs.
+// All drivers run on the deterministic virtual clock and report latencies
+// in model time, i.e. on the paper's axes, so same-seed runs produce
+// byte-identical results. They take a Config carrying the seed and a Quick
+// flag that shrinks sample counts and durations for tests and smoke runs.
 package bench
 
 import "time"
 
 // Config controls an experiment run.
 type Config struct {
-	// Wall selects the wall-clock simulation mode: model durations are
-	// scaled to real sleeps. The default (false) is the virtual clock — a
-	// deterministic discrete-event scheduler that runs every experiment at
-	// CPU speed, with same-seed runs producing byte-identical results.
-	Wall bool
-	// Scale is the model-to-wall time scale in wall mode (default 0.25;
-	// 1.0 = real time). Smaller is faster but, below ~0.1, sleep
-	// granularity starts to blur sub-10ms effects. Ignored in virtual mode.
-	Scale float64
 	// Seed fixes all randomness.
 	Seed int64
 	// Quick shrinks sample counts and durations (tests, smoke runs).
@@ -48,13 +40,6 @@ type Config struct {
 	// stamped from the same virtual instants the experiment already
 	// observes — so traced and untraced runs report identical rows.
 	Trace bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Scale == 0 {
-		c.Scale = 0.25
-	}
-	return c
 }
 
 // pick returns full or quick depending on cfg.Quick.

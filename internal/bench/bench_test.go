@@ -11,7 +11,7 @@ import (
 // quickCfg runs every driver in its reduced mode at a fast scale. The
 // assertions below check the *shapes* the paper reports, not absolute
 // numbers.
-func quickCfg() Config { return Config{Scale: 0.1, Seed: 42, Quick: true} }
+func quickCfg() Config { return Config{Seed: 42, Quick: true} }
 
 func fig5Row(t *testing.T, rows []Fig5Row, system string) Fig5Row {
 	t.Helper()

@@ -321,7 +321,6 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 // horizon and offered rates for tests and the CI smoke gate; the full run
 // is the 10^6-session study behind BENCH_capacity.json.
 func Capacity(cfg Config) *CapacityResult {
-	cfg = cfg.withDefaults()
 	horizon := cfg.pickDur(70*time.Second, 1500*time.Millisecond)
 	ratePerShardRegion := float64(cfg.pick(capSessionsPerShardRegion, 120))
 	res := &CapacityResult{

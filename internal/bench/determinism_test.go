@@ -72,8 +72,7 @@ func fig6StyleRun(cfg Config) string {
 // TestVirtualClockDeterministicReplay is the reproducibility guarantee the
 // virtual clock exists for: two same-seed runs of a fig6-style workload
 // produce byte-identical metrics — every histogram percentile, every meter
-// byte. (Under the wall clock this cannot hold: OS scheduling varies the
-// interleaving.)
+// byte.
 func TestVirtualClockDeterministicReplay(t *testing.T) {
 	cfg := Config{Seed: 42, Quick: true}
 	first := fig6StyleRun(cfg)

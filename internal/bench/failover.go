@@ -97,7 +97,6 @@ func (res *FailoverResult) Violations() int { return res.Check.Violations() }
 // the measured one and its recorded history is verified (session
 // guarantees plus per-queue linearizability) across the failover.
 func Failover(cfg Config) (*FailoverResult, error) {
-	cfg = cfg.withDefaults()
 	unit := cfg.pickDur(2*time.Second, 300*time.Millisecond)
 	hb := unit / 8
 	et := unit / 2

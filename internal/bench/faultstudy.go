@@ -117,7 +117,6 @@ func (res *FaultStudyResult) Violations() int { return res.Check.Violations() }
 // client<->coordinator link unperturbed while final (strong) views stall
 // on the severed region and degrade or time out with faults.ErrUnreachable.
 func FaultStudy(cfg Config) (*FaultStudyResult, error) {
-	cfg = cfg.withDefaults()
 	unit := cfg.pickDur(2*time.Second, 300*time.Millisecond)
 	spec := cfg.Faults
 	if spec == "" {

@@ -200,5 +200,5 @@ func TestWeakReadsSurviveMajorityPartition(t *testing.T) {
 		t.Fatalf("strong read after heal: %v", err)
 	}
 	inj.Quiesce()
-	h.drain()
+	h.clock.Drain()
 }

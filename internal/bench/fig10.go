@@ -34,7 +34,6 @@ func fig10ClientSweep(cfg Config) []int {
 // constant-size tail and dequeues atomically server-side, so its cost is
 // independent of queue size.
 func Fig10(cfg Config) []Fig10Row {
-	cfg = cfg.withDefaults()
 	opsTotal := cfg.pick(48, 8)
 
 	var rows []Fig10Row

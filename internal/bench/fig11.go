@@ -112,7 +112,6 @@ func keyIndex(key string) int {
 // reduction (100ms -> 60ms for the ad system) at a ~6% throughput cost,
 // with divergence consistently under 1%.
 func Fig11(cfg Config) []Fig11Row {
-	cfg = cfg.withDefaults()
 	dur := cfg.pickDur(12*time.Second, 2*time.Second) // model time
 	warmup := cfg.pickDur(1600*time.Millisecond, 200*time.Millisecond)
 
@@ -183,7 +182,7 @@ func Fig11(cfg Config) []Fig11Row {
 						Warmup:   warmup,
 						Seed:     cfg.Seed,
 					})
-					h.drain()
+					h.clock.Drain()
 					rows = append(rows, Fig11Row{
 						App:               ac.app,
 						Workload:          wname,

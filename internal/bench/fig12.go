@@ -43,7 +43,6 @@ type Fig12Summary struct {
 // Threshold (20) tickets remain, then switch to waiting for the final
 // (atomic) view. Vanilla ZK pays coordination latency for every ticket.
 func Fig12(cfg Config) ([]Fig12Point, []Fig12Summary) {
-	cfg = cfg.withDefaults()
 	stock := cfg.pick(500, 60)
 	const retailers = 4
 

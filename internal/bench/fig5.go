@@ -27,7 +27,6 @@ type Fig5Row struct {
 // objects. The latency gap between CC preliminary and final views is the
 // speculation window.
 func Fig5(cfg Config) []Fig5Row {
-	cfg = cfg.withDefaults()
 	samples := cfg.pick(60, 8)
 	const keys = 100
 
@@ -39,7 +38,7 @@ func Fig5(cfg Config) []Fig5Row {
 			cluster.Preload(ycsb.Key(i), val)
 		}
 		client := cassandra.NewClient(cluster, netsim.IRL, netsim.FRK)
-		defer h.drain()
+		defer h.clock.Drain()
 		prelim, final = metrics.NewHistogram(), metrics.NewHistogram()
 		for i := 0; i < samples; i++ {
 			sw := h.clock.StartStopwatch()

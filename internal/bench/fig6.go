@@ -37,7 +37,6 @@ func fig6ThreadSweep(cfg Config) []int {
 // preliminary and final series share throughput but differ in latency, and
 // CC trades a few percent of throughput for the preliminary flushing work.
 func Fig6(cfg Config) []Fig6Row {
-	cfg = cfg.withDefaults()
 	dur := cfg.pickDur(12*time.Second, 1600*time.Millisecond) // model time
 	warmup := cfg.pickDur(2*time.Second, 200*time.Millisecond)
 	records := 1000

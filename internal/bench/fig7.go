@@ -37,7 +37,6 @@ func fig7ThreadSweep(cfg Config) []int {
 // recently updated keys, whose propagation to the preliminary replica is
 // still in flight.
 func Fig7(cfg Config) []Fig7Row {
-	cfg = cfg.withDefaults()
 	dur := cfg.pickDur(12*time.Second, 2*time.Second) // model time
 	warmup := cfg.pickDur(2*time.Second, 200*time.Millisecond)
 	const records = 1000 // "a small 1K objects dataset"

@@ -31,7 +31,6 @@ type Fig8Row struct {
 // A-Latest, +77% for unoptimized CC2 cut to +27% by confirmations; for
 // workload B, +90% down to +15%.
 func Fig8(cfg Config) []Fig8Row {
-	cfg = cfg.withDefaults()
 	dur := cfg.pickDur(12*time.Second, 2*time.Second) // model time
 	const records = 1000
 	const valueSize = 1024

@@ -42,7 +42,6 @@ func fig9Configs() []fig9Config {
 // and contact server; the client is in IRL, elements carry a ~20B
 // identifier.
 func Fig9(cfg Config) []Fig9Row {
-	cfg = cfg.withDefaults()
 	samples := cfg.pick(50, 6)
 
 	var rows []Fig9Row
@@ -66,7 +65,7 @@ func Fig9(cfg Config) []Fig9Row {
 					}
 				})
 			}
-			h.drain()
+			h.clock.Drain()
 			return prelim, final
 		}
 		prelim, final := measure(true)

@@ -175,7 +175,7 @@ type plantedBinding struct {
 }
 
 func (p *plantedBinding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
-	if m, ok := op.(binding.Mutator); ok && m.OpMutates() {
+	if op.OpMutates() {
 		inner := cb
 		cb = func(r binding.Result) {
 			if r.Err == nil && r.Version > 1 && p.inj.Faulted() {
@@ -571,10 +571,8 @@ func HuntReplay(r *HuntRepro) (*HuntReplayResult, error) {
 // world on its own VirtualClock (worker-pool parallel — results are
 // position-indexed, so parallelism cannot perturb the outcome), checks
 // every recorded history, and minimizes each violating world into an
-// archived repro. Always virtual-time: a hunt is thousands of runs, and
-// replay identity is the point.
+// archived repro.
 func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
-	cfg = cfg.withDefaults()
 	if opts.Seeds <= 0 {
 		opts.Seeds = cfg.pick(1000, 16)
 	}

@@ -180,7 +180,6 @@ func overloadParamsFor(cfg Config) overloadParams {
 // writes-follow-reads over the recorded history — read-your-writes must
 // survive the degraded phase.
 func Overload(cfg Config) (*OverloadResult, error) {
-	cfg = cfg.withDefaults()
 	p := overloadParamsFor(cfg)
 	res := &OverloadResult{
 		Description:  "metastable retry storm (shedding off) vs admission-controlled escape (shedding on)",
@@ -282,8 +281,8 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 
 	// Open-loop arrivals: a Poisson baseline for the whole run plus an
 	// on/off burst riding on top during the burst phase. The shared rng and
-	// record slice are mutex-guarded for wall-clock runs; under the virtual
-	// clock callbacks are already serialized.
+	// record slice are mutex-guarded although the clock's token already
+	// serializes arrival callbacks and operation actors.
 	var (
 		mu       sync.Mutex
 		arrivals int

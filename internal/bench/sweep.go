@@ -86,7 +86,6 @@ func scaledLatencies(scale float64) *netsim.LatencyModel {
 // views enabled. Every cell gets a fresh fabric seeded from cfg.Seed, so the
 // whole table replays byte-identically per seed.
 func Sweep(cfg Config) *SweepResult {
-	cfg = cfg.withDefaults()
 	dur := cfg.pickDur(6*time.Second, 800*time.Millisecond) // model time
 	warmup := cfg.pickDur(1*time.Second, 100*time.Millisecond)
 	threads := cfg.pick(12, 6)

@@ -49,7 +49,7 @@ type world struct {
 	inj *faults.Injector
 	// horizon ends the populations and the gauge sampling.
 	horizon  time.Duration
-	actors   netsim.Group
+	actors   *netsim.Group
 	gates    []*load.Controller
 	sampling bool
 }
@@ -62,12 +62,7 @@ func newFabric(cfg Config) *world {
 // experiment scales the paper's geography up and down; everything else runs
 // on the default model.
 func newFabricWith(cfg Config, lat *netsim.LatencyModel) *world {
-	var clock netsim.Clock
-	if cfg.Wall {
-		clock = netsim.NewClock(cfg.Scale)
-	} else {
-		clock = netsim.NewVirtualClock()
-	}
+	clock := netsim.NewVirtualClock()
 	meter := netsim.NewMeter()
 	w := &world{
 		clock:  clock,
@@ -94,15 +89,6 @@ func newWorld(cfg Config, sched *faults.Schedule, horizon time.Duration) *world 
 		w.inj = faults.Attach(w.tr, sched, cfg.Seed+3)
 	}
 	return w
-}
-
-// drain runs the world's background traffic (async replication, commit
-// broadcasts) to completion after an experiment. Wall-clock worlds just
-// let it finish in real time.
-func (w *world) drain() {
-	if vc, ok := w.clock.(*netsim.VirtualClock); ok {
-		vc.Drain()
-	}
 }
 
 // The Cassandra service model shared by every experiment: each replica
@@ -479,7 +465,7 @@ func (w *world) run() time.Duration {
 	if w.inj != nil {
 		w.inj.Quiesce()
 	}
-	w.drain()
+	w.clock.Drain()
 	return end
 }
 

@@ -32,6 +32,19 @@ import (
 type Operation interface {
 	// OpName returns a short human-readable operation name ("get", ...).
 	OpName() string
+	// OpKey returns the replicated-object identity the operation targets
+	// (the key of a key-value operation, the queue name of a queue
+	// operation, the transaction ID of a chain submission), "" for an
+	// unkeyed operation. Sessions use it to scope per-object guarantees and
+	// the history recorder uses it to partition histories per object;
+	// unkeyed operations bypass both.
+	OpKey() string
+	// OpMutates classifies the operation as state-changing. Sessions use it
+	// to decide which version tokens an operation refreshes: mutating
+	// operations advance the last-written token, observing operations
+	// advance the last-read token (a Dequeue is both). Admission control
+	// degrades only operations that do not mutate.
+	OpMutates() bool
 }
 
 // OperationFor is a typed operation: an Operation that also declares its
@@ -45,25 +58,6 @@ type OperationFor[T any] interface {
 	// per delivered view, on the binding's delivery path; implementations
 	// must be cheap and must not retain v.
 	ResultOf(v any) (T, error)
-}
-
-// Keyer is the optional Operation interface reporting the replicated-object
-// identity an operation targets (the key of a key-value operation, the
-// queue name of a queue operation, the transaction ID of a chain
-// submission). Sessions use it to scope per-object guarantees and the
-// history recorder uses it to partition histories per object; operations
-// that do not implement it are treated as unkeyed and bypass both.
-type Keyer interface {
-	OpKey() string
-}
-
-// Mutator is the optional Operation interface classifying an operation as
-// state-changing. Sessions use it to decide which version tokens an
-// operation refreshes: mutating operations advance the last-written token,
-// observing operations advance the last-read token (a Dequeue is both).
-// Operations that do not implement it are treated as read-only.
-type Mutator interface {
-	OpMutates() bool
 }
 
 // Ack is the typed result of write-style operations (Put, Enqueue when the
@@ -102,10 +96,10 @@ type Get struct{ Key string }
 // OpName implements Operation.
 func (Get) OpName() string { return "get" }
 
-// OpKey implements Keyer.
+// OpKey implements Operation.
 func (g Get) OpKey() string { return g.Key }
 
-// OpMutates implements Mutator: reads change nothing.
+// OpMutates implements Operation: reads change nothing.
 func (Get) OpMutates() bool { return false }
 
 // ResultOf implements OperationFor[[]byte].
@@ -129,10 +123,10 @@ type Put struct {
 // OpName implements Operation.
 func (Put) OpName() string { return "put" }
 
-// OpKey implements Keyer.
+// OpKey implements Operation.
 func (p Put) OpKey() string { return p.Key }
 
-// OpMutates implements Mutator.
+// OpMutates implements Operation.
 func (Put) OpMutates() bool { return true }
 
 // ResultOf implements OperationFor[Ack].
@@ -159,10 +153,10 @@ type Enqueue struct {
 // OpName implements Operation.
 func (Enqueue) OpName() string { return "enqueue" }
 
-// OpKey implements Keyer.
+// OpKey implements Operation.
 func (e Enqueue) OpKey() string { return e.Queue }
 
-// OpMutates implements Mutator.
+// OpMutates implements Operation.
 func (Enqueue) OpMutates() bool { return true }
 
 // ResultOf implements OperationFor[Item].
@@ -174,10 +168,10 @@ type Dequeue struct{ Queue string }
 // OpName implements Operation.
 func (Dequeue) OpName() string { return "dequeue" }
 
-// OpKey implements Keyer.
+// OpKey implements Operation.
 func (d Dequeue) OpKey() string { return d.Queue }
 
-// OpMutates implements Mutator: a dequeue both observes and mutates.
+// OpMutates implements Operation: a dequeue both observes and mutates.
 func (Dequeue) OpMutates() bool { return true }
 
 // ResultOf implements OperationFor[Item].

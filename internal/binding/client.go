@@ -133,9 +133,6 @@ func NewClient(b Binding, opts ...Option) *Client {
 // Binding returns the underlying binding.
 func (c *Client) Binding() Binding { return c.b }
 
-// Label returns the client's observer label.
-func (c *Client) Label() string { return c.label }
-
 // OpTimeout returns the per-operation model-time bound an invocation
 // issued now would run under (0 = unbounded): the WithOpTimeout override
 // when given, the binding's current default otherwise. The binding default
@@ -231,11 +228,12 @@ func (c *Client) requestedLevels(levels []core.Level) (core.Levels, error) {
 // callbacks, late post-timeout views and racing cancellations produce
 // exactly one OpEnd and no spurious OpViews. When an observer is attached,
 // obsMu makes each (transition, emission) pair atomic: without it, a
-// wall-clock delivery goroutine could be preempted between a successful
-// Update and its OpView, letting a concurrent Close emit the final view
-// and OpEnd first — observers would record an accepted view after the
-// operation's end, or out of order. (Under a VirtualClock deliveries are
-// already totally ordered; the lock is for real clocks.)
+// delivery goroutine under core.DefaultScheduler (the library's real-time
+// path, where bindings call back from goroutines of their own) could be
+// preempted between a successful Update and its OpView, letting a
+// concurrent Close emit the final view and OpEnd first — observers would
+// record an accepted view after the operation's end, or out of order.
+// (Under a netsim clock deliveries are already totally ordered.)
 type invocation[T any] struct {
 	c     *Client
 	ctrl  core.Controller[T]
@@ -460,7 +458,7 @@ func submitGoverned[T any](ctx context.Context, cor *core.Correctable[T], inv in
 				inv.fail(err)
 				return
 			case AdmissionDegrade:
-				if !opMutates(op) && len(c.weakSet) > 0 {
+				if !op.OpMutates() && len(c.weakSet) > 0 {
 					lv = c.weakSet
 					if c.trc != nil {
 						c.trc.Instant(c.trcTrack, "admission.degrade", "", c.now())
@@ -480,14 +478,6 @@ func submitGoverned[T any](ctx context.Context, cor *core.Correctable[T], inv in
 		}
 	}
 	attempt()
-}
-
-// opMutates reports whether op declares itself state-changing. Operations
-// without a Mutator are treated as read-only, consistent with how sessions
-// classify them.
-func opMutates(op Operation) bool {
-	m, ok := op.(Mutator)
-	return ok && m.OpMutates()
 }
 
 // armTimeout bounds one attempt to d of model time. Scheduler.After has

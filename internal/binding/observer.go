@@ -22,9 +22,10 @@ type OpInfo struct {
 	Client string
 	// Name is Operation.OpName ("get", "put", "enqueue", ...).
 	Name string
-	// Key is the replicated-object identity (Keyer), "" for unkeyed ops.
+	// Key is Operation.OpKey: the replicated-object identity, "" for
+	// unkeyed ops.
 	Key string
-	// Mutating reports Mutator.OpMutates (false for non-Mutator ops).
+	// Mutating is Operation.OpMutates.
 	Mutating bool
 	// Levels is the normalized requested level set (shared; do not mutate).
 	Levels core.Levels
@@ -96,12 +97,6 @@ func (os Observers) OpEnd(op OpInfo, at time.Duration, err error) {
 
 // opInfoOf builds the observer identity of one invocation.
 func opInfoOf(id OpID, label string, op Operation, levels core.Levels, start time.Duration) OpInfo {
-	info := OpInfo{ID: id, Client: label, Name: op.OpName(), Levels: levels, Start: start}
-	if k, ok := op.(Keyer); ok {
-		info.Key = k.OpKey()
-	}
-	if m, ok := op.(Mutator); ok {
-		info.Mutating = m.OpMutates()
-	}
-	return info
+	return OpInfo{ID: id, Client: label, Name: op.OpName(), Key: op.OpKey(), Mutating: op.OpMutates(),
+		Levels: levels, Start: start}
 }

@@ -44,7 +44,7 @@ const defaultSessionRetries = 3
 // cannot promise (§3.2's levels are per-operation, not cross-operation).
 //
 // Operations whose binding does not version results, or which carry no
-// object identity (Keyer), pass through unfiltered. A Session is intended
+// object identity (OpKey ""), pass through unfiltered. A Session is intended
 // for one logical actor issuing operations sequentially; concurrent use is
 // safe but the floor then interleaves across the concurrent operations.
 type Session struct {
@@ -140,16 +140,11 @@ func (s *Session) newCall(op Operation) *sessionCall {
 	if s == nil || !s.c.versioned {
 		return nil
 	}
-	k, ok := op.(Keyer)
-	if !ok {
+	key := op.OpKey()
+	if key == "" {
 		return nil
 	}
-	call := &sessionCall{s: s, key: k.OpKey(), retries: s.retries}
-	if m, ok := op.(Mutator); ok {
-		call.mutating = m.OpMutates()
-	}
-	call.floor = s.Floor(call.key)
-	return call
+	return &sessionCall{s: s, key: key, mutating: op.OpMutates(), floor: s.Floor(key), retries: s.retries}
 }
 
 // check classifies one incoming view against the call's floor. Mutating

@@ -422,10 +422,10 @@ func TestKeyedOperationMetadata(t *testing.T) {
 		{Dequeue{Queue: "q"}, "q", true},
 	}
 	for _, tc := range cases {
-		if got := tc.op.(Keyer).OpKey(); got != tc.key {
+		if got := tc.op.OpKey(); got != tc.key {
 			t.Errorf("%s OpKey = %q, want %q", tc.op.OpName(), got, tc.key)
 		}
-		if got := tc.op.(Mutator).OpMutates(); got != tc.mutating {
+		if got := tc.op.OpMutates(); got != tc.mutating {
 			t.Errorf("%s OpMutates = %v, want %v", tc.op.OpName(), got, tc.mutating)
 		}
 	}

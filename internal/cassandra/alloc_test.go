@@ -62,5 +62,5 @@ func TestAllocGateQuorumRead(t *testing.T) {
 			t.Errorf("%s read allocates %.1f/op, budget %.0f", g.name, got, g.budget)
 		}
 	}
-	clock.(*netsim.VirtualClock).Drain()
+	clock.Drain()
 }

@@ -3,7 +3,7 @@ package cassandra
 import (
 	"context"
 	"fmt"
-	"sync"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -348,7 +348,7 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := NewCluster(Config{}); err == nil {
 		t.Error("missing transport accepted")
 	}
-	clock := netsim.NewClock(1)
+	clock := netsim.NewVirtualClock()
 	tr := netsim.NewTransport(clock, netsim.DefaultLatencies(), nil, 1)
 	if _, err := NewCluster(Config{Transport: tr}); err == nil {
 		t.Error("empty region list accepted")
@@ -482,45 +482,44 @@ func TestBindingVanillaICGFallback(t *testing.T) {
 	}
 }
 
-func TestConcurrentClientsNoRace(t *testing.T) {
-	// Wall clock on purpose:true parallelism exercises the locking that the
-	// cooperative virtual scheduler would serialize away.
-	clock := netsim.NewClock(0.01)
-	tr := netsim.NewTransport(clock, netsim.DefaultLatencies(), netsim.NewMeter(), 1)
-	cluster, err := NewCluster(Config{
-		Regions:          []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG},
-		Transport:        tr,
-		Correctable:      true,
-		ConfirmationOpt:  true,
-		ReadServiceTime:  50 * time.Microsecond,
-		WriteServiceTime: 50 * time.Microsecond,
-		Workers:          8,
-		Seed:             1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestConcurrentClients: eight client actors interleave reads and writes
+// over one cluster, and the drained world leaves no goroutine behind — a
+// fixture that forgets its Drain fails here (see netsim's pool_test.go).
+func TestConcurrentClients(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cluster, _, clock := newTestCluster(t, true, true)
 	for i := 0; i < 20; i++ {
 		cluster.Preload(fmt.Sprintf("k%d", i), []byte("v"))
 	}
-	var wg sync.WaitGroup
+	clients := clock.NewGroup()
 	for i := 0; i < 8; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		clients.Add(1)
+		clock.Go(func() {
+			defer clients.Done()
 			client := NewClient(cluster, netsim.IRL, netsim.FRK)
 			for j := 0; j < 10; j++ {
 				key := fmt.Sprintf("k%d", (i*10+j)%20)
 				if j%3 == 0 {
-					_ = client.Write(key, []byte(fmt.Sprintf("v%d-%d", i, j)), 1)
-				} else {
-					_ = client.Read(key, 2, true, func(ReadView) {})
+					if err := client.Write(key, []byte(fmt.Sprintf("v%d-%d", i, j)), 1); err != nil {
+						t.Errorf("client %d write %d: %v", i, j, err)
+					}
+				} else if err := client.Read(key, 2, true, func(ReadView) {}); err != nil {
+					t.Errorf("client %d read %d: %v", i, j, err)
 				}
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	clients.Wait()
+	clock.Drain()
+	// Retired workers have been woken by the time Drain returns but may not
+	// have run to their exit yet.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d still running after Drain, %d before the world", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestPreloadReachesAllReplicas(t *testing.T) {

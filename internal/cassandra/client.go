@@ -124,7 +124,7 @@ func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadV
 	// coordinating. The flush costs extra coordinator service time and one
 	// client-link response message, delivered as a callback timer — the
 	// off-critical-path flush costs no goroutine.
-	var prelimDelivered netsim.Event
+	var prelimDelivered *netsim.Event
 	if wantPrelim {
 		prelimDelivered = clock.NewEvent()
 		// The flush span covers the extra coordinator work plus the wire
@@ -215,11 +215,9 @@ func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadV
 	tr.Travel(c.Coordinator, c.Region, netsim.LinkClient, respSize)
 	if wantPrelim {
 		prelimDelivered.Wait() // preserve view order even under jitter
-		// The flush callback has fired it and returned; a virtual clock
-		// takes the event back for the next read.
-		if r, ok := prelimDelivered.(interface{ Release() }); ok {
-			r.Release()
-		}
+		// The flush callback has fired it and returned; the clock takes
+		// the event back for the next read.
+		prelimDelivered.Release()
 	}
 	onView(final)
 	return nil
@@ -287,7 +285,7 @@ func (c *Client) write(key string, value []byte, w int) (Versioned, error) {
 	if trc := c.cluster.trc; trc != nil && needSync > 0 {
 		syncSp = trc.Begin(c.cluster.phaseTrk[c.Coordinator], trace.CatQuorum, "write-sync", key, clock.Now())
 	}
-	var acks netsim.Group // the W-1 synchronous legs; none at W=1
+	var acks *netsim.Group // the W-1 synchronous legs; none at W=1
 	if needSync > 0 {
 		acks = clock.NewGroup()
 	}

@@ -192,7 +192,7 @@ type Cluster struct {
 // and a finished read hands the whole thing — queue included, empty again —
 // to the next one.
 type gather struct {
-	arrived netsim.Queue
+	arrived *netsim.Queue
 	replies []Versioned // one slot per peer, in proximity order
 }
 
@@ -331,9 +331,6 @@ func (c *Cluster) ShardOf(key string) int {
 func (c *Cluster) Regions() []netsim.Region {
 	return append([]netsim.Region(nil), c.order...)
 }
-
-// ReplicationFactor returns the number of replicas.
-func (c *Cluster) ReplicationFactor() int { return len(c.order) }
 
 // nextTS issues a cluster-wide monotonically increasing write timestamp.
 // Real Cassandra uses client wall clocks; a logical counter gives the same

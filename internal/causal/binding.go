@@ -124,7 +124,7 @@ func (b *Binding) get(op binding.Get, levels core.Levels, cb binding.Callback) {
 
 	// Launch the remote reads in parallel.
 	clock := c.store.tr.Clock()
-	var causalQ, strongQ netsim.Queue
+	var causalQ, strongQ *netsim.Queue
 	if levels.Contains(core.LevelCausal) {
 		causalQ = clock.NewQueue()
 		clock.Go(func() {

@@ -32,7 +32,7 @@ func TestStoreValidation(t *testing.T) {
 	if _, err := NewStore(Config{}); err == nil {
 		t.Error("missing transport accepted")
 	}
-	tr := netsim.NewTransport(netsim.NewClock(1), netsim.DefaultLatencies(), nil, 1)
+	tr := netsim.NewTransport(netsim.NewVirtualClock(), netsim.DefaultLatencies(), nil, 1)
 	if _, err := NewStore(Config{Transport: tr}); err == nil {
 		t.Error("missing primary accepted")
 	}

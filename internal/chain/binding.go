@@ -18,10 +18,10 @@ type SubmitTx struct {
 // OpName implements binding.Operation.
 func (SubmitTx) OpName() string { return "submitTx" }
 
-// OpKey implements binding.Keyer: the transaction is the tracked object.
+// OpKey implements binding.Operation: the transaction is the tracked object.
 func (t SubmitTx) OpKey() string { return t.ID }
 
-// OpMutates implements binding.Mutator.
+// OpMutates implements binding.Operation.
 func (SubmitTx) OpMutates() bool { return true }
 
 // ResultOf implements binding.OperationFor[TxStatus].

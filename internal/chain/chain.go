@@ -120,7 +120,7 @@ type Chain struct {
 	rng      *randv2.Rand
 	mempool  []Tx
 	blocks   []Block
-	watchers []netsim.Queue
+	watchers []*netsim.Queue
 	stopped  bool
 
 	// Per-miner crash state, maintained by the injector's OnDown/OnUp
@@ -239,7 +239,7 @@ func (c *Chain) Submit(tx Tx) {
 // Watch returns a queue receiving every newly mined block and a cancel
 // function. A Block with Height < 0 signals that the chain stopped. The
 // queue is unbounded, so slow consumers never stall mining.
-func (c *Chain) Watch() (netsim.Queue, func()) {
+func (c *Chain) Watch() (*netsim.Queue, func()) {
 	q := c.clock.NewQueue()
 	c.mu.Lock()
 	if c.stopped {
@@ -301,7 +301,7 @@ func (c *Chain) mineOnce() {
 	}
 	c.mempool = nil
 	c.blocks = append(c.blocks, blk)
-	watchers := append([]netsim.Queue(nil), c.watchers...)
+	watchers := append([]*netsim.Queue(nil), c.watchers...)
 	c.mu.Unlock()
 	if c.trc != nil {
 		c.trc.Instant(c.trk, "block", strconv.Itoa(blk.Height), c.clock.Now())
@@ -429,7 +429,7 @@ func (c *Chain) resolveForkLocked() {
 	}
 	c.mempool = append(pool, c.mempool...)
 	c.reorgs = append(c.reorgs, re)
-	watchers := append([]netsim.Queue(nil), c.watchers...)
+	watchers := append([]*netsim.Queue(nil), c.watchers...)
 	c.mu.Unlock()
 	for _, w := range watchers {
 		w.Put(re)

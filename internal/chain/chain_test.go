@@ -2,6 +2,7 @@ package chain
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -11,15 +12,21 @@ import (
 	"correctables/internal/netsim"
 )
 
+// newTestChain starts a chain on a virtual clock whose root actor is the
+// calling test; when the test ends the chain is stopped and the clock
+// drained, which releases every transaction tracker.
 func newTestChain(t *testing.T, interval time.Duration) *Chain {
 	t.Helper()
-	clock := netsim.NewClock(1.0)
+	clock := netsim.NewVirtualClock()
 	tr := netsim.NewTransport(clock, netsim.DefaultLatencies(), nil, 1)
 	c, err := New(Config{Transport: tr, BlockInterval: interval, Jitter: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Stop)
+	t.Cleanup(func() {
+		c.Stop()
+		clock.Drain()
+	})
 	return c
 }
 
@@ -31,24 +38,22 @@ func TestChainValidation(t *testing.T) {
 
 func TestChainMinesBlocks(t *testing.T) {
 	c := newTestChain(t, 10*time.Millisecond)
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Height() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("chain stuck at height %d", c.Height())
-		}
-		time.Sleep(time.Millisecond)
+	c.clock.Sleep(50 * time.Millisecond)
+	if c.Height() < 3 {
+		t.Fatalf("chain stuck at height %d after 5 block intervals", c.Height())
 	}
 }
 
 func TestChainStopHaltsMining(t *testing.T) {
 	c := newTestChain(t, 5*time.Millisecond)
-	for c.Height() < 1 {
-		time.Sleep(time.Millisecond)
-	}
+	c.clock.Sleep(10 * time.Millisecond)
 	c.Stop()
 	h := c.Height()
-	time.Sleep(50 * time.Millisecond)
-	if got := c.Height(); got > h+1 {
+	if h < 1 {
+		t.Fatal("no block mined in two block intervals")
+	}
+	c.clock.Sleep(50 * time.Millisecond)
+	if got := c.Height(); got != h {
 		t.Errorf("height advanced from %d to %d after Stop", h, got)
 	}
 	c.Stop() // idempotent
@@ -56,10 +61,11 @@ func TestChainStopHaltsMining(t *testing.T) {
 
 func TestConfirmationsOf(t *testing.T) {
 	c := newTestChain(t, 5*time.Millisecond)
-	for c.Height() < 4 {
-		time.Sleep(time.Millisecond)
-	}
+	c.clock.Sleep(30 * time.Millisecond)
 	h := c.Height()
+	if h < 4 {
+		t.Fatalf("chain at height %d after 6 block intervals", h)
+	}
 	if got := c.ConfirmationsOf(1); got < h-1 {
 		t.Errorf("ConfirmationsOf(1) = %d at height %d", got, h)
 	}
@@ -73,9 +79,7 @@ func TestBindingTracksConfirmations(t *testing.T) {
 	const depth = 4
 	client := binding.NewClient(NewBinding(c, depth))
 	cor := Submit(context.Background(), client, SubmitTx{ID: "tx-1", Data: []byte("pay")})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	v, err := cor.Final(ctx)
+	v, err := cor.Final(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +110,7 @@ func TestBindingStrongOnlySingleView(t *testing.T) {
 	c := newTestChain(t, 5*time.Millisecond)
 	client := binding.NewClient(NewBinding(c, 3))
 	cor := binding.InvokeStrong[TxStatus](context.Background(), client, SubmitTx{ID: "tx-2"})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if _, err := cor.Final(ctx); err != nil {
+	if _, err := cor.Final(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(cor.Views()) != 1 {
@@ -116,14 +118,20 @@ func TestBindingStrongOnlySingleView(t *testing.T) {
 	}
 }
 
+// TestBindingContextCancellation: cancellation is a host-time event the
+// clock knows nothing about, so the test waits for it on the host — model
+// time, and with it mining, only moves while the root actor blocks through
+// the clock. Draining the world afterwards proves the transaction tracker
+// was released too.
 func TestBindingContextCancellation(t *testing.T) {
-	c := newTestChain(t, time.Hour) // no blocks will be mined
+	c := newTestChain(t, time.Hour)
 	client := binding.NewClient(NewBinding(c, 2))
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	cor := Submit(ctx, client, SubmitTx{ID: "tx-3"})
-	if _, err := cor.Final(context.Background()); err == nil {
-		t.Error("expected cancellation error")
+	<-cor.Done()
+	if _, err := cor.Final(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Errorf("Final = %v, want context.Canceled", err)
 	}
 }
 
@@ -152,8 +160,7 @@ func TestTxStatusEquality(t *testing.T) {
 func TestManyTxsAllConfirm(t *testing.T) {
 	c := newTestChain(t, 5*time.Millisecond)
 	client := binding.NewClient(NewBinding(c, 2))
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
+	ctx := context.Background()
 	var cors []*core.Correctable[TxStatus]
 	for i := 0; i < 10; i++ {
 		cors = append(cors, Submit(ctx, client, SubmitTx{ID: fmt.Sprintf("tx-%d", i)}))

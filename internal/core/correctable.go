@@ -146,13 +146,6 @@ func New[T any]() (*Correctable[T], Controller[T]) {
 	return c, Controller[T]{c: c}
 }
 
-// NewWithLevels is New with an advisory set of levels the producer intends
-// to deliver (used by Invoke to record the requested level subset). The set
-// is normalized (sorted, deduplicated) before being stored.
-func NewWithLevels[T any](levels Levels) (*Correctable[T], Controller[T]) {
-	return NewScheduled[T](nil, levels.Sorted())
-}
-
 // NewScheduled is New with an explicit Scheduler governing how this
 // Correctable spawns goroutines (Speculate) and how its consumers block
 // (Final, WaitLevel), plus an advisory level set. Bindings over simulated

@@ -61,7 +61,7 @@ type Injector struct {
 	nextID int
 	// epochEv is fired and replaced on every transition; stalled senders
 	// wait on it and recheck passability.
-	epochEv netsim.Event
+	epochEv *netsim.Event
 	done    bool
 	log     []Transition
 	subs    []func(Transition)

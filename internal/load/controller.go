@@ -234,15 +234,9 @@ func (c *Controller) Admit(client string, op binding.Operation) (binding.Admissi
 		return binding.AdmissionReject,
 			fmt.Errorf("%w: coordinator backpressure (admit rate %.0f ops/s)", ErrRejected, c.global.Rate())
 	}
-	if c.degraded && !mutates(op) {
+	if c.degraded && !op.OpMutates() {
 		c.cfg.Meter.AccountShed(netsim.LinkClient)
 		return binding.AdmissionDegrade, nil
 	}
 	return binding.AdmissionAdmit, nil
-}
-
-// mutates mirrors the client library's read-only classification.
-func mutates(op binding.Operation) bool {
-	m, ok := op.(binding.Mutator)
-	return ok && m.OpMutates()
 }

@@ -4,7 +4,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -55,26 +54,6 @@ func (h *Histogram) RecordBatch(ds []time.Duration) {
 	}
 	h.mu.Lock()
 	h.samples = append(h.samples, ds...)
-	h.sorted = false
-	h.mu.Unlock()
-}
-
-// Merge folds every sample of other into h (other is left unchanged).
-// Merging clears the sort cache, so a percentile read after a Merge
-// re-sorts over the combined sample set. Merging a histogram into itself
-// or merging nil is a no-op.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other == h {
-		return
-	}
-	other.mu.Lock()
-	samples := append([]time.Duration(nil), other.samples...)
-	other.mu.Unlock()
-	if len(samples) == 0 {
-		return
-	}
-	h.mu.Lock()
-	h.samples = append(h.samples, samples...)
 	h.sorted = false
 	h.mu.Unlock()
 }
@@ -148,34 +127,6 @@ func (h *Histogram) sortLocked() {
 		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
 		h.sorted = true
 	}
-}
-
-// Summary is a value snapshot of a histogram.
-type Summary struct {
-	Count int
-	Mean  time.Duration
-	P50   time.Duration
-	P99   time.Duration
-	Min   time.Duration
-	Max   time.Duration
-}
-
-// Summarize computes a Summary.
-func (h *Histogram) Summarize() Summary {
-	return Summary{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.Percentile(50),
-		P99:   h.Percentile(99),
-		Min:   h.Min(),
-		Max:   h.Max(),
-	}
-}
-
-// String renders a Summary compactly in milliseconds.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.1fms p50=%.1fms p99=%.1fms",
-		s.Count, Ms(s.Mean), Ms(s.P50), Ms(s.P99))
 }
 
 // Ms converts a duration to float milliseconds (figure axes).

@@ -91,19 +91,6 @@ func TestPropertyHistogramInvariants(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	h := NewHistogram()
-	h.Record(10 * time.Millisecond)
-	h.Record(20 * time.Millisecond)
-	s := h.Summarize()
-	if s.Count != 2 || s.Mean != 15*time.Millisecond || s.Min != 10*time.Millisecond || s.Max != 20*time.Millisecond {
-		t.Errorf("Summary = %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
@@ -149,57 +136,5 @@ func TestHistogramPercentileEdgeCases(t *testing.T) {
 	}
 	if h.Min() != 7*time.Millisecond || h.Max() != 7*time.Millisecond {
 		t.Errorf("single-sample Min/Max = %v/%v", h.Min(), h.Max())
-	}
-}
-
-// TestHistogramMergeResorts: Merge must clear the destination's sort cache
-// so percentiles after a merge reflect the combined sample set, and must
-// leave the source untouched.
-func TestHistogramMergeResorts(t *testing.T) {
-	h := NewHistogram()
-	for _, ms := range []int{30, 40, 50} {
-		h.Record(time.Duration(ms) * time.Millisecond)
-	}
-	if got := h.Min(); got != 30*time.Millisecond { // forces sort, caches it
-		t.Fatalf("pre-merge Min = %v", got)
-	}
-
-	src := NewHistogram()
-	for _, ms := range []int{10, 20} {
-		src.Record(time.Duration(ms) * time.Millisecond)
-	}
-	h.Merge(src)
-	if got := h.Count(); got != 5 {
-		t.Fatalf("merged Count = %d, want 5", got)
-	}
-	if got := h.Min(); got != 10*time.Millisecond {
-		t.Errorf("post-merge Min = %v, want 10ms (sort cache must clear)", got)
-	}
-	if got := h.Percentile(50); got != 30*time.Millisecond {
-		t.Errorf("post-merge P50 = %v, want 30ms", got)
-	}
-	if got := src.Count(); got != 2 {
-		t.Errorf("source Count = %d after merge, want 2 (unchanged)", got)
-	}
-	if got := src.Min(); got != 10*time.Millisecond {
-		t.Errorf("source Min = %v after merge, want 10ms (unchanged)", got)
-	}
-}
-
-// TestHistogramMergeNoOps: merging nil, merging an empty histogram, and
-// merging a histogram into itself all leave the receiver unchanged.
-func TestHistogramMergeNoOps(t *testing.T) {
-	h := NewHistogram()
-	h.Record(5 * time.Millisecond)
-	_ = h.Min() // cache the sort
-
-	h.Merge(nil)
-	h.Merge(NewHistogram())
-	h.Merge(h)
-	if got := h.Count(); got != 1 {
-		t.Errorf("Count after no-op merges = %d, want 1", got)
-	}
-	if got := h.Percentile(99); got != 5*time.Millisecond {
-		t.Errorf("P99 after no-op merges = %v, want 5ms", got)
 	}
 }

@@ -70,6 +70,3 @@ func (c *Coalescer) dispatch(key int) {
 
 // Keys returns the number of coalescing keys.
 func (c *Coalescer) Keys() int { return len(c.armed) }
-
-// Window returns the dispatch window.
-func (c *Coalescer) Window() time.Duration { return c.window }

@@ -250,15 +250,3 @@ func (m *Meter) Reset() {
 		c.messages.Store(0)
 	}
 }
-
-// Diff returns the per-class difference snapshot-now minus base. Classes
-// absent from base count from zero.
-func (m *Meter) Diff(base map[string]LinkStats) map[string]LinkStats {
-	now := m.Snapshot()
-	out := make(map[string]LinkStats, len(now))
-	for k, v := range now {
-		b := base[k]
-		out[k] = LinkStats{Bytes: v.Bytes - b.Bytes, Messages: v.Messages - b.Messages}
-	}
-	return out
-}

@@ -62,51 +62,7 @@ func TestSortByProximity(t *testing.T) {
 	}
 }
 
-func TestWallClockScaling(t *testing.T) {
-	c := NewClock(0.5)
-	if got := c.ToWall(100 * time.Millisecond); got != 50*time.Millisecond {
-		t.Errorf("ToWall = %v", got)
-	}
-	if got := c.ToModel(50 * time.Millisecond); got != 100*time.Millisecond {
-		t.Errorf("ToModel = %v", got)
-	}
-	start := time.Now()
-	c.Sleep(20 * time.Millisecond) // 10ms wall
-	if elapsed := time.Since(start); elapsed < 8*time.Millisecond || elapsed > 100*time.Millisecond {
-		t.Errorf("scaled sleep took %v, want ~10ms", elapsed)
-	}
-}
-
-func TestWallClockZeroSleep(t *testing.T) {
-	c := NewClock(1.0)
-	start := time.Now()
-	c.Sleep(0)
-	c.Sleep(-time.Second)
-	if time.Since(start) > 10*time.Millisecond {
-		t.Error("non-positive sleep should return immediately")
-	}
-}
-
-func TestClockInvalidScalePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-positive scale")
-		}
-	}()
-	NewClock(0)
-}
-
 func TestStopwatchModelTime(t *testing.T) {
-	c := NewClock(0.1)
-	sw := c.StartStopwatch()
-	time.Sleep(5 * time.Millisecond) // = 50ms model
-	got := sw.ElapsedModel()
-	if got < 30*time.Millisecond || got > 300*time.Millisecond {
-		t.Errorf("ElapsedModel = %v, want ~50ms", got)
-	}
-}
-
-func TestVirtualStopwatchExact(t *testing.T) {
 	c := NewVirtualClock()
 	sw := c.StartStopwatch()
 	c.Sleep(50 * time.Millisecond)
@@ -126,11 +82,8 @@ func TestMeterAccounting(t *testing.T) {
 	if s := m.Class(LinkReplica); s.Bytes != 10 || s.Messages != 1 {
 		t.Errorf("replica stats = %+v", s)
 	}
-	snap := m.Snapshot()
-	m.Account(LinkClient, 1)
-	d := m.Diff(snap)
-	if d[LinkClient].Bytes != 1 || d[LinkClient].Messages != 1 {
-		t.Errorf("diff = %+v", d[LinkClient])
+	if snap := m.Snapshot(); snap[LinkClient] != m.Class(LinkClient) || snap[LinkReplica] != m.Class(LinkReplica) {
+		t.Errorf("snapshot = %+v", snap)
 	}
 	m.Reset()
 	if s := m.Class(LinkClient); s.Bytes != 0 {
@@ -264,24 +217,6 @@ func TestServerParallelism(t *testing.T) {
 	g.Wait()
 	if got := clock.Now(); got != cost {
 		t.Errorf("4 parallel jobs on 4 workers finished at %v model, want %v", got, cost)
-	}
-}
-
-func TestServerTryProcessSheds(t *testing.T) {
-	clock := NewVirtualClock()
-	s := NewServer(clock, 1)
-	done := clock.NewEvent()
-	clock.Go(func() {
-		s.Process(80 * time.Millisecond) // hold the only slot
-		done.Fire()
-	})
-	clock.Sleep(10 * time.Millisecond)
-	if s.TryProcess(time.Millisecond) {
-		t.Error("TryProcess should shed when saturated")
-	}
-	done.Wait()
-	if !s.TryProcess(time.Millisecond) {
-		t.Error("TryProcess should succeed when idle")
 	}
 }
 

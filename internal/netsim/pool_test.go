@@ -181,7 +181,7 @@ func TestEventReleaseReuse(t *testing.T) {
 	e := c.NewEvent()
 	e.Fire()
 	e.Wait()
-	e.(*vEvent).Release()
+	e.Release()
 	e2 := c.NewEvent()
 	if e2 != e {
 		t.Fatal("NewEvent did not reuse the released event")

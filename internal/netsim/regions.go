@@ -8,19 +8,12 @@
 // reports (IRL-FRK 20 ms, IRL-VRG 83 ms) and fill in the remaining pairs with
 // publicly known inter-region latencies of the same era.
 //
-// All simulated delays go through a Clock, which comes in two modes:
-//
-//   - VirtualClock (the default for tests, benchmarks and cmd/icgbench): a
-//     deterministic discrete-event scheduler. Actors park on virtual
-//     deadlines and, whenever every actor is blocked, model time jumps
-//     straight to the earliest deadline — experiments run at CPU speed and
-//     same-seed runs are bit-for-bit reproducible.
-//   - WallClock (cmd/icgbench -clock=wall): scales model durations to real
-//     sleeps for real-time demos; a scale of 0.1 runs 10x faster than the
-//     modeled WAN.
-//
-// Either way, latencies are reported in model time, i.e. on the paper's
-// (unscaled) axes.
+// All simulated delays go through a Clock, the deterministic discrete-event
+// scheduler VirtualClock: actors park on virtual deadlines and, whenever
+// every actor is blocked, model time jumps straight to the earliest
+// deadline — experiments run at CPU speed and same-seed runs are
+// bit-for-bit reproducible. Latencies are reported in model time, i.e. on
+// the paper's axes.
 package netsim
 
 import (

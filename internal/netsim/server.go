@@ -14,9 +14,8 @@ import (
 // and caps attainable throughput.
 //
 // Capacity is tracked with per-slot busy-until deadlines in model time: the
-// reservation math is exact whatever the clock implementation, so
-// saturation throughput is not distorted by the host's sleep resolution
-// (and under a VirtualClock there is no sleeping at all).
+// reservation math is exact and nothing ever sleeps on the host, so
+// saturation throughput does not depend on the host's timer resolution.
 //
 // Preliminary flushing in Correctable Cassandra consumes extra coordinator
 // service time per read (§6.2.1 "Performance Under Load"), which is why CC
@@ -96,35 +95,6 @@ func (s *Server) Reserve(cost time.Duration) time.Duration {
 		s.trc.Span(s.trcTrack, trace.CatServer, "serve", "", end-cost, end)
 	}
 	return end
-}
-
-// TryProcess is Process but gives up immediately if every slot is already
-// busy, reporting whether the work was done. Used for strictly optional
-// work that an overloaded node would shed.
-func (s *Server) TryProcess(cost time.Duration) bool {
-	now := s.clock.Now()
-	s.mu.Lock()
-	idx := -1
-	for i := range s.slotFree {
-		if s.slotFree[i] <= now {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		s.mu.Unlock()
-		return false
-	}
-	end := now + cost
-	s.slotFree[idx] = end
-	s.busy += cost
-	s.handled++
-	s.mu.Unlock()
-	if s.trc != nil {
-		s.trc.Span(s.trcTrack, trace.CatServer, "serve", "", now, end)
-	}
-	s.clock.SleepUntil(end)
-	return true
 }
 
 // QueueDelay returns the queueing delay a request arriving now would incur

@@ -51,9 +51,8 @@ type Interceptor interface {
 // which is what makes the bandwidth figures (Fig 8, Fig 10) trustworthy.
 //
 // Jitter is drawn from per-region-pair PCG generators rather than one
-// global locked source, so concurrent clients (wall mode) don't serialize
-// on a single RNG lock, and the draw sequence of each link is independent
-// of traffic on other links.
+// global source, so the draw sequence of each link is independent of
+// traffic on other links.
 type Transport struct {
 	clock Clock
 	model *LatencyModel

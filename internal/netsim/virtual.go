@@ -22,21 +22,20 @@ import (
 // Callbacks interleave with actor wakeups in the same (deadline, spawn
 // sequence) order, so converting fire-and-forget actors to callbacks does
 // not perturb determinism. The price is a discipline: a callback must not
-// block. A call to Sleep, Event.Wait, Queue.Get, Group.Wait, BlockOn, or
-// Drain from inside a callback panics if it would actually park (fail
-// fast, like the deadlock check); calls that are satisfied immediately —
-// a Get on a non-empty queue, a Wait on a fired event, a Sleep to the
-// past — return without parking and are not detected, so do not lean on
+// block. A call to Sleep, Event.Wait, Queue.Get, Group.Wait or Drain from
+// inside a callback panics if it would actually park (fail fast, like the
+// deadlock check); calls that are satisfied immediately — a Get on a
+// non-empty queue, a Wait on a fired event, a Sleep to the past — return
+// without parking and are not detected, so do not lean on
 // the panic to find violations: keep callbacks free of these calls
 // entirely. Non-blocking operations — Now, Go, RunAt/RunAfter,
 // Event.Fire, Queue.Put, Group.Add/Done — are all fine. Blocking work
 // still needs an actor: spawn one with Go from inside the callback if
 // necessary.
 //
-// Discipline (see the Clock interface comment): spawn actors with Go, block
-// only through the clock, and use BlockOn around any foreign blocking. An
-// actor that blocks on a bare channel without BlockOn freezes the whole
-// simulation, since the token is never handed on.
+// Discipline (see the Clock comment): spawn actors with Go and block only
+// through the clock. An actor that blocks on a bare channel freezes the
+// whole simulation, since the token is never handed on.
 //
 // Internally the scheduler is built so that one simulated message costs the
 // host as little as possible: the ready set is a head-indexed compacting
@@ -55,17 +54,13 @@ import (
 // The goroutine that calls NewVirtualClock is the root actor and initially
 // holds the token.
 type VirtualClock struct {
-	mu       sync.Mutex
-	now      time.Duration
-	seq      uint64
-	timers   timerHeap
-	ready    fifo[*vactor] // runnable actors, FIFO
-	blocked  int           // actors parked on events/queues/groups
-	detached int           // actors inside BlockOn
-	idler    *vactor       // Drain caller, woken only at quiescence
-	// tokenFree marks the token as unheld: set when the running actor had
-	// nothing to hand it to but detached actors may still rejoin.
-	tokenFree bool
+	mu      sync.Mutex
+	now     time.Duration
+	seq     uint64
+	timers  timerHeap
+	ready   fifo[*vactor] // runnable actors, FIFO
+	blocked int           // actors parked on events/queues/groups
+	idler   *vactor       // Drain caller, woken only at quiescence
 	// inCallback is true while the dispatching goroutine runs a callback
 	// timer; blocking operations fail fast when they see it (only the
 	// callback itself can observe the flag — every other actor is parked
@@ -76,8 +71,8 @@ type VirtualClock struct {
 	// idle holds the workers whose actor returned, parked on their own
 	// channel until Go hands them the next body (at most maxIdleWorkers).
 	idle []*vactor
-	// freeEvents recycles events handed back through vEvent.Release.
-	freeEvents []*vEvent
+	// freeEvents recycles events handed back through Event.Release.
+	freeEvents []*Event
 	// spawned counts Go calls, i.e. actors started. Benchmarks use it to
 	// prove the callback path costs zero actors per message.
 	spawned uint64
@@ -97,8 +92,6 @@ type VirtualClock struct {
 // and the same elsewhere. Peak RSS did not tell 64, 256 and no bound apart
 // on any of them.
 const maxIdleWorkers = 256
-
-var _ Clock = (*VirtualClock)(nil)
 
 // vactor is one parked actor: a rendezvous channel for the token handoff,
 // a spawn sequence for deterministic tie-breaks, and the handed-off value
@@ -210,11 +203,6 @@ func (c *VirtualClock) dispatchLocked() {
 			c.inCallback = false
 			continue
 		}
-		if c.detached > 0 {
-			// A BlockOn actor may rejoin with work; leave the token floating.
-			c.tokenFree = true
-			return
-		}
 		if c.idler != nil {
 			c.retireIdleLocked()
 			p := c.idler
@@ -231,12 +219,11 @@ func (c *VirtualClock) dispatchLocked() {
 				"netsim: virtual clock deadlock: %d actor(s) blocked with no runnable actors and no pending timers",
 				c.blocked))
 		}
-		c.tokenFree = true
 		return
 	}
 }
 
-// Now implements Clock.
+// Now returns the current model time.
 func (c *VirtualClock) Now() time.Duration {
 	c.mu.Lock()
 	now := c.now
@@ -244,7 +231,7 @@ func (c *VirtualClock) Now() time.Duration {
 	return now
 }
 
-// Sleep implements Clock: parks the actor for d of model time.
+// Sleep parks the actor for d of model time.
 func (c *VirtualClock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
@@ -253,7 +240,7 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 	c.sleepUntilLocked(c.now + d)
 }
 
-// SleepUntil implements Clock: parks the actor until model instant t.
+// SleepUntil parks the actor until model instant t.
 func (c *VirtualClock) SleepUntil(t time.Duration) {
 	c.mu.Lock()
 	c.sleepUntilLocked(t)
@@ -275,7 +262,7 @@ func (c *VirtualClock) sleepUntilLocked(t time.Duration) {
 	c.recycle(p)
 }
 
-// RunAt implements Clock: fn runs as a callback timer at model instant t
+// RunAt schedules fn as a callback timer at model instant t
 // (or the current instant, if t is in the past). The callback executes
 // inline on whichever goroutine dispatches that instant — no goroutine is
 // spawned — deterministically interleaved with actor wakeups by
@@ -290,7 +277,7 @@ func (c *VirtualClock) RunAt(t time.Duration, fn func()) {
 	c.mu.Unlock()
 }
 
-// RunAfter implements Clock: RunAt(Now()+d, fn).
+// RunAfter is RunAt(Now()+d, fn).
 func (c *VirtualClock) RunAfter(d time.Duration, fn func()) {
 	c.mu.Lock()
 	if d < 0 {
@@ -301,7 +288,7 @@ func (c *VirtualClock) RunAfter(d time.Duration, fn func()) {
 	c.mu.Unlock()
 }
 
-// Go implements Clock: fn becomes a new actor, enqueued runnable behind the
+// Go spawns fn as a new actor, enqueued runnable behind the
 // current ready set. It starts executing when the token reaches it. The
 // actor runs on an idle pooled worker when there is one and on a new
 // goroutine otherwise; the spawn sequence and ready-queue position are the
@@ -375,34 +362,6 @@ func (c *VirtualClock) Spawned() uint64 {
 	return n
 }
 
-// BlockOn implements Clock: the actor leaves the scheduler while wait runs
-// (so the simulation continues, advancing time if needed) and rejoins
-// afterwards. The rejoin order depends on the host scheduler, so a BlockOn
-// wait is the one place where determinism is forfeited — keep it out of
-// measured paths.
-func (c *VirtualClock) BlockOn(wait func()) {
-	c.mu.Lock()
-	c.checkCanBlockLocked("BlockOn")
-	c.detached++
-	c.dispatchLocked()
-	c.mu.Unlock()
-
-	wait()
-
-	c.mu.Lock()
-	c.detached--
-	if c.tokenFree {
-		c.tokenFree = false
-		c.mu.Unlock()
-		return
-	}
-	p := c.newActorLocked()
-	c.ready.push(p)
-	c.mu.Unlock()
-	<-p.ch
-	c.recycle(p)
-}
-
 // Drain runs the simulation until quiescence: every remaining actor has
 // either exited or parked on an event/queue that can no longer fire, no
 // timers are pending, and every queued callback has run to completion.
@@ -414,7 +373,7 @@ func (c *VirtualClock) BlockOn(wait func()) {
 // started has exited or is about to, except actors parked for good.
 func (c *VirtualClock) Drain() {
 	c.mu.Lock()
-	if c.ready.len() == 0 && c.timers.len() == 0 && c.detached == 0 {
+	if c.ready.len() == 0 && c.timers.len() == 0 {
 		c.retireIdleLocked()
 		c.mu.Unlock()
 		return
@@ -432,29 +391,29 @@ func (c *VirtualClock) Drain() {
 	c.recycle(p)
 }
 
-// NewEvent implements Clock. The event has a Release method (see
-// vEvent.Release) for holders that know when they are done with it.
-func (c *VirtualClock) NewEvent() Event {
+// NewEvent returns a one-shot broadcast usable by actors of this clock;
+// holders that know when they are done with it hand it back with Release.
+func (c *VirtualClock) NewEvent() *Event {
 	c.mu.Lock()
 	e := popLast(&c.freeEvents)
 	c.mu.Unlock()
 	if e == nil {
-		e = &vEvent{c: c}
+		e = &Event{c: c}
 	}
 	return e
 }
 
-// NewQueue implements Clock.
-func (c *VirtualClock) NewQueue() Queue {
-	q := &vQueue{c: c}
+// NewQueue returns an unbounded FIFO usable by actors of this clock.
+func (c *VirtualClock) NewQueue() *Queue {
+	q := &Queue{c: c}
 	q.waiters.buf = q.waiter0[:0]
 	return q
 }
 
-// NewGroup implements Clock.
-func (c *VirtualClock) NewGroup() Group { return &vGroup{c: c} }
+// NewGroup returns a WaitGroup analogue usable by actors of this clock.
+func (c *VirtualClock) NewGroup() *Group { return &Group{c: c} }
 
-// StartStopwatch begins timing.
+// StartStopwatch begins measuring model time.
 func (c *VirtualClock) StartStopwatch() Stopwatch {
 	return Stopwatch{clock: c, start: c.Now()}
 }
@@ -505,14 +464,15 @@ func (c *VirtualClock) parkLocked(p *vactor) {
 	<-p.ch
 }
 
-// vEvent is the virtual one-shot broadcast.
-type vEvent struct {
+// Event is a one-shot broadcast: Wait blocks until Fire has been called.
+// Fire is idempotent; Wait after Fire returns immediately.
+type Event struct {
 	c       *VirtualClock
 	fired   bool
 	waiters waitList
 }
 
-func (e *vEvent) Fire() {
+func (e *Event) Fire() {
 	e.c.mu.Lock()
 	if !e.fired {
 		e.fired = true
@@ -521,7 +481,7 @@ func (e *vEvent) Fire() {
 	e.c.mu.Unlock()
 }
 
-func (e *vEvent) Wait() {
+func (e *Event) Wait() {
 	e.c.mu.Lock()
 	if e.fired {
 		e.c.mu.Unlock()
@@ -538,7 +498,7 @@ func (e *vEvent) Wait() {
 // from a later NewEvent. Only the event's last holder may call it, and only
 // once nobody can Fire or Wait on it any more — typically the single
 // waiter of a private event, right after its Wait returned.
-func (e *vEvent) Release() {
+func (e *Event) Release() {
 	e.c.mu.Lock()
 	e.fired = false
 	e.c.freeEvents = append(e.c.freeEvents, e)
@@ -580,19 +540,21 @@ func (f *fifo[T]) pop() T {
 	return v
 }
 
-// vQueue is the virtual unbounded FIFO. A Put with waiters present hands
-// the item directly to the longest-waiting actor. Both the item buffer and
-// the waiter list reuse their backing arrays across pops, so a warm
-// handoff allocates nothing; the waiter list starts out on an inline slot,
-// which is all a single-consumer queue ever needs.
-type vQueue struct {
+// Queue is an unbounded FIFO. Put never blocks; Get blocks until an item is
+// available. A Put with waiters present hands the item directly to the
+// longest-waiting actor, so items reach actors in deterministic FIFO
+// order. Both the item buffer and the waiter list reuse their backing
+// arrays across pops, so a warm handoff allocates nothing; the waiter list
+// starts out on an inline slot, which is all a single-consumer queue ever
+// needs.
+type Queue struct {
 	c       *VirtualClock
 	items   fifo[any]
 	waiters fifo[*vactor]
 	waiter0 [1]*vactor
 }
 
-func (q *vQueue) Put(v any) {
+func (q *Queue) Put(v any) {
 	q.c.mu.Lock()
 	if q.waiters.len() > 0 {
 		p := q.waiters.pop()
@@ -604,7 +566,7 @@ func (q *vQueue) Put(v any) {
 	q.c.mu.Unlock()
 }
 
-func (q *vQueue) Get() any {
+func (q *Queue) Get() any {
 	q.c.mu.Lock()
 	if q.items.len() > 0 {
 		v := q.items.pop()
@@ -620,14 +582,15 @@ func (q *vQueue) Get() any {
 	return v
 }
 
-// vGroup is the virtual WaitGroup analogue.
-type vGroup struct {
+// Group counts outstanding work like sync.WaitGroup: Wait blocks until the
+// counter, moved by Add and Done, reaches zero.
+type Group struct {
 	c       *VirtualClock
 	n       int
 	waiters waitList
 }
 
-func (g *vGroup) Add(n int) {
+func (g *Group) Add(n int) {
 	g.c.mu.Lock()
 	g.n += n
 	if g.n < 0 {
@@ -637,7 +600,7 @@ func (g *vGroup) Add(n int) {
 	g.c.mu.Unlock()
 }
 
-func (g *vGroup) Done() {
+func (g *Group) Done() {
 	g.c.mu.Lock()
 	g.n--
 	if g.n < 0 {
@@ -650,7 +613,7 @@ func (g *vGroup) Done() {
 	g.c.mu.Unlock()
 }
 
-func (g *vGroup) Wait() {
+func (g *Group) Wait() {
 	g.c.mu.Lock()
 	if g.n == 0 {
 		g.c.mu.Unlock()

@@ -126,25 +126,6 @@ func TestVirtualDrainRunsBackgroundWork(t *testing.T) {
 	c.Drain() // idempotent on a quiescent clock
 }
 
-// TestVirtualBlockOn: a foreign wait detaches from the scheduler; the rest
-// of the simulation keeps running (and advancing time) meanwhile.
-func TestVirtualBlockOn(t *testing.T) {
-	c := NewVirtualClock()
-	ch := make(chan int, 1)
-	c.Go(func() {
-		c.Sleep(time.Second)
-		ch <- 42
-	})
-	var got int
-	c.BlockOn(func() { got = <-ch })
-	if got != 42 {
-		t.Errorf("got %d, want 42", got)
-	}
-	if c.Now() < time.Second {
-		t.Errorf("Now = %v, want >= 1s (time must advance during BlockOn)", c.Now())
-	}
-}
-
 // TestVirtualDeadlockPanics: an actor blocking on an event nobody can fire
 // is reported as a deadlock instead of hanging the test binary.
 func TestVirtualDeadlockPanics(t *testing.T) {
@@ -393,7 +374,7 @@ func TestTransportSendSpawnsNoGoroutines(t *testing.T) {
 // compacts its dead prefix.
 func TestVirtualQueueBacklogMemoryBounded(t *testing.T) {
 	c := NewVirtualClock()
-	q := c.NewQueue().(*vQueue)
+	q := c.NewQueue()
 	const depth = 8
 	for i := 0; i < depth; i++ {
 		q.Put(i)

@@ -6,8 +6,8 @@ import (
 )
 
 // Clock is the minimal scheduling surface the registry needs; it is
-// structurally satisfied by netsim.Clock (both VirtualClock and
-// WallClock) without this package importing netsim.
+// structurally satisfied by netsim.Clock without this package importing
+// netsim.
 type Clock interface {
 	Now() time.Duration
 	RunAfter(d time.Duration, fn func())

@@ -121,9 +121,6 @@ type Tracer struct {
 // New returns an empty tracer.
 func New() *Tracer { return &Tracer{} }
 
-// Enabled reports whether the tracer records (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Track interns a timeline name and returns its handle. Callers resolve
 // tracks once at wiring time so per-event paths touch no maps or string
 // building. Repeated names return the same handle.

@@ -76,9 +76,6 @@ func TestWriteChromeDeterministic(t *testing.T) {
 
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	tk := tr.Track("x")
 	if tk != 0 {
 		t.Fatalf("nil tracer track = %d, want 0", tk)

@@ -26,9 +26,8 @@ type DB interface {
 	Update(rng *rand.Rand, key string, value []byte) (time.Duration, error)
 }
 
-// Options configures a closed-loop run. All durations are model time, so a
-// run covers the same simulated span whatever the clock implementation —
-// instantly under a VirtualClock, scaled real time under a WallClock.
+// Options configures a closed-loop run. All durations are model time: the
+// run covers its simulated span at CPU speed.
 type Options struct {
 	// Threads is the number of closed-loop client threads.
 	Threads int

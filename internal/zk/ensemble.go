@@ -74,7 +74,7 @@ type Server struct {
 	mu          sync.Mutex
 	lastApplied uint64
 	pending     map[uint64]Txn
-	waiters     map[uint64][]netsim.Event
+	waiters     map[uint64][]*netsim.Event
 
 	// dataEpoch is the election epoch the applied state belongs to. Commits
 	// and snapshots from older epochs — a deposed leader's stalled broadcast
@@ -93,9 +93,6 @@ type Server struct {
 // Tree exposes the server's local (committed) state for local reads and
 // CZK simulations.
 func (s *Server) Tree() *Tree { return s.tree }
-
-// IsLeader reports whether this server is the ensemble leader.
-func (s *Server) IsLeader() bool { return s.ensemble.Leader() == s }
 
 // LastApplied returns the highest zxid applied locally.
 func (s *Server) LastApplied() uint64 {
@@ -159,7 +156,7 @@ func NewEnsemble(cfg Config) (*Ensemble, error) {
 			proc:     netsim.NewServer(cfg.Transport.Clock(), cfg.Workers),
 			tree:     NewTree(),
 			pending:  make(map[uint64]Txn),
-			waiters:  make(map[uint64][]netsim.Event),
+			waiters:  make(map[uint64][]*netsim.Event),
 		}
 		e.order = append(e.order, region)
 	}
@@ -242,7 +239,7 @@ func (s *Server) epochApplied() (uint64, uint64) {
 // accept logs wholesale: their entries belong to a superseded leader's
 // numbering and must not merge with the new epoch's commit stream.
 func (s *Server) installSnapshot(nodes map[string]*node, zxid, epoch uint64) {
-	var fire []netsim.Event
+	var fire []*netsim.Event
 	s.mu.Lock()
 	if epoch < s.dataEpoch || (epoch == s.dataEpoch && zxid <= s.lastApplied) {
 		s.mu.Unlock()
@@ -271,7 +268,7 @@ func (s *Server) installSnapshot(nodes map[string]*node, zxid, epoch uint64) {
 }
 
 // accept records a proposal in the server's accept log (elections enabled
-// only); called on the follower leg of Propose before the ack travels back,
+// only); called on the follower leg of propose before the ack travels back,
 // so a counted ack always implies a recorded accept.
 func (s *Server) accept(zxid, epoch uint64, txn Txn) {
 	s.mu.Lock()
@@ -321,7 +318,7 @@ func (s *Server) acceptedTail(above uint64) map[uint64]acceptedTxn {
 // at the first gap) and returns the waiters the new watermark satisfies, in
 // zxid order (map iteration order would perturb determinism). Callers hold
 // s.mu and fire the returned events after releasing it.
-func (s *Server) applyPendingLocked() []netsim.Event {
+func (s *Server) applyPendingLocked() []*netsim.Event {
 	for {
 		next, ok := s.pending[s.lastApplied+1]
 		if !ok {
@@ -338,7 +335,7 @@ func (s *Server) applyPendingLocked() []netsim.Event {
 		}
 	}
 	sort.Slice(zs, func(i, j int) bool { return zs[i] < zs[j] })
-	var fire []netsim.Event
+	var fire []*netsim.Event
 	for _, z := range zs {
 		fire = append(fire, s.waiters[z]...)
 		delete(s.waiters, z)
@@ -442,23 +439,17 @@ func (e *Ensemble) Bootstrap(txn Txn) TxnResult {
 	return res
 }
 
-// Propose runs txn through the ordered-commit protocol on behalf of a
+// propose runs txn through the ordered-commit protocol on behalf of a
 // request that has already reached the leader (the caller models the
-// contact->leader hop). It returns the transaction's zxid and result after
-// a majority has acknowledged. Commits propagate to followers
+// contact->leader hop). It returns the transaction's zxid, the commit epoch
+// it was ordered under (which epoch-aware delivery paths need) and its
+// result, after a majority has acknowledged. Commits propagate to followers
 // asynchronously except the contact server's own commit, which the caller
 // delivers synchronously with DeliverCommit (modeling the single
 // commit+reply message on that link).
 //
 // Fail-fast validation errors (bad version, missing node) return with
 // zxid 0 and no broadcast, like ZooKeeper's prep processor.
-func (e *Ensemble) Propose(txn Txn, contact *Server) (uint64, TxnResult) {
-	zxid, _, res := e.propose(txn, contact)
-	return zxid, res
-}
-
-// propose is Propose plus the commit epoch the transaction was ordered
-// under, which epoch-aware delivery paths need.
 func (e *Ensemble) propose(txn Txn, contact *Server) (uint64, uint64, TxnResult) {
 	leader := e.Leader()
 	leader.proc.Process(e.cfg.ServiceTime)
@@ -570,7 +561,7 @@ func (s *Server) deliverCommit(zxid, epoch uint64, txn Txn) {
 	}
 }
 
-func (s *Server) deliverCommitLocked(zxid, epoch uint64, txn Txn) []netsim.Event {
+func (s *Server) deliverCommitLocked(zxid, epoch uint64, txn Txn) []*netsim.Event {
 	if epoch < s.dataEpoch || zxid <= s.lastApplied {
 		return nil
 	}

@@ -37,7 +37,7 @@ func TestEnsembleValidation(t *testing.T) {
 	if _, err := NewEnsemble(Config{}); err == nil {
 		t.Error("missing transport accepted")
 	}
-	tr := netsim.NewTransport(netsim.NewClock(1), netsim.DefaultLatencies(), nil, 1)
+	tr := netsim.NewTransport(netsim.NewVirtualClock(), netsim.DefaultLatencies(), nil, 1)
 	if _, err := NewEnsemble(Config{Transport: tr}); err == nil {
 		t.Error("empty regions accepted")
 	}
