@@ -292,9 +292,7 @@ func main() {
 				", or '<seed>:<profile>' (profiles: "+strings.Join(faults.ProfileNames(), ", ")+
 				") for a replayable random schedule; default minority-partition")
 		faultLog = flag.Bool("fault-log", false, "print the applied fault-transition log with the fault study")
-		sweep    = flag.Bool("sweep", false,
-			"also run the quorum x geography parameter sweep (shorthand for adding 'sweep' to -exp)")
-		check = flag.Bool("check", false,
+		check    = flag.Bool("check", false,
 			"faultstudy: run a consistency-checked session population alongside the measured one and verify its "+
 				"recorded history (session guarantees + per-key linearizability); exit nonzero on any violation")
 		showList = flag.Bool("list", false, "list experiments, fault scenarios and profiles, then exit")
@@ -335,9 +333,6 @@ func main() {
 			}
 			names = append(names, name)
 		}
-	}
-	if *sweep && !slices.Contains(names, "sweep") {
-		names = append(names, "sweep")
 	}
 	exitOn(checkArtifacts(names, faultJSON, traceOut), 2)
 

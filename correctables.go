@@ -222,12 +222,12 @@ func WithLabel(label string) Option { return binding.WithLabel(label) }
 // WithLabel identity keys per-client state.
 func WithAdmission(gate AdmissionGate) Option { return binding.WithAdmission(gate) }
 
-// WithRetry attaches a retry policy: failures the policy classifies as
+// WithRetry attaches a retry policy: failures IsRetryable classifies as
 // retryable (timeouts, admission rejections) are re-submitted with seeded
 // exponential backoff.
 func WithRetry(p RetryPolicy) Option { return binding.WithRetry(p) }
 
-// IsRetryable is the default retry classification: true for errors wrapping
+// IsRetryable is the retry classification: true for errors wrapping
 // faults.ErrUnreachable or declaring Retryable() true.
 func IsRetryable(err error) bool { return binding.IsRetryable(err) }
 

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"correctables/internal/binding"
 	"correctables/internal/cassandra"
 	"correctables/internal/core"
 	"correctables/internal/netsim"
@@ -133,9 +132,6 @@ func NewService(b *cassandra.Binding) *Service {
 		MaxAdsPerRequest: 5,
 	}
 }
-
-// Client exposes the underlying Correctables client.
-func (s *Service) Client() *binding.Client { return s.kv.Client() }
 
 // getAds fetches and post-processes the ads named by an encoded reference
 // list (the speculation function of Listing 4). Each ad is fetched with a

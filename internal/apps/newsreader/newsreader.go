@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"correctables/internal/binding"
 	"correctables/internal/causal"
 	"correctables/internal/core"
 	"correctables/internal/netsim"
@@ -50,9 +49,6 @@ func NewReader(b *causal.Binding) *Reader {
 		clock: b.Client().Store().Config().Transport.Clock(),
 	}
 }
-
-// Client exposes the underlying Correctables client.
-func (r *Reader) Client() *binding.Client { return r.kv.Client() }
 
 // GetLatestNews is Listing 6: one logical access, refreshDisplay on every
 // update. It returns after the final view has been displayed, reporting all

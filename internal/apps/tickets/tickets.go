@@ -66,9 +66,6 @@ func NewRetailer(b *zk.Binding) *Retailer {
 	}
 }
 
-// Client exposes the underlying Correctables client.
-func (r *Retailer) Client() *binding.Client { return r.queue.Client() }
-
 // Revoked returns how many preliminary-confirmed purchases were later
 // contradicted by an empty final view. (The paper reports on average the
 // last ~2 tickets revoked with their conservative threshold of 20.)

@@ -133,9 +133,6 @@ func NewService(b *cassandra.Binding, opts ...binding.Option) *Service {
 	}
 }
 
-// Client exposes the underlying Correctables client.
-func (s *Service) Client() *binding.Client { return s.kv.Client() }
-
 // UserSession returns the per-user session, opening it on first use.
 func (s *Service) UserSession(user int) *binding.Session {
 	s.mu.Lock()

@@ -26,11 +26,11 @@ type Config struct {
 	// FaultLog prints the applied fault transitions alongside the
 	// fault-study table.
 	FaultLog bool
-	// Check adds a consistency-checked session population to the fault
-	// study: its clients run through the session API with a history
-	// recorder attached, and the recorded history is verified after the
-	// run (session guarantees plus per-key register linearizability). Only
-	// the faultstudy experiment reads it.
+	// Check adds a consistency-checked session population to the
+	// faultstudy and failover experiments: its clients run through the
+	// session API with a history recorder attached, and the recorded
+	// history is verified after the run (session guarantees plus per-key
+	// register and per-queue linearizability).
 	Check bool
 	// Trace attaches the model-time span tracer and time-series registry
 	// to the experiment fabric (faultstudy, failover, overload). The

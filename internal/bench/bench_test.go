@@ -244,7 +244,6 @@ func TestFig6Shapes(t *testing.T) {
 	if s := FormatFig6(rows); !strings.Contains(s, "Figure 6") {
 		t.Error("FormatFig6 missing title")
 	}
-	_ = throughputDropPct(rows, "B", 3)
 }
 
 func TestFig11Shapes(t *testing.T) {

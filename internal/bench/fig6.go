@@ -93,24 +93,3 @@ func workloadByName(name string, dist ycsb.DistKind, records, valueSize int) ycs
 		panic("bench: unknown workload " + name)
 	}
 }
-
-// throughputDropPct is a helper for EXPERIMENTS.md: the relative throughput
-// cost of CC2 vs C2 at the same offered load (the paper reports ~6%).
-func throughputDropPct(rows []Fig6Row, workload string, threads int) float64 {
-	var c2, cc2 float64
-	for _, r := range rows {
-		if r.Workload != workload || r.Threads != threads {
-			continue
-		}
-		switch r.System {
-		case "C2":
-			c2 = r.Throughput
-		case "CC2 final":
-			cc2 = r.Throughput
-		}
-	}
-	if c2 == 0 {
-		return 0
-	}
-	return 100 * (c2 - cc2) / c2
-}

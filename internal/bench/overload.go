@@ -65,10 +65,11 @@ type OverloadMode struct {
 	// BaselineGoodput anchors the percentages (ops/second in the baseline
 	// phase).
 	BaselineGoodput float64 `json:"baseline_goodput_ops_per_s"`
-	// PostBurstGoodputPct is the WORST post-burst phase (storm, recovered)
-	// relative to baseline: the metastability witness. Without shedding it
-	// stays collapsed although the burst is long gone; with shedding the
-	// recovered phase returns to baseline.
+	// PostBurstGoodputPct is the BEST post-burst phase (the larger of storm
+	// and recovered) relative to baseline: the metastability witness.
+	// Without shedding even the better phase stays collapsed although the
+	// burst is long gone; with shedding the recovered phase returns to
+	// baseline.
 	PostBurstGoodputPct float64 `json:"post_burst_goodput_pct"`
 	// RecoveredGoodputPct is the recovered phase alone — the escape witness.
 	RecoveredGoodputPct float64       `json:"recovered_goodput_pct"`

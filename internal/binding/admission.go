@@ -55,7 +55,7 @@ func WithAdmission(gate AdmissionGate) Option {
 // error.
 var errRejectedNoReason = errors.New("binding: operation rejected by admission control")
 
-// IsRetryable is the default retry classification: an error is worth
+// IsRetryable is the retry classification: an error is worth
 // re-submitting if it wraps faults.ErrUnreachable (timeouts, severed
 // links) or anything declaring Retryable() true (admission rejections).
 // Cancellation and semantic failures are not retryable.
@@ -90,9 +90,6 @@ type RetryPolicy struct {
 	Jitter float64
 	// Seed fixes the jitter randomness.
 	Seed int64
-	// Classify overrides IsRetryable. It must return false for context
-	// cancellation errors, or a cancelled invocation will retry.
-	Classify func(error) bool
 	// OnRetry observes each re-submission (attempt is 1-based). It runs on
 	// timer-callback paths: it must not block and must be safe for
 	// concurrent use. Experiments hook meter accounting here.
@@ -124,13 +121,6 @@ type retryPolicy struct {
 	RetryPolicy
 	mu  sync.Mutex
 	rng *randv2.Rand
-}
-
-func (p *retryPolicy) retryable(err error) bool {
-	if p.Classify != nil {
-		return p.Classify(err)
-	}
-	return IsRetryable(err)
 }
 
 // delay computes the backoff before retry n (1-based).
@@ -202,7 +192,7 @@ func (g *governedCall) generation() int {
 // invalidates the failing attempt's outstanding timeout timer.
 func (g *governedCall) tryRetry(c *Client, err error) bool {
 	p := c.retry
-	if p == nil || !p.retryable(err) {
+	if p == nil || !IsRetryable(err) {
 		return false
 	}
 	g.mu.Lock()

@@ -326,8 +326,8 @@ func (inv invocation[T]) close(v T, level core.Level, version uint64) bool {
 // the invocation onto the governed path: the gate is consulted before any
 // protocol work (per attempt, retries included), an AdmissionDegrade
 // verdict rewrites the level set to the binding's weakest so the
-// Correctable honestly closes with the preliminary view, failures the
-// policy classifies as retryable are re-submitted with seeded backoff, and
+// Correctable honestly closes with the preliminary view, failures
+// IsRetryable accepts are re-submitted with seeded backoff, and
 // the operation timeout bounds each attempt rather than the whole
 // invocation. Plain invocations never touch any of it — the hot path keeps
 // its allocation budget.

@@ -425,7 +425,7 @@ func TestBindingInvokeWeakAndStrong(t *testing.T) {
 	b := NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{})
 	kv := NewKV(b)
 
-	cw := kv.GetWeak(context.Background(), "k")
+	cw := kv.Get(context.Background(), "k", core.LevelWeak)
 	vw, err := cw.Final(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -459,8 +459,7 @@ func TestBindingPut(t *testing.T) {
 func TestBindingUnsupportedOp(t *testing.T) {
 	cluster, _, _ := newTestCluster(t, true, true)
 	b := NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{})
-	kv := NewKV(b)
-	if _, err := binding.Invoke[binding.Item](context.Background(), kv.Client(), binding.Dequeue{Queue: "q"}).Final(context.Background()); err == nil {
+	if _, err := binding.Invoke[binding.Item](context.Background(), binding.NewClient(b), binding.Dequeue{Queue: "q"}).Final(context.Background()); err == nil {
 		t.Error("dequeue on cassandra should fail")
 	}
 }

@@ -71,7 +71,7 @@ func (c *Client) route(shard, reqSize int) *Replica {
 	if trc := cl.trc; trc != nil {
 		routeSp = trc.Begin(cl.phaseTrk[c.Coordinator], trace.CatRoute, "route", "", tr.Clock().Now())
 	}
-	contact.server.Process(cl.cfg.RouteServiceTime)
+	contact.server.Process(routeServiceTime)
 	tr.Travel(c.Coordinator, c.Coordinator, netsim.LinkReplica, reqSize)
 	cl.trc.End(routeSp, tr.Clock().Now())
 	return owner

@@ -27,13 +27,6 @@ type Config struct {
 	// are unchanged while aggregate capacity scales with Shards. Default 1
 	// — the unsharded cluster the paper's figures run on.
 	Shards int
-	// VNodes is the number of virtual nodes per shard on the token ring
-	// (default 64).
-	VNodes int
-	// RouteServiceTime is the contact node's work to look up the ring and
-	// forward a request whose key belongs to another shard's coordinator
-	// (default 250µs). Token-aware clients skip this hop entirely.
-	RouteServiceTime time.Duration
 
 	// Correctable enables the CC server-side modification: the coordinator
 	// leaks a preliminary response after its local read, before gathering a
@@ -71,14 +64,6 @@ type Config struct {
 	// operations are never guarded (the fault-free hot path is unchanged).
 	OpTimeout time.Duration
 
-	// HintTTL bounds how long a coordinator keeps hints for an unreachable
-	// peer (see hints.go; default 30s, negative disables hinted handoff).
-	// Hints exist only under fault injection.
-	HintTTL time.Duration
-	// MaxHintsPerPeer caps each coordinator's per-peer hint queue,
-	// drop-oldest (default 128).
-	MaxHintsPerPeer int
-
 	// Seed fixes the cluster RNG (read repair sampling).
 	Seed int64
 }
@@ -87,12 +72,6 @@ func (c *Config) withDefaults() Config {
 	out := *c
 	if out.Shards <= 0 {
 		out.Shards = 1
-	}
-	if out.VNodes <= 0 {
-		out.VNodes = 64
-	}
-	if out.RouteServiceTime == 0 {
-		out.RouteServiceTime = 250 * time.Microsecond
 	}
 	if out.Workers == 0 {
 		out.Workers = 4
@@ -111,12 +90,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.OpTimeout == 0 {
 		out.OpTimeout = 5 * time.Second
-	}
-	if out.HintTTL == 0 {
-		out.HintTTL = 30 * time.Second
-	}
-	if out.MaxHintsPerPeer == 0 {
-		out.MaxHintsPerPeer = 128
 	}
 	return out
 }
@@ -143,6 +116,11 @@ func (r *Replica) Keys() int { return r.tab.len() }
 // Server exposes the replica's bounded-capacity server. Admission
 // controllers sample its QueueDelay as the coordinator backpressure signal.
 func (r *Replica) Server() *netsim.Server { return r.server }
+
+// routeServiceTime is the contact node's work to look up the ring and
+// forward a request whose key belongs to another shard's coordinator.
+// Token-aware clients skip this hop entirely.
+const routeServiceTime = 250 * time.Microsecond
 
 // readRepairShards spreads the read-repair RNG over independently locked
 // PCG states (keyed by the read key) so concurrent clients don't serialize
@@ -230,7 +208,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		cfg:      cfg,
 		tr:       cfg.Transport,
 		replicas: make(map[netsim.Region][]*Replica, len(cfg.Regions)),
-		ring:     ring.New(ring.Config{Shards: cfg.Shards, VNodes: cfg.VNodes, Seed: cfg.Seed}),
+		ring:     ring.New(ring.Config{Shards: cfg.Shards, Seed: cfg.Seed}),
 	}
 	for i := range c.repair {
 		c.repair[i].rng = randv2.New(randv2.NewPCG(uint64(cfg.Seed+7), uint64(i)))
@@ -287,9 +265,6 @@ func (c *Cluster) SetTrace(t *trace.Tracer) {
 	}
 }
 
-// Config returns the effective configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Transport returns the cluster transport.
 func (c *Cluster) Transport() *netsim.Transport { return c.tr }
 
@@ -312,9 +287,6 @@ func (c *Cluster) ReplicaAt(shard int, region netsim.Region) *Replica {
 	}
 	return reps[shard]
 }
-
-// Ring returns the cluster's token ring.
-func (c *Cluster) Ring() *ring.Ring { return c.ring }
 
 // Shards returns the shard count.
 func (c *Cluster) Shards() int { return c.cfg.Shards }

@@ -18,13 +18,22 @@ import (
 // missed directly, shrinking the stale window that read repair previously
 // covered alone. Queues are bounded (drop-oldest) and hints carry a TTL,
 // exactly like Cassandra's max_hint_window: a replica that stays down
-// longer than HintTTL rejoins stale and heals through read repair as
+// longer than hintTTL rejoins stale and heals through read repair as
 // before.
 //
 // Only the asynchronous replication leg is hinted. Synchronous quorum legs
 // keep their stall-until-heal semantics: a write that needs the down
 // replica for its quorum still blocks (and fails via OpTimeout), because a
 // hint is not an acknowledgment.
+
+const (
+	// hintTTL bounds how long a coordinator keeps hints for an unreachable
+	// peer.
+	hintTTL = 30 * time.Second
+	// maxHintsPerPeer caps each coordinator's per-peer hint queue,
+	// drop-oldest.
+	maxHintsPerPeer = 128
+)
 
 // hint is one buffered mutation, tagged with the owner shard it replays to.
 type hint struct {
@@ -40,9 +49,9 @@ type HintStats struct {
 	Queued int
 	// Replayed hints delivered to their peer after it became reachable.
 	Replayed int
-	// Expired hints discarded at replay time because they outlived HintTTL.
+	// Expired hints discarded at replay time because they outlived hintTTL.
 	Expired int
-	// Dropped hints evicted (oldest first) by the MaxHintsPerPeer cap.
+	// Dropped hints evicted (oldest first) by the maxHintsPerPeer cap.
 	Dropped int
 }
 
@@ -60,7 +69,7 @@ type hintStore struct {
 // partition heals, the final quiesce).
 func (c *Cluster) wireHints() {
 	inj, ok := c.tr.Interceptor().(*faults.Injector)
-	if !ok || c.cfg.HintTTL < 0 {
+	if !ok {
 		return
 	}
 	c.hints.inj = inj
@@ -86,11 +95,11 @@ func (c *Cluster) bufferHint(coord, peer netsim.Region, shard int, key string, v
 		h.byCo[coord] = peers
 	}
 	q := peers[peer]
-	if len(q) >= c.cfg.MaxHintsPerPeer {
+	if len(q) >= maxHintsPerPeer {
 		q = q[1:]
 		h.stats.Dropped++
 	}
-	peers[peer] = append(q, hint{shard: shard, key: key, v: v, expires: now + c.cfg.HintTTL})
+	peers[peer] = append(q, hint{shard: shard, key: key, v: v, expires: now + hintTTL})
 	h.stats.Queued++
 	h.mu.Unlock()
 	if c.trc != nil {

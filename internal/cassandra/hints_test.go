@@ -1,6 +1,7 @@
 package cassandra
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 
 // newHintedCluster builds a faulted cluster with read repair disabled, so
 // any convergence observed comes from hinted handoff alone.
-func newHintedCluster(t *testing.T, hintTTL time.Duration, maxHints int) (*Cluster, *faults.Injector, *netsim.VirtualClock) {
+func newHintedCluster(t *testing.T) (*Cluster, *faults.Injector, *netsim.VirtualClock) {
 	t.Helper()
 	clock := netsim.NewVirtualClock()
 	tr := netsim.NewTransport(clock, netsim.DefaultLatencies(), netsim.NewMeter(), 1)
@@ -21,8 +22,6 @@ func newHintedCluster(t *testing.T, hintTTL time.Duration, maxHints int) (*Clust
 		ReadServiceTime:  50 * time.Microsecond,
 		WriteServiceTime: 50 * time.Microsecond,
 		OpTimeout:        500 * time.Millisecond,
-		HintTTL:          hintTTL,
-		MaxHintsPerPeer:  maxHints,
 		Seed:             1,
 	})
 	if err != nil {
@@ -36,7 +35,7 @@ func newHintedCluster(t *testing.T, hintTTL time.Duration, maxHints int) (*Clust
 // read repair off, the rejoining replica converges through handoff alone,
 // where it previously stayed stale until an (unsampled) repair.
 func TestHintedHandoffReplaysOnRestart(t *testing.T) {
-	cluster, inj, clock := newHintedCluster(t, 0, 0) // defaults: 30s TTL, 128 cap
+	cluster, inj, clock := newHintedCluster(t)
 	client := NewClient(cluster, netsim.FRK, netsim.FRK)
 
 	inj.Apply(faults.Crash{Region: netsim.VRG})
@@ -65,18 +64,18 @@ func TestHintedHandoffReplaysOnRestart(t *testing.T) {
 	clock.Drain()
 }
 
-// TestHintTTLExpiry: a replica that stays down longer than HintTTL rejoins
+// TestHintTTLExpiry: a replica that stays down longer than hintTTL rejoins
 // without the expired hints — the bounded window that keeps hint queues
 // from masquerading as a durable log.
 func TestHintTTLExpiry(t *testing.T) {
-	cluster, inj, clock := newHintedCluster(t, 2*time.Second, 0)
+	cluster, inj, clock := newHintedCluster(t)
 	client := NewClient(cluster, netsim.FRK, netsim.FRK)
 
 	inj.Apply(faults.Crash{Region: netsim.VRG})
 	if err := client.Write("k", []byte("v"), 1); err != nil {
 		t.Fatal(err)
 	}
-	clock.Sleep(3 * time.Second) // outlive the TTL
+	clock.Sleep(hintTTL + time.Second) // outlive the TTL
 	inj.Apply(faults.Restart{Region: netsim.VRG})
 	clock.Sleep(time.Second)
 
@@ -90,34 +89,35 @@ func TestHintTTLExpiry(t *testing.T) {
 	clock.Drain()
 }
 
-// TestHintQueueBounded: the per-peer queue caps at MaxHintsPerPeer with
+// TestHintQueueBounded: the per-peer queue caps at maxHintsPerPeer with
 // drop-oldest eviction — the newest mutations win, and the drop counter
 // records the loss.
 func TestHintQueueBounded(t *testing.T) {
-	cluster, inj, clock := newHintedCluster(t, 0, 3)
+	cluster, inj, clock := newHintedCluster(t)
 	client := NewClient(cluster, netsim.FRK, netsim.FRK)
 
+	const extra = 7
+	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
 	inj.Apply(faults.Crash{Region: netsim.VRG})
-	for i := 0; i < 10; i++ {
-		key := string(rune('a' + i))
-		if err := client.Write(key, []byte{1}, 1); err != nil {
+	for i := 0; i < maxHintsPerPeer+extra; i++ {
+		if err := client.Write(key(i), []byte{1}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := cluster.HintStats(); st.Dropped != 7 {
-		t.Fatalf("stats = %+v, want 7 dropped by the cap of 3", st)
+	if st := cluster.HintStats(); st.Dropped != extra {
+		t.Fatalf("stats = %+v, want %d dropped by the cap of %d", st, extra, maxHintsPerPeer)
 	}
 
 	inj.Apply(faults.Restart{Region: netsim.VRG})
 	clock.Sleep(time.Second)
 	vrg := cluster.Replica(netsim.VRG)
-	if got := vrg.Keys(); got != 3 {
-		t.Fatalf("rejoined replica has %d keys, want the 3 newest hints", got)
+	if got := vrg.Keys(); got != maxHintsPerPeer {
+		t.Fatalf("rejoined replica has %d keys, want the %d newest hints", got, maxHintsPerPeer)
 	}
-	// Drop-oldest: the surviving hints are the last three writes.
-	for _, key := range []string{"h", "i", "j"} {
-		if !vrg.Get(key).Exists {
-			t.Errorf("newest hint %q missing after replay", key)
+	// Drop-oldest: the first writes are gone, the last ones survive.
+	for i := 0; i < maxHintsPerPeer+extra; i++ {
+		if got, want := vrg.Get(key(i)).Exists, i >= extra; got != want {
+			t.Errorf("hint %q delivered = %v, want %v", key(i), got, want)
 		}
 	}
 	inj.Quiesce()
@@ -127,7 +127,7 @@ func TestHintQueueBounded(t *testing.T) {
 // TestHintsFollowPartitionHeal: hints buffer across a partition (not just a
 // crash) and replay on the heal transition.
 func TestHintsFollowPartitionHeal(t *testing.T) {
-	cluster, inj, clock := newHintedCluster(t, 0, 0)
+	cluster, inj, clock := newHintedCluster(t)
 	client := NewClient(cluster, netsim.FRK, netsim.FRK)
 
 	inj.Apply(faults.Partition{Groups: [][]netsim.Region{

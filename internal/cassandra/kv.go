@@ -20,10 +20,6 @@ func NewKV(b *Binding, opts ...binding.Option) *KV {
 	return &KV{client: binding.NewClient(b, opts...)}
 }
 
-// Client returns the underlying Correctables client (for level inspection
-// and session creation).
-func (kv *KV) Client() *binding.Client { return kv.client }
-
 // Session opens a session over the facade's client: reads through it are
 // guaranteed read-your-writes and monotonic reads per key (see
 // binding.Session).
@@ -35,11 +31,6 @@ func (kv *KV) Session(opts ...binding.SessionOption) *binding.Session {
 // requested level (all offered levels when none are given), weakest first.
 func (kv *KV) Get(ctx context.Context, key string, levels ...core.Level) *core.Correctable[[]byte] {
 	return binding.Invoke[[]byte](ctx, kv.client, binding.Get{Key: key}, levels...)
-}
-
-// GetWeak reads key at the weakest offered level (single view).
-func (kv *KV) GetWeak(ctx context.Context, key string) *core.Correctable[[]byte] {
-	return binding.InvokeWeak[[]byte](ctx, kv.client, binding.Get{Key: key})
 }
 
 // GetStrong reads key at the strongest offered level (single view).

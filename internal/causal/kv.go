@@ -19,16 +19,6 @@ func NewKV(b *Binding, opts ...binding.Option) *KV {
 	return &KV{client: binding.NewClient(b, opts...)}
 }
 
-// Client returns the underlying Correctables client (for level inspection
-// and session creation).
-func (kv *KV) Client() *binding.Client { return kv.client }
-
-// Session opens a session over the facade's client (read-your-writes and
-// monotonic reads per key; see binding.Session).
-func (kv *KV) Session(opts ...binding.SessionOption) *binding.Session {
-	return binding.NewSession(kv.client, opts...)
-}
-
 // Get reads key with incremental consistency guarantees: cache view (on a
 // hit), causal view from the nearest backup, strong view from the primary.
 func (kv *KV) Get(ctx context.Context, key string, levels ...core.Level) *core.Correctable[[]byte] {

@@ -62,9 +62,6 @@ func NewBinding(chain *Chain, depth int) *Binding {
 	return &Binding{chain: chain, depth: depth}
 }
 
-// Chain returns the underlying chain.
-func (b *Binding) Chain() *Chain { return b.chain }
-
 // ConsistencyLevels implements binding.Binding.
 func (b *Binding) ConsistencyLevels() core.Levels {
 	return core.Levels{core.LevelWeak, core.LevelStrong}
@@ -129,28 +126,9 @@ func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, lev
 	clock.Go(func() {
 		defer cancel()
 		defer close(finished)
-		includedAt, maxConf := 0, 0
+		includedAt := 0
 		for {
-			var blk Block
-			switch m := blocks.Get().(type) {
-			case Reorg:
-				// A reorg above the including block orphans the transaction:
-				// it is back in the mempool, and the observer sees the one
-				// regression the model permits — an unconfirmed weak view at
-				// version 0 — before tracking the re-mined inclusion. A
-				// reorg below the inclusion leaves it on the canonical
-				// chain; the winning branch's replayed blocks then pass
-				// through the maxConf guard so confirmations never regress.
-				if includedAt > m.ForkHeight {
-					includedAt, maxConf = 0, 0
-					if wantWeak {
-						cb(binding.Result{Value: TxStatus{TxID: tx.ID}, Level: core.LevelWeak, Version: 0})
-					}
-				}
-				continue
-			case Block:
-				blk = m
-			}
+			blk := blocks.Get().(Block)
 			if blk.Height == cancelSentinel.Height {
 				cb(binding.Result{Err: ctx.Err()})
 				return
@@ -171,10 +149,6 @@ func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, lev
 				}
 			}
 			conf := blk.Height - includedAt + 1
-			if conf <= maxConf {
-				continue
-			}
-			maxConf = conf
 			status := TxStatus{TxID: tx.ID, Confirmations: conf, BlockHeight: includedAt}
 			if conf >= b.depth {
 				cb(binding.Result{Value: status, Level: core.LevelStrong, Version: uint64(includedAt)})

@@ -19,7 +19,7 @@ func newTestChain(t *testing.T, interval time.Duration) *Chain {
 	t.Helper()
 	clock := netsim.NewVirtualClock()
 	tr := netsim.NewTransport(clock, netsim.DefaultLatencies(), nil, 1)
-	c, err := New(Config{Transport: tr, BlockInterval: interval, Jitter: 0.1, Seed: 1})
+	c, err := New(Config{Transport: tr, BlockInterval: interval, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,17 +143,34 @@ func TestBindingUnsupportedOp(t *testing.T) {
 	}
 }
 
+// TestTxStatusEquality goes through core.ValuesEqual, the dispatch
+// Speculate uses: a deepening confirmation count is the same outcome, so a
+// speculation over a chain Correctable runs once, not once per block.
 func TestTxStatusEquality(t *testing.T) {
 	a := TxStatus{TxID: "t", Confirmations: 1, BlockHeight: 5}
 	b := TxStatus{TxID: "t", Confirmations: 3, BlockHeight: 5}
-	if !a.EqualValue(b) {
+	if !core.ValuesEqual(a, b) {
 		t.Error("same block, different depth should be equal outcome")
 	}
-	if a.EqualValue(TxStatus{TxID: "t", BlockHeight: 6}) {
+	if core.ValuesEqual(a, TxStatus{TxID: "t", BlockHeight: 6}) {
 		t.Error("different block should differ")
 	}
-	if a.EqualValue(42) {
-		t.Error("cross-type equality")
+
+	c := newTestChain(t, 5*time.Millisecond)
+	client := binding.NewClient(NewBinding(c, 3))
+	ctx := context.Background()
+	runs := 0
+	spec := core.Speculate(Submit(ctx, client, SubmitTx{ID: "tx-s"}),
+		func(v core.View[TxStatus]) (int, error) {
+			runs++
+			return v.Value.BlockHeight, nil
+		}, nil)
+	v, err := spec.Final(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs != 1 || v.Value == 0 {
+		t.Errorf("speculation ran %d times across three confirmations (block %d), want once", runs, v.Value)
 	}
 }
 

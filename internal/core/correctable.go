@@ -512,11 +512,10 @@ func (c *Correctable[T]) First(ctx context.Context) (View[T], error) {
 // Equaler lets application values customize the divergence check used by
 // Speculate and by confirmation detection. If a view value implements
 // Equaler[T], it is consulted; otherwise ValuesEqual falls back to
-// bytes.Equal for []byte and reflect.DeepEqual for everything else.
-//
-// Legacy implementations written against the boxed API
-// (EqualValue(other interface{}) bool) satisfy Equaler[any] and keep
-// working for Correctable[any] values.
+// bytes.Equal for []byte and reflect.DeepEqual for everything else. The
+// parameter type must be the view type itself: a method taking
+// interface{} implements Equaler[any], not Equaler[T], and is ignored for
+// a Correctable[T].
 type Equaler[T any] interface {
 	EqualValue(other T) bool
 }

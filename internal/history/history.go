@@ -139,7 +139,7 @@ type opRef struct {
 // collision error and Collisions() reports the count (checkers would
 // otherwise verify interleaved garbage). Under a VirtualClock all
 // callbacks are totally ordered, so the recorded op order (and hence
-// Serialize output) is deterministic per seed.
+// SerializeOps output) is deterministic per seed.
 type Recorder struct {
 	mu         sync.Mutex
 	ops        []*Op
@@ -247,14 +247,8 @@ func (r *Recorder) Ops() []Op {
 	return out
 }
 
-// Serialize renders the full history as deterministic text, one operation
-// per line — the byte-identical-replay artifact.
-func (r *Recorder) Serialize() []byte {
-	return SerializeOps(r.Ops())
-}
-
-// SerializeOps renders an already-snapshotted history (as returned by
-// Ops); callers holding a snapshot avoid a second copy-and-sort.
+// SerializeOps renders a history snapshot (as returned by Ops) as
+// deterministic text, one operation per line.
 func SerializeOps(ops []Op) []byte {
 	var b strings.Builder
 	for i := range ops {

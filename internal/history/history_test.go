@@ -266,7 +266,7 @@ func TestRecorderSerializeDeterministic(t *testing.T) {
 		rec.OpView(info, binding.OpView{Level: core.LevelWeak, Version: 3, At: ms(2), Value: []byte("x")})
 		rec.OpView(info, binding.OpView{Level: core.LevelStrong, Final: true, Version: 4, At: ms(3), Value: []byte("y")})
 		rec.OpEnd(info, ms(3), nil)
-		return rec.Serialize()
+		return SerializeOps(rec.Ops())
 	}
 	a, b := build(), build()
 	if string(a) != string(b) {

@@ -1,13 +1,12 @@
 // Package metrics provides the measurement primitives the benchmark harness
 // uses: latency histograms (average and percentiles, as reported in the
-// paper's figures), counters, and throughput accounting.
+// paper's figures), ratios, and throughput accounting.
 package metrics
 
 import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -131,20 +130,6 @@ func (h *Histogram) sortLocked() {
 
 // Ms converts a duration to float milliseconds (figure axes).
 func Ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// Counter is an atomic event counter.
-type Counter struct {
-	n atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Add adds delta.
-func (c *Counter) Add(delta int64) { c.n.Add(delta) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n.Load() }
 
 // Ratio returns c/total as a fraction, or 0 when total is zero.
 func Ratio(c, total int64) float64 {

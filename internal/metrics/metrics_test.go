@@ -91,15 +91,6 @@ func TestPropertyHistogramInvariants(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("Value = %d", c.Value())
-	}
-}
-
 func TestRatioAndThroughput(t *testing.T) {
 	if Ratio(1, 0) != 0 {
 		t.Error("Ratio with zero total should be 0")

@@ -67,6 +67,3 @@ func (c *Coalescer) dispatch(key int) {
 	c.mu.Unlock()
 	c.flush(key)
 }
-
-// Keys returns the number of coalescing keys.
-func (c *Coalescer) Keys() int { return len(c.armed) }

@@ -90,30 +90,6 @@ func (m *LatencyModel) OneWay(a, b Region) time.Duration {
 	return m.RTT(a, b) / 2
 }
 
-// Regions returns every region mentioned in the model, in stable order.
-func (m *LatencyModel) Regions() []Region {
-	seen := map[Region]bool{}
-	var out []Region
-	add := func(r Region) {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	// Stable order: the canonical evaluation regions first.
-	for _, r := range []Region{FRK, IRL, VRG, NCA, ORE} {
-		if _, ok := m.RTTs[pairKey(r, r)]; ok {
-			add(r)
-		}
-		for k := range m.RTTs {
-			if k[0] == r || k[1] == r {
-				add(r)
-			}
-		}
-	}
-	return out
-}
-
 // SortByProximity orders candidates by RTT from the given origin, closest
 // first (origin itself, if present, sorts first with LocalRTT). This is how
 // a quorum coordinator picks which replicas to wait for.

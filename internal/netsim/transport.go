@@ -148,9 +148,6 @@ func (t *Transport) SetTrace(trc *trace.Tracer) {
 	t.netTracks = make(map[[2]Region]trace.Track)
 }
 
-// Trace returns the installed tracer (nil when tracing is off).
-func (t *Transport) Trace() *trace.Tracer { return t.trc }
-
 // netTrack returns the (lazily interned) trace track for one directed
 // link.
 func (t *Transport) netTrack(from, to Region) trace.Track {

@@ -1,5 +1,5 @@
 // Package ring implements the consistent-hash token ring that places keys
-// on shards. Each shard projects VNodes virtual nodes onto a 64-bit token
+// on shards. Each shard projects 64 virtual nodes onto a 64-bit token
 // circle; a key belongs to the shard owning the first virtual node at or
 // after the key's token (wrapping at the top). Virtual-node tokens are a
 // pure function of (seed, shard, vnode), which buys the two properties the
@@ -24,23 +24,14 @@ type Config struct {
 	// Shards is the number of shards; New places shards 0..Shards-1.
 	// Default 1.
 	Shards int
-	// VNodes is the number of virtual nodes per shard (default 64). More
-	// vnodes smooth the per-shard keyspace share at the cost of a larger
-	// ring; 64 keeps the max/mean load ratio within ~25% at 8 shards.
-	VNodes int
 	// Seed fixes the token placement.
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	return c
-}
+// vnodesPerShard is the number of virtual nodes per shard. More vnodes
+// smooth the per-shard keyspace share at the cost of a larger ring; 64
+// keeps the max/mean load ratio within ~25% at 8 shards.
+const vnodesPerShard = 64
 
 // vnode is one virtual node: a token plus the shard that owns it.
 type vnode struct {
@@ -50,21 +41,20 @@ type vnode struct {
 
 // Ring is an immutable token ring. All methods are safe for concurrent use.
 type Ring struct {
-	cfg    Config
 	shards []int // live shard IDs, ascending
 	vnodes []vnode
 }
 
-// New builds the ring for shards 0..cfg.Shards-1.
+// New builds the ring for shards 0..cfg.Shards-1 (one shard when
+// cfg.Shards is not positive).
 func New(cfg Config) *Ring {
-	cfg = cfg.withDefaults()
-	ids := make([]int, cfg.Shards)
+	ids := make([]int, max(cfg.Shards, 1))
 	for i := range ids {
 		ids[i] = i
 	}
-	r := &Ring{cfg: cfg, shards: ids, vnodes: make([]vnode, 0, len(ids)*cfg.VNodes)}
+	r := &Ring{shards: ids, vnodes: make([]vnode, 0, len(ids)*vnodesPerShard)}
 	for _, id := range ids {
-		for vn := 0; vn < cfg.VNodes; vn++ {
+		for vn := 0; vn < vnodesPerShard; vn++ {
 			r.vnodes = append(r.vnodes, vnode{token: vnodeToken(cfg.Seed, id, vn), shard: id})
 		}
 	}
@@ -143,20 +133,6 @@ func (r *Ring) OwnerOf(token uint64) int {
 	}
 	return vns[lo].shard
 }
-
-// Shards returns the live shard IDs in ascending order (a copy).
-func (r *Ring) Shards() []int {
-	return append([]int(nil), r.shards...)
-}
-
-// NumShards returns the number of live shards.
-func (r *Ring) NumShards() int { return len(r.shards) }
-
-// VNodes returns the total virtual-node count on the ring.
-func (r *Ring) VNodes() int { return len(r.vnodes) }
-
-// Config returns the construction parameters.
-func (r *Ring) Config() Config { return r.cfg }
 
 // Fingerprint digests the full token placement. Two rings with the same
 // fingerprint place every possible key identically; the determinism

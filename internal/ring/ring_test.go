@@ -20,7 +20,7 @@ func sampleKeys(n int) []string {
 func TestBalanceWithinTolerance(t *testing.T) {
 	for _, shards := range []int{2, 4, 8} {
 		for _, seed := range []int64{1, 42, 1234} {
-			r := New(Config{Shards: shards, VNodes: 64, Seed: seed})
+			r := New(Config{Shards: shards, Seed: seed})
 			counts := make([]int, shards)
 			keys := sampleKeys(100_000)
 			for _, k := range keys {
@@ -44,8 +44,8 @@ func TestBalanceWithinTolerance(t *testing.T) {
 // what lets the capacity study's shard axis compare like with like.
 func TestMinimalMovementBetweenWidths(t *testing.T) {
 	for _, shards := range []int{1, 3, 7} {
-		r := New(Config{Shards: shards, VNodes: 64, Seed: 42})
-		grown := New(Config{Shards: shards + 1, VNodes: 64, Seed: 42})
+		r := New(Config{Shards: shards, Seed: 42})
+		grown := New(Config{Shards: shards + 1, Seed: 42})
 		newID := shards
 		keys := sampleKeys(50_000)
 		moved := 0
@@ -72,7 +72,7 @@ func TestMinimalMovementBetweenWidths(t *testing.T) {
 // the same (seed, shards, vnodes) place every key identically (and report
 // the same fingerprint); a different seed yields a different placement.
 func TestPlacementDeterministicPerSeed(t *testing.T) {
-	cfg := Config{Shards: 8, VNodes: 64, Seed: 42}
+	cfg := Config{Shards: 8, Seed: 42}
 	a, b := New(cfg), New(cfg)
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("same-seed fingerprints differ: %x vs %x", a.Fingerprint(), b.Fingerprint())
@@ -83,7 +83,7 @@ func TestPlacementDeterministicPerSeed(t *testing.T) {
 			t.Fatalf("same-seed rings disagree on %q", k)
 		}
 	}
-	other := New(Config{Shards: 8, VNodes: 64, Seed: 43})
+	other := New(Config{Shards: 8, Seed: 43})
 	if other.Fingerprint() == a.Fingerprint() {
 		t.Fatal("different seeds produced the same fingerprint")
 	}
@@ -102,9 +102,6 @@ func TestPlacementDeterministicPerSeed(t *testing.T) {
 // everything — the configuration every pre-sharding experiment runs on.
 func TestDefaultsAndSingleShard(t *testing.T) {
 	r := New(Config{})
-	if r.NumShards() != 1 || r.VNodes() != 64 {
-		t.Fatalf("defaults: shards=%d vnodes=%d", r.NumShards(), r.VNodes())
-	}
 	for _, k := range sampleKeys(100) {
 		if s := r.ShardOf(k); s != 0 {
 			t.Fatalf("single-shard ring placed %q on shard %d", k, s)
@@ -113,7 +110,7 @@ func TestDefaultsAndSingleShard(t *testing.T) {
 }
 
 func BenchmarkShardOf(b *testing.B) {
-	r := New(Config{Shards: 8, VNodes: 64, Seed: 42})
+	r := New(Config{Shards: 8, Seed: 42})
 	keys := sampleKeys(1024)
 	b.ResetTimer()
 	sink := 0

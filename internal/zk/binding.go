@@ -99,23 +99,17 @@ func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, lev
 		case wantWeak:
 			// InvokeWeak semantics (§4.3): answer from the local simulation
 			// immediately; the operation itself completes in the background.
-			delivered := make(chan struct{})
-			var once bool
+			var delivered bool
 			err := run(true, func(v QueueView) {
-				if !once {
-					once = true
+				if !delivered {
+					delivered = true
 					forward(QueueView{Element: v.Element, Remaining: v.Remaining, Level: core.LevelWeak, Zxid: v.Zxid})
-					close(delivered)
 				}
 				// The final (committed) view is dropped: the caller asked
 				// for weak only.
 			})
-			if err != nil {
-				select {
-				case <-delivered:
-				default:
-					cb(binding.Result{Err: err})
-				}
+			if err != nil && !delivered {
+				cb(binding.Result{Err: err})
 			}
 		}
 	})
@@ -151,22 +145,6 @@ type Queue struct {
 // configured with opts — observers, operation timeout, label).
 func NewQueue(b *Binding, opts ...binding.Option) *Queue {
 	return &Queue{client: binding.NewClient(b, opts...)}
-}
-
-// Client returns the underlying Correctables client (for level inspection
-// and session creation).
-func (q *Queue) Client() *binding.Client { return q.client }
-
-// Session opens a session over the facade's client (monotonic queue views
-// per queue; see binding.Session).
-func (q *Queue) Session(opts ...binding.SessionOption) *binding.Session {
-	return binding.NewSession(q.client, opts...)
-}
-
-// Enqueue appends item to the named queue with incremental consistency
-// guarantees (one view per level the ensemble offers).
-func (q *Queue) Enqueue(ctx context.Context, queue string, item []byte, levels ...core.Level) *core.Correctable[binding.Item] {
-	return binding.Invoke[binding.Item](ctx, q.client, binding.Enqueue{Queue: queue, Item: item}, levels...)
 }
 
 // Dequeue removes the queue head with incremental consistency guarantees.

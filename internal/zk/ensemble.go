@@ -39,10 +39,6 @@ type Config struct {
 	// ElectionTimeout + i*ElectionTimeout/4 — a deterministic stagger that
 	// replaces Raft's randomized timeouts, keeping elections seed-replayable.
 	ElectionTimeout time.Duration
-	// DisableElections keeps the static-leader behavior even on a faulted
-	// transport: a crashed leader fails ops with ErrUnreachable until its
-	// Restart, as before PR 6. Elections also require at least 3 servers.
-	DisableElections bool
 }
 
 func (c Config) withDefaults() Config {
@@ -113,8 +109,7 @@ type Ensemble struct {
 	leader   *Server
 
 	// elect is the leader-election machinery; nil when elections are
-	// disabled (no fault interceptor, fewer than 3 servers, or
-	// Config.DisableElections).
+	// disabled (no fault interceptor, or fewer than 3 servers).
 	elect *elector
 
 	// propMu serializes proposal numbering and leader prep-application,
@@ -175,7 +170,7 @@ func NewEnsemble(cfg Config) (*Ensemble, error) {
 	// finals until restart.
 	if inj, ok := cfg.Transport.Interceptor().(*faults.Injector); ok {
 		inj.Subscribe(func(faults.Transition) { e.resyncLagging() })
-		if len(cfg.Regions) >= 3 && !cfg.DisableElections {
+		if len(cfg.Regions) >= 3 {
 			e.elect = newElector(e, inj)
 		}
 	}

@@ -100,11 +100,11 @@ func TestDeliverCommitBuffersGaps(t *testing.T) {
 	s := e.Server(netsim.FRK)
 	// Deliver 2 before 1: nothing applies until 1 arrives.
 	s.DeliverCommit(2, CreateTxn{Path: "/b"})
-	if s.Tree().Exists("/b") {
+	if exists(s.Tree(), "/b") {
 		t.Fatal("gap commit applied out of order")
 	}
 	s.DeliverCommit(1, CreateTxn{Path: "/a"})
-	if !s.Tree().Exists("/a") || !s.Tree().Exists("/b") {
+	if !exists(s.Tree(), "/a") || !exists(s.Tree(), "/b") {
 		t.Fatal("commits not applied after gap filled")
 	}
 	if s.LastApplied() != 2 {
@@ -154,7 +154,7 @@ func TestPropertyCommitOrderIndependence(t *testing.T) {
 			j := int(perm[i]) % (i + 1)
 			order[i], order[j] = order[j], order[i]
 		}
-		_ = s.Tree().EnsurePath("/q")
+		mkdirs(t, s.Tree(), "/q")
 		s.DeliverCommit(0, CreateTxn{Path: "/unused"}) // no-op guard: zxid 0 ignored by lastApplied
 		for _, z := range order {
 			s.DeliverCommit(uint64(z), CreateTxn{Path: "/q/q-", Data: []byte{byte(z)}, Sequential: true})
@@ -453,8 +453,7 @@ func TestQueueBindingVanillaSingleLevel(t *testing.T) {
 	if got := b.ConsistencyLevels(); len(got) != 1 || got[0] != core.LevelStrong {
 		t.Fatalf("vanilla levels = %v", got)
 	}
-	q := NewQueue(b)
-	cor := q.Enqueue(context.Background(), "t", []byte("x"))
+	cor := binding.Invoke[binding.Item](context.Background(), binding.NewClient(b), binding.Enqueue{Queue: "t", Item: []byte("x")})
 	if _, err := cor.Final(context.Background()); err != nil {
 		t.Fatal(err)
 	}

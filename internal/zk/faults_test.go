@@ -95,54 +95,3 @@ func TestQuorumLossFailsUnreachable(t *testing.T) {
 	inj.Quiesce()
 	clock.Drain()
 }
-
-// TestSessionHangFreeUnderPermanentPartition: raw zk.Session operations —
-// the tickets-style app-level path that used to rely on caller patience —
-// are bounded by the ensemble's OpTimeout of model time: under a permanent
-// partition every session call (ordered commits and local reads alike)
-// fails with faults.ErrUnreachable instead of hanging, and the same
-// session works again after the heal.
-func TestSessionHangFreeUnderPermanentPartition(t *testing.T) {
-	e, inj, clock := newFaultedEnsemble(t)
-	// The client lives in VRG and contacts the FRK server — once VRG is
-	// severed, every session call crosses the dead link.
-	sess := e.NewSession(netsim.VRG, netsim.FRK)
-	if _, err := sess.Create("/app", []byte("cfg"), false); err != nil {
-		t.Fatal(err)
-	}
-
-	// Sever the session's region from the rest of the world — permanently.
-	inj.Apply(faults.Partition{Groups: [][]netsim.Region{
-		{netsim.VRG}, {netsim.FRK, netsim.IRL},
-	}})
-
-	sw := clock.StartStopwatch()
-	if _, err := sess.Create("/app/x", nil, false); !errors.Is(err, faults.ErrUnreachable) {
-		t.Fatalf("Create under partition: %v, want ErrUnreachable", err)
-	}
-	if _, _, err := sess.Get("/app"); !errors.Is(err, faults.ErrUnreachable) {
-		t.Fatalf("Get under partition: %v, want ErrUnreachable", err)
-	}
-	if _, _, err := sess.ChildrenW("/app"); !errors.Is(err, faults.ErrUnreachable) {
-		t.Fatalf("ChildrenW under partition: %v, want ErrUnreachable", err)
-	}
-	if err := sess.SetData("/app", []byte("new"), -1); !errors.Is(err, faults.ErrUnreachable) {
-		t.Fatalf("SetData under partition: %v, want ErrUnreachable", err)
-	}
-	if _, _, err := sess.ExistsW("/app"); !errors.Is(err, faults.ErrUnreachable) {
-		t.Fatalf("ExistsW under partition: %v, want ErrUnreachable (not a nil watch)", err)
-	}
-	// Five calls, each bounded by the 500ms OpTimeout: the whole probe is
-	// over in ~2.5s of model time — no hang until the (never-coming) heal.
-	if got := sw.ElapsedModel(); got > 4*time.Second {
-		t.Errorf("five session ops took %v of model time under a permanent partition", got)
-	}
-
-	inj.Apply(faults.Heal{})
-	clock.Sleep(time.Second)
-	if _, err := sess.Create("/app/y", nil, false); err != nil {
-		t.Fatalf("Create after heal: %v", err)
-	}
-	inj.Quiesce()
-	clock.Drain()
-}

@@ -290,16 +290,6 @@ func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error 
 	}
 }
 
-// Len returns the queue length as seen by the contact server's local state
-// (no protocol traffic; harness helper).
-func (c *QueueClient) Len(queue string) int {
-	children, err := c.ensemble.Server(c.Contact).tree.Children(queueDir(queue))
-	if err != nil {
-		return 0
-	}
-	return len(children)
-}
-
 // forwardAndCommit delegates to the ensemble's common client-request path.
 func (c *QueueClient) forwardAndCommit(contact *Server, txn Txn) (uint64, TxnResult) {
 	return c.ensemble.ForwardAndCommit(contact, txn)

@@ -32,32 +32,20 @@ type node struct {
 	children map[string]bool
 	// nextSeq numbers sequential children created under this node.
 	nextSeq uint64
-	// owner is the session ID for ephemeral znodes ("" = persistent).
-	owner string
 }
 
 // Tree is a concurrency-safe znode tree. All mutation goes through
 // deterministic transactions so that replicas applying the same committed
-// sequence reach identical states. Watches are local observer state (each
-// server fires its own as commits apply) and do not participate in
-// replication.
+// sequence reach identical states.
 type Tree struct {
-	mu           sync.RWMutex
-	nodes        map[string]*node
-	dataWatches  map[string][]chan Event
-	childWatches map[string][]chan Event
+	mu    sync.RWMutex
+	nodes map[string]*node
 }
 
 // NewTree returns a tree containing only the root node "/".
 func NewTree() *Tree {
-	return &Tree{
-		nodes:        map[string]*node{"/": {children: map[string]bool{}}},
-		dataWatches:  map[string][]chan Event{},
-		childWatches: map[string][]chan Event{},
-	}
+	return &Tree{nodes: map[string]*node{"/": {children: map[string]bool{}}}}
 }
-
-func errNoNode(path string) error { return fmt.Errorf("%w: %s", ErrNoNode, path) }
 
 func parentOf(path string) string {
 	i := strings.LastIndexByte(path, '/')
@@ -82,43 +70,10 @@ func validPath(path string) error {
 	return nil
 }
 
-// EnsurePath creates path and any missing ancestors with empty data
-// (a helper clients use during setup, like Curator's mkdirs).
-func (t *Tree) EnsurePath(path string) error {
-	if err := validPath(path); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ensureLocked(path)
-}
-
-func (t *Tree) ensureLocked(path string) error {
-	if _, ok := t.nodes[path]; ok {
-		return nil
-	}
-	if path != "/" {
-		if err := t.ensureLocked(parentOf(path)); err != nil {
-			return err
-		}
-	}
-	t.nodes[path] = &node{children: map[string]bool{}}
-	if path != "/" {
-		t.nodes[parentOf(path)].children[baseOf(path)] = true
-	}
-	return nil
-}
-
 // Create adds a znode. If sequential, the final name is path plus a
 // zero-padded 10-digit monotonically increasing counter scoped to the
 // parent, and the created path is returned.
 func (t *Tree) Create(path string, data []byte, sequential bool) (string, error) {
-	return t.CreateOwned(path, data, sequential, "")
-}
-
-// CreateOwned is Create with an owning session: a non-empty owner makes the
-// znode ephemeral — DeleteOwned removes it when the session closes.
-func (t *Tree) CreateOwned(path string, data []byte, sequential bool, owner string) (string, error) {
 	if err := validPath(path); err != nil {
 		return "", err
 	}
@@ -139,48 +94,9 @@ func (t *Tree) CreateOwned(path string, data []byte, sequential bool, owner stri
 	t.nodes[actual] = &node{
 		data:     append([]byte(nil), data...),
 		children: map[string]bool{},
-		owner:    owner,
 	}
 	parent.children[baseOf(actual)] = true
-	t.fireData(actual, EventCreated)
-	t.fireChildren(parentOf(actual))
 	return actual, nil
-}
-
-// Owner returns the owning session of a znode ("" if persistent or absent).
-func (t *Tree) Owner(path string) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if n, ok := t.nodes[path]; ok {
-		return n.owner
-	}
-	return ""
-}
-
-// DeleteOwned removes every childless znode owned by the session, in sorted
-// path order (deterministic across replicas), and returns the removed
-// paths. Owned znodes that still have children are skipped (ZooKeeper
-// forbids children under ephemerals; this guards hand-built states).
-func (t *Tree) DeleteOwned(owner string) []string {
-	if owner == "" {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var victims []string
-	for path, n := range t.nodes {
-		if n.owner == owner && len(n.children) == 0 {
-			victims = append(victims, path)
-		}
-	}
-	sort.Strings(victims)
-	for _, path := range victims {
-		delete(t.nodes, path)
-		delete(t.nodes[parentOf(path)].children, baseOf(path))
-		t.fireData(path, EventDeleted)
-		t.fireChildren(parentOf(path))
-	}
-	return victims
 }
 
 // NextSeq returns the sequence number the next sequential child of dir
@@ -206,31 +122,6 @@ func (t *Tree) Get(path string) ([]byte, int32, error) {
 	return append([]byte(nil), n.data...), n.version, nil
 }
 
-// Exists reports whether a znode exists.
-func (t *Tree) Exists(path string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.nodes[path]
-	return ok
-}
-
-// SetData replaces a znode's data; version -1 skips the version check.
-func (t *Tree) SetData(path string, data []byte, version int32) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n, ok := t.nodes[path]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoNode, path)
-	}
-	if version >= 0 && version != n.version {
-		return fmt.Errorf("%w: %s (have %d, want %d)", ErrBadVersion, path, n.version, version)
-	}
-	n.data = append([]byte(nil), data...)
-	n.version++
-	t.fireData(path, EventDataChanged)
-	return nil
-}
-
 // Delete removes a childless znode; version -1 skips the version check.
 func (t *Tree) Delete(path string, version int32) error {
 	t.mu.Lock()
@@ -247,8 +138,6 @@ func (t *Tree) Delete(path string, version int32) error {
 	}
 	delete(t.nodes, path)
 	delete(t.nodes[parentOf(path)].children, baseOf(path))
-	t.fireData(path, EventDeleted)
-	t.fireChildren(parentOf(path))
 	return nil
 }
 
@@ -290,10 +179,10 @@ func (t *Tree) FirstChild(path string) (name string, data []byte, count int, err
 	return name, append([]byte(nil), child.data...), len(n.children), nil
 }
 
-// Snapshot returns a deep copy of the tree's node state (watches excluded)
-// plus its approximate encoded size in bytes, for state-transfer
-// accounting. Each recipient needs its own snapshot: Restore installs the
-// map without copying.
+// Snapshot returns a deep copy of the tree's node state plus its
+// approximate encoded size in bytes, for state-transfer accounting. Each
+// recipient needs its own snapshot: Restore installs the map without
+// copying.
 func (t *Tree) Snapshot() (map[string]*node, int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -305,20 +194,18 @@ func (t *Tree) Snapshot() (map[string]*node, int) {
 			version:  n.version,
 			children: make(map[string]bool, len(n.children)),
 			nextSeq:  n.nextSeq,
-			owner:    n.owner,
 		}
 		for c := range n.children {
 			cp.children[c] = true
 		}
 		nodes[path] = cp
-		size += len(path) + len(n.data) + len(n.owner) + 16
+		size += len(path) + len(n.data) + 16
 	}
 	return nodes, size
 }
 
-// Restore replaces the tree's node state with a snapshot taken from another
-// tree. Watch registrations survive but no watch events fire: a recovering
-// replica's observers re-read state rather than replaying history.
+// Restore replaces the tree's node state with a snapshot taken from
+// another tree.
 func (t *Tree) Restore(nodes map[string]*node) {
 	t.mu.Lock()
 	t.nodes = nodes

@@ -20,8 +20,6 @@ type TxnResult struct {
 	// Remaining is the number of elements left in the queue after a
 	// DequeueMinTxn.
 	Remaining int
-	// RemovedPaths lists the znodes a CloseSessionTxn removed.
-	RemovedPaths []string
 	// Err is the operation error (ErrNoNode, ErrBadVersion, ...); a failed
 	// transaction is still a deterministic no-op everywhere.
 	Err error
@@ -38,13 +36,9 @@ type QueueElement struct {
 	Data []byte
 }
 
-// EqualValue lets QueueElement participate in Correctable divergence checks
+// EqualValue implements core.Equaler[*QueueElement]: divergence checks go
 // by identity (name), ignoring payload copies.
-func (e *QueueElement) EqualValue(other interface{}) bool {
-	o, ok := other.(*QueueElement)
-	if !ok {
-		return false
-	}
+func (e *QueueElement) EqualValue(o *QueueElement) bool {
 	if e == nil || o == nil {
 		return e == o
 	}
@@ -69,30 +63,23 @@ type Txn interface {
 	Apply(t *Tree) TxnResult
 	// PayloadSize is the wire footprint of the transaction body.
 	PayloadSize() int
-	// TxnName names the transaction type for diagnostics.
-	TxnName() string
 }
 
-// CreateTxn creates a znode (optionally sequential; a non-empty Owner makes
-// it ephemeral, removed when that session closes).
+// CreateTxn creates a znode (optionally sequential).
 type CreateTxn struct {
 	Path       string
 	Data       []byte
 	Sequential bool
-	Owner      string
 }
 
 // Apply implements Txn.
 func (x CreateTxn) Apply(t *Tree) TxnResult {
-	created, err := t.CreateOwned(x.Path, x.Data, x.Sequential, x.Owner)
+	created, err := t.Create(x.Path, x.Data, x.Sequential)
 	return TxnResult{CreatedPath: created, Err: err}
 }
 
 // PayloadSize implements Txn.
 func (x CreateTxn) PayloadSize() int { return len(x.Path) + len(x.Data) }
-
-// TxnName implements Txn.
-func (x CreateTxn) TxnName() string { return "create" }
 
 // DeleteTxn removes a znode, optionally guarded by a version.
 type DeleteTxn struct {
@@ -107,27 +94,6 @@ func (x DeleteTxn) Apply(t *Tree) TxnResult {
 
 // PayloadSize implements Txn.
 func (x DeleteTxn) PayloadSize() int { return len(x.Path) + 4 }
-
-// TxnName implements Txn.
-func (x DeleteTxn) TxnName() string { return "delete" }
-
-// SetDataTxn replaces a znode's data.
-type SetDataTxn struct {
-	Path    string
-	Data    []byte
-	Version int32
-}
-
-// Apply implements Txn.
-func (x SetDataTxn) Apply(t *Tree) TxnResult {
-	return TxnResult{Err: t.SetData(x.Path, x.Data, x.Version)}
-}
-
-// PayloadSize implements Txn.
-func (x SetDataTxn) PayloadSize() int { return len(x.Path) + len(x.Data) + 4 }
-
-// TxnName implements Txn.
-func (x SetDataTxn) TxnName() string { return "setData" }
 
 // DequeueMinTxn atomically removes the head (smallest sequential child) of
 // a queue directory and returns it. This is the CZK server-side dequeue:
@@ -157,27 +123,6 @@ func (x DequeueMinTxn) Apply(t *Tree) TxnResult {
 
 // PayloadSize implements Txn.
 func (x DequeueMinTxn) PayloadSize() int { return len(x.Dir) }
-
-// TxnName implements Txn.
-func (x DequeueMinTxn) TxnName() string { return "dequeueMin" }
-
-// CloseSessionTxn removes every ephemeral znode owned by a session — the
-// replicated half of session teardown/expiry.
-type CloseSessionTxn struct {
-	SessionID string
-}
-
-// Apply implements Txn.
-func (x CloseSessionTxn) Apply(t *Tree) TxnResult {
-	removed := t.DeleteOwned(x.SessionID)
-	return TxnResult{RemovedPaths: removed}
-}
-
-// PayloadSize implements Txn.
-func (x CloseSessionTxn) PayloadSize() int { return len(x.SessionID) }
-
-// TxnName implements Txn.
-func (x CloseSessionTxn) TxnName() string { return "closeSession" }
 
 // failsFast reports whether a failed prep-time validation should abort the
 // transaction without committing (ZooKeeper returns BadVersion/NoNode
