@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -341,6 +342,12 @@ func main() {
 		start := time.Now()
 		out := e.run(cfg)
 		fmt.Print(out)
-		fmt.Printf("-- %s completed in %v (wall)\n\n", name, time.Since(start).Round(time.Millisecond))
+		// Sys is everything the runtime has taken from the OS so far: next to
+		// the wall time, the other host cost of a run — and for the hunt the
+		// evidence that memory follows the workers, not the worlds swept.
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		fmt.Printf("-- %s completed in %v (wall), %.1f MB from the OS (runtime.MemStats.Sys)\n\n",
+			name, time.Since(start).Round(time.Millisecond), float64(ms.Sys)/(1<<20))
 	}
 }

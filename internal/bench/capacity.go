@@ -274,7 +274,7 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 		pace:    10 * time.Millisecond,
 	})
 
-	elapsed := h.run()
+	elapsed := h.mustRun()
 
 	var batchedOps, dispatches int64
 	for _, bt := range batchers {

@@ -206,7 +206,9 @@ func Failover(cfg Config) (*FailoverResult, error) {
 			})
 		}
 	}
-	h.run()
+	if _, err := h.run(); err != nil {
+		return nil, fmt.Errorf("bench: failover: %w", err)
+	}
 
 	res := &FailoverResult{
 		Description: "partition severs the zk leader mid-run; the majority elects, the minority serves prelims, the heal resyncs",

@@ -223,7 +223,9 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 			shards[t] = append(shards[t], op)
 		})
 	}
-	h.run()
+	if _, err := h.run(); err != nil {
+		return nil, fmt.Errorf("bench: faultstudy %s: %w", scen.Name, err)
+	}
 
 	res := &FaultStudyResult{
 		Scenario:    scen.Name,

@@ -72,7 +72,7 @@ func Fig10(cfg Config) []Fig10Row {
 						}
 					})
 				}
-				h.run()
+				h.mustRun()
 				ops := perClient * clients
 				bytes := h.meter.Class(netsim.LinkClient).Bytes - base
 				rows = append(rows, Fig10Row{

@@ -97,7 +97,7 @@ func Fig12(cfg Config) ([]Fig12Point, []Fig12Summary) {
 				}
 			})
 		}
-		h.run()
+		h.mustRun()
 
 		fast, slow := metrics.NewHistogram(), metrics.NewHistogram()
 		for _, p := range results {

@@ -138,7 +138,7 @@ func TestGoldenOutputs(t *testing.T) {
 		{name: "sweep", run: func(*testing.T) (any, []byte) { return Sweep(goldenCfg), nil },
 			json: "4ab18c6a82db78f88e59eb4ce830125e9a0e9074605faa47dcd2f523da6d92b3"},
 		{name: "hunt-clean", run: hunt(false),
-			json: "cea49339535e2953841f97a94d068ed845adfba4c4333fa16415f81df5a384d0"},
+			json: "a55bc3e4a9239d45bfd5c228d6a58128aa100a1c961eba4b87448496a79eb1d8"},
 		{name: "hunt-planted-repro", run: hunt(true),
 			json: "b0179e3a0c66330698dbdbf19dc1e83dff859adf96a400af6beddc8b793085e7"},
 	} {

@@ -327,13 +327,19 @@ func runHuntWorld(w huntWorld) *huntOutcome {
 		})
 	}
 
-	h.run()
+	_, stuck := h.run()
 
 	a, b := checkHistory(recA, modelRegisters), checkHistory(recB, modelLadder)
 	out := &huntOutcome{
 		ops:          len(a.ops) + len(b.ops),
 		inconclusive: a.inconclusive,
 		digest:       historyDigest(a.ops, b.ops),
+	}
+	if stuck != nil {
+		// A world that does not come to rest goes first: its histories are
+		// missing the operations that hung, so the safety verdicts below
+		// are over less than the world issued.
+		out.violations = append(out.violations, history.Violation{Guarantee: "quiescence", Detail: stuck.Error()})
 	}
 	out.violations = append(out.violations, a.session...)
 	out.violations = append(out.violations, a.lin...)

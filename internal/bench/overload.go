@@ -344,7 +344,9 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 		h.arrive(load.NewOnOff(p.burstRate, burst.End-burst.Start, p.horizon, cfg.Seed+13), burst.End, fire)
 	})
 
-	h.run()
+	if _, err := h.run(); err != nil {
+		return nil, fmt.Errorf("bench: overload: %w", err)
+	}
 	probe.closeLast()
 
 	modeName := "shedding-off"

@@ -456,7 +456,13 @@ func (p *phaseProbe) during(i int) phaseCounters {
 // admission gates, clear the faults so stalled traffic can finish, and
 // drain the background traffic. It returns the model instant the last
 // actor finished at.
-func (w *world) run() time.Duration {
+//
+// Quiescence is a checked post-condition: once the faults are cleared and
+// the clock drained, nothing is left that could wake a parked actor, so one
+// that remains is waiting for something a fault destroyed. That is a
+// liveness failure no checker over completed operations can see — the
+// operation never completed — and run reports it as an error.
+func (w *world) run() (time.Duration, error) {
 	w.actors.Wait()
 	for _, g := range w.gates {
 		g.Stop()
@@ -466,6 +472,20 @@ func (w *world) run() time.Duration {
 		w.inj.Quiesce()
 	}
 	w.clock.Drain()
+	if n := w.clock.Parked(); n > 0 {
+		return end, fmt.Errorf("%d actor(s) still parked after the faults cleared and the clock drained, "+
+			"each waiting for something that can no longer happen", n)
+	}
+	return end, nil
+}
+
+// mustRun is run for the drivers that return rows and no error: their
+// worlds are fault-free, where a parked actor can only be a bug.
+func (w *world) mustRun() time.Duration {
+	end, err := w.run()
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
 	return end
 }
 

@@ -117,7 +117,7 @@ func defaultGroups(cluster *cassandra.Cluster) []clientGroup {
 }
 
 // runGroups drives the workload from all client groups concurrently,
-// plays the world out (run: background traffic drained), and returns the
+// plays the world out (mustRun: background traffic drained), and returns the
 // per-group results in group order.
 func (h *world) runGroups(cluster *cassandra.Cluster, w ycsb.Workload, quorum int, prelim bool,
 	threadsPerGroup int, opts ycsb.Options) []*ycsb.Result {
@@ -136,6 +136,6 @@ func (h *world) runGroups(cluster *cassandra.Cluster, w ycsb.Workload, quorum in
 		groupOpts.Generator = shared
 		h.spawn(func() { results[i] = ycsb.Run(w, db, h.clock, groupOpts) })
 	}
-	h.run()
+	h.mustRun()
 	return results
 }

@@ -158,3 +158,30 @@ func TestAllocGateTracedInvoke(t *testing.T) {
 		t.Fatalf("tracer recorded spans=%d instants=%d — the gate must measure the enabled path", spans, instants)
 	}
 }
+
+// TestAllocGateArmedInvoke bounds what an operation timeout adds to the
+// plain invoke: the guard the terminal transition empties and the timer
+// closure that holds it — two allocations, where the Finally/atomic.Pointer
+// indirection this replaced paid eight. Each run lets the timer fire, so
+// the disarmed no-op path is inside the measurement and the timer heap
+// stays at one entry.
+func TestAllocGateArmedInvoke(t *testing.T) {
+	clock := netsim.NewVirtualClock()
+	ctx := context.Background()
+	const timeout = 50 * time.Millisecond
+	measure := func(opts ...Option) float64 {
+		c := NewClient(newSyncBinding(), append(opts, WithScheduler(SchedulerFor(clock)))...)
+		return testing.AllocsPerRun(200, func() {
+			cor := Invoke[[]byte](ctx, c, Get{Key: "k"})
+			if _, err := cor.Final(ctx); err != nil {
+				t.Fatal(err)
+			}
+			clock.Sleep(timeout)
+		})
+	}
+	plain, armed := measure(), measure(WithOpTimeout(timeout))
+	t.Logf("allocs/invoke: plain=%.1f armed=%.1f", plain, armed)
+	if armed > plain+2 {
+		t.Errorf("armed invoke allocates %.1f/op, budget plain (%.1f) + 2", armed, plain)
+	}
+}

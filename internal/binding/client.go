@@ -222,24 +222,55 @@ func (c *Client) requestedLevels(levels []core.Level) (core.Levels, error) {
 }
 
 // invocation bundles the consumer handle of one in-flight operation with
-// its observer identity. It is a small value, captured by value in the
-// delivery closures: terminal helpers use the Controller's verdict (only
-// the transition that actually happened is observed), so duplicate binding
-// callbacks, late post-timeout views and racing cancellations produce
-// exactly one OpEnd and no spurious OpViews. When an observer is attached,
-// obsMu makes each (transition, emission) pair atomic: without it, a
-// delivery goroutine under core.DefaultScheduler (the library's real-time
-// path, where bindings call back from goroutines of their own) could be
-// preempted between a successful Update and its OpView, letting a
-// concurrent Close emit the final view and OpEnd first — observers would
-// record an accepted view after the operation's end, or out of order.
-// (Under a netsim clock deliveries are already totally ordered.)
+// what its optional features share. It is a small value — five words; the
+// compiler copies a capture into a closure only up to 128 bytes and moves a
+// larger one to the heap — captured by value in the delivery closures:
+// terminal helpers use the Controller's verdict (only the transition that
+// actually happened is observed), so duplicate binding callbacks, late
+// post-timeout views and racing cancellations produce exactly one OpEnd
+// and no spurious OpViews.
 type invocation[T any] struct {
 	c     *Client
 	ctrl  core.Controller[T]
-	info  OpInfo
-	obsMu *sync.Mutex   // non-nil iff an observer is attached
-	gov   *governedCall // non-nil iff an admission gate or retry policy applies
+	obs   *observedOp      // non-nil iff an observer is attached
+	gov   *governedCall    // non-nil iff an admission gate or retry policy applies
+	guard *timeoutGuard[T] // non-nil iff an operation timeout applies
+}
+
+// observedOp is an invocation's observer identity. Its mutex makes each
+// (transition, emission) pair atomic: without it, a delivery goroutine
+// under core.DefaultScheduler (the library's real-time path, where bindings
+// call back from goroutines of their own) could be preempted between a
+// successful Update and its OpView, letting a concurrent Close emit the
+// final view and OpEnd first — observers would record an accepted view
+// after the operation's end, or out of order. (Under a netsim clock
+// deliveries are already totally ordered.)
+type observedOp struct {
+	mu   sync.Mutex
+	info OpInfo
+}
+
+// timeoutGuard is what an armed operation-timeout timer holds in place of
+// the invocation. Scheduler.After has no cancellation, so the timer
+// outlives an operation that completes early; every terminal transition
+// goes through invocation.close or invocation.fail, and those empty the
+// guard. A completed operation's Correctable and views are therefore not
+// kept alive for the rest of the timeout window, and the eventually-firing
+// timer is a reference-free no-op. One guard serves every attempt of a
+// governed invocation.
+type timeoutGuard[T any] struct {
+	d   time.Duration // the bound, resolved once per invocation
+	mu  sync.Mutex
+	inv invocation[T] // zero once the operation has closed
+}
+
+// disarm empties the invocation's timeout guard, if it has one.
+func (inv invocation[T]) disarm() {
+	if g := inv.guard; g != nil {
+		g.mu.Lock()
+		g.inv = invocation[T]{}
+		g.mu.Unlock()
+	}
 }
 
 // strongestNow returns the level that closes the Correctable: the frozen
@@ -264,46 +295,48 @@ func (inv invocation[T]) fail(err error) bool {
 		inv.gov.tryRetry(inv.c, err) {
 		return false
 	}
-	if inv.obsMu == nil {
+	inv.disarm()
+	if inv.obs == nil {
 		return inv.ctrl.Fail(err) == nil
 	}
-	inv.obsMu.Lock()
-	defer inv.obsMu.Unlock()
+	inv.obs.mu.Lock()
+	defer inv.obs.mu.Unlock()
 	if inv.ctrl.Fail(err) != nil {
 		return false
 	}
-	inv.c.obs.OpEnd(inv.info, inv.c.now(), err)
+	inv.c.obs.OpEnd(inv.obs.info, inv.c.now(), err)
 	return true
 }
 
 // update delivers a non-final view; reports whether it was accepted.
 func (inv invocation[T]) update(v T, level core.Level, version uint64) bool {
-	if inv.obsMu == nil {
+	if inv.obs == nil {
 		return inv.ctrl.Update(v, level) == nil
 	}
-	inv.obsMu.Lock()
-	defer inv.obsMu.Unlock()
+	inv.obs.mu.Lock()
+	defer inv.obs.mu.Unlock()
 	if inv.ctrl.Update(v, level) != nil {
 		return false
 	}
 	at := inv.c.now()
-	inv.c.obs.OpView(inv.info, OpView{Level: level, Version: version, At: at, Value: v})
+	inv.c.obs.OpView(inv.obs.info, OpView{Level: level, Version: version, At: at, Value: v})
 	return true
 }
 
 // close delivers the final view; reports whether it was accepted.
 func (inv invocation[T]) close(v T, level core.Level, version uint64) bool {
-	if inv.obsMu == nil {
+	inv.disarm()
+	if inv.obs == nil {
 		return inv.ctrl.Close(v, level) == nil
 	}
-	inv.obsMu.Lock()
-	defer inv.obsMu.Unlock()
+	inv.obs.mu.Lock()
+	defer inv.obs.mu.Unlock()
 	if inv.ctrl.Close(v, level) != nil {
 		return false
 	}
 	at := inv.c.now()
-	inv.c.obs.OpView(inv.info, OpView{Level: level, Final: true, Version: version, At: at, Value: v})
-	inv.c.obs.OpEnd(inv.info, at, nil)
+	inv.c.obs.OpView(inv.obs.info, OpView{Level: level, Final: true, Version: version, At: at, Value: v})
+	inv.c.obs.OpEnd(inv.obs.info, at, nil)
 	return true
 }
 
@@ -317,10 +350,11 @@ func (inv invocation[T]) close(v T, level core.Level, version uint64) bool {
 // stale weaker views are suppressed, a stale final read is retried, and
 // delivered version tokens advance the session's floors (see Session).
 //
-// When the client has an operation timeout, a model-time timer bounds the
-// invocation in model time: on expiry the Correctable fails with
-// faults.ErrUnreachable and the binding's protocol work completes in the
-// background, its late views refused.
+// When the client has an operation timeout (resolved here, once per
+// invocation), a timer on the client's scheduler bounds the invocation: on
+// expiry the Correctable fails with faults.ErrUnreachable; whatever
+// protocol work the binding still has in flight runs to its end — at the
+// latest when the fault clears — and its late views are refused.
 //
 // An admission gate (WithAdmission) or retry policy (WithRetry) switches
 // the invocation onto the governed path: the gate is consulted before any
@@ -336,12 +370,15 @@ func submit[T any](ctx context.Context, c *Client, op OperationFor[T], requested
 	strongest := requested.Strongest()
 	inv := invocation[T]{c: c, ctrl: ctrl}
 	if c.obs != nil {
-		inv.info = opInfoOf(OpID(c.opSeq.Add(1)), c.label, op, requested, c.now())
-		inv.obsMu = &sync.Mutex{}
-		c.obs.OpStart(inv.info)
+		inv.obs = &observedOp{info: opInfoOf(OpID(c.opSeq.Add(1)), c.label, op, requested, c.now())}
+		c.obs.OpStart(inv.obs.info)
 	}
 	if c.gate != nil || c.retry != nil {
 		inv.gov = &governedCall{strongest: strongest}
+	}
+	if d := c.OpTimeout(); d > 0 {
+		inv.guard = &timeoutGuard[T]{d: d}
+		inv.guard.inv = inv // last: the copy the timer fails carries every field
 	}
 	if call := sess.newCall(op); call != nil {
 		// Session path: the callback references itself so a stale final
@@ -424,9 +461,7 @@ func submit[T any](ctx context.Context, c *Client, op OperationFor[T], requested
 func dispatch[T any](ctx context.Context, cor *core.Correctable[T], inv invocation[T], op Operation, requested core.Levels, cb Callback) {
 	if inv.gov == nil {
 		inv.c.b.SubmitOperation(ctx, op, requested, cb)
-		if d := inv.c.OpTimeout(); d > 0 {
-			armTimeout(cor, inv, d, 0)
-		}
+		armTimeout(inv, 0)
 		return
 	}
 	submitGoverned(ctx, cor, inv, op, requested, cb)
@@ -467,9 +502,7 @@ func submitGoverned[T any](ctx context.Context, cor *core.Correctable[T], inv in
 			}
 		}
 		gen := gov.begin(lv.Strongest())
-		if d := c.OpTimeout(); d > 0 {
-			armTimeout(cor, inv, d, gen)
-		}
+		armTimeout(inv, gen)
 		c.b.SubmitOperation(ctx, op, lv, cb)
 	}
 	gov.resubmit = func() {
@@ -480,27 +513,30 @@ func submitGoverned[T any](ctx context.Context, cor *core.Correctable[T], inv in
 	attempt()
 }
 
-// armTimeout bounds one attempt to d of model time. Scheduler.After has
-// no cancellation, so the timer callback reaches the invocation through an
-// atomic pointer that is cleared as soon as the Correctable closes: a
-// completed operation's views are not kept alive for the rest of the
-// timeout window, and the eventually-firing timer is a reference-free
-// no-op. On the governed path gen stamps the attempt: a timer whose
-// attempt a retry has already superseded is a no-op too (the retry armed
-// its own), so a slow timer never fails a newer attempt.
-func armTimeout[T any](cor *core.Correctable[T], inv invocation[T], d time.Duration, gen int) {
-	holder := &atomic.Pointer[invocation[T]]{}
-	holder.Store(&inv)
-	cor.Finally(func() { holder.Store(nil) })
-	inv.c.scheduler().After(d, func() {
-		iv := holder.Load()
-		if iv == nil {
+// armTimeout bounds one attempt to the invocation's operation timeout (a
+// no-op without one). The timer reaches the invocation through its
+// timeoutGuard, so an attempt that has already closed — a synchronous
+// binding closes inside SubmitOperation, before the plain path arms — costs
+// a timer that finds the guard empty. On the governed path gen stamps the
+// attempt: a timer whose attempt a retry has already superseded is a no-op
+// too (the retry armed its own), so a slow timer never fails a newer
+// attempt.
+func armTimeout[T any](inv invocation[T], gen int) {
+	g := inv.guard
+	if g == nil {
+		return
+	}
+	inv.c.scheduler().After(g.d, func() {
+		g.mu.Lock()
+		iv := g.inv
+		g.mu.Unlock()
+		if iv.c == nil {
 			return
 		}
 		if iv.gov != nil && iv.gov.generation() != gen {
 			return
 		}
-		iv.fail(fmt.Errorf("%w: no terminal view within %v (client op timeout)", faults.ErrUnreachable, d))
+		iv.fail(fmt.Errorf("%w: no terminal view within %v (client op timeout)", faults.ErrUnreachable, g.d))
 	})
 }
 

@@ -123,15 +123,17 @@ func (b *Binding) readBatch(shard int, entries []binding.BatchEntry) {
 
 	// Batched preliminary flush: one client-link message carries every weak
 	// view; delivery emits them in entry order.
-	prelimDelivered := clock.NewEvent()
 	prelimSize := 0
 	for i := range items {
 		if items[i].wantWeak {
 			prelimSize += readResponseSize(items[i].local.Value)
 		}
 	}
+	var prelimDelivered *netsim.Event
+	prelimLeft := false
 	if prelimSize > 0 {
-		tr.Send(c.Coordinator, c.Region, netsim.LinkClient, prelimSize, func() {
+		prelimDelivered = clock.NewEvent()
+		prelimLeft = tr.Send(c.Coordinator, c.Region, netsim.LinkClient, prelimSize, func() {
 			for i := range items {
 				it := &items[i]
 				if !it.wantWeak {
@@ -145,8 +147,6 @@ func (b *Binding) readBatch(shard int, entries []binding.BatchEntry) {
 			}
 			prelimDelivered.Fire()
 		})
-	} else {
-		prelimDelivered.Fire()
 	}
 
 	// Quorum gathering: one leg per peer covers every strong item, with the
@@ -226,7 +226,7 @@ func (b *Binding) readBatch(shard int, entries []binding.BatchEntry) {
 		tr.Travel(c.Coordinator, c.Region, netsim.LinkClient, respSize)
 	}
 	cl.trc.End(batchSp, clock.Now())
-	prelimDelivered.Wait() // preserve per-entry view order
+	netsim.AwaitFlush(prelimDelivered, prelimLeft) // preserve per-entry view order
 	for _, i := range strong {
 		it := &items[i]
 		it.e.Cb(binding.Result{

@@ -510,15 +510,7 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	clients.Wait()
 	clock.Drain()
-	// Retired workers have been woken by the time Drain returns but may not
-	// have run to their exit yet.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d still running after Drain, %d before the world", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitGoroutines(t, base)
 }
 
 func TestPreloadReachesAllReplicas(t *testing.T) {

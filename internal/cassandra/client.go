@@ -88,7 +88,9 @@ func (c *Client) route(shard, reqSize int) *Replica {
 // by Config.OpTimeout of model time: a read a fault makes impossible fails
 // with faults.ErrUnreachable, views delivered past the deadline are
 // suppressed, and the underlying protocol work completes in the background
-// once the fault heals.
+// once the fault heals. A fault that destroys only the preliminary flush
+// costs the read that view and nothing else: onView is then called once,
+// with the final view, as soon as it arrives.
 func (c *Client) Read(key string, quorum int, wantPrelim bool, onView func(ReadView)) error {
 	if c.cluster.tr.Interceptor() == nil {
 		return c.read(key, quorum, wantPrelim, onView)
@@ -123,8 +125,13 @@ func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadV
 	// Preliminary flushing (§5.2): leak the local value to the client before
 	// coordinating. The flush costs extra coordinator service time and one
 	// client-link response message, delivered as a callback timer — the
-	// off-critical-path flush costs no goroutine.
+	// off-critical-path flush costs no goroutine. A fault may destroy it;
+	// the read then completes with its final view alone (netsim.AwaitFlush).
+	// prelimLeft is a variable of its own because the flush closure captures
+	// prelimDelivered: clearing that instead would move it to the heap, one
+	// allocation on every read, preliminary or not.
 	var prelimDelivered *netsim.Event
+	prelimLeft := false
 	if wantPrelim {
 		prelimDelivered = clock.NewEvent()
 		// The flush span covers the extra coordinator work plus the wire
@@ -135,7 +142,7 @@ func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadV
 		}
 		coord.server.Process(cfg.FlushServiceTime)
 		prelim := local
-		tr.Send(c.Coordinator, c.Region, netsim.LinkClient, readResponseSize(prelim.Value), func() {
+		prelimLeft = tr.Send(c.Coordinator, c.Region, netsim.LinkClient, readResponseSize(prelim.Value), func() {
 			c.cluster.trc.End(flushSp, clock.Now())
 			onView(ReadView{
 				Value:   append([]byte(nil), prelim.Value...),
@@ -213,12 +220,7 @@ func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadV
 		final.Level = core.LevelWeak
 	}
 	tr.Travel(c.Coordinator, c.Region, netsim.LinkClient, respSize)
-	if wantPrelim {
-		prelimDelivered.Wait() // preserve view order even under jitter
-		// The flush callback has fired it and returned; the clock takes
-		// the event back for the next read.
-		prelimDelivered.Release()
-	}
+	netsim.AwaitFlush(prelimDelivered, prelimLeft) // preserve view order even under jitter
 	onView(final)
 	return nil
 }

@@ -22,9 +22,13 @@ type timeoutSentinel struct{}
 // Deadline bounds a blocking storage operation to timeout of model time:
 // op runs in its own actor while the caller waits for completion or the
 // deadline, whichever is first. On timeout Deadline returns an error
-// wrapping ErrUnreachable; op keeps running in the background (it finishes
-// once the fault heals, or at Quiesce) and uses the live() predicate it is
-// handed to suppress view deliveries the caller no longer wants.
+// wrapping ErrUnreachable and op is abandoned, not cancelled: what it still
+// has in flight runs to its end — every synchronous hop retransmits until
+// the fault heals, or Quiesce clears it — and it uses the live() predicate
+// it is handed to suppress view deliveries the caller no longer wants. An
+// op must therefore never wait for something only a fire-and-forget message
+// can bring (netsim.AwaitFlush): a fault destroys those for good, and the
+// abandoned actor would stay parked past Quiesce and Drain.
 //
 // A timeout of 0 or less disables the guard: op runs inline on the caller.
 func Deadline(clock netsim.Clock, timeout time.Duration, op func(live func() bool) error) error {

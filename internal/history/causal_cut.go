@@ -42,16 +42,18 @@ func CheckCausalCut(ops []Op) []Violation {
 	var out []Violation
 
 	// Intra-op: one pass per op, in the recorder's deterministic order.
-	for _, op := range ops {
-		if v, ok := intraOpCut(op); ok {
+	for i := range ops {
+		if v, ok := intraOpCut(&ops[i]); ok {
 			out = append(out, v)
 		}
 	}
 
 	// Cross-op strong floor, per (client, key).
-	for _, g := range sessionGroups(ops) {
-		floorScan(g,
-			func(op Op) (uint64, bool) {
+	groups := sessionGroups(ops)
+	for gi := range groups {
+		g := &groups[gi]
+		floorScan(g.ops,
+			func(op *Op) (uint64, bool) {
 				if !op.Completed() {
 					return 0, false
 				}
@@ -63,7 +65,7 @@ func CheckCausalCut(ops []Op) []Violation {
 				}
 				return top, top > 0
 			},
-			func(op Op, floor uint64, floorOp Op) bool {
+			func(op *Op, floor uint64, floorOp *Op) bool {
 				for _, v := range op.Views {
 					if v.Level == core.LevelStrong && v.Version > 0 && v.Version < floor {
 						out = append(out, Violation{
@@ -72,7 +74,7 @@ func CheckCausalCut(ops []Op) []Violation {
 							Key:       g.key,
 							Detail: fmt.Sprintf("strong view regressed to version %d after an earlier op's strong view at version %d",
 								v.Version, floor),
-							Witness: []Op{floorOp, op},
+							Witness: []Op{*floorOp, *op},
 						})
 						return true
 					}
@@ -86,7 +88,7 @@ func CheckCausalCut(ops []Op) []Violation {
 // intraOpCut checks one operation's ladder: level order, and the
 // cache-view floor on version tokens, over its delivered views. At most
 // one (the first) violation is reported.
-func intraOpCut(op Op) (Violation, bool) {
+func intraOpCut(op *Op) (Violation, bool) {
 	var (
 		topLevel   core.Level
 		cacheFloor uint64
@@ -99,7 +101,7 @@ func intraOpCut(op Op) (Violation, bool) {
 				Key:       op.Key,
 				Detail: fmt.Sprintf("ladder delivered %v after %v — levels must be non-decreasing within an op",
 					v.Level, topLevel),
-				Witness: []Op{op},
+				Witness: []Op{*op},
 			}, true
 		}
 		if v.Level > topLevel {
@@ -112,7 +114,7 @@ func intraOpCut(op Op) (Violation, bool) {
 				Key:       op.Key,
 				Detail: fmt.Sprintf("%v view at version %d is older than the op's own cache view at version %d",
 					v.Level, v.Version, cacheFloor),
-				Witness: []Op{op},
+				Witness: []Op{*op},
 			}, true
 		}
 		if v.Level == core.LevelCache && v.Version > cacheFloor {

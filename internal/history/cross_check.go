@@ -1,8 +1,9 @@
 package history
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // clientGroup is one client's keyed operations across every object, in
@@ -18,30 +19,30 @@ type clientGroup struct {
 func clientGroups(ops []Op) []clientGroup {
 	idx := map[string]int{}
 	var groups []clientGroup
-	for _, op := range ops {
+	for i := range ops {
+		op := &ops[i]
 		if op.Key == "" {
 			continue
 		}
-		i, ok := idx[op.Client]
+		gi, ok := idx[op.Client]
 		if !ok {
-			i = len(groups)
-			idx[op.Client] = i
+			gi = len(groups)
+			idx[op.Client] = gi
 			groups = append(groups, clientGroup{client: op.Client})
 		}
-		groups[i].ops = append(groups[i].ops, op)
+		groups[gi].ops = append(groups[gi].ops, *op)
 	}
 	for i := range groups {
-		g := &groups[i]
-		sort.SliceStable(g.ops, func(a, b int) bool { return g.ops[a].Start < g.ops[b].Start })
+		slices.SortStableFunc(groups[i].ops, byStart)
 	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].client < groups[b].client })
+	slices.SortFunc(groups, func(a, b clientGroup) int { return cmp.Compare(a.client, b.client) })
 	return groups
 }
 
 // CheckCrossObjectWFR checks writes-follow-reads ACROSS objects, per
 // client: a completed write on any key must commit at a version token at
 // least as new as the newest token the client had observed — on any key —
-// before issuing it. The per-key CheckWritesFollowReads cannot see the
+// before issuing it. The per-key writes-follow-reads check cannot see the
 // ordering between a read of "a" and a subsequent write of "b"; this
 // checker can, because it folds one floor over the client's whole keyed
 // history.
@@ -58,44 +59,29 @@ func clientGroups(ops []Op) []clientGroup {
 // at most one (minimal) witness.
 func CheckCrossObjectWFR(ops []Op) []Violation {
 	var out []Violation
-	for _, g := range clientGroups(ops) {
-		events := make([]tokenEvent, 0, len(g.ops))
-		for _, op := range g.ops {
-			if !op.Done {
-				continue
-			}
-			if v, ok := maxViewVersion(op); ok {
-				events = append(events, tokenEvent{end: op.End, version: v, op: op})
-			}
-		}
-		sort.SliceStable(events, func(a, b int) bool { return events[a].end < events[b].end })
-		var floor uint64
-		var floorOp Op
-		next := 0
-		for _, op := range g.ops {
-			for next < len(events) && events[next].end <= op.Start {
-				if events[next].version > floor {
-					floor = events[next].version
-					floorOp = events[next].op
+	groups := clientGroups(ops)
+	for gi := range groups {
+		g := &groups[gi]
+		floorScan(g.ops,
+			maxViewVersion,
+			func(op *Op, floor uint64, floorOp *Op) bool {
+				if !op.Mutating || !op.Completed() {
+					return false
 				}
-				next++
-			}
-			if !op.Mutating || !op.Completed() {
-				continue
-			}
-			fv, ok := op.FinalView()
-			if ok && fv.Version > 0 && fv.Version < floor {
-				out = append(out, Violation{
-					Guarantee: "cross-object-writes-follow-reads",
-					Client:    g.client,
-					Key:       op.Key,
-					Detail: fmt.Sprintf("write on %q committed at version %d although the client had already observed version %d on %q",
-						op.Key, fv.Version, floor, floorOp.Key),
-					Witness: []Op{floorOp, op},
-				})
-				break
-			}
-		}
+				fv, ok := op.FinalView()
+				if ok && fv.Version > 0 && fv.Version < floor {
+					out = append(out, Violation{
+						Guarantee: "cross-object-writes-follow-reads",
+						Client:    g.client,
+						Key:       op.Key,
+						Detail: fmt.Sprintf("write on %q committed at version %d although the client had already observed version %d on %q",
+							op.Key, fv.Version, floor, floorOp.Key),
+						Witness: []Op{*floorOp, *op},
+					})
+					return true
+				}
+				return false
+			})
 	}
 	return out
 }

@@ -15,8 +15,9 @@
 package history
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -235,14 +236,14 @@ func (r *Recorder) Ops() []Op {
 		out[i].Views = append([]View(nil), op.Views...)
 	}
 	r.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	slices.SortStableFunc(out, func(a, b Op) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		if out[i].Client != out[j].Client {
-			return out[i].Client < out[j].Client
+		if c := cmp.Compare(a.Client, b.Client); c != 0 {
+			return c
 		}
-		return out[i].ID < out[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return out
 }

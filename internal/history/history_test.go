@@ -21,6 +21,12 @@ func mkOp(client, name, key string, mutating bool, start, end time.Duration, ver
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
+// The three session checkers one at a time, each over its own grouping;
+// production code runs them together (CheckSessionGuarantees).
+func CheckRYW(ops []Op) []Violation               { return checkRYW(sessionGroups(ops)) }
+func CheckMonotonicReads(ops []Op) []Violation    { return checkMonotonicReads(sessionGroups(ops)) }
+func CheckWritesFollowReads(ops []Op) []Violation { return checkWritesFollowReads(sessionGroups(ops)) }
+
 func TestCheckRYWDetectsStaleRead(t *testing.T) {
 	ops := []Op{
 		mkOp("alice", "put", "k", true, ms(0), ms(10), 5),

@@ -1,9 +1,10 @@
 package history
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -79,7 +80,7 @@ func CheckLinearizable(m Model, ops []LinOp, budget int) LinResult {
 		// instead of burning the budget.
 		return LinResult{Inconclusive: true}
 	}
-	sort.SliceStable(ops, func(a, b int) bool { return ops[a].Call < ops[b].Call })
+	slices.SortStableFunc(ops, func(a, b LinOp) int { return cmp.Compare(a.Call, b.Call) })
 
 	linearized := make([]bool, n)
 	words := (n + 63) / 64
@@ -251,7 +252,7 @@ func Keys(ops []Op) []string {
 			keys = append(keys, op.Key)
 		}
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }
 
@@ -313,8 +314,8 @@ func RegisterHistory(ops []Op, key string) ([]LinOp, []Violation) {
 			unknown = append(unknown, l.Version)
 		}
 	}
-	sort.Slice(unknown, func(a, b int) bool { return unknown[a] < unknown[b] })
-	sort.SliceStable(ambiguous, func(a, b int) bool { return ambiguous[a].Start < ambiguous[b].Start })
+	slices.Sort(unknown)
+	slices.SortStableFunc(ambiguous, byStart)
 	for i, v := range unknown {
 		if i < len(ambiguous) {
 			// All phantoms use the earliest ambiguous start as their call
@@ -389,8 +390,8 @@ func QueueHistory(ops []Op, queue string) ([]LinOp, []Violation) {
 			unknown = append(unknown, l.Elem)
 		}
 	}
-	sort.Strings(unknown)
-	sort.SliceStable(ambiguous, func(a, b int) bool { return ambiguous[a].Start < ambiguous[b].Start })
+	slices.Sort(unknown)
+	slices.SortStableFunc(ambiguous, byStart)
 	for i, elem := range unknown {
 		if i < len(ambiguous) {
 			// Earliest ambiguous start as the call point; see

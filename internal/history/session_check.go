@@ -1,8 +1,9 @@
 package history
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -50,57 +51,66 @@ type sessionGroup struct {
 }
 
 // sessionGroups partitions keyed operations by (client, key), each group
-// sorted by start time. Unkeyed operations are skipped.
+// sorted by start time. Unkeyed operations are skipped. Checkers that share
+// a history build the groups once and read them; none of them writes.
 func sessionGroups(ops []Op) []sessionGroup {
 	idx := map[[2]string]int{}
 	var groups []sessionGroup
-	for _, op := range ops {
+	for i := range ops {
+		op := &ops[i]
 		if op.Key == "" {
 			continue
 		}
 		gk := [2]string{op.Client, op.Key}
-		i, ok := idx[gk]
+		gi, ok := idx[gk]
 		if !ok {
-			i = len(groups)
-			idx[gk] = i
+			gi = len(groups)
+			idx[gk] = gi
 			groups = append(groups, sessionGroup{client: op.Client, key: op.Key})
 		}
-		groups[i].ops = append(groups[i].ops, op)
+		groups[gi].ops = append(groups[gi].ops, *op)
 	}
 	for i := range groups {
-		g := &groups[i]
-		sort.SliceStable(g.ops, func(a, b int) bool { return g.ops[a].Start < g.ops[b].Start })
+		slices.SortStableFunc(groups[i].ops, byStart)
 	}
-	sort.Slice(groups, func(a, b int) bool {
-		if groups[a].client != groups[b].client {
-			return groups[a].client < groups[b].client
+	slices.SortFunc(groups, func(a, b sessionGroup) int {
+		if c := cmp.Compare(a.client, b.client); c != 0 {
+			return c
 		}
-		return groups[a].key < groups[b].key
+		return cmp.Compare(a.key, b.key)
 	})
 	return groups
 }
 
+// byStart orders operations by invocation instant.
+func byStart(a, b Op) int { return cmp.Compare(a.Start, b.Start) }
+
 // tokenEvent is a version token established by an op that terminated at
-// End; it constrains only operations that start at or after End ("earlier"
+// end; it constrains only operations that start at or after end ("earlier"
 // in the session sense — sequential sessions satisfy this for every
 // consecutive pair, overlapping ops constrain nothing).
 type tokenEvent struct {
 	end     time.Duration
 	version uint64
-	op      Op
+	op      *Op
 }
 
-// floorScan folds completed-before-start token events over a group's ops:
-// for each op (in start order) it calls check with the highest constraint
-// established by ops that terminated before this one started, then emit to
-// (possibly) contribute the op's own event. It stops after check reports a
-// violation, so each group yields at most one (minimal) witness.
-func floorScan(g sessionGroup,
-	emit func(op Op) (uint64, bool),
-	check func(op Op, floor uint64, floorOp Op) bool,
+// byEnd orders token events by the instant they were established.
+func byEnd(a, b tokenEvent) int { return cmp.Compare(a.end, b.end) }
+
+// floorScan folds completed-before-start token events over ops, which are
+// in start order: for each op it calls check with the highest constraint
+// established by ops that terminated before this one started (floorOp is
+// nil while floor is 0), after emit has (possibly) contributed each
+// terminated op's own event. It stops after check reports a violation, so
+// each scan yields at most one (minimal) witness.
+func floorScan(ops []Op,
+	emit func(op *Op) (uint64, bool),
+	check func(op *Op, floor uint64, floorOp *Op) bool,
 ) {
-	events := make([]tokenEvent, 0, len(g.ops))
-	for _, op := range g.ops {
+	events := make([]tokenEvent, 0, len(ops))
+	for i := range ops {
+		op := &ops[i]
 		if !op.Done {
 			continue
 		}
@@ -108,11 +118,12 @@ func floorScan(g sessionGroup,
 			events = append(events, tokenEvent{end: op.End, version: v, op: op})
 		}
 	}
-	sort.SliceStable(events, func(a, b int) bool { return events[a].end < events[b].end })
+	slices.SortStableFunc(events, byEnd)
 	var floor uint64
-	var floorOp Op
+	var floorOp *Op
 	next := 0
-	for _, op := range g.ops {
+	for i := range ops {
+		op := &ops[i]
 		for next < len(events) && events[next].end <= op.Start {
 			if events[next].version > floor {
 				floor = events[next].version
@@ -126,22 +137,23 @@ func floorScan(g sessionGroup,
 	}
 }
 
-// CheckRYW checks read-your-writes per (client, key): every view delivered
+// checkRYW checks read-your-writes per (client, key): every view delivered
 // to an operation must carry a version at least as new as the newest write
 // this client completed on the key before the operation started. At most
 // one violation (the first) is reported per group.
-func CheckRYW(ops []Op) []Violation {
+func checkRYW(groups []sessionGroup) []Violation {
 	var out []Violation
-	for _, g := range sessionGroups(ops) {
-		floorScan(g,
-			func(op Op) (uint64, bool) {
+	for gi := range groups {
+		g := &groups[gi]
+		floorScan(g.ops,
+			func(op *Op) (uint64, bool) {
 				if !op.Mutating || !op.Completed() {
 					return 0, false
 				}
 				fv, ok := op.FinalView()
 				return fv.Version, ok
 			},
-			func(op Op, floor uint64, floorOp Op) bool {
+			func(op *Op, floor uint64, floorOp *Op) bool {
 				for _, v := range op.Views {
 					if v.Version < floor {
 						out = append(out, Violation{
@@ -150,7 +162,7 @@ func CheckRYW(ops []Op) []Violation {
 							Key:       g.key,
 							Detail: fmt.Sprintf("%s view at version %d, but this client's write at version %d completed before the op started",
 								v.Level, v.Version, floor),
-							Witness: []Op{floorOp, op},
+							Witness: []Op{*floorOp, *op},
 						})
 						return true
 					}
@@ -164,7 +176,7 @@ func CheckRYW(ops []Op) []Violation {
 // maxViewVersion is the shared "what did this op observe" emit rule of the
 // monotonic-reads and writes-follow-reads checkers: the newest version
 // among the op's delivered views.
-func maxViewVersion(op Op) (uint64, bool) {
+func maxViewVersion(op *Op) (uint64, bool) {
 	var top uint64
 	for _, v := range op.Views {
 		if v.Version > top {
@@ -174,16 +186,17 @@ func maxViewVersion(op Op) (uint64, bool) {
 	return top, top > 0
 }
 
-// CheckMonotonicReads checks monotonic reads per (client, key): no view may
+// checkMonotonicReads checks monotonic reads per (client, key): no view may
 // carry a version older than the newest version any earlier (terminated
 // before this op started) operation of the same client delivered for the
 // key.
-func CheckMonotonicReads(ops []Op) []Violation {
+func checkMonotonicReads(groups []sessionGroup) []Violation {
 	var out []Violation
-	for _, g := range sessionGroups(ops) {
-		floorScan(g,
+	for gi := range groups {
+		g := &groups[gi]
+		floorScan(g.ops,
 			maxViewVersion,
-			func(op Op, floor uint64, floorOp Op) bool {
+			func(op *Op, floor uint64, floorOp *Op) bool {
 				for _, v := range op.Views {
 					if v.Version < floor {
 						out = append(out, Violation{
@@ -192,7 +205,7 @@ func CheckMonotonicReads(ops []Op) []Violation {
 							Key:       g.key,
 							Detail: fmt.Sprintf("%s view regressed to version %d after an earlier op observed version %d",
 								v.Level, v.Version, floor),
-							Witness: []Op{floorOp, op},
+							Witness: []Op{*floorOp, *op},
 						})
 						return true
 					}
@@ -203,15 +216,16 @@ func CheckMonotonicReads(ops []Op) []Violation {
 	return out
 }
 
-// CheckWritesFollowReads checks writes-follow-reads per (client, key): a
+// checkWritesFollowReads checks writes-follow-reads per (client, key): a
 // completed write must be ordered (by version token) after every state the
 // client had observed for the key before issuing it.
-func CheckWritesFollowReads(ops []Op) []Violation {
+func checkWritesFollowReads(groups []sessionGroup) []Violation {
 	var out []Violation
-	for _, g := range sessionGroups(ops) {
-		floorScan(g,
+	for gi := range groups {
+		g := &groups[gi]
+		floorScan(g.ops,
 			maxViewVersion,
-			func(op Op, floor uint64, floorOp Op) bool {
+			func(op *Op, floor uint64, floorOp *Op) bool {
 				if !op.Mutating || !op.Completed() {
 					return false
 				}
@@ -223,7 +237,7 @@ func CheckWritesFollowReads(ops []Op) []Violation {
 						Key:       g.key,
 						Detail: fmt.Sprintf("write committed at version %d although the client had already observed version %d",
 							fv.Version, floor),
-						Witness: []Op{floorOp, op},
+						Witness: []Op{*floorOp, *op},
 					})
 					return true
 				}
@@ -233,11 +247,12 @@ func CheckWritesFollowReads(ops []Op) []Violation {
 	return out
 }
 
-// CheckSessionGuarantees runs all three session checkers.
+// CheckSessionGuarantees runs the three session checkers — read-your-writes,
+// monotonic reads, writes-follow-reads — over one grouping of the history.
 func CheckSessionGuarantees(ops []Op) []Violation {
-	var out []Violation
-	out = append(out, CheckRYW(ops)...)
-	out = append(out, CheckMonotonicReads(ops)...)
-	out = append(out, CheckWritesFollowReads(ops)...)
+	groups := sessionGroups(ops)
+	out := checkRYW(groups)
+	out = append(out, checkMonotonicReads(groups)...)
+	out = append(out, checkWritesFollowReads(groups)...)
 	return out
 }

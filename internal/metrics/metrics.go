@@ -5,7 +5,7 @@ package metrics
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -123,7 +123,7 @@ func (h *Histogram) Max() time.Duration {
 // sortLocked sorts samples in place; callers hold h.mu.
 func (h *Histogram) sortLocked() {
 	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
+		slices.Sort(h.samples)
 		h.sorted = true
 	}
 }

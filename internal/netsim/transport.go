@@ -249,19 +249,45 @@ func (t *Transport) Travel(from, to Region, class string, size int) {
 // Fire-and-forget traffic has no retransmit path: under an interceptor, a
 // dropped or severed message is lost outright (accounted on the dropped
 // counters) and fn never runs — which is exactly the in-flight state a
-// crashed or partitioned replica loses.
-func (t *Transport) Send(from, to Region, class string, size int, fn func()) {
-	t.send(0, from, to, class, size, fn)
+// crashed or partitioned replica loses. Send reports whether the message
+// left: a sender that will later wait for something fn does must not wait
+// when it is false (see AwaitFlush).
+func (t *Transport) Send(from, to Region, class string, size int, fn func()) bool {
+	return t.send(0, from, to, class, size, fn)
 }
 
 // SendAfter is Send with an additional model-time delay before the message
 // leaves (e.g. replication batching delay). The interceptor verdict is
 // taken at send time, not delivery time.
-func (t *Transport) SendAfter(extra time.Duration, from, to Region, class string, size int, fn func()) {
-	t.send(extra, from, to, class, size, fn)
+func (t *Transport) SendAfter(extra time.Duration, from, to Region, class string, size int, fn func()) bool {
+	return t.send(extra, from, to, class, size, fn)
 }
 
-func (t *Transport) send(extra time.Duration, from, to Region, class string, size int, fn func()) {
+// AwaitFlush is the second half of the "preliminary, then the final, in
+// order" idiom of a server-side incremental read (§5.2). The first half is
+// the sender's: take an event from the clock, Send the preliminary with a
+// callback that delivers the view and then fires the event, and keep what
+// Send reported. Once the final response has reached the client, AwaitFlush
+// holds it back until the preliminary has been delivered — jitter may let
+// the final overtake it on the wire — but only if the preliminary left: one
+// a fault destroyed will never fire the event, and costs the operation
+// exactly its preliminary view, never its final one. Either way the event
+// goes back to its clock. A nil event means no preliminary was flushed.
+//
+// The caller keeps the event in a local it never reassigns (the Send
+// callback captures it; a reassigned capture moves to the heap) and left in
+// a separate one.
+func AwaitFlush(delivered *Event, left bool) {
+	if delivered == nil {
+		return
+	}
+	if left {
+		delivered.Wait()
+	}
+	delivered.Release()
+}
+
+func (t *Transport) send(extra time.Duration, from, to Region, class string, size int, fn func()) bool {
 	factor := 1.0
 	if t.icept != nil {
 		verdict, f := t.icept.Intercept(from, to, class)
@@ -271,7 +297,7 @@ func (t *Transport) send(extra time.Duration, from, to Region, class string, siz
 				now := t.clock.Now()
 				t.trc.Span(t.netTrack(from, to), netCat(class), class, "lost", now, now)
 			}
-			return
+			return false
 		}
 		factor = f
 	}
@@ -282,4 +308,5 @@ func (t *Transport) send(extra time.Duration, from, to Region, class string, siz
 		t.trc.Span(t.netTrack(from, to), netCat(class), class, "", now, now+delay)
 	}
 	t.clock.RunAfter(delay, fn)
+	return true
 }

@@ -362,6 +362,17 @@ func (c *VirtualClock) Spawned() uint64 {
 	return n
 }
 
+// Parked returns the number of actors parked on an event, queue or group
+// (sleepers wait on the timer heap and are not counted). After a Drain
+// nothing is left that could wake them, so a non-zero count there is a
+// liveness failure: an actor waiting for something that will never happen.
+func (c *VirtualClock) Parked() int {
+	c.mu.Lock()
+	n := c.blocked
+	c.mu.Unlock()
+	return n
+}
+
 // Drain runs the simulation until quiescence: every remaining actor has
 // either exited or parked on an event/queue that can no longer fire, no
 // timers are pending, and every queued callback has run to completion.
@@ -370,7 +381,8 @@ func (c *VirtualClock) Spawned() uint64 {
 // (asynchronous replication, commit broadcasts, read repair) runs to
 // completion instead of leaking parked goroutines. At quiescence Drain also
 // retires the idle worker pool: once it returns, every goroutine the clock
-// started has exited or is about to, except actors parked for good.
+// started has exited or is about to, except actors parked for good — which
+// Parked counts, and which a correct world has none of.
 func (c *VirtualClock) Drain() {
 	c.mu.Lock()
 	if c.ready.len() == 0 && c.timers.len() == 0 {

@@ -112,7 +112,8 @@ func (c *QueueClient) enqueue(queue string, data []byte, wantPrelim bool, onView
 	tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(prefix)+len(data)))
 	contact.process()
 
-	prelimDelivered := clock.NewEvent()
+	var prelimDelivered *netsim.Event
+	prelimLeft := false
 	var prelim *QueueElement
 	if wantPrelim {
 		// Local simulation: predict the sequence number from local state.
@@ -123,20 +124,17 @@ func (c *QueueClient) enqueue(queue string, data []byte, wantPrelim bool, onView
 			prelim = &QueueElement{Name: name, Seq: seq, Data: append([]byte(nil), data...)}
 			// The leaked preliminary rides back as a callback-timer message:
 			// no goroutine per flush.
-			tr.Send(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(prelim)), func() {
+			prelimDelivered = clock.NewEvent()
+			prelimLeft = tr.Send(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(prelim)), func() {
 				onView(QueueView{Element: prelim, Level: core.LevelWeak, Zxid: prelimZxid})
 				prelimDelivered.Fire()
 			})
-		} else {
-			prelimDelivered.Fire()
 		}
-	} else {
-		prelimDelivered.Fire()
 	}
 
 	zxid, res := c.forwardAndCommit(contact, CreateTxn{Path: prefix, Data: data, Sequential: true})
 	if res.Err != nil {
-		prelimDelivered.Wait()
+		netsim.AwaitFlush(prelimDelivered, prelimLeft)
 		return res.Err
 	}
 	name := baseOf(res.CreatedPath)
@@ -144,7 +142,7 @@ func (c *QueueClient) enqueue(queue string, data []byte, wantPrelim bool, onView
 	confirmed := prelim != nil && prelim.Name == elem.Name
 
 	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(elem)))
-	prelimDelivered.Wait()
+	netsim.AwaitFlush(prelimDelivered, prelimLeft)
 	onView(QueueView{Element: elem, Level: core.LevelStrong, Final: true, Confirmed: confirmed, Zxid: zxid})
 	return nil
 }
@@ -190,7 +188,8 @@ func (c *QueueClient) dequeueCZK(queue string, wantPrelim bool, onView func(Queu
 	tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(dir)))
 	contact.process()
 
-	prelimDelivered := clock.NewEvent()
+	var prelimDelivered *netsim.Event
+	prelimLeft := false
 	var prelim *QueueElement
 	prelimRemaining := 0
 	if wantPrelim {
@@ -205,25 +204,22 @@ func (c *QueueClient) dequeueCZK(queue string, wantPrelim bool, onView func(Queu
 			if prelimRemaining < 0 {
 				prelimRemaining = 0
 			}
-			tr.Send(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(prelim)), func() {
+			prelimDelivered = clock.NewEvent()
+			prelimLeft = tr.Send(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(prelim)), func() {
 				onView(QueueView{Element: prelim, Remaining: prelimRemaining, Level: core.LevelWeak, Zxid: prelimZxid})
 				prelimDelivered.Fire()
 			})
-		} else {
-			prelimDelivered.Fire()
 		}
-	} else {
-		prelimDelivered.Fire()
 	}
 
 	zxid, res := c.forwardAndCommit(contact, DequeueMinTxn{Dir: dir})
 	if res.Err != nil {
-		prelimDelivered.Wait()
+		netsim.AwaitFlush(prelimDelivered, prelimLeft)
 		return res.Err
 	}
 	confirmed := prelim.EqualValue(res.Element)
 	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(res.Element)))
-	prelimDelivered.Wait()
+	netsim.AwaitFlush(prelimDelivered, prelimLeft)
 	onView(QueueView{
 		Element:   res.Element,
 		Remaining: res.Remaining,
