@@ -29,6 +29,11 @@
 //
 // Checked experiments (faultstudy, failover, overload, hunt) exit 3 when a
 // consistency violation is found; the seed replays it byte-identically.
+//
+// To see where the host's time and memory go in any of them (the model's
+// numbers do not change under a profiler; inspect with `go tool pprof`):
+//
+//	icgbench -exp fig11 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -37,6 +42,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"time"
@@ -210,6 +216,46 @@ func scenario(run func(bench.Config) (bench.Result, error)) func(bench.Config) s
 	}
 }
 
+// startProfiles begins a CPU profile of everything that runs from here on
+// (cpuPath set) and returns the function that ends it and writes the
+// allocation profile (memPath set): every allocation since the process
+// started, sampled at the runtime's default rate, after a collection — what
+// `go test -cpuprofile/-memprofile` record. Either path may be empty; both
+// files are created up front, so a path that cannot be written fails before
+// the experiments run rather than after.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu, mem *os.File
+	if memPath != "" {
+		if mem, err = os.Create(memPath); err != nil {
+			return nil, err
+		}
+	}
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err == nil {
+			err = pprof.StartCPUProfile(cpu)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == nil {
+			return nil
+		}
+		runtime.GC() // materialize the statistics of everything freed so far
+		if err := pprof.Lookup("allocs").WriteTo(mem, 0); err != nil {
+			return err
+		}
+		return mem.Close()
+	}, nil
+}
+
 // huntOptions collects the -hunt-* flags.
 func huntOptions() bench.HuntOptions {
 	opts := bench.HuntOptions{
@@ -296,8 +342,10 @@ func main() {
 		check    = flag.Bool("check", false,
 			"faultstudy: run a consistency-checked session population alongside the measured one and verify its "+
 				"recorded history (session guarantees + per-key linearizability); exit nonzero on any violation")
-		showList = flag.Bool("list", false, "list experiments, fault scenarios and profiles, then exit")
-		repro    = flag.String("repro", "", "replay an archived hunt repro JSON and verify byte-identical reproduction")
+		showList   = flag.Bool("list", false, "list experiments, fault scenarios and profiles, then exit")
+		repro      = flag.String("repro", "", "replay an archived hunt repro JSON and verify byte-identical reproduction")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this path (go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write an allocation profile of the run to this path once the experiments have finished (go tool pprof -sample_index=alloc_objects)")
 	)
 	flag.StringVar(&faultJSON, "fault-json", "", "write the experiment result as JSON to this path ("+strings.Join(expNames(jsonExp), ", ")+")")
 	flag.StringVar(&traceOut, "trace", "", "record model-time spans and sampled gauges, and write them as Chrome trace-event JSON (Perfetto-loadable) to this path ("+strings.Join(expNames(traceExp), ", ")+")")
@@ -336,6 +384,10 @@ func main() {
 		}
 	}
 	exitOn(checkArtifacts(names, faultJSON, traceOut), 2)
+	// A run that exits early (bad input, a failed consistency check) leaves
+	// no usable profile: they describe runs that finished.
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	exitOn(err, 1)
 
 	for _, name := range names {
 		e, _ := expByName(name)
@@ -350,4 +402,5 @@ func main() {
 		fmt.Printf("-- %s completed in %v (wall), %.1f MB from the OS (runtime.MemStats.Sys)\n\n",
 			name, time.Since(start).Round(time.Millisecond), float64(ms.Sys)/(1<<20))
 	}
+	exitOn(stopProfiles(), 1)
 }

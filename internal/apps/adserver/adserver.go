@@ -12,14 +12,15 @@
 package adserver
 
 import (
+	"bytes"
 	"context"
-	"fmt"
 	"math/rand"
 	"strings"
 	"time"
 
 	"correctables/internal/cassandra"
 	"correctables/internal/core"
+	"correctables/internal/keys"
 	"correctables/internal/netsim"
 )
 
@@ -32,18 +33,37 @@ const (
 	DefaultAdBodySize = 600
 )
 
-// ProfileKey / AdKey are the storage schema.
-func ProfileKey(uid int) string { return fmt.Sprintf("profile:%07d", uid) }
-func AdKey(ref string) string   { return "ad:" + ref }
-func adRefName(i int) string    { return fmt.Sprintf("a%06d", i) }
+// The storage schema: a profile "profile:<uid>" holds a comma-separated
+// list of ad references, and the ad a reference names lives at "ad:<ref>".
+const adKeyPrefix = "ad:"
+
+func ProfileKey(uid int) string { return keys.Padded("profile:", int64(uid), 7) }
+func AdKey(ref string) string   { return adKeyPrefix + ref }
+func adRefName(i int) string    { return keys.Padded("a", int64(i), 6) }
 func encodeRefs(rs []string) []byte {
 	return []byte(strings.Join(rs, ","))
 }
-func decodeRefs(b []byte) []string {
-	if len(b) == 0 {
-		return nil
+
+// adKeys renders the first max references of an encoded list as their
+// storage keys, comma-separated like the list itself, and counts them. All
+// the keys (and through them the references) are substrings of the one
+// string returned, which is the only allocation: splitting the list and
+// prefixing each reference separately cost one per reference and two more.
+func adKeys(refsEncoded []byte, max int) (joined string, n int) {
+	var buf [128]byte // five keys of the shipped schema fit; more spills
+	b := buf[:0]
+	for more := len(refsEncoded) > 0; more && n < max; n++ {
+		ref := refsEncoded
+		i := bytes.IndexByte(refsEncoded, ',')
+		if more = i >= 0; more {
+			ref, refsEncoded = refsEncoded[:i], refsEncoded[i+1:]
+		}
+		if n > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(b, adKeyPrefix...), ref...)
 	}
-	return strings.Split(string(b), ",")
+	return string(b), n
 }
 
 // LoadOptions sizes the synthetic dataset.
@@ -138,28 +158,29 @@ func NewService(b *cassandra.Binding) *Service {
 // strong read (R=2), like the paper's implementation: only the first,
 // reference-list access uses ICG.
 func (s *Service) getAds(refsEncoded []byte) ([]Ad, error) {
-	refs := decodeRefs(refsEncoded)
-	if len(refs) > s.MaxAdsPerRequest {
-		refs = refs[:s.MaxAdsPerRequest]
-	}
-	if len(refs) == 0 {
+	rest, n := adKeys(refsEncoded, s.MaxAdsPerRequest)
+	if n == 0 {
 		return nil, nil
 	}
 	// Every fetch fills its own slot of ads and reports only its error, so
 	// no result is boxed on its way through the queue.
-	ads := make([]Ad, len(refs))
+	ads := make([]Ad, n)
 	q := s.clock.NewQueue()
-	for i, ref := range refs {
+	for i := range ads {
+		// key is declared here and never reassigned, so the fetch captures
+		// it by value instead of moving it to the heap.
+		key, tail, _ := strings.Cut(rest, ",")
+		rest = tail
 		s.clock.Go(func() {
-			v, err := s.kv.GetStrong(context.Background(), AdKey(ref)).Final(context.Background())
+			v, err := s.kv.GetStrong(context.Background(), key).Final(context.Background())
 			if err == nil {
-				ads[i] = Ad{Ref: ref, Body: v.Value}
+				ads[i] = Ad{Ref: key[len(adKeyPrefix):], Body: v.Value}
 			}
 			q.Put(err)
 		})
 	}
 	var firstErr error
-	for range refs {
+	for range ads {
 		if err, _ := q.Get().(error); err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -2,7 +2,10 @@ package adserver
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -172,5 +175,46 @@ func TestMisspeculationDetectedAndCorrected(t *testing.T) {
 	// Despite misspeculating, the served ads reflect the final (fresh) refs.
 	if out.Ads[0].Ref != newRefs[0] {
 		t.Errorf("served %s after misspeculation, want fresh %s", out.Ads[0].Ref, newRefs[0])
+	}
+}
+
+// TestKeysMatchTheFmtForms pins the fmt-free schema helpers to the forms
+// they replaced, byte for byte, values wider than the padding included.
+func TestKeysMatchTheFmtForms(t *testing.T) {
+	for _, i := range []int{0, 7, 123_456, 999_999, 1_000_000, 9_999_999, 10_000_000, 1 << 40} {
+		if want := fmt.Sprintf("profile:%07d", i); ProfileKey(i) != want {
+			t.Errorf("ProfileKey(%d) = %q, want %q", i, ProfileKey(i), want)
+		}
+		if want := fmt.Sprintf("a%06d", i); adRefName(i) != want {
+			t.Errorf("adRefName(%d) = %q, want %q", i, adRefName(i), want)
+		}
+	}
+}
+
+// TestAdKeysMatchSplitAndPrefix pins adKeys to what it replaced: split the
+// list on commas, keep the first max references, prefix each with "ad:".
+func TestAdKeysMatchSplitAndPrefix(t *testing.T) {
+	long := strings.Repeat("a123456,", 40) + "a999999" // spills the stack buffer
+	for _, list := range []string{"", "a000001", "a000001,a000002", "a1,,a3", "a1,a2,", ",", long} {
+		for _, max := range []int{0, 1, 2, 5, 100} {
+			var want []string
+			if list != "" {
+				want = strings.Split(list, ",")
+			}
+			if len(want) > max {
+				want = want[:max]
+			}
+			for i := range want {
+				want[i] = AdKey(want[i])
+			}
+			joined, n := adKeys([]byte(list), max)
+			var got []string
+			if n > 0 {
+				got = strings.Split(joined, ",")
+			}
+			if n != len(want) || !slices.Equal(got, want) {
+				t.Errorf("adKeys(%q, %d) = %q (%d keys), want %q", list, max, got, n, want)
+			}
+		}
 	}
 }

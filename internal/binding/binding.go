@@ -20,6 +20,7 @@ package binding
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"correctables/internal/core"
@@ -73,7 +74,8 @@ type Item struct {
 	// ID identifies the element within its queue (e.g. the ZooKeeper
 	// sequential znode name). Empty when Exists is false.
 	ID string
-	// Data is the element payload (nil when Exists is false).
+	// Data is the element payload (nil when Exists is false): the store's
+	// own buffer, shared and immutable like every view's bytes (see Result).
 	Data []byte
 	// Exists reports whether the operation found/produced an element; a
 	// Dequeue of an empty queue yields Exists == false.
@@ -181,6 +183,11 @@ func (Dequeue) ResultOf(v any) (Item, error) { return decodeItem(v) }
 // it satisfies. A binding invokes the callback once per requested level (or
 // once with Err set). Value is the monomorphic wire representation; the
 // typed adapters decode it with the operation's ResultOf.
+//
+// Bytes inside Value (a get's []byte, an Item's Data) are shared and
+// immutable: a store copies a value once, on its way in (CopyIn), and every
+// view of it — and every replica, hint, repair and snapshot behind the
+// binding — aliases that one buffer. Retain them freely, never modify them.
 type Result struct {
 	Value interface{}
 	Level core.Level
@@ -198,6 +205,16 @@ type Result struct {
 
 // Callback receives incremental results from a binding.
 type Callback func(Result)
+
+// CopyIn is the one copy a store makes of a value: where a caller's buffer
+// enters it (a write, a preload, an enqueue). From there on the bytes are
+// immutable and everything inside the store and every view handed out
+// aliases them. The copy is clipped to cap == len, so a consumer's append
+// reallocates instead of scribbling into spare capacity every other holder
+// shares.
+func CopyIn(b []byte) []byte {
+	return slices.Clip(append([]byte(nil), b...)) // the copy
+}
 
 // Binding is the interface every storage binding implements (§5.1).
 type Binding interface {

@@ -48,8 +48,9 @@ type OpView struct {
 	// At is the delivery instant.
 	At time.Duration
 	// Value is the decoded view value (the same T the application sees,
-	// boxed). Observers must not mutate or retain it beyond the callback;
-	// the history recorder keeps only a compact rendering.
+	// boxed). It is shared with the store and immutable (see Result.Value):
+	// observers must not modify it; the history recorder keeps only a
+	// compact rendering.
 	Value any
 }
 

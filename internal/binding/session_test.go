@@ -359,7 +359,12 @@ func TestWithOpTimeoutBoundsStalledOperation(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout took %v", elapsed)
 	}
+	// The timer goroutine fails the Correctable first and emits OpEnd right
+	// after, so Final can return a moment before the end event is recorded.
 	got := obs.snapshot()
+	for deadline := time.Now().Add(2 * time.Second); len(got) < 2 && time.Now().Before(deadline); got = obs.snapshot() {
+		time.Sleep(time.Millisecond)
+	}
 	if len(got) != 2 || got[1] != "end get/k err" {
 		t.Errorf("events = %q, want start + timeout end", got)
 	}

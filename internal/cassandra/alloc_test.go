@@ -12,17 +12,18 @@ import (
 
 // TestAllocGateQuorumRead pins what one read through the Binding costs end
 // to end — client library, binding, coordinator, one peer leg, views — on
-// a warm virtual clock (worker pool, event and gather freelists populated).
-// The budgets are absolute, and what is left is what the caller keeps plus
-// one closure per actor body or callback:
+// a warm virtual clock (worker pool, event, record and gather free lists
+// populated). The budgets are absolute, and what is left is what the caller
+// keeps: the operation runs on its recycled record and gather, whose steps
+// were bound when they were built, and its views alias the replica's bytes.
 //
-//   - strong-only R=2 read, 8 (20 before the pooled scheduler and the
-//     single-copy read path): the boxed operation, the Correctable, the
-//     library's result callback, the SubmitOperation actor body, the
-//     binding's view callback, the peer-leg actor body, the view's value
-//     copy and its box on the binding wire;
-//   - correctable R=2 read, 11 (27 before): the same plus the preliminary's
-//     flush callback, value copy and box.
+//   - strong-only R=2 read, 4 (8 before the records and the shared values,
+//     20 before the pooled scheduler): the boxed operation, the Correctable,
+//     the library's result callback, and the view's box on the binding wire
+//     (binding.Result.Value is an interface; the benchmark pins it);
+//   - correctable R=2 read, 6 (11 and 27 before): the same plus the
+//     preliminary's flush callback — fire and forget, it keeps its closure —
+//     and its view's box.
 func TestAllocGateQuorumRead(t *testing.T) {
 	cluster, _, clock := newTestCluster(t, true, true)
 	cluster.Preload("k", []byte("payload"))
@@ -53,8 +54,8 @@ func TestAllocGateQuorumRead(t *testing.T) {
 		read   func()
 		budget float64
 	}{
-		{"strong-only R=2", strong, 8},
-		{"correctable R=2 (preliminary + final)", icg, 11},
+		{"strong-only R=2", strong, 4},
+		{"correctable R=2 (preliminary + final)", icg, 6},
 	} {
 		got := testing.AllocsPerRun(500, g.read)
 		t.Logf("allocs/%s read: %.1f", g.name, got)

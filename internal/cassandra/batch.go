@@ -140,7 +140,7 @@ func (b *Binding) readBatch(shard int, entries []binding.BatchEntry) {
 					continue
 				}
 				it.e.Cb(binding.Result{
-					Value:   append([]byte(nil), it.local.Value...),
+					Value:   it.local.Value,
 					Level:   core.LevelWeak,
 					Version: it.local.Token(),
 				})
@@ -230,7 +230,7 @@ func (b *Binding) readBatch(shard int, entries []binding.BatchEntry) {
 	for _, i := range strong {
 		it := &items[i]
 		it.e.Cb(binding.Result{
-			Value:   append([]byte(nil), it.reconciled.Value...),
+			Value:   it.reconciled.Value,
 			Level:   core.LevelStrong,
 			Version: it.reconciled.Token(),
 		})

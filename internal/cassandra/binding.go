@@ -39,6 +39,46 @@ func (b BindingConfig) withDefaults() BindingConfig {
 type Binding struct {
 	client *Client
 	cfg    BindingConfig
+
+	// free recycles the records of finished operations.
+	free netsim.FreeList[opRecord]
+}
+
+// opRecord is the state of one SubmitOperation for the life of its protocol
+// actor, in place of a closure per hop: the actor body and the read's view
+// sink are methods bound once, when the record is built, and every later
+// operation that takes the record off the free list reuses them. The actor
+// returns the record as its last act, and nothing else ever does — an
+// invocation the client library timed out is abandoned, not recycled: its
+// actor runs on until the fault heals, its late views are refused by the
+// closed Correctable, and only then does the record go back.
+type opRecord struct {
+	b      *Binding
+	op     binding.Operation
+	levels core.Levels
+	cb     binding.Callback
+	// level, unless LevelNone, is the level the read's views go out at in
+	// place of their own: a single-level request is answered at the level it
+	// asked for, whatever quorum served it.
+	level core.Level
+
+	run  func()         // r.exec: the actor body
+	view func(ReadView) // r.emit: the read's view sink
+}
+
+func (b *Binding) getRecord() *opRecord {
+	r := b.free.Take()
+	if r == nil {
+		r = &opRecord{b: b}
+		r.run, r.view = r.exec, r.emit
+	}
+	return r
+}
+
+// putRecord recycles r, cleared of the operation's references.
+func (b *Binding) putRecord(r *opRecord) {
+	r.op, r.levels, r.cb, r.level = nil, nil, nil, core.LevelNone
+	b.free.Put(r)
 }
 
 var _ binding.Binding = (*Binding)(nil)
@@ -64,86 +104,96 @@ func (b *Binding) Close() error { return nil }
 // protocol paths below run unguarded: a late completion's views are
 // refused by the closed Correctable.
 func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
-	b.clock().Go(func() {
-		switch o := op.(type) {
-		case binding.Get:
-			b.get(o, levels, cb)
-		case binding.Put:
-			b.put(o, levels, cb)
-		default:
-			cb(binding.Result{Err: fmt.Errorf("%w: cassandra has no %q", binding.ErrUnsupportedOperation, op.OpName())})
-		}
-	})
+	r := b.getRecord()
+	r.op, r.levels, r.cb = op, levels, cb
+	b.clock().Go(r.run)
+}
+
+// exec is the operation's protocol actor.
+func (r *opRecord) exec() {
+	switch o := r.op.(type) {
+	case binding.Get:
+		r.get(o.Key)
+	case binding.Put:
+		r.put(o)
+	default:
+		r.cb(binding.Result{Err: fmt.Errorf("%w: cassandra has no %q", binding.ErrUnsupportedOperation, r.op.OpName())})
+	}
+	r.b.putRecord(r)
 }
 
 // clock returns the cluster's simulation clock.
 func (b *Binding) clock() netsim.Clock { return b.client.cluster.tr.Clock() }
 
-func (b *Binding) get(op binding.Get, levels core.Levels, cb binding.Callback) {
-	wantWeak := levels.Contains(core.LevelWeak)
-	wantStrong := levels.Contains(core.LevelStrong)
+func (r *opRecord) get(key string) {
+	b := r.b
+	wantWeak := r.levels.Contains(core.LevelWeak)
+	wantStrong := r.levels.Contains(core.LevelStrong)
+	var err error
 	switch {
+	case wantWeak && wantStrong && b.client.cluster.cfg.Correctable:
+		// One request, two responses (preliminary + final), each at the
+		// level it carries.
+		err = b.client.read(key, b.cfg.StrongQuorum, true, r.view)
 	case wantWeak && wantStrong:
-		if b.client.cluster.cfg.Correctable {
-			// One request, two responses (preliminary + final).
-			err := b.client.read(op.Key, b.cfg.StrongQuorum, true, func(v ReadView) {
-				emit(cb, v, v.Level)
-			})
-			if err != nil {
-				cb(binding.Result{Err: err})
-			}
-			return
-		}
 		// Vanilla store: two independent requests (weak first). The strong
 		// one determines completion; this is the baseline the paper notes
-		// costs extra bandwidth and risks WAN reordering.
+		// costs extra bandwidth and risks WAN reordering. The second actor
+		// works on the callback, not on the record, which is not its to
+		// hold.
+		cb := r.cb
 		weakDone := b.clock().NewEvent()
 		b.clock().Go(func() {
 			defer weakDone.Fire()
-			_ = b.client.read(op.Key, 1, false, func(v ReadView) {
+			_ = b.client.read(key, 1, false, func(v ReadView) {
 				emit(cb, v, core.LevelWeak)
 			})
 		})
-		err := b.client.read(op.Key, b.cfg.StrongQuorum, false, func(v ReadView) {
+		err = b.client.read(key, b.cfg.StrongQuorum, false, func(v ReadView) {
 			weakDone.Wait() // keep view order monotone
 			emit(cb, v, core.LevelStrong)
 		})
-		if err != nil {
-			cb(binding.Result{Err: err})
-		}
 	case wantStrong:
-		if err := b.client.read(op.Key, b.cfg.StrongQuorum, false, func(v ReadView) {
-			emit(cb, v, core.LevelStrong)
-		}); err != nil {
-			cb(binding.Result{Err: err})
-		}
+		r.level = core.LevelStrong
+		err = b.client.read(key, b.cfg.StrongQuorum, false, r.view)
 	case wantWeak:
-		if err := b.client.read(op.Key, 1, false, func(v ReadView) {
-			emit(cb, v, core.LevelWeak)
-		}); err != nil {
-			cb(binding.Result{Err: err})
-		}
+		r.level = core.LevelWeak
+		err = b.client.read(key, 1, false, r.view)
 	default:
-		cb(binding.Result{Err: fmt.Errorf("%w: %v", binding.ErrUnsupportedLevel, levels)})
+		err = fmt.Errorf("%w: %v", binding.ErrUnsupportedLevel, r.levels)
+	}
+	if err != nil {
+		r.cb(binding.Result{Err: err})
 	}
 }
 
+// emit is the record's view sink: one read view to the binding callback, at
+// the record's level override if it has one.
+func (r *opRecord) emit(v ReadView) {
+	level := v.Level
+	if r.level != core.LevelNone {
+		level = r.level
+	}
+	emit(r.cb, v, level)
+}
+
 // emit delivers one read view to the binding callback. ReadView.Value is
-// already the caller's own copy, so it goes out as is.
+// the replica's immutable buffer and goes out as is, shared (see
+// binding.Result).
 func emit(cb binding.Callback, v ReadView, level core.Level) {
 	cb(binding.Result{Value: v.Value, Level: level, Version: v.Version.Token()})
 }
 
-func (b *Binding) put(op binding.Put, levels core.Levels, cb binding.Callback) {
+func (r *opRecord) put(op binding.Put) {
 	// Writes use W=WriteQuorum regardless of the requested read levels; the
 	// single acknowledgment closes the Correctable at the strongest
 	// requested level, carrying the committed version's token.
-	v, err := b.client.write(op.Key, op.Value, b.cfg.WriteQuorum)
+	v, err := r.b.client.write(op.Key, op.Value, r.b.cfg.WriteQuorum)
 	if err != nil {
-		cb(binding.Result{Err: err})
+		r.cb(binding.Result{Err: err})
 		return
 	}
-	cb(binding.Result{Value: nil, Level: levels.Strongest(), Version: v.Token()})
+	r.cb(binding.Result{Value: nil, Level: r.levels.Strongest(), Version: v.Token()})
 }
 
 // Scheduler implements binding.SchedulerProvider: Correctables over this

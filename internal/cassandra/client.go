@@ -3,6 +3,7 @@ package cassandra
 import (
 	"fmt"
 
+	"correctables/internal/binding"
 	"correctables/internal/core"
 	"correctables/internal/faults"
 	"correctables/internal/netsim"
@@ -11,7 +12,10 @@ import (
 
 // ReadView is one response to a read, as observed at the client.
 type ReadView struct {
-	// Value is the (possibly nil) value bytes; a copy, safe to retain.
+	// Value is the (possibly nil) value bytes: the replica's own buffer,
+	// shared and immutable — retain freely, never modify. The table
+	// replaces a Versioned, it never writes into one, so a retained view
+	// survives any later write of its key.
 	Value []byte
 	// Version identifies the value for divergence accounting.
 	Version Versioned
@@ -145,7 +149,7 @@ func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadV
 		prelimLeft = tr.Send(c.Coordinator, c.Region, netsim.LinkClient, readResponseSize(prelim.Value), func() {
 			c.cluster.trc.End(flushSp, clock.Now())
 			onView(ReadView{
-				Value:   append([]byte(nil), prelim.Value...),
+				Value:   prelim.Value,
 				Version: prelim,
 				Level:   core.LevelWeak,
 				Final:   false,
@@ -163,21 +167,12 @@ func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadV
 		if trc := c.cluster.trc; trc != nil {
 			quorumSp = trc.Begin(c.cluster.phaseTrk[c.Coordinator], trace.CatQuorum, "read-quorum", key, clock.Now())
 		}
-		peers := c.cluster.othersByProximity(c.Coordinator)[:need]
-		g := c.cluster.getGather()
-		for i, peer := range peers {
-			peerReplica := c.cluster.ReplicaAt(shard, peer)
-			clock.Go(func() {
-				tr.Travel(c.Coordinator, peer, netsim.LinkReplica, replicaReadRequestSize(key))
-				peerReplica.server.Process(cfg.ReadServiceTime)
-				v := peerReplica.tab.get(key)
-				tr.Travel(peer, c.Coordinator, netsim.LinkReplica, replicaReadResponseSize(v.Value))
-				g.replies[i] = v
-				g.arrived.Put(i)
-			})
+		g := c.cluster.getGather(c, shard, key)
+		for i := range g.legs[:need] {
+			clock.Go(g.legs[i].read)
 		}
-		for range peers {
-			if v := g.replies[g.arrived.Get().(int)]; v.Newer(reconciled) {
+		for range need {
+			if v := g.legs[g.arrived.Get().(int)].reply; v.Newer(reconciled) {
 				reconciled = v
 			}
 		}
@@ -210,7 +205,7 @@ func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadV
 	}
 	level := core.LevelStrong
 	final := ReadView{
-		Value:     append([]byte(nil), reconciled.Value...),
+		Value:     reconciled.Value,
 		Version:   reconciled,
 		Level:     level,
 		Final:     true,
@@ -274,7 +269,7 @@ func (c *Client) write(key string, value []byte, w int) (Versioned, error) {
 	coord.server.Process(cfg.WriteServiceTime)
 
 	v := Versioned{
-		Value:  append([]byte(nil), value...),
+		Value:  binding.CopyIn(value),
 		TS:     c.cluster.nextTS(),
 		NodeID: coord.ID,
 		Exists: true,
@@ -287,36 +282,33 @@ func (c *Client) write(key string, value []byte, w int) (Versioned, error) {
 	if trc := c.cluster.trc; trc != nil && needSync > 0 {
 		syncSp = trc.Begin(c.cluster.phaseTrk[c.Coordinator], trace.CatQuorum, "write-sync", key, clock.Now())
 	}
-	var acks *netsim.Group // the W-1 synchronous legs; none at W=1
+	var g *gather // the W-1 synchronous legs; none at W=1
 	if needSync > 0 {
-		acks = clock.NewGroup()
+		g = c.cluster.getGather(c, shard, key)
+		g.v = v
+		g.acks.Add(needSync)
 	}
 	for i, peer := range peers {
-		peerReplica := c.cluster.ReplicaAt(shard, peer)
 		if i < needSync {
 			// Synchronous propagation for the write quorum.
-			acks.Add(1)
-			clock.Go(func() {
-				defer acks.Done()
-				tr.Travel(c.Coordinator, peer, netsim.LinkReplica, replicationSize(key, value))
-				peerReplica.server.Process(cfg.WriteServiceTime)
-				peerReplica.tab.apply(key, v)
-				tr.Travel(peer, c.Coordinator, netsim.LinkReplica, WriteAckSize)
-			})
+			clock.Go(g.legs[i].write)
 		} else if c.cluster.hintable(c.Coordinator, peer) {
 			// The peer is down or severed: the async send would be lost in
 			// flight. Buffer a hint instead and replay it on rejoin.
 			c.cluster.bufferHint(c.Coordinator, peer, shard, key, v)
 		} else {
-			// Asynchronous replication with batching delay.
+			// Asynchronous replication with batching delay: fire and forget,
+			// it outlives the write and keeps a closure of its own.
+			peerReplica := c.cluster.ReplicaAt(shard, peer)
 			tr.SendAfter(cfg.ReplicationDelay, c.Coordinator, peer, netsim.LinkReplica,
 				replicationSize(key, value), func() {
 					peerReplica.tab.apply(key, v)
 				})
 		}
 	}
-	if acks != nil {
-		acks.Wait()
+	if g != nil {
+		g.acks.Wait()
+		c.cluster.putGather(g)
 	}
 	c.cluster.trc.End(syncSp, clock.Now())
 	tr.Travel(c.Coordinator, c.Region, netsim.LinkClient, WriteAckSize)

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"correctables/internal/binding"
 	"correctables/internal/netsim"
 	"correctables/internal/ring"
 	"correctables/internal/trace"
@@ -160,39 +161,97 @@ type Cluster struct {
 		rng *randv2.Rand
 	}
 
-	// gathers recycles the quorum-gathering scratch of finished reads.
-	gatherMu sync.Mutex
-	gathers  []*gather
+	// gathers recycles the peer-leg records of finished reads and writes.
+	gathers netsim.FreeList[gather]
 }
 
-// gather is the scratch of one quorum read: each peer leg leaves its reply
-// in its own slot and puts the slot index on arrived, so no reply is boxed
-// and a finished read hands the whole thing — queue included, empty again —
-// to the next one.
+// gather is the record of one coordinated round — a quorum read's peer legs
+// or a write's W-1 synchronous legs — in place of a closure per leg: the
+// coordinator fills in what the round is about, spawns the bound step of
+// each slot it needs, and waits. A read leg leaves its reply in its own slot
+// and puts the slot index on arrived, so no reply is boxed; a write leg
+// counts down acks. The coordinator recycles the gather once every leg it
+// spawned has reported, which is the last time any of them touches it; the
+// next round gets the whole thing, queue and group included, empty again.
 type gather struct {
-	arrived *netsim.Queue
-	replies []Versioned // one slot per peer, in proximity order
+	arrived *netsim.Queue // read legs report their slot here
+	acks    *netsim.Group // write legs count down here
+	legs    []peerLeg     // one slot per peer, in proximity order
+
+	// What the round is about; the legs read it, only the coordinator
+	// writes it, and only between rounds.
+	c     *Client
+	shard int
+	key   string
+	v     Versioned // the mutation the legs of a write carry
 }
 
-func (c *Cluster) getGather() *gather {
-	c.gatherMu.Lock()
-	n := len(c.gathers)
-	if n == 0 {
-		c.gatherMu.Unlock()
-		return &gather{arrived: c.tr.Clock().NewQueue(), replies: make([]Versioned, len(c.order)-1)}
+// peerLeg is one slot of a gather. Its two steps are bound once, when the
+// gather is built.
+type peerLeg struct {
+	g     *gather
+	slot  int
+	reply Versioned // what a read leg brought back
+
+	read  func() // l.runRead: a quorum read's round trip to the slot's peer
+	write func() // l.runWrite: a write's synchronous round trip
+}
+
+// peer returns the slot's replica for the round: the slot-th closest peer
+// of the coordinator, in the key's shard.
+func (l *peerLeg) peer() (netsim.Region, *Replica) {
+	g := l.g
+	region := g.c.cluster.othersByProximity(g.c.Coordinator)[l.slot]
+	return region, g.c.cluster.ReplicaAt(g.shard, region)
+}
+
+func (l *peerLeg) runRead() {
+	g := l.g
+	cl, coord := g.c.cluster, g.c.Coordinator
+	peer, replica := l.peer()
+	cl.tr.Travel(coord, peer, netsim.LinkReplica, replicaReadRequestSize(g.key))
+	replica.server.Process(cl.cfg.ReadServiceTime)
+	v := replica.tab.get(g.key)
+	cl.tr.Travel(peer, coord, netsim.LinkReplica, replicaReadResponseSize(v.Value))
+	l.reply = v
+	g.arrived.Put(l.slot)
+}
+
+func (l *peerLeg) runWrite() {
+	g := l.g
+	cl, coord := g.c.cluster, g.c.Coordinator
+	peer, replica := l.peer()
+	cl.tr.Travel(coord, peer, netsim.LinkReplica, replicationSize(g.key, g.v.Value))
+	replica.server.Process(cl.cfg.WriteServiceTime)
+	replica.tab.apply(g.key, g.v)
+	cl.tr.Travel(peer, coord, netsim.LinkReplica, WriteAckSize)
+	g.acks.Done()
+}
+
+// getGather takes a gather for one round of client c on key.
+func (c *Cluster) getGather(client *Client, shard int, key string) *gather {
+	g := c.gathers.Take()
+	if g == nil {
+		clock := c.tr.Clock()
+		g = &gather{arrived: clock.NewQueue(), acks: clock.NewGroup(), legs: make([]peerLeg, len(c.order)-1)}
+		for i := range g.legs {
+			l := &g.legs[i]
+			l.g, l.slot = g, i
+			l.read, l.write = l.runRead, l.runWrite
+		}
 	}
-	g := c.gathers[n-1]
-	c.gathers = c.gathers[:n-1]
-	c.gatherMu.Unlock()
+	g.c, g.shard, g.key = client, shard, key
 	return g
 }
 
-// putGather recycles g once every peer leg of its read has been received.
+// putGather recycles g once every leg of its round has reported, cleared of
+// the round's references.
 func (c *Cluster) putGather(g *gather) {
-	clear(g.replies) // drop the value references
-	c.gatherMu.Lock()
-	c.gathers = append(c.gathers, g)
-	c.gatherMu.Unlock()
+	for i := range g.legs {
+		g.legs[i].reply = Versioned{}
+	}
+	g.c, g.key, g.v = nil, "", Versioned{}
+	c.gathers.Put(g)
 }
 
 // NewCluster builds a cluster per cfg.
@@ -353,7 +412,7 @@ func (c *Cluster) NearestRemote(from netsim.Region) netsim.Region {
 // Preload writes initial data directly into the key's owner-shard replicas
 // (no traffic, no latency): the dataset-loading phase of an experiment.
 func (c *Cluster) Preload(key string, value []byte) {
-	v := Versioned{Value: append([]byte(nil), value...), TS: c.nextTS(), Exists: true}
+	v := Versioned{Value: binding.CopyIn(value), TS: c.nextTS(), Exists: true}
 	sh := c.ShardOf(key)
 	for _, region := range c.order {
 		c.replicas[region][sh].tab.apply(key, v)

@@ -22,7 +22,9 @@ import (
 )
 
 // Versioned is a timestamped value; reconciliation is last-write-wins by
-// (TS, NodeID).
+// (TS, NodeID). Value is immutable once the Versioned exists: replicas,
+// hints, repairs and read views all share the one buffer the write copied
+// in (binding.CopyIn).
 type Versioned struct {
 	Value  []byte
 	TS     uint64

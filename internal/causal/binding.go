@@ -50,6 +50,48 @@ func (c *Client) cacheMerge(key string, e Entry) {
 // levels: cache, causal (nearest backup), strong (primary).
 type Binding struct {
 	client *Client
+
+	// free recycles the records of finished operations.
+	free netsim.FreeList[opRecord]
+}
+
+// opRecord is the state of one SubmitOperation for the life of its protocol
+// actor, in place of a closure per hop and a queue per remote read (the
+// idiom of cassandra.Binding's record and gather): the actor body and the two
+// remote reads are methods bound once, when the record is built; a read
+// leaves its entry in its own slot and signals its queue, so no entry is
+// boxed. The actor waits for every read it spawned before it ends, which is
+// when it returns the record — queues empty again — and nothing else does.
+type opRecord struct {
+	b      *Binding
+	op     binding.Operation
+	levels core.Levels
+	cb     binding.Callback
+
+	key              string
+	causal, strong   Entry         // what the remote reads brought back
+	causalQ, strongQ *netsim.Queue // signalled when the slot is filled
+
+	run        func() // r.exec: the actor body
+	readCausal func() // r.fetchCausal: the nearest backup's read
+	readStrong func() // r.fetchStrong: the primary's read
+}
+
+func (b *Binding) getRecord() *opRecord {
+	r := b.free.Take()
+	if r == nil {
+		clock := b.client.store.tr.Clock()
+		r = &opRecord{b: b, causalQ: clock.NewQueue(), strongQ: clock.NewQueue()}
+		r.run, r.readCausal, r.readStrong = r.exec, r.fetchCausal, r.fetchStrong
+	}
+	return r
+}
+
+// putRecord recycles r, cleared of the operation's references.
+func (b *Binding) putRecord(r *opRecord) {
+	r.op, r.levels, r.cb, r.key = nil, nil, nil, ""
+	r.causal, r.strong = Entry{}, Entry{}
+	b.free.Put(r)
 }
 
 var _ binding.Binding = (*Binding)(nil)
@@ -75,16 +117,23 @@ func (b *Binding) Close() error { return nil }
 // refused by the closed Correctable — the per-store deadline plumbing that
 // used to live here moved into the invoke pipeline.
 func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
-	b.client.store.tr.Clock().Go(func() {
-		switch o := op.(type) {
-		case binding.Get:
-			b.get(o, levels, cb)
-		case binding.Put:
-			b.put(o, levels, cb)
-		default:
-			cb(binding.Result{Err: fmt.Errorf("%w: causal store has no %q", binding.ErrUnsupportedOperation, op.OpName())})
-		}
-	})
+	r := b.getRecord()
+	r.op, r.levels, r.cb = op, levels, cb
+	b.client.store.tr.Clock().Go(r.run)
+}
+
+// exec is the operation's protocol actor.
+func (r *opRecord) exec() {
+	switch o := r.op.(type) {
+	case binding.Get:
+		r.key = o.Key
+		r.get()
+	case binding.Put:
+		r.put(o)
+	default:
+		r.cb(binding.Result{Err: fmt.Errorf("%w: causal store has no %q", binding.ErrUnsupportedOperation, r.op.OpName())})
+	}
+	r.b.putRecord(r)
 }
 
 // Scheduler implements binding.SchedulerProvider: Correctables over this
@@ -111,46 +160,30 @@ func (b *Binding) DefaultOpTimeout() time.Duration {
 // get fans one logical access out to up to three actual requests (§4.4) and
 // delivers their responses in level order. A cache miss simply skips the
 // cache-level view.
-func (b *Binding) get(op binding.Get, levels core.Levels, cb binding.Callback) {
-	c := b.client
-	strongest := levels.Strongest()
-	emit := func(e Entry, level core.Level) {
-		var val []byte
-		if e.Exists {
-			val = append([]byte(nil), e.Value...)
-		}
-		cb(binding.Result{Value: val, Level: level, Version: e.Ver})
-	}
+func (r *opRecord) get() {
+	c := r.b.client
+	key, levels := r.key, r.levels
 
 	// Launch the remote reads in parallel.
 	clock := c.store.tr.Clock()
-	var causalQ, strongQ *netsim.Queue
-	if levels.Contains(core.LevelCausal) {
-		causalQ = clock.NewQueue()
-		clock.Go(func() {
-			e := c.store.read(c.Region, c.store.nearestBackup(c.Region), op.Key)
-			causalQ.Put(e)
-		})
+	wantCausal, wantStrong := levels.Contains(core.LevelCausal), levels.Contains(core.LevelStrong)
+	if wantCausal {
+		clock.Go(r.readCausal)
 	}
-	if levels.Contains(core.LevelStrong) {
-		strongQ = clock.NewQueue()
-		clock.Go(func() {
-			e := c.store.read(c.Region, c.store.cfg.Primary, op.Key)
-			c.cacheMerge(op.Key, e)
-			strongQ.Put(e)
-		})
+	if wantStrong {
+		clock.Go(r.readStrong)
 	}
 
 	// Deliver in level order: cache (immediately, if hit), causal, strong.
 	if levels.Contains(core.LevelCache) {
-		if e := c.CacheGet(op.Key); e.Exists {
-			emit(e, core.LevelCache)
-		} else if strongest == core.LevelCache {
+		if e := c.CacheGet(key); e.Exists {
+			r.emit(e, core.LevelCache)
+		} else if levels.Strongest() == core.LevelCache {
 			// Cache-only request with a miss: report absence.
-			emit(Entry{}, core.LevelCache)
+			r.emit(Entry{}, core.LevelCache)
 		}
 	}
-	if causalQ != nil {
+	if wantCausal {
 		// The backup lags the primary by the propagation delay, so its raw
 		// entry can be *older* than what this client has already observed —
 		// through its cache (populated by earlier writes and strong reads)
@@ -161,24 +194,48 @@ func (b *Binding) get(op binding.Get, levels core.Levels, cb binding.Callback) {
 		// past; the merged entry also refreshes the cache. The primary's
 		// per-key version is always ≥ every backup's, so the strong view
 		// still dominates.
-		e := causalQ.Get().(Entry)
-		c.cacheMerge(op.Key, e)
-		if cached := c.CacheGet(op.Key); cached.newer(e) {
+		r.causalQ.Get()
+		e := r.causal
+		c.cacheMerge(key, e)
+		if cached := c.CacheGet(key); cached.newer(e) {
 			e = cached
 		}
-		emit(e, core.LevelCausal)
+		r.emit(e, core.LevelCausal)
 	}
-	if strongQ != nil {
-		e := strongQ.Get().(Entry)
-		c.cacheMerge(op.Key, e)
-		emit(e, core.LevelStrong)
+	if wantStrong {
+		r.strongQ.Get()
+		e := r.strong
+		c.cacheMerge(key, e)
+		r.emit(e, core.LevelStrong)
 	}
 }
 
+// fetchCausal is the causal level's remote read, an actor of its own.
+func (r *opRecord) fetchCausal() {
+	c := r.b.client
+	r.causal = c.store.read(c.Region, c.store.nearestBackup(c.Region), r.key)
+	r.causalQ.Put(nil)
+}
+
+// fetchStrong is the strong level's remote read, an actor of its own.
+func (r *opRecord) fetchStrong() {
+	c := r.b.client
+	e := c.store.read(c.Region, c.store.cfg.Primary, r.key)
+	c.cacheMerge(r.key, e)
+	r.strong = e
+	r.strongQ.Put(nil)
+}
+
+// emit delivers one view: the entry's value, shared (an absent entry has
+// none), at the given level.
+func (r *opRecord) emit(e Entry, level core.Level) {
+	r.cb(binding.Result{Value: e.Value, Level: level, Version: e.Ver})
+}
+
 // put writes through the primary and the local cache.
-func (b *Binding) put(op binding.Put, levels core.Levels, cb binding.Callback) {
-	c := b.client
+func (r *opRecord) put(op binding.Put) {
+	c := r.b.client
 	e := c.store.write(c.Region, op.Key, op.Value)
 	c.cacheMerge(op.Key, e)
-	cb(binding.Result{Value: nil, Level: levels.Strongest(), Version: e.Ver})
+	r.cb(binding.Result{Value: nil, Level: r.levels.Strongest(), Version: e.Ver})
 }

@@ -17,12 +17,15 @@ import (
 	"sync"
 	"time"
 
+	"correctables/internal/binding"
 	"correctables/internal/faults"
 	"correctables/internal/netsim"
 	"correctables/internal/trace"
 )
 
-// Entry is a versioned value.
+// Entry is a versioned value. Value is immutable once the entry exists
+// (replicas replace entries, they never write into one) and is shared by
+// every holder: retain freely, never modify.
 type Entry struct {
 	Value  []byte
 	Ver    uint64
@@ -219,10 +222,7 @@ func (s *Store) ReplicaEntry(region netsim.Region, key string) Entry {
 
 // Preload installs a value on every replica without traffic.
 func (s *Store) Preload(key string, value []byte) {
-	s.mu.Lock()
-	s.nextVer++
-	e := Entry{Value: append([]byte(nil), value...), Ver: s.nextVer, Exists: true}
-	s.mu.Unlock()
+	e := s.newEntry(value)
 	for _, r := range s.replicas {
 		r.mu.Lock()
 		r.data[key] = e
@@ -231,6 +231,17 @@ func (s *Store) Preload(key string, value []byte) {
 		}
 		r.mu.Unlock()
 	}
+}
+
+// newEntry stamps value with the next primary version. This is where a
+// caller's buffer enters the store: the entry holds the one copy, which the
+// primary, every backup, snapshots, client caches and all views then share.
+func (s *Store) newEntry(value []byte) Entry {
+	s.mu.Lock()
+	s.nextVer++
+	e := Entry{Value: binding.CopyIn(value), Ver: s.nextVer, Exists: true}
+	s.mu.Unlock()
+	return e
 }
 
 // nearestBackup returns the backup region closest to from (or the primary
@@ -262,10 +273,7 @@ func (s *Store) write(clientRegion netsim.Region, key string, value []byte) Entr
 	s.tr.Travel(clientRegion, s.cfg.Primary, netsim.LinkClient, 96+len(key)+len(value))
 	primary.proc.Process(s.cfg.ServiceTime)
 
-	s.mu.Lock()
-	s.nextVer++
-	e := Entry{Value: append([]byte(nil), value...), Ver: s.nextVer, Exists: true}
-	s.mu.Unlock()
+	e := s.newEntry(value)
 
 	primary.mu.Lock()
 	primary.data[key] = e

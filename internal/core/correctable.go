@@ -43,7 +43,12 @@ func (s State) String() string {
 // Correctable[T] delivers View[T], so applications never assert types on
 // the hot path.
 type View[T any] struct {
-	// Value is the operation result as provided by the binding.
+	// Value is the operation result as provided by the binding. A value with
+	// reference semantics (a []byte, a struct holding one) is shared with
+	// the store that produced it and with every other view of the same
+	// state, and is immutable: retain it freely, never modify it. A store
+	// replaces a value, it never writes into one, so a retained view keeps
+	// reading the bytes it was delivered with.
 	Value T
 	// Level is the consistency guarantee this view satisfies.
 	Level Level

@@ -203,3 +203,19 @@ func TestEventReleaseReuse(t *testing.T) {
 		t.Errorf("waiters of the recycled event woke as %q, want x then y at 1ms", woke)
 	}
 }
+
+// TestFreeListIsLIFO: Take returns nil on an empty list — the caller builds —
+// and otherwise the most recently freed record, so a steady load keeps
+// reusing the same warm few.
+func TestFreeListIsLIFO(t *testing.T) {
+	var l FreeList[int]
+	if l.Take() != nil {
+		t.Fatal("Take on an empty list returned a record")
+	}
+	a, b := new(int), new(int)
+	l.Put(a)
+	l.Put(b)
+	if l.Take() != b || l.Take() != a || l.Take() != nil {
+		t.Error("Take does not return the most recently freed record first, then nil")
+	}
+}

@@ -141,6 +141,30 @@ func popLast[T any](free *[]*T) *T {
 	return x
 }
 
+// FreeList recycles the per-operation records of the stores built on the
+// clock, the way the clock recycles its own actors and events: Take returns
+// the most recently freed record, or nil when there is none and the caller
+// builds one (binding its steps, once); Put hands back a record its last
+// user has cleared of references. The zero value is an empty list; it is
+// safe for concurrent use.
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+func (l *FreeList[T]) Take() *T {
+	l.mu.Lock()
+	x := popLast(&l.free)
+	l.mu.Unlock()
+	return x
+}
+
+func (l *FreeList[T]) Put(x *T) {
+	l.mu.Lock()
+	l.free = append(l.free, x)
+	l.mu.Unlock()
+}
+
 // recycle returns a vactor whose wait has completed to the freelist. The
 // caller must have received the token through p.ch already (so the channel
 // is empty again) and be done with p.val and p.fn.

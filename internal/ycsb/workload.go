@@ -3,6 +3,8 @@ package ycsb
 import (
 	"fmt"
 	"math/rand"
+
+	"correctables/internal/keys"
 )
 
 // DistKind selects a request distribution.
@@ -50,7 +52,7 @@ func WorkloadC(dist DistKind, records, valueSize int) Workload {
 }
 
 // Key renders key index i in YCSB's "user<N>" format.
-func Key(i int) string { return fmt.Sprintf("user%08d", i) }
+func Key(i int) string { return keys.Padded("user", int64(i), 8) }
 
 // NewGenerator builds the key chooser for the workload.
 func (w Workload) NewGenerator() Generator {

@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -162,8 +163,13 @@ func TestWorkloadPresets(t *testing.T) {
 	if c.ReadProportion != 1.0 || c.UpdateProportion != 0 {
 		t.Errorf("C = %+v", c)
 	}
-	if Key(42) != "user00000042" {
-		t.Errorf("Key = %q", Key(42))
+	// Key is formatted without fmt; every recorded history and wire size
+	// depends on it staying byte for byte the Sprintf form, wider than the
+	// padding included.
+	for _, i := range []int{0, 42, 99_999_999, 100_000_000, 1 << 40} {
+		if want := fmt.Sprintf("user%08d", i); Key(i) != want {
+			t.Errorf("Key(%d) = %q, want %q", i, Key(i), want)
+		}
 	}
 	if len(a.Value(rand.New(rand.NewSource(1)))) != 100 {
 		t.Error("Value size mismatch")

@@ -1,0 +1,74 @@
+//go:build !race
+
+package zk
+
+import (
+	"context"
+	"testing"
+
+	"correctables/internal/binding"
+	"correctables/internal/netsim"
+)
+
+// TestAllocGateQueueOps pins what one queue operation through the Binding
+// costs end to end — client library, binding, contact server, forwarding to
+// the leader, one propose round, commit delivery on all three servers, two
+// views — on a warm virtual clock (worker pool, event, record and proposal
+// free lists populated). The budgets are absolute, and what is left is what
+// the operation creates or the caller keeps:
+//
+//   - enqueue, 20 (40 before items were copied once and shared, names were
+//     formatted without fmt, and the binding and the propose round ran on
+//     recycled records): the boxed operation, the Correctable and the
+//     library's result callback; the item's one copy; the queue's directory
+//     and item prefix; the predicted name, the preliminary element, its flush
+//     callback and the final element; the boxed transaction; on each of the
+//     three servers the znode and its sequential path; the commit broadcast's
+//     callback; the two views' boxes on the binding wire.
+//   - dequeue, 16 (26 before): the same three from the library, the
+//     directory, the preliminary element and its flush callback, the boxed
+//     transaction, the broadcast's callback and the two view boxes; and on
+//     each server the head's path and the element the transaction returns.
+func TestAllocGateQueueOps(t *testing.T) {
+	e, _, clock := newTestEnsemble(t, true, netsim.IRL)
+	e.Bootstrap(CreateTxn{Path: "/queues"})
+	e.Bootstrap(CreateTxn{Path: "/queues/t"})
+	c := binding.NewClient(NewBinding(NewQueueClient(e, netsim.IRL, netsim.FRK)))
+	ctx := context.Background()
+	item := []byte("payload")
+
+	enqueue := func() {
+		if _, err := binding.Invoke[binding.Item](ctx, c, binding.Enqueue{Queue: "t", Item: item}).Final(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dequeue := func() {
+		v, err := binding.Invoke[binding.Item](ctx, c, binding.Dequeue{Queue: "t"}).Final(ctx)
+		if err != nil || !v.Value.Exists {
+			t.Fatalf("dequeue = %+v, %v", v.Value, err)
+		}
+	}
+	// The dequeues of the measured runs need elements: stock the queue, and
+	// warm every free list on the way.
+	for i := 0; i < 1000; i++ {
+		enqueue()
+	}
+	for i := 0; i < 32; i++ {
+		dequeue()
+	}
+	for _, g := range []struct {
+		name   string
+		op     func()
+		budget float64
+	}{
+		{"enqueue", enqueue, 20},
+		{"dequeue", dequeue, 16},
+	} {
+		got := testing.AllocsPerRun(300, g.op)
+		t.Logf("allocs/%s: %.1f", g.name, got)
+		if got > g.budget {
+			t.Errorf("%s allocates %.1f/op, budget %.0f", g.name, got, g.budget)
+		}
+	}
+	clock.Drain()
+}

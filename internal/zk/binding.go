@@ -7,6 +7,7 @@ import (
 
 	"correctables/internal/binding"
 	"correctables/internal/core"
+	"correctables/internal/netsim"
 )
 
 // itemOf converts a protocol-level QueueView into the store-agnostic typed
@@ -28,6 +29,37 @@ func itemOf(v QueueView) binding.Item {
 // are binding.Item.
 type Binding struct {
 	qc *QueueClient
+
+	// free recycles the records of finished operations.
+	free netsim.FreeList[opRecord]
+}
+
+// opRecord is the state of one SubmitOperation for the life of its protocol
+// actor, in place of a closure per hop (the idiom of cassandra.Binding's
+// record): the actor body and the view sink are methods bound once, when the
+// record is built. The actor returns the record as its last act — after the
+// queue client has delivered or given up on every view — and nothing else
+// does: an invocation the client library timed out keeps its record until
+// its actor ends.
+type opRecord struct {
+	b  *Binding
+	op binding.Operation
+	cb binding.Callback
+	// The requested levels, and for a weak-only request whether its one view
+	// has gone out.
+	wantWeak, wantStrong, delivered bool
+
+	run  func()          // r.exec: the actor body
+	view func(QueueView) // r.emit: the queue client's view sink
+}
+
+func (b *Binding) getRecord() *opRecord {
+	r := b.free.Take()
+	if r == nil {
+		r = &opRecord{b: b}
+		r.run, r.view = r.exec, r.emit
+	}
+	return r
 }
 
 var _ binding.Binding = (*Binding)(nil)
@@ -65,54 +97,57 @@ func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, lev
 		clock.RunAfter(0, func() { cb(binding.Result{Err: fmt.Errorf("%w: %v", binding.ErrUnsupportedLevel, levels)}) })
 		return
 	}
-	clock.Go(func() {
-		var run func(wantPrelim bool, onView func(QueueView)) error
-		switch o := op.(type) {
-		case binding.Enqueue:
-			run = func(wantPrelim bool, onView func(QueueView)) error {
-				return b.qc.enqueue(o.Queue, o.Item, wantPrelim, onView)
-			}
-		case binding.Dequeue:
-			run = func(wantPrelim bool, onView func(QueueView)) error {
-				return b.qc.dequeue(o.Queue, wantPrelim, onView)
-			}
-		default:
-			cb(binding.Result{Err: fmt.Errorf("%w: zk queues have no %q", binding.ErrUnsupportedOperation, op.OpName())})
+	r := b.getRecord()
+	r.op, r.cb, r.wantWeak, r.wantStrong = op, cb, wantWeak, wantStrong
+	clock.Go(r.run)
+}
+
+// putRecord recycles r, cleared of the operation's references.
+func (b *Binding) putRecord(r *opRecord) {
+	r.op, r.cb, r.delivered = nil, nil, false
+	b.free.Put(r)
+}
+
+// exec is the operation's protocol actor. The local simulation runs exactly
+// when the weak level was asked for; emit decides what each view goes out
+// as.
+func (r *opRecord) exec() {
+	var err error
+	switch o := r.op.(type) {
+	case binding.Enqueue:
+		err = r.b.qc.enqueue(o.Queue, o.Item, r.wantWeak, r.view)
+	case binding.Dequeue:
+		err = r.b.qc.dequeue(o.Queue, r.wantWeak, r.view)
+	default:
+		err = fmt.Errorf("%w: zk queues have no %q", binding.ErrUnsupportedOperation, r.op.OpName())
+	}
+	// A weak-only request that got its view is answered: what became of the
+	// commit behind it is not its business.
+	if err != nil && !r.delivered {
+		r.cb(binding.Result{Err: err})
+	}
+	r.b.putRecord(r)
+}
+
+// emit is the record's view sink.
+func (r *opRecord) emit(v QueueView) {
+	level := v.Level
+	switch {
+	case r.wantWeak && r.wantStrong:
+		// Preliminary and final, each at the level it carries.
+	case r.wantStrong:
+		level = core.LevelStrong
+	default:
+		// InvokeWeak semantics (§4.3): answer from the local simulation
+		// immediately; the operation itself completes in the background and
+		// its final (committed) view is dropped.
+		if r.delivered {
 			return
 		}
-
-		forward := func(v QueueView) {
-			cb(binding.Result{Value: itemOf(v), Level: v.Level, Version: v.Zxid})
-		}
-
-		switch {
-		case wantWeak && wantStrong:
-			if err := run(true, forward); err != nil {
-				cb(binding.Result{Err: err})
-			}
-		case wantStrong:
-			if err := run(false, func(v QueueView) {
-				forward(QueueView{Element: v.Element, Remaining: v.Remaining, Level: core.LevelStrong, Zxid: v.Zxid})
-			}); err != nil {
-				cb(binding.Result{Err: err})
-			}
-		case wantWeak:
-			// InvokeWeak semantics (§4.3): answer from the local simulation
-			// immediately; the operation itself completes in the background.
-			var delivered bool
-			err := run(true, func(v QueueView) {
-				if !delivered {
-					delivered = true
-					forward(QueueView{Element: v.Element, Remaining: v.Remaining, Level: core.LevelWeak, Zxid: v.Zxid})
-				}
-				// The final (committed) view is dropped: the caller asked
-				// for weak only.
-			})
-			if err != nil && !delivered {
-				cb(binding.Result{Err: err})
-			}
-		}
-	})
+		r.delivered = true
+		level = core.LevelWeak
+	}
+	r.cb(binding.Result{Value: itemOf(v), Level: level, Version: v.Zxid})
 }
 
 // Scheduler implements binding.SchedulerProvider: Correctables over this

@@ -2,10 +2,12 @@ package zk
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"correctables/internal/binding"
 	"correctables/internal/faults"
 	"correctables/internal/netsim"
 	"correctables/internal/trace"
@@ -119,6 +121,9 @@ type Ensemble struct {
 	propMu      sync.Mutex
 	nextZxid    uint64
 	commitEpoch uint64
+
+	// proposals recycles the records of finished propose rounds.
+	proposals netsim.FreeList[proposal]
 
 	// trc, when set, records proposal quorum waits on per-server tracks
 	// and the election/resync timeline on "zk/election". Nil = off.
@@ -323,13 +328,35 @@ func (s *Server) applyPendingLocked() []*netsim.Event {
 		next.Apply(s.tree)
 		s.lastApplied++
 	}
-	var zs []uint64
+	// Most commits have nobody waiting, and a commit somebody waits on
+	// (every forwarded operation's) satisfies that one zxid: its waiter list
+	// goes out as it is.
+	if len(s.waiters) == 0 {
+		return nil
+	}
+	var satisfied uint64
+	n := 0
+	for z := range s.waiters {
+		if z <= s.lastApplied {
+			satisfied = z
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return nil
+	case 1:
+		fire := s.waiters[satisfied]
+		delete(s.waiters, satisfied)
+		return fire
+	}
+	zs := make([]uint64, 0, n)
 	for z := range s.waiters {
 		if z <= s.lastApplied {
 			zs = append(zs, z)
 		}
 	}
-	sort.Slice(zs, func(i, j int) bool { return zs[i] < zs[j] })
+	slices.Sort(zs)
 	var fire []*netsim.Event
 	for _, z := range zs {
 		fire = append(fire, s.waiters[z]...)
@@ -416,8 +443,13 @@ func (e *Ensemble) quorum() int {
 // preloading elements). It must only be called on a quiescent ensemble — it
 // advances every server's applied watermark past the allocated zxid, so any
 // commit still in flight below it would be discarded on arrival as a
-// duplicate.
+// duplicate. A create's data enters the store here, so it is copied, once,
+// for the servers to share.
 func (e *Ensemble) Bootstrap(txn Txn) TxnResult {
+	if c, ok := txn.(CreateTxn); ok && c.Data != nil {
+		c.Data = binding.CopyIn(c.Data)
+		txn = c
+	}
 	e.propMu.Lock()
 	defer e.propMu.Unlock()
 	e.nextZxid++
@@ -472,26 +504,18 @@ func (e *Ensemble) propose(txn Txn, contact *Server) (uint64, uint64, TxnResult)
 	if e.trc != nil && need > 0 {
 		quorumSp = e.trc.Begin(e.phaseTrk[leader.Region], trace.CatQuorum, "propose", "", clock.Now())
 	}
-	acks := clock.NewQueue()
-	for _, region := range e.order {
-		if region == leader.Region {
-			continue
+	p := e.getProposal()
+	p.leader, p.txn, p.zxid, p.epoch, p.need = leader, txn, zxid, epoch, need
+	p.refs.Store(int32(len(e.order))) // the followers' legs and this round
+	for i, region := range e.order {
+		if region != leader.Region {
+			clock.Go(p.legs[i].run)
 		}
-		region := region
-		follower := e.servers[region]
-		clock.Go(func() {
-			e.tr.Travel(leader.Region, region, netsim.LinkReplica, proposalSize(txn))
-			follower.proc.Process(e.cfg.ServiceTime)
-			if e.elect != nil {
-				follower.accept(zxid, epoch, txn)
-			}
-			e.tr.Travel(region, leader.Region, netsim.LinkReplica, AckSize)
-			acks.Put(struct{}{})
-		})
 	}
 	for i := 0; i < need; i++ {
-		acks.Get()
+		p.acks.Get()
 	}
+	p.release()
 	e.trc.End(quorumSp, clock.Now())
 
 	// Broadcast commits asynchronously to all followers except the contact
@@ -506,6 +530,74 @@ func (e *Ensemble) propose(txn Txn, contact *Server) (uint64, uint64, TxnResult)
 		})
 	}
 	return zxid, epoch, res
+}
+
+// proposal is the record of one propose round, in place of an ack queue and
+// a closure per follower per proposal: the leader fills in the round, spawns
+// the bound step of every follower's leg and takes a majority of acks off
+// the queue. The legs outlive the round — it returns on a majority, the
+// stragglers still travel — so the record counts its holders, and whoever
+// lets go last drains the acks nobody waited for and recycles it.
+type proposal struct {
+	e    *Ensemble
+	acks *netsim.Queue
+	legs []followerLeg // indexed like e.order; the leader's own stays idle
+
+	leader      *Server
+	txn         Txn
+	zxid, epoch uint64
+	need        int          // acks the round waits for
+	refs        atomic.Int32 // spawned legs still running, plus the round itself
+}
+
+// followerLeg is one follower's slot of a proposal; run is bound once, when
+// the proposal is built.
+type followerLeg struct {
+	p        *proposal
+	follower *Server
+	run      func() // l.exec: proposal out, accept, ack back
+}
+
+func (l *followerLeg) exec() {
+	p := l.p
+	e := p.e
+	leader, region := p.leader.Region, l.follower.Region
+	e.tr.Travel(leader, region, netsim.LinkReplica, proposalSize(p.txn))
+	l.follower.proc.Process(e.cfg.ServiceTime)
+	if e.elect != nil {
+		l.follower.accept(p.zxid, p.epoch, p.txn)
+	}
+	e.tr.Travel(region, leader, netsim.LinkReplica, AckSize)
+	p.acks.Put(struct{}{})
+	p.release()
+}
+
+func (e *Ensemble) getProposal() *proposal {
+	p := e.proposals.Take()
+	if p == nil {
+		p = &proposal{e: e, acks: e.tr.Clock().NewQueue(), legs: make([]followerLeg, len(e.order))}
+		for i, region := range e.order {
+			l := &p.legs[i]
+			l.p, l.follower = p, e.servers[region]
+			l.run = l.exec
+		}
+	}
+	return p
+}
+
+// release lets go of the record on behalf of a finished leg or of the round
+// itself. The last holder finds every ack put and a majority of them taken:
+// it takes the rest, none of which can block, and recycles the record
+// cleared of the round's references.
+func (p *proposal) release() {
+	if p.refs.Add(-1) != 0 {
+		return
+	}
+	for i := len(p.e.order) - 1 - p.need; i > 0; i-- {
+		p.acks.Get()
+	}
+	p.leader, p.txn = nil, nil
+	p.e.proposals.Put(p)
 }
 
 // ForwardAndCommit models the contact->leader forwarding hop, runs the
@@ -575,6 +667,7 @@ func (s *Server) WaitApplied(zxid uint64) {
 	s.waiters[zxid] = append(s.waiters[zxid], w)
 	s.mu.Unlock()
 	w.Wait()
+	w.Release() // private to this wait, and fired: nobody holds it any more
 }
 
 // process charges one message's local work on the server.

@@ -1,10 +1,10 @@
 package zk
 
 import (
-	"fmt"
-
+	"correctables/internal/binding"
 	"correctables/internal/core"
 	"correctables/internal/faults"
+	"correctables/internal/keys"
 	"correctables/internal/netsim"
 )
 
@@ -108,6 +108,9 @@ func (c *QueueClient) enqueue(queue string, data []byte, wantPrelim bool, onView
 	clock := tr.Clock()
 	contact := c.ensemble.Server(c.Contact)
 	prefix := queueItemPrefix(queue)
+	// The item enters the store here: this one copy is what the proposal,
+	// all three servers' znodes and every view of the element share.
+	data = binding.CopyIn(data)
 
 	tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(prefix)+len(data)))
 	contact.process()
@@ -120,8 +123,7 @@ func (c *QueueClient) enqueue(queue string, data []byte, wantPrelim bool, onView
 		prelimZxid := contact.LastApplied()
 		seq, err := contact.tree.NextSeq(queueDir(queue))
 		if err == nil {
-			name := fmt.Sprintf("q-%010d", seq)
-			prelim = &QueueElement{Name: name, Seq: seq, Data: append([]byte(nil), data...)}
+			prelim = &QueueElement{Name: keys.Padded("q-", int64(seq), 10), Seq: seq, Data: data}
 			// The leaked preliminary rides back as a callback-timer message:
 			// no goroutine per flush.
 			prelimDelivered = clock.NewEvent()
@@ -138,7 +140,7 @@ func (c *QueueClient) enqueue(queue string, data []byte, wantPrelim bool, onView
 		return res.Err
 	}
 	name := baseOf(res.CreatedPath)
-	elem := &QueueElement{Name: name, Seq: seqOf(name), Data: append([]byte(nil), data...)}
+	elem := &QueueElement{Name: name, Seq: seqOf(name), Data: data}
 	confirmed := prelim != nil && prelim.Name == elem.Name
 
 	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(elem)))

@@ -12,9 +12,11 @@ package zk
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
+
+	"correctables/internal/keys"
 )
 
 // Tree errors, mirroring ZooKeeper's error codes.
@@ -27,9 +29,14 @@ var (
 
 // node is one znode.
 type node struct {
-	data     []byte
-	version  int32
-	children map[string]bool
+	// data is immutable and shared: with the transaction that created the
+	// znode (and so with the other servers' trees), with snapshots and with
+	// every view read from it. A znode's data is never written in place.
+	data    []byte
+	version int32
+	// children holds the child names in ascending order, so the queue head
+	// (FirstChild) is children[0] and a leaf znode carries no container.
+	children []string
 	// nextSeq numbers sequential children created under this node.
 	nextSeq uint64
 }
@@ -44,7 +51,7 @@ type Tree struct {
 
 // NewTree returns a tree containing only the root node "/".
 func NewTree() *Tree {
-	return &Tree{nodes: map[string]*node{"/": {children: map[string]bool{}}}}
+	return &Tree{nodes: map[string]*node{"/": {}}}
 }
 
 func parentOf(path string) string {
@@ -72,7 +79,10 @@ func validPath(path string) error {
 
 // Create adds a znode. If sequential, the final name is path plus a
 // zero-padded 10-digit monotonically increasing counter scoped to the
-// parent, and the created path is returned.
+// parent, and the created path is returned. The znode keeps data itself,
+// not a copy: the caller hands over an immutable buffer (the queue client
+// and Bootstrap copy a caller's bytes once, on their way in), which is what
+// lets the three servers applying one transaction share it.
 func (t *Tree) Create(path string, data []byte, sequential bool) (string, error) {
 	if err := validPath(path); err != nil {
 		return "", err
@@ -85,17 +95,22 @@ func (t *Tree) Create(path string, data []byte, sequential bool) (string, error)
 	}
 	actual := path
 	if sequential {
-		actual = fmt.Sprintf("%s%010d", path, parent.nextSeq)
+		actual = keys.Padded(path, int64(parent.nextSeq), 10)
 		parent.nextSeq++
 	}
 	if _, exists := t.nodes[actual]; exists {
 		return "", fmt.Errorf("%w: %s", ErrNodeExists, actual)
 	}
-	t.nodes[actual] = &node{
-		data:     append([]byte(nil), data...),
-		children: map[string]bool{},
+	t.nodes[actual] = &node{data: data}
+	// Sequential names arrive in ascending order, so the common insert is an
+	// append; anything else finds its place by binary search.
+	name := baseOf(actual)
+	if n := len(parent.children); n == 0 || parent.children[n-1] < name {
+		parent.children = append(parent.children, name)
+	} else {
+		i, _ := slices.BinarySearch(parent.children, name)
+		parent.children = slices.Insert(parent.children, i, name)
 	}
-	parent.children[baseOf(actual)] = true
 	return actual, nil
 }
 
@@ -111,7 +126,8 @@ func (t *Tree) NextSeq(dir string) (uint64, error) {
 	return n.nextSeq, nil
 }
 
-// Get returns the data and version of a znode.
+// Get returns the data and version of a znode. The data is the znode's own
+// buffer, shared and immutable: retain freely, never modify.
 func (t *Tree) Get(path string) ([]byte, int32, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -119,7 +135,7 @@ func (t *Tree) Get(path string) ([]byte, int32, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNoNode, path)
 	}
-	return append([]byte(nil), n.data...), n.version, nil
+	return n.data, n.version, nil
 }
 
 // Delete removes a childless znode; version -1 skips the version check.
@@ -137,7 +153,15 @@ func (t *Tree) Delete(path string, version int32) error {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, path)
 	}
 	delete(t.nodes, path)
-	delete(t.nodes[parentOf(path)].children, baseOf(path))
+	parent := t.nodes[parentOf(path)]
+	if i, ok := slices.BinarySearch(parent.children, baseOf(path)); i == 0 && ok {
+		// The queue head, the common delete: drop it without moving the
+		// rest (append reclaims the dead prefix when it next grows).
+		parent.children[0] = ""
+		parent.children = parent.children[1:]
+	} else if ok {
+		parent.children = slices.Delete(parent.children, i, i+1)
+	}
 	return nil
 }
 
@@ -149,17 +173,13 @@ func (t *Tree) Children(path string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoNode, path)
 	}
-	out := make([]string, 0, len(n.children))
-	for c := range n.children {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out, nil
+	return slices.Clone(n.children), nil
 }
 
 // FirstChild returns the lexicographically smallest child of path together
 // with its data and the child count — the constant-size "queue tail" read
-// CZK uses instead of a full Children listing.
+// CZK uses instead of a full Children listing, and constant-time too: the
+// children are kept in order. The data is shared and immutable, like Get's.
 func (t *Tree) FirstChild(path string) (name string, data []byte, count int, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -167,20 +187,18 @@ func (t *Tree) FirstChild(path string) (name string, data []byte, count int, err
 	if !ok {
 		return "", nil, 0, fmt.Errorf("%w: %s", ErrNoNode, path)
 	}
-	for c := range n.children {
-		if name == "" || c < name {
-			name = c
-		}
-	}
-	if name == "" {
+	if len(n.children) == 0 {
 		return "", nil, 0, nil
 	}
+	name = n.children[0]
 	child := t.nodes[path+"/"+name]
-	return name, append([]byte(nil), child.data...), len(n.children), nil
+	return name, child.data, len(n.children), nil
 }
 
-// Snapshot returns a deep copy of the tree's node state plus its
-// approximate encoded size in bytes, for state-transfer accounting. Each
+// Snapshot returns a copy of the tree's node state plus its approximate
+// encoded size in bytes, for state-transfer accounting. The copy owns its
+// nodes and their child lists — a create or delete on either tree must not
+// show in the other — and shares the znode data, which is immutable. Each
 // recipient needs its own snapshot: Restore installs the map without
 // copying.
 func (t *Tree) Snapshot() (map[string]*node, int) {
@@ -189,16 +207,12 @@ func (t *Tree) Snapshot() (map[string]*node, int) {
 	nodes := make(map[string]*node, len(t.nodes))
 	size := 0
 	for path, n := range t.nodes {
-		cp := &node{
-			data:     append([]byte(nil), n.data...),
+		nodes[path] = &node{
+			data:     n.data,
 			version:  n.version,
-			children: make(map[string]bool, len(n.children)),
+			children: slices.Clone(n.children),
 			nextSeq:  n.nextSeq,
 		}
-		for c := range n.children {
-			cp.children[c] = true
-		}
-		nodes[path] = cp
 		size += len(path) + len(n.data) + 16
 	}
 	return nodes, size

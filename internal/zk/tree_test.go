@@ -3,6 +3,8 @@ package zk
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -172,41 +174,131 @@ func TestPathHelpers(t *testing.T) {
 	}
 }
 
-// Property: FirstChild always agrees with Children()[0], and counts match,
-// for arbitrary create/delete interleavings.
+// Property: for arbitrary interleavings of sequential creates, creates under
+// arbitrary names (landing anywhere in the order, duplicates refused) and
+// deletes of any child (head, middle or tail), Children is the sorted set of
+// live names and FirstChild is its first element with the matching count.
 func TestPropertyFirstChildMatchesChildren(t *testing.T) {
 	f := func(ops []uint8) bool {
 		tr := NewTree()
 		mkdirs(t, tr, "/q")
+		live := map[string]bool{}
 		for _, op := range ops {
-			if op%3 == 0 {
-				kids, _ := tr.Children("/q")
-				if len(kids) > 0 {
-					_ = tr.Delete("/q/"+kids[int(op)%len(kids)], -1)
+			switch op % 4 {
+			case 0:
+				if kids, _ := tr.Children("/q"); len(kids) > 0 {
+					victim := kids[int(op/4)%len(kids)]
+					if tr.Delete("/q/"+victim, -1) != nil {
+						return false
+					}
+					delete(live, victim)
 				}
-			} else {
-				_, _ = tr.Create("/q/q-", []byte{op}, true)
+			case 1:
+				// Sorts before, between or after the sequential names.
+				name := fmt.Sprintf("%c-%d", "aqz"[int(op/4)%3], op/12)
+				if _, err := tr.Create("/q/"+name, []byte{op}, false); err == nil {
+					live[name] = true
+				} else if !errors.Is(err, ErrNodeExists) || !live[name] {
+					return false
+				}
+			default:
+				path, err := tr.Create("/q/q-", []byte{op}, true)
+				if err != nil {
+					return false
+				}
+				live[baseOf(path)] = true
 			}
-			name, _, count, err := tr.FirstChild("/q")
-			if err != nil {
-				return false
-			}
+			want := slices.Sorted(maps.Keys(live))
 			kids, _ := tr.Children("/q")
-			if count != len(kids) {
+			if !slices.Equal(kids, want) {
 				return false
 			}
-			if len(kids) == 0 {
+			name, data, count, err := tr.FirstChild("/q")
+			if err != nil || count != len(want) {
+				return false
+			}
+			if len(want) == 0 {
 				if name != "" {
 					return false
 				}
-			} else if name != kids[0] {
+			} else if stored, _, _ := tr.Get("/q/" + want[0]); name != want[0] || &data[0] != &stored[0] {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSequentialNamesMatchSprintf pins the fmt-free name against the form it
+// replaced, past the ten digits of padding too (where names stop sorting in
+// creation order, which the ordered child list must cope with).
+func TestSequentialNamesMatchSprintf(t *testing.T) {
+	tr := NewTree()
+	mkdirs(t, tr, "/q")
+	for _, seq := range []uint64{0, 7, 9_999_999_999, 10_000_000_000} {
+		tr.nodes["/q"].nextSeq = seq
+		got, err := tr.Create("/q/item-", nil, true)
+		if want := fmt.Sprintf("%s%010d", "/q/item-", seq); err != nil || got != want {
+			t.Errorf("sequential create #%d = %q, %v, want %q", seq, got, err, want)
+		}
+	}
+	kids, _ := tr.Children("/q")
+	if !slices.IsSorted(kids) || len(kids) != 4 {
+		t.Errorf("Children = %v, want the four names in ascending order", kids)
+	}
+	if name, _, _, _ := tr.FirstChild("/q"); name != "item-0000000000" {
+		t.Errorf("FirstChild = %q", name)
+	}
+}
+
+// TestSnapshotOwnsItsChildLists: a snapshot shares the immutable znode data
+// with its source and nothing else — a create or delete on either tree must
+// not show up in the other, which a shared child slice would let it.
+func TestSnapshotOwnsItsChildLists(t *testing.T) {
+	src := NewTree()
+	mkdirs(t, src, "/q")
+	for _, d := range []string{"one", "two", "three"} {
+		if _, err := src.Create("/q/q-", []byte(d), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nodes, _ := src.Snapshot()
+	dst := NewTree()
+	dst.Restore(nodes)
+
+	srcData, _, _ := src.Get("/q/q-0000000001")
+	dstData, _, _ := dst.Get("/q/q-0000000001")
+	if string(dstData) != "two" || &srcData[0] != &dstData[0] {
+		t.Errorf("snapshot data = %q, shared = %v: want the source's own immutable buffer", dstData, &srcData[0] == &dstData[0])
+	}
+
+	// Diverge: the source grows at the tail, the copy loses its head and
+	// gains a name in the middle.
+	if _, err := src.Create("/q/q-", []byte("four"), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Delete("/q/q-0000000000", -1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Create("/q/q-00000000015", nil, false); err != nil {
+		t.Fatal(err)
+	}
+	srcKids, _ := src.Children("/q")
+	dstKids, _ := dst.Children("/q")
+	if want := []string{"q-0000000000", "q-0000000001", "q-0000000002", "q-0000000003"}; !slices.Equal(srcKids, want) {
+		t.Errorf("source children = %v, want %v", srcKids, want)
+	}
+	if want := []string{"q-0000000001", "q-00000000015", "q-0000000002"}; !slices.Equal(dstKids, want) {
+		t.Errorf("snapshot children = %v, want %v", dstKids, want)
+	}
+	if name, _, count, _ := src.FirstChild("/q"); name != "q-0000000000" || count != 4 {
+		t.Errorf("source FirstChild = %q of %d", name, count)
+	}
+	if seq, _ := dst.NextSeq("/q"); seq != 3 {
+		t.Errorf("snapshot NextSeq = %d, want the counter as of the snapshot", seq)
 	}
 }
 

@@ -2,7 +2,6 @@ package zk
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -32,7 +31,9 @@ type QueueElement struct {
 	// Seq is the sequence number parsed from the name: the paper's "ticket
 	// number", the element's position in enqueue order.
 	Seq uint64
-	// Data is the element payload.
+	// Data is the element payload: the znode's own buffer, shared with the
+	// servers' trees and every other view of the element, and immutable —
+	// retain freely, never modify.
 	Data []byte
 }
 
@@ -65,7 +66,9 @@ type Txn interface {
 	PayloadSize() int
 }
 
-// CreateTxn creates a znode (optionally sequential).
+// CreateTxn creates a znode (optionally sequential). Data must not change
+// once the transaction exists: every server that applies it stores the same
+// buffer (see Tree.Create).
 type CreateTxn struct {
 	Path       string
 	Data       []byte
@@ -146,5 +149,5 @@ func queueItemPrefix(queue string) string {
 
 // elementPath returns the full path of a queue element znode.
 func elementPath(queue, name string) string {
-	return fmt.Sprintf("%s/%s", queueDir(queue), name)
+	return queueDir(queue) + "/" + name
 }
