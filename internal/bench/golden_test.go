@@ -15,9 +15,9 @@ import (
 // The refactor oracle. Every determinism test in this package compares two
 // runs of the same tree, so none of them notices an output that moved
 // between two commits. This one pins the sha256 of each scenario
-// experiment's quick-mode result (seed 42) — and the Chrome trace bytes of
-// the traced runs — to the values the tree produced when the pins were
-// taken. A refactor that is supposed to change no output must leave this
+// experiment's quick-mode result and of each figure driver's quick-mode rows
+// (seed 42) — and the Chrome trace bytes of the traced runs — to the values
+// the tree produced when the pins were taken. A refactor that is supposed to change no output must leave this
 // file untouched and green; a change that is supposed to move an output
 // updates exactly the pins it means to move, in the same commit.
 //
@@ -94,6 +94,9 @@ func TestGoldenOutputs(t *testing.T) {
 			return res, nil
 		}
 	}
+	rows := func(run func() any) func(*testing.T) (any, []byte) {
+		return func(*testing.T) (any, []byte) { return run(), nil }
+	}
 	hunt := func(plant bool) func(*testing.T) (any, []byte) {
 		return func(t *testing.T) (any, []byte) {
 			res, err := Hunt(goldenCfg, goldenHunt(plant))
@@ -141,6 +144,29 @@ func TestGoldenOutputs(t *testing.T) {
 			json: "a55bc3e4a9239d45bfd5c228d6a58128aa100a1c961eba4b87448496a79eb1d8"},
 		{name: "hunt-planted-repro", run: hunt(true),
 			json: "b0179e3a0c66330698dbdbf19dc1e83dff859adf96a400af6beddc8b793085e7"},
+		// The paper's figures: each driver's quick-mode rows.
+		{name: "fig5", run: rows(func() any { return Fig5(goldenCfg) }),
+			json: "7bc95ce47c76bacd1a36350c51e83416aebeb593b94603d57d8b443cbec19a32"},
+		{name: "fig6", run: rows(func() any { return Fig6(goldenCfg) }),
+			json: "e6bb2508d2d75005ea310e25e2c0b1806755ef9a8e74002b778f86ccef18f2e7"},
+		{name: "fig7", run: rows(func() any { return Fig7(goldenCfg) }),
+			json: "0b51783b9726472a9b9ce83e0dcbcfe491546c82b2e2d6ebf2265b5766d6cce2"},
+		{name: "fig8", run: rows(func() any { return Fig8(goldenCfg) }),
+			json: "0bf50f28a64239dbb92d8f55f291e1633f93c0bcf1358e81de47b175efe58bb0"},
+		{name: "fig9", run: rows(func() any { return Fig9(goldenCfg) }),
+			json: "884caaa396bfeab78be9c634eb24588bc84dd2b9f2e0330612700418d4f9bd93"},
+		{name: "fig10", run: rows(func() any { return Fig10(goldenCfg) }),
+			json: "a8503fa1e5606e145b895b12bf16d0ff21a4cc2f77011cd3f146c0c95ecc6332"},
+		{name: "fig11", run: rows(func() any { return Fig11(goldenCfg) }),
+			json: "91525f6e96846e13278a2205c300f3c524bd5384e59a71d3cb431d1f96d8b99b"},
+		{name: "fig12-points", run: rows(func() any { p, _ := Fig12(goldenCfg); return p }),
+			json: "bdece5aa3f60bf40babf19c9ec757f1f325cbca624c3d8400b8d0d899c592a7a"},
+		{name: "fig12-summary", run: rows(func() any { _, s := Fig12(goldenCfg); return s }),
+			json: "617e6c5c514115f68166b123ca1aa149be2db93b28f8604a3a4cba4b84c5934a"},
+		{name: "ablation-lag", run: rows(func() any { return AblationReplicationLag(goldenCfg) }),
+			json: "1c2af9085224d64214d6aa86539091c2d890c8a05d189f8f6dc1f0b6f3b25443"},
+		{name: "ablation-flush", run: rows(func() any { return AblationFlushCost(goldenCfg) }),
+			json: "6d76b5059c0bcabeaa68c260b4162caf1dbe17d269df883b09cd1e2cdd5f8d2f"},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel() // every experiment is a world of its own
