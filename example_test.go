@@ -220,17 +220,23 @@ func Example_failover() {
 	if err := qc.CreateQueue("jobs"); err != nil {
 		panic(err)
 	}
+	// Operations go through the client library, which bounds each one with
+	// the ensemble's OpTimeout while a fault injector is attached.
+	client := correctables.NewClient(zk.NewBinding(qc))
+	ctx := context.Background()
 
 	// Sever the leader: no majority commit is possible anywhere until the
 	// election, and none through this contact until the heal.
 	inj.Apply(faults.Partition{Groups: [][]netsim.Region{
 		{netsim.FRK}, {netsim.IRL, netsim.VRG}}})
 
-	err = qc.Enqueue("jobs", []byte("job-1"), true, func(v zk.QueueView) {
+	job := correctables.Invoke(ctx, client, correctables.Enqueue{Queue: "jobs", Item: []byte("job-1")})
+	job.OnUpdate(func(v correctables.View[correctables.Item]) {
 		if !v.Final {
-			fmt.Printf("outage: preliminary view of %s served, final pending\n", v.Element.Data)
+			fmt.Printf("outage: preliminary view of %s served, final pending\n", v.Value.Data)
 		}
 	})
+	_, err = job.Final(ctx)
 	fmt.Println("outage: final view:", err)
 
 	rec := ensemble.Elections()[0]
@@ -238,14 +244,14 @@ func Example_failover() {
 
 	inj.Apply(faults.Heal{})
 	clock.Sleep(time.Second) // the deposed leader rejoins and resyncs
-	err = qc.Enqueue("jobs", []byte("job-2"), false, func(zk.QueueView) {})
+	_, err = correctables.InvokeStrong(ctx, client, correctables.Enqueue{Queue: "jobs", Item: []byte("job-2")}).Final(ctx)
 	fmt.Println("healed: final view error:", err)
 
 	inj.Quiesce()
 	clock.Drain()
 	// Output:
 	// outage: preliminary view of job-1 served, final pending
-	// outage: final view: faults: service unreachable: no response within 2s
+	// outage: final view: faults: service unreachable: no terminal view within 2s (client op timeout)
 	// recovered: eu-ireland elected for epoch 1 after 1.336092396s
 	// healed: final view error: <nil>
 }

@@ -15,6 +15,7 @@ import (
 
 	"correctables"
 	"correctables/internal/cassandra"
+	"correctables/internal/history"
 	"correctables/internal/netsim"
 )
 
@@ -49,6 +50,13 @@ func newIntegrationCluster(t *testing.T, seed int64) *cassandra.Cluster {
 	return cluster
 }
 
+// newIntegrationClient is the client library over a cassandra binding
+// (R=2 strong reads, W=1): a client in region contacting coord.
+func newIntegrationClient(cluster *cassandra.Cluster, region, coord netsim.Region, opts ...correctables.Option) *correctables.Client {
+	return correctables.NewClient(cassandra.NewBinding(
+		cassandra.NewClient(cluster, region, coord), cassandra.BindingConfig{}), opts...)
+}
+
 // TestInvariantFinalNeverOlderThanPreliminary: within a single ICG read,
 // the final view reconciles the preliminary's replica with the quorum, so
 // the final value version is always >= the preliminary's — even under
@@ -60,6 +68,7 @@ func TestInvariantFinalNeverOlderThanPreliminary(t *testing.T) {
 func finalNeverOlderThanPreliminary(t *testing.T, seed int64) {
 	cluster := newIntegrationCluster(t, seed)
 	clock := cluster.Transport().Clock()
+	ctx := context.Background()
 	const keys = 8
 	for i := 0; i < keys; i++ {
 		cluster.Preload(fmt.Sprintf("k%d", i), []byte("v0"))
@@ -72,40 +81,34 @@ func finalNeverOlderThanPreliminary(t *testing.T, seed int64) {
 		writers.Add(1)
 		clock.Go(func() {
 			defer writers.Done()
-			client := cassandra.NewClient(cluster, region, region)
+			client := newIntegrationClient(cluster, region, region)
 			for i := 0; !stop; i++ {
 				key := fmt.Sprintf("k%d", i%keys)
-				_ = client.Write(key, []byte(fmt.Sprintf("w%d-%d", w, i)), 1)
+				_, _ = correctables.InvokeStrong(ctx, client,
+					correctables.Put{Key: key, Value: []byte(fmt.Sprintf("w%d-%d", w, i))}).Final(ctx)
 			}
 		})
 	}
 
-	reader := cassandra.NewClient(cluster, netsim.IRL, netsim.FRK)
+	// The recorder keeps each view's version token; tokens order exactly
+	// like the store's versions.
+	rec := history.NewRecorder()
+	reader := newIntegrationClient(cluster, netsim.IRL, netsim.FRK, correctables.WithObserver(rec))
 	for i := 0; i < 40; i++ {
-		var prelim, final cassandra.ReadView
-		key := fmt.Sprintf("k%d", i%keys)
-		if err := reader.Read(key, 2, true, func(v cassandra.ReadView) {
-			if v.Final {
-				final = v
-			} else {
-				prelim = v
-			}
-		}); err != nil {
+		if _, err := correctables.Invoke(ctx, reader, correctables.Get{Key: fmt.Sprintf("k%d", i%keys)}).Final(ctx); err != nil {
 			t.Fatal(err)
-		}
-		if prelim.Version.Newer(final.Version) {
-			t.Fatalf("read %d: preliminary version %+v newer than final %+v",
-				i, prelim.Version, final.Version)
-		}
-		if final.Confirmed && !prelim.Version.Same(final.Version) {
-			t.Fatalf("read %d: confirmed final with differing version", i)
-		}
-		if !final.Confirmed && prelim.Version.Same(final.Version) {
-			t.Fatalf("read %d: unconfirmed final despite identical versions", i)
 		}
 	}
 	stop = true
 	writers.Wait()
+	for i, op := range rec.Ops() {
+		if len(op.Views) != 2 {
+			t.Fatalf("read %d: %d views, want preliminary and final", i, len(op.Views))
+		}
+		if prelim, final := op.Views[0], op.Views[1]; prelim.Version > final.Version {
+			t.Fatalf("read %d: preliminary version %d newer than final %d", i, prelim.Version, final.Version)
+		}
+	}
 }
 
 // TestInvariantSpeculationEquivalentToBaseline: for any key state, a
@@ -117,8 +120,7 @@ func TestInvariantSpeculationEquivalentToBaseline(t *testing.T) {
 
 func speculationEquivalentToBaseline(t *testing.T, seed int64) {
 	cluster := newIntegrationCluster(t, seed)
-	client := correctables.NewClient(cassandra.NewBinding(
-		cassandra.NewClient(cluster, netsim.IRL, netsim.FRK), cassandra.BindingConfig{}))
+	client := newIntegrationClient(cluster, netsim.IRL, netsim.FRK)
 	ctx := context.Background()
 
 	process := func(v correctables.View[[]byte]) (string, error) {
@@ -153,8 +155,7 @@ func speculationEquivalentToBaseline(t *testing.T, seed int64) {
 func TestInvariantWeakStrongAgreeOnQuiescentData(t *testing.T) {
 	cluster := newIntegrationCluster(t, 11)
 	cluster.Preload("q", []byte("settled"))
-	client := correctables.NewClient(cassandra.NewBinding(
-		cassandra.NewClient(cluster, netsim.IRL, netsim.FRK), cassandra.BindingConfig{}))
+	client := newIntegrationClient(cluster, netsim.IRL, netsim.FRK)
 	ctx := context.Background()
 
 	weak, err := correctables.InvokeWeak(ctx, client, correctables.Get{Key: "q"}).Final(ctx)
@@ -186,8 +187,9 @@ func TestInvariantWeakStrongAgreeOnQuiescentData(t *testing.T) {
 // every replica (and hence to weak reads through any coordinator).
 func TestInvariantWritesEventuallyVisibleEverywhere(t *testing.T) {
 	cluster := newIntegrationCluster(t, 11)
-	writer := cassandra.NewClient(cluster, netsim.IRL, netsim.IRL)
-	if err := writer.Write("conv", []byte("done"), 1); err != nil {
+	ctx := context.Background()
+	writer := newIntegrationClient(cluster, netsim.IRL, netsim.IRL)
+	if _, err := correctables.InvokeStrong(ctx, writer, correctables.Put{Key: "conv", Value: []byte("done")}).Final(ctx); err != nil {
 		t.Fatal(err)
 	}
 	cluster.Transport().Clock().Drain() // run the asynchronous replication out

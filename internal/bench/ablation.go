@@ -44,7 +44,7 @@ func AblationReplicationLag(cfg Config) []AblationLagRow {
 			d = time.Nanosecond // Config treats 0 as "use default"
 		}
 		pct, prelims := divergence(newFabric(cfg).ycsbRun(cfg, cassandraOpts{correctable: true, replicationDelay: d},
-			w, 2, true, threadsTotal/3, ycsb.Options{Duration: dur}))
+			w, 2, invokeICG, threadsTotal/3, ycsb.Options{Duration: dur}))
 		rows = append(rows, AblationLagRow{ReplicationDelay: delay, DivergencePct: pct, Reads: prelims})
 	}
 	return rows
@@ -79,7 +79,7 @@ func AblationFlushCost(cfg Config) []AblationFlushRow {
 	for _, cost := range costs {
 		w := ycsb.WorkloadC(ycsb.DistZipfian, 1000, 1024)
 		tp := totalThroughput(newFabric(cfg).ycsbRun(cfg, cassandraOpts{correctable: true, flushCost: cost},
-			w, 2, true, threadsTotal/3, ycsb.Options{Duration: dur}))
+			w, 2, invokeICG, threadsTotal/3, ycsb.Options{Duration: dur}))
 		row := AblationFlushRow{FlushCost: cost, Throughput: tp}
 		if baseline == 0 {
 			baseline = tp

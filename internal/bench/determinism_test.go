@@ -61,7 +61,7 @@ func fig6StyleRun(cfg Config) string {
 			cbLog = append(cbLog, fmt.Sprintf("cb%d@%d", i, h.clock.Now()))
 		})
 	}
-	results := h.runGroups(cluster, w, 2, true, 8, ycsb.Options{
+	results := h.runGroups(cluster, w, 2, invokeICG, 8, ycsb.Options{
 		Duration: 2 * time.Second,
 		Warmup:   200 * time.Millisecond,
 		Seed:     cfg.Seed,

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"correctables/internal/binding"
 	"correctables/internal/faults"
 	"correctables/internal/history"
 	"correctables/internal/metrics"
@@ -152,27 +153,18 @@ func Failover(cfg Config) (*FailoverResult, error) {
 		}
 	}
 
+	ctx := context.Background()
 	payload := make([]byte, 64)
 	shards := make([][][]opRecord, len(pops))
 	for pi, pop := range pops {
 		shards[pi] = make([][]opRecord, pop.threads)
 		for t := 0; t < pop.threads; t++ {
-			qc := zk.NewQueueClient(e, pop.contact, pop.contact)
+			client := binding.NewClient(zk.NewBinding(zk.NewQueueClient(e, pop.contact, pop.contact)))
 			queue := fmt.Sprintf(pop.queue, t)
 			// Closed loop, no random draws: the seed is unused.
 			h.loop(0, 0, func(*rand.Rand) {
-				now := h.clock.Now()
-				op := opRecord{start: now}
-				op.err = qc.Enqueue(queue, payload, true, func(v zk.QueueView) {
-					if v.Final {
-						op.final = h.clock.Now() - now
-					} else {
-						op.hasPrelim = true
-						op.prelim = h.clock.Now() - now
-					}
-				})
-				op.end = h.clock.Now()
-				shards[pi][t] = append(shards[pi][t], op)
+				shards[pi][t] = append(shards[pi][t], timed(h.clock, h.clock.Now(),
+					binding.Invoke[binding.Item](ctx, client, binding.Enqueue{Queue: queue, Item: payload})))
 			})
 		}
 	}
@@ -184,7 +176,6 @@ func Failover(cfg Config) (*FailoverResult, error) {
 	checkClients := cfg.pick(6, 4)
 	if cfg.Check {
 		recorder = history.NewRecorder()
-		ctx := context.Background()
 		for t := 0; t < checkClients; t++ {
 			contact := alternate(t, netsim.IRL, netsim.FRK)
 			queue := fmt.Sprintf("chk-%02d", t)

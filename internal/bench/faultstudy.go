@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -159,10 +160,12 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 	// through asynchronous replication, which is what gives preliminary
 	// views something to diverge from — one population writing through its
 	// own coordinator would never observe staleness (cf. runGroups).
-	bgWriter := cassandra.NewClient(cluster, netsim.IRL, netsim.IRL)
+	ctx := context.Background()
+	bgWriter := cassandraClient(cluster, netsim.IRL, netsim.IRL, 0)
 	for t := 0; t < threads/3+1; t++ {
 		h.loop(cfg.Seed+7_777_777+int64(t)*1_000_003, 0, func(rng *rand.Rand) {
-			_ = bgWriter.Write(ycsb.Key(gen.Next(rng)), w.Value(rng), 1)
+			_, _ = binding.InvokeStrong[binding.Ack](ctx, bgWriter,
+				binding.Put{Key: ycsb.Key(gen.Next(rng)), Value: w.Value(rng)}).Final(ctx)
 		})
 	}
 	// The checked population (Config.Check): session clients running the
@@ -195,31 +198,20 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 	// paper's remote-contact deployment), closed loop until the scenario
 	// horizon. Per-thread record shards keep the loop contention-free and
 	// the merge order deterministic.
-	client := cassandra.NewClient(cluster, netsim.IRL, netsim.FRK)
+	client := cassandraClient(cluster, netsim.IRL, netsim.FRK, 3)
 	shards := make([][]opRecord, threads)
 	for t := 0; t < threads; t++ {
 		h.loop(cfg.Seed+int64(t)*1_000_003, 0, func(rng *rand.Rand) {
 			now := h.clock.Now()
 			key := ycsb.Key(gen.Next(rng))
-			op := opRecord{start: now}
+			var op opRecord
 			if rng.Float64() < w.ReadProportion {
+				op = timed(h.clock, now, binding.Invoke[[]byte](ctx, client, binding.Get{Key: key}))
 				op.isRead = true
-				var confirmed bool
-				op.err = client.Read(key, 3, true, func(v cassandra.ReadView) {
-					if v.Final {
-						op.final = h.clock.Now() - now
-						confirmed = v.Confirmed
-					} else {
-						op.hasPrelim = true
-						op.prelim = h.clock.Now() - now
-					}
-				})
-				op.diverged = op.hasPrelim && op.err == nil && !confirmed
 			} else {
-				op.err = client.Write(key, w.Value(rng), 1)
-				op.final = h.clock.Now() - now
+				op = timed(h.clock, now, binding.InvokeStrong[binding.Ack](ctx, client,
+					binding.Put{Key: key, Value: w.Value(rng)}))
 			}
-			op.end = h.clock.Now()
 			shards[t] = append(shards[t], op)
 		})
 	}

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
+	"correctables/internal/binding"
 	"correctables/internal/netsim"
 	"correctables/internal/zk"
 )
@@ -29,7 +31,7 @@ func fig10ClientSweep(cfg Config) []int {
 
 // Fig10 reproduces Figure 10: efficiency of dequeue operations in CZK vs
 // ZK. The vanilla recipe's getChildren response carries the whole child
-// list, so its cost grows with the queue size and with contention (version
+// list, so its cost grows with the queue size and with contention (delete
 // races force retries, each re-reading the listing); CZK reads a
 // constant-size tail and dequeues atomically server-side, so its cost is
 // independent of queue size.
@@ -66,9 +68,10 @@ func Fig10(cfg Config) []Fig10Row {
 				}
 				for c := 0; c < clients; c++ {
 					h.spawn(func() {
-						qc := zk.NewQueueClient(e, netsim.FRK, netsim.FRK)
+						ctx := context.Background()
+						client := binding.NewClient(zk.NewBinding(zk.NewQueueClient(e, netsim.FRK, netsim.FRK)))
 						for i := 0; i < perClient; i++ {
-							_ = qc.Dequeue("ev", sys.correctable, func(zk.QueueView) {})
+							_, _ = binding.Invoke[binding.Item](ctx, client, binding.Dequeue{Queue: "ev"}).Final(ctx)
 						}
 					})
 				}

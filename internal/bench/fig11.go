@@ -182,7 +182,7 @@ func Fig11(cfg Config) []Fig11Row {
 						Warmup:   warmup,
 						Seed:     cfg.Seed,
 					})
-					h.clock.Drain()
+					h.mustRun()
 					rows = append(rows, Fig11Row{
 						App:               ac.app,
 						Workload:          wname,

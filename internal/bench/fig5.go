@@ -1,10 +1,11 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"correctables/internal/cassandra"
+	"correctables/internal/binding"
 	"correctables/internal/metrics"
 	"correctables/internal/netsim"
 	"correctables/internal/ycsb"
@@ -30,27 +31,20 @@ func Fig5(cfg Config) []Fig5Row {
 	samples := cfg.pick(60, 8)
 	const keys = 100
 
-	measure := func(correctable bool, quorum int, wantPrelim bool) (prelim, final *metrics.Histogram) {
+	measure := func(correctable bool, quorum int, read readShape) *viewStats {
 		h := newFabric(cfg)
 		cluster := h.newCassandra(cfg, cassandraOpts{correctable: correctable})
 		val := make([]byte, 100)
 		for i := 0; i < keys; i++ {
 			cluster.Preload(ycsb.Key(i), val)
 		}
-		client := cassandra.NewClient(cluster, netsim.IRL, netsim.FRK)
-		defer h.clock.Drain()
-		prelim, final = metrics.NewHistogram(), metrics.NewHistogram()
+		client := cassandraClient(cluster, netsim.IRL, netsim.FRK, quorum)
+		st := newViewStats()
 		for i := 0; i < samples; i++ {
-			sw := h.clock.StartStopwatch()
-			_ = client.Read(ycsb.Key(i%keys), quorum, wantPrelim, func(v cassandra.ReadView) {
-				if v.Final {
-					final.Record(sw.ElapsedModel())
-				} else {
-					prelim.Record(sw.ElapsedModel())
-				}
-			})
+			st.add(timed(h.clock, h.clock.Now(), read(context.Background(), client, binding.Get{Key: ycsb.Key(i % keys)})))
 		}
-		return prelim, final
+		h.mustRun()
+		return st
 	}
 
 	var rows []Fig5Row
@@ -58,16 +52,20 @@ func Fig5(cfg Config) []Fig5Row {
 		rows = append(rows, Fig5Row{Group: group, System: system, Avg: h.Mean(), P99: h.Percentile(99)})
 	}
 
-	// Baselines C1, C2, C3.
+	// Baselines C1, C2, C3: invokeWeak for the R=1 read, invokeStrong for a
+	// quorum read.
 	for _, q := range []int{1, 2, 3} {
-		_, final := measure(false, q, false)
-		add(fmt.Sprintf("R=%d", q), fmt.Sprintf("C%d", q), final)
+		read := readShape(binding.InvokeStrong[[]byte])
+		if q == 1 {
+			read = binding.InvokeWeak[[]byte]
+		}
+		add(fmt.Sprintf("R=%d", q), fmt.Sprintf("C%d", q), measure(false, q, read).final)
 	}
 	// CC2 and CC3: preliminary + final from a single ICG read.
 	for _, q := range []int{2, 3} {
-		prelim, final := measure(true, q, true)
-		add(fmt.Sprintf("R=%d", q), fmt.Sprintf("CC%d preliminary", q), prelim)
-		add(fmt.Sprintf("R=%d", q), fmt.Sprintf("CC%d final", q), final)
+		st := measure(true, q, invokeICG)
+		add(fmt.Sprintf("R=%d", q), fmt.Sprintf("CC%d preliminary", q), st.prelim)
+		add(fmt.Sprintf("R=%d", q), fmt.Sprintf("CC%d final", q), st.final)
 	}
 	return rows
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"time"
 
+	"correctables/internal/binding"
 	"correctables/internal/ycsb"
 )
 
@@ -46,12 +47,12 @@ func Fig6(cfg Config) []Fig6Row {
 		name        string
 		correctable bool
 		quorum      int
-		prelim      bool
+		read        readShape
 	}
 	systems := []system{
-		{"C1", false, 1, false},
-		{"C2", false, 2, false},
-		{"CC2", true, 2, true},
+		{"C1", false, 1, binding.InvokeWeak[[]byte]},
+		{"C2", false, 2, binding.InvokeStrong[[]byte]},
+		{"CC2", true, 2, invokeICG},
 	}
 
 	var rows []Fig6Row
@@ -60,10 +61,11 @@ func Fig6(cfg Config) []Fig6Row {
 			for _, sys := range systems {
 				w := workloadByName(wname, ycsb.DistZipfian, records, valueSize)
 				results := newFabric(cfg).ycsbRun(cfg, cassandraOpts{correctable: sys.correctable},
-					w, sys.quorum, sys.prelim, threadsTotal/3, ycsb.Options{Duration: dur, Warmup: warmup})
+					w, sys.quorum, sys.read, threadsTotal/3, ycsb.Options{Duration: dur, Warmup: warmup})
 				total := totalThroughput(results)
 				irl := results[1] // the paper reports latency for the IRL client
-				if sys.prelim {
+				// CC2 alone has a preliminary series.
+				if sys.correctable {
 					rows = append(rows,
 						Fig6Row{wname, "CC2 preliminary", threadsTotal, total,
 							irl.ReadPrelim.Mean(), irl.ReadPrelim.Percentile(99)},

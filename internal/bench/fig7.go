@@ -48,7 +48,7 @@ func Fig7(cfg Config) []Fig7Row {
 			for _, threadsTotal := range fig7ThreadSweep(cfg) {
 				w := workloadByName(wname, dist, records, valueSize)
 				pct, prelims := divergence(newFabric(cfg).ycsbRun(cfg, cassandraOpts{correctable: true},
-					w, 2, true, threadsTotal/3, ycsb.Options{Duration: dur, Warmup: warmup}))
+					w, 2, invokeICG, threadsTotal/3, ycsb.Options{Duration: dur, Warmup: warmup}))
 				rows = append(rows, Fig7Row{
 					Workload:      wname,
 					Distribution:  dist,

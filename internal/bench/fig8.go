@@ -3,6 +3,7 @@ package bench
 import (
 	"time"
 
+	"correctables/internal/binding"
 	"correctables/internal/netsim"
 	"correctables/internal/ycsb"
 )
@@ -40,12 +41,12 @@ func Fig8(cfg Config) []Fig8Row {
 		correctable bool
 		confirmOpt  bool
 		quorum      int
-		prelim      bool
+		read        readShape
 	}
 	systems := []system{
-		{"C1", false, false, 1, false},
-		{"CC2", true, false, 2, true},
-		{"*CC2", true, true, 2, true},
+		{"C1", false, false, 1, binding.InvokeWeak[[]byte]},
+		{"CC2", true, false, 2, invokeICG},
+		{"*CC2", true, true, 2, invokeICG},
 	}
 
 	sweep := fig7ThreadSweep(cfg)
@@ -69,7 +70,7 @@ func Fig8(cfg Config) []Fig8Row {
 					base := h.meter.Class(netsim.LinkClient).Bytes
 					// No warmup: the meter integrates the whole run, so ops
 					// and bytes must cover the same span.
-					results := h.runGroups(cluster, w, sys.quorum, sys.prelim, threadsTotal/3, ycsb.Options{
+					results := h.runGroups(cluster, w, sys.quorum, sys.read, threadsTotal/3, ycsb.Options{
 						Duration: dur,
 						Seed:     cfg.Seed,
 					})

@@ -1,10 +1,11 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"correctables/internal/metrics"
+	"correctables/internal/binding"
 	"correctables/internal/netsim"
 	"correctables/internal/zk"
 )
@@ -47,32 +48,26 @@ func Fig9(cfg Config) []Fig9Row {
 	var rows []Fig9Row
 	for _, pc := range fig9Configs() {
 		// measure enqueues on a fresh ensemble; vanilla ZK (not correctable)
-		// delivers only the final view.
-		measure := func(correctable bool) (prelim, final *metrics.Histogram) {
+		// offers the strong level alone, so invoke through its binding is
+		// invokeStrong and delivers only the final view.
+		measure := func(correctable bool) *viewStats {
 			h := newFabric(cfg)
 			e := h.newZK(cfg, zkOpts{correctable: correctable, leader: pc.leader})
 			e.Bootstrap(zk.CreateTxn{Path: "/queues"})
 			e.Bootstrap(zk.CreateTxn{Path: "/queues/ev"})
-			qc := zk.NewQueueClient(e, netsim.IRL, pc.contact)
-			prelim, final = metrics.NewHistogram(), metrics.NewHistogram()
+			client := binding.NewClient(zk.NewBinding(zk.NewQueueClient(e, netsim.IRL, pc.contact)))
+			st := newViewStats()
 			for i := 0; i < samples; i++ {
-				sw := h.clock.StartStopwatch()
-				_ = qc.Enqueue("ev", []byte(fmt.Sprintf("ticket-%013d", i)), correctable, func(v zk.QueueView) {
-					if v.Final {
-						final.Record(sw.ElapsedModel())
-					} else {
-						prelim.Record(sw.ElapsedModel())
-					}
-				})
+				st.add(timed(h.clock, h.clock.Now(), binding.Invoke[binding.Item](context.Background(), client,
+					binding.Enqueue{Queue: "ev", Item: []byte(fmt.Sprintf("ticket-%013d", i))})))
 			}
-			h.clock.Drain()
-			return prelim, final
+			h.mustRun()
+			return st
 		}
-		prelim, final := measure(true)
-		_, base := measure(false)
+		czk, base := measure(true), measure(false).final
 		rows = append(rows,
-			Fig9Row{pc.name, "CZK preliminary", prelim.Mean(), prelim.Percentile(99)},
-			Fig9Row{pc.name, "CZK final", final.Mean(), final.Percentile(99)},
+			Fig9Row{pc.name, "CZK preliminary", czk.prelim.Mean(), czk.prelim.Percentile(99)},
+			Fig9Row{pc.name, "CZK final", czk.final.Mean(), czk.final.Percentile(99)},
 			Fig9Row{pc.name, "ZK", base.Mean(), base.Percentile(99)},
 		)
 	}

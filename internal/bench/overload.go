@@ -273,10 +273,12 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 	// history check) would have nothing to defend against. Paced, so they
 	// load FRK's replication path lightly rather than competing for its
 	// capacity.
+	ctx := context.Background()
 	for t := 0; t < 2; t++ {
-		bg := cassandra.NewClient(cluster, netsim.IRL, netsim.IRL)
+		bg := cassandraClient(cluster, netsim.IRL, netsim.IRL, 0)
 		h.loop(cfg.Seed+7_777_777+int64(t)*1_000_003, 10*time.Millisecond, func(rng *rand.Rand) {
-			_ = bg.Write(overloadKey(rng.Intn(p.keys)), val, 1)
+			_, _ = binding.InvokeStrong[binding.Ack](ctx, bg,
+				binding.Put{Key: overloadKey(rng.Intn(p.keys)), Value: val}).Final(ctx)
 		})
 	}
 
@@ -313,7 +315,6 @@ func runOverloadMode(cfg Config, p overloadParams, shedding bool) (*OverloadMode
 		})
 	}
 
-	ctx := context.Background()
 	fire := func(int) func() {
 		mu.Lock()
 		sess := sessions[arrivals%len(sessions)]

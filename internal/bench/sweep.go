@@ -3,6 +3,7 @@ package bench
 import (
 	"time"
 
+	"correctables/internal/binding"
 	"correctables/internal/metrics"
 	"correctables/internal/netsim"
 	"correctables/internal/ycsb"
@@ -99,8 +100,12 @@ func Sweep(cfg Config) *SweepResult {
 		Seed:        cfg.Seed,
 	}
 	cell := func(geoName string, scale float64, quorum, shards int) {
+		read := readShape(invokeICG)
+		if quorum == 1 { // its own final view, with nothing to be preliminary to
+			read = binding.InvokeWeak[[]byte]
+		}
 		results := newFabricWith(cfg, scaledLatencies(scale)).ycsbRun(cfg, cassandraOpts{correctable: true, shards: shards},
-			w, quorum, true, threads/3, ycsb.Options{Duration: dur, Warmup: warmup})
+			w, quorum, read, threads/3, ycsb.Options{Duration: dur, Warmup: warmup})
 		irl := results[1]
 		res.Rows = append(res.Rows, SweepRow{
 			Geography:     geoName,

@@ -8,6 +8,7 @@ import (
 
 	"correctables/internal/binding"
 	"correctables/internal/cassandra"
+	"correctables/internal/core"
 	"correctables/internal/faults"
 	"correctables/internal/history"
 	"correctables/internal/load"
@@ -26,6 +27,8 @@ import (
 //	fabric      newWorld: clock + transport + fault schedule + tracer
 //	substrate   newCassandra / newZK (traced when the world is), gate, gauge
 //	populations loop, arrive, sessions (session for a hand-written body)
+//	operations  readShape, timed: always an invocation through the client
+//	            library (binding.Client), never a store's protocol method
 //	phases      opRecord, phaseOf, probePhases, viewStats
 //	finish      run, transitions, observe
 //	check       buildCheckReport (checkreport.go)
@@ -44,8 +47,8 @@ type world struct {
 	trc *trace.Tracer
 	reg *trace.Registry
 
-	// inj applies the fault schedule (nil in a fault-free world: the stores
-	// consult their operation timeouts only when an interceptor is attached).
+	// inj applies the fault schedule (nil in a fault-free world: the client
+	// library bounds invocations only while an interceptor is attached).
 	inj *faults.Injector
 	// horizon ends the populations and the gauge sampling.
 	horizon  time.Duration
@@ -188,6 +191,14 @@ func (w *world) newZK(cfg Config, opts zkOpts) *zk.Ensemble {
 		e.SetTrace(w.trc)
 	}
 	return e
+}
+
+// cassandraClient is the client library over a cassandra binding: a client
+// in region contacting the coord replica, its strong level served by
+// R=quorum (0 = the binding's default; writes are W=1, as in the paper).
+func cassandraClient(cluster *cassandra.Cluster, region, coord netsim.Region, quorum int) *binding.Client {
+	return binding.NewClient(cassandra.NewBinding(cassandra.NewClient(cluster, region, coord),
+		cassandra.BindingConfig{StrongQuorum: quorum}))
 }
 
 // gate starts an admission controller on the world's clock and meter; run
@@ -345,6 +356,36 @@ type opRecord struct {
 	// diverged: the final view did not confirm the preliminary one.
 	// degraded: the op completed below the level it asked for.
 	diverged, degraded bool
+}
+
+// readShape is the library entry point a population reads through, one of
+// the paper's three calls: binding.InvokeWeak (R=1), binding.InvokeStrong
+// (the quorum read alone) or invokeICG (preliminary and final).
+type readShape func(context.Context, *binding.Client, binding.OperationFor[[]byte]) *core.Correctable[[]byte]
+
+// invokeICG is binding.Invoke at every level the binding offers.
+func invokeICG(ctx context.Context, c *binding.Client, op binding.OperationFor[[]byte]) *core.Correctable[[]byte] {
+	return binding.Invoke(ctx, c, op)
+}
+
+// timed waits for an invocation issued at start and returns its record,
+// read off the views the Correctable kept: the first, unless it is the
+// final one, is the preliminary — it stands even if the operation then
+// times out — and a final that differs from it (core.ValuesEqual, the
+// notion Speculate uses) diverged.
+func timed[T any](clock netsim.Clock, start time.Duration, cor *core.Correctable[T]) opRecord {
+	_, err := cor.Final(context.Background())
+	op := opRecord{start: start, end: clock.Now(), err: err}
+	views := cor.Views()
+	if len(views) > 0 && !views[0].Final {
+		op.hasPrelim, op.prelim = true, views[0].At-start
+	}
+	if err == nil {
+		final := views[len(views)-1]
+		op.final = final.At - start
+		op.diverged = op.hasPrelim && !core.ValuesEqual(views[0].Value, final.Value)
+	}
+	return op
 }
 
 // phaseAt maps a model instant into its phase; instants past the last

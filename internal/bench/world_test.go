@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"correctables/internal/binding"
 	"correctables/internal/cassandra"
+	"correctables/internal/core"
 	"correctables/internal/faults"
 	"correctables/internal/history"
 	"correctables/internal/netsim"
@@ -43,19 +45,11 @@ func minimalExperiment(cfg Config) (rows []minimalRow, check *CheckReport) {
 
 	// Populations: closed-loop ICG readers at quorum 3 (the final needs the
 	// severed region, the preliminary does not), and recorded sessions.
-	client := cassandra.NewClient(cluster, netsim.IRL, netsim.FRK)
+	client := cassandraClient(cluster, netsim.IRL, netsim.FRK, 3)
 	var ops []opRecord
 	w.loop(cfg.Seed+1, 0, func(rng *rand.Rand) {
-		op := opRecord{start: w.clock.Now()}
-		op.err = client.Read(fmt.Sprintf("k-%d", rng.Intn(8)), 3, true, func(v cassandra.ReadView) {
-			if v.Final {
-				op.final = w.clock.Now() - op.start
-			} else {
-				op.hasPrelim, op.prelim = true, w.clock.Now()-op.start
-			}
-		})
-		op.end = w.clock.Now()
-		ops = append(ops, op)
+		ops = append(ops, timed(w.clock, w.clock.Now(), binding.Invoke[[]byte](context.Background(), client,
+			binding.Get{Key: fmt.Sprintf("k-%d", rng.Intn(8))})))
 	})
 	rec := history.NewRecorder()
 	w.sessions(rec, sessionMix{
@@ -103,5 +97,61 @@ func TestWorldMinimalExperiment(t *testing.T) {
 	healthy, cut := rows[0], rows[1]
 	if healthy.finalAvailPct != 100 || cut.finalAvailPct >= 100 || cut.prelims == 0 {
 		t.Fatalf("asymmetry missing: healthy %+v, partitioned %+v", healthy, cut)
+	}
+}
+
+// TestTimed: the record timed reads off a Correctable, for each shape an
+// operation's view sequence can take. Latencies count from start, not from
+// the clock's origin.
+func TestTimed(t *testing.T) {
+	const ms = time.Millisecond
+	type step struct {
+		at    time.Duration // after start
+		value string
+		final bool
+		fail  error
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+		want  opRecord // start and end relative to start
+	}{
+		{"no preliminary",
+			[]step{{at: 30 * ms, value: "v", final: true}},
+			opRecord{end: 30 * ms, final: 30 * ms}},
+		{"confirmed preliminary",
+			[]step{{at: 10 * ms, value: "v"}, {at: 30 * ms, value: "v", final: true}},
+			opRecord{end: 30 * ms, hasPrelim: true, prelim: 10 * ms, final: 30 * ms}},
+		{"diverged preliminary",
+			[]step{{at: 10 * ms, value: "old"}, {at: 30 * ms, value: "new", final: true}},
+			opRecord{end: 30 * ms, hasPrelim: true, prelim: 10 * ms, final: 30 * ms, diverged: true}},
+		{"preliminary then timeout",
+			[]step{{at: 10 * ms, value: "v"}, {at: 50 * ms, fail: faults.ErrUnreachable}},
+			opRecord{end: 50 * ms, err: faults.ErrUnreachable, hasPrelim: true, prelim: 10 * ms}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := netsim.NewVirtualClock()
+			defer clock.Drain()
+			clock.Sleep(7 * ms)
+			start := clock.Now()
+			cor, ctrl := core.NewScheduled[[]byte](binding.SchedulerFor(clock), core.Levels{core.LevelWeak, core.LevelStrong})
+			for _, s := range tc.steps {
+				clock.RunAfter(s.at, func() {
+					switch {
+					case s.fail != nil:
+						_ = ctrl.Fail(s.fail)
+					case s.final:
+						_ = ctrl.Close([]byte(s.value), core.LevelStrong)
+					default:
+						_ = ctrl.Update([]byte(s.value), core.LevelWeak)
+					}
+				})
+			}
+			got := timed(clock, start, cor)
+			tc.want.start, tc.want.end = start, start+tc.want.end
+			if got != tc.want {
+				t.Errorf("timed = %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }

@@ -1,59 +1,44 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
+	"correctables/internal/binding"
 	"correctables/internal/cassandra"
 	"correctables/internal/metrics"
 	"correctables/internal/netsim"
 	"correctables/internal/ycsb"
 )
 
-// cassandraDB adapts a cassandra client to the YCSB runner: reads use the
-// configured quorum (with or without the ICG preliminary), writes use W=1
-// as in the paper.
+// cassandraDB adapts the client library over a cassandra binding to the
+// YCSB runner: reads go through the configured invoke shape, strong ones at
+// the configured quorum; writes are invokeStrong at W=1, as in the paper.
 type cassandraDB struct {
-	client *cassandra.Client
+	client *binding.Client
 	clock  netsim.Clock
-	quorum int
-	prelim bool
+	read   readShape
 }
 
 var _ ycsb.DB = (*cassandraDB)(nil)
 
-func newCassandraDB(cluster *cassandra.Cluster, clientRegion, coord netsim.Region, quorum int, prelim bool) *cassandraDB {
-	return &cassandraDB{
-		client: cassandra.NewClient(cluster, clientRegion, coord),
-		clock:  cluster.Transport().Clock(),
-		quorum: quorum,
-		prelim: prelim,
-	}
-}
-
 // Read implements ycsb.DB.
 func (db *cassandraDB) Read(rng *rand.Rand, key string) (ycsb.ReadOutcome, error) {
-	sw := db.clock.StartStopwatch()
-	var out ycsb.ReadOutcome
-	err := db.client.Read(key, db.quorum, db.prelim, func(v cassandra.ReadView) {
-		if v.Final {
-			out.FinalLatency = sw.ElapsedModel()
-			if out.HasPrelim {
-				out.Diverged = !v.Confirmed
-			}
-		} else {
-			out.HasPrelim = true
-			out.PrelimLatency = sw.ElapsedModel()
-		}
-	})
-	return out, err
+	op := timed(db.clock, db.clock.Now(), db.read(context.Background(), db.client, binding.Get{Key: key}))
+	return ycsb.ReadOutcome{
+		HasPrelim:     op.hasPrelim,
+		PrelimLatency: op.prelim,
+		FinalLatency:  op.final,
+		Diverged:      op.diverged,
+	}, op.err
 }
 
 // Update implements ycsb.DB.
 func (db *cassandraDB) Update(rng *rand.Rand, key string, value []byte) (time.Duration, error) {
-	sw := db.clock.StartStopwatch()
-	err := db.client.Write(key, value, 1)
-	return sw.ElapsedModel(), err
+	op := timed(db.clock, db.clock.Now(),
+		binding.InvokeStrong[binding.Ack](context.Background(), db.client, binding.Put{Key: key, Value: value}))
+	return op.final, op.err
 }
 
 // preloadDataset installs the workload's records on every replica.
@@ -72,12 +57,12 @@ func preloadDataset(cluster *cassandra.Cluster, w ycsb.Workload) {
 // completion (runGroups) seeded from cfg.Seed. Results follow
 // cluster.Regions(): FRK, IRL, VRG — the paper reports the IRL client,
 // index 1.
-func (h *world) ycsbRun(cfg Config, copts cassandraOpts, w ycsb.Workload, quorum int, prelim bool,
+func (h *world) ycsbRun(cfg Config, copts cassandraOpts, w ycsb.Workload, quorum int, read readShape,
 	threadsPerGroup int, opts ycsb.Options) []*ycsb.Result {
 	cluster := h.newCassandra(cfg, copts)
 	preloadDataset(cluster, w)
 	opts.Seed = cfg.Seed
-	return h.runGroups(cluster, w, quorum, prelim, threadsPerGroup, opts)
+	return h.runGroups(cluster, w, quorum, read, threadsPerGroup, opts)
 }
 
 // totalThroughput sums attained ops/s over the client groups.
@@ -119,7 +104,7 @@ func defaultGroups(cluster *cassandra.Cluster) []clientGroup {
 // runGroups drives the workload from all client groups concurrently,
 // plays the world out (mustRun: background traffic drained), and returns the
 // per-group results in group order.
-func (h *world) runGroups(cluster *cassandra.Cluster, w ycsb.Workload, quorum int, prelim bool,
+func (h *world) runGroups(cluster *cassandra.Cluster, w ycsb.Workload, quorum int, read readShape,
 	threadsPerGroup int, opts ycsb.Options) []*ycsb.Result {
 	groups := defaultGroups(cluster)
 	results := make([]*ycsb.Result, len(groups))
@@ -129,7 +114,7 @@ func (h *world) runGroups(cluster *cassandra.Cluster, w ycsb.Workload, quorum in
 	// serves fresh — and divergence would vanish.)
 	shared := w.NewGenerator()
 	for i, g := range groups {
-		db := newCassandraDB(cluster, g.clientRegion, g.coordRegion, quorum, prelim)
+		db := &cassandraDB{client: cassandraClient(cluster, g.clientRegion, g.coordRegion, quorum), clock: h.clock, read: read}
 		groupOpts := opts
 		groupOpts.Threads = threadsPerGroup
 		groupOpts.Seed = opts.Seed + int64(i)*77

@@ -10,6 +10,7 @@ import (
 
 	"correctables/internal/core"
 	"correctables/internal/faults"
+	"correctables/internal/netsim"
 )
 
 // versionedStore is a deterministic in-memory versioned binding: a map of
@@ -370,6 +371,44 @@ func TestWithOpTimeoutBoundsStalledOperation(t *testing.T) {
 	}
 }
 
+// lateBinding answers only when the test says so, through the callback it
+// kept.
+type lateBinding struct {
+	stallBinding
+	answer *Callback
+}
+
+func (b lateBinding) SubmitOperation(ctx context.Context, op Operation, levels core.Levels, cb Callback) {
+	*b.answer = cb
+}
+
+// TestLateViewsRefusedAfterTimeout: an invocation the timeout failed is
+// abandoned, not cancelled — the binding's protocol work runs on and its
+// answer still arrives. The closed Correctable must refuse it: no view, no
+// second end event.
+func TestLateViewsRefusedAfterTimeout(t *testing.T) {
+	clock := netsim.NewVirtualClock()
+	obs := &recordingObserver{}
+	var answer Callback
+	c := NewClient(lateBinding{answer: &answer}, WithScheduler(SchedulerFor(clock)),
+		WithOpTimeout(time.Second), WithObserver(obs))
+	cor := InvokeStrong[[]byte](context.Background(), c, Get{Key: "k"})
+	if _, err := cor.Final(context.Background()); !errors.Is(err, faults.ErrUnreachable) {
+		t.Fatalf("err = %v, want ErrUnreachable", err)
+	}
+	if now := clock.Now(); now != time.Second {
+		t.Errorf("timed out at %v of model time, want the 1s bound", now)
+	}
+	answer(Result{Value: []byte("late"), Level: core.LevelStrong})
+	if st, views := cor.State(), cor.Views(); st != core.StateError || len(views) != 0 {
+		t.Errorf("after the late answer: state %v, views %v; want the error to stand and no view", st, views)
+	}
+	if got := obs.snapshot(); len(got) != 2 || got[1] != "end get/k err" {
+		t.Errorf("events = %q, want start + timeout end and nothing after", got)
+	}
+	clock.Drain()
+}
+
 // timeoutBinding advertises a default operation bound that can change
 // after construction (the shipped bindings flip from 0 to the store
 // OpTimeout when a fault injector attaches to the transport).
@@ -398,10 +437,9 @@ func TestBindingDefaultOpTimeoutAndOverride(t *testing.T) {
 
 // TestTimeoutResolvedPerInvocation: a fault injector attached AFTER client
 // construction must still bound operations — the binding default is
-// consulted per invocation, not frozen at NewClient (the silent-hang
-// regression the per-store guards never had).
+// consulted per invocation, not frozen at NewClient.
 func TestTimeoutResolvedPerInvocation(t *testing.T) {
-	d := time.Duration(0) // construction time: unguarded (no injector yet)
+	d := time.Duration(0) // construction time: unbounded (no injector yet)
 	c := NewClient(timeoutBinding{d: &d})
 	if got := c.OpTimeout(); got != 0 {
 		t.Fatalf("timeout before attach = %v, want 0", got)

@@ -57,10 +57,6 @@ type opRecord struct {
 	op     binding.Operation
 	levels core.Levels
 	cb     binding.Callback
-	// level, unless LevelNone, is the level the read's views go out at in
-	// place of their own: a single-level request is answered at the level it
-	// asked for, whatever quorum served it.
-	level core.Level
 
 	run  func()         // r.exec: the actor body
 	view func(ReadView) // r.emit: the read's view sink
@@ -77,7 +73,7 @@ func (b *Binding) getRecord() *opRecord {
 
 // putRecord recycles r, cleared of the operation's references.
 func (b *Binding) putRecord(r *opRecord) {
-	r.op, r.levels, r.cb, r.level = nil, nil, nil, core.LevelNone
+	r.op, r.levels, r.cb = nil, nil, nil
 	b.free.Put(r)
 }
 
@@ -100,9 +96,9 @@ func (b *Binding) ConsistencyLevels() core.Levels {
 func (b *Binding) Close() error { return nil }
 
 // SubmitOperation implements binding.Binding. The client library bounds
-// each invocation with the binding's DefaultOpTimeout (model time), so the
-// protocol paths below run unguarded: a late completion's views are
-// refused by the closed Correctable.
+// each invocation with the binding's DefaultOpTimeout (model time); the
+// protocol below has no deadline of its own, and a late completion's views
+// are refused by the closed Correctable.
 func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
 	r := b.getRecord()
 	r.op, r.levels, r.cb = op, levels, cb
@@ -134,7 +130,7 @@ func (r *opRecord) get(key string) {
 	case wantWeak && wantStrong && b.client.cluster.cfg.Correctable:
 		// One request, two responses (preliminary + final), each at the
 		// level it carries.
-		err = b.client.read(key, b.cfg.StrongQuorum, true, r.view)
+		err = b.client.Read(key, b.cfg.StrongQuorum, true, r.view)
 	case wantWeak && wantStrong:
 		// Vanilla store: two independent requests (weak first). The strong
 		// one determines completion; this is the baseline the paper notes
@@ -145,20 +141,18 @@ func (r *opRecord) get(key string) {
 		weakDone := b.clock().NewEvent()
 		b.clock().Go(func() {
 			defer weakDone.Fire()
-			_ = b.client.read(key, 1, false, func(v ReadView) {
+			_ = b.client.Read(key, 1, false, func(v ReadView) {
 				emit(cb, v, core.LevelWeak)
 			})
 		})
-		err = b.client.read(key, b.cfg.StrongQuorum, false, func(v ReadView) {
+		err = b.client.Read(key, b.cfg.StrongQuorum, false, func(v ReadView) {
 			weakDone.Wait() // keep view order monotone
 			emit(cb, v, core.LevelStrong)
 		})
 	case wantStrong:
-		r.level = core.LevelStrong
-		err = b.client.read(key, b.cfg.StrongQuorum, false, r.view)
+		err = b.client.Read(key, b.cfg.StrongQuorum, false, r.view)
 	case wantWeak:
-		r.level = core.LevelWeak
-		err = b.client.read(key, 1, false, r.view)
+		err = b.client.Read(key, 1, false, r.view)
 	default:
 		err = fmt.Errorf("%w: %v", binding.ErrUnsupportedLevel, r.levels)
 	}
@@ -167,12 +161,14 @@ func (r *opRecord) get(key string) {
 	}
 }
 
-// emit is the record's view sink: one read view to the binding callback, at
-// the record's level override if it has one.
+// emit is the record's view sink: one read view to the binding callback. The
+// last view of a request goes out at the strongest level it asked for,
+// whatever quorum served it — a strong level configured as R=1 still closes
+// the Correctable, a weak-only request is answered weak.
 func (r *opRecord) emit(v ReadView) {
 	level := v.Level
-	if r.level != core.LevelNone {
-		level = r.level
+	if v.Final {
+		level = r.levels.Strongest()
 	}
 	emit(r.cb, v, level)
 }

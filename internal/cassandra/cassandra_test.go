@@ -165,8 +165,8 @@ func TestCorrectableReadDeliversPrelimThenFinal(t *testing.T) {
 	if !final.v.Final || final.v.Level != core.LevelStrong {
 		t.Errorf("final = %+v", final.v)
 	}
-	if !final.v.Confirmed {
-		t.Error("identical views should be confirmed")
+	if !final.v.Version.Same(prelim.v.Version) {
+		t.Error("identical views should carry the same version")
 	}
 	// Latency gap between preliminary and final is the coordinator's quorum
 	// RTT: FRK->IRL = 20ms (paper Fig 5: gap for CC2 is 20ms).
@@ -220,8 +220,8 @@ func TestDivergenceAndConvergence(t *testing.T) {
 	if string(views[1].Value) != "new" {
 		t.Errorf("final = %q, want fresh 'new'", views[1].Value)
 	}
-	if views[1].Confirmed {
-		t.Error("diverged read must not be confirmed")
+	if views[1].Version.Same(views[0].Version) {
+		t.Error("diverged read must not confirm its preliminary's version")
 	}
 	// After the replication delay (model time), the preliminary catches up.
 	clock.Sleep(cluster.cfg.ReplicationDelay + 120*time.Millisecond)
@@ -229,8 +229,8 @@ func TestDivergenceAndConvergence(t *testing.T) {
 	if err := reader.Read("k", 2, true, func(v ReadView) { views = append(views, v) }); err != nil {
 		t.Fatal(err)
 	}
-	if string(views[0].Value) != "new" || !views[1].Confirmed {
-		t.Errorf("after convergence: prelim=%q confirmed=%v", views[0].Value, views[1].Confirmed)
+	if string(views[0].Value) != "new" || !views[1].Version.Same(views[0].Version) {
+		t.Errorf("after convergence: prelim=%q at %+v, final at %+v", views[0].Value, views[0].Version, views[1].Version)
 	}
 }
 
@@ -291,17 +291,13 @@ func TestDivergedFinalIsFullSizeEvenWithOpt(t *testing.T) {
 	}
 	reader := NewClient(cluster, netsim.IRL, netsim.FRK)
 	base := meter.Class(netsim.LinkClient).Bytes
-	var confirmed bool
-	if err := reader.Read("k", 2, true, func(v ReadView) {
-		if v.Final {
-			confirmed = v.Confirmed
-		}
-	}); err != nil {
+	var views []ReadView
+	if err := reader.Read("k", 2, true, func(v ReadView) { views = append(views, v) }); err != nil {
 		t.Fatal(err)
 	}
 	bytes := meter.Class(netsim.LinkClient).Bytes - base
-	if confirmed {
-		t.Fatal("expected divergence in this scenario")
+	if len(views) != 2 || views[1].Version.Same(views[0].Version) {
+		t.Fatalf("expected divergence in this scenario, got %+v", views)
 	}
 	want := int64(readRequestSize("k") + 2*readResponseSize(make([]byte, 500)))
 	if bytes != want {
@@ -441,6 +437,32 @@ func TestBindingInvokeWeakAndStrong(t *testing.T) {
 	}
 	if vs.Level != core.LevelStrong || len(cs.Views()) != 1 {
 		t.Errorf("InvokeStrong: %+v (%d views)", vs, len(cs.Views()))
+	}
+}
+
+// TestBindingStrongQuorumOneCloses: a binding whose strong level is served
+// by R=1 answers an incremental read with a single view, and that view must
+// close the Correctable — the last view of a request goes out at the
+// strongest level it asked for, whatever quorum served it. It used to go out
+// weak, and the library waited for the strong view for good.
+func TestBindingStrongQuorumOneCloses(t *testing.T) {
+	cluster, _, clock := newTestCluster(t, true, true)
+	cluster.Preload("k", []byte("data"))
+	b := NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{StrongQuorum: 1})
+	cor := binding.Invoke[[]byte](context.Background(), binding.NewClient(b), binding.Get{Key: "k"})
+	clock.Drain()
+	if st := cor.State(); st != core.StateFinal {
+		t.Fatalf("state = %v after the clock drained, want %v", st, core.StateFinal)
+	}
+	views := cor.Views()
+	if n := len(views); n != 1 && n != 2 {
+		t.Fatalf("views = %+v, want one or two", views)
+	}
+	if last := views[len(views)-1]; !last.Final || last.Level != core.LevelStrong || string(last.Value) != "data" {
+		t.Errorf("closing view = %+v", last)
+	}
+	if n := clock.Parked(); n != 0 {
+		t.Errorf("%d actors still parked after Drain", n)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"correctables/internal/binding"
 	"correctables/internal/core"
-	"correctables/internal/faults"
 	"correctables/internal/netsim"
 	"correctables/internal/trace"
 )
@@ -24,9 +23,6 @@ type ReadView struct {
 	Level core.Level
 	// Final marks the last view of this read.
 	Final bool
-	// Confirmed marks a final view that matched the preliminary (whether or
-	// not the confirmation optimization shrank it on the wire).
-	Confirmed bool
 }
 
 // Client issues operations against a cluster from a given client region via
@@ -88,27 +84,15 @@ func (c *Client) route(shard, reqSize int) *Replica {
 // called once with the final view. Read blocks until the final view has
 // been delivered.
 //
-// Under fault injection (an interceptor on the Transport), Read is bounded
-// by Config.OpTimeout of model time: a read a fault makes impossible fails
-// with faults.ErrUnreachable, views delivered past the deadline are
-// suppressed, and the underlying protocol work completes in the background
-// once the fault heals. A fault that destroys only the preliminary flush
+// Read is the bare protocol and has no deadline: every synchronous hop
+// retransmits until the fault in its way heals, so a read a fault makes
+// impossible blocks until then. The client library owns the operation
+// deadline (binding.Client bounds each invocation through the Binding with
+// Config.OpTimeout under fault injection); call Read directly only where
+// nothing can stall it. A fault that destroys only the preliminary flush
 // costs the read that view and nothing else: onView is then called once,
 // with the final view, as soon as it arrives.
 func (c *Client) Read(key string, quorum int, wantPrelim bool, onView func(ReadView)) error {
-	if c.cluster.tr.Interceptor() == nil {
-		return c.read(key, quorum, wantPrelim, onView)
-	}
-	return faults.Deadline(c.cluster.tr.Clock(), c.cluster.cfg.OpTimeout, func(live func() bool) error {
-		return c.read(key, quorum, wantPrelim, func(v ReadView) {
-			if live() {
-				onView(v)
-			}
-		})
-	})
-}
-
-func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadView)) error {
 	cfg := &c.cluster.cfg
 	if quorum < 1 || quorum > len(c.cluster.order) {
 		return fmt.Errorf("cassandra: read quorum %d out of range [1,%d]", quorum, len(c.cluster.order))
@@ -203,13 +187,11 @@ func (c *Client) read(key string, quorum int, wantPrelim bool, onView func(ReadV
 	if confirmed && cfg.ConfirmationOpt {
 		respSize = ConfirmationSize
 	}
-	level := core.LevelStrong
 	final := ReadView{
-		Value:     reconciled.Value,
-		Version:   reconciled,
-		Level:     level,
-		Final:     true,
-		Confirmed: confirmed,
+		Value:   reconciled.Value,
+		Version: reconciled,
+		Level:   core.LevelStrong,
+		Final:   true,
 	}
 	if quorum == 1 {
 		final.Level = core.LevelWeak
@@ -241,22 +223,15 @@ func (c *Client) repairAsync(shard int, key string, v Versioned) {
 // acknowledges once w replicas (itself included) have applied it, and
 // propagates to the remaining replicas asynchronously with the configured
 // replication delay — the staleness window behind Fig 7's divergence.
-// Write blocks until the acknowledgment reaches the client.
-//
-// Like Read, Write is bounded by Config.OpTimeout under fault injection.
+// Write blocks until the acknowledgment reaches the client. Like Read it is
+// the bare protocol: the client library owns the operation deadline.
 func (c *Client) Write(key string, value []byte, w int) error {
-	if c.cluster.tr.Interceptor() == nil {
-		_, err := c.write(key, value, w)
-		return err
-	}
-	return faults.Deadline(c.cluster.tr.Clock(), c.cluster.cfg.OpTimeout, func(func() bool) error {
-		_, err := c.write(key, value, w)
-		return err
-	})
+	_, err := c.write(key, value, w)
+	return err
 }
 
-// write performs the write and returns the committed version (the binding
-// stamps its token on the acknowledgment view).
+// write is Write returning the committed version too (the binding stamps
+// its token on the acknowledgment view).
 func (c *Client) write(key string, value []byte, w int) (Versioned, error) {
 	cfg := &c.cluster.cfg
 	if w < 1 || w > len(c.cluster.order) {

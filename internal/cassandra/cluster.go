@@ -58,11 +58,12 @@ type Config struct {
 	// reconciled value to stale replicas (Cassandra's default is 0.1).
 	ReadRepairChance float64
 
-	// OpTimeout bounds each client operation in model time when a fault
-	// interceptor is attached to the Transport (default 5s): an operation a
-	// fault makes impossible — severed quorum, crashed coordinator — fails
-	// with faults.ErrUnreachable instead of hanging. Without an interceptor
-	// operations are never guarded (the fault-free hot path is unchanged).
+	// OpTimeout is the bound the client library puts on each invocation
+	// through a Binding, in model time, while a fault interceptor is attached
+	// to the Transport (default 5s): an operation a fault makes impossible —
+	// severed quorum, crashed coordinator — fails with faults.ErrUnreachable
+	// instead of hanging. Without an interceptor invocations are unbounded;
+	// the Client's own Read and Write never have a deadline.
 	OpTimeout time.Duration
 
 	// Seed fixes the cluster RNG (read repair sampling).

@@ -1,6 +1,7 @@
 package cassandra
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -30,18 +31,29 @@ func newHintedCluster(t *testing.T) (*Cluster, *faults.Injector, *netsim.Virtual
 	return cluster, inj, clock
 }
 
+// hintedPut writes through the client library at write quorum w from a
+// client colocated with the FRK coordinator: under the injector the
+// library bounds each write with the cluster's OpTimeout.
+func hintedPut(cluster *Cluster, w int) func(key string, value []byte) error {
+	kv := NewKV(NewBinding(NewClient(cluster, netsim.FRK, netsim.FRK), BindingConfig{WriteQuorum: w}))
+	return func(key string, value []byte) error {
+		_, err := kv.Put(context.Background(), key, value).Final(context.Background())
+		return err
+	}
+}
+
 // TestHintedHandoffReplaysOnRestart: writes issued while a replica is down
 // are buffered as hints on the coordinator and delivered on restart — with
 // read repair off, the rejoining replica converges through handoff alone,
 // where it previously stayed stale until an (unsampled) repair.
 func TestHintedHandoffReplaysOnRestart(t *testing.T) {
 	cluster, inj, clock := newHintedCluster(t)
-	client := NewClient(cluster, netsim.FRK, netsim.FRK)
+	put := hintedPut(cluster, 1)
 
 	inj.Apply(faults.Crash{Region: netsim.VRG})
 	for i := 0; i < 5; i++ {
 		// W=1: the ack never needs VRG; its async replication is hinted.
-		if err := client.Write("k", []byte{byte('a' + i)}, 1); err != nil {
+		if err := put("k", []byte{byte('a' + i)}); err != nil {
 			t.Fatalf("write %d with VRG down: %v", i, err)
 		}
 	}
@@ -69,10 +81,10 @@ func TestHintedHandoffReplaysOnRestart(t *testing.T) {
 // from masquerading as a durable log.
 func TestHintTTLExpiry(t *testing.T) {
 	cluster, inj, clock := newHintedCluster(t)
-	client := NewClient(cluster, netsim.FRK, netsim.FRK)
+	put := hintedPut(cluster, 1)
 
 	inj.Apply(faults.Crash{Region: netsim.VRG})
-	if err := client.Write("k", []byte("v"), 1); err != nil {
+	if err := put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	clock.Sleep(hintTTL + time.Second) // outlive the TTL
@@ -94,13 +106,13 @@ func TestHintTTLExpiry(t *testing.T) {
 // records the loss.
 func TestHintQueueBounded(t *testing.T) {
 	cluster, inj, clock := newHintedCluster(t)
-	client := NewClient(cluster, netsim.FRK, netsim.FRK)
+	put := hintedPut(cluster, 1)
 
 	const extra = 7
 	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
 	inj.Apply(faults.Crash{Region: netsim.VRG})
 	for i := 0; i < maxHintsPerPeer+extra; i++ {
-		if err := client.Write(key(i), []byte{1}, 1); err != nil {
+		if err := put(key(i), []byte{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,12 +140,12 @@ func TestHintQueueBounded(t *testing.T) {
 // crash) and replay on the heal transition.
 func TestHintsFollowPartitionHeal(t *testing.T) {
 	cluster, inj, clock := newHintedCluster(t)
-	client := NewClient(cluster, netsim.FRK, netsim.FRK)
+	put := hintedPut(cluster, 2) // IRL acks the quorum
 
 	inj.Apply(faults.Partition{Groups: [][]netsim.Region{
 		{netsim.FRK, netsim.IRL}, {netsim.VRG},
 	}})
-	if err := client.Write("k", []byte("v"), 2); err != nil { // IRL acks the quorum
+	if err := put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	clock.Sleep(time.Second)

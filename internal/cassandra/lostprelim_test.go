@@ -1,6 +1,7 @@
 package cassandra
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -58,9 +59,11 @@ func TestLostPreliminaryCostsOnlyThePreliminary(t *testing.T) {
 		read func(cluster *Cluster, clock netsim.Clock) ([]core.Level, error)
 	}{
 		{"read", func(cluster *Cluster, _ netsim.Clock) (levels []core.Level, err error) {
-			err = NewClient(cluster, client, coord).Read("k", 2, true, func(v ReadView) {
+			cor := NewKV(NewBinding(NewClient(cluster, client, coord), BindingConfig{})).Get(context.Background(), "k")
+			_, err = cor.Final(context.Background())
+			for _, v := range cor.Views() {
 				levels = append(levels, v.Level)
-			})
+			}
 			return levels, err
 		}},
 		{"batched", func(cluster *Cluster, clock netsim.Clock) (levels []core.Level, err error) {
@@ -87,7 +90,8 @@ func TestLostPreliminaryCostsOnlyThePreliminary(t *testing.T) {
 			run := func(lose int) ([]core.Level, time.Duration) {
 				cluster, _, clock := newTestCluster(t, true, true)
 				cluster.Preload("k", []byte("v"))
-				// An interceptor on both runs, so both take the guarded path.
+				// An interceptor on both runs, so the library bounds both
+				// with the cluster's OpTimeout.
 				cluster.tr.SetInterceptor(&dropReplies{coord: coord, client: client, n: lose})
 				start := clock.Now()
 				levels, err := site.read(cluster, clock)

@@ -114,8 +114,7 @@ func (b *Binding) Close() error { return nil }
 // each invocation with the binding's DefaultOpTimeout (model time): an
 // unreachable replica fails the Correctable with faults.ErrUnreachable
 // (OnError) while already-delivered weaker views stand, and late views are
-// refused by the closed Correctable — the per-store deadline plumbing that
-// used to live here moved into the invoke pipeline.
+// refused by the closed Correctable.
 func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
 	r := b.getRecord()
 	r.op, r.levels, r.cb = op, levels, cb

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -174,45 +173,6 @@ func TestDropRuleLosesSyncMessagesButRetransmits(t *testing.T) {
 		t.Errorf("delivered %d messages, want all 20 (retransmit)", got)
 	}
 	inj.Quiesce()
-	clock.Drain()
-}
-
-func TestDeadline(t *testing.T) {
-	clock := netsim.NewVirtualClock()
-
-	// Completes in time: the op's own result comes back.
-	err := Deadline(clock, time.Second, func(live func() bool) error {
-		clock.Sleep(100 * time.Millisecond)
-		if !live() {
-			t.Error("live() false before the deadline")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("in-time op: %v", err)
-	}
-
-	// Exceeds the deadline: ErrUnreachable, and live() turns false for the
-	// background remainder.
-	sawDead := clock.NewEvent()
-	err = Deadline(clock, time.Second, func(live func() bool) error {
-		clock.Sleep(5 * time.Second)
-		if live() {
-			t.Error("live() still true after the deadline")
-		}
-		sawDead.Fire()
-		return nil
-	})
-	if !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("timed-out op: %v, want ErrUnreachable", err)
-	}
-	sawDead.Wait()
-
-	// Zero timeout disables the guard (op runs inline).
-	ran := false
-	if err := Deadline(clock, 0, func(func() bool) error { ran = true; return nil }); err != nil || !ran {
-		t.Errorf("unguarded op: ran=%v err=%v", ran, err)
-	}
 	clock.Drain()
 }
 

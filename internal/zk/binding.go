@@ -84,9 +84,9 @@ func (b *Binding) ConsistencyLevels() core.Levels {
 func (b *Binding) Close() error { return nil }
 
 // SubmitOperation implements binding.Binding. The client library bounds
-// each invocation with the binding's DefaultOpTimeout (model time), so the
-// protocol paths below run unguarded: a late completion's views are
-// refused by the closed Correctable.
+// each invocation with the binding's DefaultOpTimeout (model time); the
+// protocol below has no deadline of its own, and a late completion's views
+// are refused by the closed Correctable.
 func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
 	clock := b.qc.Ensemble().Transport().Clock()
 	wantWeak := levels.Contains(core.LevelWeak)
@@ -115,9 +115,9 @@ func (r *opRecord) exec() {
 	var err error
 	switch o := r.op.(type) {
 	case binding.Enqueue:
-		err = r.b.qc.enqueue(o.Queue, o.Item, r.wantWeak, r.view)
+		err = r.b.qc.Enqueue(o.Queue, o.Item, r.wantWeak, r.view)
 	case binding.Dequeue:
-		err = r.b.qc.dequeue(o.Queue, r.wantWeak, r.view)
+		err = r.b.qc.Dequeue(o.Queue, r.wantWeak, r.view)
 	default:
 		err = fmt.Errorf("%w: zk queues have no %q", binding.ErrUnsupportedOperation, r.op.OpName())
 	}

@@ -28,8 +28,8 @@ type Config struct {
 	Workers int
 	// ServiceTime is the per-message local processing cost (default 1ms).
 	ServiceTime time.Duration
-	// OpTimeout bounds each queue-client operation in model time when a
-	// fault interceptor is attached to the Transport (default 5s); see
+	// OpTimeout bounds each invocation through a Binding in model time while
+	// a fault interceptor is attached to the Transport (default 5s); see
 	// cassandra.Config.OpTimeout for the semantics.
 	OpTimeout time.Duration
 	// HeartbeatInterval is the leader heartbeat period when elections are
@@ -475,7 +475,7 @@ func (e *Ensemble) Bootstrap(txn Txn) TxnResult {
 // delivers synchronously with DeliverCommit (modeling the single
 // commit+reply message on that link).
 //
-// Fail-fast validation errors (bad version, missing node) return with
+// Fail-fast validation errors (missing node, node exists) return with
 // zxid 0 and no broadcast, like ZooKeeper's prep processor.
 func (e *Ensemble) propose(txn Txn, contact *Server) (uint64, uint64, TxnResult) {
 	leader := e.Leader()

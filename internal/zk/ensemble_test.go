@@ -86,7 +86,7 @@ func TestProposeFailFastNoCommit(t *testing.T) {
 	e, _, _ := newTestEnsemble(t, false, netsim.IRL)
 	contact := e.Server(netsim.FRK)
 	qc := NewQueueClient(e, netsim.FRK, netsim.FRK)
-	zxid, res := qc.forwardAndCommit(contact, DeleteTxn{Path: "/missing", Version: -1})
+	zxid, res := qc.forwardAndCommit(contact, DeleteTxn{Path: "/missing"})
 	if !errors.Is(res.Err, ErrNoNode) {
 		t.Errorf("err = %v", res.Err)
 	}
@@ -163,7 +163,7 @@ func TestPropertyCommitOrderIndependence(t *testing.T) {
 		// sequence number i-1 and data byte i.
 		for i := 1; i <= n; i++ {
 			path := fmt.Sprintf("/q/q-%010d", i-1)
-			data, _, err := s.Tree().Get(path)
+			data, err := s.Tree().Get(path)
 			if err != nil || len(data) != 1 || data[0] != byte(i) {
 				return false
 			}
@@ -224,9 +224,6 @@ func TestEnqueueCZKPrelimGap(t *testing.T) {
 	}
 	if prelim.at < 12*time.Millisecond || prelim.at > 45*time.Millisecond {
 		t.Errorf("prelim latency = %v, want ~20ms", prelim.at)
-	}
-	if !final.v.Confirmed {
-		t.Error("uncontended enqueue prediction should be confirmed")
 	}
 	if gap := final.at - prelim.at; gap < 25*time.Millisecond {
 		t.Errorf("prelim/final gap = %v, want ~40ms", gap)

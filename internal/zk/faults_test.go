@@ -1,10 +1,13 @@
 package zk
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
 
+	"correctables/internal/binding"
+	"correctables/internal/core"
 	"correctables/internal/faults"
 	"correctables/internal/netsim"
 )
@@ -31,6 +34,22 @@ func newFaultedEnsemble(t *testing.T) (*Ensemble, *faults.Injector, *netsim.Virt
 	return e, inj, clock
 }
 
+// invoke issues op through the client library at every level the ensemble
+// offers and waits for it to end. Tests that run under an interceptor go this
+// way: the library owns the operation deadline (the ensemble's OpTimeout
+// while an interceptor is attached), the QueueClient's methods have none.
+func invoke(c *binding.Client, op binding.OperationFor[binding.Item]) ([]core.View[binding.Item], error) {
+	cor := binding.Invoke(context.Background(), c, op)
+	_, err := cor.Final(context.Background())
+	return cor.Views(), err
+}
+
+// invokeStrong is invoke for the committed view alone.
+func invokeStrong(c *binding.Client, op binding.OperationFor[binding.Item]) error {
+	_, err := binding.InvokeStrong(context.Background(), c, op).Final(context.Background())
+	return err
+}
+
 // TestCrashedFollowerResyncsOnRestart is the zk crash/recovery semantic: a
 // crashed follower misses the commit stream (dropped in flight), lags the
 // leader while down, and is resynced by leader state transfer after its
@@ -41,12 +60,13 @@ func TestCrashedFollowerResyncsOnRestart(t *testing.T) {
 	if err := qc.CreateQueue("q"); err != nil {
 		t.Fatal(err)
 	}
+	client := binding.NewClient(NewBinding(qc))
 
 	inj.Apply(faults.Crash{Region: netsim.VRG})
 	for i := 0; i < 5; i++ {
 		// Quorum is leader + one follower (IRL): commits keep succeeding
 		// with VRG down.
-		if err := qc.Enqueue("q", []byte("x"), false, func(QueueView) {}); err != nil {
+		if err := invokeStrong(client, binding.Enqueue{Queue: "q", Item: []byte("x")}); err != nil {
 			t.Fatalf("enqueue %d with one follower down: %v", i, err)
 		}
 	}
@@ -77,19 +97,18 @@ func TestQuorumLossFailsUnreachable(t *testing.T) {
 	if err := qc.CreateQueue("q"); err != nil {
 		t.Fatal(err)
 	}
+	client := binding.NewClient(NewBinding(qc))
 
 	inj.Apply(faults.Crash{Region: netsim.IRL})
 	inj.Apply(faults.Crash{Region: netsim.VRG})
-	views := 0
-	err := qc.Enqueue("q", []byte("x"), true, func(QueueView) { views++ })
-	if !errors.Is(err, faults.ErrUnreachable) {
+	if _, err := invoke(client, binding.Enqueue{Queue: "q", Item: []byte("x")}); !errors.Is(err, faults.ErrUnreachable) {
 		t.Fatalf("enqueue under quorum loss: %v, want ErrUnreachable", err)
 	}
 
 	inj.Apply(faults.Restart{Region: netsim.IRL})
 	inj.Apply(faults.Restart{Region: netsim.VRG})
 	clock.Sleep(time.Second)
-	if err := qc.Enqueue("q", []byte("y"), false, func(QueueView) {}); err != nil {
+	if err := invokeStrong(client, binding.Enqueue{Queue: "q", Item: []byte("y")}); err != nil {
 		t.Fatalf("enqueue after recovery: %v", err)
 	}
 	inj.Quiesce()

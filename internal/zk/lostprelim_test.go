@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"correctables/internal/binding"
 	"correctables/internal/core"
 	"correctables/internal/netsim"
 )
@@ -40,14 +41,10 @@ func TestLostPreliminaryCostsOnlyThePreliminary(t *testing.T) {
 	const client, contact = netsim.VRG, netsim.IRL
 	sites := []struct {
 		name string
-		op   func(qc *QueueClient, onView func(QueueView)) error
+		op   binding.OperationFor[binding.Item]
 	}{
-		{"enqueue", func(qc *QueueClient, onView func(QueueView)) error {
-			return qc.Enqueue("q", []byte("x"), true, onView)
-		}},
-		{"dequeue", func(qc *QueueClient, onView func(QueueView)) error {
-			return qc.Dequeue("q", true, onView)
-		}},
+		{"enqueue", binding.Enqueue{Queue: "q", Item: []byte("x")}},
+		{"dequeue", binding.Dequeue{Queue: "q"}},
 	}
 	for _, site := range sites {
 		t.Run(site.name, func(t *testing.T) {
@@ -61,14 +58,18 @@ func TestLostPreliminaryCostsOnlyThePreliminary(t *testing.T) {
 				if err := qc.Enqueue("q", []byte("seed"), false, func(QueueView) {}); err != nil {
 					t.Fatal(err)
 				}
-				// An interceptor on both runs, so both take the guarded path.
+				// An interceptor on both runs, so the library bounds both
+				// with the ensemble's OpTimeout.
 				e.tr.SetInterceptor(&dropReplies{contact: contact, client: client, n: lose})
-				var levels []core.Level
 				start := clock.Now()
-				err := site.op(qc, func(v QueueView) { levels = append(levels, v.Level) })
+				views, err := invoke(binding.NewClient(NewBinding(qc)), site.op)
 				took := clock.Now() - start
 				if err != nil {
 					t.Fatalf("%d preliminaries lost: %s failed: %v", lose, site.name, err)
+				}
+				var levels []core.Level
+				for _, v := range views {
+					levels = append(levels, v.Level)
 				}
 				clock.Drain()
 				if n := clock.Parked(); n != 0 {

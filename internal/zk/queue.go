@@ -3,7 +3,6 @@ package zk
 import (
 	"correctables/internal/binding"
 	"correctables/internal/core"
-	"correctables/internal/faults"
 	"correctables/internal/keys"
 	"correctables/internal/netsim"
 )
@@ -22,8 +21,6 @@ type QueueView struct {
 	Level core.Level
 	// Final marks the last view of this operation.
 	Final bool
-	// Confirmed marks a final view that matched the preliminary.
-	Confirmed bool
 	// Zxid is the version token of the state this view reflects: the
 	// committed transaction's zxid for final views, the contact server's
 	// last-applied zxid for preliminary (locally simulated) views. It is
@@ -34,6 +31,12 @@ type QueueView struct {
 // QueueClient issues queue operations against an ensemble from a client
 // region via a fixed contact server, following the standard ZooKeeper queue
 // recipe (vanilla) or the CZK fast path (correctable ensembles).
+//
+// Its methods are the bare protocol and have no deadline: an operation a
+// fault makes impossible blocks until the fault heals. The client library
+// owns the operation deadline (binding.Client bounds each invocation through
+// the Binding with Config.OpTimeout under fault injection); call the methods
+// directly only where nothing can stall them.
 type QueueClient struct {
 	ensemble *Ensemble
 	Region   netsim.Region
@@ -50,22 +53,8 @@ func NewQueueClient(e *Ensemble, clientRegion, contactRegion netsim.Region) *Que
 // Ensemble returns the client's ensemble.
 func (c *QueueClient) Ensemble() *Ensemble { return c.ensemble }
 
-// guard bounds op to the ensemble's OpTimeout of model time when a fault
-// interceptor is attached to the transport (see cassandra.Client.Read for
-// the semantics); without one, op runs inline and unguarded.
-func (c *QueueClient) guard(op func(live func() bool) error) error {
-	if c.ensemble.tr.Interceptor() == nil {
-		return op(func() bool { return true })
-	}
-	return faults.Deadline(c.ensemble.tr.Clock(), c.ensemble.cfg.OpTimeout, op)
-}
-
 // CreateQueue creates the queue directory through the ordered protocol.
 func (c *QueueClient) CreateQueue(queue string) error {
-	return c.guard(func(func() bool) error { return c.createQueue(queue) })
-}
-
-func (c *QueueClient) createQueue(queue string) error {
 	dir := queueDir(queue)
 	tr := c.ensemble.tr
 	contact := c.ensemble.Server(c.Contact)
@@ -78,8 +67,7 @@ func (c *QueueClient) createQueue(queue string) error {
 	// can be created while protocol traffic is in flight — the jump would make
 	// followers discard committed transactions still on the wire.
 	_, _ = c.forwardAndCommit(contact, CreateTxn{Path: "/queues"})
-	zxid, res := c.forwardAndCommit(contact, CreateTxn{Path: dir})
-	_ = zxid
+	_, res := c.forwardAndCommit(contact, CreateTxn{Path: dir})
 	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(len(dir)))
 	return res.Err
 }
@@ -88,21 +76,7 @@ func (c *QueueClient) createQueue(queue string) error {
 // wantPrelim, the contact server first simulates the create on its local
 // state and leaks the predicted element name (weak view); the committed
 // result follows (strong view). Blocks until the final view is delivered.
-//
-// Under fault injection the operation is bounded by Config.OpTimeout of
-// model time and fails with faults.ErrUnreachable when the contact or the
-// leader's quorum is unreachable; late views are suppressed.
 func (c *QueueClient) Enqueue(queue string, data []byte, wantPrelim bool, onView func(QueueView)) error {
-	return c.guard(func(live func() bool) error {
-		return c.enqueue(queue, data, wantPrelim, func(v QueueView) {
-			if live() {
-				onView(v)
-			}
-		})
-	})
-}
-
-func (c *QueueClient) enqueue(queue string, data []byte, wantPrelim bool, onView func(QueueView)) error {
 	wantPrelim = wantPrelim && c.ensemble.cfg.Correctable
 	tr := c.ensemble.tr
 	clock := tr.Clock()
@@ -117,13 +91,12 @@ func (c *QueueClient) enqueue(queue string, data []byte, wantPrelim bool, onView
 
 	var prelimDelivered *netsim.Event
 	prelimLeft := false
-	var prelim *QueueElement
 	if wantPrelim {
 		// Local simulation: predict the sequence number from local state.
 		prelimZxid := contact.LastApplied()
 		seq, err := contact.tree.NextSeq(queueDir(queue))
 		if err == nil {
-			prelim = &QueueElement{Name: keys.Padded("q-", int64(seq), 10), Seq: seq, Data: data}
+			prelim := &QueueElement{Name: keys.Padded("q-", int64(seq), 10), Seq: seq, Data: data}
 			// The leaked preliminary rides back as a callback-timer message:
 			// no goroutine per flush.
 			prelimDelivered = clock.NewEvent()
@@ -141,11 +114,10 @@ func (c *QueueClient) enqueue(queue string, data []byte, wantPrelim bool, onView
 	}
 	name := baseOf(res.CreatedPath)
 	elem := &QueueElement{Name: name, Seq: seqOf(name), Data: data}
-	confirmed := prelim != nil && prelim.Name == elem.Name
 
 	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(elem)))
 	netsim.AwaitFlush(prelimDelivered, prelimLeft)
-	onView(QueueView{Element: elem, Level: core.LevelStrong, Final: true, Confirmed: confirmed, Zxid: zxid})
+	onView(QueueView{Element: elem, Level: core.LevelStrong, Final: true, Zxid: zxid})
 	return nil
 }
 
@@ -153,8 +125,8 @@ func (c *QueueClient) enqueue(queue string, data []byte, wantPrelim bool, onView
 //
 // On a vanilla ensemble it runs the standard recipe: getChildren (the
 // response carries the whole child list, whose size grows with the queue —
-// Fig 10), pick the smallest, delete it; on a version race with a
-// concurrent consumer, retry. The single final view is the removed element.
+// Fig 10), pick the smallest, delete it; when a concurrent consumer deleted
+// it first (NoNode), retry. The single final view is the removed element.
 //
 // On a correctable ensemble it uses the CZK fast path: the contact reads
 // only the constant-size queue tail locally and (with wantPrelim) leaks it
@@ -162,19 +134,6 @@ func (c *QueueClient) enqueue(queue string, data []byte, wantPrelim bool, onView
 // transaction; the committed element is the final view. Blocks until the
 // final view is delivered.
 func (c *QueueClient) Dequeue(queue string, wantPrelim bool, onView func(QueueView)) error {
-	return c.guard(func(live func() bool) error {
-		return c.dequeue(queue, wantPrelim, func(v QueueView) {
-			if live() {
-				onView(v)
-			}
-		})
-	})
-}
-
-// dequeue is the unguarded dequeue path (ensemble-flavor dispatch); the
-// Correctables binding calls it directly — the client library owns the
-// operation deadline there.
-func (c *QueueClient) dequeue(queue string, wantPrelim bool, onView func(QueueView)) error {
 	if c.ensemble.cfg.Correctable {
 		return c.dequeueCZK(queue, wantPrelim, onView)
 	}
@@ -219,7 +178,6 @@ func (c *QueueClient) dequeueCZK(queue string, wantPrelim bool, onView func(Queu
 		netsim.AwaitFlush(prelimDelivered, prelimLeft)
 		return res.Err
 	}
-	confirmed := prelim.EqualValue(res.Element)
 	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(res.Element)))
 	netsim.AwaitFlush(prelimDelivered, prelimLeft)
 	onView(QueueView{
@@ -227,7 +185,6 @@ func (c *QueueClient) dequeueCZK(queue string, wantPrelim bool, onView func(Queu
 		Remaining: res.Remaining,
 		Level:     core.LevelStrong,
 		Final:     true,
-		Confirmed: confirmed,
 		Zxid:      zxid,
 	})
 	return nil
@@ -258,7 +215,7 @@ func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error 
 		// getData for the head element.
 		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(path)))
 		contact.process()
-		data, _, err := contact.tree.Get(path)
+		data, err := contact.tree.Get(path)
 		if err != nil {
 			// Removed under us between the two reads; retry.
 			tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(4))
@@ -269,7 +226,7 @@ func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error 
 		// delete through the ordered protocol.
 		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(path)))
 		contact.process()
-		zxid, res := c.forwardAndCommit(contact, DeleteTxn{Path: path, Version: -1})
+		zxid, res := c.forwardAndCommit(contact, DeleteTxn{Path: path})
 		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(4))
 		if res.Err != nil {
 			// Another consumer won the race (NoNode): retry from the top —

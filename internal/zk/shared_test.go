@@ -41,7 +41,7 @@ func TestQueueItemsAreCopiedOnceAndShared(t *testing.T) {
 	}
 	path := "/queues/t/" + enqViews[1].Value.ID
 	for _, region := range e.Regions() {
-		data, _, err := e.Server(region).Tree().Get(path)
+		data, err := e.Server(region).Tree().Get(path)
 		if err != nil || string(data) != "enqueued" {
 			t.Fatalf("server %s holds %q, %v after the caller reused its buffer, want enqueued", region, data, err)
 		}
@@ -68,7 +68,7 @@ func TestQueueItemsAreCopiedOnceAndShared(t *testing.T) {
 		}
 	}
 	clock.Drain()
-	if _, _, err := e.Leader().Tree().Get(path); err == nil {
+	if _, err := e.Leader().Tree().Get(path); err == nil {
 		t.Fatal("the dequeued element's znode is still there")
 	}
 	if got := enqViews[1].Value.Data; string(got) != "enqueued" {
@@ -122,13 +122,13 @@ func TestStragglerLegKeepsItsProposal(t *testing.T) {
 	heal := clock.NewEvent()
 	// The leader's proposals to its far follower: the first one stalls.
 	e.tr.SetInterceptor(&stallFirst{from: netsim.IRL, to: netsim.VRG, n: 1, heal: heal})
-	qc := NewQueueClient(e, netsim.IRL, netsim.IRL)
+	client := binding.NewClient(NewBinding(NewQueueClient(e, netsim.IRL, netsim.IRL)))
 	quorumRTT := netsim.DefaultLatencies().RTT(netsim.IRL, netsim.FRK)
 
 	enqueue := func(i int) {
 		t.Helper()
 		start := clock.Now()
-		if err := qc.Enqueue("t", []byte{byte(i)}, false, func(QueueView) {}); err != nil {
+		if err := invokeStrong(client, binding.Enqueue{Queue: "t", Item: []byte{byte(i)}}); err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
 		}
 		if took := clock.Now() - start; took < quorumRTT/2 {

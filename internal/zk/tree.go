@@ -24,7 +24,6 @@ var (
 	ErrNoNode     = errors.New("zk: node does not exist")
 	ErrNodeExists = errors.New("zk: node already exists")
 	ErrNotEmpty   = errors.New("zk: node has children")
-	ErrBadVersion = errors.New("zk: version conflict")
 )
 
 // node is one znode.
@@ -32,8 +31,7 @@ type node struct {
 	// data is immutable and shared: with the transaction that created the
 	// znode (and so with the other servers' trees), with snapshots and with
 	// every view read from it. A znode's data is never written in place.
-	data    []byte
-	version int32
+	data []byte
 	// children holds the child names in ascending order, so the queue head
 	// (FirstChild) is children[0] and a leaf znode carries no container.
 	children []string
@@ -126,28 +124,25 @@ func (t *Tree) NextSeq(dir string) (uint64, error) {
 	return n.nextSeq, nil
 }
 
-// Get returns the data and version of a znode. The data is the znode's own
-// buffer, shared and immutable: retain freely, never modify.
-func (t *Tree) Get(path string) ([]byte, int32, error) {
+// Get returns the data of a znode: the znode's own buffer, shared and
+// immutable — retain freely, never modify.
+func (t *Tree) Get(path string) ([]byte, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n, ok := t.nodes[path]
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNoNode, path)
+		return nil, fmt.Errorf("%w: %s", ErrNoNode, path)
 	}
-	return n.data, n.version, nil
+	return n.data, nil
 }
 
-// Delete removes a childless znode; version -1 skips the version check.
-func (t *Tree) Delete(path string, version int32) error {
+// Delete removes a childless znode.
+func (t *Tree) Delete(path string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n, ok := t.nodes[path]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoNode, path)
-	}
-	if version >= 0 && version != n.version {
-		return fmt.Errorf("%w: %s (have %d, want %d)", ErrBadVersion, path, n.version, version)
 	}
 	if len(n.children) > 0 {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, path)
@@ -209,7 +204,6 @@ func (t *Tree) Snapshot() (map[string]*node, int) {
 	for path, n := range t.nodes {
 		nodes[path] = &node{
 			data:     n.data,
-			version:  n.version,
 			children: slices.Clone(n.children),
 			nextSeq:  n.nextSeq,
 		}

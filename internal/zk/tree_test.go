@@ -23,7 +23,7 @@ func mkdirs(t testing.TB, tr *Tree, paths ...string) {
 }
 
 func exists(tr *Tree, path string) bool {
-	_, _, err := tr.Get(path)
+	_, err := tr.Get(path)
 	return err == nil
 }
 
@@ -32,14 +32,14 @@ func TestTreeCreateGetDelete(t *testing.T) {
 	if _, err := tr.Create("/a", []byte("x"), false); err != nil {
 		t.Fatal(err)
 	}
-	data, ver, err := tr.Get("/a")
-	if err != nil || string(data) != "x" || ver != 0 {
-		t.Fatalf("Get = %q, %d, %v", data, ver, err)
+	data, err := tr.Get("/a")
+	if err != nil || string(data) != "x" {
+		t.Fatalf("Get = %q, %v", data, err)
 	}
-	if err := tr.Delete("/a", -1); err != nil {
+	if err := tr.Delete("/a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tr.Get("/a"); !errors.Is(err, ErrNoNode) {
+	if _, err := tr.Get("/a"); !errors.Is(err, ErrNoNode) {
 		t.Errorf("Get after delete = %v", err)
 	}
 }
@@ -79,7 +79,7 @@ func TestTreeSequentialNames(t *testing.T) {
 		}
 	}
 	// The counter does not reuse numbers after deletion.
-	if err := tr.Delete("/q/item-0000000000", -1); err != nil {
+	if err := tr.Delete("/q/item-0000000000"); err != nil {
 		t.Fatal(err)
 	}
 	name, err := tr.Create("/q/item-", nil, true)
@@ -94,23 +94,10 @@ func TestTreeSequentialNames(t *testing.T) {
 	}
 }
 
-func TestTreeVersionChecks(t *testing.T) {
-	tr := NewTree()
-	if _, err := tr.Create("/a", []byte("v0"), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Delete("/a", 1); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("delete with a wrong version accepted: %v", err)
-	}
-	if err := tr.Delete("/a", 0); err != nil {
-		t.Errorf("delete with current version rejected: %v", err)
-	}
-}
-
 func TestTreeDeleteNonEmpty(t *testing.T) {
 	tr := NewTree()
 	mkdirs(t, tr, "/a", "/a/b")
-	if err := tr.Delete("/a", -1); !errors.Is(err, ErrNotEmpty) {
+	if err := tr.Delete("/a"); !errors.Is(err, ErrNotEmpty) {
 		t.Errorf("delete of non-empty node = %v", err)
 	}
 }
@@ -188,7 +175,7 @@ func TestPropertyFirstChildMatchesChildren(t *testing.T) {
 			case 0:
 				if kids, _ := tr.Children("/q"); len(kids) > 0 {
 					victim := kids[int(op/4)%len(kids)]
-					if tr.Delete("/q/"+victim, -1) != nil {
+					if tr.Delete("/q/"+victim) != nil {
 						return false
 					}
 					delete(live, victim)
@@ -221,7 +208,7 @@ func TestPropertyFirstChildMatchesChildren(t *testing.T) {
 				if name != "" {
 					return false
 				}
-			} else if stored, _, _ := tr.Get("/q/" + want[0]); name != want[0] || &data[0] != &stored[0] {
+			} else if stored, _ := tr.Get("/q/" + want[0]); name != want[0] || &data[0] != &stored[0] {
 				return false
 			}
 		}
@@ -269,8 +256,8 @@ func TestSnapshotOwnsItsChildLists(t *testing.T) {
 	dst := NewTree()
 	dst.Restore(nodes)
 
-	srcData, _, _ := src.Get("/q/q-0000000001")
-	dstData, _, _ := dst.Get("/q/q-0000000001")
+	srcData, _ := src.Get("/q/q-0000000001")
+	dstData, _ := dst.Get("/q/q-0000000001")
 	if string(dstData) != "two" || &srcData[0] != &dstData[0] {
 		t.Errorf("snapshot data = %q, shared = %v: want the source's own immutable buffer", dstData, &srcData[0] == &dstData[0])
 	}
@@ -280,7 +267,7 @@ func TestSnapshotOwnsItsChildLists(t *testing.T) {
 	if _, err := src.Create("/q/q-", []byte("four"), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Delete("/q/q-0000000000", -1); err != nil {
+	if err := dst.Delete("/q/q-0000000000"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dst.Create("/q/q-00000000015", nil, false); err != nil {

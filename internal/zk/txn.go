@@ -19,7 +19,7 @@ type TxnResult struct {
 	// Remaining is the number of elements left in the queue after a
 	// DequeueMinTxn.
 	Remaining int
-	// Err is the operation error (ErrNoNode, ErrBadVersion, ...); a failed
+	// Err is the operation error (ErrNoNode, ErrNodeExists, ...); a failed
 	// transaction is still a deterministic no-op everywhere.
 	Err error
 }
@@ -84,18 +84,18 @@ func (x CreateTxn) Apply(t *Tree) TxnResult {
 // PayloadSize implements Txn.
 func (x CreateTxn) PayloadSize() int { return len(x.Path) + len(x.Data) }
 
-// DeleteTxn removes a znode, optionally guarded by a version.
+// DeleteTxn removes a znode.
 type DeleteTxn struct {
-	Path    string
-	Version int32
+	Path string
 }
 
 // Apply implements Txn.
 func (x DeleteTxn) Apply(t *Tree) TxnResult {
-	return TxnResult{Err: t.Delete(x.Path, x.Version)}
+	return TxnResult{Err: t.Delete(x.Path)}
 }
 
-// PayloadSize implements Txn.
+// PayloadSize implements Txn: the path plus the request's four-byte version
+// field, which a delete always sends as "any version".
 func (x DeleteTxn) PayloadSize() int { return len(x.Path) + 4 }
 
 // DequeueMinTxn atomically removes the head (smallest sequential child) of
@@ -115,7 +115,7 @@ func (x DequeueMinTxn) Apply(t *Tree) TxnResult {
 	if name == "" {
 		return TxnResult{Element: nil, Remaining: 0}
 	}
-	if err := t.Delete(x.Dir+"/"+name, -1); err != nil {
+	if err := t.Delete(x.Dir + "/" + name); err != nil {
 		return TxnResult{Err: err}
 	}
 	return TxnResult{
@@ -128,11 +128,10 @@ func (x DequeueMinTxn) Apply(t *Tree) TxnResult {
 func (x DequeueMinTxn) PayloadSize() int { return len(x.Dir) }
 
 // failsFast reports whether a failed prep-time validation should abort the
-// transaction without committing (ZooKeeper returns BadVersion/NoNode
+// transaction without committing (ZooKeeper returns NoNode/NodeExists
 // errors from the leader's prep processor without broadcasting).
 func failsFast(res TxnResult) bool {
 	return res.Err != nil && (errors.Is(res.Err, ErrNoNode) ||
-		errors.Is(res.Err, ErrBadVersion) ||
 		errors.Is(res.Err, ErrNodeExists) ||
 		errors.Is(res.Err, ErrNotEmpty))
 }
