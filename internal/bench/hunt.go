@@ -218,8 +218,13 @@ func huntShards(profile string) int {
 //     recorder, checked with causal-cut only: the three-level ladder must
 //     hold without any session machinery in front of it.
 func runHuntWorld(w huntWorld) *huntOutcome {
+	return w.runOn(newWorld(Config{Seed: w.Seed}, faults.Compose(w.Tracks...), w.Horizon))
+}
+
+// runOn populates h, the fabric built for w, and runs it. (The liveness test
+// hands in one whose transport it has tampered with.)
+func (w huntWorld) runOn(h *world) *huntOutcome {
 	cfg := Config{Seed: w.Seed}
-	h := newWorld(cfg, faults.Compose(w.Tracks...), w.Horizon)
 	cluster := h.newCassandra(cfg, cassandraOpts{
 		correctable: true,
 		opTimeout:   3 * w.Unit,

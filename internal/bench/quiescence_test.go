@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"correctables/internal/faults"
+	"correctables/internal/netsim"
 )
 
 // TestWorldQuiescenceReportsParkedActor: run's post-condition. The stranded
@@ -37,6 +40,81 @@ func TestWorldQuiescenceReportsParkedActor(t *testing.T) {
 	never.Fire()
 	if _, err := w.run(); err != nil {
 		t.Errorf("after the event fired: %v", err)
+	}
+}
+
+// strandOne is a netsim.Interceptor over a world's own (nil in a fault-free
+// world): it stalls replica-link messages until one of their senders asks
+// what to wait for, and hands that one an event no transition fires — a link
+// that never heals, for exactly one synchronous message.
+type strandOne struct {
+	inner     netsim.Interceptor
+	stranding bool
+	never     *netsim.Event
+}
+
+func (s *strandOne) Intercept(from, to netsim.Region, class string) (netsim.Verdict, float64) {
+	if s.stranding && class == netsim.LinkReplica {
+		return netsim.VerdictStall, 1
+	}
+	if s.inner == nil {
+		return netsim.VerdictDeliver, 1
+	}
+	return s.inner.Intercept(from, to, class)
+}
+
+func (s *strandOne) Changed() *netsim.Event {
+	if s.stranding {
+		s.stranding = false
+		return s.never
+	}
+	return s.inner.Changed()
+}
+
+// pingLeg is a netsim.Exchange with nothing to do at either end.
+type pingLeg struct{ trip netsim.RoundTrip }
+
+func (*pingLeg) Serve() int { return 8 }
+func (*pingLeg) Done()      {}
+
+// TestWorldQuiescenceReportsStrandedRoundTrip: a request/response leg is a
+// record and no actor, and run's post-condition sees it all the same. A round
+// trip stalled on a link that never heals fails the world; a hunt world in
+// which one peer leg is stranded that way reports a quiescence finding, ahead
+// of whatever its checkers say about the operations that did finish.
+func TestWorldQuiescenceReportsStrandedRoundTrip(t *testing.T) {
+	w := newWorld(Config{Seed: 1}, nil, time.Second)
+	strand := &strandOne{stranding: true, never: w.clock.NewEvent()}
+	w.tr.SetInterceptor(strand)
+	var leg pingLeg
+	leg.trip.Start(w.tr, netsim.FRK, netsim.IRL, netsim.LinkReplica, 8, netsim.NewServer(w.clock, 1), time.Millisecond, &leg)
+	if _, err := w.run(); err == nil || !strings.Contains(err.Error(), "1 actor(s) still parked") {
+		t.Fatalf("run() = %v, want the one stalled round trip reported", err)
+	}
+	strand.never.Fire()
+	if _, err := w.run(); err != nil {
+		t.Errorf("after the link healed: %v", err)
+	}
+
+	hw, err := newHuntWorld("tracks-mild", 42, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newWorld(Config{Seed: hw.Seed}, faults.Compose(hw.Tracks...), hw.Horizon)
+	// Once the stores are built on the injector and the world runs, strand
+	// the first peer leg that leaves.
+	strand = &strandOne{inner: h.inj, stranding: true, never: h.clock.NewEvent()}
+	h.spawn(func() { h.tr.SetInterceptor(strand) })
+	out := hw.runOn(h)
+	// Two are parked: the leg, and the coordinator that waits for it.
+	if len(out.violations) == 0 || out.violations[0].Guarantee != "quiescence" ||
+		!strings.Contains(out.violations[0].Detail, "2 actor(s) still parked") {
+		t.Fatalf("hunt world with a stranded peer leg reported %v, want a quiescence finding first", out.violations)
+	}
+	strand.never.Fire() // let the two go
+	h.clock.Drain()
+	if n := h.clock.Parked(); n != 0 {
+		t.Errorf("%d still parked once the link healed", n)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 )
 
 // TestAllocGateQuorumRead pins what one read through the Binding costs end
-// to end — client library, binding, coordinator, one peer leg, views — on
-// a warm virtual clock (worker pool, event, record and gather free lists
+// to end — client library, binding, coordinator, one peer leg (a round trip
+// on the gather's record: no actor, nothing allocated), views — on a warm
+// virtual clock (worker pool, event, record and gather free lists
 // populated). The budgets are absolute, and what is left is what the caller
 // keeps: the operation runs on its recycled record and gather, whose steps
 // were bound when they were built, and its views alias the replica's bytes.
@@ -24,6 +25,9 @@ import (
 //   - correctable R=2 read, 6 (11 and 27 before): the same plus the
 //     preliminary's flush callback — fire and forget, it keeps its closure —
 //     and its view's box.
+//
+// Counts of actors repeat exactly: an R=2 read and a W=2 write start one
+// each, the operation's own (two before the peer leg became a record).
 func TestAllocGateQuorumRead(t *testing.T) {
 	cluster, _, clock := newTestCluster(t, true, true)
 	cluster.Preload("k", []byte("payload"))
@@ -61,6 +65,26 @@ func TestAllocGateQuorumRead(t *testing.T) {
 		t.Logf("allocs/%s read: %.1f", g.name, got)
 		if got > g.budget {
 			t.Errorf("%s read allocates %.1f/op, budget %.0f", g.name, got, g.budget)
+		}
+	}
+
+	w2 := NewKV(NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{WriteQuorum: 2}))
+	for _, g := range []struct {
+		name string
+		op   func()
+	}{
+		{"strong-only R=2 read", strong},
+		{"correctable R=2 read", icg},
+		{"W=2 write", func() {
+			if _, err := w2.Put(ctx, "k", []byte("payload")).Final(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		before := clock.Spawned()
+		g.op()
+		if n := clock.Spawned() - before; n != 1 {
+			t.Errorf("a %s starts %d actors, want 1", g.name, n)
 		}
 	}
 	clock.Drain()

@@ -158,42 +158,20 @@ func (b *Binding) readBatch(shard int, entries []binding.BatchEntry) {
 			quorumSp = trc.Begin(cl.phaseTrk[c.Coordinator], trace.CatQuorum, "batch-quorum",
 				fmt.Sprintf("%d ops", len(strong)), clock.Now())
 		}
-		peers := cl.othersByProximity(c.Coordinator)[:need]
-		results := clock.NewQueue()
-		for _, peer := range peers {
-			peer := peer
-			peerReplica := cl.ReplicaAt(shard, peer)
-			clock.Go(func() {
-				req := 0
-				for _, i := range strong {
-					req += replicaReadRequestSize(items[i].key)
-				}
-				tr.Travel(c.Coordinator, peer, netsim.LinkReplica, req)
-				var peerLatest time.Duration
-				for range strong {
-					if end := peerReplica.server.Reserve(cfg.ReadServiceTime); end > peerLatest {
-						peerLatest = end
-					}
-				}
-				clock.SleepUntil(peerLatest)
-				vs := make([]Versioned, len(strong))
-				resp := 0
-				for j, i := range strong {
-					vs[j] = peerReplica.tab.get(items[i].key)
-					resp += replicaReadResponseSize(vs[j].Value)
-				}
-				tr.Travel(peer, c.Coordinator, netsim.LinkReplica, resp)
-				results.Put(vs)
-			})
+		g := cl.getGather(c, shard, "")
+		g.items, g.strong = items, strong
+		for k := range g.legs[:need] {
+			g.legs[k].readBatch()
 		}
-		for k := 0; k < need; k++ {
-			vs := results.Get().([]Versioned)
+		for range need {
+			vs := g.legs[g.arrived.Get().(int)].replies
 			for j, i := range strong {
 				if vs[j].Newer(items[i].reconciled) {
 					items[i].reconciled = vs[j]
 				}
 			}
 		}
+		cl.putGather(g)
 		cl.trc.End(quorumSp, clock.Now())
 		for _, i := range strong {
 			it := &items[i]
@@ -236,6 +214,33 @@ func (b *Binding) readBatch(shard int, entries []binding.BatchEntry) {
 		})
 	}
 }
+
+// batchLeg is a peerLeg on a coalesced read: one round trip covers every
+// strong item of the batch, with the peer's per-item service slots reserved
+// together and waited on once.
+type batchLeg peerLeg
+
+func (l *peerLeg) readBatch() {
+	g := l.g
+	req := 0
+	for _, i := range g.strong {
+		req += replicaReadRequestSize(g.items[i].key)
+	}
+	l.start((*batchLeg)(l), req, g.c.cluster.cfg.ReadServiceTime)
+}
+
+func (l *batchLeg) Serve() int {
+	g := l.g
+	resp := 0
+	for _, i := range g.strong {
+		v := l.replica.tab.get(g.items[i].key)
+		l.replies = append(l.replies, v)
+		resp += replicaReadResponseSize(v.Value)
+	}
+	return resp
+}
+
+func (l *batchLeg) Done() { l.g.arrived.Put(l.slot) }
 
 // strongItems lists the item indexes that need a quorum-reconciled view.
 func strongItems(items []batchItem) []int {

@@ -153,7 +153,7 @@ func (c *Client) Read(key string, quorum int, wantPrelim bool, onView func(ReadV
 		}
 		g := c.cluster.getGather(c, shard, key)
 		for i := range g.legs[:need] {
-			clock.Go(g.legs[i].read)
+			g.legs[i].read()
 		}
 		for range need {
 			if v := g.legs[g.arrived.Get().(int)].reply; v.Newer(reconciled) {
@@ -266,7 +266,7 @@ func (c *Client) write(key string, value []byte, w int) (Versioned, error) {
 	for i, peer := range peers {
 		if i < needSync {
 			// Synchronous propagation for the write quorum.
-			clock.Go(g.legs[i].write)
+			g.legs[i].write()
 		} else if c.cluster.hintable(c.Coordinator, peer) {
 			// The peer is down or severed: the async send would be lost in
 			// flight. Buffer a hint instead and replay it on rejoin.

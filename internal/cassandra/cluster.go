@@ -168,11 +168,11 @@ type Cluster struct {
 
 // gather is the record of one coordinated round — a quorum read's peer legs
 // or a write's W-1 synchronous legs — in place of a closure per leg: the
-// coordinator fills in what the round is about, spawns the bound step of
+// coordinator fills in what the round is about, starts the round trip of
 // each slot it needs, and waits. A read leg leaves its reply in its own slot
 // and puts the slot index on arrived, so no reply is boxed; a write leg
 // counts down acks. The coordinator recycles the gather once every leg it
-// spawned has reported, which is the last time any of them touches it; the
+// started has reported, which is the last time any of them touches it; the
 // next round gets the whole thing, queue and group included, empty again.
 type gather struct {
 	arrived *netsim.Queue // read legs report their slot here
@@ -185,49 +185,64 @@ type gather struct {
 	shard int
 	key   string
 	v     Versioned // the mutation the legs of a write carry
+	// A coalesced read is about many keys (see batch.go): the batch's items
+	// and the indexes of those that want a quorum view.
+	items  []batchItem
+	strong []int
 }
 
-// peerLeg is one slot of a gather. Its two steps are bound once, when the
-// gather is built.
+// peerLeg is one slot of a gather: the round trip to the slot's peer, a
+// record and no actor (netsim.RoundTrip). What happens at the two ends
+// depends on the round, so the slot is a netsim.Exchange under three names:
+// readLeg, writeLeg and, for a coalesced read, batchLeg (batch.go).
 type peerLeg struct {
-	g     *gather
-	slot  int
-	reply Versioned // what a read leg brought back
-
-	read  func() // l.runRead: a quorum read's round trip to the slot's peer
-	write func() // l.runWrite: a write's synchronous round trip
+	g       *gather
+	slot    int
+	replica *Replica    // the slot's peer for the round
+	reply   Versioned   // what a read leg brought back
+	replies []Versioned // what a coalesced read's leg brought back, per strong item
+	trip    netsim.RoundTrip
 }
 
-// peer returns the slot's replica for the round: the slot-th closest peer
-// of the coordinator, in the key's shard.
-func (l *peerLeg) peer() (netsim.Region, *Replica) {
-	g := l.g
-	region := g.c.cluster.othersByProximity(g.c.Coordinator)[l.slot]
-	return region, g.c.cluster.ReplicaAt(g.shard, region)
-}
-
-func (l *peerLeg) runRead() {
+// start sends the round's request to the slot's replica: the slot-th closest
+// peer of the coordinator, in the key's shard.
+func (l *peerLeg) start(x netsim.Exchange, reqSize int, cost time.Duration) {
 	g := l.g
 	cl, coord := g.c.cluster, g.c.Coordinator
-	peer, replica := l.peer()
-	cl.tr.Travel(coord, peer, netsim.LinkReplica, replicaReadRequestSize(g.key))
-	replica.server.Process(cl.cfg.ReadServiceTime)
-	v := replica.tab.get(g.key)
-	cl.tr.Travel(peer, coord, netsim.LinkReplica, replicaReadResponseSize(v.Value))
-	l.reply = v
-	g.arrived.Put(l.slot)
+	peer := cl.othersByProximity(coord)[l.slot]
+	l.replica = cl.ReplicaAt(g.shard, peer)
+	l.trip.Slots = len(g.strong) // a coalesced read reserves one per item
+	l.trip.Start(cl.tr, coord, peer, netsim.LinkReplica, reqSize, l.replica.server, cost, x)
 }
 
-func (l *peerLeg) runWrite() {
-	g := l.g
-	cl, coord := g.c.cluster, g.c.Coordinator
-	peer, replica := l.peer()
-	cl.tr.Travel(coord, peer, netsim.LinkReplica, replicationSize(g.key, g.v.Value))
-	replica.server.Process(cl.cfg.WriteServiceTime)
-	replica.tab.apply(g.key, g.v)
-	cl.tr.Travel(peer, coord, netsim.LinkReplica, WriteAckSize)
-	g.acks.Done()
+// readLeg is a peerLeg on a quorum read.
+type readLeg peerLeg
+
+func (l *peerLeg) read() {
+	l.start((*readLeg)(l), replicaReadRequestSize(l.g.key), l.g.c.cluster.cfg.ReadServiceTime)
 }
+
+func (l *readLeg) Serve() int {
+	l.reply = l.replica.tab.get(l.g.key)
+	return replicaReadResponseSize(l.reply.Value)
+}
+
+func (l *readLeg) Done() { l.g.arrived.Put(l.slot) }
+
+// writeLeg is a peerLeg on a write's synchronous propagation.
+type writeLeg peerLeg
+
+func (l *peerLeg) write() {
+	g := l.g
+	l.start((*writeLeg)(l), replicationSize(g.key, g.v.Value), g.c.cluster.cfg.WriteServiceTime)
+}
+
+func (l *writeLeg) Serve() int {
+	l.replica.tab.apply(l.g.key, l.g.v)
+	return WriteAckSize
+}
+
+func (l *writeLeg) Done() { l.g.acks.Done() }
 
 // getGather takes a gather for one round of client c on key.
 func (c *Cluster) getGather(client *Client, shard int, key string) *gather {
@@ -236,9 +251,7 @@ func (c *Cluster) getGather(client *Client, shard int, key string) *gather {
 		clock := c.tr.Clock()
 		g = &gather{arrived: clock.NewQueue(), acks: clock.NewGroup(), legs: make([]peerLeg, len(c.order)-1)}
 		for i := range g.legs {
-			l := &g.legs[i]
-			l.g, l.slot = g, i
-			l.read, l.write = l.runRead, l.runWrite
+			g.legs[i].g, g.legs[i].slot = g, i
 		}
 	}
 	g.c, g.shard, g.key = client, shard, key
@@ -249,9 +262,12 @@ func (c *Cluster) getGather(client *Client, shard int, key string) *gather {
 // the round's references.
 func (c *Cluster) putGather(g *gather) {
 	for i := range g.legs {
-		g.legs[i].reply = Versioned{}
+		l := &g.legs[i]
+		l.reply = Versioned{}
+		clear(l.replies)
+		l.replies = l.replies[:0]
 	}
-	g.c, g.key, g.v = nil, "", Versioned{}
+	g.c, g.key, g.v, g.items, g.strong = nil, "", Versioned{}, nil, nil
 	c.gathers.Put(g)
 }
 

@@ -28,7 +28,7 @@ func (d *dropReplies) Intercept(from, to netsim.Region, class string) (netsim.Ve
 	return netsim.VerdictDeliver, 1
 }
 
-func (d *dropReplies) AwaitPassable(from, to netsim.Region) {}
+func (d *dropReplies) Changed() *netsim.Event { return nil } // it never stalls
 
 // waitGoroutines polls until the goroutine count is back at base: retired
 // workers have been woken by the time Drain returns but may not have run to

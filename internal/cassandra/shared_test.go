@@ -118,7 +118,7 @@ func (s *stallFirst) Intercept(from, to netsim.Region, class string) (netsim.Ver
 	return netsim.VerdictDeliver, 1
 }
 
-func (s *stallFirst) AwaitPassable(from, to netsim.Region) { s.heal.Wait() }
+func (s *stallFirst) Changed() *netsim.Event { return s.heal }
 
 // held counts the records on a free list: it takes them all and puts them
 // back in the order it found them.

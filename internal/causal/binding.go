@@ -15,6 +15,8 @@ import (
 type Client struct {
 	store  *Store
 	Region netsim.Region
+	// backup is the region the causal level reads: the closest backup.
+	backup netsim.Region
 
 	mu    sync.Mutex
 	cache map[string]Entry
@@ -22,7 +24,7 @@ type Client struct {
 
 // NewClient creates a client in the given region with an empty cache.
 func NewClient(store *Store, region netsim.Region) *Client {
-	return &Client{store: store, Region: region, cache: map[string]Entry{}}
+	return &Client{store: store, Region: region, backup: store.nearestBackup(region), cache: map[string]Entry{}}
 }
 
 // Store returns the client's store.
@@ -57,32 +59,65 @@ type Binding struct {
 
 // opRecord is the state of one SubmitOperation for the life of its protocol
 // actor, in place of a closure per hop and a queue per remote read (the
-// idiom of cassandra.Binding's record and gather): the actor body and the two
-// remote reads are methods bound once, when the record is built; a read
-// leaves its entry in its own slot and signals its queue, so no entry is
-// boxed. The actor waits for every read it spawned before it ends, which is
-// when it returns the record — queues empty again — and nothing else does.
+// idiom of cassandra.Binding's record and gather): the actor body is a
+// method bound once, when the record is built, and the two remote reads are
+// legs of the record. The actor waits for every read it started before it
+// ends, which is when it returns the record — queues empty again — and
+// nothing else does.
 type opRecord struct {
 	b      *Binding
 	op     binding.Operation
 	levels core.Levels
 	cb     binding.Callback
 
-	key              string
-	causal, strong   Entry         // what the remote reads brought back
-	causalQ, strongQ *netsim.Queue // signalled when the slot is filled
+	key            string
+	causal, strong remoteRead // the nearest backup's read and the primary's
 
-	run        func() // r.exec: the actor body
-	readCausal func() // r.fetchCausal: the nearest backup's read
-	readStrong func() // r.fetchStrong: the primary's read
+	run func() // r.exec: the actor body
+}
+
+// remoteRead is one remote read of a get: the round trip to one replica, a
+// record and no actor (netsim.RoundTrip). It leaves the entry in its own
+// slot and signals its queue, so no entry is boxed.
+type remoteRead struct {
+	r       *opRecord
+	replica *replica      // the replica the read goes to
+	entry   Entry         // what it brought back
+	arrived *netsim.Queue // signalled when the slot is filled
+	trip    netsim.RoundTrip
+}
+
+func (l *remoteRead) start(region netsim.Region) {
+	c := l.r.b.client
+	st := c.store
+	l.replica = st.replicas[region]
+	l.trip.Start(st.tr, c.Region, region, netsim.LinkClient, 64+len(l.r.key), l.replica.proc, st.cfg.ServiceTime, l)
+}
+
+// Serve implements netsim.Exchange: the replica's read.
+func (l *remoteRead) Serve() int {
+	l.entry = l.replica.get(l.r.key)
+	return 96 + len(l.entry.Value)
+}
+
+// Done implements netsim.Exchange: the entry is back at the client. What the
+// primary says refreshes the cache on arrival, whichever view the ladder is
+// at.
+func (l *remoteRead) Done() {
+	if l == &l.r.strong {
+		l.r.b.client.cacheMerge(l.r.key, l.entry)
+	}
+	l.arrived.Put(nil)
 }
 
 func (b *Binding) getRecord() *opRecord {
 	r := b.free.Take()
 	if r == nil {
 		clock := b.client.store.tr.Clock()
-		r = &opRecord{b: b, causalQ: clock.NewQueue(), strongQ: clock.NewQueue()}
-		r.run, r.readCausal, r.readStrong = r.exec, r.fetchCausal, r.fetchStrong
+		r = &opRecord{b: b}
+		r.causal = remoteRead{r: r, arrived: clock.NewQueue()}
+		r.strong = remoteRead{r: r, arrived: clock.NewQueue()}
+		r.run = r.exec
 	}
 	return r
 }
@@ -90,7 +125,7 @@ func (b *Binding) getRecord() *opRecord {
 // putRecord recycles r, cleared of the operation's references.
 func (b *Binding) putRecord(r *opRecord) {
 	r.op, r.levels, r.cb, r.key = nil, nil, nil, ""
-	r.causal, r.strong = Entry{}, Entry{}
+	r.causal.entry, r.strong.entry = Entry{}, Entry{}
 	b.free.Put(r)
 }
 
@@ -164,13 +199,12 @@ func (r *opRecord) get() {
 	key, levels := r.key, r.levels
 
 	// Launch the remote reads in parallel.
-	clock := c.store.tr.Clock()
 	wantCausal, wantStrong := levels.Contains(core.LevelCausal), levels.Contains(core.LevelStrong)
 	if wantCausal {
-		clock.Go(r.readCausal)
+		r.causal.start(c.backup)
 	}
 	if wantStrong {
-		clock.Go(r.readStrong)
+		r.strong.start(c.store.cfg.Primary)
 	}
 
 	// Deliver in level order: cache (immediately, if hit), causal, strong.
@@ -193,8 +227,8 @@ func (r *opRecord) get() {
 		// past; the merged entry also refreshes the cache. The primary's
 		// per-key version is always ≥ every backup's, so the strong view
 		// still dominates.
-		r.causalQ.Get()
-		e := r.causal
+		r.causal.arrived.Get()
+		e := r.causal.entry
 		c.cacheMerge(key, e)
 		if cached := c.CacheGet(key); cached.newer(e) {
 			e = cached
@@ -202,27 +236,11 @@ func (r *opRecord) get() {
 		r.emit(e, core.LevelCausal)
 	}
 	if wantStrong {
-		r.strongQ.Get()
-		e := r.strong
+		r.strong.arrived.Get()
+		e := r.strong.entry
 		c.cacheMerge(key, e)
 		r.emit(e, core.LevelStrong)
 	}
-}
-
-// fetchCausal is the causal level's remote read, an actor of its own.
-func (r *opRecord) fetchCausal() {
-	c := r.b.client
-	r.causal = c.store.read(c.Region, c.store.nearestBackup(c.Region), r.key)
-	r.causalQ.Put(nil)
-}
-
-// fetchStrong is the strong level's remote read, an actor of its own.
-func (r *opRecord) fetchStrong() {
-	c := r.b.client
-	e := c.store.read(c.Region, c.store.cfg.Primary, r.key)
-	c.cacheMerge(r.key, e)
-	r.strong = e
-	r.strongQ.Put(nil)
 }
 
 // emit delivers one view: the entry's value, shared (an absent entry has

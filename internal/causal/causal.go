@@ -215,9 +215,7 @@ func (s *Store) ReplicaEntry(region netsim.Region, key string) Entry {
 	if r == nil {
 		return Entry{}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.data[key]
+	return r.get(key)
 }
 
 // Preload installs a value on every replica without traffic.
@@ -245,7 +243,7 @@ func (s *Store) newEntry(value []byte) Entry {
 }
 
 // nearestBackup returns the backup region closest to from (or the primary
-// if there are no backups).
+// if there are no backups). It sorts: clients ask once, when they are built.
 func (s *Store) nearestBackup(from netsim.Region) netsim.Region {
 	if len(s.cfg.Backups) == 0 {
 		return s.cfg.Primary
@@ -254,16 +252,11 @@ func (s *Store) nearestBackup(from netsim.Region) netsim.Region {
 	return sorted[0]
 }
 
-// read serves a key from one replica, charging network and service time.
-func (s *Store) read(clientRegion, replicaRegion netsim.Region, key string) Entry {
-	r := s.replicas[replicaRegion]
-	s.tr.Travel(clientRegion, replicaRegion, netsim.LinkClient, 64+len(key))
-	r.proc.Process(s.cfg.ServiceTime)
+// get returns the replica's entry for key.
+func (r *replica) get(key string) Entry {
 	r.mu.Lock()
-	e := r.data[key]
-	r.mu.Unlock()
-	s.tr.Travel(replicaRegion, clientRegion, netsim.LinkClient, 96+len(e.Value))
-	return e
+	defer r.mu.Unlock()
+	return r.data[key]
 }
 
 // write applies a value at the primary and propagates to backups in version

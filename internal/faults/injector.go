@@ -396,17 +396,10 @@ func (i *Injector) Intercept(from, to netsim.Region, class string) (netsim.Verdi
 	return netsim.VerdictDeliver, factor
 }
 
-// AwaitPassable implements netsim.Interceptor: the calling actor parks
-// until from<->to is passable, waking at every transition to recheck.
-func (i *Injector) AwaitPassable(from, to netsim.Region) {
-	for {
-		i.mu.Lock()
-		if i.passableLocked(from, to) {
-			i.mu.Unlock()
-			return
-		}
-		ev := i.epochEv
-		i.mu.Unlock()
-		ev.Wait()
-	}
+// Changed implements netsim.Interceptor: the event the next transition
+// fires. A stalled sender waits on it and has the link judged again.
+func (i *Injector) Changed() *netsim.Event {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.epochEv
 }

@@ -95,3 +95,72 @@ func TestAllocGateActorSpawn(t *testing.T) {
 	}
 	c.Drain()
 }
+
+// TestAllocGateRoundTrip: a warm round trip — step bound, timer heap, vactor
+// and event free lists populated — allocates nothing: not on the transport's
+// fast path, not when its request is dropped once and retransmitted, and not
+// when it stalls across two fault transitions, the first of which heals
+// nothing (it queues its one step on the interceptor's event: no closure).
+func TestAllocGateRoundTrip(t *testing.T) {
+	c := NewVirtualClock()
+	tr := NewTransport(c, DefaultLatencies(), NewMeter(), 1)
+	server := NewServer(c, 2)
+	l := &quietLeg{joined: c.NewQueue()}
+	link := pairKey(FRK, IRL)
+	f := &scriptedFaults{clock: c, epoch: c.NewEvent(), down: map[[2]Region]bool{}, lose: map[[2]Region]int{}}
+	transition := func() {
+		old := f.epoch
+		f.epoch = c.NewEvent()
+		old.Fire()
+		old.Release()
+	}
+	heal := func() {
+		f.down[link] = false
+		transition()
+	}
+	trip := func() {
+		l.trip.Start(tr, FRK, IRL, LinkReplica, 64, server, time.Millisecond, l)
+		l.joined.Get()
+	}
+	for _, g := range []struct {
+		name string
+		run  func()
+	}{
+		{"fast path", trip},
+		{"dropped once", func() {
+			f.lose[link] = 1
+			trip()
+		}},
+		{"stalled across two transitions", func() {
+			f.down[link] = true
+			c.RunAfter(time.Second, transition)
+			c.RunAfter(2*time.Second, heal)
+			start := c.Now()
+			trip()
+			if c.Now()-start < 2*time.Second {
+				t.Fatal("the leg did not wait for the heal")
+			}
+		}},
+	} {
+		for i := 0; i < 64; i++ {
+			g.run()
+		}
+		if got := testing.AllocsPerRun(200, g.run); got != 0 {
+			t.Errorf("%s: a warm round trip allocates %v, want 0", g.name, got)
+		}
+		tr.SetInterceptor(f) // the fast path ran without
+	}
+	if tr.Meter().Dropped(LinkReplica).Messages == 0 {
+		t.Error("no request was dropped")
+	}
+	c.Drain()
+}
+
+// quietLeg is an Exchange that only reports back.
+type quietLeg struct {
+	joined *Queue
+	trip   RoundTrip
+}
+
+func (l *quietLeg) Serve() int { return 64 }
+func (l *quietLeg) Done()      { l.joined.Put(nil) }

@@ -5,21 +5,24 @@ import (
 	"time"
 )
 
-// stubInterceptor returns a fixed verdict/factor; AwaitPassable flips the
-// verdict to deliver so stalled senders make progress on the recheck.
+// stubInterceptor returns a fixed verdict/factor; Changed flips the verdict
+// to deliver and hands out a fired event, so stalled senders make progress
+// on the recheck.
 type stubInterceptor struct {
 	verdict Verdict
 	factor  float64
 	awaited int
+	healed  *Event
 }
 
 func (s *stubInterceptor) Intercept(from, to Region, class string) (Verdict, float64) {
 	return s.verdict, s.factor
 }
 
-func (s *stubInterceptor) AwaitPassable(from, to Region) {
+func (s *stubInterceptor) Changed() *Event {
 	s.awaited++
 	s.verdict = VerdictDeliver
+	return s.healed
 }
 
 func TestTransportInterceptorDeliverFactor(t *testing.T) {
@@ -130,11 +133,12 @@ func TestParkedCountsStrandedActors(t *testing.T) {
 func TestTransportInterceptorStallSyncRetries(t *testing.T) {
 	clock := NewVirtualClock()
 	tr := NewTransport(clock, DefaultLatencies(), NewMeter(), 1)
-	icept := &stubInterceptor{verdict: VerdictStall, factor: 1}
+	icept := &stubInterceptor{verdict: VerdictStall, factor: 1, healed: clock.NewEvent()}
+	icept.healed.Fire()
 	tr.SetInterceptor(icept)
-	tr.Travel(IRL, VRG, LinkClient, 10) // AwaitPassable flips to deliver
+	tr.Travel(IRL, VRG, LinkClient, 10) // Changed flips to deliver
 	if icept.awaited != 1 {
-		t.Errorf("AwaitPassable called %d times, want 1", icept.awaited)
+		t.Errorf("Changed called %d times, want 1", icept.awaited)
 	}
 	if got := tr.Meter().Class(LinkClient); got.Messages != 1 {
 		t.Errorf("stalled-then-delivered message not accounted: %+v", got)

@@ -23,26 +23,29 @@ const (
 	// and tries again.
 	VerdictDrop
 	// VerdictStall marks the link impassable (network partition, crashed
-	// endpoint). Travel parks the calling actor via AwaitPassable until the
-	// link heals; asynchronous sends are discarded — in-flight
-	// fire-and-forget traffic is exactly the state a crash loses.
+	// endpoint). A synchronous sender — Travel's actor, a RoundTrip — waits
+	// for the interceptor's next transition and asks again, until the link
+	// heals; asynchronous sends are discarded — in-flight fire-and-forget
+	// traffic is exactly the state a crash loses.
 	VerdictStall
 )
 
-// Interceptor inspects every message the transport carries, deciding its
-// fate per the current fault epoch. The canonical implementation is
-// faults.Injector; a nil interceptor (the default) leaves the hot path
-// untouched. Interceptor methods are called from actor context for Travel
-// and possibly from callback context for Send/SendAfter, so Intercept must
-// never block; only AwaitPassable may park the caller.
+// Interceptor is one judge and one signal: it decides the fate of every
+// message the transport carries per the current fault epoch, and says when
+// that epoch ends. The canonical implementation is faults.Injector; a nil
+// interceptor (the default) leaves the hot path untouched. Both methods are
+// called from actor and from callback context and must never block: who
+// waits, and how — an actor in Event.Wait, a continuation in Event.Then — is
+// the sender's business.
 type Interceptor interface {
 	// Intercept returns the fate of one message plus a delay multiplier
-	// (meaningful for VerdictDeliver; 1.0 = unperturbed).
+	// (meaningful for VerdictDeliver; 1.0 = unperturbed). An impassable link
+	// is VerdictStall before anything is sampled, so a stalled sender that
+	// asks again at every transition draws nothing until the link heals.
 	Intercept(from, to Region, class string) (Verdict, float64)
-	// AwaitPassable parks the calling actor until from<->to is passable
-	// again (partition healed, endpoints up). Called by the synchronous
-	// path after a VerdictStall.
-	AwaitPassable(from, to Region)
+	// Changed returns the event the next fault transition fires. A sender
+	// handed VerdictStall waits on it and calls Intercept again.
+	Changed() *Event
 }
 
 // Transport carries messages between regions, charging one-way latency
@@ -217,26 +220,48 @@ func (t *Transport) Travel(from, to Region, class string, size int) {
 	if t.trc != nil {
 		sp = t.trc.Begin(t.netTrack(from, to), netCat(class), class, "", t.clock.Now())
 	}
+	stalled := false
 	for {
-		verdict, factor := VerdictDeliver, 1.0
-		if t.icept != nil {
-			verdict, factor = t.icept.Intercept(from, to, class)
+		verdict, wait := t.attempt(from, to, class, size, sp, &stalled)
+		if verdict == VerdictStall {
+			t.icept.Changed().Wait()
+			continue
 		}
-		switch verdict {
-		case VerdictDeliver:
-			t.meter.Account(class, size)
-			t.clock.Sleep(scaled(t.sample(from, to), factor))
+		t.clock.Sleep(wait)
+		if verdict == VerdictDeliver {
 			t.trc.End(sp, t.clock.Now())
 			return
-		case VerdictDrop:
-			t.trc.Annotate(sp, "drop")
-			t.meter.AccountDropped(class, size)
-			t.clock.Sleep(2 * t.sample(from, to)) // retransmission timeout
-		case VerdictStall:
-			t.trc.Annotate(sp, "stall")
-			t.icept.AwaitPassable(from, to)
 		}
 	}
+}
+
+// attempt puts a synchronous message on the wire once, on the slow path
+// (interceptor or tracer attached): it takes the verdict, accounts the bytes
+// as delivered or dropped, annotates the message's span, and returns how
+// long the sender now waits — the scaled one-way delay of a delivery, the
+// retransmission timeout after a drop. After a stall it waits for the
+// interceptor's next transition instead; stalled carries across attempts so
+// that one episode, however many transitions it spans, annotates once.
+func (t *Transport) attempt(from, to Region, class string, size int, sp trace.SpanID, stalled *bool) (Verdict, time.Duration) {
+	verdict, factor := VerdictDeliver, 1.0
+	if t.icept != nil {
+		verdict, factor = t.icept.Intercept(from, to, class)
+	}
+	if verdict == VerdictStall {
+		if !*stalled {
+			*stalled = true
+			t.trc.Annotate(sp, "stall")
+		}
+		return verdict, 0
+	}
+	*stalled = false
+	if verdict == VerdictDrop {
+		t.trc.Annotate(sp, "drop")
+		t.meter.AccountDropped(class, size)
+		return verdict, 2 * t.sample(from, to)
+	}
+	t.meter.Account(class, size)
+	return verdict, scaled(t.sample(from, to), factor)
 }
 
 // Send asynchronously delivers a message: fn runs as a callback timer

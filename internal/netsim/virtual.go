@@ -33,6 +33,19 @@ import (
 // still needs an actor: spawn one with Go from inside the callback if
 // necessary.
 //
+// Work that waits more than once need not be an actor either. Each way an
+// actor takes its turn has a continuation twin that takes the same turn
+// without one: Run takes over the ready-queue slot of Go, After and At the
+// timer of Sleep and SleepUntil (and run the continuation on the spot exactly
+// where those return without parking), Event.Then the waiter slot of
+// Event.Wait, counted as parked like the actor it stands for. A continuation
+// is a callback — dispatch runs it inline, and it must not block — so a
+// multi-step exchange written as a chain of them (netsim.RoundTrip) costs no
+// goroutine, no spawn and no token handoff. It moves no event: an execution
+// is its sequence of steps, whichever goroutine takes each, and a chain that
+// occupies the slots and arms the timers its actor would have leaves the
+// order dispatch pops them in unchanged by construction.
+//
 // Discipline (see the Clock comment): spawn actors with Go and block only
 // through the clock. An actor that blocks on a bare channel freezes the
 // whole simulation, since the token is never handed on.
@@ -82,26 +95,33 @@ type VirtualClock struct {
 // actor with the pool full exits, as every actor goroutine used to. The
 // bound is what a burst may leave parked until the next Drain — the 10^5
 // actors of a wide ycsb.Run all end at the horizon — and 256 is where the
-// measured reuse levels off: over the measured phase of the benchmark's
-// workloads (seed 101) the deepest the pool ever wants to be is 215
-// (ads_spec_closed), 36 (sessions_rw_checked), 98 (worlds_faults_parallel),
-// 917 (sharded_open_ramp) and 682 (zk_queue_failover, the actors parked
-// through the outage ending together), and the share of Go calls that
-// still start a goroutine is 3.8%, 0, 0, 2.3% and 41% at a bound of 64
-// against 0.002%, 0, 0, 0.2% and 11% at 256 — with no bound, 0.1% on zk
-// and the same elsewhere. Peak RSS did not tell 64, 256 and no bound apart
-// on any of them.
+// measured reuse levels off. Re-measured now that request/response legs are
+// records and no actors, over whole runs of the benchmark's workloads (seed
+// 101; set-up, warm-up and five repetitions, each world on a clock of its
+// own, whose first actors start their goroutines whatever the bound): the
+// deepest the pool ever wants to be is 181 (ads_spec_closed), 24
+// (sessions_rw_checked), 49 (worlds_faults_parallel), 675
+// (sharded_open_ramp) and 384 (zk_queue_failover, the actors parked through
+// the outage ending together), and the share of Go calls that start a
+// goroutine is 4.8%, 0.09%, 27%, 1.7% and 49% at a bound of 64 against
+// 0.08%, 0.09%, 27%, 0.26% and 1.1% at 256 — with no bound, 0.8% on zk and
+// the same elsewhere (the 900 short worlds start theirs fresh at any bound).
+// Peak RSS did not tell 64, 256 and no bound apart on any of them when the
+// bound was chosen (PR 15); that was not measured again.
 const maxIdleWorkers = 256
 
 // vactor is one parked actor: a rendezvous channel for the token handoff,
 // a spawn sequence for deterministic tie-breaks, and the handed-off value
 // (queues) or actor body (workers). The channel is buffered (capacity 1)
 // and reused across parks: waking an actor is a single non-blocking send.
+// A vactor with then set stands in the same slots for a continuation, which
+// has no goroutine to wake: dispatch runs it inline when its turn comes.
 type vactor struct {
-	seq uint64
-	ch  chan struct{}
-	val any
-	fn  func() // the body a worker runs when woken; nil retires it
+	seq  uint64
+	ch   chan struct{}
+	val  any
+	fn   func() // the body a worker runs when woken; nil retires it
+	then func() // a continuation's step (Run, Event.Then), in place of a wake
 }
 
 // NewVirtualClock returns a virtual clock at model time zero. The calling
@@ -169,10 +189,14 @@ func (l *FreeList[T]) Put(x *T) {
 // caller must have received the token through p.ch already (so the channel
 // is empty again) and be done with p.val and p.fn.
 func (c *VirtualClock) recycle(p *vactor) {
-	p.val, p.fn = nil, nil
 	c.mu.Lock()
-	c.freelist = append(c.freelist, p)
+	c.recycleLocked(p)
 	c.mu.Unlock()
+}
+
+func (c *VirtualClock) recycleLocked(p *vactor) {
+	p.val, p.fn, p.then = nil, nil, nil
+	c.freelist = append(c.freelist, p)
 }
 
 // wake hands the execution token to a parked actor. The channel holds at
@@ -193,9 +217,10 @@ func (c *VirtualClock) checkCanBlockLocked(op string) {
 
 // dispatchLocked hands the token to the next runnable work item: ready
 // actors first (FIFO), then the earliest timer (advancing model time),
-// then — only at full quiescence — the Drain idler. Callback timers are
-// executed inline on the dispatching goroutine (dropping the lock for the
-// duration of the callback) and dispatch continues afterwards. If parked
+// then — only at full quiescence — the Drain idler. Callback timers and
+// continuations are executed inline on the dispatching goroutine (dropping
+// the lock for the duration of the callback) and dispatch continues
+// afterwards. If parked
 // actors remain with nothing left that could ever wake them, that is a
 // deadlock and the simulation fails fast instead of hanging.
 //
@@ -204,8 +229,17 @@ func (c *VirtualClock) checkCanBlockLocked(op string) {
 func (c *VirtualClock) dispatchLocked() {
 	for {
 		if c.ready.len() > 0 {
-			c.ready.pop().wake()
-			return
+			p := c.ready.pop()
+			if p.then == nil {
+				p.wake()
+				return
+			}
+			// A continuation's turn: it ran no goroutine to hand the token
+			// to, so its step runs here and its slot goes back.
+			fn := p.then
+			c.recycleLocked(p)
+			c.callLocked(fn)
+			continue
 		}
 		if c.timers.len() > 0 {
 			e := c.timers.pop()
@@ -216,15 +250,7 @@ func (c *VirtualClock) dispatchLocked() {
 				e.p.wake()
 				return
 			}
-			// Callback timer: run inline, without the lock, on this
-			// goroutine — zero spawns, zero rendezvous — then keep
-			// dispatching (the callback may have readied actors or armed
-			// further timers).
-			c.inCallback = true
-			c.mu.Unlock()
-			e.fn()
-			c.mu.Lock()
-			c.inCallback = false
+			c.callLocked(e.fn)
 			continue
 		}
 		if c.idler != nil {
@@ -245,6 +271,18 @@ func (c *VirtualClock) dispatchLocked() {
 		}
 		return
 	}
+}
+
+// callLocked runs a callback — a timer's or a continuation's — inline,
+// without the lock, on the dispatching goroutine: zero spawns, zero
+// rendezvous. Dispatch continues afterwards (the callback may have readied
+// actors or armed further timers). Enters and returns with c.mu held.
+func (c *VirtualClock) callLocked(fn func()) {
+	c.inCallback = true
+	c.mu.Unlock()
+	fn()
+	c.mu.Lock()
+	c.inCallback = false
 }
 
 // Now returns the current model time.
@@ -293,22 +331,59 @@ func (c *VirtualClock) sleepUntilLocked(t time.Duration) {
 // (deadline, arming sequence). fn must not block; see the type comment.
 func (c *VirtualClock) RunAt(t time.Duration, fn func()) {
 	c.mu.Lock()
-	if t < c.now {
-		t = c.now
-	}
-	c.timers.push(timerEntry{at: t, seq: c.seq, fn: fn})
-	c.seq++
+	c.armLocked(max(t, c.now), fn)
 	c.mu.Unlock()
 }
 
 // RunAfter is RunAt(Now()+d, fn).
 func (c *VirtualClock) RunAfter(d time.Duration, fn func()) {
 	c.mu.Lock()
-	if d < 0 {
-		d = 0
-	}
-	c.timers.push(timerEntry{at: c.now + d, seq: c.seq, fn: fn})
+	c.armLocked(c.now+max(d, 0), fn)
+	c.mu.Unlock()
+}
+
+// armLocked pushes a callback timer under the next arming sequence.
+func (c *VirtualClock) armLocked(t time.Duration, fn func()) {
+	c.timers.push(timerEntry{at: t, seq: c.seq, fn: fn})
 	c.seq++
+}
+
+// After is the continuation twin of Sleep: fn runs once d of model time has
+// passed, on the timer Sleep(d) would have armed — and, where Sleep returns
+// without parking (d <= 0), on the caller's stack before After returns,
+// arming nothing. That is the difference from RunAfter, which always takes
+// a timer and so yields the instant to everything already runnable.
+func (c *VirtualClock) After(d time.Duration, fn func()) {
+	if d <= 0 {
+		fn()
+		return
+	}
+	c.mu.Lock()
+	c.armLocked(c.now+d, fn)
+	c.mu.Unlock()
+}
+
+// At is the continuation twin of SleepUntil: After for a model instant.
+func (c *VirtualClock) At(t time.Duration, fn func()) {
+	c.mu.Lock()
+	if t <= c.now {
+		c.mu.Unlock()
+		fn()
+		return
+	}
+	c.armLocked(t, fn)
+	c.mu.Unlock()
+}
+
+// Run is the continuation twin of Go: fn takes the ready-queue slot a new
+// actor would take, under the same spawn sequence, and runs inline on the
+// dispatching goroutine when the token reaches that slot. No actor is
+// started, so it does not count in Spawned.
+func (c *VirtualClock) Run(fn func()) {
+	c.mu.Lock()
+	p := c.newActorLocked()
+	p.then = fn
+	c.ready.push(p)
 	c.mu.Unlock()
 }
 
@@ -377,8 +452,8 @@ func (c *VirtualClock) retireIdleLocked() {
 }
 
 // Spawned returns the number of actors the clock has started via Go.
-// Scheduler benchmarks use the delta across a workload to verify that the
-// callback-timer path spawns none.
+// Benchmarks and the spawn gates use the delta across a workload to verify
+// that the callback-timer path and the continuations spawn none.
 func (c *VirtualClock) Spawned() uint64 {
 	c.mu.Lock()
 	n := c.spawned
@@ -386,8 +461,9 @@ func (c *VirtualClock) Spawned() uint64 {
 	return n
 }
 
-// Parked returns the number of actors parked on an event, queue or group
-// (sleepers wait on the timer heap and are not counted). After a Drain
+// Parked returns the number of actors parked on an event, queue or group,
+// continuations waiting in Event.Then included (sleepers wait on the timer
+// heap and are not counted). After a Drain
 // nothing is left that could wake them, so a non-zero count there is a
 // liveness failure: an actor waiting for something that will never happen.
 func (c *VirtualClock) Parked() int {
@@ -528,6 +604,25 @@ func (e *Event) Wait() {
 	e.waiters.add(p)
 	e.c.parkLocked(p)
 	e.c.recycle(p)
+}
+
+// Then is the continuation twin of Wait: fn runs once the event has fired,
+// in the waiter slot — and, after the Fire, the ready-queue slot — a waiting
+// actor would hold; on a fired event it runs on the caller's stack before
+// Then returns. A waiting continuation counts as parked, like an actor: one
+// left waiting for good shows in Parked and in the deadlock check.
+func (e *Event) Then(fn func()) {
+	e.c.mu.Lock()
+	if e.fired {
+		e.c.mu.Unlock()
+		fn()
+		return
+	}
+	p := e.c.newActorLocked()
+	p.then = fn
+	e.waiters.add(p)
+	e.c.blocked++
+	e.c.mu.Unlock()
 }
 
 // Release hands the event back to its clock, which returns it, unfired,

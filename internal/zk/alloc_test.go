@@ -29,6 +29,9 @@ import (
 //     directory, the preliminary element and its flush callback, the boxed
 //     transaction, the broadcast's callback and the two view boxes; and on
 //     each server the head's path and the element the transaction returns.
+//
+// Counts of actors repeat exactly: an enqueue starts one, the operation's own
+// (three before the two follower legs of its proposal became records).
 func TestAllocGateQueueOps(t *testing.T) {
 	e, _, clock := newTestEnsemble(t, true, netsim.IRL)
 	e.Bootstrap(CreateTxn{Path: "/queues"})
@@ -69,6 +72,11 @@ func TestAllocGateQueueOps(t *testing.T) {
 		if got > g.budget {
 			t.Errorf("%s allocates %.1f/op, budget %.0f", g.name, got, g.budget)
 		}
+	}
+	before := clock.Spawned()
+	enqueue()
+	if n := clock.Spawned() - before; n != 1 {
+		t.Errorf("an enqueue starts %d actors, want 1", n)
 	}
 	clock.Drain()
 }

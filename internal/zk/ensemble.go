@@ -509,7 +509,7 @@ func (e *Ensemble) propose(txn Txn, contact *Server) (uint64, uint64, TxnResult)
 	p.refs.Store(int32(len(e.order))) // the followers' legs and this round
 	for i, region := range e.order {
 		if region != leader.Region {
-			clock.Go(p.legs[i].run)
+			p.legs[i].start()
 		}
 	}
 	for i := 0; i < need; i++ {
@@ -533,11 +533,11 @@ func (e *Ensemble) propose(txn Txn, contact *Server) (uint64, uint64, TxnResult)
 }
 
 // proposal is the record of one propose round, in place of an ack queue and
-// a closure per follower per proposal: the leader fills in the round, spawns
-// the bound step of every follower's leg and takes a majority of acks off
-// the queue. The legs outlive the round — it returns on a majority, the
-// stragglers still travel — so the record counts its holders, and whoever
-// lets go last drains the acks nobody waited for and recycles it.
+// a closure per follower per proposal: the leader fills in the round, starts
+// every follower's leg and takes a majority of acks off the queue. The legs
+// outlive the round — it returns on a majority, the stragglers still travel
+// — so the record counts its holders, and whoever lets go last drains the
+// acks nobody waited for and recycles it.
 type proposal struct {
 	e    *Ensemble
 	acks *netsim.Queue
@@ -547,29 +547,36 @@ type proposal struct {
 	txn         Txn
 	zxid, epoch uint64
 	need        int          // acks the round waits for
-	refs        atomic.Int32 // spawned legs still running, plus the round itself
+	refs        atomic.Int32 // started legs still running, plus the round itself
 }
 
-// followerLeg is one follower's slot of a proposal; run is bound once, when
-// the proposal is built.
+// followerLeg is one follower's slot of a proposal: proposal out, accept,
+// ack back, as a round trip on a record and no actor (netsim.RoundTrip).
 type followerLeg struct {
 	p        *proposal
 	follower *Server
-	run      func() // l.exec: proposal out, accept, ack back
+	trip     netsim.RoundTrip
 }
 
-func (l *followerLeg) exec() {
+func (l *followerLeg) start() {
 	p := l.p
 	e := p.e
-	leader, region := p.leader.Region, l.follower.Region
-	e.tr.Travel(leader, region, netsim.LinkReplica, proposalSize(p.txn))
-	l.follower.proc.Process(e.cfg.ServiceTime)
-	if e.elect != nil {
+	l.trip.Start(e.tr, p.leader.Region, l.follower.Region, netsim.LinkReplica,
+		proposalSize(p.txn), l.follower.proc, e.cfg.ServiceTime, l)
+}
+
+// Serve implements netsim.Exchange: the follower accepts and acks.
+func (l *followerLeg) Serve() int {
+	if p := l.p; p.e.elect != nil {
 		l.follower.accept(p.zxid, p.epoch, p.txn)
 	}
-	e.tr.Travel(region, leader, netsim.LinkReplica, AckSize)
-	p.acks.Put(struct{}{})
-	p.release()
+	return AckSize
+}
+
+// Done implements netsim.Exchange: the ack is back at the leader.
+func (l *followerLeg) Done() {
+	l.p.acks.Put(struct{}{})
+	l.p.release()
 }
 
 func (e *Ensemble) getProposal() *proposal {
@@ -577,9 +584,7 @@ func (e *Ensemble) getProposal() *proposal {
 	if p == nil {
 		p = &proposal{e: e, acks: e.tr.Clock().NewQueue(), legs: make([]followerLeg, len(e.order))}
 		for i, region := range e.order {
-			l := &p.legs[i]
-			l.p, l.follower = p, e.servers[region]
-			l.run = l.exec
+			p.legs[i].p, p.legs[i].follower = p, e.servers[region]
 		}
 	}
 	return p

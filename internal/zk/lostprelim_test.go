@@ -27,7 +27,7 @@ func (d *dropReplies) Intercept(from, to netsim.Region, class string) (netsim.Ve
 	return netsim.VerdictDeliver, 1
 }
 
-func (d *dropReplies) AwaitPassable(from, to netsim.Region) {}
+func (d *dropReplies) Changed() *netsim.Event { return nil } // it never stalls
 
 // TestLostPreliminaryCostsOnlyThePreliminary: a fault that destroys the
 // fire-and-forget preliminary of a CZK enqueue or dequeue must cost the
