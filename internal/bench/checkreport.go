@@ -25,8 +25,8 @@ type historyVerdict struct {
 	// session holds the history-integrity, session-guarantee, cross-object
 	// and causal-cut violations; lin the linearizability ones.
 	session, lin []history.Violation
-	// inconclusive lists keys whose linearizability search exhausted its
-	// budget (not violations).
+	// inconclusive lists keys the linearizability search could not decide
+	// (not violations; CheckReport.Inconclusive says why).
 	inconclusive []string
 }
 

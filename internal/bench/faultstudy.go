@@ -88,8 +88,10 @@ type CheckReport struct {
 	// of them with the run's Seed: replay is byte-identical.
 	SessionViolations []string `json:"session_violations"`
 	LinViolations     []string `json:"linearizability_violations"`
-	// Inconclusive lists keys whose linearizability search exhausted its
-	// budget (not violations).
+	// Inconclusive lists keys the linearizability search could not decide
+	// (not violations): it exhausted its configuration budget, or the key's
+	// history holds a segment of over 512 ops, typically the stretch after
+	// an ambiguous op, where no cut falls (history.CheckLinearizable).
 	Inconclusive []string `json:"inconclusive_keys,omitempty"`
 	// HistoryDigest is the SHA-256 of the serialized history: same seed,
 	// same digest — the byte-identical-replay witness.

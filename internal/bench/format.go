@@ -147,7 +147,7 @@ func formatCheck(b *strings.Builder, c *CheckReport, seed int64, linLabel string
 		formatViolations(b, c)
 	}
 	for _, k := range c.Inconclusive {
-		fmt.Fprintf(b, "  inconclusive (budget exhausted): %s\n", k)
+		fmt.Fprintf(b, "  inconclusive (configuration budget exhausted, or a segment of over 512 ops behind an ambiguous op): %s\n", k)
 	}
 }
 

@@ -4,6 +4,15 @@
 // the version tokens bindings stamp on every view, and linearizability
 // (Wing & Gong) against sequential object models for registers and queues.
 //
+// Linearizability is checked per object (it is local: per-object verdicts
+// compose), and each object's history in segments: at a quiescent instant,
+// where every earlier op returned strictly before the next one is called,
+// every linearization orders all earlier ops first, so the search cuts the
+// history there and carries the object's state across the cut. An op that
+// returns at the very instant the next is called is no cut (the later op
+// may still be linearized first), and neither is anything after an
+// ambiguous op, which never returns; CheckLinearizable has the details.
+//
 // The recorder attaches to clients with binding.WithObserver; everything it
 // sees — operation identity, per-view consistency levels and version
 // tokens, model-time timestamps — is deterministic under a VirtualClock,

@@ -29,8 +29,9 @@ type LinOp struct {
 	// may or may not have taken effect): the search may apply it anywhere
 	// after Call or omit it entirely.
 	Optional bool
-	// Source is the recorded op behind this entry (witness rendering).
-	Source Op
+	// Source is the recorded op behind this entry (witness rendering; nil
+	// for hand-built histories).
+	Source *Op
 }
 
 // forever is the Return of incomplete operations.
@@ -51,121 +52,203 @@ type Model interface {
 type LinResult struct {
 	// Ok reports that a linearization exists.
 	Ok bool
-	// Inconclusive reports that the search exhausted its budget before
-	// deciding (callers should report it, but it is not a violation).
+	// Inconclusive reports that the search could not decide: it exhausted
+	// its configuration budget, or the history holds a segment of more than
+	// 512 operations (callers should report it, but it is not a violation).
 	Inconclusive bool
 	// Witness is, for violations, a minimal frontier: the operations that
-	// could not be linearized past the deepest consistent prefix.
+	// could not be linearized past the deepest consistent prefix. They all
+	// lie in one segment.
 	Witness []Op
+	// configs counts the configurations the search visited (what the
+	// budget bounds).
+	configs int
 }
 
-// defaultBudget bounds the search in visited configurations; histories
-// from the fault studies are far below it, pathological ones degrade to
-// Inconclusive instead of hanging.
+// defaultBudget bounds the search in visited configurations over one
+// object; histories from the fault studies are far below it, pathological
+// ones degrade to Inconclusive instead of hanging.
 const defaultBudget = 2_000_000
 
-// CheckLinearizable runs the Wing & Gong algorithm (with Lowe's
-// memoization of (linearized-set, state) configurations) over one object's
-// history. budget <= 0 selects the default.
+// maxSegment is the widest segment the search takes on. Segments end at
+// quiescent instants, so only an ambiguous op (which never returns) or a
+// long unbroken stretch of overlapping operations makes one this wide; far
+// beyond it no budget decides, and the check says so instead of burning the
+// budget.
+const maxSegment = 512
+
+// segBits is the linearized subset of one segment (bit j: its j-th op).
+type segBits [maxSegment / 64]uint64
+
+// linConfig is a memoized search configuration: the segment, the subset of
+// it already linearized (everything before the segment is), and the
+// object's state.
+type linConfig struct {
+	seg   int
+	bits  segBits
+	state string
+}
+
+// CheckLinearizable runs the Wing & Gong algorithm, with Lowe's memoization
+// of configurations, over one object's history. budget <= 0 selects the
+// default.
+//
+// The call-sorted history is first cut into segments at its quiescent
+// instants: a cut falls before an op when every earlier op returned
+// strictly before its call. Every linearization then orders all of a
+// segment's ops before all of the next one's, so the search runs segment by
+// segment, each from an end state of the one before. A segment yields
+// another end state only when a later segment fails from the first. On a
+// tie (one op returns at the instant the next is called) nothing is cut,
+// because an op called at t may still be linearized before one returning at
+// t. An ambiguous (Optional) op never returns, so no cut falls after it.
+// The memo is keyed by (segment, linearized subset of it, state), a one-op
+// segment is taken by a single Step with no memo entry, and the budget is
+// counted over the whole object. The search visits configurations in the
+// order the undivided one (a memo over the whole object's subset) does and
+// never more of them, so wherever that search decides, this one returns
+// the same verdict and witness.
 func CheckLinearizable(m Model, ops []LinOp, budget int) LinResult {
 	if budget <= 0 {
 		budget = defaultBudget
 	}
-	n := len(ops)
-	if n == 0 {
+	if len(ops) == 0 {
 		return LinResult{Ok: true}
-	}
-	if n > 512 {
-		// Far beyond what the search can decide in any budget; say so
-		// instead of burning the budget.
-		return LinResult{Inconclusive: true}
 	}
 	slices.SortStableFunc(ops, func(a, b LinOp) int { return cmp.Compare(a.Call, b.Call) })
 
-	linearized := make([]bool, n)
-	words := (n + 63) / 64
-	bits := make([]uint64, words)
-	memo := map[string]bool{}
-	visited := 0
-	best := -1
-	var bestFrontier []int
-
-	memoKey := func(state string) string {
-		var b strings.Builder
-		b.Grow(words*8 + len(state))
-		for _, w := range bits {
-			var buf [8]byte
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(w >> (8 * i))
-			}
-			b.Write(buf[:])
+	// bounds[k] is the first op of segment k; the last entry is len(ops).
+	bounds := []int{0}
+	maxReturn := ops[0].Return
+	for i := 1; i < len(ops); i++ {
+		if maxReturn < ops[i].Call {
+			bounds = append(bounds, i)
 		}
-		b.WriteString(state)
-		return b.String()
+		maxReturn = max(maxReturn, ops[i].Return)
+	}
+	bounds = append(bounds, len(ops))
+	for k := 1; k < len(bounds); k++ {
+		if bounds[k]-bounds[k-1] > maxSegment {
+			return LinResult{Inconclusive: true}
+		}
 	}
 
-	var search func(state string, done int) bool
-	search = func(state string, done int) bool {
-		if done == n {
-			return true
-		}
-		if visited++; visited > budget {
-			return false
-		}
-		key := memoKey(state)
-		if memo[key] {
-			return false
-		}
-		memo[key] = true
-
-		// An op may be linearized next iff no other pending op returned
-		// before its call (Wing & Gong's minimality rule).
-		minReturn := forever
-		for i := 0; i < n; i++ {
-			if !linearized[i] && ops[i].Return < minReturn {
-				minReturn = ops[i].Return
+	s := linSearch{m: m, ops: ops, bounds: bounds, budget: budget, best: -1}
+	ok := s.enter(0, m.Init())
+	res := LinResult{Ok: ok, configs: s.visited}
+	switch {
+	case ok:
+	case s.visited > budget:
+		res.Inconclusive = true
+	default:
+		for _, i := range s.frontier {
+			if src := ops[i].Source; src != nil {
+				res.Witness = append(res.Witness, *src)
 			}
 		}
-		if done > best {
-			best = done
-			bestFrontier = bestFrontier[:0]
-			for i := 0; i < n; i++ {
-				if !linearized[i] && ops[i].Call <= minReturn {
-					bestFrontier = append(bestFrontier, i)
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			if linearized[i] || ops[i].Call > minReturn {
-				continue
-			}
-			linearized[i] = true
-			bits[i/64] |= 1 << (i % 64)
-			if next, ok := m.Step(state, &ops[i]); ok && search(next, done+1) {
-				return true
-			}
-			if ops[i].Optional && search(state, done+1) {
-				// Ambiguous op omitted: it never took effect.
-				return true
-			}
-			linearized[i] = false
-			bits[i/64] &^= 1 << (i % 64)
-		}
-		return false
-	}
-
-	if search(m.Init(), 0) {
-		return LinResult{Ok: true}
-	}
-	if visited > budget {
-		return LinResult{Inconclusive: true}
-	}
-	res := LinResult{}
-	for _, i := range bestFrontier {
-		res.Witness = append(res.Witness, ops[i].Source)
 	}
 	return res
 }
+
+// linSearch is one object's segmented search.
+type linSearch struct {
+	m      Model
+	ops    []LinOp
+	bounds []int
+	// bits is the linearized subset of the segment being searched.
+	bits    segBits
+	memo    map[linConfig]struct{}
+	visited int
+	budget  int
+	// best is the deepest prefix reached (ops linearized or omitted) and
+	// frontier the ops that could go next there: the witness.
+	best     int
+	frontier []int
+}
+
+// enter searches segment k and everything after it from state.
+func (s *linSearch) enter(k int, state string) bool {
+	if k == len(s.bounds)-1 {
+		return true
+	}
+	if s.visited > s.budget {
+		return false
+	}
+	lo, hi := s.bounds[k], s.bounds[k+1]
+	if hi-lo > 1 {
+		return s.search(k, state, 0)
+	}
+	if lo > s.best {
+		s.best = lo
+		s.frontier = append(s.frontier[:0], lo)
+	}
+	op := &s.ops[lo]
+	if next, ok := s.m.Step(state, op); ok && s.enter(k+1, next) {
+		return true
+	}
+	return op.Optional && s.enter(k+1, state)
+}
+
+// search extends a linearization of segment k that has done of its ops
+// placed (the ones in s.bits).
+func (s *linSearch) search(k int, state string, done int) bool {
+	lo, hi := s.bounds[k], s.bounds[k+1]
+	if done == hi-lo {
+		placed := s.bits
+		s.bits = segBits{}
+		ok := s.enter(k+1, state)
+		s.bits = placed
+		return ok
+	}
+	if s.visited++; s.visited > s.budget {
+		return false
+	}
+	cfg := linConfig{seg: k, bits: s.bits, state: state}
+	if _, seen := s.memo[cfg]; seen {
+		return false
+	}
+	if s.memo == nil {
+		s.memo = map[linConfig]struct{}{}
+	}
+	s.memo[cfg] = struct{}{}
+
+	// An op may be linearized next iff no other pending op returned before
+	// its call (Wing & Gong's minimality rule).
+	minReturn := forever
+	for i := lo; i < hi; i++ {
+		if !s.placed(i-lo) && s.ops[i].Return < minReturn {
+			minReturn = s.ops[i].Return
+		}
+	}
+	if lo+done > s.best {
+		s.best = lo + done
+		s.frontier = s.frontier[:0]
+		for i := lo; i < hi; i++ {
+			if !s.placed(i-lo) && s.ops[i].Call <= minReturn {
+				s.frontier = append(s.frontier, i)
+			}
+		}
+	}
+	for i := lo; i < hi; i++ {
+		j := i - lo
+		if s.placed(j) || s.ops[i].Call > minReturn {
+			continue
+		}
+		s.bits[j/64] |= 1 << (j % 64)
+		if next, ok := s.m.Step(state, &s.ops[i]); ok && s.search(k, next, done+1) {
+			return true
+		}
+		if s.ops[i].Optional && s.search(k, state, done+1) {
+			// Ambiguous op omitted: it never took effect.
+			return true
+		}
+		s.bits[j/64] &^= 1 << (j % 64)
+	}
+	return false
+}
+
+// placed reports whether the j-th op of the current segment is linearized.
+func (s *linSearch) placed(j int) bool { return s.bits[j/64]&(1<<(j%64)) != 0 }
 
 // --- Register model -------------------------------------------------------
 
@@ -256,6 +339,8 @@ func Keys(ops []Op) []string {
 	return keys
 }
 
+func byStartRef(a, b *Op) int { return cmp.Compare(a.Start, b.Start) }
+
 // phantomViolation reports an output no recorded mutation could explain.
 func phantomViolation(key, detail string, witness ...Op) Violation {
 	return Violation{Guarantee: "linearizability", Key: key, Detail: detail, Witness: witness}
@@ -275,8 +360,10 @@ func RegisterHistory(ops []Op, key string) ([]LinOp, []Violation) {
 	var lin []LinOp
 	var violations []Violation
 	known := map[uint64]bool{0: true}
-	var ambiguous []Op // incomplete puts, in start order
-	for _, op := range keyedOps(ops, key) {
+	var ambiguous []*Op // incomplete puts, in start order
+	keyed := keyedOps(ops, key)
+	for i := range keyed {
+		op := &keyed[i]
 		switch op.Name {
 		case "put":
 			if op.Completed() {
@@ -308,14 +395,15 @@ func RegisterHistory(ops []Op, key string) ([]LinOp, []Violation) {
 	// submission order).
 	var unknown []uint64
 	seenUnknown := map[uint64]bool{}
-	for _, l := range lin {
+	for i := range lin {
+		l := &lin[i]
 		if l.Kind == "get" && !known[l.Version] && !seenUnknown[l.Version] {
 			seenUnknown[l.Version] = true
 			unknown = append(unknown, l.Version)
 		}
 	}
 	slices.Sort(unknown)
-	slices.SortStableFunc(ambiguous, byStart)
+	slices.SortStableFunc(ambiguous, byStartRef)
 	for i, v := range unknown {
 		if i < len(ambiguous) {
 			// All phantoms use the earliest ambiguous start as their call
@@ -351,8 +439,10 @@ func QueueHistory(ops []Op, queue string) ([]LinOp, []Violation) {
 	var lin []LinOp
 	var violations []Violation
 	known := map[string]bool{}
-	var ambiguous []Op
-	for _, op := range keyedOps(ops, queue) {
+	var ambiguous []*Op
+	keyed := keyedOps(ops, queue)
+	for i := range keyed {
+		op := &keyed[i]
 		fv, hasFinal := op.FinalView()
 		switch op.Name {
 		case "enqueue":
@@ -384,14 +474,15 @@ func QueueHistory(ops []Op, queue string) ([]LinOp, []Violation) {
 	// tracks commit order; blame ambiguous enqueues in start order.
 	var unknown []string
 	seenUnknown := map[string]bool{}
-	for _, l := range lin {
+	for i := range lin {
+		l := &lin[i]
 		if l.Kind == "dequeue" && l.Elem != "" && l.Elem != anyElem && !known[l.Elem] && !seenUnknown[l.Elem] {
 			seenUnknown[l.Elem] = true
 			unknown = append(unknown, l.Elem)
 		}
 	}
 	slices.Sort(unknown)
-	slices.SortStableFunc(ambiguous, byStart)
+	slices.SortStableFunc(ambiguous, byStartRef)
 	for i, elem := range unknown {
 		if i < len(ambiguous) {
 			// Earliest ambiguous start as the call point; see
