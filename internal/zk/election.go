@@ -1,6 +1,7 @@
 package zk
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -10,38 +11,43 @@ import (
 	"correctables/internal/trace"
 )
 
-// Leader election for the simulated ensemble: an explicit follower ->
-// candidate -> leader state machine per server, driven entirely by clock
-// callbacks (RunAfter timer chains and transport Send deliveries) so
-// elections interleave deterministically with traffic and replay byte for
-// byte from a seed.
+// Leader election for the simulated ensemble — Zab-flavored Raft — as one
+// explicit state machine per server, driven entirely by clock callbacks
+// (RunAfter timer chains and transport Send deliveries) so elections
+// interleave deterministically with traffic and replay byte for byte from a
+// seed.
 //
-// The protocol is Zab-flavored Raft:
+// The leader heartbeats every HeartbeatInterval. A voter grants at most one
+// vote per epoch, and only to a candidate whose (dataEpoch, lastZxid) is at
+// least its own — the newest-state rule that keeps client-acknowledged
+// transactions on the winning side; the grant piggybacks the voter's
+// accept-log tail. A voter that heard its leader within the lease (two
+// heartbeat intervals) denies without adopting the candidate's epoch and
+// flags the live leader: this pre-vote stops a healed minority server from
+// deposing a healthy leader. A win takes a majority, own vote included, so
+// at most one server wins an epoch.
 //
-//   - The leader heartbeats every HeartbeatInterval. A follower that has
-//     not heard one for its election timeout — ElectionTimeout plus a
-//     deterministic per-server stagger replacing Raft's randomization —
-//     becomes a candidate, bumps its epoch, votes for itself, and solicits
-//     the other servers.
-//   - A voter grants at most one vote per epoch, and only to a candidate
-//     whose (dataEpoch, lastZxid) is at least its own — the newest-state
-//     rule that keeps client-acknowledged transactions on the winning side.
-//     The grant piggybacks the voter's accept-log tail.
-//   - A voter that heard its leader within the lease (two heartbeat
-//     intervals) denies without adopting the candidate's epoch and flags
-//     the live leader; the candidate steps down. This pre-vote stops a
-//     healed minority server from deposing a healthy leader.
-//   - A candidate with a majority (its own vote included) wins: it merges
-//     the piggybacked tails with its own accept log, materializes every
-//     transaction above its applied watermark in zxid order, advances the
-//     commit epoch, takes over proposal numbering, and resyncs lagging
-//     followers by state transfer. A zxid gap in the merged log means no
-//     majority accepted the missing proposal, so it was never
-//     client-acknowledged and is safe to lose.
+// After construction a role changes only in elector.become, along the moves
+// of this table (legal); any other move panics. A retry re-enters candidacy
+// without leaving it, so one election span covers a candidacy and its
+// retries. Follower has no hooks.
+//
+//	move    trigger                      exit action        enter action
+//	F -> C  no heartbeat for the         -                  self-vote; open
+//	        election timeout; epoch+1                       the election span
+//	C -> C  timer again: retry, epoch+1  - (re-entry)       self-vote again
+//	        only after a live denial
+//	C -> F  heartbeat of its epoch or    clear the denial   -
+//	        newer; lease denial; vote    flag and tally,
+//	        request of a newer epoch     close the span
+//	C -> L  majority of votes            as C -> F, handing install the win,
+//	                                     the tally on       or L -> F if stale
+//	L -> F  heartbeat of a newer epoch;  none yet           -
+//	        stale win
 //
 // Crash integration rides the injector's per-region edge notifications: a
 // down server is suspended (no votes, beats, or candidacies); on restart it
-// resumes as a follower with a fresh grace period. The final Quiesce stops
+// resumes in its role with a fresh grace period. The final Quiesce stops
 // every timer chain so VirtualClock.Drain terminates.
 //
 // Heartbeats and votes are control-plane traffic: they ride the transport
@@ -69,6 +75,14 @@ func (r role) String() string {
 	return "unknown"
 }
 
+// legal is the move table: legal[from][to] says whether a server may move
+// from one role to the other.
+var legal = [3][3]bool{
+	roleFollower:  {roleCandidate: true},
+	roleCandidate: {roleFollower: true, roleCandidate: true, roleLeader: true},
+	roleLeader:    {roleFollower: true},
+}
+
 // ElectionRecord is one entry of the ensemble's election log.
 type ElectionRecord struct {
 	// Epoch the winner leads.
@@ -86,10 +100,12 @@ type acceptedTxn struct {
 	Epoch uint64
 }
 
-// electState is one server's election-protocol state.
+// electState is one server's election-protocol state, guarded by its
+// ensemble's elector.mu.
 type electState struct {
 	role     role
-	epoch    uint64 // highest election epoch seen
+	timeout  time.Duration // the server's election timeout, fixed at construction
+	epoch    uint64        // highest election epoch seen
 	votedFor netsim.Region
 	votedEp  uint64
 	lastBeat time.Duration // last heartbeat heard (or grace reset)
@@ -106,55 +122,39 @@ type electState struct {
 
 // elector runs the election protocol for every server of one ensemble.
 type elector struct {
-	e   *Ensemble
-	inj *faults.Injector
-	hb  time.Duration
+	e  *Ensemble
+	hb time.Duration
 
 	mu      sync.Mutex
 	stopped bool
-	st      map[netsim.Region]*electState
 	log     []ElectionRecord
 }
 
 func newElector(e *Ensemble, inj *faults.Injector) *elector {
-	el := &elector{
-		e:   e,
-		inj: inj,
-		hb:  e.cfg.HeartbeatInterval,
-		st:  make(map[netsim.Region]*electState, len(e.order)),
-	}
-	for _, r := range e.order {
-		st := &electState{role: roleFollower}
-		if r == e.cfg.LeaderRegion {
-			st.role = roleLeader
+	el := &elector{e: e, hb: e.cfg.HeartbeatInterval}
+	for i, r := range e.order {
+		s := e.servers[r]
+		// A quarter-base stagger per position in Regions order, so ties
+		// break by declaration order instead of randomness.
+		s.election.timeout = e.cfg.ElectionTimeout + time.Duration(i)*e.cfg.ElectionTimeout/4
+		if s == e.leader {
+			s.election.role = roleLeader
 		}
-		el.st[r] = st
-	}
-	for _, r := range e.order {
-		r := r
-		inj.OnDown(r, func() { el.setSuspended(r, true) })
-		inj.OnUp(r, func() { el.setSuspended(r, false) })
-		el.armTimer(r, el.timeoutFor(r))
+		inj.OnDown(r, func() { el.setSuspended(s, true) })
+		inj.OnUp(r, func() { el.setSuspended(s, false) })
+		el.armTimer(s, s.election.timeout)
 	}
 	inj.Subscribe(func(t faults.Transition) {
 		if t.Quiesced() {
-			el.stop()
+			// Armed timers fire once more, see stopped, and do not re-arm,
+			// so Drain terminates.
+			el.mu.Lock()
+			el.stopped = true
+			el.mu.Unlock()
 		}
 	})
-	el.runBeats(e.cfg.LeaderRegion, 0)
+	el.runBeats(e.leader, 0)
 	return el
-}
-
-// timeoutFor is the server's election timeout: the configured base plus a
-// deterministic stagger of a quarter-base per position in Regions order, so
-// ties break by declaration order instead of randomness.
-func (el *elector) timeoutFor(r netsim.Region) time.Duration {
-	for i, reg := range el.e.order {
-		if reg == r {
-			return el.e.cfg.ElectionTimeout + time.Duration(i)*el.e.cfg.ElectionTimeout/4
-		}
-	}
-	return el.e.cfg.ElectionTimeout
 }
 
 // lease is how long a follower keeps trusting its leader after a
@@ -164,268 +164,95 @@ func (el *elector) lease() time.Duration { return 2 * el.hb }
 // majority is the vote count that wins an election (self included).
 func (el *elector) majority() int { return len(el.e.order)/2 + 1 }
 
-// endElectSpanLocked closes the server's open election-window span, if
-// any. Callers hold el.mu.
-func (el *elector) endElectSpanLocked(st *electState, now time.Duration) {
-	if st.sp != 0 {
-		el.e.trc.End(st.sp, now)
-		st.sp = 0
-	}
-}
-
-func (el *elector) elections() []ElectionRecord {
+func (el *elector) setSuspended(s *Server, down bool) {
 	el.mu.Lock()
-	defer el.mu.Unlock()
-	return append([]ElectionRecord(nil), el.log...)
-}
-
-// stop halts the elector: armed timers fire once more, see stopped, and do
-// not re-arm, so Drain terminates.
-func (el *elector) stop() {
-	el.mu.Lock()
-	el.stopped = true
-	el.mu.Unlock()
-}
-
-func (el *elector) setSuspended(r netsim.Region, down bool) {
-	el.mu.Lock()
-	st := el.st[r]
-	st.suspended = down
+	s.election.suspended = down
 	if !down {
 		// Fresh grace period on restart: hear the current leader (or time
 		// out honestly) before judging it dead.
-		st.lastBeat = el.e.tr.Clock().Now()
+		s.election.lastBeat = el.e.tr.Clock().Now()
 	}
 	el.mu.Unlock()
 }
 
-// --- timers -------------------------------------------------------------
+// --- the state machine ----------------------------------------------------
 
-func (el *elector) armTimer(r netsim.Region, d time.Duration) {
-	el.e.tr.Clock().RunAfter(d, func() { el.timerFired(r) })
+// become moves s to role to: the one place a role changes after
+// construction. It panics on a move the table does not list, runs the exit
+// hook of the role left — unless the move re-enters the same role — and
+// then the enter hook of the role taken. Callers hold el.mu.
+func (el *elector) become(s *Server, to role, now time.Duration) {
+	st := &s.election
+	from := st.role
+	if !legal[from][to] {
+		panic(fmt.Sprintf("zk: %s cannot move from %s to %s", s.Region, from, to))
+	}
+	var tally map[uint64]acceptedTxn
+	if from != to {
+		tally = el.exit(s, now)
+	}
+	st.role = to
+	el.enter(s, tally, now)
 }
 
-// timerFired is the per-server election timer: it re-arms itself forever
-// (until stop) and starts or retries an election when a non-suspended
-// follower's heartbeat lease has lapsed.
-func (el *elector) timerFired(r netsim.Region) {
-	el.mu.Lock()
-	if el.stopped {
-		el.mu.Unlock()
-		return
-	}
-	st := el.st[r]
-	now := el.e.tr.Clock().Now()
-	to := el.timeoutFor(r)
-	if st.suspended || st.role == roleLeader {
-		el.mu.Unlock()
-		el.armTimer(r, to)
-		return
-	}
-	if st.role == roleFollower {
-		if wait := st.lastBeat + to - now; wait > 0 {
-			el.mu.Unlock()
-			el.armTimer(r, wait)
-			return
+// exit is the hook of the role s is leaving. It returns what the role
+// hands on: a candidacy's merged accept log, which a win installs.
+func (el *elector) exit(s *Server, now time.Duration) map[uint64]acceptedTxn {
+	st := &s.election
+	switch st.role {
+	case roleCandidate:
+		tally := st.tally
+		st.sawDeny, st.tally = false, nil
+		if st.sp != 0 {
+			el.e.trc.End(st.sp, now)
+			st.sp = 0
 		}
-		// Timed out: fresh candidacy in a new epoch.
-		st.role = roleCandidate
-		st.epoch++
-	} else if st.sawDeny {
-		// Candidate retry after a live denial (e.g. a split vote): a new
-		// epoch releases the deniers' votes. Without any reply — an
-		// isolated candidate — retry in the same epoch so a minority
-		// server cannot inflate epochs unboundedly while partitioned.
-		st.epoch++
+		return tally
+	case roleLeader:
+		// Nothing to undo yet: the heartbeat chain ends by reading the role.
+		// This is where the deposed-leader fix (ROADMAP item 2) fails the
+		// proposals still pending at the leader.
 	}
-	st.sawDeny = false
-	if trc := el.e.trc; trc != nil && st.sp == 0 {
-		st.sp = trc.Begin(el.e.electTrk, trace.CatElection, "election", string(r), now)
-	}
-	epoch := st.epoch
-	st.votedFor, st.votedEp = r, epoch
-	st.votes = 1
-	s := el.e.servers[r]
-	candEpoch, candApplied, candZxid := s.electInfo()
-	st.tally = s.acceptedTail(candApplied)
-	el.mu.Unlock()
+	return nil
+}
 
-	for _, other := range el.e.order {
-		if other == r {
-			continue
+// enter is the hook of the role s has just taken; tally is what exit handed
+// on.
+func (el *elector) enter(s *Server, tally map[uint64]acceptedTxn, now time.Duration) {
+	st := &s.election
+	switch st.role {
+	case roleCandidate:
+		// The self-vote, with this server's own accept-log tail.
+		st.votedFor, st.votedEp, st.votes, st.sawDeny = s.Region, st.epoch, 1, false
+		_, applied, _ := s.electInfo()
+		st.tally = s.acceptedTail(applied)
+		if trc := el.e.trc; trc != nil && st.sp == 0 {
+			st.sp = trc.Begin(el.e.electTrk, trace.CatElection, "election", string(s.Region), now)
 		}
-		other := other
-		el.e.tr.Send(r, other, netsim.LinkReplica, VoteRequestSize, func() {
-			el.onVoteRequest(other, r, epoch, candEpoch, candApplied, candZxid)
-		})
+	case roleLeader:
+		el.install(s, tally, now)
 	}
-	el.armTimer(r, to)
 }
 
-// --- heartbeats ---------------------------------------------------------
-
-func (el *elector) runBeats(r netsim.Region, epoch uint64) {
-	el.e.tr.Clock().RunAfter(el.hb, func() { el.beat(r, epoch) })
-}
-
-// beat is the leader heartbeat chain: it ends when the server is no longer
-// the leader of this epoch (deposed or superseded); a suspended leader
-// skips the sends but keeps the chain so beats resume on restart.
-func (el *elector) beat(r netsim.Region, epoch uint64) {
-	el.mu.Lock()
-	st := el.st[r]
-	if el.stopped || st.role != roleLeader || st.epoch != epoch {
-		el.mu.Unlock()
-		return
-	}
-	suspended := st.suspended
-	el.mu.Unlock()
-
-	if !suspended {
-		for _, other := range el.e.order {
-			if other == r {
-				continue
-			}
-			other := other
-			el.e.tr.Send(r, other, netsim.LinkReplica, HeartbeatSize, func() {
-				el.onHeartbeat(other, epoch)
-			})
-		}
-	}
-	el.runBeats(r, epoch)
-}
-
-// onHeartbeat runs at a server hearing a leader heartbeat: adopt the epoch,
-// step down from any candidacy (or stale leadership), refresh the lease.
-func (el *elector) onHeartbeat(r netsim.Region, epoch uint64) {
-	el.mu.Lock()
-	st := el.st[r]
-	if el.stopped || st.suspended || epoch < st.epoch {
-		el.mu.Unlock()
-		return
-	}
-	st.epoch = epoch
-	if st.role != roleFollower {
-		st.role = roleFollower
-		st.sawDeny = false
-		st.tally = nil
-		el.endElectSpanLocked(st, el.e.tr.Clock().Now())
-	}
-	st.lastBeat = el.e.tr.Clock().Now()
-	el.mu.Unlock()
-}
-
-// --- votes --------------------------------------------------------------
-
-// onVoteRequest runs at voter v for a candidacy of cand.
-func (el *elector) onVoteRequest(v, cand netsim.Region, epoch, candEpoch, candApplied, candZxid uint64) {
-	el.mu.Lock()
-	st := el.st[v]
-	if el.stopped || st.suspended {
-		el.mu.Unlock()
-		return
-	}
-	now := el.e.tr.Clock().Now()
-	reply := func(granted, leaderLive bool, tail map[uint64]acceptedTxn) {
-		el.mu.Unlock()
-		el.e.tr.Send(v, cand, netsim.LinkReplica, voteReplySize(tail), func() {
-			el.onVoteReply(cand, epoch, granted, leaderLive, tail)
-		})
-	}
-	if epoch < st.epoch {
-		reply(false, false, nil)
-		return
-	}
-	// Leader lease pre-vote: a live leader, or a follower that heard one
-	// within the lease, denies without adopting the epoch — a healed
-	// minority candidate steps down instead of deposing a healthy leader.
-	if st.role == roleLeader || now-st.lastBeat < el.lease() {
-		reply(false, true, nil)
-		return
-	}
-	if epoch > st.epoch {
-		st.epoch = epoch
-		st.role = roleFollower
-		st.sawDeny = false
-		st.tally = nil
-	}
-	if st.votedEp == epoch && st.votedFor != cand {
-		reply(false, false, nil)
-		return
-	}
-	s := el.e.servers[v]
-	vEpoch, _, vZxid := s.electInfo()
-	if candEpoch < vEpoch || (candEpoch == vEpoch && candZxid < vZxid) {
-		// Newest-state rule: never elect a candidate behind this voter.
-		reply(false, false, nil)
-		return
-	}
-	st.votedFor, st.votedEp = cand, epoch
-	reply(true, false, s.acceptedTail(candApplied))
-}
-
-// onVoteReply runs at the candidate.
-func (el *elector) onVoteReply(cand netsim.Region, epoch uint64, granted, leaderLive bool, tail map[uint64]acceptedTxn) {
-	el.mu.Lock()
-	st := el.st[cand]
-	if el.stopped || st.suspended || st.role != roleCandidate || st.epoch != epoch {
-		el.mu.Unlock()
-		return
-	}
-	if !granted {
-		if leaderLive {
-			// The cluster has a live leader: stand down and wait to hear it.
-			st.role = roleFollower
-			st.sawDeny = false
-			st.tally = nil
-			st.lastBeat = el.e.tr.Clock().Now()
-			el.endElectSpanLocked(st, st.lastBeat)
-		} else {
-			st.sawDeny = true
-		}
-		el.mu.Unlock()
-		return
-	}
-	st.votes++
-	for z, a := range tail {
-		if cur, ok := st.tally[z]; !ok || a.Epoch > cur.Epoch {
-			if st.tally == nil {
-				st.tally = make(map[uint64]acceptedTxn)
-			}
-			st.tally[z] = a
-		}
-	}
-	if st.votes < el.majority() {
-		el.mu.Unlock()
-		return
-	}
-	st.role = roleLeader
-	tally := st.tally
-	st.tally = nil
-	el.mu.Unlock()
-	el.becomeLeader(cand, epoch, tally)
-}
-
-// becomeLeader installs an election win: materialize the merged accept log,
-// advance the commit epoch, take over proposal numbering, move the leader
-// pointer, start heartbeats, and resync lagging followers.
-func (el *elector) becomeLeader(r netsim.Region, epoch uint64, tally map[uint64]acceptedTxn) {
+// install puts a win into effect: materialize every transaction of the
+// merged accept log above the applied watermark in zxid order, advance the
+// commit epoch, take over proposal numbering, move the leader pointer, start
+// heartbeats, and resync lagging followers by state transfer. A zxid gap in
+// the merged log means no majority accepted the missing proposal, so it was
+// never client-acknowledged and is safe to lose. A win whose epoch a later
+// election already passed — a candidate whose majority arrived late, which
+// takes five or more servers — is stale: the server follows instead. Callers
+// hold el.mu.
+func (el *elector) install(s *Server, tally map[uint64]acceptedTxn, now time.Duration) {
 	e := el.e
-	now := e.tr.Clock().Now()
+	epoch := s.election.epoch
 	e.propMu.Lock()
 	if epoch <= e.commitEpoch {
-		// A later election already won: this victory is stale.
 		e.propMu.Unlock()
-		el.mu.Lock()
-		if st := el.st[r]; st.role == roleLeader && st.epoch == epoch {
-			st.role = roleFollower
-			st.lastBeat = now
-		}
-		el.endElectSpanLocked(el.st[r], now)
-		el.mu.Unlock()
+		el.become(s, roleFollower, now)
+		s.election.lastBeat = now
 		return
 	}
-	s := e.servers[r]
 	s.mu.Lock()
 	zxids := make([]uint64, 0, len(tally))
 	for z := range tally {
@@ -451,18 +278,197 @@ func (el *elector) becomeLeader(r netsim.Region, epoch uint64, tally map[uint64]
 	e.propMu.Unlock()
 
 	e.setLeader(s)
-	el.mu.Lock()
-	el.log = append(el.log, ElectionRecord{Epoch: epoch, Leader: r, At: now})
-	el.endElectSpanLocked(el.st[r], now)
-	el.mu.Unlock()
+	el.log = append(el.log, ElectionRecord{Epoch: epoch, Leader: s.Region, At: now})
 	if e.trc != nil {
-		e.trc.Instant(e.electTrk, "elected", string(r), now)
+		e.trc.Instant(e.electTrk, "elected", string(s.Region), now)
 	}
 	for _, w := range fire {
 		w.Fire()
 	}
-	el.runBeats(r, epoch)
+	el.runBeats(s, epoch)
 	e.resyncLagging()
+}
+
+// --- timers -------------------------------------------------------------
+
+func (el *elector) armTimer(s *Server, d time.Duration) {
+	el.e.tr.Clock().RunAfter(d, func() { el.timerFired(s) })
+}
+
+// timerFired is the per-server election timer: it re-arms itself forever
+// (until stop) and starts or retries an election when a non-suspended
+// follower's heartbeat lease has lapsed.
+func (el *elector) timerFired(s *Server) {
+	el.mu.Lock()
+	if el.stopped {
+		el.mu.Unlock()
+		return
+	}
+	st := &s.election
+	now := el.e.tr.Clock().Now()
+	if st.suspended || st.role == roleLeader {
+		el.mu.Unlock()
+		el.armTimer(s, st.timeout)
+		return
+	}
+	if st.role == roleFollower {
+		if wait := st.lastBeat + st.timeout - now; wait > 0 {
+			el.mu.Unlock()
+			el.armTimer(s, wait)
+			return
+		}
+		// Timed out: fresh candidacy in a new epoch.
+		st.epoch++
+	} else if st.sawDeny {
+		// Candidate retry after a live denial (e.g. a split vote): a new
+		// epoch releases the deniers' votes. Without any reply — an
+		// isolated candidate — retry in the same epoch so a minority
+		// server cannot inflate epochs unboundedly while partitioned.
+		st.epoch++
+	}
+	el.become(s, roleCandidate, now)
+	epoch := st.epoch
+	candEpoch, candApplied, candZxid := s.electInfo()
+	el.mu.Unlock()
+
+	for _, r := range el.e.order {
+		if v := el.e.servers[r]; v != s {
+			el.e.tr.Send(s.Region, r, netsim.LinkReplica, VoteRequestSize, func() {
+				el.onVoteRequest(v, s, epoch, candEpoch, candApplied, candZxid)
+			})
+		}
+	}
+	el.armTimer(s, st.timeout)
+}
+
+// --- heartbeats ---------------------------------------------------------
+
+func (el *elector) runBeats(s *Server, epoch uint64) {
+	el.e.tr.Clock().RunAfter(el.hb, func() { el.beat(s, epoch) })
+}
+
+// beat is the leader heartbeat chain: it ends when the server is no longer
+// the leader of this epoch (deposed or superseded); a suspended leader
+// skips the sends but keeps the chain so beats resume on restart.
+func (el *elector) beat(s *Server, epoch uint64) {
+	el.mu.Lock()
+	st := &s.election
+	if el.stopped || st.role != roleLeader || st.epoch != epoch {
+		el.mu.Unlock()
+		return
+	}
+	suspended := st.suspended
+	el.mu.Unlock()
+
+	if !suspended {
+		for _, r := range el.e.order {
+			if other := el.e.servers[r]; other != s {
+				el.e.tr.Send(s.Region, r, netsim.LinkReplica, HeartbeatSize, func() {
+					el.onHeartbeat(other, epoch)
+				})
+			}
+		}
+	}
+	el.runBeats(s, epoch)
+}
+
+// onHeartbeat runs at a server hearing a leader heartbeat: adopt the epoch,
+// step down from any candidacy (or stale leadership), refresh the lease.
+func (el *elector) onHeartbeat(s *Server, epoch uint64) {
+	el.mu.Lock()
+	st := &s.election
+	if el.stopped || st.suspended || epoch < st.epoch {
+		el.mu.Unlock()
+		return
+	}
+	now := el.e.tr.Clock().Now()
+	st.epoch = epoch
+	if st.role != roleFollower {
+		el.become(s, roleFollower, now)
+	}
+	st.lastBeat = now
+	el.mu.Unlock()
+}
+
+// --- votes --------------------------------------------------------------
+
+// onVoteRequest runs at voter v for a candidacy of cand.
+func (el *elector) onVoteRequest(v, cand *Server, epoch, candEpoch, candApplied, candZxid uint64) {
+	el.mu.Lock()
+	st := &v.election
+	if el.stopped || st.suspended {
+		el.mu.Unlock()
+		return
+	}
+	now := el.e.tr.Clock().Now()
+	reply := func(granted, leaderLive bool, tail map[uint64]acceptedTxn) {
+		el.mu.Unlock()
+		el.e.tr.Send(v.Region, cand.Region, netsim.LinkReplica, voteReplySize(tail), func() {
+			el.onVoteReply(cand, epoch, granted, leaderLive, tail)
+		})
+	}
+	if epoch < st.epoch {
+		reply(false, false, nil)
+		return
+	}
+	// Leader lease pre-vote: a live leader, or a follower that heard one
+	// within the lease, denies without adopting the epoch — a healed
+	// minority candidate steps down instead of deposing a healthy leader.
+	if st.role == roleLeader || now-st.lastBeat < el.lease() {
+		reply(false, true, nil)
+		return
+	}
+	if epoch > st.epoch {
+		st.epoch = epoch
+		if st.role != roleFollower {
+			el.become(v, roleFollower, now)
+		}
+	}
+	if st.votedEp == epoch && st.votedFor != cand.Region {
+		reply(false, false, nil)
+		return
+	}
+	vEpoch, _, vZxid := v.electInfo()
+	if candEpoch < vEpoch || (candEpoch == vEpoch && candZxid < vZxid) {
+		// Newest-state rule: never elect a candidate behind this voter.
+		reply(false, false, nil)
+		return
+	}
+	st.votedFor, st.votedEp = cand.Region, epoch
+	reply(true, false, v.acceptedTail(candApplied))
+}
+
+// onVoteReply runs at the candidate.
+func (el *elector) onVoteReply(cand *Server, epoch uint64, granted, leaderLive bool, tail map[uint64]acceptedTxn) {
+	el.mu.Lock()
+	defer el.mu.Unlock()
+	st := &cand.election
+	if el.stopped || st.suspended || st.role != roleCandidate || st.epoch != epoch {
+		return
+	}
+	now := el.e.tr.Clock().Now()
+	if !granted {
+		if leaderLive {
+			// The cluster has a live leader: stand down and wait to hear it.
+			el.become(cand, roleFollower, now)
+			st.lastBeat = now
+		} else {
+			st.sawDeny = true
+		}
+		return
+	}
+	st.votes++
+	for z, a := range tail {
+		if cur, ok := st.tally[z]; !ok || a.Epoch > cur.Epoch {
+			if st.tally == nil {
+				st.tally = make(map[uint64]acceptedTxn)
+			}
+			st.tally[z] = a
+		}
+	}
+	if st.votes >= el.majority() {
+		el.become(cand, roleLeader, now)
+	}
 }
 
 // Role returns the server's current election role (always follower for the
@@ -477,5 +483,5 @@ func (s *Server) Role() string {
 	}
 	e.elect.mu.Lock()
 	defer e.elect.mu.Unlock()
-	return e.elect.st[s.Region].role.String()
+	return s.election.role.String()
 }

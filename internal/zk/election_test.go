@@ -6,6 +6,7 @@ import (
 
 	"correctables/internal/faults"
 	"correctables/internal/netsim"
+	"correctables/internal/trace"
 )
 
 // Default election parameters (ElectionTimeout 2s base + quarter-base
@@ -201,6 +202,244 @@ func TestCandidateCrashAfterVoting(t *testing.T) {
 	}
 	if got, want := e.Server(netsim.IRL).Tree().NodeCount(), e.Leader().Tree().NodeCount(); got != want {
 		t.Errorf("rejoined candidate has %d znodes, leader %d", got, want)
+	}
+	inj.Quiesce()
+	clock.Drain()
+}
+
+// newElectionEnsemble is newFaultedEnsemble over the given regions, the
+// first one leading, traced. The declaration order sets the election
+// timeouts: 2s, 2.5s, 3s, 3.5s, 4s.
+func newElectionEnsemble(t *testing.T, regions ...netsim.Region) (*Ensemble, *faults.Injector, *netsim.VirtualClock, *trace.Tracer) {
+	t.Helper()
+	clock := netsim.NewVirtualClock()
+	tr := netsim.NewTransport(clock, netsim.DefaultLatencies(), netsim.NewMeter(), 1)
+	inj := faults.Attach(tr, nil, 1)
+	e, err := NewEnsemble(Config{
+		Regions:      regions,
+		LeaderRegion: regions[0],
+		Transport:    tr,
+		Correctable:  true,
+		ServiceTime:  100 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trc := trace.New()
+	e.SetTrace(trc)
+	return e, inj, clock, trc
+}
+
+// roleAt sleeps until the model instant at and checks the server's role.
+func roleAt(t *testing.T, e *Ensemble, clock *netsim.VirtualClock, at time.Duration, r netsim.Region, want string) {
+	t.Helper()
+	clock.SleepUntil(at)
+	if got := e.Server(r).Role(); got != want {
+		t.Fatalf("%s at %v: role %s, want %s", r, at, got, want)
+	}
+}
+
+// electionSpansClosed reports whether every election span has ended by at:
+// an open span would add the time after at to the category's total.
+func electionSpansClosed(trc *trace.Tracer, at time.Duration) bool {
+	return trc.CategoryTotals(0, at).Get(trace.CatElection) == trc.CategoryTotals(0, at+time.Hour).Get(trace.CatElection)
+}
+
+// TestCandidateStepsDownOnHeartbeat: an isolated candidate hears the
+// heartbeat of the leader the rest elected in its own epoch, and follows it
+// with its election span closed. Five servers, the leader crashed: IRL is cut
+// off and stands for epoch 1 at 2.5s, VRG wins epoch 1 at ~3.07s on the votes
+// of NCA and ORE, and the heal at 4s lets VRG's 4.07s heartbeat reach IRL
+// before IRL's 5s retry.
+func TestCandidateStepsDownOnHeartbeat(t *testing.T) {
+	e, inj, clock, trc := newElectionEnsemble(t, netsim.FRK, netsim.IRL, netsim.VRG, netsim.NCA, netsim.ORE)
+	inj.Apply(faults.Crash{Region: netsim.FRK})
+	inj.Apply(faults.Partition{Groups: [][]netsim.Region{
+		{netsim.FRK, netsim.VRG, netsim.NCA, netsim.ORE}, {netsim.IRL},
+	}})
+	roleAt(t, e, clock, 3900*time.Millisecond, netsim.IRL, "candidate")
+	inj.Apply(faults.Heal{})
+	roleAt(t, e, clock, 4500*time.Millisecond, netsim.IRL, "follower")
+	recs := e.Elections()
+	if len(recs) != 1 || recs[0].Leader != netsim.VRG || recs[0].Epoch != 1 {
+		t.Fatalf("elections = %+v, want one epoch-1 win by %s", recs, netsim.VRG)
+	}
+	roleAt(t, e, clock, 8*time.Second, netsim.IRL, "follower")
+	if !electionSpansClosed(trc, clock.Now()) {
+		t.Error("an election span is still open after every candidacy ended")
+	}
+	inj.Quiesce()
+	clock.Drain()
+}
+
+// TestCandidateStepsDownOnNewerEpochVoteRequest: a candidate that hears a
+// vote request of a newer epoch follows (and grants it), closing its election
+// span there rather than at some later candidacy. IRL stands for epoch 1 cut
+// off from the rest; the leader crashes at 2.9s, VRG stands for epoch 1 at
+// ~5.8s, after the 5.5s heal, and the two deny each other. VRG's retry at
+// ~8.8s takes a new epoch — the split-vote rule — and reaches IRL at ~8.84s,
+// well before VRG wins and heartbeats.
+func TestCandidateStepsDownOnNewerEpochVoteRequest(t *testing.T) {
+	e, inj, clock, trc := newElectionEnsemble(t, netsim.FRK, netsim.IRL, netsim.VRG)
+	inj.Apply(faults.Partition{Groups: [][]netsim.Region{{netsim.FRK, netsim.VRG}, {netsim.IRL}}})
+	clock.SleepUntil(2900 * time.Millisecond)
+	inj.Apply(faults.Crash{Region: netsim.FRK})
+	clock.SleepUntil(5500 * time.Millisecond)
+	inj.Apply(faults.Heal{})
+	roleAt(t, e, clock, 8800*time.Millisecond, netsim.IRL, "candidate")
+	roleAt(t, e, clock, 8860*time.Millisecond, netsim.IRL, "follower")
+	if got := e.Server(netsim.VRG).Role(); got != "candidate" {
+		t.Fatalf("VRG at 8.86s: role %s, want candidate (IRL must step down on the vote request, not a heartbeat)", got)
+	}
+	clock.SleepUntil(9500 * time.Millisecond)
+	recs := e.Elections()
+	if len(recs) != 1 || recs[0].Leader != netsim.VRG || recs[0].Epoch != 2 {
+		t.Fatalf("elections = %+v, want one epoch-2 win by %s", recs, netsim.VRG)
+	}
+	roleAt(t, e, clock, 12*time.Second, netsim.IRL, "follower")
+	if !electionSpansClosed(trc, clock.Now()) {
+		t.Error("the candidate that stepped down left its election span open")
+	}
+	inj.Quiesce()
+	clock.Drain()
+}
+
+// TestSplitVoteRetriesInNewEpoch: five candidates that each voted for
+// themselves in epoch 1 deny one another, and only a retry in a new epoch
+// releases the votes. Everyone is cut off from everyone and the leader is
+// down, so IRL, VRG, NCA and ORE stand for epoch 1 alone; after the 4.5s heal
+// IRL's 5s retry and VRG's and NCA's are all denied, and IRL's 7.5s retry,
+// in epoch 2, wins.
+func TestSplitVoteRetriesInNewEpoch(t *testing.T) {
+	e, inj, clock, trc := newElectionEnsemble(t, netsim.FRK, netsim.IRL, netsim.VRG, netsim.NCA, netsim.ORE)
+	inj.Apply(faults.Crash{Region: netsim.FRK})
+	inj.Apply(faults.Partition{Groups: [][]netsim.Region{
+		{netsim.FRK}, {netsim.IRL}, {netsim.VRG}, {netsim.NCA}, {netsim.ORE},
+	}})
+	clock.SleepUntil(4500 * time.Millisecond)
+	for _, r := range []netsim.Region{netsim.IRL, netsim.VRG, netsim.NCA, netsim.ORE} {
+		if got := e.Server(r).Role(); got != "candidate" {
+			t.Fatalf("%s before the heal: role %s, want candidate", r, got)
+		}
+	}
+	inj.Apply(faults.Heal{})
+	clock.SleepUntil(7400 * time.Millisecond)
+	if recs := e.Elections(); len(recs) != 0 {
+		t.Fatalf("elections = %+v before any retry in a new epoch", recs)
+	}
+	clock.SleepUntil(9 * time.Second)
+	recs := e.Elections()
+	if len(recs) != 1 || recs[0].Leader != netsim.IRL || recs[0].Epoch < 2 {
+		t.Fatalf("elections = %+v, want one win by %s in epoch 2 or later", recs, netsim.IRL)
+	}
+	for _, r := range []netsim.Region{netsim.VRG, netsim.NCA, netsim.ORE} {
+		if got := e.Server(r).Role(); got != "follower" {
+			t.Errorf("%s after the win: role %s, want follower", r, got)
+		}
+	}
+	if !electionSpansClosed(trc, clock.Now()) {
+		t.Error("an election span is still open after every candidacy ended")
+	}
+	inj.Quiesce()
+	clock.Drain()
+}
+
+// TestStaleWinStepsDown: a candidate whose majority arrives after a higher
+// epoch has won does not lead; it follows, and the election log does not
+// list it. NCA stands for epoch 1 at 2.5s and ORE and VRG grant it, but a
+// latency spike holds both grants for ~1.5s; IRL cannot hear NCA, is denied
+// in epoch 1, and follows ORE, which stands for epoch 2 at 3.5s and wins at
+// ~3.63s. The held grants give NCA its majority at ~4s, long before ORE's
+// vote request or heartbeats reach it through the spike.
+func TestStaleWinStepsDown(t *testing.T) {
+	e, inj, clock, trc := newElectionEnsemble(t, netsim.FRK, netsim.NCA, netsim.IRL, netsim.ORE, netsim.VRG)
+	inj.Apply(faults.Crash{Region: netsim.FRK})
+	inj.Apply(faults.Drop{From: netsim.IRL, To: netsim.NCA, Prob: 1})
+	clock.SleepUntil(2505 * time.Millisecond) // NCA's vote requests are on their way
+	// One-way ORE-NCA is 10.5ms and VRG-NCA 31ms: both grants take ~1.5s.
+	inj.Apply(faults.LatencySpike{From: netsim.ORE, To: netsim.NCA, Factor: 142, Duration: 3 * time.Second})
+	inj.Apply(faults.LatencySpike{From: netsim.VRG, To: netsim.NCA, Factor: 48, Duration: 3 * time.Second})
+	roleAt(t, e, clock, 3900*time.Millisecond, netsim.NCA, "candidate")
+	if recs := e.Elections(); len(recs) != 1 || recs[0].Leader != netsim.ORE || recs[0].Epoch != 2 {
+		t.Fatalf("elections = %+v, want one epoch-2 win by %s", recs, netsim.ORE)
+	}
+	roleAt(t, e, clock, 4200*time.Millisecond, netsim.NCA, "follower")
+	if recs := e.Elections(); len(recs) != 1 {
+		t.Fatalf("elections = %+v: the stale win was installed", recs)
+	}
+	if got := e.Leader().Region; got != netsim.ORE {
+		t.Fatalf("leader = %s, want %s", got, netsim.ORE)
+	}
+	if !electionSpansClosed(trc, clock.Now()) {
+		t.Error("an election span is still open after the stale win")
+	}
+	inj.Quiesce()
+	clock.Drain()
+}
+
+// TestIllegalMovePanics: a move the table does not list — a follower
+// leading without a candidacy, a leader standing for election — panics in
+// become and leaves the role alone.
+func TestIllegalMovePanics(t *testing.T) {
+	e, _, _ := newFaultedEnsemble(t)
+	for _, m := range []struct {
+		r  netsim.Region
+		to role
+	}{{netsim.IRL, roleLeader}, {netsim.FRK, roleCandidate}, {netsim.FRK, roleLeader}} {
+		s := e.Server(m.r)
+		from := s.Role()
+		func() {
+			e.elect.mu.Lock()
+			defer e.elect.mu.Unlock()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: %s -> %s did not panic", m.r, from, m.to)
+				}
+			}()
+			e.elect.become(s, m.to, 0)
+		}()
+		if got := s.Role(); got != from {
+			t.Errorf("%s: role %s after the refused move, want %s", m.r, got, from)
+		}
+	}
+}
+
+// TestDeposedLeaderAckIsLost pins ROADMAP item 2's bug as it stands: a
+// leader cut off from the majority keeps the operation it was proposing,
+// gathers its acks after the heal and acknowledges it to the client, although
+// the majority elected a new leader meanwhile and the acknowledged element is
+// on no server afterwards. FRK leads and is partitioned away at once; IRL
+// wins epoch 1 at ~2.59s; the FRK-contact enqueue commits at FRK only after
+// the 4s heal, at ~4.17s. The fix of item 2 — a deposed leader fails the
+// operation instead — inverts the assertions on the acknowledgement.
+func TestDeposedLeaderAckIsLost(t *testing.T) {
+	e, inj, clock := newFaultedEnsemble(t)
+	qc := NewQueueClient(e, netsim.FRK, netsim.FRK)
+	if err := qc.CreateQueue("q"); err != nil {
+		t.Fatal(err)
+	}
+	start := clock.Now()
+	inj.Apply(faults.Partition{Groups: [][]netsim.Region{{netsim.FRK}, {netsim.IRL, netsim.VRG}}})
+	clock.RunAt(start+4*time.Second, func() { inj.Apply(faults.Heal{}) })
+	var acked *QueueElement
+	err := qc.Enqueue("q", []byte("lost"), false, func(v QueueView) { acked = v.Element })
+	at := clock.Now() - start
+
+	recs := e.Elections()
+	if len(recs) != 1 || recs[0].Leader != netsim.IRL || recs[0].Epoch != 1 || recs[0].At-start > 3*time.Second {
+		t.Fatalf("elections = %+v, want IRL to win epoch 1 before 3s", recs)
+	}
+	if err != nil || acked == nil {
+		t.Fatalf("enqueue at the deposed leader: err %v, element %v; want the acknowledgement item 2 must refuse", err, acked)
+	}
+	if at < 4*time.Second || at > 4300*time.Millisecond {
+		t.Errorf("enqueue acknowledged %v after the cut, want just after the 4s heal", at)
+	}
+	clock.Sleep(2 * time.Second) // resync from the new leader, FRK steps down
+	for _, r := range []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG} {
+		if kids, err := e.Server(r).Tree().Children("/queues/q"); err != nil || len(kids) != 0 {
+			t.Errorf("%s holds %v (%v); want the acknowledged element lost", r, kids, err)
+		}
 	}
 	inj.Quiesce()
 	clock.Drain()

@@ -86,6 +86,10 @@ type Server struct {
 	// while elections are disabled.
 	accepted    map[uint64]acceptedTxn
 	maxAccepted uint64
+
+	// election is the server's place in the leader election (election.go),
+	// guarded by the ensemble's elector; unused while elections are off.
+	election electState
 }
 
 // Tree exposes the server's local (committed) state for local reads and
@@ -424,12 +428,9 @@ func (e *Ensemble) Elections() []ElectionRecord {
 	if e.elect == nil {
 		return nil
 	}
-	return e.elect.elections()
-}
-
-// Regions returns the server regions in declaration order.
-func (e *Ensemble) Regions() []netsim.Region {
-	return append([]netsim.Region(nil), e.order...)
+	e.elect.mu.Lock()
+	defer e.elect.mu.Unlock()
+	return append([]ElectionRecord(nil), e.elect.log...)
 }
 
 // quorum returns the ack count the leader needs from followers (majority
@@ -472,7 +473,7 @@ func (e *Ensemble) Bootstrap(txn Txn) TxnResult {
 // it was ordered under (which epoch-aware delivery paths need) and its
 // result, after a majority has acknowledged. Commits propagate to followers
 // asynchronously except the contact server's own commit, which the caller
-// delivers synchronously with DeliverCommit (modeling the single
+// delivers synchronously with deliverCommit (modeling the single
 // commit+reply message on that link).
 //
 // Fail-fast validation errors (missing node, node exists) return with
@@ -625,40 +626,25 @@ func (e *Ensemble) ForwardAndCommit(contact *Server, txn Txn) (uint64, TxnResult
 	return zxid, res
 }
 
-// DeliverCommit hands a committed transaction to a server, which applies
-// committed transactions strictly in zxid order (buffering gaps). Commits
-// at or below the applied watermark are discarded: after a snapshot resync
-// the in-flight commit stream may replay transactions the snapshot already
-// covers. The commit is taken at the server's own data epoch; protocol
-// paths use deliverCommit with the proposal's epoch instead.
-func (s *Server) DeliverCommit(zxid uint64, txn Txn) {
-	s.mu.Lock()
-	fire := s.deliverCommitLocked(zxid, s.dataEpoch, txn)
-	s.mu.Unlock()
-	for _, w := range fire {
-		w.Fire()
-	}
-}
-
-// deliverCommit is DeliverCommit for epoch-tagged protocol traffic: commits
-// from epochs older than the server's applied state — a deposed leader's
-// stalled broadcast draining after a heal — are discarded rather than
-// merged into the new epoch's commit stream.
+// deliverCommit hands a committed transaction of the given epoch to a
+// server, which applies committed transactions strictly in zxid order
+// (buffering gaps). Commits at or below the applied watermark are
+// discarded — after a snapshot resync the in-flight commit stream may replay
+// transactions the snapshot already covers — and so are commits from epochs
+// older than the server's applied state: a deposed leader's stalled
+// broadcast draining after a heal must not merge into the new epoch's
+// commit stream.
 func (s *Server) deliverCommit(zxid, epoch uint64, txn Txn) {
 	s.mu.Lock()
-	fire := s.deliverCommitLocked(zxid, epoch, txn)
+	var fire []*netsim.Event
+	if epoch >= s.dataEpoch && zxid > s.lastApplied {
+		s.pending[zxid] = txn
+		fire = s.applyPendingLocked()
+	}
 	s.mu.Unlock()
 	for _, w := range fire {
 		w.Fire()
 	}
-}
-
-func (s *Server) deliverCommitLocked(zxid, epoch uint64, txn Txn) []*netsim.Event {
-	if epoch < s.dataEpoch || zxid <= s.lastApplied {
-		return nil
-	}
-	s.pending[zxid] = txn
-	return s.applyPendingLocked()
 }
 
 // WaitApplied blocks until the server has applied the given zxid.

@@ -55,8 +55,7 @@ func TestProposeReplicatesInOrder(t *testing.T) {
 	contact := e.Server(netsim.FRK)
 	const n = 10
 	for i := 0; i < n; i++ {
-		qc := NewQueueClient(e, netsim.FRK, netsim.FRK)
-		zxid, res := qc.forwardAndCommit(contact, CreateTxn{Path: "/q/item-", Data: []byte{byte(i)}, Sequential: true})
+		zxid, res := e.ForwardAndCommit(contact, CreateTxn{Path: "/q/item-", Data: []byte{byte(i)}, Sequential: true})
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -71,7 +70,7 @@ func TestProposeReplicatesInOrder(t *testing.T) {
 		t.Fatalf("VRG never converged: %v, %v", kids, err)
 	}
 	want, _ := e.Leader().Tree().Children("/q")
-	for _, region := range e.Regions() {
+	for _, region := range e.order {
 		got, err := e.Server(region).Tree().Children("/q")
 		if err != nil {
 			t.Fatal(err)
@@ -85,8 +84,7 @@ func TestProposeReplicatesInOrder(t *testing.T) {
 func TestProposeFailFastNoCommit(t *testing.T) {
 	e, _, _ := newTestEnsemble(t, false, netsim.IRL)
 	contact := e.Server(netsim.FRK)
-	qc := NewQueueClient(e, netsim.FRK, netsim.FRK)
-	zxid, res := qc.forwardAndCommit(contact, DeleteTxn{Path: "/missing"})
+	zxid, res := e.ForwardAndCommit(contact, DeleteTxn{Path: "/missing"})
 	if !errors.Is(res.Err, ErrNoNode) {
 		t.Errorf("err = %v", res.Err)
 	}
@@ -99,11 +97,11 @@ func TestDeliverCommitBuffersGaps(t *testing.T) {
 	e, _, _ := newTestEnsemble(t, false, netsim.IRL)
 	s := e.Server(netsim.FRK)
 	// Deliver 2 before 1: nothing applies until 1 arrives.
-	s.DeliverCommit(2, CreateTxn{Path: "/b"})
+	s.deliverCommit(2, s.dataEpoch, CreateTxn{Path: "/b"})
 	if exists(s.Tree(), "/b") {
 		t.Fatal("gap commit applied out of order")
 	}
-	s.DeliverCommit(1, CreateTxn{Path: "/a"})
+	s.deliverCommit(1, s.dataEpoch, CreateTxn{Path: "/a"})
 	if !exists(s.Tree(), "/a") || !exists(s.Tree(), "/b") {
 		t.Fatal("commits not applied after gap filled")
 	}
@@ -126,7 +124,7 @@ func TestWaitApplied(t *testing.T) {
 	if woken {
 		t.Fatal("WaitApplied returned before apply")
 	}
-	s.DeliverCommit(1, CreateTxn{Path: "/a"})
+	s.deliverCommit(1, s.dataEpoch, CreateTxn{Path: "/a"})
 	done.Wait()
 	if !woken {
 		t.Fatal("WaitApplied never woke")
@@ -155,9 +153,9 @@ func TestPropertyCommitOrderIndependence(t *testing.T) {
 			order[i], order[j] = order[j], order[i]
 		}
 		mkdirs(t, s.Tree(), "/q")
-		s.DeliverCommit(0, CreateTxn{Path: "/unused"}) // no-op guard: zxid 0 ignored by lastApplied
+		s.deliverCommit(0, s.dataEpoch, CreateTxn{Path: "/unused"}) // no-op guard: zxid 0 ignored by lastApplied
 		for _, z := range order {
-			s.DeliverCommit(uint64(z), CreateTxn{Path: "/q/q-", Data: []byte{byte(z)}, Sequential: true})
+			s.deliverCommit(uint64(z), s.dataEpoch, CreateTxn{Path: "/q/q-", Data: []byte{byte(z)}, Sequential: true})
 		}
 		// After all deliveries the items must be in zxid order: item i has
 		// sequence number i-1 and data byte i.

@@ -66,8 +66,8 @@ func (c *QueueClient) CreateQueue(queue string) error {
 	// here: it force-advances every server's applied watermark, and a queue
 	// can be created while protocol traffic is in flight — the jump would make
 	// followers discard committed transactions still on the wire.
-	_, _ = c.forwardAndCommit(contact, CreateTxn{Path: "/queues"})
-	_, res := c.forwardAndCommit(contact, CreateTxn{Path: dir})
+	_, _ = c.ensemble.ForwardAndCommit(contact, CreateTxn{Path: "/queues"})
+	_, res := c.ensemble.ForwardAndCommit(contact, CreateTxn{Path: dir})
 	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(len(dir)))
 	return res.Err
 }
@@ -107,7 +107,7 @@ func (c *QueueClient) Enqueue(queue string, data []byte, wantPrelim bool, onView
 		}
 	}
 
-	zxid, res := c.forwardAndCommit(contact, CreateTxn{Path: prefix, Data: data, Sequential: true})
+	zxid, res := c.ensemble.ForwardAndCommit(contact, CreateTxn{Path: prefix, Data: data, Sequential: true})
 	if res.Err != nil {
 		netsim.AwaitFlush(prelimDelivered, prelimLeft)
 		return res.Err
@@ -173,7 +173,7 @@ func (c *QueueClient) dequeueCZK(queue string, wantPrelim bool, onView func(Queu
 		}
 	}
 
-	zxid, res := c.forwardAndCommit(contact, DequeueMinTxn{Dir: dir})
+	zxid, res := c.ensemble.ForwardAndCommit(contact, DequeueMinTxn{Dir: dir})
 	if res.Err != nil {
 		netsim.AwaitFlush(prelimDelivered, prelimLeft)
 		return res.Err
@@ -226,7 +226,7 @@ func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error 
 		// delete through the ordered protocol.
 		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(path)))
 		contact.process()
-		zxid, res := c.forwardAndCommit(contact, DeleteTxn{Path: path})
+		zxid, res := c.ensemble.ForwardAndCommit(contact, DeleteTxn{Path: path})
 		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(4))
 		if res.Err != nil {
 			// Another consumer won the race (NoNode): retry from the top —
@@ -243,9 +243,4 @@ func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error 
 		})
 		return nil
 	}
-}
-
-// forwardAndCommit delegates to the ensemble's common client-request path.
-func (c *QueueClient) forwardAndCommit(contact *Server, txn Txn) (uint64, TxnResult) {
-	return c.ensemble.ForwardAndCommit(contact, txn)
 }

@@ -40,7 +40,7 @@ func TestQueueItemsAreCopiedOnceAndShared(t *testing.T) {
 		t.Fatalf("enqueue delivered %d views, want preliminary + final", len(enqViews))
 	}
 	path := "/queues/t/" + enqViews[1].Value.ID
-	for _, region := range e.Regions() {
+	for _, region := range e.order {
 		data, err := e.Server(region).Tree().Get(path)
 		if err != nil || string(data) != "enqueued" {
 			t.Fatalf("server %s holds %q, %v after the caller reused its buffer, want enqueued", region, data, err)
@@ -156,7 +156,7 @@ func TestStragglerLegKeepsItsProposal(t *testing.T) {
 	if n := clock.Parked(); n != 0 {
 		t.Errorf("%d actors still parked after Drain", n)
 	}
-	for _, region := range e.Regions() {
+	for _, region := range e.order {
 		if kids, _ := e.Server(region).Tree().Children("/queues/t"); len(kids) != 8 {
 			t.Errorf("server %s holds %d of the 8 elements", region, len(kids))
 		}

@@ -48,8 +48,6 @@ var reachKeep = map[string]string{
 	"netsim.(*Meter).SnapshotLoad":        "TestMeterLoadStats",
 	"netsim.(*Transport).Meter":           "TestCrashDropsAsyncAndCountsOnMeter",
 	"ring.(*Ring).Fingerprint":            "TestPlacementDeterministicPerSeed",
-	"zk.(*Ensemble).Regions":              "TestProposeReplicatesInOrder",
-	"zk.(*Server).DeliverCommit":          "TestDeliverCommitBuffersGaps",
 	"zk.(*Server).Role":                   "TestElectionStalledByCrashedElectorate",
 	"zk.(*Server).Tree":                   "TestProposeReplicatesInOrder",
 	"zk.(*Tree).NodeCount":                "TestLeaderCrashElectsMajority",
