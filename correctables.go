@@ -22,9 +22,10 @@
 //	c := correctables.InvokeStrong(ctx, client, correctables.Get{Key: "user:42"})
 //
 //	// Incremental consistency guarantees (ICG), one view per level:
-//	correctables.Invoke(ctx, client, correctables.Get{Key: "ads:7"}).
-//		Speculate(fetchAds, nil).
-//		OnFinal(func(v correctables.View[[]byte]) { deliver(v.Value) })
+//	refs := correctables.Invoke(ctx, client, correctables.Get{Key: "ads:7"})
+//	correctables.Speculate(refs, fetchAds, nil).SetCallbacks(correctables.Callbacks[[]Ad]{
+//		OnFinal: func(v correctables.View[[]Ad]) { deliver(v.Value) },
+//	})
 //
 // Speculate hides the latency of strong consistency: the speculation
 // function runs on the preliminary (fast, possibly stale) view, and is
@@ -97,8 +98,7 @@ type (
 	// State is a Correctable lifecycle state.
 	State = core.State
 	// Scheduler abstracts how Correctables spawn goroutines, block, and
-	// read time (WithScheduler); simulation substrates supply their clock's
-	// scheduler.
+	// read time; simulation substrates supply their clock's scheduler.
 	Scheduler = core.Scheduler
 	// Event is the one-shot broadcast used by Scheduler implementations.
 	Event = core.Event
@@ -110,8 +110,6 @@ type (
 	// Session threads read-your-writes and monotonic-reads guarantees over
 	// a sequence of operations (see NewSession).
 	Session = binding.Session
-	// SessionOption configures a Session at construction.
-	SessionOption = binding.SessionOption
 	// Observer hooks the client invoke pipeline (WithObserver).
 	Observer = binding.Observer
 	// Observers fans events out to several observers.
@@ -128,8 +126,6 @@ type (
 	Operation = binding.Operation
 	// OperationFor is a typed operation whose result decodes to T.
 	OperationFor[T any] = binding.OperationFor[T]
-	// Versioner marks bindings that stamp version tokens on results.
-	Versioner = binding.Versioner
 	// Result is one binding response (the monomorphic wire type).
 	Result = binding.Result
 	// Callback receives incremental results from a binding.
@@ -193,13 +189,13 @@ var (
 	// ErrUnsupportedLevel is wrapped by bindings rejecting a level.
 	ErrUnsupportedLevel = binding.ErrUnsupportedLevel
 	// ErrSessionGuarantee fails a session invocation whose final view
-	// stayed below the session's floor after the configured retries.
+	// stayed below the session's floor after the session's retries.
 	ErrSessionGuarantee = binding.ErrSessionGuarantee
 )
 
 // NewClient wraps a binding in the application-facing Client, configured
-// with functional options (WithObserver, WithOpTimeout, WithScheduler,
-// WithLabel).
+// with functional options (WithObserver, WithOpTimeout, WithLabel,
+// WithAdmission, WithRetry).
 func NewClient(b Binding, opts ...Option) *Client { return binding.NewClient(b, opts...) }
 
 // WithObserver attaches an observer to the client's invoke pipeline (may
@@ -210,9 +206,6 @@ func WithObserver(o Observer) Option { return binding.WithObserver(o) }
 // time, failing with an error wrapping faults.ErrUnreachable on expiry;
 // d <= 0 disables the bound.
 func WithOpTimeout(d time.Duration) Option { return binding.WithOpTimeout(d) }
-
-// WithScheduler overrides the binding-provided scheduler.
-func WithScheduler(s Scheduler) Option { return binding.WithScheduler(s) }
 
 // WithLabel names the client on observer events.
 func WithLabel(label string) Option { return binding.WithLabel(label) }
@@ -235,11 +228,7 @@ func IsRetryable(err error) bool { return binding.IsRetryable(err) }
 // read-your-writes and monotonic reads per replicated object (enforced
 // with the bindings' version tokens — stale preliminary views are
 // suppressed, stale final reads retried).
-func NewSession(c *Client, opts ...SessionOption) *Session { return binding.NewSession(c, opts...) }
-
-// WithSessionRetries sets how often a stale final read is re-executed
-// before failing with ErrSessionGuarantee.
-func WithSessionRetries(n int) SessionOption { return binding.WithSessionRetries(n) }
+func NewSession(c *Client) *Session { return binding.NewSession(c) }
 
 // SessionInvoke executes op through s with incremental consistency
 // guarantees plus the session's cross-operation guarantees.
@@ -282,27 +271,10 @@ func InvokeStrong[T any](ctx context.Context, c *Client, op OperationFor[T]) *Co
 func New[T any]() (*Correctable[T], Controller[T]) { return core.New[T]() }
 
 // Speculate applies spec to every distinct view of c, re-executing on
-// divergence; the result type may differ from the source type (§4.2). The
-// method form c.Speculate keeps the type.
+// divergence; the result type may differ from the source type (§4.2).
 func Speculate[In, Out any](c *Correctable[In], spec SpecFunc[In, Out], abort AbortFunc[In, Out]) *Correctable[Out] {
 	return core.Speculate(c, spec, abort)
 }
-
-// Map chains a synchronous transformation over every view (the monadic
-// `then`); use Speculate for heavy work.
-func Map[In, Out any](c *Correctable[In], f func(View[In]) (Out, error)) *Correctable[Out] {
-	return core.Map(c, f)
-}
-
-// All aggregates several Correctables: updates carry the latest values of
-// every child as a []T; the aggregate closes when all children have.
-func All[T any](cs ...*Correctable[T]) *Correctable[[]T] { return core.All(cs...) }
-
-// Any mirrors whichever Correctable closes first.
-func Any[T any](cs ...*Correctable[T]) *Correctable[T] { return core.Any(cs...) }
-
-// Resolved returns an already-final Correctable.
-func Resolved[T any](value T, level Level) *Correctable[T] { return core.Resolved(value, level) }
 
 // Failed returns an already-errored Correctable.
 func Failed[T any](err error) *Correctable[T] { return core.Failed[T](err) }

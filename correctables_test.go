@@ -80,8 +80,8 @@ func TestFacadeSpeculate(t *testing.T) {
 }
 
 // TestFacadeTypedNoAssertions is the acceptance test of the typed redesign:
-// an app can Invoke[[]byte] a Get, Speculate on it, wait on levels, and
-// aggregate results, with every value statically typed end to end.
+// an app can Invoke[[]byte] a Get, Speculate on it and wait on levels, with
+// every value statically typed end to end.
 func TestFacadeTypedNoAssertions(t *testing.T) {
 	client := newFacadeCluster(t)
 	ctx := context.Background()
@@ -108,90 +108,6 @@ func TestFacadeTypedNoAssertions(t *testing.T) {
 	}
 	if string(weak.Value) != "v" {
 		t.Errorf("weak view = %q", weak.Value)
-	}
-
-	// All aggregates typed children into a []T.
-	g1 := correctables.InvokeStrong(ctx, client, correctables.Get{Key: "k"})
-	g2 := correctables.InvokeStrong(ctx, client, correctables.Get{Key: "k"})
-	all, err := correctables.All(g1, g2).Final(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all.Value) != 2 || string(all.Value[0]) != "v" || string(all.Value[1]) != "v" {
-		t.Errorf("All = %v", all.Value)
-	}
-}
-
-func TestFacadeCombinators(t *testing.T) {
-	r1 := correctables.Resolved(1, correctables.LevelStrong)
-	r2 := correctables.Resolved(2, correctables.LevelStrong)
-	all, err := correctables.All(r1, r2).Final(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all.Value[0] != 1 || all.Value[1] != 2 {
-		t.Errorf("All = %v", all.Value)
-	}
-	anyV, err := correctables.Any(r1, r2).Final(context.Background())
-	if err != nil || (anyV.Value != 1 && anyV.Value != 2) {
-		t.Errorf("Any = %v, %v", anyV.Value, err)
-	}
-	boom := errors.New("x")
-	if _, err := correctables.Failed[int](boom).Final(context.Background()); !errors.Is(err, boom) {
-		t.Errorf("Failed = %v", err)
-	}
-	if !correctables.ValuesEqual([]byte("a"), []byte("a")) {
-		t.Error("ValuesEqual broken")
-	}
-}
-
-// TestFacadeAllWithFailedChild: All must fail as soon as any child fails,
-// even when the other children close successfully afterwards.
-func TestFacadeAllWithFailedChild(t *testing.T) {
-	ok, okCtrl := correctables.New[int]()
-	bad, badCtrl := correctables.New[int]()
-	out := correctables.All(ok, bad)
-	boom := errors.New("child down")
-	if err := badCtrl.Fail(boom); err != nil {
-		t.Fatal(err)
-	}
-	if err := okCtrl.Close(7, correctables.LevelStrong); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := out.Final(context.Background()); !errors.Is(err, boom) {
-		t.Errorf("All with failed child = %v, want %v", err, boom)
-	}
-}
-
-// TestFacadeAnyWithFailedChildren: Any must survive individual failures and
-// mirror the surviving child; it fails only when every child has failed.
-func TestFacadeAnyWithFailedChildren(t *testing.T) {
-	c1, ctrl1 := correctables.New[string]()
-	c2, ctrl2 := correctables.New[string]()
-	out := correctables.Any(c1, c2)
-	if err := ctrl1.Fail(errors.New("first down")); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctrl2.Close("survivor", correctables.LevelStrong); err != nil {
-		t.Fatal(err)
-	}
-	v, err := out.Final(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Value != "survivor" {
-		t.Errorf("Any = %q, want survivor", v.Value)
-	}
-
-	// All children failing: the last error surfaces.
-	f1, fctrl1 := correctables.New[string]()
-	f2, fctrl2 := correctables.New[string]()
-	allFail := correctables.Any(f1, f2)
-	_ = fctrl1.Fail(errors.New("e1"))
-	last := errors.New("e2")
-	_ = fctrl2.Fail(last)
-	if _, err := allFail.Final(context.Background()); !errors.Is(err, last) {
-		t.Errorf("Any all-failed = %v, want %v", err, last)
 	}
 }
 
@@ -323,11 +239,11 @@ func TestFacadeSession(t *testing.T) {
 }
 
 func TestFacadeLevelOrdering(t *testing.T) {
-	if !correctables.LevelStrong.StrongerThan(correctables.LevelWeak) {
+	if correctables.LevelWeak.AtLeast(correctables.LevelStrong) || !correctables.LevelStrong.AtLeast(correctables.LevelWeak) {
 		t.Error("level ordering broken")
 	}
 	ls := correctables.Levels{correctables.LevelStrong, correctables.LevelCache}
-	if ls.Weakest() != correctables.LevelCache || ls.Strongest() != correctables.LevelStrong {
+	if ls.Sorted()[0] != correctables.LevelCache || ls.Strongest() != correctables.LevelStrong {
 		t.Error("Levels helpers broken")
 	}
 }

@@ -91,21 +91,6 @@ func ExampleSpeculate() {
 	// ad<sneakers> - strong
 }
 
-// ExampleAll aggregates typed Correctables: the result value is a []T with
-// every child's latest value.
-func ExampleAll() {
-	a := correctables.Resolved([]byte("x"), correctables.LevelStrong)
-	b := correctables.Resolved([]byte("y"), correctables.LevelWeak)
-	v, err := correctables.All(a, b).Final(context.Background())
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("%s%s at level %s\n", v.Value[0], v.Value[1], v.Level)
-	// Output:
-	// xy at level weak
-}
-
 // ExampleCorrectable_WaitLevel blocks until a view at least as strong as
 // the requested level has arrived.
 func ExampleCorrectable_WaitLevel() {

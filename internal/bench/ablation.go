@@ -6,8 +6,9 @@ import (
 	"correctables/internal/ycsb"
 )
 
-// Ablation experiments for the design choices DESIGN.md calls out. These go
-// beyond the paper's figures: they isolate the mechanism behind a result by
+// Ablation experiments for the two knobs the model adds (PAPER.md, the
+// paragraph on `ablations`): replication lag and flush cost. These go beyond
+// the paper's figures: they isolate the mechanism behind a result by
 // sweeping the single parameter that produces it.
 
 // AblationLagRow is one datapoint of the replication-lag ablation: how the

@@ -1,8 +1,8 @@
 // Package bench contains one driver per table/figure of the paper's
 // evaluation (§6). Each driver sets up the simulated deployment the paper
 // used, runs the experiment, and returns typed rows whose shape mirrors the
-// corresponding figure; cmd/icgbench prints them and EXPERIMENTS.md records
-// paper-vs-measured values.
+// corresponding figure; cmd/icgbench prints them, and PAPER.md's figure
+// table states the claim each driver is checked against.
 //
 // All drivers run on the deterministic virtual clock and report latencies
 // in model time, i.e. on the paper's axes, so same-seed runs produce

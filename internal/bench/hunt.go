@@ -94,17 +94,18 @@ func (res *HuntResult) Violations() int { return len(res.Findings) }
 
 // huntWorld is one self-contained simulated world: a pure function of its
 // fields. The sweep generates worlds from (profile, seed); the minimizer
-// mutates copies; repros serialize them.
+// mutates copies; a repro embeds one, and the field order and tags are its
+// JSON form.
 type huntWorld struct {
-	Profile     string
-	Seed        int64
-	Unit        time.Duration
-	Horizon     time.Duration
-	Tracks      []faults.Track
-	Sessions    int
-	Causal      int
-	ArrivalRate float64
-	Plant       bool
+	Profile     string         `json:"profile"`
+	Seed        int64          `json:"seed"`
+	Unit        time.Duration  `json:"unit_ns"`
+	Horizon     time.Duration  `json:"horizon_ns"`
+	Sessions    int            `json:"sessions"`
+	Causal      int            `json:"causal_clients"`
+	ArrivalRate float64        `json:"arrival_rate"`
+	Planted     bool           `json:"planted"`
+	Tracks      []faults.Track `json:"tracks"`
 }
 
 // newHuntWorld builds the full-size world for a (profile, seed) pair.
@@ -128,7 +129,7 @@ func newHuntWorld(profile string, seed int64, plant bool) (huntWorld, error) {
 		Sessions:    huntSessions,
 		Causal:      huntCausal,
 		ArrivalRate: huntArrivalRate,
-		Plant:       plant,
+		Planted:     plant,
 	}, nil
 }
 
@@ -263,7 +264,7 @@ func (w huntWorld) runOn(h *world) *huntOutcome {
 	sessionBinding := func(client, coord netsim.Region) binding.Binding {
 		b := cassandra.NewBinding(cassandra.NewClient(cluster, client, coord),
 			cassandra.BindingConfig{StrongQuorum: 3})
-		if w.Plant {
+		if w.Planted {
 			return &plantedBinding{Binding: b, inj: h.inj}
 		}
 		return b
@@ -482,62 +483,30 @@ func minimizeWorld(w huntWorld, tgt huntTarget) (huntWorld, int) {
 // from this description alone and must reproduce the violation byte for
 // byte.
 type HuntRepro struct {
-	Version       int                `json:"version"`
-	Profile       string             `json:"profile"`
-	Seed          int64              `json:"seed"`
-	UnitNs        int64              `json:"unit_ns"`
-	HorizonNs     int64              `json:"horizon_ns"`
-	Sessions      int                `json:"sessions"`
-	Causal        int                `json:"causal_clients"`
-	ArrivalRate   float64            `json:"arrival_rate"`
-	Planted       bool               `json:"planted"`
-	Tracks        []faults.TrackJSON `json:"tracks"`
-	Guarantee     string             `json:"guarantee"`
-	Client        string             `json:"client"`
-	Key           string             `json:"key"`
-	Violation     string             `json:"violation"`
-	HistoryDigest string             `json:"history_digest"`
+	Version int `json:"version"`
+	huntWorld
+	Guarantee     string `json:"guarantee"`
+	Client        string `json:"client"`
+	Key           string `json:"key"`
+	Violation     string `json:"violation"`
+	HistoryDigest string `json:"history_digest"`
 }
 
-// reproOf serializes a shrunk world and its violation.
-func reproOf(w huntWorld, v history.Violation, digest string) (*HuntRepro, error) {
-	r := &HuntRepro{
-		Version: 1, Profile: w.Profile, Seed: w.Seed,
-		UnitNs: int64(w.Unit), HorizonNs: int64(w.Horizon),
-		Sessions: w.Sessions, Causal: w.Causal, ArrivalRate: w.ArrivalRate,
-		Planted:   w.Plant,
+// reproOf describes a shrunk world and its violation.
+func reproOf(w huntWorld, v history.Violation, digest string) *HuntRepro {
+	return &HuntRepro{
+		Version: 1, huntWorld: w,
 		Guarantee: v.Guarantee, Client: v.Client, Key: v.Key,
 		Violation: v.String(), HistoryDigest: digest,
 	}
-	for _, t := range w.Tracks {
-		tj, err := faults.MarshalTrack(t)
-		if err != nil {
-			return nil, err
-		}
-		r.Tracks = append(r.Tracks, tj)
-	}
-	return r, nil
 }
 
 // worldOf rebuilds the world a repro describes.
 func worldOf(r *HuntRepro) (huntWorld, error) {
-	w := huntWorld{
-		Profile: r.Profile, Seed: r.Seed,
-		Unit: time.Duration(r.UnitNs), Horizon: time.Duration(r.HorizonNs),
-		Sessions: r.Sessions, Causal: r.Causal, ArrivalRate: r.ArrivalRate,
-		Plant: r.Planted,
-	}
-	if w.Unit <= 0 || w.Horizon <= 0 {
+	if r.Unit <= 0 || r.Horizon <= 0 {
 		return huntWorld{}, fmt.Errorf("bench: repro has no unit/horizon")
 	}
-	for _, tj := range r.Tracks {
-		t, err := faults.UnmarshalTrack(tj)
-		if err != nil {
-			return huntWorld{}, err
-		}
-		w.Tracks = append(w.Tracks, t)
-	}
-	return w, nil
+	return r.huntWorld, nil
 }
 
 // ParseHuntRepro parses an archived repro.
@@ -662,11 +631,7 @@ func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
 		f.ClientsAfter = clientCount(shrunk)
 		f.ShrinkRuns = shrinkRuns
 		f.Violation = v.String()
-		repro, err := reproOf(shrunk, v, out.digest)
-		if err != nil {
-			return nil, err
-		}
-		f.Repro = repro
+		f.Repro = reproOf(shrunk, v, out.digest)
 		res.Findings = append(res.Findings, f)
 	}
 	return res, nil

@@ -170,7 +170,7 @@ func TestAllocGateArmedInvoke(t *testing.T) {
 	ctx := context.Background()
 	const timeout = 50 * time.Millisecond
 	measure := func(opts ...Option) float64 {
-		c := NewClient(newSyncBinding(), append(opts, WithScheduler(SchedulerFor(clock)))...)
+		c := NewClient(clocked{newSyncBinding(), clock}, opts...)
 		return testing.AllocsPerRun(200, func() {
 			cor := Invoke[[]byte](ctx, c, Get{Key: "k"})
 			if _, err := cor.Final(ctx); err != nil {

@@ -150,14 +150,6 @@ func (bt *Batcher) Scheduler() core.Scheduler {
 	return SchedulerFor(bt.clock)
 }
 
-// Versions implements Versioner by forwarding.
-func (bt *Batcher) Versions() bool {
-	if vb, ok := bt.b.(Versioner); ok {
-		return vb.Versions()
-	}
-	return false
-}
-
 // DefaultOpTimeout implements TimeoutProvider by forwarding.
 func (bt *Batcher) DefaultOpTimeout() time.Duration {
 	if tp, ok := bt.b.(TimeoutProvider); ok {

@@ -140,9 +140,6 @@ func TestBatcherClientStack(t *testing.T) {
 		t.Fatalf("client invoke did not route through a dispatch: %+v", bb.batches)
 	}
 
-	if bt.Versions() {
-		t.Error("Versions fallback must be false for a version-less binding")
-	}
 	if d := bt.DefaultOpTimeout(); d != 0 {
 		t.Errorf("DefaultOpTimeout fallback = %v, want 0", d)
 	}

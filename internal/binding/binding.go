@@ -193,13 +193,13 @@ type Result struct {
 	Level core.Level
 	Err   error
 	// Version is the per-object version token of the state this view
-	// reflects, when the binding stamps one (see Versioner): the LWW
-	// timestamp of a quorum store, the zxid of a totally ordered log, the
-	// block height of a chain. 0 means unversioned — either the binding
-	// does not version results or the view observed object absence in a
-	// store whose tokens start at 1. Tokens are monotonically increasing
-	// per object; sessions compare them to enforce read-your-writes and
-	// monotonic reads, and history checkers compare them across clients.
+	// reflects: the LWW timestamp of a quorum store, the zxid of a totally
+	// ordered log, the block height of a chain. 0 means unversioned — the
+	// view observed object absence in a store whose tokens start at 1, or
+	// the binding stamps no tokens at all. Tokens are monotonically
+	// increasing per object; sessions compare them to enforce
+	// read-your-writes and monotonic reads, and history checkers compare
+	// them across clients.
 	Version uint64
 }
 
@@ -229,16 +229,6 @@ type Binding interface {
 	SubmitOperation(ctx context.Context, op Operation, levels core.Levels, cb Callback)
 	// Close releases binding resources.
 	Close() error
-}
-
-// Versioner is the optional Binding interface advertising that the binding
-// stamps Result.Version with per-object version tokens. Sessions enforce
-// read-your-writes and monotonic reads only over versioning bindings;
-// history checkers need the tokens to compare states across clients.
-type Versioner interface {
-	// Versions reports whether SubmitOperation stamps results with
-	// monotonically increasing per-object version tokens.
-	Versions() bool
 }
 
 // TimeoutProvider is the optional Binding interface supplying the default

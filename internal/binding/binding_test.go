@@ -20,7 +20,6 @@ type fakeBinding struct {
 	delay  time.Duration
 	mu     sync.Mutex
 	calls  []core.Levels
-	closed bool
 }
 
 func (f *fakeBinding) ConsistencyLevels() core.Levels { return f.levels }
@@ -42,12 +41,7 @@ func (f *fakeBinding) SubmitOperation(ctx context.Context, op Operation, levels 
 	}()
 }
 
-func (f *fakeBinding) Close() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.closed = true
-	return nil
-}
+func (f *fakeBinding) Close() error { return nil }
 
 func newFake() *fakeBinding {
 	return &fakeBinding{levels: core.Levels{core.LevelWeak, core.LevelStrong}}
@@ -166,17 +160,6 @@ func TestEmptyLevelsBinding(t *testing.T) {
 	}
 }
 
-func TestClientClose(t *testing.T) {
-	fb := newFake()
-	c := NewClient(fb)
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !fb.closed {
-		t.Error("Close did not reach the binding")
-	}
-}
-
 func TestOperationNames(t *testing.T) {
 	cases := map[string]Operation{
 		"get":     Get{},
@@ -188,14 +171,6 @@ func TestOperationNames(t *testing.T) {
 		if got := op.OpName(); got != want {
 			t.Errorf("OpName = %q, want %q", got, want)
 		}
-	}
-}
-
-func TestLevelsAccessor(t *testing.T) {
-	c := NewClient(newFake())
-	ls := c.Levels()
-	if len(ls) != 2 || ls.Weakest() != core.LevelWeak || ls.Strongest() != core.LevelStrong {
-		t.Errorf("Levels = %v", ls)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // binding, owns the deadline.
 type Client struct {
 	b     Binding
-	sched core.Scheduler // from WithScheduler or SchedulerProvider; nil = default
+	sched core.Scheduler // from SchedulerProvider; nil = default
 
 	// Level sets are normalized once at construction so the invoke hot path
 	// never re-sorts or re-allocates them (they are handed to
@@ -40,7 +40,6 @@ type Client struct {
 	opTimeout  time.Duration   // WithOpTimeout override (see timeoutSet); 0 = unbounded
 	timeoutSet bool            // WithOpTimeout was given (overrides the binding default)
 	tp         TimeoutProvider // binding default bound, consulted per invocation
-	versioned  bool            // binding implements Versioner and versions results
 	gate       AdmissionGate   // WithAdmission; nil = every attempt admitted
 	retry      *retryPolicy    // WithRetry; nil = failures are terminal
 	trc        *trace.Tracer   // WithTracer; nil = tracing off
@@ -75,13 +74,6 @@ func WithOpTimeout(d time.Duration) Option {
 	}
 }
 
-// WithScheduler overrides how Correctables created through this client
-// spawn goroutines, block, and read time, taking precedence over the
-// binding's SchedulerProvider.
-func WithScheduler(s core.Scheduler) Option {
-	return func(c *Client) { c.sched = s }
-}
-
 // WithLabel names the client on observer events (OpInfo.Client), scoping
 // per-session analysis when several clients share one observer.
 func WithLabel(label string) Option {
@@ -89,11 +81,11 @@ func WithLabel(label string) Option {
 }
 
 // NewClient wraps a binding. If the binding implements SchedulerProvider,
-// Correctables created through this client use the binding's scheduler
-// (WithScheduler overrides). If it implements TimeoutProvider, its default
-// operation bound applies (WithOpTimeout overrides). The binding's
-// consistency levels are read and normalized once here; bindings whose
-// level set changes over a client's lifetime are not supported.
+// Correctables created through this client use the binding's scheduler. If
+// it implements TimeoutProvider, its default operation bound applies
+// (WithOpTimeout overrides). The binding's consistency levels are read and
+// normalized once here; bindings whose level set changes over a client's
+// lifetime are not supported.
 func NewClient(b Binding, opts ...Option) *Client {
 	c := &Client{b: b, levels: b.ConsistencyLevels().Sorted()}
 	if len(c.levels) > 0 {
@@ -102,9 +94,6 @@ func NewClient(b Binding, opts ...Option) *Client {
 	}
 	if sp, ok := b.(SchedulerProvider); ok {
 		c.sched = sp.Scheduler()
-	}
-	if vb, ok := b.(Versioner); ok {
-		c.versioned = vb.Versions()
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -130,9 +119,6 @@ func NewClient(b Binding, opts ...Option) *Client {
 	return c
 }
 
-// Binding returns the underlying binding.
-func (c *Client) Binding() Binding { return c.b }
-
 // OpTimeout returns the per-operation model-time bound an invocation
 // issued now would run under (0 = unbounded): the WithOpTimeout override
 // when given, the binding's current default otherwise. The binding default
@@ -147,15 +133,6 @@ func (c *Client) OpTimeout() time.Duration {
 	}
 	return 0
 }
-
-// Levels returns the consistency levels the underlying binding offers,
-// weakest first (a copy; the cached set backs the invoke hot path).
-func (c *Client) Levels() core.Levels {
-	return append(core.Levels(nil), c.levels...)
-}
-
-// Close releases the underlying binding.
-func (c *Client) Close() error { return c.b.Close() }
 
 // scheduler returns the client's scheduler, defaulting when unset.
 func (c *Client) scheduler() core.Scheduler {

@@ -11,30 +11,30 @@ import (
 
 // ErrSessionGuarantee fails a session invocation whose final view could not
 // be brought up to the session's floor: the binding kept returning state
-// older than what this session has already read or written, even after the
-// configured retries. Check with errors.Is.
+// older than what this session has already read or written, even after
+// sessionRetries re-executions. Check with errors.Is.
 var ErrSessionGuarantee = errors.New("binding: session guarantee violated")
 
-// defaultSessionRetries is how often a stale final read is re-executed
-// before the session gives up (each retry re-runs the full operation, so
-// replication normally catches up on the first one).
-const defaultSessionRetries = 3
+// sessionRetries is how often a stale final read is re-executed before the
+// session gives up (each retry re-runs the full operation, so replication
+// normally catches up on the first one).
+const sessionRetries = 3
 
 // Session threads cross-operation consistency guarantees — read-your-writes
-// and monotonic reads, the classic session guarantees — over a Client whose
-// binding versions its results (Versioner). The paper's Client is a
-// one-shot invoke surface; real applications issue sequences of operations
-// and care about what later operations may observe relative to earlier
-// ones. A Session tracks, per replicated object, the highest version token
-// this session has written and read (its "floor"), and the invoke pipeline
-// enforces:
+// and monotonic reads, the classic session guarantees — over a Client, using
+// the version tokens its binding stamps on every view (Result.Version). The
+// paper's Client is a one-shot invoke surface; real applications issue
+// sequences of operations and care about what later operations may observe
+// relative to earlier ones. A Session tracks, per replicated object, the
+// highest version token this session has written and read (its "floor"),
+// and the invoke pipeline enforces:
 //
 //   - a weaker (non-final) view older than the floor is suppressed — the
 //     application simply never sees the stale preliminary;
 //   - a final read view older than the floor is retried (the operation is
 //     re-executed at the strongest requested level only, so already-
 //     delivered weaker views are not duplicated; replication catches up),
-//     failing with ErrSessionGuarantee after the configured retries;
+//     failing with ErrSessionGuarantee after sessionRetries retries;
 //   - every delivered view advances the read floor, and the final view of
 //     a mutating operation advances the write floor.
 //
@@ -43,52 +43,29 @@ const defaultSessionRetries = 3
 // including preliminary views, which is exactly what a bare Correctable
 // cannot promise (§3.2's levels are per-operation, not cross-operation).
 //
-// Operations whose binding does not version results, or which carry no
-// object identity (OpKey ""), pass through unfiltered. A Session is intended
-// for one logical actor issuing operations sequentially; concurrent use is
-// safe but the floor then interleaves across the concurrent operations.
+// Operations that carry no object identity (OpKey "") pass through
+// unfiltered, and so does every view of a binding whose tokens are all 0:
+// its floors stay at 0. A Session is intended for one logical actor issuing
+// operations sequentially; concurrent use is safe but the floor then
+// interleaves across the concurrent operations.
 type Session struct {
-	c       *Client
-	retries int
+	c *Client
 
 	mu        sync.Mutex
 	lastWrite map[string]uint64
 	lastRead  map[string]uint64
 }
 
-// SessionOption configures a Session at construction.
-type SessionOption func(*Session)
-
-// WithSessionRetries sets how often a stale final read is re-executed
-// before failing with ErrSessionGuarantee (default 3; 0 disables retries —
-// a stale final fails immediately).
-func WithSessionRetries(n int) SessionOption {
-	return func(s *Session) {
-		if n < 0 {
-			n = 0
-		}
-		s.retries = n
-	}
-}
-
 // NewSession opens a session over c. Sessions are cheap; open one per
 // logical actor (user, request chain) whose operations need cross-operation
 // guarantees.
-func NewSession(c *Client, opts ...SessionOption) *Session {
-	s := &Session{
+func NewSession(c *Client) *Session {
+	return &Session{
 		c:         c,
-		retries:   defaultSessionRetries,
 		lastWrite: map[string]uint64{},
 		lastRead:  map[string]uint64{},
 	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
 }
-
-// Client returns the session's underlying client.
-func (s *Session) Client() *Client { return s.c }
 
 // Floor returns the minimum version token a view of key may carry without
 // violating this session's guarantees: the highest token the session has
@@ -134,17 +111,16 @@ type sessionCall struct {
 }
 
 // newCall prepares the session state for one invocation; nil when the
-// session is nil (plain invoke), the binding does not version results, or
-// the operation carries no object identity.
+// session is nil (plain invoke) or the operation carries no object identity.
 func (s *Session) newCall(op Operation) *sessionCall {
-	if s == nil || !s.c.versioned {
+	if s == nil {
 		return nil
 	}
 	key := op.OpKey()
 	if key == "" {
 		return nil
 	}
-	return &sessionCall{s: s, key: key, mutating: op.OpMutates(), floor: s.Floor(key), retries: s.retries}
+	return &sessionCall{s: s, key: key, mutating: op.OpMutates(), floor: s.Floor(key), retries: sessionRetries}
 }
 
 // check classifies one incoming view against the call's floor. Mutating

@@ -40,8 +40,7 @@ func newVersionedStore() *versionedStore {
 func (s *versionedStore) ConsistencyLevels() core.Levels {
 	return core.Levels{core.LevelWeak, core.LevelStrong}
 }
-func (s *versionedStore) Close() error   { return nil }
-func (s *versionedStore) Versions() bool { return true }
+func (s *versionedStore) Close() error { return nil }
 
 func (s *versionedStore) staleView(key string) (uint64, []byte) {
 	v := s.version[key]
@@ -126,7 +125,7 @@ func TestSessionSuppressesStalePreliminary(t *testing.T) {
 	}
 	// A plain (non-session) invoke over the same client still sees the
 	// stale preliminary — the guarantee is the session's, not the client's.
-	cor = Invoke[[]byte](ctx, s.Client(), Get{Key: "k"})
+	cor = Invoke[[]byte](ctx, s.c, Get{Key: "k"})
 	if _, err := cor.Final(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +191,7 @@ func TestSessionRetryDoesNotDuplicateWeakerViews(t *testing.T) {
 func TestSessionFailsAfterRetriesExhausted(t *testing.T) {
 	st := newVersionedStore()
 	st.lag = 1 // permanently stale, never heals
-	s := NewSession(NewClient(st), WithSessionRetries(2))
+	s := NewSession(NewClient(st))
 	ctx := context.Background()
 
 	if _, err := s.Put(ctx, "k", []byte("v1")).Final(ctx); err != nil {
@@ -202,8 +201,8 @@ func TestSessionFailsAfterRetriesExhausted(t *testing.T) {
 	if !errors.Is(err, ErrSessionGuarantee) {
 		t.Fatalf("err = %v, want ErrSessionGuarantee", err)
 	}
-	if st.reads != 3 {
-		t.Errorf("reads = %d, want 3 (two retries)", st.reads)
+	if want := 1 + sessionRetries; st.reads != want {
+		t.Errorf("reads = %d, want %d (every retry spent)", st.reads, want)
 	}
 }
 
@@ -214,7 +213,7 @@ func TestSessionMonotonicReadsAcrossOperations(t *testing.T) {
 
 	// Another writer (not this session) advances the store; the session
 	// reads the new version...
-	if _, err := Invoke[Ack](ctx, s.Client(), Put{Key: "k", Value: []byte("v1")}).Final(ctx); err != nil {
+	if _, err := Invoke[Ack](ctx, s.c, Put{Key: "k", Value: []byte("v1")}).Final(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(ctx, "k").Final(ctx); err != nil {
@@ -228,7 +227,7 @@ func TestSessionMonotonicReadsAcrossOperations(t *testing.T) {
 	// reads. A later session read must suppress it: only the strong view
 	// is delivered.
 	st.lag = 2
-	if _, err := Invoke[Ack](ctx, s.Client(), Put{Key: "k", Value: []byte("v2")}).Final(ctx); err != nil {
+	if _, err := Invoke[Ack](ctx, s.c, Put{Key: "k", Value: []byte("v2")}).Final(ctx); err != nil {
 		t.Fatal(err)
 	}
 	cor := s.Get(ctx, "k")
@@ -244,18 +243,23 @@ func TestSessionMonotonicReadsAcrossOperations(t *testing.T) {
 	}
 }
 
+// TestSessionUnkeyedAndUnversionedPassThrough: the plain fake binding stamps
+// no version tokens (every view carries 0), so every floor stays at 0 and a
+// session over it delivers each view exactly like the bare client — on the
+// second read of a key as on the first. An unkeyed operation bypasses the
+// floors altogether.
 func TestSessionUnkeyedAndUnversionedPassThrough(t *testing.T) {
-	// The plain fake binding does not version results: sessions over it
-	// must behave exactly like the bare client.
 	c := NewClient(newFake())
 	s := NewSession(c)
 	ctx := context.Background()
-	cor := SessionInvoke[[]byte](ctx, s, Get{Key: "k"})
-	if v, err := cor.Final(ctx); err != nil || string(v.Value) != "strong:k" {
-		t.Fatalf("pass-through session invoke = %+v, %v", v, err)
-	}
-	if len(cor.Views()) != 2 {
-		t.Errorf("views = %d, want 2", len(cor.Views()))
+	for _, key := range []string{"k", "k", ""} {
+		cor := SessionInvoke[[]byte](ctx, s, Get{Key: key})
+		if v, err := cor.Final(ctx); err != nil || string(v.Value) != "strong:"+key {
+			t.Fatalf("pass-through session invoke of %q = %+v, %v", key, v, err)
+		}
+		if len(cor.Views()) != 2 {
+			t.Errorf("views of %q = %d, want 2", key, len(cor.Views()))
+		}
 	}
 	if got := s.Floor("k"); got != 0 {
 		t.Errorf("floor on unversioned binding = %d, want 0", got)
@@ -390,7 +394,7 @@ func TestLateViewsRefusedAfterTimeout(t *testing.T) {
 	clock := netsim.NewVirtualClock()
 	obs := &recordingObserver{}
 	var answer Callback
-	c := NewClient(lateBinding{answer: &answer}, WithScheduler(SchedulerFor(clock)),
+	c := NewClient(clocked{lateBinding{answer: &answer}, clock},
 		WithOpTimeout(time.Second), WithObserver(obs))
 	cor := InvokeStrong[[]byte](context.Background(), c, Get{Key: "k"})
 	if _, err := cor.Final(context.Background()); !errors.Is(err, faults.ErrUnreachable) {

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"correctables/internal/core"
+	"correctables/internal/netsim"
 )
 
 // syncBinding answers synchronously from a pre-boxed value, isolating the
@@ -31,6 +32,15 @@ func newSyncBinding() *syncBinding {
 		value:  []byte("payload"),
 	}
 }
+
+// clocked gives a test binding the scheduler of a netsim clock, the way the
+// shipped bindings provide their substrate's (SchedulerProvider).
+type clocked struct {
+	Binding
+	clock netsim.Clock
+}
+
+func (b clocked) Scheduler() core.Scheduler { return SchedulerFor(b.clock) }
 
 // batchStub is a BatchBinding that serves every coalesced entry
 // synchronously from the pre-boxed value, so the allocations the

@@ -31,11 +31,12 @@ func (b BindingConfig) withDefaults() BindingConfig {
 
 // Binding adapts a cassandra Client to the Correctables binding API. It
 // offers two consistency levels: weak (R=1, the coordinator's local state)
-// and strong (R=StrongQuorum, LWW-reconciled). When both levels are
-// requested on a Correctable cluster, a single storage request yields both
-// views (server-side ICG, §5.2); on a vanilla cluster the binding falls
-// back to two independent requests, the client-side composition the paper
-// describes as its conservative baseline.
+// and strong (R=StrongQuorum, LWW-reconciled); views carry LWW version
+// tokens. When both levels are requested on a Correctable cluster, a single
+// storage request yields both views (server-side ICG, §5.2). A vanilla
+// cluster has no preliminary flush, so it answers a two-level request with
+// its strong read alone: one request, one final view, the same contract as
+// a Correctable read whose preliminary was lost.
 type Binding struct {
 	client *Client
 	cfg    BindingConfig
@@ -131,25 +132,9 @@ func (r *opRecord) get(key string) {
 		// One request, two responses (preliminary + final), each at the
 		// level it carries.
 		err = b.client.Read(key, b.cfg.StrongQuorum, true, r.view)
-	case wantWeak && wantStrong:
-		// Vanilla store: two independent requests (weak first). The strong
-		// one determines completion; this is the baseline the paper notes
-		// costs extra bandwidth and risks WAN reordering. The second actor
-		// works on the callback, not on the record, which is not its to
-		// hold.
-		cb := r.cb
-		weakDone := b.clock().NewEvent()
-		b.clock().Go(func() {
-			defer weakDone.Fire()
-			_ = b.client.Read(key, 1, false, func(v ReadView) {
-				emit(cb, v, core.LevelWeak)
-			})
-		})
-		err = b.client.Read(key, b.cfg.StrongQuorum, false, func(v ReadView) {
-			weakDone.Wait() // keep view order monotone
-			emit(cb, v, core.LevelStrong)
-		})
 	case wantStrong:
+		// A vanilla store serves a two-level request here too: its final
+		// view alone closes the Correctable.
 		err = b.client.Read(key, b.cfg.StrongQuorum, false, r.view)
 	case wantWeak:
 		err = b.client.Read(key, 1, false, r.view)
@@ -164,20 +149,15 @@ func (r *opRecord) get(key string) {
 // emit is the record's view sink: one read view to the binding callback. The
 // last view of a request goes out at the strongest level it asked for,
 // whatever quorum served it — a strong level configured as R=1 still closes
-// the Correctable, a weak-only request is answered weak.
+// the Correctable, a weak-only request is answered weak. ReadView.Value is
+// the replica's immutable buffer and goes out as is, shared (see
+// binding.Result).
 func (r *opRecord) emit(v ReadView) {
 	level := v.Level
 	if v.Final {
 		level = r.levels.Strongest()
 	}
-	emit(r.cb, v, level)
-}
-
-// emit delivers one read view to the binding callback. ReadView.Value is
-// the replica's immutable buffer and goes out as is, shared (see
-// binding.Result).
-func emit(cb binding.Callback, v ReadView, level core.Level) {
-	cb(binding.Result{Value: v.Value, Level: level, Version: v.Version.Token()})
+	r.cb(binding.Result{Value: v.Value, Level: level, Version: v.Version.Token()})
 }
 
 func (r *opRecord) put(op binding.Put) {
@@ -197,9 +177,6 @@ func (r *opRecord) put(op binding.Put) {
 func (b *Binding) Scheduler() core.Scheduler {
 	return binding.SchedulerFor(b.client.cluster.tr.Clock())
 }
-
-// Versions implements binding.Versioner: views carry LWW version tokens.
-func (b *Binding) Versions() bool { return true }
 
 // DefaultOpTimeout implements binding.TimeoutProvider: under fault
 // injection each invocation is bounded by the cluster's OpTimeout of model

@@ -486,20 +486,29 @@ func TestBindingUnsupportedOp(t *testing.T) {
 	}
 }
 
-func TestBindingVanillaICGFallback(t *testing.T) {
-	// On a vanilla (non-correctable) cluster, Invoke still yields two views
-	// via two independent requests.
-	cluster, _, _ := newTestCluster(t, false, false)
+// TestBindingVanillaICGIsOneStrongRead: a vanilla cluster has no
+// preliminary flush, so a two-level Invoke is its strong read alone — one
+// request and one response on the client link, and a single strong view
+// that closes the Correctable: the contract of a Correctable read whose
+// preliminary was lost.
+func TestBindingVanillaICGIsOneStrongRead(t *testing.T) {
+	cluster, meter, clock := newTestCluster(t, false, false)
 	cluster.Preload("k", []byte("data"))
 	b := NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{})
-	kv := NewKV(b)
-	cor := kv.Get(context.Background(), "k")
-	if _, err := cor.Final(context.Background()); err != nil {
+	cor := NewKV(b).Get(context.Background(), "k")
+	v, err := cor.Final(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	views := cor.Views()
-	if len(views) != 2 || views[0].Level != core.LevelWeak || views[1].Level != core.LevelStrong {
-		t.Errorf("views = %+v", views)
+	if string(v.Value) != "data" || v.Level != core.LevelStrong {
+		t.Errorf("final = %+v", v)
+	}
+	if views := cor.Views(); len(views) != 1 {
+		t.Errorf("views = %+v, want the strong view alone", views)
+	}
+	clock.Drain()
+	if got := meter.Class(netsim.LinkClient).Messages; got != 2 {
+		t.Errorf("client-link messages = %d, want 2 (one request, one response)", got)
 	}
 }
 

@@ -23,8 +23,8 @@ func NewKV(b *Binding, opts ...binding.Option) *KV {
 // Session opens a session over the facade's client: reads through it are
 // guaranteed read-your-writes and monotonic reads per key (see
 // binding.Session).
-func (kv *KV) Session(opts ...binding.SessionOption) *binding.Session {
-	return binding.NewSession(kv.client, opts...)
+func (kv *KV) Session() *binding.Session {
+	return binding.NewSession(kv.client)
 }
 
 // Get reads key with incremental consistency guarantees: one view per

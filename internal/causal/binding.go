@@ -49,7 +49,8 @@ func (c *Client) cacheMerge(key string, e Entry) {
 }
 
 // Binding adapts a Client to the Correctables binding API with three
-// levels: cache, causal (nearest backup), strong (primary).
+// levels: cache, causal (nearest backup), strong (primary). Views carry the
+// store's primary-issued entry versions as version tokens.
 type Binding struct {
 	client *Client
 
@@ -175,10 +176,6 @@ func (r *opRecord) exec() {
 func (b *Binding) Scheduler() core.Scheduler {
 	return binding.SchedulerFor(b.client.store.tr.Clock())
 }
-
-// Versions implements binding.Versioner: views carry the store's
-// primary-issued entry versions as tokens.
-func (b *Binding) Versions() bool { return true }
 
 // DefaultOpTimeout implements binding.TimeoutProvider: under fault
 // injection each invocation is bounded by the store's OpTimeout of model

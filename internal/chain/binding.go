@@ -45,7 +45,15 @@ func Submit(ctx context.Context, c *binding.Client, tx SubmitTx, levels ...core.
 // then each deepening — and closes with a strong view once the transaction
 // is Depth blocks deep (irrevocable with high probability). This is the
 // "arbitrarily many views" case of §4.5: the interface is unchanged, only
-// the number of updates grows.
+// the number of updates grows. Views carry the including block's height as
+// the per-transaction version token.
+//
+// The chain binding deliberately implements no DefaultOpTimeout:
+// confirmations take arbitrarily long by nature (§4.5), so a stalled final
+// view during miner downtime is the honest answer. Clients that must not
+// wait out an unbounded outage bound their invocations with
+// binding.WithOpTimeout, which fails them with faults.ErrUnreachable
+// instead.
 type Binding struct {
 	chain *Chain
 	depth int
@@ -82,17 +90,6 @@ var cancelSentinel = Block{Height: -2}
 func (b *Binding) Scheduler() core.Scheduler {
 	return binding.SchedulerFor(b.chain.clock)
 }
-
-// Versions implements binding.Versioner: views carry the including block's
-// height as the per-transaction version token.
-//
-// The chain binding deliberately implements no DefaultOpTimeout:
-// confirmations take arbitrarily long by nature (§4.5), so a stalled final
-// view during miner downtime is the honest answer. Clients that must not
-// wait out an unbounded outage bound their invocations with
-// binding.WithOpTimeout, which fails them with faults.ErrUnreachable
-// instead.
-func (b *Binding) Versions() bool { return true }
 
 // SubmitOperation implements binding.Binding.
 func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {

@@ -155,8 +155,8 @@ func New[T any]() (*Correctable[T], Controller[T]) {
 // Correctable spawns goroutines (Speculate) and how its consumers block
 // (Final, WaitLevel), plus an advisory level set. Bindings over simulated
 // substrates pass their clock's scheduler here; sched == nil means
-// DefaultScheduler. Derived Correctables (Then, Speculate, combinators)
-// inherit the scheduler.
+// DefaultScheduler. The Correctable Speculate derives inherits the
+// scheduler.
 //
 // NewScheduled takes ownership of levels and stores it without copying or
 // re-sorting; callers must pass an already-normalized (weakest-first,
@@ -168,10 +168,11 @@ func NewScheduled[T any](sched Scheduler, levels Levels) (*Correctable[T], Contr
 	return c, Controller[T]{c: c}
 }
 
-// deriveAs creates a child Correctable of a different value type sharing c's
-// scheduler (for Speculate/Map chains that change the type).
-func deriveAs[U, T any](c *Correctable[T], levels Levels) (*Correctable[U], Controller[U]) {
-	return NewScheduled[U](c.sched, levels)
+// Failed returns an already-errored Correctable.
+func Failed[T any](err error) *Correctable[T] {
+	c, ctrl := New[T]()
+	_ = ctrl.Fail(err)
+	return c
 }
 
 // Levels returns the advisory set of levels this Correctable was created
@@ -210,8 +211,8 @@ func (ctrl Controller[T]) Fail(err error) error {
 	return ctrl.c.deliver(zero, LevelNone, false, err)
 }
 
-// Correctable returns the consumer-side handle (convenience for tests and
-// combinators that create both ends).
+// Correctable returns the consumer-side handle (convenience for producers
+// that create both ends).
 func (ctrl Controller[T]) Correctable() *Correctable[T] { return ctrl.c }
 
 // deliver is the single mutation point: it appends a view or records the
@@ -311,7 +312,7 @@ func (c *Correctable[T]) dispatch() {
 // complete history exactly as early ones did. It returns c to allow
 // chaining, mirroring the paper's fluent style:
 //
-//	invoke(op).Speculate(f).SetCallbacks(...)
+//	Speculate(invoke(op), f, nil).SetCallbacks(...)
 func (c *Correctable[T]) SetCallbacks(cbs Callbacks[T]) *Correctable[T] {
 	c.mu.Lock()
 	c.entries = append(c.entries, &cbEntry[T]{cbs: cbs})
@@ -325,14 +326,13 @@ func (c *Correctable[T]) OnUpdate(f func(View[T])) *Correctable[T] {
 	return c.SetCallbacks(Callbacks[T]{OnUpdate: f})
 }
 
-// OnFinal attaches a final-only callback.
-func (c *Correctable[T]) OnFinal(f func(View[T])) *Correctable[T] {
-	return c.SetCallbacks(Callbacks[T]{OnFinal: f})
-}
-
-// OnError attaches an error-only callback.
-func (c *Correctable[T]) OnError(f func(error)) *Correctable[T] {
-	return c.SetCallbacks(Callbacks[T]{OnError: f})
+// Finally invokes f exactly once when c leaves the Updating state, whether
+// it closed with a view or an error, and returns c for chaining.
+func (c *Correctable[T]) Finally(f func()) *Correctable[T] {
+	return c.SetCallbacks(Callbacks[T]{
+		OnFinal: func(View[T]) { f() },
+		OnError: func(error) { f() },
+	})
 }
 
 // State returns the current state.
@@ -505,13 +505,6 @@ func ctxDoneChan(ctx context.Context) <-chan struct{} {
 		return nil
 	}
 	return ctx.Done()
-}
-
-// First blocks until any view has been delivered and returns it. This is the
-// "settle for the preliminary" pattern (§2.2): applications with tight
-// latency SLAs can take the first view and abandon the rest.
-func (c *Correctable[T]) First(ctx context.Context) (View[T], error) {
-	return c.WaitLevel(ctx, LevelNone+1)
 }
 
 // Equaler lets application values customize the divergence check used by

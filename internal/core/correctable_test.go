@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -61,7 +62,7 @@ func TestErrorState(t *testing.T) {
 	c, ctrl := New[any]()
 	boom := errors.New("boom")
 	var got error
-	c.OnError(func(err error) { got = err })
+	c.SetCallbacks(Callbacks[any]{OnError: func(err error) { got = err }})
 	if err := ctrl.Fail(boom); err != nil {
 		t.Fatal(err)
 	}
@@ -232,18 +233,6 @@ func TestWaitLevelNoView(t *testing.T) {
 	}
 }
 
-func TestFirst(t *testing.T) {
-	c, ctrl := New[any]()
-	go func() { _ = ctrl.Update(42, LevelCache) }()
-	v, err := c.First(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Value != 42 || v.Level != LevelCache {
-		t.Errorf("First = %+v", v)
-	}
-}
-
 func TestLatest(t *testing.T) {
 	c, ctrl := New[any]()
 	if _, ok := c.Latest(); ok {
@@ -268,6 +257,31 @@ func TestDoneChannel(t *testing.T) {
 	case <-c.Done():
 	case <-time.After(time.Second):
 		t.Fatal("Done not closed after Close")
+	}
+}
+
+func TestFailed(t *testing.T) {
+	boom := errors.New("x")
+	f := Failed[any](boom)
+	if _, err := f.Final(context.Background()); !errors.Is(err, boom) {
+		t.Errorf("Failed: %v", err)
+	}
+}
+
+func TestFinallyRunsOnceEitherWay(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		c, ctrl := New[any]()
+		var n int32
+		c.Finally(func() { atomic.AddInt32(&n, 1) })
+		_ = ctrl.Update(1, LevelWeak)
+		if fail {
+			_ = ctrl.Fail(errors.New("x"))
+		} else {
+			_ = ctrl.Close(2, LevelStrong)
+		}
+		if got := atomic.LoadInt32(&n); got != 1 {
+			t.Errorf("fail=%v: Finally ran %d times", fail, got)
+		}
 	}
 }
 

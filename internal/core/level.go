@@ -8,8 +8,13 @@
 // transitioning to Final (or Error) exactly once.
 //
 // This package is the paper's "core library" (§3): creation, state
-// transitions, callback delivery, speculation, and the combinators inherited
-// from modern Promises. Storage-specific protocol code lives in bindings
+// transitions, callback delivery and speculation. Of the features
+// Correctables inherit from modern Promises, which the paper elides for
+// space (§3.2: "error handling, timeouts, or other features inherited from
+// modern Promises, such as aggregation or monadic-style chaining"), it keeps
+// only those an app, example or experiment calls: Failed and Finally.
+// Operation timeouts live in the invoke pipeline (binding.WithOpTimeout),
+// not on the Correctable. Storage-specific protocol code lives in bindings
 // (package binding and the per-store packages).
 package core
 
@@ -58,9 +63,6 @@ func (l Level) String() string {
 	}
 }
 
-// StrongerThan reports whether l is strictly stronger than other.
-func (l Level) StrongerThan(other Level) bool { return l > other }
-
 // AtLeast reports whether l is at least as strong as other.
 func (l Level) AtLeast(other Level) bool { return l >= other }
 
@@ -86,21 +88,6 @@ func (ls Levels) Strongest() Level {
 		}
 	}
 	return max
-}
-
-// Weakest returns the weakest level in ls (ignoring LevelNone entries), or
-// LevelNone if empty.
-func (ls Levels) Weakest() Level {
-	min := LevelNone
-	for _, x := range ls {
-		if x == LevelNone {
-			continue
-		}
-		if min == LevelNone || x < min {
-			min = x
-		}
-	}
-	return min
 }
 
 // Sorted returns a copy of ls ordered weakest to strongest with duplicates

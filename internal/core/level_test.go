@@ -8,8 +8,8 @@ import (
 func TestLevelOrdering(t *testing.T) {
 	ordered := []Level{LevelNone, LevelCache, LevelWeak, LevelCausal, LevelStrong}
 	for i := 1; i < len(ordered); i++ {
-		if !ordered[i].StrongerThan(ordered[i-1]) {
-			t.Errorf("%v should be stronger than %v", ordered[i], ordered[i-1])
+		if ordered[i-1].AtLeast(ordered[i]) {
+			t.Errorf("%v should be weaker than %v", ordered[i-1], ordered[i])
 		}
 		if !ordered[i].AtLeast(ordered[i-1]) || !ordered[i].AtLeast(ordered[i]) {
 			t.Errorf("AtLeast violated at %v", ordered[i])
@@ -41,10 +41,7 @@ func TestLevelsHelpers(t *testing.T) {
 	if ls.Strongest() != LevelStrong {
 		t.Errorf("Strongest = %v", ls.Strongest())
 	}
-	if ls.Weakest() != LevelWeak {
-		t.Errorf("Weakest = %v", ls.Weakest())
-	}
-	if (Levels{}).Strongest() != LevelNone || (Levels{}).Weakest() != LevelNone {
+	if (Levels{}).Strongest() != LevelNone {
 		t.Error("empty Levels should report LevelNone")
 	}
 }

@@ -34,15 +34,8 @@ type specExec[In, Out any] struct {
 // Speculate captures the speculation pattern of the paper (Listing 3): it
 // applies spec to every new view delivered by c whose value differs from the
 // previous one, and returns a new Correctable that closes with the return
-// value of spec. This method keeps the value type; use the package-level
-// Speculate to map to a different result type.
-func (c *Correctable[T]) Speculate(spec SpecFunc[T, T], abort AbortFunc[T, T]) *Correctable[T] {
-	return Speculate(c, spec, abort)
-}
-
-// Speculate is the type-changing form of Correctable.Speculate: spec maps
-// views of In to a result of type Out, and the returned Correctable[Out]
-// closes with spec's output.
+// value of spec. spec maps views of In to a result of type Out, which may be
+// In itself.
 //
 // If the final view matches the last speculated-on view (the common case),
 // the returned Correctable closes as soon as both the final view has arrived
@@ -62,7 +55,7 @@ func (c *Correctable[T]) Speculate(spec SpecFunc[T, T], abort AbortFunc[T, T]) *
 // If c closes with an error, the returned Correctable fails with the same
 // error (after any outstanding speculation is aborted).
 func Speculate[In, Out any](c *Correctable[In], spec SpecFunc[In, Out], abort AbortFunc[In, Out]) *Correctable[Out] {
-	out, ctrl := deriveAs[Out](c, c.Levels())
+	out, ctrl := NewScheduled[Out](c.sched, c.Levels())
 	s := &speculator[In, Out]{spec: spec, abort: abort, ctrl: ctrl, sched: c.scheduler()}
 	c.SetCallbacks(Callbacks[In]{
 		OnUpdate: s.onUpdate,

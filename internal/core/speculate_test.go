@@ -16,7 +16,7 @@ func TestSpeculateConfirmation(t *testing.T) {
 	// abort, result is the spec output at strong level.
 	c, ctrl := New[any]()
 	var specRuns, aborts int32
-	out := c.Speculate(func(v View[any]) (interface{}, error) {
+	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		atomic.AddInt32(&specRuns, 1)
 		return fmt.Sprintf("spec(%v)", v.Value), nil
 	}, func(View[any], interface{}) {
@@ -48,7 +48,7 @@ func TestSpeculateMisspeculation(t *testing.T) {
 	c, ctrl := New[any]()
 	var mu sync.Mutex
 	var trace []string
-	out := c.Speculate(func(v View[any]) (interface{}, error) {
+	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		mu.Lock()
 		trace = append(trace, "spec:"+v.Value.(string))
 		mu.Unlock()
@@ -97,7 +97,7 @@ func TestSpeculateHidesLatency(t *testing.T) {
 		time.Sleep(finalAt - prelimAt)
 		_ = ctrl.Close("v", LevelStrong)
 	}()
-	out := c.Speculate(func(v View[any]) (interface{}, error) {
+	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		time.Sleep(specCost)
 		return "done", nil
 	}, nil)
@@ -116,7 +116,7 @@ func TestSpeculateFinalOnly(t *testing.T) {
 	// No preliminary at all: spec runs once, on the final view.
 	c, ctrl := New[any]()
 	var runs int32
-	out := c.Speculate(func(v View[any]) (interface{}, error) {
+	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		atomic.AddInt32(&runs, 1)
 		return v.Value, nil
 	}, nil)
@@ -135,7 +135,7 @@ func TestSpeculateDuplicatePreliminarySkipped(t *testing.T) {
 	// previous one*.
 	c, ctrl := New[any]()
 	var runs int32
-	out := c.Speculate(func(v View[any]) (interface{}, error) {
+	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		atomic.AddInt32(&runs, 1)
 		return v.Value, nil
 	}, nil)
@@ -153,7 +153,7 @@ func TestSpeculateDuplicatePreliminarySkipped(t *testing.T) {
 func TestSpeculateSpecError(t *testing.T) {
 	c, ctrl := New[any]()
 	boom := errors.New("spec failed")
-	out := c.Speculate(func(v View[any]) (interface{}, error) {
+	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		return nil, boom
 	}, nil)
 	_ = ctrl.Close("x", LevelStrong)
@@ -166,7 +166,7 @@ func TestSpeculatePrelimSpecErrorThenFinalOK(t *testing.T) {
 	// A failing speculation on the preliminary must not poison the result if
 	// the final diverges and re-executes successfully.
 	c, ctrl := New[any]()
-	out := c.Speculate(func(v View[any]) (interface{}, error) {
+	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		if v.Value == "bad" {
 			return nil, errors.New("transient")
 		}
@@ -189,7 +189,7 @@ func TestSpeculateConfirmedPrelimSpecError(t *testing.T) {
 	// identical input).
 	c, ctrl := New[any]()
 	boom := errors.New("boom")
-	out := c.Speculate(func(v View[any]) (interface{}, error) {
+	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		return nil, boom
 	}, nil)
 	_ = ctrl.Update("x", LevelWeak)
@@ -204,7 +204,7 @@ func TestSpeculateSourceError(t *testing.T) {
 	c, ctrl := New[any]()
 	boom := errors.New("storage down")
 	var aborted int32
-	out := c.Speculate(func(v View[any]) (interface{}, error) {
+	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		return v.Value, nil
 	}, func(View[any], interface{}) { atomic.AddInt32(&aborted, 1) })
 	_ = ctrl.Update("x", LevelWeak)
@@ -225,7 +225,7 @@ func TestSpeculateSourceError(t *testing.T) {
 
 func TestSpeculatePreliminaryResultDelivered(t *testing.T) {
 	c, ctrl := New[any]()
-	out := c.Speculate(func(v View[any]) (interface{}, error) {
+	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		return "spec:" + v.Value.(string), nil
 	}, nil)
 	var mu sync.Mutex
@@ -266,7 +266,7 @@ func TestSpeculateMultiplePreliminaries(t *testing.T) {
 	c, ctrl := New[any]()
 	var mu sync.Mutex
 	var aborted []interface{}
-	out := c.Speculate(func(v View[any]) (interface{}, error) {
+	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		return v.Value, nil
 	}, func(in View[any], res interface{}) {
 		mu.Lock()
@@ -298,7 +298,7 @@ func TestPropertySpeculateReflectsFinal(t *testing.T) {
 	f := func(prelim, final uint8) bool {
 		c, ctrl := New[any]()
 		var aborts int32
-		out := c.Speculate(func(v View[any]) (interface{}, error) {
+		out := Speculate(c, func(v View[any]) (interface{}, error) {
 			return int(v.Value.(uint8)) * 2, nil
 		}, func(View[any], interface{}) { atomic.AddInt32(&aborts, 1) })
 		_ = ctrl.Update(prelim, LevelWeak)

@@ -25,24 +25,6 @@ func TestTypedViewsInlineAndGrowth(t *testing.T) {
 	}
 }
 
-// TestTypedMapChangesType: Map turns a Correctable[int] into a
-// Correctable[string].
-func TestTypedMapChangesType(t *testing.T) {
-	c, ctrl := New[int]()
-	out := Map(c, func(v View[int]) (string, error) {
-		return string(rune('a' + v.Value)), nil
-	})
-	_ = ctrl.Update(0, LevelWeak)
-	_ = ctrl.Close(1, LevelStrong)
-	v, err := out.Final(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Value != "b" {
-		t.Errorf("mapped final = %q, want b", v.Value)
-	}
-}
-
 // identityEq judges equality on ID only, via the typed Equaler[T].
 type identityEq struct {
 	ID   string

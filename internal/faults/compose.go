@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -123,9 +124,9 @@ func (s *Schedule) Atoms() [][]TimedEvent {
 	return atoms
 }
 
-// EventJSON is the wire form of one schedule entry, used by hunt repros.
-// Kind selects the event type; the remaining fields are per-kind.
-type EventJSON struct {
+// eventJSON is the wire form of one schedule entry. Kind selects the event
+// type; the remaining fields are per-kind.
+type eventJSON struct {
 	AtNs   int64      `json:"at_ns"`
 	Kind   string     `json:"kind"` // partition, heal, crash, restart, spike, drop
 	ID     int        `json:"id,omitempty"`
@@ -138,17 +139,17 @@ type EventJSON struct {
 	DurNs  int64      `json:"dur_ns,omitempty"`
 }
 
-// TrackJSON is the wire form of a Track.
-type TrackJSON struct {
+// trackJSON is the wire form of a Track.
+type trackJSON struct {
 	Name   string      `json:"name"`
-	Events []EventJSON `json:"events"`
+	Events []eventJSON `json:"events"`
 }
 
-// MarshalEvent converts a schedule entry to its wire form. Internal
+// marshalEvent converts a schedule entry to its wire form. Internal
 // transitions (expiries, quiesce) never appear in a Schedule and are
 // rejected.
-func MarshalEvent(te TimedEvent) (EventJSON, error) {
-	ej := EventJSON{AtNs: int64(te.At)}
+func marshalEvent(te TimedEvent) (eventJSON, error) {
+	ej := eventJSON{AtNs: int64(te.At)}
 	switch ev := te.Event.(type) {
 	case Partition:
 		ej.Kind = "partition"
@@ -180,13 +181,13 @@ func MarshalEvent(te TimedEvent) (EventJSON, error) {
 		ej.Prob = ev.Prob
 		ej.DurNs = int64(ev.Duration)
 	default:
-		return EventJSON{}, fmt.Errorf("faults: event %T has no wire form", te.Event)
+		return eventJSON{}, fmt.Errorf("faults: event %T has no wire form", te.Event)
 	}
 	return ej, nil
 }
 
-// UnmarshalEvent is the inverse of MarshalEvent.
-func UnmarshalEvent(ej EventJSON) (TimedEvent, error) {
+// unmarshalEvent is the inverse of marshalEvent.
+func unmarshalEvent(ej eventJSON) (TimedEvent, error) {
 	te := TimedEvent{At: time.Duration(ej.AtNs)}
 	switch ej.Kind {
 	case "partition":
@@ -217,31 +218,36 @@ func UnmarshalEvent(ej EventJSON) (TimedEvent, error) {
 	return te, nil
 }
 
-// MarshalTrack converts a track to its wire form.
-func MarshalTrack(t Track) (TrackJSON, error) {
-	tj := TrackJSON{Name: t.Name, Events: []EventJSON{}}
-	if t.Schedule == nil {
-		return tj, nil
-	}
-	for _, te := range t.Schedule.Events() {
-		ej, err := MarshalEvent(te)
-		if err != nil {
-			return TrackJSON{}, fmt.Errorf("track %s: %w", t.Name, err)
+// MarshalJSON encodes the track in its wire form: the name and every
+// scheduled event, which is how hunt repros archive their fault tracks.
+func (t Track) MarshalJSON() ([]byte, error) {
+	tj := trackJSON{Name: t.Name, Events: []eventJSON{}}
+	if t.Schedule != nil {
+		for _, te := range t.Schedule.Events() {
+			ej, err := marshalEvent(te)
+			if err != nil {
+				return nil, fmt.Errorf("track %s: %w", t.Name, err)
+			}
+			tj.Events = append(tj.Events, ej)
 		}
-		tj.Events = append(tj.Events, ej)
 	}
-	return tj, nil
+	return json.Marshal(tj)
 }
 
-// UnmarshalTrack is the inverse of MarshalTrack.
-func UnmarshalTrack(tj TrackJSON) (Track, error) {
+// UnmarshalJSON is the inverse of MarshalJSON.
+func (t *Track) UnmarshalJSON(data []byte) error {
+	var tj trackJSON
+	if err := json.Unmarshal(data, &tj); err != nil {
+		return err
+	}
 	s := NewSchedule()
 	for _, ej := range tj.Events {
-		te, err := UnmarshalEvent(ej)
+		te, err := unmarshalEvent(ej)
 		if err != nil {
-			return Track{}, fmt.Errorf("track %s: %w", tj.Name, err)
+			return fmt.Errorf("track %s: %w", tj.Name, err)
 		}
 		s.At(te.At, te.Event)
 	}
-	return Track{Name: tj.Name, Schedule: s}, nil
+	*t = Track{Name: tj.Name, Schedule: s}
+	return nil
 }

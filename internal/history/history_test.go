@@ -202,8 +202,7 @@ type brokenBinding struct {
 func (b *brokenBinding) ConsistencyLevels() core.Levels {
 	return core.Levels{core.LevelWeak, core.LevelStrong}
 }
-func (b *brokenBinding) Close() error   { return nil }
-func (b *brokenBinding) Versions() bool { return true }
+func (b *brokenBinding) Close() error { return nil }
 
 func (b *brokenBinding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
 	switch op.(type) {

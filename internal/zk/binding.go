@@ -26,7 +26,7 @@ func itemOf(v QueueView) binding.Item {
 // Binding adapts a QueueClient to the Correctables binding API. It offers
 // weak (local simulation on the contact server) and strong (committed
 // through the ordered protocol) levels for enqueue and dequeue; view values
-// are binding.Item.
+// are binding.Item and carry zxids as version tokens.
 type Binding struct {
 	qc *QueueClient
 
@@ -155,9 +155,6 @@ func (r *opRecord) emit(v QueueView) {
 func (b *Binding) Scheduler() core.Scheduler {
 	return binding.SchedulerFor(b.qc.Ensemble().Transport().Clock())
 }
-
-// Versions implements binding.Versioner: views carry zxid version tokens.
-func (b *Binding) Versions() bool { return true }
 
 // DefaultOpTimeout implements binding.TimeoutProvider: under fault
 // injection each invocation is bounded by the ensemble's OpTimeout of

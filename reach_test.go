@@ -9,22 +9,26 @@ import (
 	"go/types"
 	"io/fs"
 	"maps"
-	"path/filepath"
+	"os"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"testing/fstest"
 )
 
 // The reachability gate: a feature lives while a root reaches it. Roots are
 // every main/init under cmd/ and examples/, everything benchmark/*.go
 // declares (the ruler pins exactly what it uses), every exported function
-// of the correctables facade and every exported method of a type it
-// aliases (the paper's API), plus package initialisation. A non-test
-// function no root reaches, or an exported field of an internal *Config /
-// *Options / RetryPolicy struct that no non-test file outside its package
-// sets, fails TestReachability unless reachKeep names it with a reason; a
-// keep entry that is reached, set, or names nothing fails too.
+// of the correctables facade and every method of an interface it aliases
+// (what a binding or an observer must implement), the methods the standard
+// library calls through interfaces of its own (reachStd), plus package
+// initialisation. An exported method of an aliased concrete type is no
+// root: it lives while something calls it. A non-test function no root
+// reaches, or an exported field of an internal *Config / *Options /
+// RetryPolicy struct that no non-test file outside its package sets, fails
+// TestReachability unless reachKeep names it with a reason; a keep entry
+// that is reached, set, or names nothing fails too.
 
 // reachKeep is the keep-table: unreached code that stays, and why. A test
 // name as the reason means "the inspection hook that test uses to look
@@ -39,7 +43,6 @@ var reachKeep = map[string]string{
 	"chain.Config.MinerRegion":            "puts the chain under the crash window of the other three stores in TestHistoryCheckedAcrossAllFourBindings",
 	"faults.(*Injector).Partitioned":      "TestOverlappingPartitionsCompose",
 	"faults.(*Schedule).Horizon":          "TestRandomTracksDeterministicAndComposable",
-	"faults.(*Schedule).String":           "TestRandomScheduleDeterministicAndBounded",
 	"faults.(*Schedule).UnmatchedCrashes": "TestRandomCrashRestartPairingSeedSweep",
 	"load.(*TokenBucket).Tokens":          "TestTokenBucketRefillAcrossVirtualTimeJump",
 	"metrics.(*Histogram).Max":            "TestPropertyHistogramInvariants",
@@ -66,13 +69,21 @@ type reachPkg struct {
 	types *types.Package
 }
 
-// reachLoader type-checks module packages from source (non-test files; all
-// of benchmark/*.go, whose tests must keep compiling too) and defers
-// everything else to the standard library's source importer.
+// reachLoader type-checks module packages from the source tree fsys
+// (non-test files; all of benchmark/*.go, whose tests must keep compiling
+// too) and defers everything else to the standard library's source
+// importer.
 type reachLoader struct {
+	fsys fs.FS
 	fset *token.FileSet
 	std  types.Importer
 	pkgs map[string]*reachPkg
+}
+
+// goFiles lists the Go files of a module package's directory.
+func (l *reachLoader) goFiles(path string) []string {
+	names, _ := fs.Glob(l.fsys, strings.TrimPrefix(strings.TrimPrefix(path, reachModule)+"/*.go", "/"))
+	return names
 }
 
 func (l *reachLoader) Import(path string) (*types.Package, error) {
@@ -92,29 +103,31 @@ func (l *reachLoader) load(path string) (*reachPkg, error) {
 		Uses: map[*ast.Ident]types.Object{},
 	}}
 	l.pkgs[path] = p
-	names, err := filepath.Glob("." + strings.TrimPrefix(path, reachModule) + "/*.go")
-	for _, name := range names {
+	for _, name := range l.goFiles(path) {
 		if strings.HasSuffix(name, "_test.go") && path != reachRuler {
 			continue
 		}
-		f, err := parser.ParseFile(l.fset, name, nil, parser.SkipObjectResolution)
+		src, err := fs.ReadFile(l.fsys, name)
+		if err != nil {
+			return p, err
+		}
+		f, err := parser.ParseFile(l.fset, name, src, parser.SkipObjectResolution)
 		if err != nil {
 			return p, err
 		}
 		p.files = append(p.files, f)
 	}
-	if err == nil {
-		p.types, err = (&types.Config{Importer: l}).Check(path, l.fset, p.files, p.info)
-	}
+	var err error
+	p.types, err = (&types.Config{Importer: l}).Check(path, l.fset, p.files, p.info)
 	return p, err
 }
 
 // reachGraph walks the call graph. Every use of a function's name counts
 // as a call; calling an interface method reaches that method on every
 // module type implementing the interface (on every type with a method of
-// that name, where generics keep go/types from deciding). A method only
-// the standard library calls through an interface of its own would need a
-// keep entry; the tree has none.
+// that name, where generics keep go/types from deciding). The methods of
+// the standard library's interfaces that it calls itself (reachStd) are
+// roots wherever the module imports their package.
 type reachGraph struct {
 	decls map[*types.Func]reachDecl
 	named []*types.Named // every non-interface named type of the module
@@ -174,20 +187,31 @@ type reachAnalysis struct {
 	options map[string]bool        // every option field -> set by a non-test file outside its package
 }
 
-var analyseReachOnce = sync.OnceValues(analyseReach)
+// reachStd names the standard library's interfaces whose methods the
+// library calls on module values: fmt prints through Stringer,
+// encoding/json encodes and decodes through Marshaler and Unmarshaler.
+var reachStd = map[string][]string{
+	"fmt":           {"Stringer"},
+	"encoding/json": {"Marshaler", "Unmarshaler"},
+}
 
-func analyseReach() (*reachAnalysis, error) {
-	l := &reachLoader{fset: token.NewFileSet(), pkgs: map[string]*reachPkg{}}
+var analyseReachOnce = sync.OnceValues(func() (*reachAnalysis, error) {
+	return analyseReach(os.DirFS("."))
+})
+
+// analyseReach analyses the module whose source tree is fsys.
+func analyseReach(fsys fs.FS) (*reachAnalysis, error) {
+	l := &reachLoader{fsys: fsys, fset: token.NewFileSet(), pkgs: map[string]*reachPkg{}}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
-	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+	err := fs.WalkDir(fsys, ".", func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
 		if dir != "." && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir
+			return fs.SkipDir
 		}
-		if src, _ := filepath.Glob(dir + "/*.go"); len(src) > 0 {
-			_, err = l.load(strings.TrimSuffix(reachModule+"/"+filepath.ToSlash(dir), "/."))
+		if path := strings.TrimSuffix(reachModule+"/"+dir, "/."); len(l.goFiles(path)) > 0 {
+			_, err = l.load(path)
 		}
 		return err
 	})
@@ -214,15 +238,8 @@ func analyseReach() (*reachAnalysis, error) {
 			if !tn.IsAlias() && !types.IsInterface(n) {
 				g.named = append(g.named, n)
 			}
-			if facade && tn.IsAlias() && tn.Exported() {
-				for m := range n.Origin().Methods() {
-					if m.Exported() {
-						roots = append(roots, m)
-					}
-				}
-				if it, ok := n.Underlying().(*types.Interface); ok {
-					roots = slices.AppendSeq(roots, it.Methods())
-				}
+			if it, ok := n.Underlying().(*types.Interface); ok && facade && tn.IsAlias() && tn.Exported() {
+				roots = slices.AppendSeq(roots, it.Methods())
 			}
 		}
 		for _, f := range p.files {
@@ -240,6 +257,12 @@ func analyseReach() (*reachAnalysis, error) {
 				}
 			}
 			noteSets(f, p, set)
+		}
+		for _, imp := range p.types.Imports() {
+			for _, name := range reachStd[imp.Path()] {
+				it := imp.Scope().Lookup(name).Type().Underlying().(*types.Interface)
+				roots = slices.AppendSeq(roots, it.Methods())
+			}
 		}
 	}
 	for _, d := range inits {
@@ -375,8 +398,9 @@ func TestReachability(t *testing.T) {
 	}
 }
 
-// The gate's own two properties: a keep entry that names nothing fails,
-// and the report is sorted so two runs diff cleanly.
+// The gate's own three properties: a keep entry that names nothing fails,
+// an exported method of a facade-aliased type that nothing calls is
+// reported, and the report is sorted so two runs diff cleanly.
 func TestReachabilitySelfCheck(t *testing.T) {
 	a, err := analyseReachOnce()
 	if err != nil {
@@ -394,5 +418,45 @@ func TestReachabilitySelfCheck(t *testing.T) {
 	if len(bare) < len(reachKeep) || !slices.IsSorted(bare) {
 		t.Errorf("bare report has %d lines for %d keep entries, sorted=%v",
 			len(bare), len(reachKeep), slices.IsSorted(bare))
+	}
+
+	// A module in miniature: the facade aliases core.Ad, a command calls one
+	// of its methods and prints it. Print reaches String through
+	// fmt.Stringer; the method nothing calls is reported.
+	fixture, err := analyseReach(fstest.MapFS{
+		"facade.go": {Data: []byte(`package correctables
+
+import "correctables/internal/core"
+
+type Ad = core.Ad
+`)},
+		"internal/core/ad.go": {Data: []byte(`package core
+
+type Ad struct{ ID string }
+
+func (a Ad) Render() string { return "<" + a.ID + ">" }
+func (a Ad) Uncalled() bool { return a.ID == "" }
+func (a Ad) String() string { return a.ID }
+`)},
+		"cmd/show/main.go": {Data: []byte(`package main
+
+import (
+	"fmt"
+
+	"correctables"
+)
+
+func main() {
+	ad := correctables.Ad{ID: "7"}
+	fmt.Println(ad.Render(), ad)
+}
+`)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = "unreached function: core.Ad.Uncalled"
+	if got := reachReport(fixture, nil); len(got) != 1 || got[0] != want {
+		t.Errorf("report on the fixture = %q, want [%q]", got, want)
 	}
 }
