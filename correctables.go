@@ -60,7 +60,10 @@
 // (internal/cassandra), a replicated queue service modeled on ZooKeeper
 // (internal/zk), a causally consistent store with a client-side cache
 // (internal/causal), and a confirmation-tracking blockchain
-// (internal/chain). Implement the Binding interface to add another store.
+// (internal/chain). Implement the Binding interface to add another store:
+// ConsistencyLevels, SubmitOperation and Scheduler, the clock the store
+// runs on — for a store on a netsim clock, the one-liner
+// binding.SchedulerFor(clock).
 package correctables
 
 import (
@@ -77,8 +80,6 @@ type (
 	// Correctable represents the progressively improving result of an
 	// operation on a replicated object with value type T.
 	Correctable[T any] = core.Correctable[T]
-	// Controller is the producer-side handle used by bindings and tests.
-	Controller[T any] = core.Controller[T]
 	// View is one incremental view: a typed value plus its consistency
 	// level.
 	View[T any] = core.View[T]
@@ -97,8 +98,8 @@ type (
 	Levels = core.Levels
 	// State is a Correctable lifecycle state.
 	State = core.State
-	// Scheduler abstracts how Correctables spawn goroutines, block, and
-	// read time; simulation substrates supply their clock's scheduler.
+	// Scheduler is the clock a binding runs on (Binding.Scheduler): how
+	// its Correctables spawn actors, block, and read model time.
 	Scheduler = core.Scheduler
 	// Event is the one-shot broadcast used by Scheduler implementations.
 	Event = core.Event
@@ -131,18 +132,6 @@ type (
 	// Callback receives incremental results from a binding.
 	Callback = binding.Callback
 
-	// AdmissionGate decides per invocation attempt whether the coordinator
-	// should do the work at all (WithAdmission). internal/load ships the
-	// token-bucket + AIMD controller used by the overload experiment.
-	AdmissionGate = binding.AdmissionGate
-	// AdmissionDecision is a gate's verdict: admit, degrade to the weakest
-	// level, or reject.
-	AdmissionDecision = binding.AdmissionDecision
-	// RetryPolicy configures client-side re-submission of failed
-	// invocations (WithRetry): capped exponential backoff with seeded
-	// jitter.
-	RetryPolicy = binding.RetryPolicy
-
 	// Get reads a key (result: []byte). Put writes a key (result: Ack).
 	// Enqueue/Dequeue operate on replicated queue objects (result: Item).
 	Get     = binding.Get
@@ -171,13 +160,6 @@ const (
 	StateError    = core.StateError
 )
 
-// Admission verdicts (see AdmissionGate).
-const (
-	AdmissionAdmit   = binding.AdmissionAdmit
-	AdmissionDegrade = binding.AdmissionDegrade
-	AdmissionReject  = binding.AdmissionReject
-)
-
 // Errors.
 var (
 	// ErrClosed is returned by Controller methods after closure.
@@ -194,8 +176,7 @@ var (
 )
 
 // NewClient wraps a binding in the application-facing Client, configured
-// with functional options (WithObserver, WithOpTimeout, WithLabel,
-// WithAdmission, WithRetry).
+// with functional options (WithObserver, WithOpTimeout, WithLabel).
 func NewClient(b Binding, opts ...Option) *Client { return binding.NewClient(b, opts...) }
 
 // WithObserver attaches an observer to the client's invoke pipeline (may
@@ -210,44 +191,11 @@ func WithOpTimeout(d time.Duration) Option { return binding.WithOpTimeout(d) }
 // WithLabel names the client on observer events.
 func WithLabel(label string) Option { return binding.WithLabel(label) }
 
-// WithAdmission routes every invocation attempt through gate — before any
-// protocol work, retries included. Several clients may share one gate; the
-// WithLabel identity keys per-client state.
-func WithAdmission(gate AdmissionGate) Option { return binding.WithAdmission(gate) }
-
-// WithRetry attaches a retry policy: failures IsRetryable classifies as
-// retryable (timeouts, admission rejections) are re-submitted with seeded
-// exponential backoff.
-func WithRetry(p RetryPolicy) Option { return binding.WithRetry(p) }
-
-// IsRetryable is the retry classification: true for errors wrapping
-// faults.ErrUnreachable or declaring Retryable() true.
-func IsRetryable(err error) bool { return binding.IsRetryable(err) }
-
 // NewSession opens a session over c: operations issued through it observe
 // read-your-writes and monotonic reads per replicated object (enforced
 // with the bindings' version tokens — stale preliminary views are
 // suppressed, stale final reads retried).
 func NewSession(c *Client) *Session { return binding.NewSession(c) }
-
-// SessionInvoke executes op through s with incremental consistency
-// guarantees plus the session's cross-operation guarantees.
-func SessionInvoke[T any](ctx context.Context, s *Session, op OperationFor[T], levels ...Level) *Correctable[T] {
-	return binding.SessionInvoke[T](ctx, s, op, levels...)
-}
-
-// SessionInvokeWeak executes op at the weakest offered level with session
-// guarantees (a stale weak read is re-executed until replication catches
-// up).
-func SessionInvokeWeak[T any](ctx context.Context, s *Session, op OperationFor[T]) *Correctable[T] {
-	return binding.SessionInvokeWeak[T](ctx, s, op)
-}
-
-// SessionInvokeStrong executes op at the strongest offered level with
-// session guarantees.
-func SessionInvokeStrong[T any](ctx context.Context, s *Session, op OperationFor[T]) *Correctable[T] {
-	return binding.SessionInvokeStrong[T](ctx, s, op)
-}
 
 // Invoke executes op with incremental consistency guarantees: one view per
 // requested level (all levels the binding offers when none are given),
@@ -266,20 +214,8 @@ func InvokeStrong[T any](ctx context.Context, c *Client, op OperationFor[T]) *Co
 	return binding.InvokeStrong[T](ctx, c, op)
 }
 
-// New creates an unresolved Correctable and its Controller (for binding
-// implementations and tests).
-func New[T any]() (*Correctable[T], Controller[T]) { return core.New[T]() }
-
 // Speculate applies spec to every distinct view of c, re-executing on
 // divergence; the result type may differ from the source type (§4.2).
 func Speculate[In, Out any](c *Correctable[In], spec SpecFunc[In, Out], abort AbortFunc[In, Out]) *Correctable[Out] {
 	return core.Speculate(c, spec, abort)
 }
-
-// Failed returns an already-errored Correctable.
-func Failed[T any](err error) *Correctable[T] { return core.Failed[T](err) }
-
-// ValuesEqual reports view-value equality as used for confirmation and
-// misspeculation detection (Equaler[T] when implemented, bytes.Equal for
-// []byte, reflect.DeepEqual otherwise).
-func ValuesEqual[T any](a, b T) bool { return core.ValuesEqual(a, b) }

@@ -9,6 +9,7 @@ import (
 
 	"correctables"
 	"correctables/internal/cassandra"
+	"correctables/internal/core"
 	"correctables/internal/netsim"
 	"correctables/internal/zk"
 )
@@ -131,53 +132,38 @@ func TestFacadeInvokeUnsupportedLevels(t *testing.T) {
 	}
 }
 
-func TestFacadeControllerAndErrors(t *testing.T) {
-	cor, ctrl := correctables.New[string]()
-	if err := ctrl.Update("p", correctables.LevelWeak); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctrl.Close("f", correctables.LevelStrong); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctrl.Close("again", correctables.LevelStrong); !errors.Is(err, correctables.ErrClosed) {
-		t.Errorf("second close = %v", err)
-	}
-	if _, err := cor.WaitLevel(context.Background(), correctables.LevelStrong); err != nil {
-		t.Errorf("WaitLevel = %v", err)
-	}
-}
-
 // parityEqualer judges equality on value parity — a custom Equaler[T].
 type parityEqualer struct{ N int }
 
 func (p parityEqualer) EqualValue(other parityEqualer) bool { return p.N%2 == other.N%2 }
 
-// TestFacadeValuesEqualCustomEqualer: ValuesEqual consults Equaler[T] when
-// implemented, bytes.Equal for []byte, and reflect.DeepEqual otherwise.
+// TestFacadeValuesEqualCustomEqualer: the divergence check behind
+// Speculate consults a facade Equaler[T] when implemented, bytes.Equal for
+// []byte, and reflect.DeepEqual otherwise.
 func TestFacadeValuesEqualCustomEqualer(t *testing.T) {
-	if !correctables.ValuesEqual(parityEqualer{2}, parityEqualer{8}) {
+	if !core.ValuesEqual(parityEqualer{2}, parityEqualer{8}) {
 		t.Error("custom Equaler[T] not consulted")
 	}
-	if correctables.ValuesEqual(parityEqualer{1}, parityEqualer{8}) {
+	if core.ValuesEqual(parityEqualer{1}, parityEqualer{8}) {
 		t.Error("custom Equaler[T] mismatch not detected")
 	}
 	// Structurally different but parity-equal — only the Equaler view makes
 	// them equal, proving reflection was not used.
-	if !correctables.ValuesEqual(parityEqualer{4}, parityEqualer{100}) {
+	if !core.ValuesEqual(parityEqualer{4}, parityEqualer{100}) {
 		t.Error("Equaler should ignore structural differences")
 	}
 	// Fallbacks.
-	if !correctables.ValuesEqual([]byte{1, 2}, []byte{1, 2}) || correctables.ValuesEqual([]byte{1}, []byte{2}) {
+	if !core.ValuesEqual([]byte{1, 2}, []byte{1, 2}) || core.ValuesEqual([]byte{1}, []byte{2}) {
 		t.Error("[]byte fast path broken")
 	}
 	type plain struct{ A, B int }
-	if !correctables.ValuesEqual(plain{1, 2}, plain{1, 2}) || correctables.ValuesEqual(plain{1, 2}, plain{2, 1}) {
+	if !core.ValuesEqual(plain{1, 2}, plain{1, 2}) || core.ValuesEqual(plain{1, 2}, plain{2, 1}) {
 		t.Error("reflect fallback broken")
 	}
 	// Item judges identity, ignoring Data/Remaining.
 	a := correctables.Item{ID: "q-1", Exists: true, Remaining: 4}
 	b := correctables.Item{ID: "q-1", Data: []byte("x"), Exists: true}
-	if !correctables.ValuesEqual(a, b) {
+	if !core.ValuesEqual(a, b) {
 		t.Error("Item Equaler not consulted")
 	}
 }

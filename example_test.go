@@ -8,6 +8,7 @@ import (
 
 	"correctables"
 	"correctables/internal/bench"
+	"correctables/internal/binding"
 	"correctables/internal/cassandra"
 	"correctables/internal/faults"
 	"correctables/internal/load"
@@ -279,8 +280,8 @@ func Example_overload() {
 	client := correctables.NewClient(cassandra.NewBinding(
 		cassandra.NewClient(cluster, netsim.IRL, netsim.FRK), cassandra.BindingConfig{}),
 		correctables.WithLabel("app"),
-		correctables.WithAdmission(ctrl),
-		correctables.WithRetry(correctables.RetryPolicy{
+		binding.WithAdmission(ctrl),
+		binding.WithRetry(binding.RetryPolicy{
 			Max:  1,
 			Base: 600 * time.Millisecond,
 			OnRetry: func(attempt int, delay time.Duration, err error) {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"correctables"
+	"correctables/internal/binding"
 	"correctables/internal/cassandra"
 	"correctables/internal/causal"
 	"correctables/internal/chain"
@@ -132,7 +133,7 @@ func TestHistoryCheckedAcrossAllFourBindings(t *testing.T) {
 			_, err = causalSess.Get(ctx, fmt.Sprintf("cau-%d", i)).Final(ctx)
 			fail("causal", err)
 		}
-		_, err = correctables.SessionInvoke[chain.TxStatus](ctx, chainSess,
+		_, err = binding.SessionInvoke[chain.TxStatus](ctx, chainSess,
 			chain.SubmitTx{ID: "tx-" + phase, Data: []byte(phase)}).Final(ctx)
 		fail("chain", err)
 	}

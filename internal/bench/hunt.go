@@ -168,8 +168,8 @@ func (o *huntOutcome) match(tgt huntTarget) (history.Violation, bool) {
 // deliver mutating finals unconditionally, so the corruption lands in the
 // recorded history, where the session, cross-object and causal-cut
 // checkers all see a write ordered before state its client had already
-// observed. Embedding forwards the provider interfaces (scheduler,
-// versions, default timeout), so wrapped clients run the normal pipeline.
+// observed. Embedding forwards the rest of the binding (levels, scheduler,
+// default timeout), so wrapped clients run the normal pipeline.
 type plantedBinding struct {
 	*cassandra.Binding
 	inj *faults.Injector

@@ -212,9 +212,9 @@ func (g *governedCall) tryRetry(c *Client, err error) bool {
 	if c.trc != nil {
 		// The backoff window is admission-plane time: the op is alive but
 		// deliberately parked.
-		now := c.scheduler().Now()
+		now := c.now()
 		c.trc.Span(c.trcTrack, trace.CatAdmission, "backoff", "", now, now+d)
 	}
-	c.scheduler().After(d, resub)
+	c.sched.After(d, resub)
 	return true
 }

@@ -44,9 +44,9 @@ type BatchBinding interface {
 }
 
 // Batcher wraps a BatchBinding with per-shard dispatch queues. It is
-// itself a Binding: sessions and clients stack on top unchanged, and the
-// provider interfaces (scheduler, versions, default timeout) forward to
-// the wrapped binding.
+// itself a Binding: sessions and clients stack on top unchanged. Its
+// scheduler is the clock it dispatches on, and the default timeout
+// forwards to the wrapped binding.
 //
 // The enqueue path is allocation-free at steady state: entries append into
 // recycled per-shard slices (a freelist refilled by done), the coalescer's
@@ -84,9 +84,6 @@ func NewBatcher(b BatchBinding, clock netsim.Clock, window time.Duration) *Batch
 
 // ConsistencyLevels implements Binding.
 func (bt *Batcher) ConsistencyLevels() core.Levels { return bt.b.ConsistencyLevels() }
-
-// Close implements Binding.
-func (bt *Batcher) Close() error { return bt.b.Close() }
 
 // SubmitOperation implements Binding: batchable operations queue for the
 // shard's next dispatch tick; everything else passes straight through.
@@ -141,14 +138,8 @@ func (bt *Batcher) doRecycle(entries []BatchEntry) {
 	bt.mu.Unlock()
 }
 
-// Scheduler implements SchedulerProvider, forwarding to the wrapped
-// binding when it provides one and falling back to the dispatch clock.
-func (bt *Batcher) Scheduler() core.Scheduler {
-	if sp, ok := bt.b.(SchedulerProvider); ok {
-		return sp.Scheduler()
-	}
-	return SchedulerFor(bt.clock)
-}
+// Scheduler implements Binding: the clock the Batcher dispatches on.
+func (bt *Batcher) Scheduler() core.Scheduler { return SchedulerFor(bt.clock) }
 
 // DefaultOpTimeout implements TimeoutProvider by forwarding.
 func (bt *Batcher) DefaultOpTimeout() time.Duration {

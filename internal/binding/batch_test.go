@@ -117,8 +117,9 @@ func TestBatcherDirectFallback(t *testing.T) {
 
 // TestBatcherClientStack: a full typed client stacked on a Batcher
 // delivers views exactly as over the raw binding — callers cannot tell
-// batching is underneath — and the provider fallbacks hold for a wrapped
-// binding that offers none.
+// batching is underneath. The client runs on the Batcher's dispatch clock,
+// not on the wrapped binding's scheduler, and the timeout fallback holds
+// for a wrapped binding that offers none.
 func TestBatcherClientStack(t *testing.T) {
 	clock := netsim.NewVirtualClock()
 	bb := newRecordingBatchBinding(2)
@@ -143,7 +144,8 @@ func TestBatcherClientStack(t *testing.T) {
 	if d := bt.DefaultOpTimeout(); d != 0 {
 		t.Errorf("DefaultOpTimeout fallback = %v, want 0", d)
 	}
-	if bt.Scheduler() == nil {
-		t.Error("Scheduler fallback must wrap the dispatch clock")
+	clock.Sleep(time.Hour)
+	if got, want := bt.Scheduler().Now(), clock.Now(); got != want {
+		t.Errorf("Scheduler reads %v, want the dispatch clock's %v", got, want)
 	}
 }

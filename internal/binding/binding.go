@@ -6,7 +6,8 @@
 // and the protocols implementing them (quorum selection, cache coherence,
 // leader forwarding, ...). The library side is store-agnostic: it translates
 // API calls (InvokeWeak / InvokeStrong / Invoke) into SubmitOperation calls
-// and orchestrates the responses into Correctable state transitions.
+// and orchestrates the responses into Correctable state transitions, on
+// the clock the binding names with Scheduler.
 //
 // The wire between the client library and a binding is deliberately
 // monomorphic (Result carries an `any` value), so a binding implementation
@@ -216,7 +217,9 @@ func CopyIn(b []byte) []byte {
 	return slices.Clip(append([]byte(nil), b...)) // the copy
 }
 
-// Binding is the interface every storage binding implements (§5.1).
+// Binding is the interface every storage binding implements (§5.1): the
+// levels it offers, the protocol that serves them, and the clock it runs
+// on.
 type Binding interface {
 	// ConsistencyLevels advertises the supported levels, ordered weakest to
 	// strongest.
@@ -225,10 +228,13 @@ type Binding interface {
 	// requested consistency levels, invoking cb once for each level as the
 	// corresponding view becomes available (weakest first), or once with an
 	// error. SubmitOperation must not block the caller; the protocol runs
-	// on binding-managed goroutines.
+	// on the binding's clock.
 	SubmitOperation(ctx context.Context, op Operation, levels core.Levels, cb Callback)
-	// Close releases binding resources.
-	Close() error
+	// Scheduler returns the clock the binding's protocol runs on, adapted
+	// with SchedulerFor. Every Correctable of a client over the binding runs
+	// on it: it stamps the views, parks consumers blocked in Final or
+	// WaitLevel, and arms the client's operation timeout.
+	Scheduler() core.Scheduler
 }
 
 // TimeoutProvider is the optional Binding interface supplying the default

@@ -16,6 +16,7 @@ import (
 // client wiring: it answers Get with "<level>:<key>" bytes at each
 // requested level, in order, optionally with a delay between levels.
 type fakeBinding struct {
+	onHost
 	levels core.Levels
 	delay  time.Duration
 	mu     sync.Mutex
@@ -40,8 +41,6 @@ func (f *fakeBinding) SubmitOperation(ctx context.Context, op Operation, levels 
 		}
 	}()
 }
-
-func (f *fakeBinding) Close() error { return nil }
 
 func newFake() *fakeBinding {
 	return &fakeBinding{levels: core.Levels{core.LevelWeak, core.LevelStrong}}

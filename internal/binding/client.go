@@ -25,7 +25,7 @@ import (
 // binding, owns the deadline.
 type Client struct {
 	b     Binding
-	sched core.Scheduler // from SchedulerProvider; nil = default
+	sched core.Scheduler // b.Scheduler(), read once
 
 	// Level sets are normalized once at construction so the invoke hot path
 	// never re-sorts or re-allocates them (they are handed to
@@ -80,20 +80,16 @@ func WithLabel(label string) Option {
 	return func(c *Client) { c.label = label }
 }
 
-// NewClient wraps a binding. If the binding implements SchedulerProvider,
-// Correctables created through this client use the binding's scheduler. If
-// it implements TimeoutProvider, its default operation bound applies
-// (WithOpTimeout overrides). The binding's consistency levels are read and
-// normalized once here; bindings whose level set changes over a client's
-// lifetime are not supported.
+// NewClient wraps a binding. Correctables created through this client run
+// on the binding's scheduler. If the binding implements TimeoutProvider,
+// its default operation bound applies (WithOpTimeout overrides). The
+// binding's consistency levels and scheduler are read once here; bindings
+// whose level set changes over a client's lifetime are not supported.
 func NewClient(b Binding, opts ...Option) *Client {
-	c := &Client{b: b, levels: b.ConsistencyLevels().Sorted()}
+	c := &Client{b: b, sched: b.Scheduler(), levels: b.ConsistencyLevels().Sorted()}
 	if len(c.levels) > 0 {
 		c.weakSet = c.levels[:1]
 		c.strongSet = c.levels[len(c.levels)-1:]
-	}
-	if sp, ok := b.(SchedulerProvider); ok {
-		c.sched = sp.Scheduler()
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -134,16 +130,8 @@ func (c *Client) OpTimeout() time.Duration {
 	return 0
 }
 
-// scheduler returns the client's scheduler, defaulting when unset.
-func (c *Client) scheduler() core.Scheduler {
-	if c.sched == nil {
-		return core.DefaultScheduler
-	}
-	return c.sched
-}
-
-// now returns the current instant on the client's time axis.
-func (c *Client) now() time.Duration { return c.scheduler().Now() }
+// now returns the current instant on the binding's clock.
+func (c *Client) now() time.Duration { return c.sched.Now() }
 
 // InvokeWeak executes op with the weakest available consistency level. The
 // returned Correctable never transitions updating -> updating; it closes
@@ -215,13 +203,11 @@ type invocation[T any] struct {
 }
 
 // observedOp is an invocation's observer identity. Its mutex makes each
-// (transition, emission) pair atomic: without it, a delivery goroutine
-// under core.DefaultScheduler (the library's real-time path, where bindings
-// call back from goroutines of their own) could be preempted between a
-// successful Update and its OpView, letting a concurrent Close emit the
-// final view and OpEnd first — observers would record an accepted view
-// after the operation's end, or out of order. (Under a netsim clock
-// deliveries are already totally ordered.)
+// (transition, emission) pair atomic, so observers never record an
+// accepted view after the operation's end, or out of order. The bindings'
+// clocks already order deliveries totally; the mutex is safety code that
+// keeps the pair atomic for a binding that calls back from goroutines of
+// its own, and a context cancellation that fails the operation from one.
 type observedOp struct {
 	mu   sync.Mutex
 	info OpInfo
@@ -503,7 +489,7 @@ func armTimeout[T any](inv invocation[T], gen int) {
 	if g == nil {
 		return
 	}
-	inv.c.scheduler().After(g.d, func() {
+	inv.c.sched.After(g.d, func() {
 		g.mu.Lock()
 		iv := g.inv
 		g.mu.Unlock()

@@ -7,19 +7,8 @@ import (
 	"correctables/internal/netsim"
 )
 
-// SchedulerProvider is the optional interface a Binding implements to tell
-// the client library how its Correctables should spawn goroutines and
-// block. Bindings over a simulated substrate return the substrate clock's
-// scheduler, so that waiting on a Correctable parks a simulation actor —
-// under netsim's VirtualClock this is what keeps the discrete-event
-// scheduler live (and deterministic) while application code blocks in
-// Final or WaitLevel.
-type SchedulerProvider interface {
-	Scheduler() core.Scheduler
-}
-
 // SchedulerFor adapts a netsim clock to the core Scheduler interface.
-// Bindings use it to implement SchedulerProvider in one line.
+// Bindings use it to implement Binding.Scheduler in one line.
 func SchedulerFor(c netsim.Clock) core.Scheduler { return clockScheduler{c} }
 
 type clockScheduler struct{ c netsim.Clock }

@@ -19,6 +19,7 @@ import (
 // shape session guarantees exist to paper over. Callbacks run
 // synchronously, so tests need no synchronization.
 type versionedStore struct {
+	onHost
 	mu          sync.Mutex
 	version     map[string]uint64
 	value       map[string][]byte
@@ -40,7 +41,6 @@ func newVersionedStore() *versionedStore {
 func (s *versionedStore) ConsistencyLevels() core.Levels {
 	return core.Levels{core.LevelWeak, core.LevelStrong}
 }
-func (s *versionedStore) Close() error { return nil }
 
 func (s *versionedStore) staleView(key string) (uint64, []byte) {
 	v := s.version[key]
@@ -346,10 +346,9 @@ func TestObserverSeesErrorEnd(t *testing.T) {
 }
 
 // stallBinding never answers: for exercising the client-level op timeout.
-type stallBinding struct{}
+type stallBinding struct{ onHost }
 
 func (stallBinding) ConsistencyLevels() core.Levels { return core.Levels{core.LevelStrong} }
-func (stallBinding) Close() error                   { return nil }
 func (stallBinding) SubmitOperation(ctx context.Context, op Operation, levels core.Levels, cb Callback) {
 }
 

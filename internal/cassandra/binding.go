@@ -93,9 +93,6 @@ func (b *Binding) ConsistencyLevels() core.Levels {
 	return core.Levels{core.LevelWeak, core.LevelStrong}
 }
 
-// Close implements binding.Binding.
-func (b *Binding) Close() error { return nil }
-
 // SubmitOperation implements binding.Binding. The client library bounds
 // each invocation with the binding's DefaultOpTimeout (model time); the
 // protocol below has no deadline of its own, and a late completion's views
@@ -172,8 +169,8 @@ func (r *opRecord) put(op binding.Put) {
 	r.cb(binding.Result{Value: nil, Level: r.levels.Strongest(), Version: v.Token()})
 }
 
-// Scheduler implements binding.SchedulerProvider: Correctables over this
-// binding block through the cluster's simulation clock.
+// Scheduler implements binding.Binding: Correctables over this binding run
+// on the cluster's simulation clock.
 func (b *Binding) Scheduler() core.Scheduler {
 	return binding.SchedulerFor(b.client.cluster.tr.Clock())
 }

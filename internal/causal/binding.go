@@ -143,9 +143,6 @@ func (b *Binding) ConsistencyLevels() core.Levels {
 	return core.Levels{core.LevelCache, core.LevelCausal, core.LevelStrong}
 }
 
-// Close implements binding.Binding.
-func (b *Binding) Close() error { return nil }
-
 // SubmitOperation implements binding.Binding. The client library bounds
 // each invocation with the binding's DefaultOpTimeout (model time): an
 // unreachable replica fails the Correctable with faults.ErrUnreachable
@@ -171,8 +168,8 @@ func (r *opRecord) exec() {
 	r.b.putRecord(r)
 }
 
-// Scheduler implements binding.SchedulerProvider: Correctables over this
-// binding block through the store's simulation clock.
+// Scheduler implements binding.Binding: Correctables over this binding run
+// on the store's simulation clock.
 func (b *Binding) Scheduler() core.Scheduler {
 	return binding.SchedulerFor(b.client.store.tr.Clock())
 }

@@ -75,9 +75,6 @@ func (b *Binding) ConsistencyLevels() core.Levels {
 	return core.Levels{core.LevelWeak, core.LevelStrong}
 }
 
-// Close implements binding.Binding.
-func (b *Binding) Close() error { return nil }
-
 // ErrChainStopped fails a tracked transaction when the chain halts before
 // the transaction reached the requested depth.
 var ErrChainStopped = fmt.Errorf("chain: stopped before the transaction was confirmed")
@@ -85,8 +82,8 @@ var ErrChainStopped = fmt.Errorf("chain: stopped before the transaction was conf
 // cancelSentinel marks a context cancellation in a watcher queue.
 var cancelSentinel = Block{Height: -2}
 
-// Scheduler implements binding.SchedulerProvider: Correctables over this
-// binding block through the chain's simulation clock.
+// Scheduler implements binding.Binding: Correctables over this binding run
+// on the chain's simulation clock.
 func (b *Binding) Scheduler() core.Scheduler {
 	return binding.SchedulerFor(b.chain.clock)
 }

@@ -129,7 +129,9 @@ func TestBindingContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cor := Submit(ctx, client, SubmitTx{ID: "tx-3"})
-	<-cor.Done()
+	closed := make(chan struct{})
+	cor.Finally(func() { close(closed) })
+	<-closed
 	if _, err := cor.Final(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Errorf("Final = %v, want context.Canceled", err)
 	}

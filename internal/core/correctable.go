@@ -56,10 +56,9 @@ type View[T any] struct {
 	Index int
 	// Final reports whether this is the closing view.
 	Final bool
-	// At is the delivery instant on the Correctable's scheduler time axis
-	// (set by the library): model time under a simulation scheduler —
-	// deterministic, so recorded histories replay byte-identically — and
-	// monotonic process time under the default scheduler.
+	// At is the delivery instant in model time, read from the clock of the
+	// binding the view came from (set by the library): deterministic, so
+	// recorded histories replay byte-identically.
 	At time.Duration
 }
 
@@ -111,7 +110,7 @@ const inlineViews = 2
 // on a replicated object, generic over the operation's value type T. It is
 // safe for concurrent use.
 type Correctable[T any] struct {
-	sched Scheduler // fixed at creation; nil means DefaultScheduler
+	sched Scheduler // fixed at creation; nil only for Failed, which never blocks
 
 	mu          sync.Mutex
 	state       State
@@ -120,18 +119,9 @@ type Correctable[T any] struct {
 	err         error
 	entries     []*cbEntry[T]
 	dispatching bool
-	done        chan struct{} // lazily created by Done()
-	waiter      Event         // first blocked consumer, fired on every transition
-	moreWaiters []Event       // further ones, in arrival order
-	levelSet    Levels        // advisory: levels this correctable will deliver
-}
-
-// scheduler returns the Correctable's scheduler, defaulting when unset.
-func (c *Correctable[T]) scheduler() Scheduler {
-	if c.sched == nil {
-		return DefaultScheduler
-	}
-	return c.sched
+	waiter      Event   // first blocked consumer, fired on every transition
+	moreWaiters []Event // further ones, in arrival order
+	levelSet    Levels  // advisory: levels this correctable will deliver
 }
 
 // Controller is the producer-side handle of a Correctable. The library hands
@@ -143,20 +133,12 @@ type Controller[T any] struct {
 	c *Correctable[T]
 }
 
-// New creates a Correctable in the Updating state together with its
-// Controller.
-func New[T any]() (*Correctable[T], Controller[T]) {
-	c := &Correctable[T]{}
-	c.views = c.viewBuf[:0]
-	return c, Controller[T]{c: c}
-}
-
-// NewScheduled is New with an explicit Scheduler governing how this
-// Correctable spawns goroutines (Speculate) and how its consumers block
-// (Final, WaitLevel), plus an advisory level set. Bindings over simulated
-// substrates pass their clock's scheduler here; sched == nil means
-// DefaultScheduler. The Correctable Speculate derives inherits the
-// scheduler.
+// NewScheduled creates a Correctable in the Updating state together with
+// its Controller. sched is the clock of the binding the views come from and
+// must not be nil: it governs how the Correctable spawns actors
+// (Speculate), how its consumers block (Final, WaitLevel) and the instant
+// each view is stamped with. The Correctable Speculate derives inherits
+// it. levels is the advisory set of levels the Correctable will deliver.
 //
 // NewScheduled takes ownership of levels and stores it without copying or
 // re-sorting; callers must pass an already-normalized (weakest-first,
@@ -168,11 +150,10 @@ func NewScheduled[T any](sched Scheduler, levels Levels) (*Correctable[T], Contr
 	return c, Controller[T]{c: c}
 }
 
-// Failed returns an already-errored Correctable.
+// Failed returns an already-errored Correctable. It needs no scheduler: a
+// Correctable created closed never blocks and never stamps a view.
 func Failed[T any](err error) *Correctable[T] {
-	c, ctrl := New[T]()
-	_ = ctrl.Fail(err)
-	return c
+	return &Correctable[T]{state: StateError, err: err}
 }
 
 // Levels returns the advisory set of levels this Correctable was created
@@ -216,8 +197,7 @@ func (ctrl Controller[T]) Fail(err error) error {
 func (ctrl Controller[T]) Correctable() *Correctable[T] { return ctrl.c }
 
 // deliver is the single mutation point: it appends a view or records the
-// error, wakes waiters, runs the dispatch loop, and closes done on the
-// terminal transition.
+// error, runs the dispatch loop and wakes waiters.
 func (c *Correctable[T]) deliver(value T, level Level, final bool, failure error) error {
 	c.mu.Lock()
 	if c.state != StateUpdating {
@@ -229,14 +209,12 @@ func (c *Correctable[T]) deliver(value T, level Level, final bool, failure error
 		c.err = failure
 	} else {
 		c.views = append(c.views, View[T]{
-			Value: value, Level: level, Index: len(c.views), Final: final, At: c.scheduler().Now(),
+			Value: value, Level: level, Index: len(c.views), Final: final, At: c.sched.Now(),
 		})
 		if final {
 			c.state = StateFinal
 		}
 	}
-	terminal := c.state != StateUpdating
-	done := c.done
 	first, more := c.waiter, c.moreWaiters
 	c.waiter, c.moreWaiters = nil, nil
 	c.dispatch()
@@ -247,9 +225,6 @@ func (c *Correctable[T]) deliver(value T, level Level, final bool, failure error
 	}
 	for _, w := range more {
 		w.Fire()
-	}
-	if terminal && done != nil {
-		close(done)
 	}
 	return nil
 }
@@ -367,45 +342,13 @@ func (c *Correctable[T]) Latest() (View[T], bool) {
 	return c.views[len(c.views)-1], true
 }
 
-// closedChan is a shared, already-closed channel returned by Done for
-// Correctables that closed before anyone asked.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// Done returns a channel closed when the Correctable leaves the Updating
-// state. The channel is created lazily so that invocations that never block
-// on it pay no allocation.
-func (c *Correctable[T]) Done() <-chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.done == nil {
-		if c.state != StateUpdating {
-			return closedChan
-		}
-		c.done = make(chan struct{})
-	}
-	return c.done
-}
-
-// Final blocks until the Correctable closes and returns the final view. If
-// the Correctable closed with an error, or ctx expires first, that error is
-// returned. Cancellable contexts are honored only under the default
-// scheduler; a simulation scheduler cannot select on host-time
-// cancellation (simulated operations always terminate instead).
+// Final blocks through the scheduler until the Correctable closes and
+// returns the final view, or the closing error. ctx is not consulted: a
+// Correctable closes on its clock, and cancellation reaches it through the
+// client library, which fails the invocation when its context is cancelled.
 func (c *Correctable[T]) Final(ctx context.Context) (View[T], error) {
 	var zero View[T]
-	if ctxDone := ctxDoneChan(ctx); ctxDone != nil && c.sched == nil {
-		select {
-		case <-c.Done():
-		case <-ctxDone:
-			return zero, ctx.Err()
-		}
-	} else {
-		c.awaitTerminal()
-	}
+	c.awaitTerminal()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.state == StateError {
@@ -437,7 +380,7 @@ func (c *Correctable[T]) awaitTerminal() {
 // The first waiter sits in a field of its own, so the usual lone consumer
 // blocked in Final or WaitLevel costs no slice. Callers hold c.mu.
 func (c *Correctable[T]) addWaiterLocked() Event {
-	w := c.scheduler().NewEvent()
+	w := c.sched.NewEvent()
 	if c.waiter == nil {
 		c.waiter = w
 	} else {
@@ -460,11 +403,10 @@ func releaseEvent(w Event) {
 // returns the first such view. If the Correctable closes without one, it
 // returns ErrNoView (or the closing error). Views already scanned on a
 // previous wakeup are not re-examined, so waiting costs O(new views), and a
-// wait that is already satisfied performs no allocation. Context
-// cancellation is honored as in Final.
+// wait that is already satisfied performs no allocation. As in Final, ctx
+// is not consulted.
 func (c *Correctable[T]) WaitLevel(ctx context.Context, min Level) (View[T], error) {
 	var zero View[T]
-	ctxDone := ctxDoneChan(ctx)
 	scanned := 0
 	for {
 		c.mu.Lock()
@@ -485,26 +427,9 @@ func (c *Correctable[T]) WaitLevel(ctx context.Context, min Level) (View[T], err
 		}
 		w := c.addWaiterLocked()
 		c.mu.Unlock()
-		if ce, ok := w.(*chanEvent); ok && ctxDone != nil {
-			select {
-			case <-ce.ch:
-			case <-ctxDone:
-				return zero, ctx.Err()
-			}
-		} else {
-			w.Wait()
-			releaseEvent(w)
-		}
+		w.Wait()
+		releaseEvent(w)
 	}
-}
-
-// ctxDoneChan returns ctx's cancellation channel, or nil for nil /
-// non-cancellable contexts.
-func ctxDoneChan(ctx context.Context) <-chan struct{} {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Done()
 }
 
 // Equaler lets application values customize the divergence check used by

@@ -11,7 +11,7 @@ import (
 )
 
 func TestStatesAndTransitions(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	if got := c.State(); got != StateUpdating {
 		t.Fatalf("new correctable state = %v, want updating", got)
 	}
@@ -43,7 +43,7 @@ func TestStatesAndTransitions(t *testing.T) {
 }
 
 func TestUpdateAfterCloseFails(t *testing.T) {
-	_, ctrl := New[any]()
+	_, ctrl := newOnHost[any]()
 	if err := ctrl.Close(1, LevelStrong); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestUpdateAfterCloseFails(t *testing.T) {
 }
 
 func TestErrorState(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	boom := errors.New("boom")
 	var got error
 	c.SetCallbacks(Callbacks[any]{OnError: func(err error) { got = err }})
@@ -78,7 +78,7 @@ func TestErrorState(t *testing.T) {
 }
 
 func TestCallbackOrderAndCounts(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	var updates []interface{}
 	var finals, errCount int
 	c.SetCallbacks(Callbacks[any]{
@@ -101,7 +101,7 @@ func TestCallbackOrderAndCounts(t *testing.T) {
 }
 
 func TestLateSubscriberReplaysHistory(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	_ = ctrl.Update("a", LevelWeak)
 	_ = ctrl.Close("b", LevelStrong)
 
@@ -120,7 +120,7 @@ func TestLateSubscriberReplaysHistory(t *testing.T) {
 }
 
 func TestLateSubscriberAfterError(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	_ = ctrl.Update("a", LevelWeak)
 	_ = ctrl.Fail(errors.New("late"))
 	var updates, errs int
@@ -134,7 +134,7 @@ func TestLateSubscriberAfterError(t *testing.T) {
 }
 
 func TestReentrantAttachFromCallback(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	var inner []interface{}
 	c.OnUpdate(func(v View[any]) {
 		if v.Index == 0 {
@@ -151,7 +151,7 @@ func TestReentrantAttachFromCallback(t *testing.T) {
 }
 
 func TestReentrantDeliverFromCallback(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	var seen []interface{}
 	c.OnUpdate(func(v View[any]) {
 		seen = append(seen, v.Value)
@@ -169,7 +169,7 @@ func TestReentrantDeliverFromCallback(t *testing.T) {
 }
 
 func TestFinalBlocksUntilClose(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	go func() {
 		_ = ctrl.Update(1, LevelWeak)
 		_ = ctrl.Close(2, LevelStrong)
@@ -183,17 +183,8 @@ func TestFinalBlocksUntilClose(t *testing.T) {
 	}
 }
 
-func TestFinalContextCancel(t *testing.T) {
-	c, _ := New[any]()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := c.Final(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("Final = %v, want deadline exceeded", err)
-	}
-}
-
 func TestFinalOnError(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	boom := errors.New("boom")
 	_ = ctrl.Fail(boom)
 	if _, err := c.Final(context.Background()); !errors.Is(err, boom) {
@@ -202,7 +193,7 @@ func TestFinalOnError(t *testing.T) {
 }
 
 func TestWaitLevel(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	go func() {
 		_ = ctrl.Update("w", LevelWeak)
 		time.Sleep(time.Millisecond)
@@ -226,7 +217,7 @@ func TestWaitLevel(t *testing.T) {
 }
 
 func TestWaitLevelNoView(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	_ = ctrl.Close("w", LevelWeak)
 	if _, err := c.WaitLevel(context.Background(), LevelStrong); !errors.Is(err, ErrNoView) {
 		t.Errorf("WaitLevel = %v, want ErrNoView", err)
@@ -234,7 +225,7 @@ func TestWaitLevelNoView(t *testing.T) {
 }
 
 func TestLatest(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	if _, ok := c.Latest(); ok {
 		t.Error("Latest on empty correctable reported ok")
 	}
@@ -242,21 +233,6 @@ func TestLatest(t *testing.T) {
 	v, ok := c.Latest()
 	if !ok || v.Value != 1 {
 		t.Errorf("Latest = %+v, %v", v, ok)
-	}
-}
-
-func TestDoneChannel(t *testing.T) {
-	c, ctrl := New[any]()
-	select {
-	case <-c.Done():
-		t.Fatal("Done closed before terminal transition")
-	default:
-	}
-	_ = ctrl.Close(1, LevelStrong)
-	select {
-	case <-c.Done():
-	case <-time.After(time.Second):
-		t.Fatal("Done not closed after Close")
 	}
 }
 
@@ -270,7 +246,7 @@ func TestFailed(t *testing.T) {
 
 func TestFinallyRunsOnceEitherWay(t *testing.T) {
 	for _, fail := range []bool{false, true} {
-		c, ctrl := New[any]()
+		c, ctrl := newOnHost[any]()
 		var n int32
 		c.Finally(func() { atomic.AddInt32(&n, 1) })
 		_ = ctrl.Update(1, LevelWeak)
@@ -286,7 +262,7 @@ func TestFinallyRunsOnceEitherWay(t *testing.T) {
 }
 
 func TestFailNilError(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	if err := ctrl.Fail(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +272,7 @@ func TestFailNilError(t *testing.T) {
 }
 
 func TestConcurrentSubscribersSeeConsistentHistory(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	const subs = 16
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -320,7 +296,9 @@ func TestConcurrentSubscribersSeeConsistentHistory(t *testing.T) {
 		_ = ctrl.Close(10, LevelStrong)
 	}()
 	wg.Wait()
-	<-c.Done()
+	if _, err := c.Final(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	// Give dispatch a moment to finish any tail callbacks attached late.
 	deadline := time.Now().Add(2 * time.Second)
 	for i := 0; i < subs; i++ {
@@ -352,7 +330,7 @@ func TestConcurrentSubscribersSeeConsistentHistory(t *testing.T) {
 // once, and Views() matches.
 func TestPropertyDeliveryOrder(t *testing.T) {
 	f := func(vals []int) bool {
-		c, ctrl := New[any]()
+		c, ctrl := newOnHost[any]()
 		var got []int
 		finals := 0
 		c.SetCallbacks(Callbacks[any]{
@@ -402,7 +380,7 @@ func TestPropertyDeliveryOrder(t *testing.T) {
 func TestPropertySingleTerminalTransition(t *testing.T) {
 	f := func(n uint8) bool {
 		workers := int(n%8) + 2
-		c, ctrl := New[any]()
+		c, ctrl := newOnHost[any]()
 		var wins int32
 		var mu sync.Mutex
 		var wg sync.WaitGroup

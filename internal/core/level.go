@@ -7,6 +7,11 @@
 // When the final view (or an error) becomes available the Correctable closes,
 // transitioning to Final (or Error) exactly once.
 //
+// A Correctable runs on one clock: the Scheduler of the binding its views
+// come from, fixed by NewScheduled. That clock stamps every view, parks
+// every consumer blocked in Final or WaitLevel, and runs every speculation;
+// there is no host-goroutine mode.
+//
 // This package is the paper's "core library" (§3): creation, state
 // transitions, callback delivery and speculation. Of the features
 // Correctables inherit from modern Promises, which the paper elides for

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Event is a one-shot broadcast: Wait blocks until Fire has been called.
 // Fire is idempotent.
@@ -12,52 +9,26 @@ type Event interface {
 	Wait()
 }
 
-// Scheduler abstracts how a Correctable spawns helper goroutines, how its
-// consumers block, and what "now" means for the views it delivers. The
-// default scheduler uses plain goroutines and channels. Bindings backed by
-// a simulated substrate supply the substrate's clock instead, so that
-// waiting on a Correctable parks a simulation actor rather than freezing a
-// discrete-event scheduler: under netsim's VirtualClock this is what lets
-// a whole experiment run at CPU speed, deterministically.
+// Scheduler is the clock of the storage stack a Correctable's views come
+// from: how the Correctable spawns helper actors (Speculate), how its
+// consumers block (Final, WaitLevel), how the client library arms an
+// operation timeout, and what "now" means for the views it delivers. Every
+// binding supplies its substrate's clock (binding.SchedulerFor adapts a
+// netsim clock), so waiting on a Correctable parks a simulation actor
+// rather than freezing the discrete-event scheduler: under netsim's
+// VirtualClock this is what lets a whole experiment run at CPU speed,
+// deterministically.
 type Scheduler interface {
-	// Go runs fn on a new goroutine/actor.
+	// Go runs fn on a new actor.
 	Go(fn func())
 	// NewEvent returns a one-shot broadcast usable by this scheduler's
-	// goroutines.
+	// actors.
 	NewEvent() Event
-	// After runs fn once d has elapsed on this scheduler's time axis:
-	// host time for the default scheduler, model time for simulation
-	// schedulers. There is no cancellation — late fns must be no-ops
-	// (Controller methods after closure already are).
+	// After runs fn once d of model time has elapsed. There is no
+	// cancellation: late fns must be no-ops (Controller methods after
+	// closure already are).
 	After(d time.Duration, fn func())
-	// Now returns the current instant on this scheduler's time axis:
-	// monotonic process time for the default scheduler, model time for
-	// simulation schedulers. View.At timestamps come from here, which is
-	// what makes recorded histories replay byte-identically under a
-	// virtual clock.
+	// Now returns the current model time. View.At timestamps come from
+	// here, which is what makes recorded histories replay byte-identically.
 	Now() time.Duration
 }
-
-// DefaultScheduler spawns plain goroutines and blocks on channels — the
-// right choice outside a simulation.
-var DefaultScheduler Scheduler = goScheduler{}
-
-// processEpoch anchors the default scheduler's monotonic time axis.
-var processEpoch = time.Now()
-
-type goScheduler struct{}
-
-func (goScheduler) Go(fn func())                     { go fn() }
-func (goScheduler) NewEvent() Event                  { return &chanEvent{ch: make(chan struct{})} }
-func (goScheduler) After(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
-func (goScheduler) Now() time.Duration               { return time.Since(processEpoch) }
-
-// chanEvent is the default chan-backed Event. Its channel is also used
-// directly by context-aware waits (select on cancellation).
-type chanEvent struct {
-	once sync.Once
-	ch   chan struct{}
-}
-
-func (e *chanEvent) Fire() { e.once.Do(func() { close(e.ch) }) }
-func (e *chanEvent) Wait() { <-e.ch }

@@ -5,7 +5,7 @@ import "sync"
 // SpecFunc is a speculation function (§4.2, Listing 3). It receives a view
 // of the source value type In and performs — possibly expensive, possibly
 // side-effecting — work based on it, returning a result of type Out. It
-// runs on its own goroutine.
+// runs on an actor of its own (Scheduler.Go).
 type SpecFunc[In, Out any] func(View[In]) (Out, error)
 
 // AbortFunc undoes the side effects of a superseded speculation. It receives
@@ -56,7 +56,7 @@ type specExec[In, Out any] struct {
 // error (after any outstanding speculation is aborted).
 func Speculate[In, Out any](c *Correctable[In], spec SpecFunc[In, Out], abort AbortFunc[In, Out]) *Correctable[Out] {
 	out, ctrl := NewScheduled[Out](c.sched, c.Levels())
-	s := &speculator[In, Out]{spec: spec, abort: abort, ctrl: ctrl, sched: c.scheduler()}
+	s := &speculator[In, Out]{spec: spec, abort: abort, ctrl: ctrl, sched: c.sched}
 	c.SetCallbacks(Callbacks[In]{
 		OnUpdate: s.onUpdate,
 		OnError:  s.onError,

@@ -14,7 +14,7 @@ import (
 func TestSpeculateConfirmation(t *testing.T) {
 	// Preliminary == final: speculation is confirmed, spec runs once, no
 	// abort, result is the spec output at strong level.
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	var specRuns, aborts int32
 	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		atomic.AddInt32(&specRuns, 1)
@@ -45,7 +45,7 @@ func TestSpeculateConfirmation(t *testing.T) {
 func TestSpeculateMisspeculation(t *testing.T) {
 	// Preliminary != final: spec re-executes on the final value, abort undoes
 	// the preliminary speculation first.
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	var mu sync.Mutex
 	var trace []string
 	out := Speculate(c, func(v View[any]) (interface{}, error) {
@@ -89,7 +89,7 @@ func TestSpeculateHidesLatency(t *testing.T) {
 		finalAt  = 60 * time.Millisecond
 		specCost = 40 * time.Millisecond
 	)
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	start := time.Now()
 	go func() {
 		time.Sleep(prelimAt)
@@ -114,7 +114,7 @@ func TestSpeculateHidesLatency(t *testing.T) {
 
 func TestSpeculateFinalOnly(t *testing.T) {
 	// No preliminary at all: spec runs once, on the final view.
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	var runs int32
 	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		atomic.AddInt32(&runs, 1)
@@ -133,7 +133,7 @@ func TestSpeculateFinalOnly(t *testing.T) {
 func TestSpeculateDuplicatePreliminarySkipped(t *testing.T) {
 	// Per Listing 3: spec applies to every new view *if it differs from the
 	// previous one*.
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	var runs int32
 	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		atomic.AddInt32(&runs, 1)
@@ -151,7 +151,7 @@ func TestSpeculateDuplicatePreliminarySkipped(t *testing.T) {
 }
 
 func TestSpeculateSpecError(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	boom := errors.New("spec failed")
 	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		return nil, boom
@@ -165,7 +165,7 @@ func TestSpeculateSpecError(t *testing.T) {
 func TestSpeculatePrelimSpecErrorThenFinalOK(t *testing.T) {
 	// A failing speculation on the preliminary must not poison the result if
 	// the final diverges and re-executes successfully.
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		if v.Value == "bad" {
 			return nil, errors.New("transient")
@@ -187,7 +187,7 @@ func TestSpeculateConfirmedPrelimSpecError(t *testing.T) {
 	// Spec errors on the preliminary, and the final confirms the
 	// preliminary: the error is the result (re-running would fail again on
 	// identical input).
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	boom := errors.New("boom")
 	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		return nil, boom
@@ -201,7 +201,7 @@ func TestSpeculateConfirmedPrelimSpecError(t *testing.T) {
 }
 
 func TestSpeculateSourceError(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	boom := errors.New("storage down")
 	var aborted int32
 	out := Speculate(c, func(v View[any]) (interface{}, error) {
@@ -224,7 +224,7 @@ func TestSpeculateSourceError(t *testing.T) {
 }
 
 func TestSpeculatePreliminaryResultDelivered(t *testing.T) {
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	out := Speculate(c, func(v View[any]) (interface{}, error) {
 		return "spec:" + v.Value.(string), nil
 	}, nil)
@@ -263,7 +263,7 @@ func TestSpeculatePreliminaryResultDelivered(t *testing.T) {
 func TestSpeculateMultiplePreliminaries(t *testing.T) {
 	// Several distinct preliminary views: each superseded speculation is
 	// aborted exactly once, in order, before its successor runs.
-	c, ctrl := New[any]()
+	c, ctrl := newOnHost[any]()
 	var mu sync.Mutex
 	var aborted []interface{}
 	out := Speculate(c, func(v View[any]) (interface{}, error) {
@@ -296,7 +296,7 @@ func TestSpeculateMultiplePreliminaries(t *testing.T) {
 // the preliminary diverged (when spec is pure).
 func TestPropertySpeculateReflectsFinal(t *testing.T) {
 	f := func(prelim, final uint8) bool {
-		c, ctrl := New[any]()
+		c, ctrl := newOnHost[any]()
 		var aborts int32
 		out := Speculate(c, func(v View[any]) (interface{}, error) {
 			return int(v.Value.(uint8)) * 2, nil

@@ -9,7 +9,7 @@ import (
 // directly; the first two views live in the inline buffer and survive a
 // growth past it.
 func TestTypedViewsInlineAndGrowth(t *testing.T) {
-	c, ctrl := New[[]byte]()
+	c, ctrl := newOnHost[[]byte]()
 	_ = ctrl.Update([]byte("a"), LevelCache)
 	_ = ctrl.Update([]byte("b"), LevelWeak)
 	_ = ctrl.Update([]byte("c"), LevelCausal)
@@ -37,7 +37,7 @@ func (e identityEq) EqualValue(o identityEq) bool { return e.ID == o.ID }
 // Equaler, so a final view differing only in ignored fields confirms the
 // preliminary speculation instead of re-executing.
 func TestTypedSpeculateUsesEqualer(t *testing.T) {
-	c, ctrl := New[identityEq]()
+	c, ctrl := newOnHost[identityEq]()
 	runs := 0
 	out := Speculate(c, func(v View[identityEq]) (int, error) {
 		runs++
@@ -69,24 +69,4 @@ func TestTypedValuesEqualDispatch(t *testing.T) {
 	if !ValuesEqual(pair{1, 2}, pair{1, 2}) || ValuesEqual(pair{1, 2}, pair{2, 1}) {
 		t.Error("reflect fallback broken")
 	}
-}
-
-// TestTypedDoneLazyAllocation: Done before and after closure behaves
-// identically even though the channel is created lazily.
-func TestTypedDoneLazyAllocation(t *testing.T) {
-	// Done requested before closure.
-	c1, ctrl1 := New[int]()
-	ch := c1.Done()
-	select {
-	case <-ch:
-		t.Fatal("done closed early")
-	default:
-	}
-	_ = ctrl1.Close(1, LevelStrong)
-	<-ch
-
-	// Done requested only after closure: returns an already-closed channel.
-	c2, ctrl2 := New[int]()
-	_ = ctrl2.Close(1, LevelStrong)
-	<-c2.Done()
 }

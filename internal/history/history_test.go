@@ -8,6 +8,7 @@ import (
 
 	"correctables/internal/binding"
 	"correctables/internal/core"
+	"correctables/internal/netsim"
 )
 
 // mkOp builds a completed op with a single final view.
@@ -192,9 +193,11 @@ func TestQueueNotLinearizable(t *testing.T) {
 // brokenBinding is the mutation-test binding: a versioned register store
 // whose final reads are served from a replica frozen at an old version —
 // exactly the regression the checkers must catch. mode "stale-final" serves
-// stale strong reads; mode "honest" behaves.
+// stale strong reads; mode "honest" behaves. It answers synchronously on
+// its clock's current instant.
 type brokenBinding struct {
 	mode    string
+	clock   netsim.Clock
 	version uint64
 	frozen  uint64 // the stale replica's version
 }
@@ -202,7 +205,7 @@ type brokenBinding struct {
 func (b *brokenBinding) ConsistencyLevels() core.Levels {
 	return core.Levels{core.LevelWeak, core.LevelStrong}
 }
-func (b *brokenBinding) Close() error { return nil }
+func (b *brokenBinding) Scheduler() core.Scheduler { return binding.SchedulerFor(b.clock) }
 
 func (b *brokenBinding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
 	switch op.(type) {
@@ -227,17 +230,22 @@ func (b *brokenBinding) SubmitOperation(ctx context.Context, op binding.Operatio
 func TestMutationBrokenBindingDetected(t *testing.T) {
 	run := func(mode string) []Op {
 		rec := NewRecorder()
-		c := binding.NewClient(&brokenBinding{mode: mode},
+		clock := netsim.NewVirtualClock()
+		c := binding.NewClient(&brokenBinding{mode: mode, clock: clock},
 			binding.WithObserver(rec), binding.WithLabel("alice"))
 		ctx := context.Background()
 		for i := 0; i < 3; i++ {
+			// A millisecond between operations orders them in real time.
+			clock.Sleep(time.Millisecond)
 			if _, err := binding.InvokeStrong[binding.Ack](ctx, c, binding.Put{Key: "k", Value: []byte("v")}).Final(ctx); err != nil {
 				t.Fatal(err)
 			}
+			clock.Sleep(time.Millisecond)
 			if _, err := binding.InvokeStrong[[]byte](ctx, c, binding.Get{Key: "k"}).Final(ctx); err != nil {
 				t.Fatal(err)
 			}
 		}
+		clock.Drain()
 		return rec.Ops()
 	}
 

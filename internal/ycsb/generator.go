@@ -18,17 +18,6 @@ type Generator interface {
 	Next(rng *rand.Rand) int
 }
 
-// UniformGenerator picks keys uniformly at random.
-type UniformGenerator struct {
-	n int
-}
-
-// NewUniform returns a uniform generator over [0, n).
-func NewUniform(n int) *UniformGenerator { return &UniformGenerator{n: n} }
-
-// Next implements Generator.
-func (g *UniformGenerator) Next(rng *rand.Rand) int { return rng.Intn(g.n) }
-
 // ZipfianGenerator implements Gray et al.'s quick Zipfian sampling, as used
 // by YCSB (constant 0.99 by default). Popular items are the low indices.
 // The generator is stateless after construction and safe for concurrent use.

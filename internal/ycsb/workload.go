@@ -14,7 +14,6 @@ type DistKind string
 const (
 	DistZipfian DistKind = "zipfian"
 	DistLatest  DistKind = "latest"
-	DistUniform DistKind = "uniform"
 )
 
 // Workload describes a YCSB core workload.
@@ -61,8 +60,6 @@ func (w Workload) NewGenerator() Generator {
 		return NewScrambledZipfian(w.RecordCount)
 	case DistLatest:
 		return NewLatest(w.RecordCount)
-	case DistUniform:
-		return NewUniform(w.RecordCount)
 	default:
 		panic(fmt.Sprintf("ycsb: unknown distribution %q", w.Distribution))
 	}

@@ -112,25 +112,12 @@ func TestLatestFollowsAnchor(t *testing.T) {
 	}
 }
 
-func TestUniformCoverage(t *testing.T) {
-	g := NewUniform(10)
-	rng := rand.New(rand.NewSource(4))
-	seen := map[int]bool{}
-	for i := 0; i < 1000; i++ {
-		seen[g.Next(rng)] = true
-	}
-	if len(seen) != 10 {
-		t.Errorf("uniform generator covered %d/10 values", len(seen))
-	}
-}
-
 // Property: all generators stay in range for arbitrary n.
 func TestPropertyGeneratorsInRange(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		n := int(nRaw)%5000 + 2
 		rng := rand.New(rand.NewSource(seed))
 		gens := []Generator{
-			NewUniform(n),
 			NewZipfian(n, ZipfianConstant),
 			NewScrambledZipfian(n),
 			NewLatest(n),
@@ -177,7 +164,7 @@ func TestWorkloadPresets(t *testing.T) {
 }
 
 func TestWorkloadGeneratorSelection(t *testing.T) {
-	for _, d := range []DistKind{DistZipfian, DistLatest, DistUniform} {
+	for _, d := range []DistKind{DistZipfian, DistLatest} {
 		w := WorkloadA(d, 100, 10)
 		if w.NewGenerator() == nil {
 			t.Errorf("nil generator for %s", d)

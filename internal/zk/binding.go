@@ -80,9 +80,6 @@ func (b *Binding) ConsistencyLevels() core.Levels {
 	return core.Levels{core.LevelStrong}
 }
 
-// Close implements binding.Binding.
-func (b *Binding) Close() error { return nil }
-
 // SubmitOperation implements binding.Binding. The client library bounds
 // each invocation with the binding's DefaultOpTimeout (model time); the
 // protocol below has no deadline of its own, and a late completion's views
@@ -150,8 +147,8 @@ func (r *opRecord) emit(v QueueView) {
 	r.cb(binding.Result{Value: itemOf(v), Level: level, Version: v.Zxid})
 }
 
-// Scheduler implements binding.SchedulerProvider: Correctables over this
-// binding block through the ensemble's simulation clock.
+// Scheduler implements binding.Binding: Correctables over this binding run
+// on the ensemble's simulation clock.
 func (b *Binding) Scheduler() core.Scheduler {
 	return binding.SchedulerFor(b.qc.Ensemble().Transport().Clock())
 }
