@@ -130,16 +130,13 @@ type elector struct {
 	log     []ElectionRecord
 }
 
-func newElector(e *Ensemble, inj *faults.Injector) *elector {
+func newElector(e *Ensemble, inj *faults.Injector, leader *Server) *elector {
 	el := &elector{e: e, hb: e.cfg.HeartbeatInterval}
 	for i, r := range e.order {
 		s := e.servers[r]
 		// A quarter-base stagger per position in Regions order, so ties
 		// break by declaration order instead of randomness.
 		s.election.timeout = e.cfg.ElectionTimeout + time.Duration(i)*e.cfg.ElectionTimeout/4
-		if s == e.leader {
-			s.election.role = roleLeader
-		}
 		inj.OnDown(r, func() { el.setSuspended(s, true) })
 		inj.OnUp(r, func() { el.setSuspended(s, false) })
 		el.armTimer(s, s.election.timeout)
@@ -153,7 +150,7 @@ func newElector(e *Ensemble, inj *faults.Injector) *elector {
 			el.mu.Unlock()
 		}
 	})
-	el.runBeats(e.leader, 0)
+	el.runBeats(leader, 0)
 	return el
 }
 
@@ -236,19 +233,17 @@ func (el *elector) enter(s *Server, tally map[uint64]acceptedTxn, now time.Durat
 
 // install puts a win into effect: materialize every transaction of the
 // merged accept log above the applied watermark in zxid order, advance the
-// commit epoch, take over proposal numbering, move the leader pointer, start
-// heartbeats, and resync lagging followers by state transfer. A zxid gap in
-// the merged log means no majority accepted the missing proposal, so it was
-// never client-acknowledged and is safe to lose. A win whose epoch a later
+// data epoch its proposals commit under, start heartbeats, and resync
+// lagging followers by state transfer. A zxid gap in the merged log means no
+// majority accepted the missing proposal, so it was never
+// client-acknowledged and is safe to lose. A win whose epoch a later
 // election already passed — a candidate whose majority arrived late, which
-// takes five or more servers — is stale: the server follows instead. Callers
-// hold el.mu.
+// takes five or more servers — is stale: that later winner still leads, in
+// a newer epoch, and the server follows instead. Callers hold el.mu.
 func (el *elector) install(s *Server, tally map[uint64]acceptedTxn, now time.Duration) {
 	e := el.e
 	epoch := s.election.epoch
-	e.propMu.Lock()
-	if epoch <= e.commitEpoch {
-		e.propMu.Unlock()
+	if e.leaderLocked() != s {
 		el.become(s, roleFollower, now)
 		s.election.lastBeat = now
 		return
@@ -273,11 +268,7 @@ func (el *elector) install(s *Server, tally map[uint64]acceptedTxn, now time.Dur
 	}
 	fire := s.applyPendingLocked()
 	s.mu.Unlock()
-	e.nextZxid = s.lastApplied
-	e.commitEpoch = epoch
-	e.propMu.Unlock()
 
-	e.setLeader(s)
 	el.log = append(el.log, ElectionRecord{Epoch: epoch, Leader: s.Region, At: now})
 	if e.trc != nil {
 		e.trc.Instant(e.electTrk, "elected", string(s.Region), now)
@@ -286,7 +277,7 @@ func (el *elector) install(s *Server, tally map[uint64]acceptedTxn, now time.Dur
 		w.Fire()
 	}
 	el.runBeats(s, epoch)
-	e.resyncLagging()
+	e.resyncLagging(s)
 }
 
 // --- timers -------------------------------------------------------------
@@ -471,17 +462,13 @@ func (el *elector) onVoteReply(cand *Server, epoch uint64, granted, leaderLive b
 	}
 }
 
-// Role returns the server's current election role (always follower for the
-// non-leaders of an election-less ensemble).
+// Role returns the server's own election role. A deposed leader reads
+// "leader" until it hears its successor (see Ensemble.Leader); without
+// elections the initial leader leads and every other server follows.
 func (s *Server) Role() string {
-	e := s.ensemble
-	if e.elect == nil {
-		if e.Leader() == s {
-			return roleLeader.String()
-		}
-		return roleFollower.String()
+	if el := s.ensemble.elect; el != nil {
+		el.mu.Lock()
+		defer el.mu.Unlock()
 	}
-	e.elect.mu.Lock()
-	defer e.elect.mu.Unlock()
 	return s.election.role.String()
 }

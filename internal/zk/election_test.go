@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"correctables/internal/binding"
 	"correctables/internal/faults"
 	"correctables/internal/netsim"
 	"correctables/internal/trace"
@@ -439,6 +440,63 @@ func TestDeposedLeaderAckIsLost(t *testing.T) {
 	for _, r := range []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG} {
 		if kids, err := e.Server(r).Tree().Children("/queues/q"); err != nil || len(kids) != 0 {
 			t.Errorf("%s holds %v (%v); want the acknowledged element lost", r, kids, err)
+		}
+	}
+	inj.Quiesce()
+	clock.Drain()
+}
+
+// TestForwardStalledAtDeposedLeaderIsProposedBySuccessor pins the one read
+// of leadership no server could make (ROADMAP item 13): a forward is proposed
+// by whichever server leads when it lands, not by the server it was sent to.
+// FRK leads and is partitioned away at once; at 1s the IRL contact forwards
+// an enqueue to FRK, where it waits for the 4s heal; IRL wins epoch 1 at
+// ~2.59s meanwhile, so the forward that lands at FRK is numbered by IRL, after
+// IRL's own watermark, and committed in epoch 1 — and the element is on every
+// server. The client library's 5s deadline outlasts the stall. Item 13's step
+// 2, which sends forwards to the contact's own view of the leader and
+// re-routes them on a new epoch, inverts this test.
+func TestForwardStalledAtDeposedLeaderIsProposedBySuccessor(t *testing.T) {
+	e, inj, clock, _ := newElectionEnsemble(t, netsim.FRK, netsim.IRL, netsim.VRG)
+	qc := NewQueueClient(e, netsim.IRL, netsim.IRL)
+	if err := qc.CreateQueue("q"); err != nil {
+		t.Fatal(err)
+	}
+	start := clock.Now()
+	inj.Apply(faults.Partition{Groups: [][]netsim.Region{{netsim.FRK}, {netsim.IRL, netsim.VRG}}})
+	clock.RunAt(start+4*time.Second, func() { inj.Apply(faults.Heal{}) })
+	clock.SleepUntil(start + time.Second)
+	irl := e.Server(netsim.IRL)
+	next := irl.LastApplied() + 1
+	views, err := invoke(binding.NewClient(NewBinding(qc)), binding.Enqueue{Queue: "q", Item: []byte("forwarded")})
+	at := clock.Now() - start
+	irlEpoch, irlApplied := irl.epochApplied()
+
+	recs := e.Elections()
+	if len(recs) != 1 || recs[0].Leader != netsim.IRL || recs[0].Epoch != 1 || recs[0].At-start > 3*time.Second {
+		t.Fatalf("elections = %+v, want IRL to win epoch 1 before 3s", recs)
+	}
+	if err != nil {
+		t.Fatalf("forwarded enqueue: %v", err)
+	}
+	if at < 4*time.Second || at > 4300*time.Millisecond {
+		t.Errorf("forwarded enqueue completed %v after the cut, want just after the 4s heal", at)
+	}
+	if irlEpoch != 1 || irlApplied != next {
+		t.Errorf("IRL at (epoch %d, zxid %d) after the commit, want (1, %d): its own next zxid", irlEpoch, irlApplied, next)
+	}
+	clock.Sleep(2 * time.Second) // the commit reaches FRK, which steps down
+	vrg := e.Server(netsim.VRG)
+	vrg.mu.Lock()
+	accepted := vrg.accepted[next]
+	vrg.mu.Unlock()
+	if accepted.Epoch != 1 {
+		t.Errorf("VRG accepted zxid %d in epoch %d, want 1", next, accepted.Epoch)
+	}
+	name := views[len(views)-1].Value.ID
+	for _, r := range []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG} {
+		if kids, err := e.Server(r).Tree().Children("/queues/q"); err != nil || len(kids) != 1 || kids[0] != name {
+			t.Errorf("%s holds %v (%v); want [%s]", r, kids, err, name)
 		}
 	}
 	inj.Quiesce()

@@ -17,7 +17,8 @@ import (
 type Config struct {
 	// Regions places one server per region (the paper uses 3).
 	Regions []netsim.Region
-	// LeaderRegion selects the leader (must appear in Regions).
+	// LeaderRegion selects the initial leader (must appear in Regions); with
+	// elections on, leadership moves to whichever server wins one.
 	LeaderRegion netsim.Region
 	// Transport carries all messages (required).
 	Transport *netsim.Transport
@@ -69,14 +70,17 @@ type Server struct {
 	proc     *netsim.Server
 	tree     *Tree
 
+	// mu guards the state below; on the leader it also orders proposals,
+	// each taking the zxid after lastApplied (the Zab total order).
 	mu          sync.Mutex
 	lastApplied uint64
 	pending     map[uint64]Txn
 	waiters     map[uint64][]*netsim.Event
 
-	// dataEpoch is the election epoch the applied state belongs to. Commits
-	// and snapshots from older epochs — a deposed leader's stalled broadcast
-	// finally arriving after a heal — are discarded.
+	// dataEpoch is the election epoch the applied state belongs to, and on
+	// the leader the epoch its proposals commit under. Commits and snapshots
+	// from older epochs — a deposed leader's stalled broadcast finally
+	// arriving after a heal — are discarded.
 	dataEpoch uint64
 	// accepted is the follower's Zab accept log: every proposal acked since
 	// the last epoch change, keyed by zxid. Vote grants piggyback the tail
@@ -88,7 +92,8 @@ type Server struct {
 	maxAccepted uint64
 
 	// election is the server's place in the leader election (election.go),
-	// guarded by the ensemble's elector; unused while elections are off.
+	// guarded by the ensemble's elector; without elections only its role,
+	// set at construction, is used.
 	election electState
 }
 
@@ -110,21 +115,9 @@ type Ensemble struct {
 	servers map[netsim.Region]*Server
 	order   []netsim.Region
 
-	// leaderMu guards the leader pointer, which elections move at runtime.
-	leaderMu sync.Mutex
-	leader   *Server
-
 	// elect is the leader-election machinery; nil when elections are
 	// disabled (no fault interceptor, or fewer than 3 servers).
 	elect *elector
-
-	// propMu serializes proposal numbering and leader prep-application,
-	// establishing the Zab total order. commitEpoch is the epoch new
-	// proposals commit under; an election win advances it and rewinds
-	// nextZxid to the winner's applied watermark.
-	propMu      sync.Mutex
-	nextZxid    uint64
-	commitEpoch uint64
 
 	// proposals recycles the records of finished propose rounds.
 	proposals netsim.FreeList[proposal]
@@ -168,7 +161,7 @@ func NewEnsemble(cfg Config) (*Ensemble, error) {
 	if !ok {
 		return nil, fmt.Errorf("zk: leader region %s not in ensemble", cfg.LeaderRegion)
 	}
-	e.leader = leader
+	leader.election.role = roleLeader
 	// On a faulted transport, wire Zab-style recovery: after every fault
 	// transition (a restart, a heal, an expiring drop rule), followers that
 	// missed commits — a crashed server loses its in-flight commit stream,
@@ -178,23 +171,22 @@ func NewEnsemble(cfg Config) (*Ensemble, error) {
 	// leader is replaced by a majority-elected one instead of wedging
 	// finals until restart.
 	if inj, ok := cfg.Transport.Interceptor().(*faults.Injector); ok {
-		inj.Subscribe(func(faults.Transition) { e.resyncLagging() })
+		inj.Subscribe(func(faults.Transition) { e.resyncLagging(e.Leader()) })
 		if len(cfg.Regions) >= 3 {
-			e.elect = newElector(e, inj)
+			e.elect = newElector(e, inj, leader)
 		}
 	}
 	return e, nil
 }
 
-// resyncLagging ships a leader snapshot to every follower whose applied
-// state lags the leader — comparing (epoch, zxid) lexicographically, so a
-// deposed leader whose tree diverged on phantom prep-applies is overwritten
-// by the new epoch's state even when its zxid watermark ran ahead. It runs
-// in clock callback context (fault transitions, election wins) and must not
-// block: snapshots travel as asynchronous sends, which the transport drops
-// if the follower is still unreachable — the next transition retries.
-func (e *Ensemble) resyncLagging() {
-	leader := e.Leader()
+// resyncLagging ships a snapshot of leader to every follower whose applied
+// state lags it — comparing (epoch, zxid) lexicographically, so a deposed
+// leader whose tree diverged on phantom prep-applies is overwritten by the
+// new epoch's state even when its zxid watermark ran ahead. It runs in clock
+// callback context (fault transitions, election wins) and must not block:
+// snapshots travel as asynchronous sends, which the transport drops if the
+// follower is still unreachable — the next transition retries.
+func (e *Ensemble) resyncLagging(leader *Server) {
 	leaderEpoch, leaderZxid := leader.epochApplied()
 	for _, region := range e.order {
 		s := e.servers[region]
@@ -207,7 +199,7 @@ func (e *Ensemble) resyncLagging() {
 		}
 		// One snapshot per follower: Restore installs the node map without
 		// copying, so recipients must not share one.
-		snap, zxid, epoch, size := e.snapshotLeader(leader)
+		snap, zxid, epoch, size := leader.snapshot()
 		if e.trc != nil {
 			e.trc.Instant(e.electTrk, "resync", string(region), e.tr.Clock().Now())
 		}
@@ -217,14 +209,13 @@ func (e *Ensemble) resyncLagging() {
 	}
 }
 
-// snapshotLeader captures the leader's tree, zxid and epoch atomically
-// (propMu serializes all leader mutations).
-func (e *Ensemble) snapshotLeader(leader *Server) (map[string]*node, uint64, uint64, int) {
-	e.propMu.Lock()
-	defer e.propMu.Unlock()
-	snap, size := leader.tree.Snapshot()
-	epoch, zxid := leader.epochApplied()
-	return snap, zxid, epoch, size
+// snapshot captures the server's tree, zxid and epoch atomically (mu
+// serializes every mutation of the server's state, proposals included).
+func (s *Server) snapshot() (map[string]*node, uint64, uint64, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	snap, size := s.tree.Snapshot()
+	return snap, s.lastApplied, s.dataEpoch, size
 }
 
 // epochApplied returns the (dataEpoch, lastApplied) pair that orders
@@ -384,12 +375,12 @@ func (e *Ensemble) SetTrace(t *trace.Tracer) {
 	e.electTrk = t.Track("zk/election")
 }
 
-// CommitEpoch returns the epoch new proposals currently commit under; it
-// advances on every election win (a natural election-state gauge).
+// CommitEpoch returns the epoch new proposals currently commit under: the
+// current leader's own data epoch, which advances on every election win (a
+// natural election-state gauge).
 func (e *Ensemble) CommitEpoch() uint64 {
-	e.propMu.Lock()
-	defer e.propMu.Unlock()
-	return e.commitEpoch
+	epoch, _ := e.Leader().epochApplied()
+	return epoch
 }
 
 // Config returns the effective configuration.
@@ -407,19 +398,29 @@ func (e *Ensemble) Server(region netsim.Region) *Server {
 	return s
 }
 
-// Leader returns the current leader server. With elections enabled the
-// pointer moves when a majority elects a new leader; callers that need a
-// consistent view across several steps should read it once.
+// Leader returns the current leader: of the servers in the leader role (a
+// deposed one keeps it until it hears its successor), the one with the
+// newest election epoch. Callers that need a consistent view across several
+// steps should read it once.
 func (e *Ensemble) Leader() *Server {
-	e.leaderMu.Lock()
-	defer e.leaderMu.Unlock()
-	return e.leader
+	if el := e.elect; el != nil {
+		el.mu.Lock()
+		defer el.mu.Unlock()
+	}
+	return e.leaderLocked()
 }
 
-func (e *Ensemble) setLeader(s *Server) {
-	e.leaderMu.Lock()
-	e.leader = s
-	e.leaderMu.Unlock()
+// leaderLocked is Leader for callers that hold the elector lock (or run
+// without elections, when roles never change after construction).
+func (e *Ensemble) leaderLocked() *Server {
+	var leader *Server
+	for _, region := range e.order {
+		s := e.servers[region]
+		if s.election.role == roleLeader && (leader == nil || s.election.epoch > leader.election.epoch) {
+			leader = s
+		}
+	}
+	return leader
 }
 
 // Elections returns the election log: one record per leader change, in
@@ -451,10 +452,7 @@ func (e *Ensemble) Bootstrap(txn Txn) TxnResult {
 		c.Data = binding.CopyIn(c.Data)
 		txn = c
 	}
-	e.propMu.Lock()
-	defer e.propMu.Unlock()
-	e.nextZxid++
-	zxid := e.nextZxid
+	zxid := e.Leader().LastApplied() + 1
 	var res TxnResult
 	for _, region := range e.order {
 		s := e.servers[region]
@@ -482,21 +480,17 @@ func (e *Ensemble) propose(txn Txn, contact *Server) (uint64, uint64, TxnResult)
 	leader := e.Leader()
 	leader.proc.Process(e.cfg.ServiceTime)
 
-	e.propMu.Lock()
-	// Prep-apply on the leader's tree: the leader state is authoritative
-	// and strictly ordered.
+	// Prep-apply on the leader's tree and number from its own watermark and
+	// epoch: the leader state is authoritative and strictly ordered.
+	leader.mu.Lock()
 	res := txn.Apply(leader.tree)
 	if failsFast(res) {
-		e.propMu.Unlock()
+		leader.mu.Unlock()
 		return 0, 0, res
 	}
-	e.nextZxid++
-	zxid := e.nextZxid
-	epoch := e.commitEpoch
-	leader.mu.Lock()
-	leader.lastApplied = zxid
+	leader.lastApplied++
+	zxid, epoch := leader.lastApplied, leader.dataEpoch
 	leader.mu.Unlock()
-	e.propMu.Unlock()
 
 	// Gather follower acks; majority includes the leader itself.
 	clock := e.tr.Clock()

@@ -24,7 +24,9 @@ const timelineDigest = "5007a737c62ed157be92cc46ba9685a64c08106b769d340f8622d304
 // returns its timeline: every change of a server's role or of the commit
 // epoch, sampled each millisecond of model time, then the election log, then
 // each client's operation outcomes. edges counts the role changes the
-// samples show, keyed "from->to".
+// samples show, keyed "from->to". On the way it checks election safety
+// without hashing it: no two servers lead one epoch at any sample, and the
+// log's epochs strictly increase, so no epoch is won twice.
 func timelineWorld(t *testing.T, seed int64, regions []netsim.Region, edges map[string]int) []byte {
 	t.Helper()
 	const horizon = 40 * time.Second
@@ -51,7 +53,7 @@ func timelineWorld(t *testing.T, seed int64, regions []netsim.Region, edges map[
 	var out strings.Builder
 	roles := make([]string, len(regions))
 	var epoch uint64
-	stop := false
+	stop, violated := false, false
 	var sample func()
 	sample = func() {
 		if stop {
@@ -70,6 +72,10 @@ func timelineWorld(t *testing.T, seed int64, regions []netsim.Region, edges map[
 		if got := e.CommitEpoch(); got != epoch {
 			epoch = got
 			fmt.Fprintf(&out, "%d epoch %d\n", now, got)
+		}
+		if a, b, ep := twoLeadersInOneEpoch(e); a != "" && !violated {
+			violated = true // report a world's first violation only
+			t.Errorf("world %d/%d at %v: %s and %s both lead epoch %d", seed, len(regions), now, a, b, ep)
 		}
 		clock.RunAfter(time.Millisecond, sample)
 	}
@@ -104,13 +110,37 @@ func timelineWorld(t *testing.T, seed int64, regions []netsim.Region, edges map[
 	inj.Quiesce()
 	clock.Drain()
 
+	var prev uint64 // the initial leader's epoch
 	for _, rec := range e.Elections() {
+		if rec.Epoch <= prev {
+			t.Errorf("world %d/%d: %s won epoch %d after epoch %d was won", seed, len(regions), rec.Leader, rec.Epoch, prev)
+		}
+		prev = rec.Epoch
 		fmt.Fprintf(&out, "elected %d %s %d\n", rec.Epoch, rec.Leader, rec.At)
 	}
 	for i := range logs {
 		out.WriteString(logs[i].String())
 	}
 	return []byte(out.String())
+}
+
+// twoLeadersInOneEpoch returns two servers that hold the leader role in the
+// same election epoch, and the epoch; empty regions when there are none.
+func twoLeadersInOneEpoch(e *Ensemble) (netsim.Region, netsim.Region, uint64) {
+	e.elect.mu.Lock()
+	defer e.elect.mu.Unlock()
+	for i, a := range e.order {
+		sa := &e.servers[a].election
+		if sa.role != roleLeader {
+			continue
+		}
+		for _, b := range e.order[i+1:] {
+			if sb := &e.servers[b].election; sb.role == roleLeader && sb.epoch == sa.epoch {
+				return a, b, sa.epoch
+			}
+		}
+	}
+	return "", "", 0
 }
 
 // TestElectionTimelineGolden is the refactor oracle of the election: 32
