@@ -63,7 +63,7 @@ func TestFaultSeedSweepDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfg := Config{Seed: seed, Quick: true, Faults: fmt.Sprintf("%d:mild", seed)}
+			cfg := Config{Seed: seed, Quick: true, Faults: fmt.Sprintf("%d:tracks-mild", seed)}
 			run := func() (string, error) {
 				res, err := FaultStudy(cfg)
 				if err != nil {

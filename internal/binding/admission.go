@@ -58,7 +58,7 @@ var errRejectedNoReason = errors.New("binding: operation rejected by admission c
 // IsRetryable is the retry classification: an error is worth
 // re-submitting if it wraps faults.ErrUnreachable (timeouts, severed
 // links) or anything declaring Retryable() true (admission rejections).
-// Cancellation and semantic failures are not retryable.
+// Semantic failures are not retryable.
 func IsRetryable(err error) bool {
 	if errors.Is(err, faults.ErrUnreachable) {
 		return true

@@ -228,7 +228,7 @@ type Binding interface {
 	// requested consistency levels, invoking cb once for each level as the
 	// corresponding view becomes available (weakest first), or once with an
 	// error. SubmitOperation must not block the caller; the protocol runs
-	// on the binding's clock.
+	// on the binding's clock, and ctx is not consulted.
 	SubmitOperation(ctx context.Context, op Operation, levels core.Levels, cb Callback)
 	// Scheduler returns the clock the binding's protocol runs on, adapted
 	// with SchedulerFor. Every Correctable of a client over the binding runs

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"correctables/internal/core"
+	"correctables/internal/netsim"
 )
 
 // fakeBinding is a deterministic in-memory binding for exercising the
@@ -134,16 +135,26 @@ func TestInvokeUnsupportedOperationFails(t *testing.T) {
 	}
 }
 
+// TestInvokeContextCancellation: the context is not consulted. An
+// invocation whose context was cancelled before submission runs on and
+// ends only on its binding's clock, with the final view the binding
+// delivers at 1s of model time.
 func TestInvokeContextCancellation(t *testing.T) {
-	fb := newFake()
-	fb.delay = time.Second
-	c := NewClient(fb)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	cor := Invoke[[]byte](ctx, c, Get{Key: "k"})
-	if _, err := cor.Final(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v, want deadline exceeded", err)
+	clock := netsim.NewVirtualClock()
+	var answer Callback
+	c := NewClient(clocked{lateBinding{answer: &answer}, clock})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cor := InvokeStrong[[]byte](ctx, c, Get{Key: "k"})
+	clock.RunAfter(time.Second, func() { answer(Result{Value: []byte("final"), Level: core.LevelStrong}) })
+	// Host time in which a watcher of ctx, were there one, would fail the
+	// invocation before the clock moves.
+	time.Sleep(10 * time.Millisecond)
+	v, err := cor.Final(context.Background())
+	if err != nil || string(v.Value) != "final" || v.At != time.Second {
+		t.Fatalf("Final = %+v, %v; want the binding's final view at 1s", v, err)
 	}
+	clock.Drain()
 }
 
 func TestEmptyLevelsBinding(t *testing.T) {
@@ -188,8 +199,9 @@ func TestTypedResultDecodeMismatch(t *testing.T) {
 	}
 }
 
-// TestNoGoroutinePerInvoke: the cancellation watcher must not burn a
-// goroutine per in-flight operation (context.AfterFunc-based).
+// TestNoGoroutinePerInvoke: the client library starts no goroutine per
+// in-flight operation, even under a cancellable context; the fake binding's
+// own one per submission is all there is.
 func TestNoGoroutinePerInvoke(t *testing.T) {
 	fb := newFake()
 	fb.delay = 50 * time.Millisecond

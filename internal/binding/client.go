@@ -23,6 +23,11 @@ import (
 // model-time timestamps, and a per-client operation timeout bounds the
 // whole invocation in model time — the client library, not each storage
 // binding, owns the deadline.
+//
+// The ctx of every invocation is handed to the binding and consulted by
+// neither: an invocation ends only on its binding's clock, with a final
+// view, a binding error or the WithOpTimeout bound. A host-time
+// cancellation has no place in a run that one virtual clock orders.
 type Client struct {
 	b     Binding
 	sched core.Scheduler // b.Scheduler(), read once
@@ -191,9 +196,8 @@ func (c *Client) requestedLevels(levels []core.Level) (core.Levels, error) {
 // compiler copies a capture into a closure only up to 128 bytes and moves a
 // larger one to the heap — captured by value in the delivery closures:
 // terminal helpers use the Controller's verdict (only the transition that
-// actually happened is observed), so duplicate binding callbacks, late
-// post-timeout views and racing cancellations produce exactly one OpEnd
-// and no spurious OpViews.
+// actually happened is observed), so duplicate binding callbacks and late
+// post-timeout views produce exactly one OpEnd and no spurious OpViews.
 type invocation[T any] struct {
 	c     *Client
 	ctrl  core.Controller[T]
@@ -207,7 +211,7 @@ type invocation[T any] struct {
 // accepted view after the operation's end, or out of order. The bindings'
 // clocks already order deliveries totally; the mutex is safety code that
 // keeps the pair atomic for a binding that calls back from goroutines of
-// its own, and a context cancellation that fails the operation from one.
+// its own.
 type observedOp struct {
 	mu   sync.Mutex
 	info OpInfo
@@ -364,7 +368,7 @@ func submit[T any](ctx context.Context, c *Client, op OperationFor[T], requested
 				// weaker levels were already delivered (or suppressed) by
 				// the first execution, and re-running their protocol legs
 				// would deliver duplicate views and duplicate traffic.
-				// A closed Correctable (op timeout, cancellation) refuses
+				// A closed Correctable (op timeout, binding error) refuses
 				// every result, so don't burn store operations chasing a
 				// token no consumer can observe. (Session re-reads bypass
 				// the admission gate: they chase a token the session
@@ -414,7 +418,6 @@ func submit[T any](ctx context.Context, c *Client, op OperationFor[T], requested
 			}
 		})
 	}
-	watchContext(ctx, cor, inv)
 	return cor
 }
 
@@ -435,8 +438,8 @@ func dispatch[T any](ctx context.Context, cor *core.Correctable[T], inv invocati
 // under AdmissionDegrade), arms a fresh per-attempt timeout stamped with
 // the attempt generation, and submits. Re-submissions arrive through
 // governedCall.resubmit, scheduled by invocation.fail when the retry
-// policy grants a retry; a closed Correctable (context cancellation,
-// consumer gone) stops the loop.
+// policy grants a retry; a closed Correctable (op timeout, terminal
+// failure) stops the loop.
 func submitGoverned[T any](ctx context.Context, cor *core.Correctable[T], inv invocation[T], op Operation, requested core.Levels, cb Callback) {
 	c := inv.c
 	gov := inv.gov
@@ -501,19 +504,4 @@ func armTimeout[T any](inv invocation[T], gen int) {
 		}
 		iv.fail(fmt.Errorf("%w: no terminal view within %v (client op timeout)", faults.ErrUnreachable, g.d))
 	})
-}
-
-// watchContext fails the Correctable when ctx is cancelled before the
-// operation completes. It uses context.AfterFunc instead of a dedicated
-// goroutine, so an idle invocation costs no goroutine — the difference
-// between 10^6 parked goroutines and none at million-client scale. The
-// registration is released as soon as the Correctable closes.
-func watchContext[T any](ctx context.Context, cor *core.Correctable[T], inv invocation[T]) {
-	if ctx == nil || ctx.Done() == nil {
-		return
-	}
-	stop := context.AfterFunc(ctx, func() {
-		inv.fail(ctx.Err())
-	})
-	cor.Finally(func() { stop() })
 }

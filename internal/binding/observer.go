@@ -58,8 +58,7 @@ type OpView struct {
 // every invocation: OpStart once at submission, OpView once per delivered
 // view (weakest first, the last one Final), and OpEnd exactly once with the
 // terminal outcome — nil after a final view, the failure otherwise
-// (including faults.ErrUnreachable on an operation timeout and context
-// cancellation errors).
+// (including faults.ErrUnreachable on an operation timeout).
 //
 // Callbacks run inline on the delivery path — binding actors and clock
 // callback timers — so they must be cheap and must not block through the

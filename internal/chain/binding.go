@@ -79,9 +79,6 @@ func (b *Binding) ConsistencyLevels() core.Levels {
 // the transaction reached the requested depth.
 var ErrChainStopped = fmt.Errorf("chain: stopped before the transaction was confirmed")
 
-// cancelSentinel marks a context cancellation in a watcher queue.
-var cancelSentinel = Block{Height: -2}
-
 // Scheduler implements binding.Binding: Correctables over this binding run
 // on the chain's simulation clock.
 func (b *Binding) Scheduler() core.Scheduler {
@@ -103,30 +100,11 @@ func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, lev
 	wantWeak := levels.Contains(core.LevelWeak)
 	blocks, cancel := b.chain.Watch()
 	b.chain.Submit(Tx{ID: tx.ID, Data: tx.Data})
-	// Cancellable contexts are driven by host time, which the simulation
-	// clock knows nothing about: bridge them with a sentinel fed from a
-	// plain goroutine. Simulation workloads pass context.Background() and
-	// never take this path.
-	finished := make(chan struct{})
-	if ctxDone := ctx.Done(); ctxDone != nil {
-		go func() {
-			select {
-			case <-ctxDone:
-				blocks.Put(cancelSentinel)
-			case <-finished:
-			}
-		}()
-	}
 	clock.Go(func() {
 		defer cancel()
-		defer close(finished)
 		includedAt := 0
 		for {
 			blk := blocks.Get().(Block)
-			if blk.Height == cancelSentinel.Height {
-				cb(binding.Result{Err: ctx.Err()})
-				return
-			}
 			if blk.Height < 0 {
 				cb(binding.Result{Err: ErrChainStopped})
 				return

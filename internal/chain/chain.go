@@ -60,11 +60,11 @@ type Config struct {
 	BlockInterval time.Duration
 	// MinerRegion locates the (single, simulated) miner: when a fault
 	// schedule crashes the region, block production pauses until its
-	// restart, so tracked transactions see a stalled final view. This is
-	// deliberately not bounded by an OpTimeout — confirmations take
-	// arbitrarily long by nature (§4.5) — so consumers that must not wait
-	// out an unbounded outage should pass a cancellable context to
-	// SubmitOperation. Empty leaves mining unaffected by faults.
+	// restart, so tracked transactions see a stalled final view. The
+	// binding sets no default bound — confirmations take arbitrarily long
+	// by nature (§4.5) — so clients that must not wait out an unbounded
+	// outage bound their invocations with binding.WithOpTimeout. Empty
+	// leaves mining unaffected by faults.
 	MinerRegion netsim.Region
 	// Seed fixes the block-timing RNG.
 	Seed int64
@@ -84,8 +84,8 @@ type Chain struct {
 	blocks   []Block
 	watchers []*netsim.Queue
 	stopped  bool
-	// minerDown mirrors the miner region's crash state, maintained by the
-	// injector's OnDown/OnUp notifications (not polled).
+	// minerDown mirrors the miner region's crash state, read from the
+	// injector after every fault transition (not polled per block).
 	minerDown bool
 }
 
@@ -109,18 +109,16 @@ func New(cfg Config) (*Chain, error) {
 	if m := cfg.MinerRegion; m != "" {
 		if inj, ok := cfg.Transport.Interceptor().(*faults.Injector); ok {
 			c.minerDown = inj.Down(m)
-			inj.OnDown(m, func() { c.setMinerDown(true) })
-			inj.OnUp(m, func() { c.setMinerDown(false) })
+			inj.Subscribe(func(faults.Transition) {
+				down := inj.Down(m)
+				c.mu.Lock()
+				c.minerDown = down
+				c.mu.Unlock()
+			})
 		}
 	}
 	c.scheduleNext()
 	return c, nil
-}
-
-func (c *Chain) setMinerDown(down bool) {
-	c.mu.Lock()
-	c.minerDown = down
-	c.mu.Unlock()
 }
 
 // stopSentinel is delivered to every watcher when the chain stops.

@@ -2,7 +2,6 @@ package chain
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -115,25 +114,6 @@ func TestBindingStrongOnlySingleView(t *testing.T) {
 	}
 	if len(cor.Views()) != 1 {
 		t.Errorf("strong-only views = %d, want 1", len(cor.Views()))
-	}
-}
-
-// TestBindingContextCancellation: cancellation is a host-time event the
-// clock knows nothing about, so the test waits for it on the host — model
-// time, and with it mining, only moves while the root actor blocks through
-// the clock. Draining the world afterwards proves the transaction tracker
-// was released too.
-func TestBindingContextCancellation(t *testing.T) {
-	c := newTestChain(t, time.Hour)
-	client := binding.NewClient(NewBinding(c, 2))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cor := Submit(ctx, client, SubmitTx{ID: "tx-3"})
-	closed := make(chan struct{})
-	cor.Finally(func() { close(closed) })
-	<-closed
-	if _, err := cor.Final(context.Background()); !errors.Is(err, context.Canceled) {
-		t.Errorf("Final = %v, want context.Canceled", err)
 	}
 }
 

@@ -301,27 +301,11 @@ func (c *Correctable[T]) OnUpdate(f func(View[T])) *Correctable[T] {
 	return c.SetCallbacks(Callbacks[T]{OnUpdate: f})
 }
 
-// Finally invokes f exactly once when c leaves the Updating state, whether
-// it closed with a view or an error, and returns c for chaining.
-func (c *Correctable[T]) Finally(f func()) *Correctable[T] {
-	return c.SetCallbacks(Callbacks[T]{
-		OnFinal: func(View[T]) { f() },
-		OnError: func(error) { f() },
-	})
-}
-
 // State returns the current state.
 func (c *Correctable[T]) State() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.state
-}
-
-// Err returns the closing error, if any.
-func (c *Correctable[T]) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
 }
 
 // Views returns a copy of all views delivered so far, in order.
@@ -344,8 +328,8 @@ func (c *Correctable[T]) Latest() (View[T], bool) {
 
 // Final blocks through the scheduler until the Correctable closes and
 // returns the final view, or the closing error. ctx is not consulted: a
-// Correctable closes on its clock, and cancellation reaches it through the
-// client library, which fails the invocation when its context is cancelled.
+// Correctable closes on its clock, with a final view, a binding error or
+// the client library's operation timeout.
 func (c *Correctable[T]) Final(ctx context.Context) (View[T], error) {
 	var zero View[T]
 	c.awaitTerminal()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -69,8 +68,8 @@ func TestErrorState(t *testing.T) {
 	if c.State() != StateError {
 		t.Fatalf("state = %v, want error", c.State())
 	}
-	if !errors.Is(c.Err(), boom) || !errors.Is(got, boom) {
-		t.Errorf("Err() = %v, callback err = %v", c.Err(), got)
+	if _, err := c.Final(context.Background()); !errors.Is(err, boom) || !errors.Is(got, boom) {
+		t.Errorf("Final err = %v, callback err = %v", err, got)
 	}
 	if err := ctrl.Update(1, LevelWeak); !errors.Is(err, ErrClosed) {
 		t.Errorf("Update after Fail = %v, want ErrClosed", err)
@@ -244,29 +243,12 @@ func TestFailed(t *testing.T) {
 	}
 }
 
-func TestFinallyRunsOnceEitherWay(t *testing.T) {
-	for _, fail := range []bool{false, true} {
-		c, ctrl := newOnHost[any]()
-		var n int32
-		c.Finally(func() { atomic.AddInt32(&n, 1) })
-		_ = ctrl.Update(1, LevelWeak)
-		if fail {
-			_ = ctrl.Fail(errors.New("x"))
-		} else {
-			_ = ctrl.Close(2, LevelStrong)
-		}
-		if got := atomic.LoadInt32(&n); got != 1 {
-			t.Errorf("fail=%v: Finally ran %d times", fail, got)
-		}
-	}
-}
-
 func TestFailNilError(t *testing.T) {
 	c, ctrl := newOnHost[any]()
 	if err := ctrl.Fail(nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.Err() == nil {
+	if _, err := c.Final(context.Background()); err == nil {
 		t.Error("Fail(nil) should synthesize a non-nil error")
 	}
 }

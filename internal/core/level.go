@@ -17,7 +17,7 @@
 // Correctables inherit from modern Promises, which the paper elides for
 // space (§3.2: "error handling, timeouts, or other features inherited from
 // modern Promises, such as aggregation or monadic-style chaining"), it keeps
-// only those an app, example or experiment calls: Failed and Finally.
+// only the one an app, example or experiment calls: Failed.
 // Operation timeouts live in the invoke pipeline (binding.WithOpTimeout),
 // not on the Correctable. Storage-specific protocol code lives in bindings
 // (package binding and the per-store packages).

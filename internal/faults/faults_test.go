@@ -38,21 +38,26 @@ func TestScheduleDSLOrdering(t *testing.T) {
 }
 
 func TestRandomScheduleDeterministicAndBounded(t *testing.T) {
-	p := ProfileMild(time.Second)
-	a, b := Random(7, p), Random(7, p)
-	if a.String() != b.String() {
-		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
+	profs, err := ProfilesByName("tracks-harsh", time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(a.Events()) == 0 {
-		t.Fatal("mild profile generated no events over 20s horizon")
-	}
-	for _, te := range a.Events() {
-		if te.At > p.Horizon {
-			t.Errorf("event %v past horizon", te)
+	for _, p := range profs {
+		a, b := Random(7, p), Random(7, p)
+		if a.String() != b.String() {
+			t.Fatalf("%s: same seed diverged:\n%s\nvs\n%s", p.Name, a, b)
 		}
-	}
-	if Random(8, p).String() == a.String() {
-		t.Error("different seeds produced identical schedules")
+		if len(a.Events()) == 0 {
+			t.Fatalf("%s track generated no events over 20s horizon", p.Name)
+		}
+		for _, te := range a.Events() {
+			if te.At > p.Horizon {
+				t.Errorf("%s: event %v past horizon", p.Name, te)
+			}
+		}
+		if Random(8, p).String() == a.String() {
+			t.Errorf("%s: different seeds produced identical schedules", p.Name)
+		}
 	}
 }
 
@@ -66,17 +71,19 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("%s: incomplete scenario %+v", name, sc)
 		}
 	}
-	if sc, err := ParseSpec("123:harsh", time.Second); err != nil || sc.Schedule == nil {
+	if sc, err := ParseSpec("123:tracks-harsh", time.Second); err != nil || sc.Schedule == nil {
 		t.Errorf("seed spec: %v, %+v", err, sc)
 	}
 	if _, err := ParseSpec("nope", time.Second); err == nil {
 		t.Error("unknown scenario accepted")
 	}
-	if _, err := ParseSpec("x:mild", time.Second); err == nil {
+	if _, err := ParseSpec("x:tracks-mild", time.Second); err == nil {
 		t.Error("bad seed accepted")
 	}
-	if _, err := ParseSpec("1:nope", time.Second); err == nil {
-		t.Error("unknown profile accepted")
+	for _, prof := range []string{"nope", "mild", "harsh"} {
+		if _, err := ParseSpec("1:"+prof, time.Second); err == nil {
+			t.Errorf("unknown profile %q accepted", prof)
+		}
 	}
 }
 

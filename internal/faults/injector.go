@@ -65,15 +65,6 @@ type Injector struct {
 	done    bool
 	log     []Transition
 	subs    []func(Transition)
-	// regionSubs holds the OnDown/OnUp edge subscribers per region
-	// (copy-on-write lists, like subs).
-	regionSubs map[netsim.Region]*regionSub
-}
-
-// regionSub is one region's down/up edge subscriber lists.
-type regionSub struct {
-	down []func()
-	up   []func()
 }
 
 // activePart is one active partition: its Heal-pairing id (0 for untagged
@@ -191,39 +182,10 @@ func (i *Injector) Apply(ev Event) {
 }
 
 // applyLocked mutates state, logs the transition, rolls the epoch event and
-// notifies subscribers — per-region down/up edges first (they flip cheap
-// liveness flags), then the generic transition subscribers (they typically
-// arm state-transfer sends against the flags the edges just set). Enters
-// with i.mu held, returns with it released.
+// notifies subscribers in registration order. Enters with i.mu held,
+// returns with it released.
 func (i *Injector) applyLocked(ev Event) {
-	// Snapshot the down-state of every edge-subscribed region so the event's
-	// mutation can be diffed into OnDown/OnUp edges. Regions fire in name
-	// order — map order would perturb determinism.
-	var watched []netsim.Region
-	for r := range i.regionSubs {
-		watched = append(watched, r)
-	}
-	sort.Slice(watched, func(a, b int) bool { return watched[a] < watched[b] })
-	before := make(map[netsim.Region]bool, len(watched))
-	for _, r := range watched {
-		before[r] = i.down[r] > 0
-	}
-
 	ev.mutate(i)
-
-	var edges []func()
-	for _, r := range watched {
-		after := i.down[r] > 0
-		if after == before[r] {
-			continue
-		}
-		if after {
-			edges = append(edges, i.regionSubs[r].down...)
-		} else {
-			edges = append(edges, i.regionSubs[r].up...)
-		}
-	}
-
 	tr := Transition{At: i.clock.Now(), Event: ev, Desc: ev.String()}
 	i.log = append(i.log, tr)
 	old := i.epochEv
@@ -231,9 +193,6 @@ func (i *Injector) applyLocked(ev Event) {
 	subs := i.subs
 	i.mu.Unlock()
 	old.Fire() // stalled senders recheck against the new epoch
-	for _, fn := range edges {
-		fn()
-	}
 	for _, fn := range subs {
 		fn(tr)
 	}
@@ -268,7 +227,8 @@ func (i *Injector) Quiesce() {
 // Subscribe registers fn to run after every transition (including expiries
 // and the final Quiesce). Callbacks run in clock callback context: they
 // must not block, and typically just compare replica states and arm
-// asynchronous state-transfer sends.
+// asynchronous state-transfer sends, or read Down to track a region's
+// liveness.
 func (i *Injector) Subscribe(fn func(Transition)) {
 	i.mu.Lock()
 	// Copy-on-write: applyLocked snapshots i.subs without copying, so the
@@ -277,45 +237,6 @@ func (i *Injector) Subscribe(fn func(Transition)) {
 	copy(subs, i.subs)
 	i.subs = append(subs, fn)
 	i.mu.Unlock()
-}
-
-// OnDown registers fn to run whenever the region transitions from up to
-// down (its active-crash count crosses zero). Like Subscribe callbacks, fn
-// runs in clock callback context and must not block. Bindings use these
-// edges to maintain liveness flags instead of polling Down on every tick.
-func (i *Injector) OnDown(r netsim.Region, fn func()) {
-	i.onEdge(r, fn, true)
-}
-
-// OnUp registers fn to run whenever the region transitions from down to up
-// (including the final Quiesce, which restarts everything). Same callback
-// discipline as OnDown.
-func (i *Injector) OnUp(r netsim.Region, fn func()) {
-	i.onEdge(r, fn, false)
-}
-
-func (i *Injector) onEdge(r netsim.Region, fn func(), down bool) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if i.regionSubs == nil {
-		i.regionSubs = make(map[netsim.Region]*regionSub)
-	}
-	rs := i.regionSubs[r]
-	if rs == nil {
-		rs = &regionSub{}
-		i.regionSubs[r] = rs
-	}
-	// Copy-on-write, like subs: applyLocked snapshots the lists without
-	// copying, so they must never be appended to in place.
-	if down {
-		list := make([]func(), len(rs.down), len(rs.down)+1)
-		copy(list, rs.down)
-		rs.down = append(list, fn)
-	} else {
-		list := make([]func(), len(rs.up), len(rs.up)+1)
-		copy(list, rs.up)
-		rs.up = append(list, fn)
-	}
 }
 
 // Reachable reports whether a message from a to b would currently make
@@ -328,7 +249,9 @@ func (i *Injector) Reachable(a, b netsim.Region) bool {
 	return i.passableLocked(a, b)
 }
 
-// Down reports whether the region is currently crashed.
+// Down reports whether the region is currently crashed: a crash not yet
+// matched by a Restart is in force (overlapping crashes of one region
+// need one Restart each), and Quiesce restarts every region.
 func (i *Injector) Down(r netsim.Region) bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()

@@ -33,53 +33,15 @@ func defaultRegions() []netsim.Region {
 	return []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG}
 }
 
-// ProfileMild returns a gentle profile: occasional single-region faults and
-// link degradations, scaled to the given time unit (see ScenarioByName for
-// the unit convention; Horizon is 20 units).
-func ProfileMild(unit time.Duration) Profile {
-	return Profile{
-		Name:         "mild",
-		Regions:      defaultRegions(),
-		Horizon:      20 * unit,
-		MeanGap:      4 * unit,
-		MeanDuration: 2 * unit,
-		PartitionW:   1, CrashW: 1, SpikeW: 2, DropW: 2,
-	}
-}
-
-// ProfileHarsh returns a hostile profile: frequent, long, overlapping
-// faults of every kind.
-func ProfileHarsh(unit time.Duration) Profile {
-	return Profile{
-		Name:         "harsh",
-		Regions:      defaultRegions(),
-		Horizon:      20 * unit,
-		MeanGap:      unit,
-		MeanDuration: 3 * unit,
-		PartitionW:   3, CrashW: 2, SpikeW: 1, DropW: 2,
-	}
-}
-
-// ProfileByName resolves "mild" or "harsh".
-func ProfileByName(name string, unit time.Duration) (Profile, error) {
-	switch name {
-	case "mild":
-		return ProfileMild(unit), nil
-	case "harsh":
-		return ProfileHarsh(unit), nil
-	default:
-		return Profile{}, fmt.Errorf("faults: unknown profile %q (have mild, harsh)", name)
-	}
-}
-
-// ProfileNames lists every name ProfilesByName resolves: the single-track
-// profiles and the composed track products.
+// ProfileNames lists every name ProfilesByName resolves: the composed track
+// products.
 func ProfileNames() []string {
-	return []string{"mild", "harsh", "tracks-mild", "tracks-harsh", "tracks-sharded"}
+	return []string{"tracks-mild", "tracks-harsh", "tracks-sharded"}
 }
 
 // trackProfile is one per-kind nemesis track: a Profile with a single fault
-// kind enabled, named after the track.
+// kind enabled, named after the track, scaled to the given time unit (see
+// ScenarioByName for the unit convention; Horizon is 20 units).
 func trackProfile(name string, unit time.Duration, gap, dur time.Duration) Profile {
 	p := Profile{
 		Name:         name,
@@ -101,9 +63,8 @@ func trackProfile(name string, unit time.Duration, gap, dur time.Duration) Profi
 }
 
 // ProfilesByName resolves a profile name into the per-track generation
-// profiles it denotes. The legacy single-track profiles ("mild", "harsh")
-// come back as one track; the track products compose independently seeded
-// per-kind nemeses over the same horizon:
+// profiles it denotes. Each product composes independently seeded per-kind
+// nemeses over the same horizon:
 //
 //   - tracks-mild: a partitions track plus a lossy/slow-WAN track, each at
 //     roughly the mild cadence.
@@ -128,11 +89,7 @@ func ProfilesByName(name string, unit time.Duration) ([]Profile, error) {
 			trackProfile("wan", unit, 2*unit, 3*unit),
 		}, nil
 	default:
-		p, err := ProfileByName(name, unit)
-		if err != nil {
-			return nil, fmt.Errorf("faults: unknown profile %q (have %s)", name, strings.Join(ProfileNames(), ", "))
-		}
-		return []Profile{p}, nil
+		return nil, fmt.Errorf("faults: unknown profile %q (have %s)", name, strings.Join(ProfileNames(), ", "))
 	}
 }
 

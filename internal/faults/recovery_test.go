@@ -92,11 +92,18 @@ func TestUnmatchedCrashes(t *testing.T) {
 	}
 }
 
-// TestRandomCrashRestartPairingSeedSweep: across many seeds and both
-// profiles, every generated Crash has a matching Restart at or before the
-// horizon — the recovery guarantee experiments rely on.
+// TestRandomCrashRestartPairingSeedSweep: across many seeds and every
+// track of every profile, each generated Crash has a matching Restart at or
+// before the horizon — the recovery guarantee experiments rely on.
 func TestRandomCrashRestartPairingSeedSweep(t *testing.T) {
-	profiles := []Profile{ProfileMild(time.Second), ProfileHarsh(time.Second)}
+	var profiles []Profile
+	for _, name := range ProfileNames() {
+		profs, err := ProfilesByName(name, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles = append(profiles, profs...)
+	}
 	crashes := 0
 	for seed := int64(0); seed < 200; seed++ {
 		for _, p := range profiles {
@@ -122,43 +129,37 @@ func TestRandomCrashRestartPairingSeedSweep(t *testing.T) {
 	}
 }
 
-// TestOnDownOnUpEdges: per-region notifications fire on down/up edges only
-// (a second overlapping Crash is not a new edge; the final Quiesce restarts
-// everything and fires the up edge).
-func TestOnDownOnUpEdges(t *testing.T) {
+// TestDownTracksCrashesThroughSubscribe: a subscriber reading Down after
+// every transition sees a region's liveness — a second overlapping Crash
+// keeps it down until the last Restart, partitions and other regions'
+// crashes leave it alone, and the final Quiesce restarts everything.
+func TestDownTracksCrashesThroughSubscribe(t *testing.T) {
 	_, _, inj := newFabric(t)
-	var downs, ups int
-	inj.OnDown(netsim.VRG, func() { downs++ })
-	inj.OnUp(netsim.VRG, func() { ups++ })
+	var seen []bool // VRG's Down after each transition
+	inj.Subscribe(func(Transition) { seen = append(seen, inj.Down(netsim.VRG)) })
+	step := func(ev Event, want bool) {
+		t.Helper()
+		inj.Apply(ev)
+		if got := seen[len(seen)-1]; got != want {
+			t.Fatalf("after %v: Down(VRG) = %v, want %v", ev, got, want)
+		}
+	}
 
-	inj.Apply(Crash{Region: netsim.VRG})
-	if downs != 1 || ups != 0 {
-		t.Fatalf("after crash: downs=%d ups=%d, want 1/0", downs, ups)
-	}
-	inj.Apply(Crash{Region: netsim.VRG}) // overlapping crash: no edge
-	inj.Apply(Restart{Region: netsim.VRG})
-	if downs != 1 || ups != 0 {
-		t.Fatalf("after first restart of a double crash: downs=%d ups=%d, want 1/0", downs, ups)
-	}
-	inj.Apply(Restart{Region: netsim.VRG})
-	if downs != 1 || ups != 1 {
-		t.Fatalf("after full restart: downs=%d ups=%d, want 1/1", downs, ups)
-	}
-	// Partitions touch reachability, not region liveness: no edges.
-	inj.Apply(Partition{Groups: [][]netsim.Region{{netsim.VRG}, {netsim.FRK, netsim.IRL}}})
-	inj.Apply(Heal{})
-	if downs != 1 || ups != 1 {
-		t.Fatalf("partition fired region edges: downs=%d ups=%d", downs, ups)
-	}
-	// Other regions' faults don't fire VRG's edges.
-	inj.Apply(Crash{Region: netsim.FRK})
-	if downs != 1 {
-		t.Fatalf("FRK crash fired VRG's down edge")
-	}
-	inj.Apply(Crash{Region: netsim.VRG})
+	step(Crash{Region: netsim.VRG}, true)
+	step(Crash{Region: netsim.VRG}, true) // overlapping crash
+	step(Restart{Region: netsim.VRG}, true)
+	step(Restart{Region: netsim.VRG}, false)
+	// Partitions touch reachability, not region liveness.
+	step(Partition{Groups: [][]netsim.Region{{netsim.VRG}, {netsim.FRK, netsim.IRL}}}, false)
+	step(Heal{}, false)
+	step(Crash{Region: netsim.FRK}, false)
+	step(Crash{Region: netsim.VRG}, true)
 	inj.Quiesce() // clears all faults: VRG comes back up
-	if downs != 2 || ups != 2 {
-		t.Fatalf("after quiesce: downs=%d ups=%d, want 2/2", downs, ups)
+	if seen[len(seen)-1] || inj.Down(netsim.FRK) {
+		t.Fatal("Quiesce left a region down")
+	}
+	if len(seen) != 9 {
+		t.Fatalf("subscriber ran %d times, want once per transition (9)", len(seen))
 	}
 }
 

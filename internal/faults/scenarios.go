@@ -119,10 +119,9 @@ func ScenarioByName(name string, u time.Duration) (*Scenario, error) {
 
 // ParseSpec resolves a -faults command-line spec at time unit u: either a
 // scenario name from the catalog ("minority-partition") or "<seed>:<profile>"
-// ("1234:mild", "7:tracks-harsh") for a random schedule generated from the
-// seed — single-track for the legacy profiles, a composed set of
-// independently seeded nemesis tracks for the tracks-* products. Random
-// scenarios report over four equal phase windows.
+// ("7:tracks-harsh") for a random schedule generated from the seed: the
+// profile's independently seeded nemesis tracks, composed. Random scenarios
+// report over four equal phase windows.
 func ParseSpec(spec string, u time.Duration) (*Scenario, error) {
 	if seedStr, profStr, ok := strings.Cut(spec, ":"); ok {
 		seed, err := strconv.ParseInt(seedStr, 10, 64)
@@ -133,26 +132,15 @@ func ParseSpec(spec string, u time.Duration) (*Scenario, error) {
 		if err != nil {
 			return nil, err
 		}
-		var sched *Schedule
 		var horizon time.Duration
-		if len(profs) == 1 {
-			// The single-track path stays Random(seed, profile) so historical
-			// "<seed>:mild" specs replay the exact schedules they always did.
-			sched = Random(seed, profs[0])
-			horizon = profs[0].Horizon
-		} else {
-			sched = Compose(RandomTracks(seed, profs)...)
-			for _, p := range profs {
-				if p.Horizon > horizon {
-					horizon = p.Horizon
-				}
-			}
+		for _, p := range profs {
+			horizon = max(horizon, p.Horizon)
 		}
 		q := horizon / 4
 		return &Scenario{
 			Name:        spec,
 			Description: fmt.Sprintf("random schedule, seed %d, profile %s", seed, profStr),
-			Schedule:    sched,
+			Schedule:    Compose(RandomTracks(seed, profs)...),
 			Phases: []Phase{
 				{Name: "q1", Start: 0, End: q},
 				{Name: "q2", Start: q, End: 2 * q},

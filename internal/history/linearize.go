@@ -358,7 +358,6 @@ func phantomViolation(key, detail string, witness ...Op) Violation {
 // violation.
 func RegisterHistory(ops []Op, key string) ([]LinOp, []Violation) {
 	var lin []LinOp
-	var violations []Violation
 	known := map[uint64]bool{0: true}
 	var ambiguous []*Op // incomplete puts, in start order
 	keyed := keyedOps(ops, key)
@@ -390,39 +389,14 @@ func RegisterHistory(ops []Op, key string) ([]LinOp, []Violation) {
 		}
 	}
 	// Phantom writes: versions that were read but never acknowledged to a
-	// recorded writer. Greedily blame ambiguous puts in start order
-	// (version tokens are issued in coordinator-apply order, which tracks
-	// submission order).
-	var unknown []uint64
-	seenUnknown := map[uint64]bool{}
-	for i := range lin {
-		l := &lin[i]
-		if l.Kind == "get" && !known[l.Version] && !seenUnknown[l.Version] {
-			seenUnknown[l.Version] = true
-			unknown = append(unknown, l.Version)
-		}
-	}
-	slices.Sort(unknown)
-	slices.SortStableFunc(ambiguous, byStartRef)
-	for i, v := range unknown {
-		if i < len(ambiguous) {
-			// All phantoms use the earliest ambiguous start as their call
-			// point: the version-to-write pairing is a heuristic (tokens
-			// are issued at apply time, which can reorder against
-			// submission for stalled writes), and an under-constrained
-			// call can only admit more linearizations, never fabricate a
-			// violation.
-			lin = append(lin, LinOp{
-				Kind: "put", Version: v,
-				Call: ambiguous[0].Start, Return: forever, Optional: true,
-				Source: ambiguous[i],
-			})
-			continue
-		}
-		violations = append(violations, phantomViolation(key,
-			fmt.Sprintf("read returned version %d, which no recorded write (completed or in-flight) produced", v)))
-	}
-	return lin, violations
+	// recorded writer. Version tokens are issued in coordinator-apply
+	// order, which tracks submission order.
+	return attributePhantoms(lin, key, known, ambiguous,
+		func(l *LinOp) (uint64, bool) { return l.Version, l.Kind == "get" },
+		func(v uint64) LinOp { return LinOp{Kind: "put", Version: v} },
+		func(v uint64) string {
+			return fmt.Sprintf("read returned version %d, which no recorded write (completed or in-flight) produced", v)
+		})
 }
 
 // QueueHistory converts one queue's recorded enqueue/dequeue operations
@@ -437,7 +411,6 @@ func RegisterHistory(ops []Op, key string) ([]LinOp, []Violation) {
 // entirely.
 func QueueHistory(ops []Op, queue string) ([]LinOp, []Violation) {
 	var lin []LinOp
-	var violations []Violation
 	known := map[string]bool{}
 	var ambiguous []*Op
 	keyed := keyedOps(ops, queue)
@@ -471,31 +444,50 @@ func QueueHistory(ops []Op, queue string) ([]LinOp, []Violation) {
 	}
 	// Phantom enqueues: dequeued element identities nobody completed an
 	// enqueue for. Elements are sequential znode names, so identity order
-	// tracks commit order; blame ambiguous enqueues in start order.
-	var unknown []string
-	seenUnknown := map[string]bool{}
+	// tracks commit order.
+	return attributePhantoms(lin, queue, known, ambiguous,
+		func(l *LinOp) (string, bool) {
+			return l.Elem, l.Kind == "dequeue" && l.Elem != "" && l.Elem != anyElem
+		},
+		func(elem string) LinOp { return LinOp{Kind: "enqueue", Elem: elem} },
+		func(elem string) string {
+			return fmt.Sprintf("dequeue returned element %q, which no recorded enqueue (completed or in-flight) produced", elem)
+		})
+}
+
+// attributePhantoms explains the tokens (register versions, queue
+// elements) that an output of lin returned but no completed mutation
+// produced: out reports an output's token, and whether the output
+// constrains one; known holds the tokens completed mutations produced.
+// Tokens are issued in commit order, so the unknown ones, in token order,
+// are blamed greedily on the ambiguous (incomplete) mutations in start
+// order, each as the optional mutation mutation(token) builds. All of them
+// use the earliest ambiguous start as their call point: the pairing is a
+// heuristic (a stalled mutation can commit out of submission order), and an
+// under-constrained call can only admit more linearizations, never
+// fabricate a violation. A token left once the ambiguous mutations run out
+// is a phantom violation, described by orphan.
+func attributePhantoms[K cmp.Ordered](lin []LinOp, key string, known map[K]bool, ambiguous []*Op,
+	out func(*LinOp) (K, bool), mutation func(K) LinOp, orphan func(K) string) ([]LinOp, []Violation) {
+	var unknown []K
+	seen := map[K]bool{}
 	for i := range lin {
-		l := &lin[i]
-		if l.Kind == "dequeue" && l.Elem != "" && l.Elem != anyElem && !known[l.Elem] && !seenUnknown[l.Elem] {
-			seenUnknown[l.Elem] = true
-			unknown = append(unknown, l.Elem)
+		if t, ok := out(&lin[i]); ok && !known[t] && !seen[t] {
+			seen[t] = true
+			unknown = append(unknown, t)
 		}
 	}
 	slices.Sort(unknown)
 	slices.SortStableFunc(ambiguous, byStartRef)
-	for i, elem := range unknown {
+	var violations []Violation
+	for i, t := range unknown {
 		if i < len(ambiguous) {
-			// Earliest ambiguous start as the call point; see
-			// RegisterHistory for why this is the sound choice.
-			lin = append(lin, LinOp{
-				Kind: "enqueue", Elem: elem,
-				Call: ambiguous[0].Start, Return: forever, Optional: true,
-				Source: ambiguous[i],
-			})
+			l := mutation(t)
+			l.Call, l.Return, l.Optional, l.Source = ambiguous[0].Start, forever, true, ambiguous[i]
+			lin = append(lin, l)
 			continue
 		}
-		violations = append(violations, phantomViolation(queue,
-			fmt.Sprintf("dequeue returned element %q, which no recorded enqueue (completed or in-flight) produced", elem)))
+		violations = append(violations, phantomViolation(key, orphan(t)))
 	}
 	return lin, violations
 }
@@ -504,12 +496,27 @@ func QueueHistory(ops []Op, queue string) ([]LinOp, []Violation) {
 // history of get/put operations, returning all violations (including
 // phantom reads) and the keys whose search was inconclusive.
 func CheckRegisters(ops []Op, budget int) ([]Violation, []string) {
+	return checkObjects(ops, budget, RegisterModel{}, "register", RegisterHistory)
+}
+
+// CheckQueues runs the FIFO-queue linearizability check per queue over a
+// history of enqueue/dequeue operations.
+func CheckQueues(ops []Op, budget int) ([]Violation, []string) {
+	return checkObjects(ops, budget, QueueModel{}, "queue", QueueHistory)
+}
+
+// checkObjects is the per-object driver of CheckRegisters and CheckQueues.
+// Linearizability is local, so each object of ops (a key or a queue) is
+// converted by toLin and searched under model on its own; noun names the
+// model in a violation's detail.
+func checkObjects(ops []Op, budget int, model Model, noun string,
+	toLin func([]Op, string) ([]LinOp, []Violation)) ([]Violation, []string) {
 	var out []Violation
 	var inconclusive []string
 	for _, key := range Keys(ops) {
-		lin, phantoms := RegisterHistory(ops, key)
+		lin, phantoms := toLin(ops, key)
 		out = append(out, phantoms...)
-		res := CheckLinearizable(RegisterModel{}, lin, budget)
+		res := CheckLinearizable(model, lin, budget)
 		if res.Inconclusive {
 			inconclusive = append(inconclusive, key)
 			continue
@@ -518,32 +525,7 @@ func CheckRegisters(ops []Op, budget int) ([]Violation, []string) {
 			out = append(out, Violation{
 				Guarantee: "linearizability",
 				Key:       key,
-				Detail:    fmt.Sprintf("no linearization of %d register ops exists; frontier ops follow", len(lin)),
-				Witness:   res.Witness,
-			})
-		}
-	}
-	return out, inconclusive
-}
-
-// CheckQueues runs the FIFO-queue linearizability check per queue over a
-// history of enqueue/dequeue operations.
-func CheckQueues(ops []Op, budget int) ([]Violation, []string) {
-	var out []Violation
-	var inconclusive []string
-	for _, queue := range Keys(ops) {
-		lin, phantoms := QueueHistory(ops, queue)
-		out = append(out, phantoms...)
-		res := CheckLinearizable(QueueModel{}, lin, budget)
-		if res.Inconclusive {
-			inconclusive = append(inconclusive, queue)
-			continue
-		}
-		if !res.Ok {
-			out = append(out, Violation{
-				Guarantee: "linearizability",
-				Key:       queue,
-				Detail:    fmt.Sprintf("no linearization of %d queue ops exists; frontier ops follow", len(lin)),
+				Detail:    fmt.Sprintf("no linearization of %d %s ops exists; frontier ops follow", len(lin), noun),
 				Witness:   res.Witness,
 			})
 		}

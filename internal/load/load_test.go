@@ -240,12 +240,4 @@ func TestControllerPerClientBucketAndMeter(t *testing.T) {
 	if got := meter.Load(netsim.LinkClient).Retried; got != 1 {
 		t.Errorf("retried counter %d, want 1", got)
 	}
-	snap := meter.SnapshotLoad()
-	if snap[netsim.LinkClient].Rejected != 1 {
-		t.Errorf("snapshot %+v missing the rejection", snap)
-	}
-	meter.Reset()
-	if got := meter.Load(netsim.LinkClient); got != (netsim.LoadStats{}) {
-		t.Errorf("reset left load stats %+v", got)
-	}
 }

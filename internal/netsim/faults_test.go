@@ -146,20 +146,16 @@ func TestTransportInterceptorStallSyncRetries(t *testing.T) {
 	clock.Drain()
 }
 
-func TestMeterDroppedSeparateAndReset(t *testing.T) {
+func TestMeterDroppedSeparate(t *testing.T) {
 	m := NewMeter()
 	m.Account(LinkClient, 100)
 	m.AccountDropped(LinkClient, 40)
-	m.AccountDropped("custom", 7)
-	if got := m.Snapshot()[LinkClient]; got.Bytes != 100 {
+	m.AccountDropped(LinkReplica, 7)
+	if got := m.Snapshot(); len(got) != 1 || got[LinkClient].Bytes != 100 {
 		t.Errorf("delivered snapshot = %+v", got)
 	}
 	snap := m.SnapshotDropped()
-	if snap[LinkClient].Bytes != 40 || snap["custom"].Messages != 1 {
+	if snap[LinkClient].Bytes != 40 || snap[LinkReplica].Messages != 1 {
 		t.Errorf("dropped snapshot = %+v", snap)
-	}
-	m.Reset()
-	if len(m.SnapshotDropped()) != 0 || len(m.Snapshot()) != 0 {
-		t.Error("Reset left counters behind")
 	}
 }

@@ -1,13 +1,11 @@
 package netsim
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Link classes used by the stores in this repository. The paper's bandwidth
 // figures (Fig 8, Fig 10) measure the client-replica link specifically, so
-// the meter aggregates by class rather than by region pair.
+// the meter aggregates by class rather than by region pair. These two are
+// the only classes: the meter panics on any other.
 const (
 	LinkClient  = "client"  // client <-> contact/coordinator replica
 	LinkReplica = "replica" // inter-replica traffic
@@ -20,10 +18,9 @@ type LinkStats struct {
 }
 
 // linkCounters accumulates one class's traffic with atomics: Account is on
-// the per-message hot path of every simulated send, so the two standard
-// classes bypass the mutex+map entirely. The two adds are not atomic
-// together; mid-run snapshots may be off by one in-flight message, which
-// no consumer observes (experiments snapshot at quiescence).
+// the per-message hot path of every simulated send. The two adds are not
+// atomic together; mid-run snapshots may be off by one in-flight message,
+// which no consumer observes (experiments snapshot at quiescence).
 type linkCounters struct {
 	bytes    atomic.Int64
 	messages atomic.Int64
@@ -50,55 +47,40 @@ type LoadStats struct {
 	Retried  int64
 }
 
+// classCounters is everything the meter counts for one link class.
+type classCounters struct {
+	delivered, dropped      linkCounters
+	rejected, shed, retried atomic.Int64
+}
+
 // Meter accumulates wire traffic by link class. Delivered and dropped
 // traffic are kept in separate counters: messages a fault schedule drops or
 // severs (see Transport and the faults package) never pollute the delivered
 // totals, so bandwidth figures stay trustworthy under fault injection.
 // It is safe for concurrent use.
 type Meter struct {
-	client  linkCounters
-	replica linkCounters
-
-	droppedClient  linkCounters
-	droppedReplica linkCounters
-
-	mu           sync.Mutex
-	other        map[string]LinkStats // custom classes, off the hot path
-	otherDropped map[string]LinkStats
-
-	// Admission outcomes happen at operation granularity, not per message,
-	// so a mutex-protected map (like the custom classes above) is cheap
-	// enough even under a storm of rejections.
-	loadMu sync.Mutex
-	load   map[string]LoadStats
+	client, replica classCounters
 }
 
 // NewMeter returns an empty meter.
-func NewMeter() *Meter {
-	return &Meter{
-		other:        make(map[string]LinkStats),
-		otherDropped: make(map[string]LinkStats),
-		load:         make(map[string]LoadStats),
+func NewMeter() *Meter { return &Meter{} }
+
+// of returns the counters of one link class; it panics on a class other
+// than LinkClient and LinkReplica.
+func (m *Meter) of(class string) *classCounters {
+	switch class {
+	case LinkClient:
+		return &m.client
+	case LinkReplica:
+		return &m.replica
 	}
+	panic("netsim: unknown link class " + class)
 }
 
 // Account records one message of the given size on the given link class.
 func (m *Meter) Account(class string, bytes int) {
-	if m == nil {
-		return
-	}
-	switch class {
-	case LinkClient:
-		m.client.add(bytes)
-	case LinkReplica:
-		m.replica.add(bytes)
-	default:
-		m.mu.Lock()
-		s := m.other[class]
-		s.Bytes += int64(bytes)
-		s.Messages++
-		m.other[class] = s
-		m.mu.Unlock()
+	if m != nil {
+		m.of(class).delivered.add(bytes)
 	}
 }
 
@@ -106,47 +88,33 @@ func (m *Meter) Account(class string, bytes int) {
 // lossy link, or severed by a partition/crash) on the given link class. The
 // bytes never count toward the delivered statistics.
 func (m *Meter) AccountDropped(class string, bytes int) {
-	if m == nil {
-		return
-	}
-	switch class {
-	case LinkClient:
-		m.droppedClient.add(bytes)
-	case LinkReplica:
-		m.droppedReplica.add(bytes)
-	default:
-		m.mu.Lock()
-		s := m.otherDropped[class]
-		s.Bytes += int64(bytes)
-		s.Messages++
-		m.otherDropped[class] = s
-		m.mu.Unlock()
+	if m != nil {
+		m.of(class).dropped.add(bytes)
 	}
 }
 
 // AccountRejected records one operation attempt refused by an admission
 // gate on the given link class.
-func (m *Meter) AccountRejected(class string) { m.accountLoad(class, 1, 0, 0) }
+func (m *Meter) AccountRejected(class string) {
+	if m != nil {
+		m.of(class).rejected.Add(1)
+	}
+}
 
 // AccountShed records one operation attempt an admission gate degraded to
 // preliminary-only service on the given link class.
-func (m *Meter) AccountShed(class string) { m.accountLoad(class, 0, 1, 0) }
+func (m *Meter) AccountShed(class string) {
+	if m != nil {
+		m.of(class).shed.Add(1)
+	}
+}
 
 // AccountRetried records one client-side retry re-submission on the given
 // link class.
-func (m *Meter) AccountRetried(class string) { m.accountLoad(class, 0, 0, 1) }
-
-func (m *Meter) accountLoad(class string, rejected, shed, retried int64) {
-	if m == nil {
-		return
+func (m *Meter) AccountRetried(class string) {
+	if m != nil {
+		m.of(class).retried.Add(1)
 	}
-	m.loadMu.Lock()
-	s := m.load[class]
-	s.Rejected += rejected
-	s.Shed += shed
-	s.Retried += retried
-	m.load[class] = s
-	m.loadMu.Unlock()
 }
 
 // Load returns the admission-control outcome counters for one link class.
@@ -154,99 +122,35 @@ func (m *Meter) Load(class string) LoadStats {
 	if m == nil {
 		return LoadStats{}
 	}
-	m.loadMu.Lock()
-	defer m.loadMu.Unlock()
-	return m.load[class]
-}
-
-// SnapshotLoad returns a copy of the per-class admission-control outcome
-// counters. Classes with no outcomes are absent.
-func (m *Meter) SnapshotLoad() map[string]LoadStats {
-	if m == nil {
-		return nil
-	}
-	m.loadMu.Lock()
-	defer m.loadMu.Unlock()
-	out := make(map[string]LoadStats, len(m.load))
-	for k, v := range m.load {
-		out[k] = v
-	}
-	return out
+	c := m.of(class)
+	return LoadStats{Rejected: c.rejected.Load(), Shed: c.shed.Load(), Retried: c.retried.Load()}
 }
 
 // Snapshot returns a copy of the per-class statistics. Classes with no
 // traffic are absent.
 func (m *Meter) Snapshot() map[string]LinkStats {
-	m.mu.Lock()
-	out := make(map[string]LinkStats, len(m.other)+2)
-	for k, v := range m.other {
-		out[k] = v
-	}
-	m.mu.Unlock()
-	if s := m.client.stats(); s.Messages > 0 {
-		out[LinkClient] = s
-	}
-	if s := m.replica.stats(); s.Messages > 0 {
-		out[LinkReplica] = s
-	}
-	return out
+	return snapshot(m.client.delivered.stats(), m.replica.delivered.stats())
 }
 
 // SnapshotDropped returns a copy of the per-class dropped/severed
 // statistics. Classes with no dropped traffic are absent.
 func (m *Meter) SnapshotDropped() map[string]LinkStats {
-	m.mu.Lock()
-	out := make(map[string]LinkStats, len(m.otherDropped)+2)
-	for k, v := range m.otherDropped {
-		out[k] = v
+	return snapshot(m.client.dropped.stats(), m.replica.dropped.stats())
+}
+
+func snapshot(client, replica LinkStats) map[string]LinkStats {
+	out := make(map[string]LinkStats, 2)
+	if client.Messages > 0 {
+		out[LinkClient] = client
 	}
-	m.mu.Unlock()
-	if s := m.droppedClient.stats(); s.Messages > 0 {
-		out[LinkClient] = s
-	}
-	if s := m.droppedReplica.stats(); s.Messages > 0 {
-		out[LinkReplica] = s
+	if replica.Messages > 0 {
+		out[LinkReplica] = replica
 	}
 	return out
 }
 
 // Class returns the statistics for one link class.
-func (m *Meter) Class(class string) LinkStats {
-	switch class {
-	case LinkClient:
-		return m.client.stats()
-	case LinkReplica:
-		return m.replica.stats()
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.other[class]
-}
+func (m *Meter) Class(class string) LinkStats { return m.of(class).delivered.stats() }
 
 // Dropped returns the dropped/severed statistics for one link class.
-func (m *Meter) Dropped(class string) LinkStats {
-	switch class {
-	case LinkClient:
-		return m.droppedClient.stats()
-	case LinkReplica:
-		return m.droppedReplica.stats()
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.otherDropped[class]
-}
-
-// Reset zeroes all statistics.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	m.other = make(map[string]LinkStats)
-	m.otherDropped = make(map[string]LinkStats)
-	m.mu.Unlock()
-	m.loadMu.Lock()
-	m.load = make(map[string]LoadStats)
-	m.loadMu.Unlock()
-	for _, c := range []*linkCounters{&m.client, &m.replica, &m.droppedClient, &m.droppedReplica} {
-		c.bytes.Store(0)
-		c.messages.Store(0)
-	}
-}
+func (m *Meter) Dropped(class string) LinkStats { return m.of(class).dropped.stats() }

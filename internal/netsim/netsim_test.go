@@ -85,10 +85,13 @@ func TestMeterAccounting(t *testing.T) {
 	if snap := m.Snapshot(); snap[LinkClient] != m.Class(LinkClient) || snap[LinkReplica] != m.Class(LinkReplica) {
 		t.Errorf("snapshot = %+v", snap)
 	}
-	m.Reset()
-	if s := m.Class(LinkClient); s.Bytes != 0 {
-		t.Errorf("after reset: %+v", s)
-	}
+	// The two classes are the only ones: any other is a bug at the caller.
+	defer func() {
+		if recover() == nil {
+			t.Error("Account on an unknown link class did not panic")
+		}
+	}()
+	m.Account("custom", 7)
 }
 
 func TestNilMeterAccountIsNoop(t *testing.T) {

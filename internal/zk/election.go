@@ -45,10 +45,11 @@ import (
 //	L -> F  heartbeat of a newer epoch;  none yet           -
 //	        stale win
 //
-// Crash integration rides the injector's per-region edge notifications: a
-// down server is suspended (no votes, beats, or candidacies); on restart it
-// resumes in its role with a fresh grace period. The final Quiesce stops
-// every timer chain so VirtualClock.Drain terminates.
+// Crash integration rides one injector subscription, which reads every
+// region's Down after each fault transition: a down server is suspended (no
+// votes, beats, or candidacies); on restart it resumes in its role with a
+// fresh grace period. The final Quiesce stops every timer chain so
+// VirtualClock.Drain terminates.
 //
 // Heartbeats and votes are control-plane traffic: they ride the transport
 // (so partitions and crashes apply to them) but charge no server worker
@@ -109,7 +110,8 @@ type electState struct {
 	votedFor netsim.Region
 	votedEp  uint64
 	lastBeat time.Duration // last heartbeat heard (or grace reset)
-	// suspended mirrors the region's crash state via OnDown/OnUp.
+	// suspended mirrors the region's crash state (injector Down), read
+	// after every fault transition.
 	suspended bool
 	// candidate bookkeeping
 	votes   int
@@ -137,11 +139,13 @@ func newElector(e *Ensemble, inj *faults.Injector, leader *Server) *elector {
 		// A quarter-base stagger per position in Regions order, so ties
 		// break by declaration order instead of randomness.
 		s.election.timeout = e.cfg.ElectionTimeout + time.Duration(i)*e.cfg.ElectionTimeout/4
-		inj.OnDown(r, func() { el.setSuspended(s, true) })
-		inj.OnUp(r, func() { el.setSuspended(s, false) })
+		s.election.suspended = inj.Down(r)
 		el.armTimer(s, s.election.timeout)
 	}
 	inj.Subscribe(func(t faults.Transition) {
+		for _, r := range e.order {
+			el.setSuspended(e.servers[r], inj.Down(r))
+		}
 		if t.Quiesced() {
 			// Armed timers fire once more, see stopped, and do not re-arm,
 			// so Drain terminates.
@@ -161,8 +165,15 @@ func (el *elector) lease() time.Duration { return 2 * el.hb }
 // majority is the vote count that wins an election (self included).
 func (el *elector) majority() int { return len(el.e.order)/2 + 1 }
 
+// setSuspended brings s's suspension in line with its region's crash state.
+// It is a no-op when the flag already matches, so only a real restart
+// grants a fresh grace period.
 func (el *elector) setSuspended(s *Server, down bool) {
 	el.mu.Lock()
+	if s.election.suspended == down {
+		el.mu.Unlock()
+		return
+	}
 	s.election.suspended = down
 	if !down {
 		// Fresh grace period on restart: hear the current leader (or time

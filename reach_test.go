@@ -29,6 +29,18 @@ import (
 // RetryPolicy struct that no non-test file outside its package sets, fails
 // TestReachability unless reachKeep names it with a reason; a keep entry
 // that is reached, set, or names nothing fails too.
+//
+// The same pass gates the one clock: a go statement or a use of
+// context.AfterFunc in a non-test file outside benchmark/ fails unless the
+// file is one of reachHostGo's.
+
+// reachHostGo names the files that may start goroutines: the virtual
+// clock's workers, and the hunt's parallel worlds, each on a clock of its
+// own. Anywhere else host scheduling would decide when model code runs.
+var reachHostGo = map[string]bool{
+	"internal/netsim/virtual.go": true,
+	"internal/bench/hunt.go":     true,
+}
 
 // reachKeep is the keep-table: unreached code that stays, and why. A test
 // name as the reason means "the inspection hook that test uses to look
@@ -47,8 +59,6 @@ var reachKeep = map[string]string{
 	"load.(*TokenBucket).Tokens":          "TestTokenBucketRefillAcrossVirtualTimeJump",
 	"metrics.(*Histogram).Max":            "TestPropertyHistogramInvariants",
 	"metrics.(*Histogram).Min":            "TestPropertyHistogramInvariants",
-	"netsim.(*Meter).Reset":               "TestMeterDroppedSeparateAndReset",
-	"netsim.(*Meter).SnapshotLoad":        "TestMeterLoadStats",
 	"netsim.(*Transport).Meter":           "TestCrashDropsAsyncAndCountsOnMeter",
 	"ring.(*Ring).Fingerprint":            "TestPlacementDeterministicPerSeed",
 	"zk.(*Server).Role":                   "TestElectionStalledByCrashedElectorate",
@@ -185,6 +195,7 @@ type reachAnalysis struct {
 	graph   *reachGraph            // seen = what the roots reach
 	funcs   map[string]*types.Func // every non-test function outside benchmark/
 	options map[string]bool        // every option field -> set by a non-test file outside its package
+	hostGo  []string               // every go statement and context.AfterFunc use outside reachHostGo
 }
 
 // reachStd names the standard library's interfaces whose methods the
@@ -223,6 +234,7 @@ func analyseReach(fsys fs.FS) (*reachAnalysis, error) {
 	var roots []*types.Func
 	var inits []reachDecl        // package-level initialisers always run
 	set := map[*types.Var]bool{} // struct fields set from outside their package
+	var hostGo []string
 	for _, p := range l.pkgs {
 		facade := p.path == reachModule
 		entry := strings.HasPrefix(p.path, reachModule+"/cmd/") || strings.HasPrefix(p.path, reachModule+"/examples/")
@@ -257,6 +269,9 @@ func analyseReach(fsys fs.FS) (*reachAnalysis, error) {
 				}
 			}
 			noteSets(f, p, set)
+			if name := l.fset.File(f.Pos()).Name(); p.path != reachRuler && !reachHostGo[name] {
+				hostGo = append(hostGo, hostGoroutines(l.fset, f, p.info)...)
+			}
 		}
 		for _, imp := range p.types.Imports() {
 			for _, name := range reachStd[imp.Path()] {
@@ -272,7 +287,7 @@ func analyseReach(fsys fs.FS) (*reachAnalysis, error) {
 		g.visit(fn)
 	}
 
-	a := &reachAnalysis{graph: g, funcs: map[string]*types.Func{}, options: map[string]bool{}}
+	a := &reachAnalysis{graph: g, funcs: map[string]*types.Func{}, options: map[string]bool{}, hostGo: hostGo}
 	for fn := range g.decls {
 		if fn.Pkg().Path() != reachRuler {
 			a.funcs[reachFuncName(fn)] = fn
@@ -327,6 +342,28 @@ func noteSets(f *ast.File, p *reachPkg, set map[*types.Var]bool) {
 	})
 }
 
+// hostGoroutines lists the places in f that hand work to host scheduling:
+// go statements and uses of context.AfterFunc.
+func hostGoroutines(fset *token.FileSet, f *ast.File, info *types.Info) []string {
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		what := ""
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			what = "go statement"
+		case *ast.Ident:
+			if fn, ok := info.Uses[n].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "context" && fn.Name() == "AfterFunc" {
+				what = "context.AfterFunc"
+			}
+		}
+		if what != "" {
+			out = append(out, fmt.Sprintf("host goroutine: %s: %s", fset.Position(n.Pos()), what))
+		}
+		return true
+	})
+	return out
+}
+
 // reachLabel names a package the way the keep-table does: its import path
 // below the module root, minus "internal/".
 func reachLabel(pkg *types.Package) string {
@@ -352,7 +389,7 @@ func reachFuncName(fn *types.Func) string {
 // reachReport compares an analysis with a keep-table and returns the
 // sorted list of violations (empty = the gate passes).
 func reachReport(a *reachAnalysis, keep map[string]string) []string {
-	var out []string
+	out := slices.Clone(a.hostGo)
 	alive := &reachGraph{decls: a.graph.decls, named: a.graph.named, seen: maps.Clone(a.graph.seen)}
 	for name, reason := range keep {
 		fn, isFunc := a.funcs[name]
@@ -421,8 +458,9 @@ func TestReachabilitySelfCheck(t *testing.T) {
 	}
 
 	// A module in miniature: the facade aliases core.Ad, a command calls one
-	// of its methods and prints it. Print reaches String through
-	// fmt.Stringer; the method nothing calls is reported.
+	// of its methods and prints it from a goroutine of its own. Print
+	// reaches String through fmt.Stringer; the method nothing calls and the
+	// go statement are reported.
 	fixture, err := analyseReach(fstest.MapFS{
 		"facade.go": {Data: []byte(`package correctables
 
@@ -448,15 +486,18 @@ import (
 
 func main() {
 	ad := correctables.Ad{ID: "7"}
-	fmt.Println(ad.Render(), ad)
+	go fmt.Println(ad.Render(), ad)
 }
 `)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = "unreached function: core.Ad.Uncalled"
-	if got := reachReport(fixture, nil); len(got) != 1 || got[0] != want {
-		t.Errorf("report on the fixture = %q, want [%q]", got, want)
+	wantFixture := []string{
+		"host goroutine: cmd/show/main.go:11:2: go statement",
+		"unreached function: core.Ad.Uncalled",
+	}
+	if got := reachReport(fixture, nil); !slices.Equal(got, wantFixture) {
+		t.Errorf("report on the fixture = %q, want %q", got, wantFixture)
 	}
 }
