@@ -41,40 +41,22 @@ type Binding struct {
 	client *Client
 	cfg    BindingConfig
 
-	// free recycles the records of finished operations.
+	// free recycles the records of finished operations (see opRecord).
 	free netsim.FreeList[opRecord]
-}
-
-// opRecord is the state of one SubmitOperation for the life of its protocol
-// actor, in place of a closure per hop: the actor body and the read's view
-// sink are methods bound once, when the record is built, and every later
-// operation that takes the record off the free list reuses them. The actor
-// returns the record as its last act, and nothing else ever does — an
-// invocation the client library timed out is abandoned, not recycled: its
-// actor runs on until the fault heals, its late views are refused by the
-// closed Correctable, and only then does the record go back.
-type opRecord struct {
-	b      *Binding
-	op     binding.Operation
-	levels core.Levels
-	cb     binding.Callback
-
-	run  func()         // r.exec: the actor body
-	view func(ReadView) // r.emit: the read's view sink
 }
 
 func (b *Binding) getRecord() *opRecord {
 	r := b.free.Take()
 	if r == nil {
-		r = &opRecord{b: b}
-		r.run, r.view = r.exec, r.emit
+		r = newRecord(b.client)
+		r.b = b
 	}
 	return r
 }
 
 // putRecord recycles r, cleared of the operation's references.
 func (b *Binding) putRecord(r *opRecord) {
-	r.op, r.levels, r.cb = nil, nil, nil
+	r.clear()
 	b.free.Put(r)
 }
 
@@ -93,54 +75,59 @@ func (b *Binding) ConsistencyLevels() core.Levels {
 	return core.Levels{core.LevelWeak, core.LevelStrong}
 }
 
-// SubmitOperation implements binding.Binding. The client library bounds
-// each invocation with the binding's DefaultOpTimeout (model time); the
-// protocol below has no deadline of its own, and a late completion's views
-// are refused by the closed Correctable.
+// SubmitOperation implements binding.Binding. The operation is a record
+// whose first step takes the ready slot a spawned actor would (Clock.Run).
+// The client library bounds each invocation with the binding's
+// DefaultOpTimeout (model time); the protocol below has no deadline of its
+// own, and a late completion's views are refused by the closed Correctable.
 func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
 	r := b.getRecord()
 	r.op, r.levels, r.cb = op, levels, cb
-	b.clock().Go(r.run)
-}
-
-// exec is the operation's protocol actor.
-func (r *opRecord) exec() {
-	switch o := r.op.(type) {
-	case binding.Get:
-		r.get(o.Key)
-	case binding.Put:
-		r.put(o)
-	default:
-		r.cb(binding.Result{Err: fmt.Errorf("%w: cassandra has no %q", binding.ErrUnsupportedOperation, r.op.OpName())})
-	}
-	r.b.putRecord(r)
+	r.state = opBegin
+	b.clock().Run(r.step)
 }
 
 // clock returns the cluster's simulation clock.
 func (b *Binding) clock() netsim.Clock { return b.client.cluster.tr.Clock() }
 
-func (r *opRecord) get(key string) {
+// decode makes the record the read or write its request asks for, or answers
+// the request with the error that it cannot be served and reports false.
+func (r *opRecord) decode() bool {
 	b := r.b
-	wantWeak := r.levels.Contains(core.LevelWeak)
-	wantStrong := r.levels.Contains(core.LevelStrong)
 	var err error
-	switch {
-	case wantWeak && wantStrong && b.client.cluster.cfg.Correctable:
-		// One request, two responses (preliminary + final), each at the
-		// level it carries.
-		err = b.client.Read(key, b.cfg.StrongQuorum, true, r.view)
-	case wantStrong:
-		// A vanilla store serves a two-level request here too: its final
-		// view alone closes the Correctable.
-		err = b.client.Read(key, b.cfg.StrongQuorum, false, r.view)
-	case wantWeak:
-		err = b.client.Read(key, 1, false, r.view)
+	switch o := r.op.(type) {
+	case binding.Get:
+		wantWeak := r.levels.Contains(core.LevelWeak)
+		wantStrong := r.levels.Contains(core.LevelStrong)
+		switch {
+		case wantWeak && wantStrong && b.client.cluster.cfg.Correctable:
+			// One request, two responses (preliminary + final), each at the
+			// level it carries.
+			r.setRead(o.Key, b.cfg.StrongQuorum, true)
+		case wantStrong:
+			// A vanilla store serves a two-level request here too: its final
+			// view alone closes the Correctable.
+			r.setRead(o.Key, b.cfg.StrongQuorum, false)
+		case wantWeak:
+			r.setRead(o.Key, 1, false)
+		default:
+			err = fmt.Errorf("%w: %v", binding.ErrUnsupportedLevel, r.levels)
+		}
+		if err == nil {
+			err = b.client.checkQuorum("read", r.quorum)
+		}
+	case binding.Put:
+		// Writes use W=WriteQuorum regardless of the requested read levels.
+		r.setWrite(o.Key, o.Value, b.cfg.WriteQuorum)
+		err = b.client.checkQuorum("write", r.quorum)
 	default:
-		err = fmt.Errorf("%w: %v", binding.ErrUnsupportedLevel, r.levels)
+		err = fmt.Errorf("%w: cassandra has no %q", binding.ErrUnsupportedOperation, r.op.OpName())
 	}
 	if err != nil {
 		r.cb(binding.Result{Err: err})
+		return false
 	}
+	return true
 }
 
 // emit is the record's view sink: one read view to the binding callback. The
@@ -157,16 +144,11 @@ func (r *opRecord) emit(v ReadView) {
 	r.cb(binding.Result{Value: v.Value, Level: level, Version: v.Version.Token()})
 }
 
-func (r *opRecord) put(op binding.Put) {
-	// Writes use W=WriteQuorum regardless of the requested read levels; the
-	// single acknowledgment closes the Correctable at the strongest
-	// requested level, carrying the committed version's token.
-	v, err := r.b.client.write(op.Key, op.Value, r.b.cfg.WriteQuorum)
-	if err != nil {
-		r.cb(binding.Result{Err: err})
-		return
-	}
-	r.cb(binding.Result{Value: nil, Level: r.levels.Strongest(), Version: v.Token()})
+// acknowledge answers a write: the single acknowledgment closes the
+// Correctable at the strongest requested level, carrying the committed
+// version's token.
+func (r *opRecord) acknowledge() {
+	r.cb(binding.Result{Value: nil, Level: r.levels.Strongest(), Version: r.local.Token()})
 }
 
 // Scheduler implements binding.Binding: Correctables over this binding run

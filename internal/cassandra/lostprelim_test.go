@@ -48,8 +48,9 @@ func waitGoroutines(t *testing.T, base int) {
 // fire-and-forget preliminary flush must cost the read that one view and
 // nothing else. The final is already at the client; were it withheld behind
 // an event only the lost message's callback can fire, the read would time
-// out with ErrUnreachable and its protocol actor would stay parked for
-// good. Single and coalesced reads share the idiom (netsim.AwaitFlush).
+// out with ErrUnreachable and its record would stay parked for good. Single
+// and coalesced reads share the idiom (netsim.AwaitFlush and the record's
+// twin of it).
 func TestLostPreliminaryCostsOnlyThePreliminary(t *testing.T) {
 	const client, coord = netsim.IRL, netsim.FRK
 	sites := []struct {

@@ -135,12 +135,12 @@ func held[T any](l *netsim.FreeList[T]) int {
 
 // TestAbandonedReadKeepsItsRecord pins the record lifetimes (run it with
 // -race -count=20): a read whose peer leg is stalled is timed out by the
-// client library and abandoned — not recycled: its actor still owns its
-// record and gather — while reads of other keys go through the same binding
-// and its free lists. Each of them must deliver its own key's value; after
-// the heal the abandoned read's final view is refused, nothing stays parked,
-// every goroutine is gone, and the free lists hold no more records than were
-// ever in flight at once.
+// client library and abandoned — not recycled: its continuation chain still
+// owns its record and gather — while reads of other keys go through the
+// same binding and its free lists. Each of them must deliver its own key's
+// value; after the heal the abandoned read's final view is refused, nothing
+// stays parked, every goroutine is gone, and the free lists hold no more
+// records than were ever in flight at once.
 func TestAbandonedReadKeepsItsRecord(t *testing.T) {
 	const (
 		client, coord = netsim.IRL, netsim.FRK

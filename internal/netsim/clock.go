@@ -19,8 +19,9 @@ import "time"
 // The actor-vs-callback rule: work that blocks mid-flight (multi-hop
 // protocol logic, server-slot queueing) needs an actor — Go gives it a
 // stack to park — unless it is a fixed chain of waits, like a
-// request/response leg: that runs as a record whose one step is a
-// continuation (Run, After, At, Event.Then; see VirtualClock and RoundTrip).
+// request/response leg or a whole storage operation: that runs as a record
+// whose one step is a continuation (Run, After, At, Event.Then, Queue.Then,
+// Group.Then; see VirtualClock, Hop and RoundTrip).
 // Fire-and-forget work that just runs at a deadline
 // (asynchronous replication applying a mutation, a commit delivery, a
 // block-mining tick) should use RunAt/RunAfter instead: a callback costs no

@@ -23,7 +23,7 @@ const (
 	// and tries again.
 	VerdictDrop
 	// VerdictStall marks the link impassable (network partition, crashed
-	// endpoint). A synchronous sender — Travel's actor, a RoundTrip — waits
+	// endpoint). A synchronous sender — Travel's actor, a Hop — waits
 	// for the interceptor's next transition and asks again, until the link
 	// heals; asynchronous sends are discarded — in-flight fire-and-forget
 	// traffic is exactly the state a crash loses.
@@ -203,7 +203,8 @@ func scaled(d time.Duration, factor float64) time.Duration {
 // Travel synchronously delivers a message: it accounts size bytes on the
 // link class and sleeps the one-way delay in model time. Callers run
 // protocol logic as straight-line code in their own actor and call Travel
-// at each hop.
+// at each hop; a protocol written as a record sends each hop with a Hop,
+// its continuation twin.
 //
 // Under an interceptor, a dropped message costs the sender a retransmission
 // timeout (~one RTT) before retrying, with the lost bytes accounted on the
@@ -301,7 +302,8 @@ func (t *Transport) SendAfter(extra time.Duration, from, to Region, class string
 //
 // The caller keeps the event in a local it never reassigns (the Send
 // callback captures it; a reassigned capture moves to the heap) and left in
-// a separate one.
+// a separate one. A protocol written as a record waits with Event.Then
+// instead, after the final's Hop has arrived, and then releases the event.
 func AwaitFlush(delivered *Event, left bool) {
 	if delivered == nil {
 		return

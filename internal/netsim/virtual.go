@@ -38,7 +38,8 @@ import (
 // without one: Run takes over the ready-queue slot of Go, After and At the
 // timer of Sleep and SleepUntil (and run the continuation on the spot exactly
 // where those return without parking), Event.Then the waiter slot of
-// Event.Wait, counted as parked like the actor it stands for. A continuation
+// Event.Wait (and Queue.Then and Group.Then those of Queue.Get and
+// Group.Wait), counted as parked like the actor it stands for. A continuation
 // is a callback — dispatch runs it inline, and it must not block — so a
 // multi-step exchange written as a chain of them (netsim.RoundTrip) costs no
 // goroutine, no spawn and no token handoff. It moves no event: an execution
@@ -95,19 +96,21 @@ type VirtualClock struct {
 // actor with the pool full exits, as every actor goroutine used to. The
 // bound is what a burst may leave parked until the next Drain — the 10^5
 // actors of a wide ycsb.Run all end at the horizon — and 256 is where the
-// measured reuse levels off. Re-measured now that request/response legs are
-// records and no actors, over whole runs of the benchmark's workloads (seed
-// 101; set-up, warm-up and five repetitions, each world on a clock of its
-// own, whose first actors start their goroutines whatever the bound): the
-// deepest the pool ever wants to be is 181 (ads_spec_closed), 24
-// (sessions_rw_checked), 49 (worlds_faults_parallel), 675
-// (sharded_open_ramp) and 384 (zk_queue_failover, the actors parked through
-// the outage ending together), and the share of Go calls that start a
-// goroutine is 4.8%, 0.09%, 27%, 1.7% and 49% at a bound of 64 against
-// 0.08%, 0.09%, 27%, 0.26% and 1.1% at 256 — with no bound, 0.8% on zk and
-// the same elsewhere (the 900 short worlds start theirs fresh at any bound).
-// Peak RSS did not tell 64, 256 and no bound apart on any of them when the
-// bound was chosen (PR 15); that was not measured again.
+// measured reuse levels off. Re-measured now that request/response legs and
+// cassandra reads and writes are records and no actors, over whole runs of
+// the benchmark's workloads (seed 101; set-up, warm-up and five
+// repetitions, each world on a clock of its own, whose first actors start
+// their goroutines whatever the bound): the deepest the pool ever wants to
+// be is 102 (ads_spec_closed), 12 (sessions_rw_checked), 20
+// (worlds_faults_parallel), 633 (sharded_open_ramp, whose batched reads are
+// still actors) and 384 (zk_queue_failover, the actors parked through the
+// outage ending together), and the share of Go calls that start a goroutine
+// is 0.16%, 50%, 26%, 1.5% and 49% at a bound of 64 against 0.09%, 50%, 26%,
+// 0.26% and 1.1% at 256 — with no bound, 0.8% on zk and the same elsewhere.
+// sessions_rw_checked makes 120 Go calls in all and the 900 short worlds
+// start theirs fresh at any bound; only the open ramp and zk still lean on
+// the pool. Peak RSS did not tell 64, 256 and no bound apart on any of them
+// when the bound was chosen; that was not measured again.
 const maxIdleWorkers = 256
 
 // vactor is one parked actor: a rendezvous channel for the token handoff,
@@ -120,8 +123,9 @@ type vactor struct {
 	seq  uint64
 	ch   chan struct{}
 	val  any
-	fn   func() // the body a worker runs when woken; nil retires it
-	then func() // a continuation's step (Run, Event.Then), in place of a wake
+	fn   func()    // the body a worker runs when woken; nil retires it
+	then func()    // a continuation's step (Run, Event.Then, Group.Then), in place of a wake
+	take func(any) // a Queue.Then continuation, handed val in place of a wake
 }
 
 // NewVirtualClock returns a virtual clock at model time zero. The calling
@@ -195,7 +199,7 @@ func (c *VirtualClock) recycle(p *vactor) {
 }
 
 func (c *VirtualClock) recycleLocked(p *vactor) {
-	p.val, p.fn, p.then = nil, nil, nil
+	p.val, p.fn, p.then, p.take = nil, nil, nil, nil
 	c.freelist = append(c.freelist, p)
 }
 
@@ -230,15 +234,15 @@ func (c *VirtualClock) dispatchLocked() {
 	for {
 		if c.ready.len() > 0 {
 			p := c.ready.pop()
-			if p.then == nil {
+			if p.then == nil && p.take == nil {
 				p.wake()
 				return
 			}
 			// A continuation's turn: it ran no goroutine to hand the token
 			// to, so its step runs here and its slot goes back.
-			fn := p.then
+			fn, take, v := p.then, p.take, p.val
 			c.recycleLocked(p)
-			c.callLocked(fn)
+			c.callLocked(fn, take, v)
 			continue
 		}
 		if c.timers.len() > 0 {
@@ -250,7 +254,7 @@ func (c *VirtualClock) dispatchLocked() {
 				e.p.wake()
 				return
 			}
-			c.callLocked(e.fn)
+			c.callLocked(e.fn, nil, nil)
 			continue
 		}
 		if c.idler != nil {
@@ -275,12 +279,17 @@ func (c *VirtualClock) dispatchLocked() {
 
 // callLocked runs a callback — a timer's or a continuation's — inline,
 // without the lock, on the dispatching goroutine: zero spawns, zero
-// rendezvous. Dispatch continues afterwards (the callback may have readied
+// rendezvous. A Queue.Then continuation comes as take, with its item v, in
+// place of fn. Dispatch continues afterwards (the callback may have readied
 // actors or armed further timers). Enters and returns with c.mu held.
-func (c *VirtualClock) callLocked(fn func()) {
+func (c *VirtualClock) callLocked(fn func(), take func(any), v any) {
 	c.inCallback = true
 	c.mu.Unlock()
-	fn()
+	if take != nil {
+		take(v)
+	} else {
+		fn()
+	}
 	c.mu.Lock()
 	c.inCallback = false
 }
@@ -713,6 +722,25 @@ func (q *Queue) Get() any {
 	return v
 }
 
+// Then is the continuation twin of Get: fn is handed the next item, in the
+// waiter slot — and, after the Put, the ready-queue slot — a getting actor
+// would hold; with an item queued it runs on the caller's stack before Then
+// returns. A waiting continuation counts as parked, like an actor.
+func (q *Queue) Then(fn func(any)) {
+	q.c.mu.Lock()
+	if q.items.len() > 0 {
+		v := q.items.pop()
+		q.c.mu.Unlock()
+		fn(v)
+		return
+	}
+	p := q.c.newActorLocked()
+	p.take = fn
+	q.waiters.push(p)
+	q.c.blocked++
+	q.c.mu.Unlock()
+}
+
 // Group counts outstanding work like sync.WaitGroup: Wait blocks until the
 // counter, moved by Add and Done, reaches zero.
 type Group struct {
@@ -755,6 +783,24 @@ func (g *Group) Wait() {
 	g.waiters.add(p)
 	g.c.parkLocked(p)
 	g.c.recycle(p)
+}
+
+// Then is the continuation twin of Wait: fn runs once the counter is zero,
+// in the waiter slot and then the ready-queue slot a waiting actor would
+// hold; at zero already it runs on the caller's stack before Then returns. A
+// waiting continuation counts as parked, like an actor.
+func (g *Group) Then(fn func()) {
+	g.c.mu.Lock()
+	if g.n == 0 {
+		g.c.mu.Unlock()
+		fn()
+		return
+	}
+	p := g.c.newActorLocked()
+	p.then = fn
+	g.waiters.add(p)
+	g.c.blocked++
+	g.c.mu.Unlock()
 }
 
 // timerEntry is one pending deadline: either a parked actor to wake (p set)
