@@ -17,11 +17,12 @@ import (
 // free lists populated). The budgets are absolute, and what is left is what
 // the operation creates or the caller keeps:
 //
-//   - enqueue, 20 (40 before items were copied once and shared, names were
+//   - enqueue, 19 (40 before items were copied once and shared, names were
 //     formatted without fmt, and the binding and the propose round ran on
-//     recycled records): the boxed operation, the Correctable and the
-//     library's result callback; the item's one copy; the queue's directory
-//     and item prefix; the predicted name, the preliminary element, its flush
+//     recycled records; 20 before the contact's simulation read the queue's
+//     directory off the item prefix): the boxed operation, the Correctable
+//     and the library's result callback; the item's one copy; the queue's
+//     item prefix; the predicted name, the preliminary element, its flush
 //     callback and the final element; the boxed transaction; on each of the
 //     three servers the znode and its sequential path; the commit broadcast's
 //     callback; the two views' boxes on the binding wire.
@@ -64,7 +65,7 @@ func TestAllocGateQueueOps(t *testing.T) {
 		op     func()
 		budget float64
 	}{
-		{"enqueue", enqueue, 20},
+		{"enqueue", enqueue, 19},
 		{"dequeue", dequeue, 16},
 	} {
 		got := testing.AllocsPerRun(300, g.op)

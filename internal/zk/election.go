@@ -472,14 +472,3 @@ func (el *elector) onVoteReply(cand *Server, epoch uint64, granted, leaderLive b
 		el.become(cand, roleLeader, now)
 	}
 }
-
-// Role returns the server's own election role. A deposed leader reads
-// "leader" until it hears its successor (see Ensemble.Leader); without
-// elections the initial leader leads and every other server follows.
-func (s *Server) Role() string {
-	if el := s.ensemble.elect; el != nil {
-		el.mu.Lock()
-		defer el.mu.Unlock()
-	}
-	return s.election.role.String()
-}

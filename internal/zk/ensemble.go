@@ -263,7 +263,7 @@ func (s *Server) installSnapshot(nodes map[string]*node, zxid, epoch uint64) {
 }
 
 // accept records a proposal in the server's accept log (elections enabled
-// only); called on the follower leg of propose before the ack travels back,
+// only); called on the follower leg of a proposal before the ack travels back,
 // so a counted ack always implies a recorded accept.
 func (s *Server) accept(zxid, epoch uint64, txn Txn) {
 	s.mu.Lock()
@@ -465,68 +465,6 @@ func (e *Ensemble) Bootstrap(txn Txn) TxnResult {
 	return res
 }
 
-// propose runs txn through the ordered-commit protocol on behalf of a
-// request that has already reached the leader (the caller models the
-// contact->leader hop). It returns the transaction's zxid, the commit epoch
-// it was ordered under (which epoch-aware delivery paths need) and its
-// result, after a majority has acknowledged. Commits propagate to followers
-// asynchronously except the contact server's own commit, which the caller
-// delivers synchronously with deliverCommit (modeling the single
-// commit+reply message on that link).
-//
-// Fail-fast validation errors (missing node, node exists) return with
-// zxid 0 and no broadcast, like ZooKeeper's prep processor.
-func (e *Ensemble) propose(txn Txn, contact *Server) (uint64, uint64, TxnResult) {
-	leader := e.Leader()
-	leader.proc.Process(e.cfg.ServiceTime)
-
-	// Prep-apply on the leader's tree and number from its own watermark and
-	// epoch: the leader state is authoritative and strictly ordered.
-	leader.mu.Lock()
-	res := txn.Apply(leader.tree)
-	if failsFast(res) {
-		leader.mu.Unlock()
-		return 0, 0, res
-	}
-	leader.lastApplied++
-	zxid, epoch := leader.lastApplied, leader.dataEpoch
-	leader.mu.Unlock()
-
-	// Gather follower acks; majority includes the leader itself.
-	clock := e.tr.Clock()
-	need := e.quorum()
-	var quorumSp trace.SpanID
-	if e.trc != nil && need > 0 {
-		quorumSp = e.trc.Begin(e.phaseTrk[leader.Region], trace.CatQuorum, "propose", "", clock.Now())
-	}
-	p := e.getProposal()
-	p.leader, p.txn, p.zxid, p.epoch, p.need = leader, txn, zxid, epoch, need
-	p.refs.Store(int32(len(e.order))) // the followers' legs and this round
-	for i, region := range e.order {
-		if region != leader.Region {
-			p.legs[i].start()
-		}
-	}
-	for i := 0; i < need; i++ {
-		p.acks.Get()
-	}
-	p.release()
-	e.trc.End(quorumSp, clock.Now())
-
-	// Broadcast commits asynchronously to all followers except the contact
-	// (whose commit rides on the reply message the caller models).
-	for _, region := range e.order {
-		if region == leader.Region || (contact != nil && region == contact.Region) {
-			continue
-		}
-		follower := e.servers[region]
-		e.tr.Send(leader.Region, region, netsim.LinkReplica, commitSize(txn), func() {
-			follower.deliverCommit(zxid, epoch, txn)
-		})
-	}
-	return zxid, epoch, res
-}
-
 // proposal is the record of one propose round, in place of an ack queue and
 // a closure per follower per proposal: the leader fills in the round, starts
 // every follower's leg and takes a majority of acks off the queue. The legs
@@ -600,24 +538,83 @@ func (p *proposal) release() {
 	p.e.proposals.Put(p)
 }
 
-// ForwardAndCommit models the contact->leader forwarding hop, runs the
-// proposal, and delivers the commit+result back to the contact server on a
-// single return message (the common client-request path).
-func (e *Ensemble) ForwardAndCommit(contact *Server, txn Txn) (uint64, TxnResult) {
-	leader := e.Leader()
-	if contact != leader {
-		e.tr.Travel(contact.Region, leader.Region, netsim.LinkReplica, proposalSize(txn))
+// forward runs a client request's transaction through the ordered-commit
+// protocol: the contact->leader hop, the leader's prep-apply and numbering,
+// a majority of follower acks, and the commit and result back to the
+// contact on one message. It returns once the contact has applied the
+// transaction, with its zxid and result; the other followers' commits
+// travel on asynchronously.
+//
+// Fail-fast validation errors (missing node, node exists) return with
+// zxid 0 and no broadcast, like ZooKeeper's prep processor.
+func (e *Ensemble) forward(contact *Server, txn Txn) (uint64, TxnResult) {
+	via := e.Leader()
+	if contact != via {
+		e.tr.Travel(contact.Region, via.Region, netsim.LinkReplica, proposalSize(txn))
 	}
-	zxid, epoch, res := e.propose(txn, contact)
-	if contact != leader {
+	// Leadership is read again once the request has landed, so a forward
+	// stalled at a deposed leader is proposed by its successor (ROADMAP item
+	// 2(b), pinned by TestForwardStalledAtDeposedLeaderIsProposedBySuccessor).
+	leader := e.Leader()
+	leader.proc.Process(e.cfg.ServiceTime)
+	zxid, epoch, res := leader.prepare(txn)
+	if zxid != 0 {
+		// Gather follower acks; majority includes the leader itself.
+		clock := e.tr.Clock()
+		need := e.quorum()
+		var quorumSp trace.SpanID
+		if e.trc != nil && need > 0 {
+			quorumSp = e.trc.Begin(e.phaseTrk[leader.Region], trace.CatQuorum, "propose", "", clock.Now())
+		}
+		p := e.getProposal()
+		p.leader, p.txn, p.zxid, p.epoch, p.need = leader, txn, zxid, epoch, need
+		p.refs.Store(int32(len(e.order))) // the followers' legs and this round
+		for i, region := range e.order {
+			if region != leader.Region {
+				p.legs[i].start()
+			}
+		}
+		for i := 0; i < need; i++ {
+			p.acks.Get()
+		}
+		p.release()
+		e.trc.End(quorumSp, clock.Now())
+
+		// Broadcast commits asynchronously to all followers except the
+		// contact, whose commit rides on the reply below.
+		for _, region := range e.order {
+			if region == leader.Region || region == contact.Region {
+				continue
+			}
+			follower := e.servers[region]
+			e.tr.Send(leader.Region, region, netsim.LinkReplica, commitSize(txn), func() {
+				follower.deliverCommit(zxid, epoch, txn)
+			})
+		}
+	}
+	if contact != via {
 		// Commit + result ride back to the contact on one message.
-		e.tr.Travel(leader.Region, contact.Region, netsim.LinkReplica, commitSize(txn))
+		e.tr.Travel(via.Region, contact.Region, netsim.LinkReplica, commitSize(txn))
 		if zxid != 0 {
 			contact.deliverCommit(zxid, epoch, txn)
-			contact.WaitApplied(zxid)
+			contact.waitApplied(zxid)
 		}
 	}
 	return zxid, res
+}
+
+// prepare prep-applies txn on the leader's tree and numbers it from the
+// leader's own watermark and epoch: the leader state is authoritative and
+// strictly ordered. A fail-fast result is numbered 0.
+func (s *Server) prepare(txn Txn) (uint64, uint64, TxnResult) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res := txn.Apply(s.tree)
+	if failsFast(res) {
+		return 0, 0, res
+	}
+	s.lastApplied++
+	return s.lastApplied, s.dataEpoch, res
 }
 
 // deliverCommit hands a committed transaction of the given epoch to a
@@ -641,8 +638,8 @@ func (s *Server) deliverCommit(zxid, epoch uint64, txn Txn) {
 	}
 }
 
-// WaitApplied blocks until the server has applied the given zxid.
-func (s *Server) WaitApplied(zxid uint64) {
+// waitApplied blocks until the server has applied the given zxid.
+func (s *Server) waitApplied(zxid uint64) {
 	s.mu.Lock()
 	if s.lastApplied >= zxid {
 		s.mu.Unlock()

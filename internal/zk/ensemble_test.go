@@ -55,7 +55,7 @@ func TestProposeReplicatesInOrder(t *testing.T) {
 	contact := e.Server(netsim.FRK)
 	const n = 10
 	for i := 0; i < n; i++ {
-		zxid, res := e.ForwardAndCommit(contact, CreateTxn{Path: "/q/item-", Data: []byte{byte(i)}, Sequential: true})
+		zxid, res := e.forward(contact, CreateTxn{Path: "/q/item-", Data: []byte{byte(i)}, Sequential: true})
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -84,7 +84,7 @@ func TestProposeReplicatesInOrder(t *testing.T) {
 func TestProposeFailFastNoCommit(t *testing.T) {
 	e, _, _ := newTestEnsemble(t, false, netsim.IRL)
 	contact := e.Server(netsim.FRK)
-	zxid, res := e.ForwardAndCommit(contact, DeleteTxn{Path: "/missing"})
+	zxid, res := e.forward(contact, DeleteTxn{Path: "/missing"})
 	if !errors.Is(res.Err, ErrNoNode) {
 		t.Errorf("err = %v", res.Err)
 	}
@@ -116,21 +116,21 @@ func TestWaitApplied(t *testing.T) {
 	woken := false
 	done := clock.NewEvent()
 	clock.Go(func() {
-		s.WaitApplied(1)
+		s.waitApplied(1)
 		woken = true
 		done.Fire()
 	})
 	clock.Sleep(10 * time.Millisecond) // lets the waiter park
 	if woken {
-		t.Fatal("WaitApplied returned before apply")
+		t.Fatal("waitApplied returned before apply")
 	}
 	s.deliverCommit(1, s.dataEpoch, CreateTxn{Path: "/a"})
 	done.Wait()
 	if !woken {
-		t.Fatal("WaitApplied never woke")
+		t.Fatal("waitApplied never woke")
 	}
 	// Already-applied zxid returns immediately.
-	s.WaitApplied(1)
+	s.waitApplied(1)
 }
 
 // Property: any interleaving of commit deliveries applies in zxid order
@@ -508,6 +508,82 @@ func TestDequeueEmptyQueue(t *testing.T) {
 		}
 		if final.Element != nil || final.Remaining != 0 {
 			t.Errorf("correctable=%v: empty dequeue = %+v", correctable, final)
+		}
+	}
+}
+
+// TestMissingQueueRepliesWithNoNode drives an enqueue, a CZK dequeue and a
+// recipe dequeue at a queue that does not exist, through a contact that is
+// not the leader, with the preliminary asked for and not. The contact cannot
+// simulate either CZK operation and the leader fails them fast, but the
+// client still hears back: each call returns ErrNoNode after a full
+// client<->contact round trip whose reply is on the client link, delivers no
+// view and leaves nothing parked; through the binding the Correctable fails
+// with ErrNoNode.
+func TestMissingQueueRepliesWithNoNode(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		correctable bool
+		op          binding.OperationFor[binding.Item]
+		request     int // the request's payload on the client link
+		reply       int // the error reply's size
+	}{
+		{"enqueue", true, binding.Enqueue{Queue: "t", Item: []byte("x")}, len("/queues/t/q-x"), responseSize(elementPayload(nil))},
+		{"dequeue", true, binding.Dequeue{Queue: "t"}, len("/queues/t"), responseSize(elementPayload(nil))},
+		{"recipe", false, binding.Dequeue{Queue: "t"}, len("/queues/t"), childrenResponseSize(nil)},
+	} {
+		for _, prelim := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/prelim=%v", tc.name, prelim), func(t *testing.T) {
+				e, _, clock := newTestEnsemble(t, tc.correctable, netsim.IRL)
+				e.Bootstrap(CreateTxn{Path: "/queues"})
+				qc := NewQueueClient(e, netsim.IRL, netsim.FRK)
+				tr := e.Transport()
+				tr.JitterFrac, tr.TailMeanFrac = 0, 0 // every hop takes its nominal one-way delay
+				before := tr.Meter().Class(netsim.LinkClient)
+				start := clock.Now()
+				views := 0
+				onView := func(QueueView) { views++ }
+				var err error
+				switch op := tc.op.(type) {
+				case binding.Enqueue:
+					err = qc.Enqueue(op.Queue, op.Item, prelim, onView)
+				case binding.Dequeue:
+					err = qc.Dequeue(op.Queue, prelim, onView)
+				}
+				took := clock.Now() - start
+				after := tr.Meter().Class(netsim.LinkClient)
+				if !errors.Is(err, ErrNoNode) {
+					t.Errorf("err = %v, want ErrNoNode", err)
+				}
+				if views != 0 {
+					t.Errorf("%d views delivered, want none", views)
+				}
+				wantBytes := int64(requestSize(tc.request) + tc.reply)
+				if msgs, bytes := after.Messages-before.Messages, after.Bytes-before.Bytes; msgs != 2 || bytes != wantBytes {
+					t.Errorf("client link carried %d messages, %d bytes; want the request and the error reply, 2 and %d", msgs, bytes, wantBytes)
+				}
+				if rtt := tr.Model().RTT(qc.Region, qc.Contact); took < rtt {
+					t.Errorf("returned %v after submission, under one client<->contact round trip (%v)", took, rtt)
+				}
+
+				var cor *core.Correctable[binding.Item]
+				c := binding.NewClient(NewBinding(qc))
+				if prelim {
+					cor = binding.Invoke[binding.Item](context.Background(), c, tc.op)
+				} else {
+					cor = binding.InvokeStrong[binding.Item](context.Background(), c, tc.op)
+				}
+				if _, err := cor.Final(context.Background()); !errors.Is(err, ErrNoNode) {
+					t.Errorf("through the binding: err = %v, want ErrNoNode", err)
+				}
+				if n := len(cor.Views()); n != 0 {
+					t.Errorf("through the binding: %d views, want none", n)
+				}
+				clock.Drain()
+				if n := clock.Parked(); n != 0 {
+					t.Errorf("%d actors parked after Drain", n)
+				}
+			})
 		}
 	}
 }

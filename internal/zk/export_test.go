@@ -1,0 +1,21 @@
+package zk
+
+// Helpers only the package's own tests call.
+
+// Role returns the server's own election role. A deposed leader reads
+// "leader" until it hears its successor (see Ensemble.Leader); without
+// elections the initial leader leads and every other server follows.
+func (s *Server) Role() string {
+	if el := s.ensemble.elect; el != nil {
+		el.mu.Lock()
+		defer el.mu.Unlock()
+	}
+	return s.election.role.String()
+}
+
+// NodeCount returns the total number of znodes (including the root).
+func (t *Tree) NodeCount() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.nodes)
+}

@@ -66,8 +66,8 @@ func (c *QueueClient) CreateQueue(queue string) error {
 	// here: it force-advances every server's applied watermark, and a queue
 	// can be created while protocol traffic is in flight — the jump would make
 	// followers discard committed transactions still on the wire.
-	_, _ = c.ensemble.ForwardAndCommit(contact, CreateTxn{Path: "/queues"})
-	_, res := c.ensemble.ForwardAndCommit(contact, CreateTxn{Path: dir})
+	_, _ = c.ensemble.forward(contact, CreateTxn{Path: "/queues"})
+	_, res := c.ensemble.forward(contact, CreateTxn{Path: dir})
 	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(len(dir)))
 	return res.Err
 }
@@ -77,48 +77,10 @@ func (c *QueueClient) CreateQueue(queue string) error {
 // state and leaks the predicted element name (weak view); the committed
 // result follows (strong view). Blocks until the final view is delivered.
 func (c *QueueClient) Enqueue(queue string, data []byte, wantPrelim bool, onView func(QueueView)) error {
-	wantPrelim = wantPrelim && c.ensemble.cfg.Correctable
-	tr := c.ensemble.tr
-	clock := tr.Clock()
-	contact := c.ensemble.Server(c.Contact)
-	prefix := queueItemPrefix(queue)
 	// The item enters the store here: this one copy is what the proposal,
 	// all three servers' znodes and every view of the element share.
-	data = binding.CopyIn(data)
-
-	tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(prefix)+len(data)))
-	contact.process()
-
-	var prelimDelivered *netsim.Event
-	prelimLeft := false
-	if wantPrelim {
-		// Local simulation: predict the sequence number from local state.
-		prelimZxid := contact.LastApplied()
-		seq, err := contact.tree.NextSeq(queueDir(queue))
-		if err == nil {
-			prelim := &QueueElement{Name: keys.Padded("q-", int64(seq), 10), Seq: seq, Data: data}
-			// The leaked preliminary rides back as a callback-timer message:
-			// no goroutine per flush.
-			prelimDelivered = clock.NewEvent()
-			prelimLeft = tr.Send(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(prelim)), func() {
-				onView(QueueView{Element: prelim, Level: core.LevelWeak, Zxid: prelimZxid})
-				prelimDelivered.Fire()
-			})
-		}
-	}
-
-	zxid, res := c.ensemble.ForwardAndCommit(contact, CreateTxn{Path: prefix, Data: data, Sequential: true})
-	if res.Err != nil {
-		netsim.AwaitFlush(prelimDelivered, prelimLeft)
-		return res.Err
-	}
-	name := baseOf(res.CreatedPath)
-	elem := &QueueElement{Name: name, Seq: seqOf(name), Data: data}
-
-	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(elem)))
-	netsim.AwaitFlush(prelimDelivered, prelimLeft)
-	onView(QueueView{Element: elem, Level: core.LevelStrong, Final: true, Zxid: zxid})
-	return nil
+	txn := CreateTxn{Path: queueItemPrefix(queue), Data: binding.CopyIn(data), Sequential: true}
+	return c.request(txn, wantPrelim && c.ensemble.cfg.Correctable, onView)
 }
 
 // Dequeue removes the queue head.
@@ -135,59 +97,94 @@ func (c *QueueClient) Enqueue(queue string, data []byte, wantPrelim bool, onView
 // final view is delivered.
 func (c *QueueClient) Dequeue(queue string, wantPrelim bool, onView func(QueueView)) error {
 	if c.ensemble.cfg.Correctable {
-		return c.dequeueCZK(queue, wantPrelim, onView)
+		return c.request(DequeueMinTxn{Dir: queueDir(queue)}, wantPrelim, onView)
 	}
 	return c.dequeueRecipe(queue, onView)
 }
 
-func (c *QueueClient) dequeueCZK(queue string, wantPrelim bool, onView func(QueueView)) error {
-	tr := c.ensemble.tr
-	clock := tr.Clock()
-	contact := c.ensemble.Server(c.Contact)
-	dir := queueDir(queue)
+// queueTxn is the part of a queue operation that is the operation's own:
+// the transaction it commits, how the contact simulates it on its local
+// tree, and which element its committed result carries.
+type queueTxn interface {
+	Txn
+	// simulate predicts the operation's element and the queue's remaining
+	// length on t, or fails when t cannot answer (no such queue).
+	simulate(t *Tree) (elem *QueueElement, remaining int, err error)
+	// outcome is the element and remaining length of a committed result.
+	outcome(res TxnResult) (*QueueElement, int)
+}
 
-	tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(dir)))
+// request is one queue operation at the contact, the CZK protocol (§5.2):
+// the request hop, the contact's slot, with wantPrelim the local
+// simulation flushed as the preliminary, the commit through the leader, the
+// reply hop, and the final view, delivered after the preliminary. Every
+// reply crosses the client link, a failed commit's too; that one carries
+// no element and delivers no view.
+func (c *QueueClient) request(txn queueTxn, wantPrelim bool, onView func(QueueView)) error {
+	tr := c.ensemble.tr
+	contact := c.ensemble.Server(c.Contact)
+	tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(txn.PayloadSize()))
 	contact.process()
 
-	var prelimDelivered *netsim.Event
-	prelimLeft := false
-	var prelim *QueueElement
-	prelimRemaining := 0
+	var flushed *netsim.Event
+	left := false
 	if wantPrelim {
-		// Constant-size tail read on local state, simulating the dequeue.
-		prelimZxid := contact.LastApplied()
-		name, data, count, err := contact.tree.FirstChild(dir)
-		if err == nil {
-			if name != "" {
-				prelim = &QueueElement{Name: name, Seq: seqOf(name), Data: data}
-			}
-			prelimRemaining = count - 1
-			if prelimRemaining < 0 {
-				prelimRemaining = 0
-			}
-			prelimDelivered = clock.NewEvent()
-			prelimLeft = tr.Send(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(prelim)), func() {
-				onView(QueueView{Element: prelim, Remaining: prelimRemaining, Level: core.LevelWeak, Zxid: prelimZxid})
-				prelimDelivered.Fire()
+		zxid := contact.LastApplied()
+		if elem, remaining, err := txn.simulate(contact.tree); err == nil {
+			// The leaked preliminary rides back as a callback-timer message:
+			// no goroutine per flush.
+			delivered := tr.Clock().NewEvent()
+			flushed = delivered
+			left = tr.Send(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(elem)), func() {
+				onView(QueueView{Element: elem, Remaining: remaining, Level: core.LevelWeak, Zxid: zxid})
+				delivered.Fire()
 			})
 		}
 	}
 
-	zxid, res := c.ensemble.ForwardAndCommit(contact, DequeueMinTxn{Dir: dir})
+	zxid, res := c.ensemble.forward(contact, txn)
+	var elem *QueueElement
+	remaining := 0
+	if res.Err == nil {
+		elem, remaining = txn.outcome(res)
+	}
+	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(elem)))
+	netsim.AwaitFlush(flushed, left)
 	if res.Err != nil {
-		netsim.AwaitFlush(prelimDelivered, prelimLeft)
 		return res.Err
 	}
-	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(res.Element)))
-	netsim.AwaitFlush(prelimDelivered, prelimLeft)
-	onView(QueueView{
-		Element:   res.Element,
-		Remaining: res.Remaining,
-		Level:     core.LevelStrong,
-		Final:     true,
-		Zxid:      zxid,
-	})
+	onView(QueueView{Element: elem, Remaining: remaining, Level: core.LevelStrong, Final: true, Zxid: zxid})
 	return nil
+}
+
+// simulate predicts the name a sequential create of x would get on t.
+func (x CreateTxn) simulate(t *Tree) (*QueueElement, int, error) {
+	seq, err := t.NextSeq(parentOf(x.Path))
+	if err != nil {
+		return nil, 0, err
+	}
+	return &QueueElement{Name: keys.Padded(baseOf(x.Path), int64(seq), 10), Seq: seq, Data: x.Data}, 0, nil
+}
+
+// outcome is the created element.
+func (x CreateTxn) outcome(res TxnResult) (*QueueElement, int) {
+	name := baseOf(res.CreatedPath)
+	return &QueueElement{Name: name, Seq: seqOf(name), Data: x.Data}, 0
+}
+
+// simulate reads the head x would remove from t and the count behind it:
+// the constant-size tail read of the CZK dequeue.
+func (x DequeueMinTxn) simulate(t *Tree) (*QueueElement, int, error) {
+	name, data, count, err := t.FirstChild(x.Dir)
+	if err != nil || name == "" {
+		return nil, 0, err
+	}
+	return &QueueElement{Name: name, Seq: seqOf(name), Data: data}, count - 1, nil
+}
+
+// outcome is the removed head and what is left behind it.
+func (x DequeueMinTxn) outcome(res TxnResult) (*QueueElement, int) {
+	return res.Element, res.Remaining
 }
 
 func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error {
@@ -200,10 +197,10 @@ func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error 
 		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(dir)))
 		contact.process()
 		children, err := contact.tree.Children(dir)
+		tr.Travel(c.Contact, c.Region, netsim.LinkClient, childrenResponseSize(children))
 		if err != nil {
 			return err
 		}
-		tr.Travel(c.Contact, c.Region, netsim.LinkClient, childrenResponseSize(children))
 		if len(children) == 0 {
 			onView(QueueView{Element: nil, Remaining: 0, Level: core.LevelStrong, Final: true,
 				Zxid: contact.LastApplied()})
@@ -226,7 +223,7 @@ func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error 
 		// delete through the ordered protocol.
 		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(path)))
 		contact.process()
-		zxid, res := c.ensemble.ForwardAndCommit(contact, DeleteTxn{Path: path})
+		zxid, res := c.ensemble.forward(contact, DeleteTxn{Path: path})
 		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(4))
 		if res.Err != nil {
 			// Another consumer won the race (NoNode): retry from the top —

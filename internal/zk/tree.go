@@ -219,10 +219,3 @@ func (t *Tree) Restore(nodes map[string]*node) {
 	t.nodes = nodes
 	t.mu.Unlock()
 }
-
-// NodeCount returns the total number of znodes (including the root).
-func (t *Tree) NodeCount() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.nodes)
-}

@@ -106,22 +106,16 @@ type DequeueMinTxn struct {
 	Dir string
 }
 
-// Apply implements Txn.
+// Apply implements Txn: it removes the head the contact's simulation reads.
 func (x DequeueMinTxn) Apply(t *Tree) TxnResult {
-	name, data, count, err := t.FirstChild(x.Dir)
+	head, remaining, err := x.simulate(t)
+	if err == nil && head != nil {
+		err = t.Delete(x.Dir + "/" + head.Name)
+	}
 	if err != nil {
 		return TxnResult{Err: err}
 	}
-	if name == "" {
-		return TxnResult{Element: nil, Remaining: 0}
-	}
-	if err := t.Delete(x.Dir + "/" + name); err != nil {
-		return TxnResult{Err: err}
-	}
-	return TxnResult{
-		Element:   &QueueElement{Name: name, Seq: seqOf(name), Data: data},
-		Remaining: count - 1,
-	}
+	return TxnResult{Element: head, Remaining: remaining}
 }
 
 // PayloadSize implements Txn.

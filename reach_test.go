@@ -61,9 +61,7 @@ var reachKeep = map[string]string{
 	"metrics.(*Histogram).Min":            "TestPropertyHistogramInvariants",
 	"netsim.(*Transport).Meter":           "TestCrashDropsAsyncAndCountsOnMeter",
 	"ring.(*Ring).Fingerprint":            "TestPlacementDeterministicPerSeed",
-	"zk.(*Server).Role":                   "TestElectionStalledByCrashedElectorate",
 	"zk.(*Server).Tree":                   "TestProposeReplicatesInOrder",
-	"zk.(*Tree).NodeCount":                "TestLeaderCrashElectsMajority",
 }
 
 const (
