@@ -164,7 +164,7 @@ const (
 var (
 	// ErrClosed is returned by Controller methods after closure.
 	ErrClosed = core.ErrClosed
-	// ErrNoView is returned when waiting for a level that never arrives.
+	// ErrNoView is returned by Final on a Correctable closed without a view.
 	ErrNoView = core.ErrNoView
 	// ErrUnsupportedOperation is wrapped by bindings rejecting an operation.
 	ErrUnsupportedOperation = binding.ErrUnsupportedOperation

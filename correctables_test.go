@@ -101,13 +101,12 @@ func TestFacadeTypedNoAssertions(t *testing.T) {
 		t.Errorf("speculated words = %v", wv.Value)
 	}
 
-	// WaitLevel returns the typed preliminary view.
+	// The Correctable keeps the typed preliminary view.
 	cor := correctables.Invoke(ctx, client, correctables.Get{Key: "k"})
-	weak, err := cor.WaitLevel(ctx, correctables.LevelWeak)
-	if err != nil {
+	if _, err := cor.Final(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if string(weak.Value) != "v" {
+	if weak := cor.Views()[0]; string(weak.Value) != "v" {
 		t.Errorf("weak view = %q", weak.Value)
 	}
 }
@@ -225,7 +224,7 @@ func TestFacadeSession(t *testing.T) {
 }
 
 func TestFacadeLevelOrdering(t *testing.T) {
-	if correctables.LevelWeak.AtLeast(correctables.LevelStrong) || !correctables.LevelStrong.AtLeast(correctables.LevelWeak) {
+	if correctables.LevelWeak >= correctables.LevelStrong {
 		t.Error("level ordering broken")
 	}
 	ls := correctables.Levels{correctables.LevelStrong, correctables.LevelCache}

@@ -92,22 +92,6 @@ func ExampleSpeculate() {
 	// ad<sneakers> - strong
 }
 
-// ExampleCorrectable_WaitLevel blocks until a view at least as strong as
-// the requested level has arrived.
-func ExampleCorrectable_WaitLevel() {
-	client := newExampleClient("k", "v")
-	ctx := context.Background()
-	cor := correctables.Invoke(ctx, client, correctables.Get{Key: "k"})
-	v, err := cor.WaitLevel(ctx, correctables.LevelWeak)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("first >=weak view: %s at %s\n", v.Value, v.Level)
-	// Output:
-	// first >=weak view: v at weak
-}
-
 // printObserver is a minimal Observer: it prints the invoke pipeline's
 // event stream. Real observers (history.Recorder) record instead of print.
 type printObserver struct{}

@@ -197,7 +197,7 @@ func (s *Service) getAds(refsEncoded []byte) ([]Ad, error) {
 // misspeculation). With speculative=false it is the paper's baseline: a
 // strong read of the references followed by the fetch.
 func (s *Service) FetchAdsByUserID(ctx context.Context, uid int, speculative bool) (FetchOutcome, error) {
-	sw := s.clock.StartStopwatch()
+	start := s.clock.Now()
 	var out FetchOutcome
 	out.Speculative = speculative
 	key := ProfileKey(uid)
@@ -212,20 +212,11 @@ func (s *Service) FetchAdsByUserID(ctx context.Context, uid int, speculative boo
 			return out, err
 		}
 		out.Ads = ads
-		out.Latency = sw.ElapsedModel()
+		out.Latency = s.clock.Now() - start
 		return out, nil
 	}
 
 	refsCor := s.kv.Get(ctx, key)
-	var prelimSeen core.View[[]byte]
-	var sawPrelim bool
-	refsCor.OnUpdate(func(v core.View[[]byte]) {
-		if !v.Final && !sawPrelim {
-			out.PrelimAt = sw.ElapsedModel()
-			prelimSeen = v
-			sawPrelim = true
-		}
-	})
 	adsCor := core.Speculate(refsCor, func(v core.View[[]byte]) ([]Ad, error) {
 		return s.getAds(v.Value)
 	}, nil)
@@ -234,10 +225,9 @@ func (s *Service) FetchAdsByUserID(ctx context.Context, uid int, speculative boo
 		return out, err
 	}
 	out.Ads = v.Value
-	out.Latency = sw.ElapsedModel()
-	if fv, ok := refsCor.Latest(); ok && sawPrelim {
-		out.Misspeculated = !core.ValuesEqual(prelimSeen.Value, fv.Value)
-	}
+	out.Latency = s.clock.Now() - start
+	timing := core.TimingOf(refsCor, start)
+	out.PrelimAt, out.Misspeculated = timing.Prelim, timing.Diverged
 	return out, nil
 }
 

@@ -189,7 +189,7 @@ func (s *Service) fetchTweets(encoded []byte) ([]Tweet, error) {
 // invoke on the timeline key and prefetches tweets on the preliminary view;
 // otherwise it is the strong-read baseline.
 func (s *Service) GetTimeline(ctx context.Context, user int, speculative bool) (TimelineOutcome, error) {
-	sw := s.clock.StartStopwatch()
+	start := s.clock.Now()
 	var out TimelineOutcome
 	out.Speculative = speculative
 	key := TimelineKey(user)
@@ -205,7 +205,7 @@ func (s *Service) GetTimeline(ctx context.Context, user int, speculative bool) (
 			return out, err
 		}
 		out.Tweets = tweets
-		out.Latency = sw.ElapsedModel()
+		out.Latency = s.clock.Now() - start
 		return out, nil
 	}
 
@@ -213,15 +213,6 @@ func (s *Service) GetTimeline(ctx context.Context, user int, speculative bool) (
 	// view older than anything this user already saw (or posted) is
 	// suppressed rather than speculated on.
 	tlCor := sess.Get(ctx, key)
-	var prelimSeen core.View[[]byte]
-	var sawPrelim bool
-	tlCor.OnUpdate(func(v core.View[[]byte]) {
-		if !v.Final && !sawPrelim {
-			out.PrelimAt = sw.ElapsedModel()
-			prelimSeen = v
-			sawPrelim = true
-		}
-	})
 	tweetsCor := core.Speculate(tlCor, func(v core.View[[]byte]) ([]Tweet, error) {
 		return s.fetchTweets(v.Value)
 	}, nil)
@@ -230,10 +221,9 @@ func (s *Service) GetTimeline(ctx context.Context, user int, speculative bool) (
 		return out, err
 	}
 	out.Tweets = v.Value
-	out.Latency = sw.ElapsedModel()
-	if fv, ok := tlCor.Latest(); ok && sawPrelim {
-		out.Misspeculated = !core.ValuesEqual(prelimSeen.Value, fv.Value)
-	}
+	out.Latency = s.clock.Now() - start
+	timing := core.TimingOf(tlCor, start)
+	out.PrelimAt, out.Misspeculated = timing.Prelim, timing.Diverged
 	return out, nil
 }
 

@@ -235,22 +235,24 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 					return
 				}
 				opsDone.Add(1)
-				// The measured op: an ICG read of the shared pool.
+				// The measured op: an ICG read of the shared pool. Its weak
+				// latency is its first view's: the final's when the
+				// preliminary was lost.
 				t0 := clock.Now()
 				cor := binding.Invoke[[]byte](ctx, bc, binding.Get{Key: shared})
-				if _, err := cor.WaitLevel(ctx, core.LevelWeak); err != nil {
-					aborted.Add(1)
-					return
-				}
-				weakAt := clock.Now() - t0
 				if _, err := cor.Final(ctx); err != nil {
 					aborted.Add(1)
 					return
 				}
 				opsDone.Add(1)
 				if sample {
-					weakHist.Record(weakAt)
-					finalHist.Record(clock.Now() - t0)
+					t := core.TimingOf(cor, t0)
+					weak := t.Final
+					if t.HasPrelim {
+						weak = t.Prelim
+					}
+					weakHist.Record(weak)
+					finalHist.Record(t.Final)
 				}
 				completed.Add(1)
 			}

@@ -242,7 +242,7 @@ func Failover(cfg Config) (*FailoverResult, error) {
 		for _, popShards := range shards {
 			for _, shard := range popShards {
 				for _, op := range shard {
-					if at := op.start + op.prelim; op.hasPrelim && at >= faultAt && at < firstFinal {
+					if at := op.start + op.Prelim; op.HasPrelim && at >= faultAt && at < firstFinal {
 						res.OutagePrelims++
 					}
 				}

@@ -246,9 +246,9 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 				}
 				if op.isRead {
 					reads.add(op)
-					if op.err == nil && op.hasPrelim {
+					if op.err == nil && op.HasPrelim {
 						divergeBase++
-						if op.diverged {
+						if op.Diverged {
 							diverged++
 						}
 					}
@@ -257,7 +257,7 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 					if op.err != nil {
 						row.WriteErr++
 					} else {
-						update.Record(op.final)
+						update.Record(op.Final)
 					}
 				}
 			}

@@ -50,17 +50,8 @@ type adsDB struct {
 }
 
 func (db *adsDB) Read(rng *rand.Rand, key string) (ycsb.ReadOutcome, error) {
-	uid := keyIndex(key) % db.profiles
-	out, err := db.svc.FetchAdsByUserID(context.Background(), uid, db.speculative)
-	if err != nil {
-		return ycsb.ReadOutcome{}, err
-	}
-	return ycsb.ReadOutcome{
-		HasPrelim:     db.speculative,
-		PrelimLatency: out.PrelimAt,
-		FinalLatency:  out.Latency,
-		Diverged:      out.Misspeculated,
-	}, nil
+	out, err := db.svc.FetchAdsByUserID(context.Background(), keyIndex(key)%db.profiles, db.speculative)
+	return appRead(out.Speculative, out.PrelimAt, out.Latency, out.Misspeculated, err)
 }
 
 func (db *adsDB) Update(rng *rand.Rand, key string, value []byte) (time.Duration, error) {
@@ -76,22 +67,23 @@ type twissDB struct {
 }
 
 func (db *twissDB) Read(rng *rand.Rand, key string) (ycsb.ReadOutcome, error) {
-	user := keyIndex(key) % db.timelines
-	out, err := db.svc.GetTimeline(context.Background(), user, db.speculative)
-	if err != nil {
-		return ycsb.ReadOutcome{}, err
-	}
-	return ycsb.ReadOutcome{
-		HasPrelim:     db.speculative,
-		PrelimLatency: out.PrelimAt,
-		FinalLatency:  out.Latency,
-		Diverged:      out.Misspeculated,
-	}, nil
+	out, err := db.svc.GetTimeline(context.Background(), keyIndex(key)%db.timelines, db.speculative)
+	return appRead(out.Speculative, out.PrelimAt, out.Latency, out.Misspeculated, err)
 }
 
 func (db *twissDB) Update(rng *rand.Rand, key string, value []byte) (time.Duration, error) {
 	user := keyIndex(key) % db.timelines
 	return db.svc.PostTweet(context.Background(), user, "bench tweet "+key, rng)
+}
+
+// appRead maps one app read onto the YCSB runner's outcome: a speculative
+// read has a preliminary, and the app's misspeculation is its divergence.
+func appRead(speculative bool, prelimAt, latency time.Duration, misspeculated bool, err error) (ycsb.ReadOutcome, error) {
+	if err != nil {
+		return ycsb.ReadOutcome{}, err
+	}
+	return ycsb.ReadOutcome{HasPrelim: speculative, PrelimLatency: prelimAt,
+		FinalLatency: latency, Diverged: misspeculated}, nil
 }
 
 // keyIndex extracts the numeric suffix of a YCSB key.

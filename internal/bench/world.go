@@ -345,17 +345,15 @@ func (w *world) sessions(rec *history.Recorder, m sessionMix) {
 	}
 }
 
-// opRecord is one measured operation.
+// opRecord is one measured operation: its span, its error and the timing
+// its views give.
 type opRecord struct {
 	start, end time.Duration
 	err        error
 	isRead     bool
-	// prelim/final are the view latencies (prelim valid iff hasPrelim).
-	hasPrelim     bool
-	prelim, final time.Duration
-	// diverged: the final view did not confirm the preliminary one.
+	core.Timing
 	// degraded: the op completed below the level it asked for.
-	diverged, degraded bool
+	degraded bool
 }
 
 // readShape is the library entry point a population reads through, one of
@@ -369,23 +367,10 @@ func invokeICG(ctx context.Context, c *binding.Client, op binding.OperationFor[[
 }
 
 // timed waits for an invocation issued at start and returns its record,
-// read off the views the Correctable kept: the first, unless it is the
-// final one, is the preliminary — it stands even if the operation then
-// times out — and a final that differs from it (core.ValuesEqual, the
-// notion Speculate uses) diverged.
+// read off the views the Correctable kept (core.TimingOf).
 func timed[T any](clock netsim.Clock, start time.Duration, cor *core.Correctable[T]) opRecord {
 	_, err := cor.Final(context.Background())
-	op := opRecord{start: start, end: clock.Now(), err: err}
-	views := cor.Views()
-	if len(views) > 0 && !views[0].Final {
-		op.hasPrelim, op.prelim = true, views[0].At-start
-	}
-	if err == nil {
-		final := views[len(views)-1]
-		op.final = final.At - start
-		op.diverged = op.hasPrelim && !core.ValuesEqual(views[0].Value, final.Value)
-	}
-	return op
+	return opRecord{start: start, end: clock.Now(), err: err, Timing: core.TimingOf(cor, start)}
 }
 
 // phaseAt maps a model instant into its phase; instants past the last
@@ -425,14 +410,14 @@ func newViewStats() *viewStats {
 
 func (s *viewStats) add(op opRecord) {
 	s.ops++
-	if op.hasPrelim {
+	if op.HasPrelim {
 		s.prelims++
-		s.prelim.Record(op.prelim)
+		s.prelim.Record(op.Prelim)
 	}
 	if op.err != nil {
 		s.errs++
 	} else {
-		s.final.Record(op.final)
+		s.final.Record(op.Final)
 	}
 }
 

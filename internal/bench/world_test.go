@@ -118,16 +118,16 @@ func TestTimed(t *testing.T) {
 	}{
 		{"no preliminary",
 			[]step{{at: 30 * ms, value: "v", final: true}},
-			opRecord{end: 30 * ms, final: 30 * ms}},
+			opRecord{end: 30 * ms, Timing: core.Timing{HasFinal: true, Final: 30 * ms}}},
 		{"confirmed preliminary",
 			[]step{{at: 10 * ms, value: "v"}, {at: 30 * ms, value: "v", final: true}},
-			opRecord{end: 30 * ms, hasPrelim: true, prelim: 10 * ms, final: 30 * ms}},
+			opRecord{end: 30 * ms, Timing: core.Timing{HasPrelim: true, Prelim: 10 * ms, HasFinal: true, Final: 30 * ms}}},
 		{"diverged preliminary",
 			[]step{{at: 10 * ms, value: "old"}, {at: 30 * ms, value: "new", final: true}},
-			opRecord{end: 30 * ms, hasPrelim: true, prelim: 10 * ms, final: 30 * ms, diverged: true}},
+			opRecord{end: 30 * ms, Timing: core.Timing{HasPrelim: true, Prelim: 10 * ms, HasFinal: true, Final: 30 * ms, Diverged: true}}},
 		{"preliminary then timeout",
 			[]step{{at: 10 * ms, value: "v"}, {at: 50 * ms, fail: faults.ErrUnreachable}},
-			opRecord{end: 50 * ms, err: faults.ErrUnreachable, hasPrelim: true, prelim: 10 * ms}},
+			opRecord{end: 50 * ms, err: faults.ErrUnreachable, Timing: core.Timing{HasPrelim: true, Prelim: 10 * ms}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := netsim.NewVirtualClock()

@@ -27,10 +27,10 @@ var _ ycsb.DB = (*cassandraDB)(nil)
 func (db *cassandraDB) Read(rng *rand.Rand, key string) (ycsb.ReadOutcome, error) {
 	op := timed(db.clock, db.clock.Now(), db.read(context.Background(), db.client, binding.Get{Key: key}))
 	return ycsb.ReadOutcome{
-		HasPrelim:     op.hasPrelim,
-		PrelimLatency: op.prelim,
-		FinalLatency:  op.final,
-		Diverged:      op.diverged,
+		HasPrelim:     op.HasPrelim,
+		PrelimLatency: op.Prelim,
+		FinalLatency:  op.Final,
+		Diverged:      op.Diverged,
 	}, op.err
 }
 
@@ -38,7 +38,7 @@ func (db *cassandraDB) Read(rng *rand.Rand, key string) (ycsb.ReadOutcome, error
 func (db *cassandraDB) Update(rng *rand.Rand, key string, value []byte) (time.Duration, error) {
 	op := timed(db.clock, db.clock.Now(),
 		binding.InvokeStrong[binding.Ack](context.Background(), db.client, binding.Put{Key: key, Value: value}))
-	return op.final, op.err
+	return op.Final, op.err
 }
 
 // preloadDataset installs the workload's records on every replica.

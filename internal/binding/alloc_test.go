@@ -77,25 +77,6 @@ func TestAllocGateFullInvoke(t *testing.T) {
 	}
 }
 
-// TestAllocGateWaitLevel: waiting for a level that has already been
-// delivered must not allocate at all.
-func TestAllocGateWaitLevel(t *testing.T) {
-	c := NewClient(newSyncBinding())
-	ctx := context.Background()
-	cor := Invoke[[]byte](ctx, c, Get{Key: "k"})
-	if _, err := cor.Final(ctx); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := cor.WaitLevel(ctx, core.LevelWeak); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("satisfied WaitLevel allocates %.1f/op, want 0", allocs)
-	}
-}
-
 // TestAllocGateBatchedDispatch is the coordinator-batching allocation gate:
 // once the per-shard entry slices, the freelist and the coalescer's timer
 // are warm, a full cycle — several same-shard enqueues, the window timer

@@ -232,8 +232,8 @@ type Binding interface {
 	SubmitOperation(ctx context.Context, op Operation, levels core.Levels, cb Callback)
 	// Scheduler returns the clock the binding's protocol runs on, adapted
 	// with SchedulerFor. Every Correctable of a client over the binding runs
-	// on it: it stamps the views, parks consumers blocked in Final or
-	// WaitLevel, and arms the client's operation timeout.
+	// on it: it stamps the views, parks consumers blocked in Final, and
+	// arms the client's operation timeout.
 	Scheduler() core.Scheduler
 }
 

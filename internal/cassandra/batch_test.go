@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"correctables/internal/binding"
-	"correctables/internal/core"
 	"correctables/internal/netsim"
 	"correctables/internal/trace"
 )
@@ -63,17 +62,12 @@ func TestBatchedGetMatchesUnbatchedSemantics(t *testing.T) {
 		i := i
 		clock.Go(func() {
 			cor := binding.Invoke[[]byte](ctx, c, binding.Get{Key: keys[i]})
-			w, err := cor.WaitLevel(ctx, core.LevelWeak)
-			if err != nil {
-				views[i].err = err
-				return
-			}
-			views[i].weak = string(w.Value)
 			s, err := cor.Final(ctx)
 			if err != nil {
 				views[i].err = err
 				return
 			}
+			views[i].weak = string(cor.Views()[0].Value)
 			views[i].strong = string(s.Value)
 		})
 	}

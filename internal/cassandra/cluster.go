@@ -109,12 +109,6 @@ type Replica struct {
 // Get returns the replica's local version for key (for tests/harness).
 func (r *Replica) Get(key string) Versioned { return r.tab.get(key) }
 
-// Apply merges a version into the replica's local state.
-func (r *Replica) Apply(key string, v Versioned) bool { return r.tab.apply(key, v) }
-
-// Keys returns the number of keys stored locally.
-func (r *Replica) Keys() int { return r.tab.len() }
-
 // Server exposes the replica's bounded-capacity server. Admission
 // controllers sample its QueueDelay as the coordinator backpressure signal.
 func (r *Replica) Server() *netsim.Server { return r.server }

@@ -93,10 +93,3 @@ func (t *table) apply(key string, v Versioned) bool {
 	}
 	return false
 }
-
-// len returns the number of stored keys.
-func (t *table) len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.data)
-}

@@ -209,15 +209,6 @@ func (r *replica) install(data map[string]Entry, ver uint64) {
 // Config returns the store configuration.
 func (s *Store) Config() Config { return s.cfg }
 
-// Replica state accessors (tests/harness).
-func (s *Store) ReplicaEntry(region netsim.Region, key string) Entry {
-	r := s.replicas[region]
-	if r == nil {
-		return Entry{}
-	}
-	return r.get(key)
-}
-
 // Preload installs a value on every replica without traffic.
 func (s *Store) Preload(key string, value []byte) {
 	e := s.newEntry(value)

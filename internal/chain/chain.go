@@ -138,13 +138,6 @@ func (c *Chain) Stop() {
 	}
 }
 
-// Height returns the current chain height.
-func (c *Chain) Height() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.blocks)
-}
-
 // Submit places a transaction in the mempool.
 func (c *Chain) Submit(tx Tx) {
 	c.mu.Lock()
@@ -174,16 +167,6 @@ func (c *Chain) Watch() (*netsim.Queue, func()) {
 		}
 	}
 	return q, cancel
-}
-
-// ConfirmationsOf returns the depth of the block at the given height.
-func (c *Chain) ConfirmationsOf(height int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if height <= 0 || height > len(c.blocks) {
-		return 0
-	}
-	return len(c.blocks) - height + 1
 }
 
 // scheduleNext arms the next mining deadline as a callback timer: block

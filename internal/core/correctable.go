@@ -88,9 +88,9 @@ type Callbacks[T any] struct {
 // has already closed.
 var ErrClosed = errors.New("correctable: already closed")
 
-// ErrNoView is returned when waiting on a Correctable that closed with no
-// view at the requested level.
-var ErrNoView = errors.New("correctable: closed without a view at the requested level")
+// ErrNoView is returned by Final on a Correctable that closed without a
+// view.
+var ErrNoView = errors.New("correctable: closed without a view")
 
 // cbEntry tracks how far delivery has progressed for one attached callback
 // bundle, so that late subscribers replay history without duplicates.
@@ -136,7 +136,7 @@ type Controller[T any] struct {
 // NewScheduled creates a Correctable in the Updating state together with
 // its Controller. sched is the clock of the binding the views come from and
 // must not be nil: it governs how the Correctable spawns actors
-// (Speculate), how its consumers block (Final, WaitLevel) and the instant
+// (Speculate), how its consumers block (Final) and the instant
 // each view is stamped with. The Correctable Speculate derives inherits
 // it. levels is the advisory set of levels the Correctable will deliver.
 //
@@ -315,15 +315,38 @@ func (c *Correctable[T]) Views() []View[T] {
 	return append([]View[T](nil), c.views...)
 }
 
-// Latest returns the most recent view, if any.
-func (c *Correctable[T]) Latest() (View[T], bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.views) == 0 {
-		var zero View[T]
-		return zero, false
+// Timing is what an operation's views say about it, measured from the
+// instant the operation started.
+type Timing struct {
+	// Prelim is the latency of the preliminary view (valid iff HasPrelim),
+	// Final that of the final view (valid iff HasFinal).
+	Prelim, Final       time.Duration
+	HasPrelim, HasFinal bool
+	// Diverged: both views exist and the final did not confirm the
+	// preliminary (ValuesEqual, the notion Speculate uses).
+	Diverged bool
+}
+
+// TimingOf reads an operation's timing off the views c kept, for an
+// operation started at start: the first view, unless it is the final one,
+// is the preliminary — it stands even if the operation then fails — and
+// the final latency exists when the last view is final. Call it once c has
+// closed.
+func TimingOf[T any](c *Correctable[T], start time.Duration) Timing {
+	var t Timing
+	views := c.Views()
+	if len(views) == 0 {
+		return t
 	}
-	return c.views[len(c.views)-1], true
+	first, last := views[0], views[len(views)-1]
+	if !first.Final {
+		t.HasPrelim, t.Prelim = true, first.At-start
+	}
+	if last.Final {
+		t.HasFinal, t.Final = true, last.At-start
+		t.Diverged = t.HasPrelim && !ValuesEqual(first.Value, last.Value)
+	}
+	return t
 }
 
 // Final blocks through the scheduler until the Correctable closes and
@@ -362,7 +385,7 @@ func (c *Correctable[T]) awaitTerminal() {
 
 // addWaiterLocked registers a fresh event that the next transition fires.
 // The first waiter sits in a field of its own, so the usual lone consumer
-// blocked in Final or WaitLevel costs no slice. Callers hold c.mu.
+// blocked in Final costs no slice. Callers hold c.mu.
 func (c *Correctable[T]) addWaiterLocked() Event {
 	w := c.sched.NewEvent()
 	if c.waiter == nil {
@@ -380,39 +403,6 @@ func (c *Correctable[T]) addWaiterLocked() Event {
 func releaseEvent(w Event) {
 	if r, ok := w.(interface{ Release() }); ok {
 		r.Release()
-	}
-}
-
-// WaitLevel blocks until a view with level >= min has been delivered and
-// returns the first such view. If the Correctable closes without one, it
-// returns ErrNoView (or the closing error). Views already scanned on a
-// previous wakeup are not re-examined, so waiting costs O(new views), and a
-// wait that is already satisfied performs no allocation. As in Final, ctx
-// is not consulted.
-func (c *Correctable[T]) WaitLevel(ctx context.Context, min Level) (View[T], error) {
-	var zero View[T]
-	scanned := 0
-	for {
-		c.mu.Lock()
-		for ; scanned < len(c.views); scanned++ {
-			if v := c.views[scanned]; v.Level.AtLeast(min) {
-				c.mu.Unlock()
-				return v, nil
-			}
-		}
-		if c.state == StateError {
-			err := c.err
-			c.mu.Unlock()
-			return zero, err
-		}
-		if c.state == StateFinal {
-			c.mu.Unlock()
-			return zero, ErrNoView
-		}
-		w := c.addWaiterLocked()
-		c.mu.Unlock()
-		w.Wait()
-		releaseEvent(w)
 	}
 }
 

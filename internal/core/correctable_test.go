@@ -191,47 +191,66 @@ func TestFinalOnError(t *testing.T) {
 	}
 }
 
-func TestWaitLevel(t *testing.T) {
-	c, ctrl := newOnHost[any]()
-	go func() {
-		_ = ctrl.Update("w", LevelWeak)
-		time.Sleep(time.Millisecond)
-		_ = ctrl.Close("s", LevelStrong)
-	}()
-	v, err := c.WaitLevel(context.Background(), LevelStrong)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Value != "s" {
-		t.Errorf("WaitLevel(strong) = %v", v.Value)
-	}
-	// Already satisfied level returns immediately.
-	v, err = c.WaitLevel(context.Background(), LevelWeak)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Value != "w" {
-		t.Errorf("WaitLevel(weak) = %v, want the first weak view", v.Value)
-	}
+// manualClock is hostScheduler with a model time the test sets.
+type manualClock struct {
+	hostScheduler
+	now time.Duration
 }
 
-func TestWaitLevelNoView(t *testing.T) {
-	c, ctrl := newOnHost[any]()
-	_ = ctrl.Close("w", LevelWeak)
-	if _, err := c.WaitLevel(context.Background(), LevelStrong); !errors.Is(err, ErrNoView) {
-		t.Errorf("WaitLevel = %v, want ErrNoView", err)
-	}
-}
+func (m *manualClock) Now() time.Duration { return m.now }
 
-func TestLatest(t *testing.T) {
-	c, ctrl := newOnHost[any]()
-	if _, ok := c.Latest(); ok {
-		t.Error("Latest on empty correctable reported ok")
+// TestTimingOf: the timing TimingOf reads off each shape an operation's
+// view sequence can take. Latencies count from start, not from the clock's
+// origin.
+func TestTimingOf(t *testing.T) {
+	const ms = time.Millisecond
+	boom := errors.New("unreachable")
+	type step struct {
+		at    time.Duration // after start
+		value string
+		final bool
+		fail  error
 	}
-	_ = ctrl.Update(1, LevelWeak)
-	v, ok := c.Latest()
-	if !ok || v.Value != 1 {
-		t.Errorf("Latest = %+v, %v", v, ok)
+	for _, tc := range []struct {
+		name  string
+		steps []step
+		want  Timing
+	}{
+		{"preliminary equal to the final",
+			[]step{{at: 10 * ms, value: "v"}, {at: 30 * ms, value: "v", final: true}},
+			Timing{HasPrelim: true, Prelim: 10 * ms, HasFinal: true, Final: 30 * ms}},
+		{"diverged preliminary",
+			[]step{{at: 10 * ms, value: "old"}, {at: 30 * ms, value: "new", final: true}},
+			Timing{HasPrelim: true, Prelim: 10 * ms, HasFinal: true, Final: 30 * ms, Diverged: true}},
+		{"final only",
+			[]step{{at: 30 * ms, value: "v", final: true}},
+			Timing{HasFinal: true, Final: 30 * ms}},
+		{"preliminary then error",
+			[]step{{at: 10 * ms, value: "v"}, {at: 50 * ms, fail: boom}},
+			Timing{HasPrelim: true, Prelim: 10 * ms}},
+		{"no views",
+			[]step{{at: 50 * ms, fail: boom}},
+			Timing{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const start = 7 * ms
+			clock := &manualClock{now: start}
+			c, ctrl := NewScheduled[string](clock, nil)
+			for _, s := range tc.steps {
+				clock.now = start + s.at
+				switch {
+				case s.fail != nil:
+					_ = ctrl.Fail(s.fail)
+				case s.final:
+					_ = ctrl.Close(s.value, LevelStrong)
+				default:
+					_ = ctrl.Update(s.value, LevelWeak)
+				}
+			}
+			if got := TimingOf(c, start); got != tc.want {
+				t.Errorf("TimingOf = %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }
 

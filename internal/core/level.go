@@ -9,8 +9,8 @@
 //
 // A Correctable runs on one clock: the Scheduler of the binding its views
 // come from, fixed by NewScheduled. That clock stamps every view, parks
-// every consumer blocked in Final or WaitLevel, and runs every speculation;
-// there is no host-goroutine mode.
+// every consumer blocked in Final, and runs every speculation; there is no
+// host-goroutine mode.
 //
 // This package is the paper's "core library" (§3): creation, state
 // transitions, callback delivery and speculation. Of the features
@@ -27,8 +27,8 @@ import "fmt"
 
 // Level identifies a consistency level attached to a view. Bindings advertise
 // an ordered list of the levels they support, from weakest to strongest
-// (§5.1). The numeric ordering below is the library-wide ranking used when an
-// application asks to wait for "at least" a given level.
+// (§5.1). The numeric ordering below is the library-wide ranking that
+// Levels.Sorted and Levels.Strongest use.
 type Level int
 
 // The consistency levels used by the bindings in this repository. A binding
@@ -67,9 +67,6 @@ func (l Level) String() string {
 		return fmt.Sprintf("level(%d)", int(l))
 	}
 }
-
-// AtLeast reports whether l is at least as strong as other.
-func (l Level) AtLeast(other Level) bool { return l >= other }
 
 // Levels is an ordered set of consistency levels, weakest first.
 type Levels []Level

@@ -8,11 +8,8 @@ import (
 func TestLevelOrdering(t *testing.T) {
 	ordered := []Level{LevelNone, LevelCache, LevelWeak, LevelCausal, LevelStrong}
 	for i := 1; i < len(ordered); i++ {
-		if ordered[i-1].AtLeast(ordered[i]) {
+		if ordered[i-1] >= ordered[i] {
 			t.Errorf("%v should be weaker than %v", ordered[i-1], ordered[i])
-		}
-		if !ordered[i].AtLeast(ordered[i-1]) || !ordered[i].AtLeast(ordered[i]) {
-			t.Errorf("AtLeast violated at %v", ordered[i])
 		}
 	}
 }

@@ -11,7 +11,7 @@ type Event interface {
 
 // Scheduler is the clock of the storage stack a Correctable's views come
 // from: how the Correctable spawns helper actors (Speculate), how its
-// consumers block (Final, WaitLevel), how the client library arms an
+// consumers block (Final), how the client library arms an
 // operation timeout, and what "now" means for the views it delivers. Every
 // binding supplies its substrate's clock (binding.SchedulerFor adapts a
 // netsim clock), so waiting on a Correctable parks a simulation actor

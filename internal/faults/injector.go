@@ -258,14 +258,6 @@ func (i *Injector) Down(r netsim.Region) bool {
 	return i.down[r] > 0
 }
 
-// Partitioned reports whether a partition is currently in force between
-// the two regions (false if either is merely down).
-func (i *Injector) Partitioned(a, b netsim.Region) bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.group[a] != i.group[b]
-}
-
 // Faulted reports whether any fault is currently in force: an active
 // partition, a crashed region, or a latency-spike/drop rule.
 func (i *Injector) Faulted() bool {

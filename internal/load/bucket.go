@@ -57,9 +57,3 @@ func (b *TokenBucket) SetRate(rate float64, now time.Duration) {
 	b.refill(now)
 	b.rate = rate
 }
-
-// Tokens returns the balance after refilling at now (tests, introspection).
-func (b *TokenBucket) Tokens(now time.Duration) float64 {
-	b.refill(now)
-	return b.tokens
-}

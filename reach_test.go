@@ -46,22 +46,12 @@ var reachHostGo = map[string]bool{
 // name as the reason means "the inspection hook that test uses to look
 // inside reached state". A kept function keeps its callees alive.
 var reachKeep = map[string]string{
-	"cassandra.(*Replica).Apply":          "TestPropertyFullQuorumReadsNewest",
-	"cassandra.(*Replica).Get":            "TestHintedHandoffReplaysOnRestart",
-	"cassandra.(*Replica).Keys":           "TestHintQueueBounded",
-	"causal.(*Store).ReplicaEntry":        "TestCrashedBackupResyncsOnRestart",
-	"chain.(*Chain).ConfirmationsOf":      "TestConfirmationsOf",
-	"chain.(*Chain).Height":               "TestMiningPausesWhileMinerRegionDown",
-	"chain.Config.MinerRegion":            "puts the chain under the crash window of the other three stores in TestHistoryCheckedAcrossAllFourBindings",
-	"faults.(*Injector).Partitioned":      "TestOverlappingPartitionsCompose",
-	"faults.(*Schedule).Horizon":          "TestRandomTracksDeterministicAndComposable",
-	"faults.(*Schedule).UnmatchedCrashes": "TestRandomCrashRestartPairingSeedSweep",
-	"load.(*TokenBucket).Tokens":          "TestTokenBucketRefillAcrossVirtualTimeJump",
-	"metrics.(*Histogram).Max":            "TestPropertyHistogramInvariants",
-	"metrics.(*Histogram).Min":            "TestPropertyHistogramInvariants",
-	"netsim.(*Transport).Meter":           "TestCrashDropsAsyncAndCountsOnMeter",
-	"ring.(*Ring).Fingerprint":            "TestPlacementDeterministicPerSeed",
-	"zk.(*Server).Tree":                   "TestProposeReplicatesInOrder",
+	"cassandra.(*Replica).Get":  "TestHintedHandoffReplaysOnRestart",
+	"chain.Config.MinerRegion":  "puts the chain under the crash window of the other three stores in TestHistoryCheckedAcrossAllFourBindings",
+	"metrics.(*Histogram).Max":  "TestPropertyHistogramInvariants",
+	"metrics.(*Histogram).Min":  "TestPropertyHistogramInvariants",
+	"netsim.(*Transport).Meter": "TestCrashDropsAsyncAndCountsOnMeter",
+	"zk.(*Server).Tree":         "TestProposeReplicatesInOrder",
 }
 
 const (
