@@ -1,6 +1,6 @@
 package correctables_test
 
-// Benchmarks regenerating the paper's evaluation, one per table/figure
+// Benchmarks regenerating the paper's evaluation, one per figure driver
 // (§6). Each benchmark runs the corresponding bench-package driver in quick
 // mode and reports headline metrics via b.ReportMetric on the paper's units
 // (model-time milliseconds, kB/op, percent), so `go test -bench=.` doubles
@@ -53,27 +53,21 @@ func BenchmarkFig6PerformanceUnderLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7Divergence regenerates Figure 7: divergence of preliminary
-// from final views under YCSB A/B with Latest/Zipfian key choice.
-func BenchmarkFig7Divergence(b *testing.B) {
+// BenchmarkFig7And8DivergenceBandwidth regenerates Figures 7 and 8 from
+// their one shared sweep: divergence of preliminary from final views under
+// YCSB A/B with Latest/Zipfian key choice, and client-link kB/op for C1 vs
+// CC2 vs *CC2 (confirmation optimization) in the same worlds.
+func BenchmarkFig7And8DivergenceBandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Fig7(quickCfg(int64(i)))
+		div, bw := bench.Fig8(quickCfg(int64(i)))
 		var worst float64
-		for _, r := range rows {
+		for _, r := range div {
 			if r.Workload == "A" && r.Distribution == ycsb.DistLatest && r.DivergencePct > worst {
 				worst = r.DivergencePct
 			}
 		}
 		b.ReportMetric(worst, "A-latest-divergence-%")
-	}
-}
-
-// BenchmarkFig8Bandwidth regenerates Figure 8: client-link kB/op for C1 vs
-// CC2 vs *CC2 (confirmation optimization).
-func BenchmarkFig8Bandwidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := bench.Fig8(quickCfg(int64(i)))
-		for _, r := range rows {
+		for _, r := range bw {
 			if r.Workload == "A" && r.Distribution == ycsb.DistLatest {
 				switch r.System {
 				case "CC2":

@@ -71,10 +71,11 @@ var experiments = []experiment{
 		run: func(c bench.Config) string { return bench.FormatFig5(bench.Fig5(c)) }},
 	{name: "fig6", desc: "YCSB latency vs throughput", paper: true,
 		run: func(c bench.Config) string { return bench.FormatFig6(bench.Fig6(c)) }},
-	{name: "fig7", desc: "preliminary-vs-final divergence", paper: true,
-		run: func(c bench.Config) string { return bench.FormatFig7(bench.Fig7(c)) }},
-	{name: "fig8", desc: "bandwidth overhead of incremental views", paper: true,
-		run: func(c bench.Config) string { return bench.FormatFig8(bench.Fig8(c)) }},
+	{name: "fig8", desc: "divergence (Fig 7) and bandwidth overhead (Fig 8) of incremental views, one world per cell", paper: true,
+		run: func(c bench.Config) string {
+			div, bw := bench.Fig8(c)
+			return bench.FormatFig7(div) + bench.FormatFig8(bw)
+		}},
 	{name: "fig9", desc: "ZooKeeper latency gaps per level", paper: true,
 		run: func(c bench.Config) string { return bench.FormatFig9(bench.Fig9(c)) }},
 	{name: "fig10", desc: "dequeue bandwidth (Correctable ZK queue)", paper: true,

@@ -104,6 +104,7 @@ func main() {
 	sessClient := correctables.NewClient(
 		cassandra.NewBinding(store, cassandra.BindingConfig{StrongQuorum: 2}),
 		correctables.WithObserver(rec),
+		correctables.WithOpTimeout(5*time.Second), // model-time per-op bound
 		correctables.WithLabel("quickstart"),
 	)
 	sess := correctables.NewSession(sessClient)

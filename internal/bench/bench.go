@@ -1,5 +1,7 @@
-// Package bench contains one driver per table/figure of the paper's
-// evaluation (§6). Each driver sets up the simulated deployment the paper
+// Package bench contains the drivers of the paper's evaluation (§6), one
+// per table/figure except Fig8, which reads Figures 7 and 8 off the same
+// worlds (the paper measures Fig 8's bandwidth under Fig 7's divergence
+// conditions). Each driver sets up the simulated deployment the paper
 // used, runs the experiment, and returns typed rows whose shape mirrors the
 // corresponding figure; cmd/icgbench prints them, and PAPER.md's figure
 // table states the claim each driver is checked against.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -163,7 +164,7 @@ func TestFig7Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load experiment; skipped in -short")
 	}
-	rows := Fig7(quickCfg())
+	rows, _ := Fig8(quickCfg())
 	if len(rows) == 0 {
 		t.Fatal("no fig7 rows")
 	}
@@ -197,14 +198,33 @@ func TestFig8Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load experiment; skipped in -short")
 	}
-	rows := Fig8(quickCfg())
+	div, rows := Fig8(quickCfg())
 	byKey := map[string]Fig8Row{}
 	for _, r := range rows {
-		byKey[r.Workload+string(r.Distribution)+r.System] = r
+		byKey[fmt.Sprint(r.Workload, r.Distribution, r.Threads, r.System)] = r
 	}
-	aC1 := byKey["A"+string(ycsb.DistLatest)+"C1"]
-	aCC2 := byKey["A"+string(ycsb.DistLatest)+"CC2"]
-	aOpt := byKey["A"+string(ycsb.DistLatest)+"*CC2"]
+	if len(rows) != 3*len(div) {
+		t.Fatalf("%d Fig 8 rows for %d Fig 7 cells, want three systems per cell", len(rows), len(div))
+	}
+	for _, d := range div {
+		cell := fmt.Sprint(d.Workload, d.Distribution, d.Threads)
+		cc2, opt := byKey[cell+"CC2"], byKey[cell+"*CC2"]
+		// Message size never enters a delay, so the confirmation
+		// optimization moves bytes, not events: both ICG worlds of a cell
+		// diverge alike, and alike with Figure 7, which is read off CC2's.
+		if opt.DivergencePct != cc2.DivergencePct || opt.Reads != cc2.Reads {
+			t.Errorf("%s: *CC2 divergence %.2f%% over %d reads, CC2 %.2f%% over %d",
+				cell, opt.DivergencePct, opt.Reads, cc2.DivergencePct, cc2.Reads)
+		}
+		if cc2.DivergencePct != d.DivergencePct || cc2.Reads != d.Reads {
+			t.Errorf("%s: Fig 8 CC2 divergence %.2f%% over %d reads, Fig 7 %.2f%% over %d",
+				cell, cc2.DivergencePct, cc2.Reads, d.DivergencePct, d.Reads)
+		}
+	}
+	aLatest := fmt.Sprint("A", ycsb.DistLatest, 30)
+	aC1 := byKey[aLatest+"C1"]
+	aCC2 := byKey[aLatest+"CC2"]
+	aOpt := byKey[aLatest+"*CC2"]
 	if aCC2.KBPerOp <= aC1.KBPerOp {
 		t.Errorf("unoptimized CC2 (%0.2f) must cost more than C1 (%0.2f)", aCC2.KBPerOp, aC1.KBPerOp)
 	}

@@ -50,8 +50,6 @@ func metricFingerprint(h *world, results []*ycsb.Result) string {
 func fig6StyleRun(cfg Config) string {
 	w := workloadByName("A", ycsb.DistZipfian, 1000, 1024)
 	h := newFabric(cfg)
-	cluster := h.newCassandra(cfg, cassandraOpts{correctable: true})
-	preloadDataset(cluster, w)
 	var cbLog []string
 	for i, d := range []time.Duration{
 		50 * time.Millisecond, 700 * time.Millisecond, 1900 * time.Millisecond,
@@ -61,10 +59,9 @@ func fig6StyleRun(cfg Config) string {
 			cbLog = append(cbLog, fmt.Sprintf("cb%d@%d", i, h.clock.Now()))
 		})
 	}
-	results := h.runGroups(cluster, w, 2, invokeICG, 8, ycsb.Options{
+	results := h.ycsbRun(cfg, cassandraOpts{correctable: true}, w, 2, invokeICG, 8, ycsb.Options{
 		Duration: 2 * time.Second,
 		Warmup:   200 * time.Millisecond,
-		Seed:     cfg.Seed,
 	})
 	return metricFingerprint(h, results) + "callbacks: " + strings.Join(cbLog, " ") + "\n"
 }

@@ -161,7 +161,7 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 	// writes flowing: the measured coordinator (FRK) learns of them only
 	// through asynchronous replication, which is what gives preliminary
 	// views something to diverge from — one population writing through its
-	// own coordinator would never observe staleness (cf. runGroups).
+	// own coordinator would never observe staleness (cf. ycsbRun).
 	ctx := context.Background()
 	bgWriter := cassandraClient(cluster, netsim.IRL, netsim.IRL, 0)
 	for t := 0; t < threads/3+1; t++ {

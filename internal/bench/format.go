@@ -59,11 +59,15 @@ func FormatFig7(rows []Fig7Row) string {
 func FormatFig8(rows []Fig8Row) string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
+		div := "-" // C1 has no preliminary views
+		if r.System != "C1" {
+			div = fmt.Sprintf("%.1f", r.DivergencePct)
+		}
 		out[i] = []string{r.Workload, string(r.Distribution), fmt.Sprintf("%d", r.Threads), r.System,
-			fmt.Sprintf("%.2f", r.KBPerOp), fmt.Sprintf("%+.0f%%", r.OverheadPct)}
+			fmt.Sprintf("%.2f", r.KBPerOp), fmt.Sprintf("%+.0f%%", r.OverheadPct), div}
 	}
 	return table("Figure 8: client-link efficiency (kB/op)",
-		[]string{"workload", "distribution", "threads", "system", "kB/op", "vs C1"}, out)
+		[]string{"workload", "distribution", "threads", "system", "kB/op", "vs C1", "divergence %"}, out)
 }
 
 // FormatFig9 renders Figure 9's rows.

@@ -149,10 +149,10 @@ func TestGoldenOutputs(t *testing.T) {
 			json: "7bc95ce47c76bacd1a36350c51e83416aebeb593b94603d57d8b443cbec19a32"},
 		{name: "fig6", run: rows(func() any { return Fig6(goldenCfg) }),
 			json: "e6bb2508d2d75005ea310e25e2c0b1806755ef9a8e74002b778f86ccef18f2e7"},
-		{name: "fig7", run: rows(func() any { return Fig7(goldenCfg) }),
+		{name: "fig7", run: rows(func() any { div, _ := Fig8(goldenCfg); return div }),
 			json: "0b51783b9726472a9b9ce83e0dcbcfe491546c82b2e2d6ebf2265b5766d6cce2"},
-		{name: "fig8", run: rows(func() any { return Fig8(goldenCfg) }),
-			json: "0bf50f28a64239dbb92d8f55f291e1633f93c0bcf1358e81de47b175efe58bb0"},
+		{name: "fig8", run: rows(func() any { _, bw := Fig8(goldenCfg); return bw }),
+			json: "2cdf254f660900d8f0fd03f517f3823f3245fc243f80322e013a8e099aaf2803"},
 		{name: "fig9", run: rows(func() any { return Fig9(goldenCfg) }),
 			json: "884caaa396bfeab78be9c634eb24588bc84dd2b9f2e0330612700418d4f9bd93"},
 		{name: "fig10", run: rows(func() any { return Fig10(goldenCfg) }),

@@ -82,10 +82,10 @@ func scaledLatencies(scale float64) *netsim.LatencyModel {
 	return m
 }
 
-// Sweep runs the cheap fig6/fig7 parameter sweep: 3 quorum sizes x 3 RTT
-// geometries, one YCSB-B run each on Correctable Cassandra with preliminary
-// views enabled. Every cell gets a fresh fabric seeded from cfg.Seed, so the
-// whole table replays byte-identically per seed.
+// Sweep runs the cheap parameter sweep over Figs 6 and 7: 3 quorum sizes x
+// 3 RTT geometries, one YCSB-B run each on Correctable Cassandra with
+// preliminary views enabled. Every cell gets a fresh fabric seeded from
+// cfg.Seed, so the whole table replays byte-identically per seed.
 func Sweep(cfg Config) *SweepResult {
 	dur := cfg.pickDur(6*time.Second, 800*time.Millisecond) // model time
 	warmup := cfg.pickDur(1*time.Second, 100*time.Millisecond)

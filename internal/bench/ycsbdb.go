@@ -53,16 +53,33 @@ func preloadDataset(cluster *cassandra.Cluster, w ycsb.Workload) {
 }
 
 // ycsbRun is one YCSB measurement on a fresh fabric: a cluster built from
-// copts, w's dataset preloaded, the three regional client groups driven to
-// completion (runGroups) seeded from cfg.Seed. Results follow
-// cluster.Regions(): FRK, IRL, VRG — the paper reports the IRL client,
-// index 1.
+// copts, w's dataset preloaded, and the three regional client groups driven
+// concurrently, seeded from cfg.Seed, with the world played out (mustRun:
+// background traffic drained). Results follow cluster.Regions(): FRK, IRL,
+// VRG — the paper reports the IRL client, index 1.
 func (h *world) ycsbRun(cfg Config, copts cassandraOpts, w ycsb.Workload, quorum int, read readShape,
 	threadsPerGroup int, opts ycsb.Options) []*ycsb.Result {
 	cluster := h.newCassandra(cfg, copts)
 	preloadDataset(cluster, w)
-	opts.Seed = cfg.Seed
-	return h.runGroups(cluster, w, quorum, read, threadsPerGroup, opts)
+	// The paper's deployment: "3 clients, one per region, with each client
+	// connecting to a remote replica".
+	regions := cluster.Regions()
+	results := make([]*ycsb.Result, len(regions))
+	// One shared key chooser: popularity and recency are global properties
+	// of the workload, not per-region ones. (With per-group Latest anchors,
+	// every group would chase its own writes — which its own coordinator
+	// serves fresh — and divergence would vanish.)
+	shared := w.NewGenerator()
+	for i, r := range regions {
+		db := &cassandraDB{client: cassandraClient(cluster, r, cluster.NearestRemote(r), quorum), clock: h.clock, read: read}
+		groupOpts := opts
+		groupOpts.Threads = threadsPerGroup
+		groupOpts.Seed = cfg.Seed + int64(i)*77
+		groupOpts.Generator = shared
+		h.spawn(func() { results[i] = ycsb.Run(w, db, h.clock, groupOpts) })
+	}
+	h.mustRun()
+	return results
 }
 
 // totalThroughput sums attained ops/s over the client groups.
@@ -83,44 +100,4 @@ func divergence(results []*ycsb.Result) (pct float64, prelims int64) {
 		prelims += r.PrelimReads
 	}
 	return 100 * metrics.Ratio(diverged, prelims), prelims
-}
-
-// clientGroup is one regional client population of the paper's YCSB
-// deployment ("we deploy 3 clients, one per region, with each client
-// connecting to a remote replica").
-type clientGroup struct {
-	clientRegion netsim.Region
-	coordRegion  netsim.Region
-}
-
-func defaultGroups(cluster *cassandra.Cluster) []clientGroup {
-	var groups []clientGroup
-	for _, r := range cluster.Regions() {
-		groups = append(groups, clientGroup{clientRegion: r, coordRegion: cluster.NearestRemote(r)})
-	}
-	return groups
-}
-
-// runGroups drives the workload from all client groups concurrently,
-// plays the world out (mustRun: background traffic drained), and returns the
-// per-group results in group order.
-func (h *world) runGroups(cluster *cassandra.Cluster, w ycsb.Workload, quorum int, read readShape,
-	threadsPerGroup int, opts ycsb.Options) []*ycsb.Result {
-	groups := defaultGroups(cluster)
-	results := make([]*ycsb.Result, len(groups))
-	// One shared key chooser: popularity and recency are global properties
-	// of the workload, not per-region ones. (With per-group Latest anchors,
-	// every group would chase its own writes — which its own coordinator
-	// serves fresh — and divergence would vanish.)
-	shared := w.NewGenerator()
-	for i, g := range groups {
-		db := &cassandraDB{client: cassandraClient(cluster, g.clientRegion, g.coordRegion, quorum), clock: h.clock, read: read}
-		groupOpts := opts
-		groupOpts.Threads = threadsPerGroup
-		groupOpts.Seed = opts.Seed + int64(i)*77
-		groupOpts.Generator = shared
-		h.spawn(func() { results[i] = ycsb.Run(w, db, h.clock, groupOpts) })
-	}
-	h.mustRun()
-	return results
 }

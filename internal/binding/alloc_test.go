@@ -78,7 +78,7 @@ func TestAllocGateFullInvoke(t *testing.T) {
 }
 
 // TestAllocGateBatchedDispatch is the coordinator-batching allocation gate:
-// once the per-shard entry slices, the freelist and the coalescer's timer
+// once the per-shard entry slices, the freelist and the shard's flush timer
 // are warm, a full cycle — several same-shard enqueues, the window timer
 // firing, the flush handing the batch to the store and the slice being
 // recycled — allocates nothing. This is what keeps the 10^6-session

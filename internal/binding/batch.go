@@ -14,7 +14,7 @@ import (
 // bound for the same shard within a dispatch window coalesce into a single
 // coordinated round. The Batcher is the client-side half — a Binding
 // wrapper that queues batchable operations per shard and arms one
-// netsim.Coalescer timer per shard per window (amortized timer arming) —
+// dispatch timer per shard per window (amortized timer arming) —
 // and BatchBinding is the store-side half: a binding whose coordinator path
 // can serve several same-shard operations in one protocol round.
 
@@ -49,18 +49,20 @@ type BatchBinding interface {
 // forwards to the wrapped binding.
 //
 // The enqueue path is allocation-free at steady state: entries append into
-// recycled per-shard slices (a freelist refilled by done), the coalescer's
-// per-shard fire closures are pre-bound at construction, and the
+// recycled per-shard slices (a freelist refilled by done), the per-shard
+// fire closures are pre-bound at construction, and the
 // scheduler's RunAfter is itself zero-alloc — see the batched-dispatch
 // allocation gate.
 type Batcher struct {
 	b       BatchBinding
 	clock   netsim.Clock
-	co      *netsim.Coalescer
+	window  time.Duration
+	fire    []func()           // per shard, pre-bound: flush(shard)
 	recycle func([]BatchEntry) // pre-bound; handed to SubmitBatch as done
 
 	mu      sync.Mutex
 	pending [][]BatchEntry // per shard
+	armed   []bool         // per shard: a flush timer is pending
 	free    [][]BatchEntry // recycled entry slices
 
 	batched    atomic.Int64 // operations that rode a coalesced dispatch
@@ -70,15 +72,23 @@ type Batcher struct {
 var _ Binding = (*Batcher)(nil)
 
 // NewBatcher wraps b, coalescing batchable operations per shard over the
-// given dispatch window of model time.
+// given dispatch window of model time. A zero window still coalesces:
+// everything submitted at one model instant flushes together at that same
+// instant, as soon as the scheduler reaches its timer queue.
 func NewBatcher(b BatchBinding, clock netsim.Clock, window time.Duration) *Batcher {
+	shards := b.BatchShards()
 	bt := &Batcher{
 		b:       b,
 		clock:   clock,
-		pending: make([][]BatchEntry, b.BatchShards()),
+		window:  window,
+		fire:    make([]func(), shards),
+		pending: make([][]BatchEntry, shards),
+		armed:   make([]bool, shards),
+	}
+	for shard := range bt.fire {
+		bt.fire[shard] = func() { bt.flush(shard) }
 	}
 	bt.recycle = bt.doRecycle
-	bt.co = netsim.NewCoalescer(clock, window, len(bt.pending), bt.flush)
 	return bt
 }
 
@@ -86,7 +96,9 @@ func NewBatcher(b BatchBinding, clock netsim.Clock, window time.Duration) *Batch
 func (bt *Batcher) ConsistencyLevels() core.Levels { return bt.b.ConsistencyLevels() }
 
 // SubmitOperation implements Binding: batchable operations queue for the
-// shard's next dispatch tick; everything else passes straight through.
+// shard's next dispatch tick; everything else passes straight through. The
+// first operation in a window arms the shard's flush timer; later ones
+// ride the pending flush for free.
 func (bt *Batcher) SubmitOperation(ctx context.Context, op Operation, levels core.Levels, cb Callback) {
 	shard, ok := bt.b.BatchKey(op)
 	if !ok {
@@ -95,15 +107,21 @@ func (bt *Batcher) SubmitOperation(ctx context.Context, op Operation, levels cor
 	}
 	bt.mu.Lock()
 	bt.pending[shard] = append(bt.pending[shard], BatchEntry{Ctx: ctx, Op: op, Levels: levels, Cb: cb})
+	arm := !bt.armed[shard]
+	bt.armed[shard] = true
 	bt.mu.Unlock()
-	bt.co.Touch(shard)
+	if arm {
+		bt.clock.RunAfter(bt.window, bt.fire[shard])
+	}
 }
 
 // flush hands a shard's queue to the store in one dispatch (timer-callback
-// context). The queue slice is swapped against the freelist so the next
-// window appends into warm capacity.
+// context). It disarms first, so an operation submitted from inside
+// SubmitBatch opens a fresh window. The queue slice is swapped against the
+// freelist so the next window appends into warm capacity.
 func (bt *Batcher) flush(shard int) {
 	bt.mu.Lock()
+	bt.armed[shard] = false
 	entries := bt.pending[shard]
 	if len(entries) == 0 {
 		bt.mu.Unlock()

@@ -19,6 +19,8 @@ type recordingBatchBinding struct {
 		keys  []string
 	}
 	direct []string
+	// onBatch, if set, runs after each dispatch has been served.
+	onBatch func()
 }
 
 func newRecordingBatchBinding(shards int) *recordingBatchBinding {
@@ -55,6 +57,9 @@ func (b *recordingBatchBinding) SubmitBatch(shard int, entries []BatchEntry, don
 	}
 	b.batches = append(b.batches, rec)
 	done(entries)
+	if b.onBatch != nil {
+		b.onBatch()
+	}
 }
 
 // TestBatcherGroupsByShard: same-window operations coalesce into one
@@ -95,6 +100,49 @@ func TestBatcherGroupsByShard(t *testing.T) {
 	clock.Drain()
 	if len(bb.batches) != 3 || bb.batches[2].keys[0] != "f0" {
 		t.Fatalf("post-window dispatch missing: %+v", bb.batches)
+	}
+}
+
+// TestBatcherSubmitDuringFlush: an operation submitted from inside
+// SubmitBatch opens a fresh window rather than being swallowed by the
+// flush that is running.
+func TestBatcherSubmitDuringFlush(t *testing.T) {
+	clock := netsim.NewVirtualClock()
+	bb := newRecordingBatchBinding(1)
+	bt := NewBatcher(bb, clock, time.Millisecond)
+	ctx := context.Background()
+	cb := func(Result) {}
+	levels := core.Levels{core.LevelWeak}
+	bb.onBatch = func() {
+		if len(bb.batches) == 1 {
+			bt.SubmitOperation(ctx, Get{Key: "b0"}, levels, cb)
+		}
+	}
+	bt.SubmitOperation(ctx, Get{Key: "a0"}, levels, cb)
+	clock.Drain()
+	if len(bb.batches) != 2 || bb.batches[1].keys[0] != "b0" {
+		t.Fatalf("got dispatches %+v, want a0 then b0 in a window of its own", bb.batches)
+	}
+	if now := clock.Now(); now != 2*time.Millisecond {
+		t.Errorf("second window flushed at %v, want 2ms", now)
+	}
+}
+
+// TestBatcherZeroWindow: a zero window still coalesces same-instant
+// operations into one dispatch, at that same instant.
+func TestBatcherZeroWindow(t *testing.T) {
+	clock := netsim.NewVirtualClock()
+	bb := newRecordingBatchBinding(1)
+	bt := NewBatcher(bb, clock, 0)
+	for _, k := range []string{"a0", "b0", "c0"} {
+		bt.SubmitOperation(context.Background(), Get{Key: k}, core.Levels{core.LevelWeak}, func(Result) {})
+	}
+	clock.Drain()
+	if len(bb.batches) != 1 || len(bb.batches[0].keys) != 3 {
+		t.Fatalf("zero-window dispatches = %+v, want one of three", bb.batches)
+	}
+	if now := clock.Now(); now != 0 {
+		t.Errorf("zero-window flush at %v, want 0", now)
 	}
 }
 

@@ -227,3 +227,34 @@ func TestServerZeroWorkersClamped(t *testing.T) {
 	s := NewServer(NewVirtualClock(), 0)
 	s.Process(0) // must not deadlock
 }
+
+// TestServerReserveMatchesProcess: Reserve books exactly the capacity
+// Process would, and a batch that reserves k slots then sleeps once on the
+// latest deadline observes the same completion time as k serial Process
+// calls spread over the worker slots.
+func TestServerReserveMatchesProcess(t *testing.T) {
+	c := NewVirtualClock()
+	s := NewServer(c, 2)
+	const cost = 4 * time.Millisecond
+
+	// 4 reservations on 2 slots: completions at 4, 4, 8, 8 ms.
+	var latest time.Duration
+	for i := 0; i < 4; i++ {
+		if end := s.Reserve(cost); end > latest {
+			latest = end
+		}
+	}
+	if latest != 8*time.Millisecond {
+		t.Fatalf("latest batch deadline = %v, want 8ms", latest)
+	}
+	c.SleepUntil(latest)
+	if got := s.BusyModelTime(); got != 16*time.Millisecond {
+		t.Fatalf("busy model time = %v, want 16ms", got)
+	}
+	if got := s.Handled(); got != 4 {
+		t.Fatalf("handled = %d, want 4", got)
+	}
+	if d := s.QueueDelay(); d != 0 {
+		t.Fatalf("queue delay after drain = %v, want 0", d)
+	}
+}
