@@ -103,6 +103,44 @@ func TestBatcherGroupsByShard(t *testing.T) {
 	}
 }
 
+// TestBatcherSingleFlushPerWindow: every operation submitted inside one
+// window rides a single flush per shard, fired when the window closes; an
+// operation after the flush opens a fresh window.
+func TestBatcherSingleFlushPerWindow(t *testing.T) {
+	clock := netsim.NewVirtualClock()
+	bb := newRecordingBatchBinding(3)
+	bt := NewBatcher(bb, clock, 5*time.Millisecond)
+	ctx := context.Background()
+	cb := func(Result) {}
+	levels := core.Levels{core.LevelWeak}
+	var at []time.Duration
+	bb.onBatch = func() { at = append(at, clock.Now()) }
+
+	// "1" and "2" land on shards 1 and 2 (byte % 3).
+	for _, k := range []string{"a1", "b1", "c1", "d2"} {
+		bt.SubmitOperation(ctx, Get{Key: k}, levels, cb)
+	}
+	clock.Drain()
+	if len(bb.batches) != 2 {
+		t.Fatalf("got %d flushes, want 2: %+v", len(bb.batches), bb.batches)
+	}
+	for i, rec := range bb.batches {
+		if at[i] != 5*time.Millisecond {
+			t.Errorf("shard %d flushed at %v, want 5ms", rec.shard, at[i])
+		}
+	}
+
+	// Fresh window after dispatch.
+	bt.SubmitOperation(ctx, Get{Key: "e1"}, levels, cb)
+	clock.Drain()
+	if len(bb.batches) != 3 {
+		t.Fatalf("got %d flushes after re-arm, want 3", len(bb.batches))
+	}
+	if last := bb.batches[2]; last.shard != 1 || at[2] != 10*time.Millisecond {
+		t.Errorf("re-armed flush = shard %d at %v, want shard 1 at 10ms", last.shard, at[2])
+	}
+}
+
 // TestBatcherSubmitDuringFlush: an operation submitted from inside
 // SubmitBatch opens a fresh window rather than being swallowed by the
 // flush that is running.
