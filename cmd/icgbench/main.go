@@ -92,10 +92,7 @@ var experiments = []experiment{
 	{name: "faultstudy", desc: "YCSB under a deterministic fault schedule (-faults, -check)", json: true, trace: true,
 		run: scenario(func(c bench.Config) (bench.Result, error) { return bench.FaultStudy(c) })},
 	{name: "failover", desc: "leader partition mid-run: recovery time and availability window", json: true, trace: true,
-		run: scenario(func(c bench.Config) (bench.Result, error) {
-			c.Check = true // the CLI run always carries the checked population
-			return bench.Failover(c)
-		})},
+		run: scenario(func(c bench.Config) (bench.Result, error) { return bench.Failover(c) })},
 	{name: "overload", desc: "open-loop burst: metastable retry storm vs admission control", json: true, trace: true,
 		run: scenario(func(c bench.Config) (bench.Result, error) { return bench.Overload(c) })},
 	{name: "sweep", desc: "read latency vs quorum size and RTT geography", json: true,
@@ -162,7 +159,6 @@ var (
 	faultJSON    string
 	traceOut     string
 	huntSeeds    int
-	huntStart    int64
 	huntProfiles string
 	huntWorkers  int
 	huntPlant    bool
@@ -260,10 +256,9 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 // huntOptions collects the -hunt-* flags.
 func huntOptions() bench.HuntOptions {
 	opts := bench.HuntOptions{
-		Seeds:     huntSeeds,
-		StartSeed: huntStart,
-		Workers:   huntWorkers,
-		Plant:     huntPlant,
+		Seeds:   huntSeeds,
+		Workers: huntWorkers,
+		Plant:   huntPlant,
 	}
 	for _, p := range strings.Split(huntProfiles, ",") {
 		if p = strings.TrimSpace(p); p != "" {
@@ -351,7 +346,6 @@ func main() {
 	flag.StringVar(&faultJSON, "fault-json", "", "write the experiment result as JSON to this path ("+strings.Join(expNames(jsonExp), ", ")+")")
 	flag.StringVar(&traceOut, "trace", "", "record model-time spans and sampled gauges, and write them as Chrome trace-event JSON (Perfetto-loadable) to this path ("+strings.Join(expNames(traceExp), ", ")+")")
 	flag.IntVar(&huntSeeds, "hunt-seeds", 0, "hunt: seeds swept per profile (default 1000, or 16 with -quick)")
-	flag.Int64Var(&huntStart, "hunt-start", 0, "hunt: first seed (default -seed)")
 	flag.StringVar(&huntProfiles, "hunt-profiles", "", "hunt: comma list of fault profiles (default tracks-mild,tracks-harsh)")
 	flag.IntVar(&huntWorkers, "hunt-workers", 0, "hunt: parallel worlds (default GOMAXPROCS)")
 	flag.BoolVar(&huntPlant, "hunt-plant", false, "hunt: enable the planted version-corruption bug (self-test; the hunt must find it)")

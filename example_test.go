@@ -342,11 +342,10 @@ func Example_capacity() {
 // CI gate; `icgbench -exp hunt` runs the full-size version.
 func Example_hunt() {
 	res, err := bench.Hunt(bench.Config{Seed: 42, Quick: true}, bench.HuntOptions{
-		Seeds:     2,
-		StartSeed: 42,
-		Profiles:  []string{"tracks-harsh"},
-		Workers:   2,
-		Plant:     true,
+		Seeds:    2,
+		Profiles: []string{"tracks-harsh"},
+		Workers:  2,
+		Plant:    true,
 	})
 	if err != nil {
 		panic(err)

@@ -29,10 +29,10 @@ type Config struct {
 	// fault-study table.
 	FaultLog bool
 	// Check adds a consistency-checked session population to the
-	// faultstudy and failover experiments: its clients run through the
-	// session API with a history recorder attached, and the recorded
-	// history is verified after the run (session guarantees plus per-key
-	// register and per-queue linearizability).
+	// faultstudy experiment: its clients run through the session API with
+	// a history recorder attached, and the recorded history is verified
+	// after the run (session guarantees plus per-key register
+	// linearizability). Failover always carries its own.
 	Check bool
 	// Trace attaches the model-time span tracer and time-series registry
 	// to the experiment fabric (faultstudy, failover, overload). The

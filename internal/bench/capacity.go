@@ -26,7 +26,7 @@ import (
 // the plane can actually serve and the scaling factor T(8)/T(1) is a
 // capacity ratio, not an offered-load echo. The full-size run pushes one
 // million sessions through the widest cell on a single VirtualClock
-// (ROADMAP item 1's 10^6-session scale).
+// (ROADMAP item 18's 10^6-session scale).
 const (
 	// capSessionsPerShardRegion is the full-size per-region offered rate in
 	// sessions/s per shard: 3 regions x 8 shards x 600 = 14,400 sessions/s

@@ -94,9 +94,9 @@ func (res *FailoverResult) Violations() int { return res.Check.Violations() }
 // phase — recovery as a first-class, measured scenario rather than a
 // pass/fail test.
 //
-// With cfg.Check, a consistency-checked session population runs alongside
-// the measured one and its recorded history is verified (session
-// guarantees plus per-queue linearizability) across the failover.
+// A consistency-checked session population runs alongside the measured one,
+// and its recorded history is verified (session guarantees plus per-queue
+// linearizability) across the failover.
 func Failover(cfg Config) (*FailoverResult, error) {
 	unit := cfg.pickDur(2*time.Second, 300*time.Millisecond)
 	hb := unit / 8
@@ -169,33 +169,30 @@ func Failover(cfg Config) (*FailoverResult, error) {
 		}
 	}
 
-	// The checked population (cfg.Check): sessions through the full invoke
-	// pipeline on their own queues, half contacting the old leader, half
-	// the survivor, with a history recorder observing every op.
-	var recorder *history.Recorder
+	// The checked population: sessions through the full invoke pipeline on
+	// their own queues, half contacting the old leader, half the survivor,
+	// with a history recorder observing every op.
+	recorder := history.NewRecorder()
 	checkClients := cfg.pick(6, 4)
-	if cfg.Check {
-		recorder = history.NewRecorder()
-		for t := 0; t < checkClients; t++ {
-			contact := alternate(t, netsim.IRL, netsim.FRK)
-			queue := fmt.Sprintf("chk-%02d", t)
-			if err := setup.CreateQueue(queue); err != nil {
-				return nil, fmt.Errorf("bench: creating %s: %w", queue, err)
-			}
-			sess := h.session(recorder, fmt.Sprintf("sess-%02d", t),
-				zk.NewBinding(zk.NewQueueClient(e, netsim.IRL, contact)))
-			// Paced, not closed-loop: each timed-out op enters the
-			// linearizability history as an ambiguous wildcard the search
-			// must branch on, so per-queue op counts are kept where the
-			// check stays conclusive.
-			h.loop(cfg.Seed+5_555_557+int64(t)*1_000_003, unit/8, func(rng *rand.Rand) {
-				if rng.Float64() < 0.7 {
-					_, _ = sess.Enqueue(ctx, queue, payload).Final(ctx)
-				} else {
-					_, _ = sess.Dequeue(ctx, queue).Final(ctx)
-				}
-			})
+	for t := 0; t < checkClients; t++ {
+		contact := alternate(t, netsim.IRL, netsim.FRK)
+		queue := fmt.Sprintf("chk-%02d", t)
+		if err := setup.CreateQueue(queue); err != nil {
+			return nil, fmt.Errorf("bench: creating %s: %w", queue, err)
 		}
+		sess := h.session(recorder, fmt.Sprintf("sess-%02d", t),
+			zk.NewBinding(zk.NewQueueClient(e, netsim.IRL, contact)))
+		// Paced, not closed-loop: each timed-out op enters the
+		// linearizability history as an ambiguous wildcard the search
+		// must branch on, so per-queue op counts are kept where the
+		// check stays conclusive.
+		h.loop(cfg.Seed+5_555_557+int64(t)*1_000_003, unit/8, func(rng *rand.Rand) {
+			if rng.Float64() < 0.7 {
+				_, _ = sess.Enqueue(ctx, queue, payload).Final(ctx)
+			} else {
+				_, _ = sess.Dequeue(ctx, queue).Final(ctx)
+			}
+		})
 	}
 	if _, err := h.run(); err != nil {
 		return nil, fmt.Errorf("bench: failover: %w", err)
@@ -282,8 +279,6 @@ func Failover(cfg Config) (*FailoverResult, error) {
 	// election column is nonzero only where an election window overlaps the
 	// phase — the outage row, by construction.
 	res.Observed = h.observe(phases)
-	if recorder != nil {
-		res.Check = buildCheckReport(recorder, checkClients, modelQueues)
-	}
+	res.Check = buildCheckReport(recorder, checkClients, modelQueues)
 	return res, nil
 }

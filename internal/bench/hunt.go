@@ -35,11 +35,9 @@ const (
 
 // HuntOptions parameterizes the seed-space violation hunt.
 type HuntOptions struct {
-	// Seeds is the number of consecutive seeds swept per profile (default:
-	// 1000, or 16 under Config.Quick).
+	// Seeds is the number of consecutive seeds swept per profile, from
+	// Config.Seed on (default: 1000, or 16 under Config.Quick).
 	Seeds int
-	// StartSeed is the first seed (default Config.Seed).
-	StartSeed int64
 	// Profiles are the faults profile names to sweep (ProfilesByName;
 	// default tracks-mild and tracks-harsh — the composed nemesis products).
 	Profiles []string
@@ -556,9 +554,6 @@ func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
 	if opts.Seeds <= 0 {
 		opts.Seeds = cfg.pick(1000, 16)
 	}
-	if opts.StartSeed == 0 {
-		opts.StartSeed = cfg.Seed
-	}
 	if len(opts.Profiles) == 0 {
 		opts.Profiles = []string{"tracks-mild", "tracks-harsh"}
 	}
@@ -571,7 +566,7 @@ func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
 		}
 	}
 
-	// World i is profile i/Seeds at seed StartSeed + i%Seeds.
+	// World i is profile i/Seeds at seed cfg.Seed + i%Seeds.
 	worlds := make([]huntWorld, len(opts.Profiles)*opts.Seeds)
 	outcomes := make([]*huntOutcome, len(worlds))
 	var next atomic.Int64
@@ -585,7 +580,7 @@ func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
 				if i >= len(worlds) {
 					return
 				}
-				w, err := newHuntWorld(opts.Profiles[i/opts.Seeds], opts.StartSeed+int64(i%opts.Seeds), opts.Plant)
+				w, err := newHuntWorld(opts.Profiles[i/opts.Seeds], cfg.Seed+int64(i%opts.Seeds), opts.Plant)
 				if err != nil {
 					panic("bench: " + err.Error()) // profiles validated above
 				}
@@ -597,7 +592,7 @@ func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
 	wg.Wait()
 
 	res := &HuntResult{
-		Profiles: opts.Profiles, Seeds: opts.Seeds, StartSeed: opts.StartSeed,
+		Profiles: opts.Profiles, Seeds: opts.Seeds, StartSeed: cfg.Seed,
 		Workers: opts.Workers, Planted: opts.Plant, Runs: len(worlds),
 	}
 	for i, o := range outcomes {

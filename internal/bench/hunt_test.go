@@ -10,11 +10,10 @@ import (
 // first seeds should already trip the corrupted-version checkers.
 func huntTestOpts(plant bool) HuntOptions {
 	return HuntOptions{
-		Seeds:     4,
-		StartSeed: 42,
-		Profiles:  []string{"tracks-harsh"},
-		Workers:   4,
-		Plant:     plant,
+		Seeds:    4,
+		Profiles: []string{"tracks-harsh"},
+		Workers:  4,
+		Plant:    plant,
 	}
 }
 
@@ -111,10 +110,9 @@ func TestHuntShrinkPreservesViolation(t *testing.T) {
 // full-scale (1000+ seed) clean sweep runs in the nightly hunt.
 func TestHuntCleanSweepSmoke(t *testing.T) {
 	res, err := Hunt(Config{Seed: 42, Quick: true}, HuntOptions{
-		Seeds:     4,
-		StartSeed: 42,
-		Profiles:  []string{"tracks-mild", "tracks-harsh"},
-		Workers:   4,
+		Seeds:    4,
+		Profiles: []string{"tracks-mild", "tracks-harsh"},
+		Workers:  4,
 	})
 	if err != nil {
 		t.Fatalf("Hunt: %v", err)
@@ -135,10 +133,9 @@ func TestHuntCleanSweepSmoke(t *testing.T) {
 // clean as the unsharded world's.
 func TestHuntShardedProfileClean(t *testing.T) {
 	res, err := Hunt(Config{Seed: 42, Quick: true}, HuntOptions{
-		Seeds:     4,
-		StartSeed: 42,
-		Profiles:  []string{"tracks-sharded"},
-		Workers:   4,
+		Seeds:    4,
+		Profiles: []string{"tracks-sharded"},
+		Workers:  4,
 	})
 	if err != nil {
 		t.Fatalf("Hunt: %v", err)
@@ -158,11 +155,10 @@ func TestHuntShardedProfileClean(t *testing.T) {
 // mask real violations.
 func TestHuntShardedPlantedViolationShardTagged(t *testing.T) {
 	res, err := Hunt(Config{Seed: 42, Quick: true}, HuntOptions{
-		Seeds:     6,
-		StartSeed: 42,
-		Profiles:  []string{"tracks-sharded"},
-		Workers:   4,
-		Plant:     true,
+		Seeds:    6,
+		Profiles: []string{"tracks-sharded"},
+		Workers:  4,
+		Plant:    true,
 	})
 	if err != nil {
 		t.Fatalf("Hunt: %v", err)

@@ -159,11 +159,10 @@ func TestWorldQuiescenceFaultedWorldLeavesNoGoroutines(t *testing.T) {
 // a leak of one world per faulted world makes it four times.
 func TestHuntMemoryPerWorker(t *testing.T) {
 	heapAfter := func(startSeed int64, seeds int) uint64 {
-		res, err := Hunt(Config{Seed: 42}, HuntOptions{
-			Seeds:     seeds,
-			StartSeed: startSeed,
-			Profiles:  []string{"tracks-mild", "tracks-harsh"},
-			Workers:   2,
+		res, err := Hunt(Config{Seed: startSeed}, HuntOptions{
+			Seeds:    seeds,
+			Profiles: []string{"tracks-mild", "tracks-harsh"},
+			Workers:  2,
 		})
 		if err != nil {
 			t.Fatalf("Hunt: %v", err)

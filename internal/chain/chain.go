@@ -84,9 +84,9 @@ type Chain struct {
 	blocks   []Block
 	watchers []*netsim.Queue
 	stopped  bool
-	// minerDown mirrors the miner region's crash state, read from the
-	// injector after every fault transition (not polled per block).
-	minerDown bool
+	// inj is the fault injector mining asks whether cfg.MinerRegion is
+	// down; nil without one, or without a miner region.
+	inj *faults.Injector
 }
 
 // jitter is the +/- fraction of randomness on block intervals (block
@@ -106,16 +106,8 @@ func New(cfg Config) (*Chain, error) {
 		clock: cfg.Transport.Clock(),
 		rng:   randv2.New(randv2.NewPCG(uint64(cfg.Seed+11), 0xc4a1)),
 	}
-	if m := cfg.MinerRegion; m != "" {
-		if inj, ok := cfg.Transport.Interceptor().(*faults.Injector); ok {
-			c.minerDown = inj.Down(m)
-			inj.Subscribe(func(faults.Transition) {
-				down := inj.Down(m)
-				c.mu.Lock()
-				c.minerDown = down
-				c.mu.Unlock()
-			})
-		}
+	if cfg.MinerRegion != "" {
+		c.inj, _ = cfg.Transport.Interceptor().(*faults.Injector)
 	}
 	c.scheduleNext()
 	return c, nil
@@ -189,7 +181,7 @@ func (c *Chain) mineOnce() {
 	// A crashed miner region produces no blocks: the tick re-arms without
 	// mining until the region restarts (the mempool keeps accumulating,
 	// like transactions waiting out an outage).
-	if c.minerDown {
+	if c.inj != nil && c.inj.Down(c.cfg.MinerRegion) {
 		c.mu.Unlock()
 		c.scheduleNext()
 		return

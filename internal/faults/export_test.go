@@ -14,7 +14,7 @@ import (
 func (i *Injector) Partitioned(a, b netsim.Region) bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return i.group[a] != i.group[b]
+	return i.partitionedLocked(a, b)
 }
 
 // UnmatchedCrashes returns the regions the schedule leaves crashed after

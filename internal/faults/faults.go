@@ -81,15 +81,20 @@ func (p Partition) String() string {
 	return "partition " + strings.Join(parts, " | ")
 }
 
-func (p Partition) mutate(i *Injector) {
-	grouping := make(map[netsim.Region]int, 8)
-	for gi, g := range p.Groups {
-		for _, r := range g {
-			grouping[r] = gi
+func (p Partition) mutate(i *Injector) { i.parts = append(i.parts, p) }
+
+// groupOf returns the index of the group naming r (the last, should several
+// name it), or 0 when none does.
+func (p Partition) groupOf(r netsim.Region) int {
+	g := 0
+	for gi, rs := range p.Groups {
+		for _, x := range rs {
+			if x == r {
+				g = gi
+			}
 		}
 	}
-	i.parts = append(i.parts, activePart{id: p.ID, grouping: grouping})
-	i.rebuildGroupsLocked()
+	return g
 }
 
 // Heal ends an active partition: the one carrying the same nonzero ID, or —
@@ -109,7 +114,7 @@ func (h Heal) mutate(i *Injector) {
 	switch {
 	case h.ID != 0:
 		for j, p := range i.parts {
-			if p.id == h.ID {
+			if p.ID == h.ID {
 				i.parts = append(i.parts[:j:j], i.parts[j+1:]...)
 				break
 			}
@@ -117,7 +122,6 @@ func (h Heal) mutate(i *Injector) {
 	case len(i.parts) > 0:
 		i.parts = i.parts[1:]
 	}
-	i.rebuildGroupsLocked()
 }
 
 // Crash takes the region down: every message to or from it is severed, and
@@ -189,7 +193,6 @@ func (quiesce) String() string { return "quiesce: all faults cleared" }
 
 func (quiesce) mutate(i *Injector) {
 	i.parts = nil
-	i.group = nil
 	i.down = make(map[netsim.Region]int)
 	i.spikes = nil
 	i.drops = nil

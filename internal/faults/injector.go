@@ -1,10 +1,7 @@
 package faults
 
 import (
-	"fmt"
 	randv2 "math/rand/v2"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -47,12 +44,8 @@ type Injector struct {
 
 	mu  sync.Mutex
 	rng *randv2.Rand // Drop sampling
-	// parts holds every active partition, oldest first; group is their
-	// common refinement, rebuilt whenever parts changes.
-	parts []activePart
-	// group maps regions to partition group ids; nil or all-equal means no
-	// partition. Regions absent from the map are in group 0.
-	group map[netsim.Region]int
+	// parts holds every active partition, oldest first.
+	parts []Partition
 	// down counts active Crash events per region (overlapping random
 	// schedules may crash a region twice before the first Restart).
 	down   map[netsim.Region]int
@@ -65,64 +58,6 @@ type Injector struct {
 	done    bool
 	log     []Transition
 	subs    []func(Transition)
-}
-
-// activePart is one active partition: its Heal-pairing id (0 for untagged
-// legacy events) and its region grouping.
-type activePart struct {
-	id       int
-	grouping map[netsim.Region]int
-}
-
-// rebuildGroupsLocked recomputes the merged partition map as the common
-// refinement of every active partition: a region's merged group is the
-// tuple of its group ids across parts (absent regions ride in group 0 of
-// every partition), with dense ids assigned deterministically over the
-// sorted region names. The all-zero tuple is pinned to id 0 so that regions
-// named in no partition (absent from the merged map, implicitly group 0)
-// stay grouped with regions every partition placed in group 0.
-func (i *Injector) rebuildGroupsLocked() {
-	switch len(i.parts) {
-	case 0:
-		i.group = nil
-		return
-	case 1:
-		// The grouping maps are never mutated after construction, so the
-		// single-partition fast path can share.
-		i.group = i.parts[0].grouping
-		return
-	}
-	named := make(map[netsim.Region]bool)
-	for _, p := range i.parts {
-		for r := range p.grouping {
-			named[r] = true
-		}
-	}
-	regions := make([]netsim.Region, 0, len(named))
-	for r := range named {
-		regions = append(regions, r)
-	}
-	sort.Slice(regions, func(a, b int) bool { return regions[a] < regions[b] })
-
-	var zero strings.Builder
-	for range i.parts {
-		zero.WriteString("0,")
-	}
-	ids := map[string]int{zero.String(): 0}
-	merged := make(map[netsim.Region]int, len(regions))
-	for _, r := range regions {
-		var key strings.Builder
-		for _, p := range i.parts {
-			fmt.Fprintf(&key, "%d,", p.grouping[r])
-		}
-		id, ok := ids[key.String()]
-		if !ok {
-			id = len(ids)
-			ids[key.String()] = id
-		}
-		merged[r] = id
-	}
-	i.group = merged
 }
 
 // linkRule is one active latency-spike or drop rule. Empty regions are
@@ -282,12 +217,23 @@ func (i *Injector) Log() []Transition {
 }
 
 // passableLocked reports whether a message from->to can currently make
-// progress (both endpoints up, same partition side).
+// progress (both endpoints up, and no active partition between them).
 func (i *Injector) passableLocked(from, to netsim.Region) bool {
 	if i.down[from] > 0 || i.down[to] > 0 {
 		return false
 	}
-	return i.group[from] == i.group[to]
+	return !i.partitionedLocked(from, to)
+}
+
+// partitionedLocked reports whether some active partition places the two
+// regions in different groups.
+func (i *Injector) partitionedLocked(a, b netsim.Region) bool {
+	for _, p := range i.parts {
+		if p.groupOf(a) != p.groupOf(b) {
+			return true
+		}
+	}
+	return false
 }
 
 // Intercept implements netsim.Interceptor.

@@ -275,7 +275,6 @@ func (el *elector) install(s *Server, tally map[uint64]acceptedTxn, now time.Dur
 	s.pending = make(map[uint64]Txn)
 	if s.accepted != nil {
 		s.accepted = make(map[uint64]acceptedTxn)
-		s.maxAccepted = 0
 	}
 	fire := s.applyPendingLocked()
 	s.mu.Unlock()

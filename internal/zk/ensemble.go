@@ -85,11 +85,10 @@ type Server struct {
 	// accepted is the follower's Zab accept log: every proposal acked since
 	// the last epoch change, keyed by zxid. Vote grants piggyback the tail
 	// of this log so an election winner can materialize every transaction a
-	// majority accepted (and hence every client-acknowledged one). Cleared
-	// when an epoch-advancing snapshot or election win supersedes it; nil
-	// while elections are disabled.
-	accepted    map[uint64]acceptedTxn
-	maxAccepted uint64
+	// majority accepted (not every client-acknowledged one: see accept).
+	// Cleared when an epoch-advancing snapshot or election win supersedes
+	// it; nil while elections are disabled.
+	accepted map[uint64]acceptedTxn
 
 	// election is the server's place in the leader election (election.go),
 	// guarded by the ensemble's elector; without elections only its role,
@@ -118,6 +117,7 @@ type Ensemble struct {
 	// elect is the leader-election machinery; nil when elections are
 	// disabled (no fault interceptor, or fewer than 3 servers).
 	elect *elector
+	inv   invState // the in-line invariants; empty in the default build
 
 	// proposals recycles the records of finished propose rounds.
 	proposals netsim.FreeList[proposal]
@@ -246,7 +246,6 @@ func (s *Server) installSnapshot(nodes map[string]*node, zxid, epoch uint64) {
 		s.pending = make(map[uint64]Txn)
 		if s.accepted != nil {
 			s.accepted = make(map[uint64]acceptedTxn)
-			s.maxAccepted = 0
 		}
 	}
 	s.lastApplied = zxid
@@ -263,8 +262,11 @@ func (s *Server) installSnapshot(nodes map[string]*node, zxid, epoch uint64) {
 }
 
 // accept records a proposal in the server's accept log (elections enabled
-// only); called on the follower leg of a proposal before the ack travels back,
-// so a counted ack always implies a recorded accept.
+// only); called on the follower leg of a proposal before the ack travels back.
+// The ack does not imply the record: a follower already holding a newer-epoch
+// entry at the same zxid keeps that entry and acks all the same, which is how
+// a deposed leader's commit can rest on acks no accept log remembers (ROADMAP
+// item 2(a)).
 func (s *Server) accept(zxid, epoch uint64, txn Txn) {
 	s.mu.Lock()
 	if s.accepted == nil {
@@ -272,9 +274,6 @@ func (s *Server) accept(zxid, epoch uint64, txn Txn) {
 	}
 	if cur, ok := s.accepted[zxid]; !ok || epoch >= cur.Epoch {
 		s.accepted[zxid] = acceptedTxn{Txn: txn, Epoch: epoch}
-	}
-	if zxid > s.maxAccepted {
-		s.maxAccepted = zxid
 	}
 	s.mu.Unlock()
 }
@@ -286,8 +285,8 @@ func (s *Server) electInfo() (epoch, lastApplied, lastZxid uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lastZxid = s.lastApplied
-	if s.maxAccepted > lastZxid {
-		lastZxid = s.maxAccepted
+	for z := range s.accepted {
+		lastZxid = max(lastZxid, z)
 	}
 	return s.dataEpoch, s.lastApplied, lastZxid
 }
@@ -323,6 +322,7 @@ func (s *Server) applyPendingLocked() []*netsim.Event {
 		next.Apply(s.tree)
 		s.lastApplied++
 	}
+	s.ensemble.inv.checkApplied(s)
 	// Most commits have nobody waiting, and a commit somebody waits on
 	// (every forwarded operation's) satisfies that one zxid: its waiter list
 	// goes out as it is.
@@ -459,6 +459,7 @@ func (e *Ensemble) Bootstrap(txn Txn) TxnResult {
 		r := txn.Apply(s.tree)
 		s.mu.Lock()
 		s.lastApplied = zxid
+		e.inv.checkApplied(s)
 		s.mu.Unlock()
 		res = r
 	}
@@ -577,6 +578,7 @@ func (e *Ensemble) forward(contact *Server, txn Txn) (uint64, TxnResult) {
 		for i := 0; i < need; i++ {
 			p.acks.Get()
 		}
+		e.inv.checkCommit(leader.Region, epoch)
 		p.release()
 		e.trc.End(quorumSp, clock.Now())
 
@@ -614,6 +616,7 @@ func (s *Server) prepare(txn Txn) (uint64, uint64, TxnResult) {
 		return 0, 0, res
 	}
 	s.lastApplied++
+	s.ensemble.inv.checkApplied(s)
 	return s.lastApplied, s.dataEpoch, res
 }
 

@@ -3,6 +3,7 @@ package correctables_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -68,9 +69,9 @@ type reachPkg struct {
 }
 
 // reachLoader type-checks module packages from the source tree fsys
-// (non-test files; all of benchmark/*.go, whose tests must keep compiling
-// too) and defers everything else to the standard library's source
-// importer.
+// (non-test files of the default build; all of benchmark/*.go, whose tests
+// must keep compiling too) and defers everything else to the standard
+// library's source importer.
 type reachLoader struct {
 	fsys fs.FS
 	fset *token.FileSet
@@ -109,6 +110,9 @@ func (l *reachLoader) load(path string) (*reachPkg, error) {
 		if err != nil {
 			return p, err
 		}
+		if !reachBuilds(src) {
+			continue
+		}
 		f, err := parser.ParseFile(l.fset, name, src, parser.SkipObjectResolution)
 		if err != nil {
 			return p, err
@@ -118,6 +122,21 @@ func (l *reachLoader) load(path string) (*reachPkg, error) {
 	var err error
 	p.types, err = (&types.Config{Importer: l}).Check(path, l.fset, p.files, p.info)
 	return p, err
+}
+
+// reachBuilds reports whether a file's //go:build line, if it has one, holds
+// with no build tag set: the gate checks the default build.
+func reachBuilds(src []byte) bool {
+	for line := range strings.Lines(string(src)) {
+		if strings.HasPrefix(line, "package ") {
+			break
+		}
+		if constraint.IsGoBuild(line) {
+			expr, err := constraint.Parse(line)
+			return err == nil && expr.Eval(func(string) bool { return false })
+		}
+	}
+	return true
 }
 
 // reachGraph walks the call graph. Every use of a function's name counts
@@ -448,7 +467,8 @@ func TestReachabilitySelfCheck(t *testing.T) {
 	// A module in miniature: the facade aliases core.Ad, a command calls one
 	// of its methods and prints it from a goroutine of its own. Print
 	// reaches String through fmt.Stringer; the method nothing calls and the
-	// go statement are reported.
+	// go statement are reported. A file only a build tag selects is not
+	// loaded: its second Uncalled would not type-check.
 	fixture, err := analyseReach(fstest.MapFS{
 		"facade.go": {Data: []byte(`package correctables
 
@@ -463,6 +483,12 @@ type Ad struct{ ID string }
 func (a Ad) Render() string { return "<" + a.ID + ">" }
 func (a Ad) Uncalled() bool { return a.ID == "" }
 func (a Ad) String() string { return a.ID }
+`)},
+		"internal/core/ad_tagged.go": {Data: []byte(`//go:build invariants
+
+package core
+
+func (a Ad) Uncalled() bool { return true }
 `)},
 		"cmd/show/main.go": {Data: []byte(`package main
 
