@@ -11,11 +11,12 @@
 //
 //	icgbench -list            # every experiment, scenario, profile
 //	icgbench -exp fig5        # one experiment
-//	icgbench -exp all -quick  # smoke-run the paper figures
+//	icgbench -quick           # the default, -exp paper: the seven figures, then the claim ledger
+//	icgbench -fault-json BENCH_paper.json   # the full-size ledger: paper vs reproduced, tolerance, pass
 //
 // Beyond the paper's figures: ablations; faultstudy — YCSB under a
-// deterministic fault schedule (-faults selects the scenario, -fault-log
-// prints the transition log); failover — leader partition and recovery;
+// deterministic fault schedule (-faults selects the scenario); failover —
+// leader partition and recovery;
 // overload — metastable retry storm vs admission control; sweep — quorum x
 // geography; capacity — the sharded-plane capacity study (open-loop session
 // storms vs shard count, a million sessions on one virtual clock at full
@@ -23,12 +24,15 @@
 // fault-track profiles, every recorded history run through every checker,
 // each violating world shrunk by delta debugging into a replayable repro:
 //
-//	icgbench -exp hunt -hunt-seeds 1000            # the nightly budget
+//	icgbench -exp hunt -hunt-seeds 1000            # the nightly budget, every profile
 //	icgbench -exp hunt -hunt-plant                 # self-test: find the planted bug
 //	icgbench -exp hunt -repro hunt-repros/x.json   # replay an archived repro
 //
-// Checked experiments (faultstudy, failover, overload, hunt) exit 3 when a
-// consistency violation is found; the seed replays it byte-identically.
+// The fault experiments (faultstudy, failover, overload, capacity) always
+// verify the history of a checked session population, and faultstudy and
+// failover always print their applied fault transitions. Checked
+// experiments exit 3 when a consistency violation is found; the seed
+// replays it byte-identically.
 //
 // To see where the host's time and memory go in any of them (the model's
 // numbers do not change under a profiler; inspect with `go tool pprof`):
@@ -52,14 +56,10 @@ import (
 )
 
 // experiment is one icgbench entry: the single registry below generates
-// the -exp help text, the -list output, and the "all" dispatch, so they
-// cannot drift apart.
+// the -exp help text and the -list output, so they cannot drift apart.
 type experiment struct {
 	name string
 	desc string
-	// paper experiments run under -exp all (the figures, in order); the
-	// extras are opt-in by name.
-	paper bool
 	// json and trace mark the experiments that write the -fault-json
 	// report and the -trace artifact.
 	json, trace bool
@@ -67,29 +67,31 @@ type experiment struct {
 }
 
 var experiments = []experiment{
-	{name: "fig5", desc: "single-request latency per level (Cassandra binding)", paper: true,
+	{name: "paper", desc: "the seven figure drivers, then the claim ledger (the default)", json: true,
+		run: scenario(func(c bench.Config) (bench.Result, error) { return bench.Paper(c), nil })},
+	{name: "fig5", desc: "single-request latency per level (Cassandra binding)",
 		run: func(c bench.Config) string { return bench.FormatFig5(bench.Fig5(c)) }},
-	{name: "fig6", desc: "YCSB latency vs throughput", paper: true,
+	{name: "fig6", desc: "YCSB latency vs throughput",
 		run: func(c bench.Config) string { return bench.FormatFig6(bench.Fig6(c)) }},
-	{name: "fig8", desc: "divergence (Fig 7) and bandwidth overhead (Fig 8) of incremental views, one world per cell", paper: true,
+	{name: "fig8", desc: "divergence (Fig 7) and bandwidth overhead (Fig 8) of incremental views, one world per cell",
 		run: func(c bench.Config) string {
 			div, bw := bench.Fig8(c)
 			return bench.FormatFig7(div) + bench.FormatFig8(bw)
 		}},
-	{name: "fig9", desc: "ZooKeeper latency gaps per level", paper: true,
+	{name: "fig9", desc: "ZooKeeper latency gaps per level",
 		run: func(c bench.Config) string { return bench.FormatFig9(bench.Fig9(c)) }},
-	{name: "fig10", desc: "dequeue bandwidth (Correctable ZK queue)", paper: true,
+	{name: "fig10", desc: "dequeue bandwidth (Correctable ZK queue)",
 		run: func(c bench.Config) string { return bench.FormatFig10(bench.Fig10(c)) }},
-	{name: "fig11", desc: "speculation case studies", paper: true,
+	{name: "fig11", desc: "speculation case studies",
 		run: func(c bench.Config) string { return bench.FormatFig11(bench.Fig11(c)) }},
-	{name: "fig12", desc: "ticket selling end-to-end", paper: true,
+	{name: "fig12", desc: "ticket selling end-to-end",
 		run: func(c bench.Config) string { return bench.FormatFig12(bench.Fig12(c)) }},
 	{name: "ablations", desc: "replication-lag and flush-cost ablations",
 		run: func(c bench.Config) string {
 			return bench.FormatAblationLag(bench.AblationReplicationLag(c)) +
 				bench.FormatAblationFlush(bench.AblationFlushCost(c))
 		}},
-	{name: "faultstudy", desc: "YCSB under a deterministic fault schedule (-faults, -check)", json: true, trace: true,
+	{name: "faultstudy", desc: "YCSB under a deterministic fault schedule (-faults), history-checked", json: true, trace: true,
 		run: scenario(func(c bench.Config) (bench.Result, error) { return bench.FaultStudy(c) })},
 	{name: "failover", desc: "leader partition mid-run: recovery time and availability window", json: true, trace: true,
 		run: scenario(func(c bench.Config) (bench.Result, error) { return bench.Failover(c) })},
@@ -115,7 +117,6 @@ func expNames(has func(experiment) bool) []string {
 }
 
 func anyExp(experiment) bool     { return true }
-func paperExp(e experiment) bool { return e.paper }
 func jsonExp(e experiment) bool  { return e.json }
 func traceExp(e experiment) bool { return e.trace }
 
@@ -183,7 +184,7 @@ func writeArtifact(path string, err error) {
 }
 
 // scenario adapts a scenario experiment to a registry entry — the one
-// runner behind faultstudy, failover, overload, sweep, capacity and hunt:
+// runner behind paper, faultstudy, failover, overload, sweep, capacity and hunt:
 // run it, write the -fault-json report and the -trace Chrome trace-event
 // artifact (Perfetto-loadable; byte-identical across same-seed runs), and
 // return the printed report. A run whose consistency checks found
@@ -199,7 +200,7 @@ func scenario(run func(bench.Config) (bench.Result, error)) func(bench.Config) s
 		if trc, reg := res.Traced(); trc != nil && traceOut != "" {
 			writeArtifact(traceOut, bench.WriteTrace(traceOut, trc, reg))
 		}
-		out := res.Format(c.FaultLog)
+		out := res.Format()
 		if n := res.Violations(); n > 0 {
 			if hunt, ok := res.(*bench.HuntResult); ok {
 				archiveRepros(hunt)
@@ -304,11 +305,7 @@ func runRepro(path string) {
 func list() {
 	fmt.Println("experiments (-exp):")
 	for _, e := range experiments {
-		tag := "      "
-		if e.paper {
-			tag = "paper "
-		}
-		fmt.Printf("  %-10s %s%s\n", e.name, tag, e.desc)
+		fmt.Printf("  %-10s %s\n", e.name, e.desc)
 	}
 	fmt.Println("\nfault scenarios (-faults, faultstudy):")
 	for _, name := range faults.ScenarioNames() {
@@ -326,18 +323,14 @@ func list() {
 
 func main() {
 	var (
-		exp = flag.String("exp", "all",
-			"experiment to run: 'all' (the paper figures), or a comma list of "+strings.Join(expNames(anyExp), ", "))
+		exp = flag.String("exp", "paper",
+			"comma list of experiments to run: "+strings.Join(expNames(anyExp), ", "))
 		seed      = flag.Int64("seed", 42, "random seed")
 		quick     = flag.Bool("quick", false, "reduced samples/durations (smoke run)")
 		faultSpec = flag.String("faults", "",
 			"fault scenario for -exp faultstudy: one of "+strings.Join(faults.ScenarioNames(), ", ")+
 				", or '<seed>:<profile>' (profiles: "+strings.Join(faults.ProfileNames(), ", ")+
 				") for a replayable random schedule; default minority-partition")
-		faultLog = flag.Bool("fault-log", false, "print the applied fault-transition log with the fault study")
-		check    = flag.Bool("check", false,
-			"faultstudy: run a consistency-checked session population alongside the measured one and verify its "+
-				"recorded history (session guarantees + per-key linearizability); exit nonzero on any violation")
 		showList   = flag.Bool("list", false, "list experiments, fault scenarios and profiles, then exit")
 		repro      = flag.String("repro", "", "replay an archived hunt repro JSON and verify byte-identical reproduction")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this path (go tool pprof)")
@@ -346,7 +339,7 @@ func main() {
 	flag.StringVar(&faultJSON, "fault-json", "", "write the experiment result as JSON to this path ("+strings.Join(expNames(jsonExp), ", ")+")")
 	flag.StringVar(&traceOut, "trace", "", "record model-time spans and sampled gauges, and write them as Chrome trace-event JSON (Perfetto-loadable) to this path ("+strings.Join(expNames(traceExp), ", ")+")")
 	flag.IntVar(&huntSeeds, "hunt-seeds", 0, "hunt: seeds swept per profile (default 1000, or 16 with -quick)")
-	flag.StringVar(&huntProfiles, "hunt-profiles", "", "hunt: comma list of fault profiles (default tracks-mild,tracks-harsh)")
+	flag.StringVar(&huntProfiles, "hunt-profiles", "", "hunt: comma list of fault profiles (default "+strings.Join(faults.ProfileNames(), ",")+")")
 	flag.IntVar(&huntWorkers, "hunt-workers", 0, "hunt: parallel worlds (default GOMAXPROCS)")
 	flag.BoolVar(&huntPlant, "hunt-plant", false, "hunt: enable the planted version-corruption bug (self-test; the hunt must find it)")
 	flag.StringVar(&reproDir, "repro-dir", "hunt-repros", "hunt: directory to archive shrunk repro JSONs in on findings")
@@ -361,22 +354,17 @@ func main() {
 		return
 	}
 
-	cfg := bench.Config{Seed: *seed, Quick: *quick,
-		Faults: *faultSpec, FaultLog: *faultLog, Check: *check, Trace: traceOut != ""}
+	cfg := bench.Config{Seed: *seed, Quick: *quick, Faults: *faultSpec, Trace: traceOut != ""}
 
 	var names []string
-	if *exp == "all" {
-		names = expNames(paperExp)
-	} else {
-		for _, name := range strings.Split(*exp, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := expByName(name); !ok {
-				fmt.Fprintf(os.Stderr, "icgbench: unknown experiment %q (have %s)\n",
-					name, strings.Join(expNames(anyExp), ", "))
-				os.Exit(2)
-			}
-			names = append(names, name)
+	for _, name := range strings.Split(*exp, ",") {
+		name = strings.TrimSpace(name)
+		if _, ok := expByName(name); !ok {
+			fmt.Fprintf(os.Stderr, "icgbench: unknown experiment %q (have %s)\n",
+				name, strings.Join(expNames(anyExp), ", "))
+			os.Exit(2)
 		}
+		names = append(names, name)
 	}
 	exitOn(checkArtifacts(names, faultJSON, traceOut), 2)
 	// A run that exits early (bad input, a failed consistency check) leaves

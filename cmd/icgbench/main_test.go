@@ -21,7 +21,7 @@ func TestCheckArtifacts(t *testing.T) {
 	}{
 		{selected: []string{"fig5"}},
 		{selected: []string{"fig5"}, faultJSON: "f.json",
-			wantErr: "-fault-json f.json: none of the selected experiments (fig5) writes it; supported by faultstudy, failover, overload, sweep, capacity, hunt"},
+			wantErr: "-fault-json f.json: none of the selected experiments (fig5) writes it; supported by paper, faultstudy, failover, overload, sweep, capacity, hunt"},
 		{selected: []string{"fig5", "fig6"}, trce: "t.json",
 			wantErr: "-trace t.json: none of the selected experiments (fig5, fig6) writes it; supported by faultstudy, failover, overload"},
 		{selected: []string{"hunt"}, faultJSON: "f.json"},

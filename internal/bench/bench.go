@@ -23,17 +23,10 @@ type Config struct {
 	// Faults selects the fault-study scenario: a catalog name
 	// (faults.ScenarioNames) or "<seed>:<profile>" for a random schedule.
 	// Empty means minority-partition. Only the faultstudy experiment reads
-	// it; the paper's figures always run fault-free.
+	// it; the paper's figures always run fault-free. Every fault experiment
+	// verifies the history of its checked session population and reports
+	// its applied fault transitions: neither is optional.
 	Faults string
-	// FaultLog prints the applied fault transitions alongside the
-	// fault-study table.
-	FaultLog bool
-	// Check adds a consistency-checked session population to the
-	// faultstudy experiment: its clients run through the session API with
-	// a history recorder attached, and the recorded history is verified
-	// after the run (session guarantees plus per-key register
-	// linearizability). Failover always carries its own.
-	Check bool
 	// Trace attaches the model-time span tracer and time-series registry
 	// to the experiment fabric (faultstudy, failover, overload). The
 	// result then carries a latency decomposition per phase, sampled

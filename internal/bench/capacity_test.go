@@ -10,7 +10,7 @@ import (
 // keyspace spreads, and the checked sub-population stays clean.
 func TestCapacityQuick(t *testing.T) {
 	res := Capacity(Config{Quick: true, Seed: 11})
-	t.Logf("\n%s", res.Format(false))
+	t.Logf("\n%s", res.Format())
 	if got, want := len(res.Rows), 4; got != want {
 		t.Fatalf("rows = %d, want %d shard cells", got, want)
 	}

@@ -75,7 +75,7 @@ type FailoverResult struct {
 
 	Rows        []FailoverRow `json:"rows"`
 	Transitions []string      `json:"transitions"`
-	Check       *CheckReport  `json:"check,omitempty"`
+	Check       *CheckReport  `json:"check"`
 	// Observed's decomposition has this experiment's signature in its
 	// election column: it lights up exactly in the outage phase.
 	Observed

@@ -72,8 +72,8 @@ type FaultStudyResult struct {
 	// Transitions is the injector's applied-transition log ("4s: partition
 	// {eu-frankfurt eu-ireland} | {us-virginia}"), the replay record.
 	Transitions []string `json:"transitions"`
-	// Check is the consistency-check report (Config.Check runs only).
-	Check *CheckReport `json:"check,omitempty"`
+	// Check verifies the checked session population's recorded history.
+	Check *CheckReport `json:"check"`
 	Observed
 }
 
@@ -98,12 +98,8 @@ type CheckReport struct {
 	HistoryDigest string `json:"history_digest"`
 }
 
-// Violations reports the total number of detected violations (0 for a run
-// without a checked population).
+// Violations reports the total number of detected violations.
 func (r *CheckReport) Violations() int {
-	if r == nil {
-		return 0
-	}
 	return len(r.SessionViolations) + len(r.LinViolations)
 }
 
@@ -113,12 +109,13 @@ func (res *FaultStudyResult) Violations() int { return res.Check.Violations() }
 // FaultStudy runs YCSB workload B against Correctable Cassandra (CC3:
 // quorum 3, so the strong view needs every region) under a fault schedule,
 // and reports per-phase weak-vs-strong latency, availability and
-// divergence. The scenario comes from cfg.Faults — a catalog name or
-// "<seed>:<profile>" for a random schedule — defaulting to
-// minority-partition, whose partition and crash phases demonstrate the
-// paper's headline asymmetry: preliminary (weak) views ride the live
-// client<->coordinator link unperturbed while final (strong) views stall
-// on the severed region and degrade or time out with faults.ErrUnreachable.
+// divergence, plus the verdict on a checked session population's history.
+// The scenario comes from cfg.Faults — a catalog name or "<seed>:<profile>"
+// for a random schedule — defaulting to minority-partition, whose partition
+// and crash phases demonstrate the paper's headline asymmetry: preliminary
+// (weak) views ride the live client<->coordinator link unperturbed while
+// final (strong) views stall on the severed region and degrade or time out
+// with faults.ErrUnreachable.
 func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 	unit := cfg.pickDur(2*time.Second, 300*time.Millisecond)
 	spec := cfg.Faults
@@ -170,32 +167,29 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 				binding.Put{Key: ycsb.Key(gen.Next(rng)), Value: w.Value(rng)}).Final(ctx)
 		})
 	}
-	// The checked population (Config.Check): session clients running the
-	// same YCSB mix through the full invoke pipeline — sessions enforcing
+	// The checked population: session clients running the same YCSB mix
+	// through the full invoke pipeline — sessions enforcing
 	// read-your-writes/monotonic reads, a history recorder observing every
 	// op — on their own keyspace, so the recorded histories are closed
 	// worlds the checkers can verify completely. Half contact the FRK
 	// coordinator, half IRL, which makes cross-coordinator staleness (and
 	// hence the session machinery) actually exercise under faults.
-	var recorder *history.Recorder
+	recorder := history.NewRecorder()
 	checkClients := cfg.pick(6, 4)
-	if cfg.Check {
-		recorder = history.NewRecorder()
-		h.sessions(recorder, sessionMix{
-			n:     checkClients,
-			label: "sess-%02d",
-			binding: func(t int) binding.Binding {
-				coord := alternate(t, netsim.FRK, netsim.IRL)
-				return cassandra.NewBinding(cassandra.NewClient(cluster, netsim.IRL, coord),
-					cassandra.BindingConfig{StrongQuorum: 3})
-			},
-			seed:  func(t int) int64 { return cfg.Seed + 5_555_557 + int64(t)*1_000_003 },
-			key:   func(k int) string { return fmt.Sprintf("chk-%03d", k) },
-			keys:  24,
-			reads: 0.65,
-			value: w.Value,
-		})
-	}
+	h.sessions(recorder, sessionMix{
+		n:     checkClients,
+		label: "sess-%02d",
+		binding: func(t int) binding.Binding {
+			coord := alternate(t, netsim.FRK, netsim.IRL)
+			return cassandra.NewBinding(cassandra.NewClient(cluster, netsim.IRL, coord),
+				cassandra.BindingConfig{StrongQuorum: 3})
+		},
+		seed:  func(t int) int64 { return cfg.Seed + 5_555_557 + int64(t)*1_000_003 },
+		key:   func(k int) string { return fmt.Sprintf("chk-%03d", k) },
+		keys:  24,
+		reads: 0.65,
+		value: w.Value,
+	})
 	// The measured population: IRL clients on the FRK coordinator (the
 	// paper's remote-contact deployment), closed loop until the scenario
 	// horizon. Per-thread record shards keep the loop contention-free and
@@ -230,9 +224,7 @@ func FaultStudy(cfg Config) (*FaultStudyResult, error) {
 		Seed:        cfg.Seed,
 		Transitions: h.transitions(),
 		Observed:    h.observe(scen.Phases),
-	}
-	if recorder != nil {
-		res.Check = buildCheckReport(recorder, checkClients, modelRegisters)
+		Check:       buildCheckReport(recorder, checkClients, modelRegisters),
 	}
 	// Bucket the merged records by phase (phaseOf's casualty rule).
 	for i, ph := range scen.Phases {

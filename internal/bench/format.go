@@ -136,11 +136,8 @@ func formatTransitions(b *strings.Builder, transitions []string) {
 }
 
 // formatCheck appends a checked session population's verdict; linLabel
-// names what the linearizability search covered. No-op on a nil report.
+// names what the linearizability search covered.
 func formatCheck(b *strings.Builder, c *CheckReport, seed int64, linLabel string) {
-	if c == nil {
-		return
-	}
 	fmt.Fprintf(b, "consistency check: %d session clients, %d ops, history sha256 %.12s…\n",
 		c.Clients, c.Ops, c.HistoryDigest)
 	if n := c.Violations(); n == 0 {
@@ -175,9 +172,9 @@ func formatViolations(b *strings.Builder, c *CheckReport) {
 	}
 }
 
-// Format renders the fault study's per-phase rows; withLog appends the
-// applied fault-transition log.
-func (res *FaultStudyResult) Format(withLog bool) string {
+// Format renders the fault study's per-phase rows, the applied
+// fault-transition log and the history check's verdict.
+func (res *FaultStudyResult) Format() string {
 	out := make([][]string, len(res.Rows))
 	for i, r := range res.Rows {
 		out[i] = []string{r.Phase,
@@ -195,16 +192,15 @@ func (res *FaultStudyResult) Format(withLog bool) string {
 		[]string{"phase", "reads", "errs", "prelim ms", "final ms", "final p99", "avail %", "div %", "dropped", "hinted", "rej", "shed", "retry"},
 		out))
 	b.WriteString(formatDecomp(res.Decomp))
-	if withLog {
-		formatTransitions(&b, res.Transitions)
-	}
+	formatTransitions(&b, res.Transitions)
 	formatCheck(&b, res.Check, res.Seed, "per-key register")
 	return b.String()
 }
 
 // Format renders the failover experiment: the per-population phase table,
-// then the recovery summary; withLog appends the fault-transition log.
-func (res *FailoverResult) Format(withLog bool) string {
+// the recovery summary, the fault-transition log and the history check's
+// verdict.
+func (res *FailoverResult) Format() string {
 	out := make([][]string, len(res.Rows))
 	for i, r := range res.Rows {
 		out[i] = []string{r.Population, r.Phase,
@@ -222,9 +218,7 @@ func (res *FailoverResult) Format(withLog bool) string {
 		res.NewLeader, res.Epoch, res.TimeToRecoveryMs, res.ElectionTimeoutMs)
 	fmt.Fprintf(&b, "  prelim-only window: %.0fms (first post-fault commit at %.0fms); %d preliminary views served inside it\n",
 		res.PrelimOnlyWindowMs, res.FirstFinalAfterFaultMs, res.OutagePrelims)
-	if withLog {
-		formatTransitions(&b, res.Transitions)
-	}
+	formatTransitions(&b, res.Transitions)
 	formatCheck(&b, res.Check, res.Seed, "per-queue")
 	return b.String()
 }
@@ -313,7 +307,7 @@ func FormatFig12(points []Fig12Point, summaries []Fig12Summary) string {
 
 // Format renders the overload experiment: one per-phase table per mode,
 // the metastability verdict, and each mode's history-check summary.
-func (res *OverloadResult) Format(bool) string {
+func (res *OverloadResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Overload: metastable retry storm vs admission-controlled escape ==\n")
 	fmt.Fprintf(&b, "offered %.0f ops/s baseline + %.0f ops/s burst, capacity ~%.0f ops/s, op timeout %.0f ms, %d sessions\n",
@@ -337,11 +331,10 @@ func (res *OverloadResult) Format(bool) string {
 		b.WriteString(formatDecomp(m.Decomp))
 		fmt.Fprintf(&b, "post-burst goodput: %.0f%% of baseline; recovered phase: %.0f%%\n",
 			m.PostBurstGoodputPct, m.RecoveredGoodputPct)
-		if c := m.Check; c != nil {
-			fmt.Fprintf(&b, "history check: %d sessions, %d ops, sha256 %.12s…",
-				c.Clients, c.Ops, c.HistoryDigest)
-			formatCheckLine(&b, c, res.Seed, "session guarantees + cross-object WFR")
-		}
+		c := m.Check
+		fmt.Fprintf(&b, "history check: %d sessions, %d ops, sha256 %.12s…",
+			c.Clients, c.Ops, c.HistoryDigest)
+		formatCheckLine(&b, c, res.Seed, "session guarantees + cross-object WFR")
 	}
 	off, on := res.Modes[0], res.Modes[1]
 	fmt.Fprintf(&b, "metastable asymmetry: without shedding %.0f%%, with shedding %.0f%% post-burst goodput\n",
@@ -351,7 +344,7 @@ func (res *OverloadResult) Format(bool) string {
 
 // Format renders the shard-count capacity study: the per-cell table, the
 // scaling headline, and each cell's history-check summary.
-func (res *CapacityResult) Format(bool) string {
+func (res *CapacityResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "horizon %.0f ms per cell, seed %d\n", res.HorizonMs, res.Seed)
 	out := make([][]string, len(res.Rows))
@@ -372,16 +365,15 @@ func (res *CapacityResult) Format(bool) string {
 	fmt.Fprintf(&b, "scaling: %.2fx ops throughput from %d to %d shards\n",
 		res.ScalingX, res.Rows[0].Shards, res.Rows[len(res.Rows)-1].Shards)
 	for _, r := range res.Rows {
-		if c := r.Check; c != nil {
-			fmt.Fprintf(&b, "check shards=%d: %d sessions, %d ops, sha256 %.12s…", r.Shards, c.Clients, c.Ops, c.HistoryDigest)
-			formatCheckLine(&b, c, res.Seed, "session guarantees + register linearizability")
-		}
+		c := r.Check
+		fmt.Fprintf(&b, "check shards=%d: %d sessions, %d ops, sha256 %.12s…", r.Shards, c.Clients, c.Ops, c.HistoryDigest)
+		formatCheckLine(&b, c, res.Seed, "session guarantees + register linearizability")
 	}
 	return b.String()
 }
 
 // Format renders the quorum x geography sweep table.
-func (res *SweepResult) Format(bool) string {
+func (res *SweepResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload %s, %d threads, %.0f ms per cell, seed %d\n",
 		res.Workload, res.Threads, res.DurationMs, res.Seed)

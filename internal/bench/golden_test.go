@@ -121,15 +121,13 @@ func TestGoldenOutputs(t *testing.T) {
 		json, trace string
 	}{
 		{name: "faultstudy", run: faultStudy(goldenCfg),
-			json: "fe85a3409a7d935bbd56e3c1fdbf180783c223f96ee912533f188d319bbfe3f7"},
-		{name: "faultstudy-check", run: faultStudy(with(func(c *Config) { c.Check = true })),
 			json: "b6d0274068e974b882a552ac34d34ded72d9422dac6aa57933936b2c1324a239"},
 		{name: "faultstudy-trace", run: faultStudy(with(func(c *Config) { c.Trace = true })),
-			json:  "c714cbf8891f417febd8e431dfd1ef7d0f2fe0f0ac0af17989218d581e22636b",
-			trace: "b5ef95f792dc98a2ed38dbbb99d57b9333f7e9a38415a9d7c27bd7521879fd65"},
-		{name: "failover-check", run: failover(with(func(c *Config) { c.Check = true })),
+			json:  "d95c2486eec89ef921f367d4ef40eef2a043a7f2db8a67f84e6c58e8fc66aeab",
+			trace: "e4ba924b6a8a4fcad11c24bb19fdd80f1ea58caab85d060b6220f75653afd9a9"},
+		{name: "failover", run: failover(goldenCfg),
 			json: "f1057a1d9906c1e2f7619a5166ed2e7dd786ac3eb434ffbef63084a5871fddb0"},
-		{name: "failover-check-trace", run: failover(with(func(c *Config) { c.Check, c.Trace = true, true })),
+		{name: "failover-trace", run: failover(with(func(c *Config) { c.Trace = true })),
 			json:  "2e7642bd0a8530094f067cf3a2ad9da1c72d8ec1a19c9ee830993efc9cd670c5",
 			trace: "53c855ae6aeac920972caf8b0415995f2c5f08d7f2df473c5698fdf8c81fd7fd"},
 		{name: "overload", run: overload(goldenCfg),
@@ -144,6 +142,9 @@ func TestGoldenOutputs(t *testing.T) {
 			json: "a55bc3e4a9239d45bfd5c228d6a58128aa100a1c961eba4b87448496a79eb1d8"},
 		{name: "hunt-planted-repro", run: hunt(true),
 			json: "b0179e3a0c66330698dbdbf19dc1e83dff859adf96a400af6beddc8b793085e7"},
+		// The claim ledger read off the seven figure drivers.
+		{name: "paper", run: rows(func() any { return Paper(goldenCfg) }),
+			json: "e06dee744175bd6fe317bcd4c98060e85c8e6eb32fbf56e831f24d798fa678b9"},
 		// The paper's figures: each driver's quick-mode rows.
 		{name: "fig5", run: rows(func() any { return Fig5(goldenCfg) }),
 			json: "7bc95ce47c76bacd1a36350c51e83416aebeb593b94603d57d8b443cbec19a32"},

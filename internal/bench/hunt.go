@@ -39,7 +39,7 @@ type HuntOptions struct {
 	// Config.Seed on (default: 1000, or 16 under Config.Quick).
 	Seeds int
 	// Profiles are the faults profile names to sweep (ProfilesByName;
-	// default tracks-mild and tracks-harsh — the composed nemesis products).
+	// default every composed nemesis product, faults.ProfileNames).
 	Profiles []string
 	// Workers bounds the parallel worlds (default GOMAXPROCS). Each world
 	// runs on its own VirtualClock, so parallelism does not perturb replay.
@@ -555,7 +555,7 @@ func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
 		opts.Seeds = cfg.pick(1000, 16)
 	}
 	if len(opts.Profiles) == 0 {
-		opts.Profiles = []string{"tracks-mild", "tracks-harsh"}
+		opts.Profiles = faults.ProfileNames()
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -633,7 +633,7 @@ func Hunt(cfg Config, opts HuntOptions) (*HuntResult, error) {
 }
 
 // Format renders a hunt result as the icgbench table.
-func (res *HuntResult) Format(bool) string {
+func (res *HuntResult) Format() string {
 	var b strings.Builder
 	planted := ""
 	if res.Planted {

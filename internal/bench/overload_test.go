@@ -24,7 +24,7 @@ func TestOverloadMetastableEscape(t *testing.T) {
 		return res, js
 	}
 	res, js := run()
-	t.Logf("\n%s", res.Format(false))
+	t.Logf("\n%s", res.Format())
 	if len(res.Modes) != 2 {
 		t.Fatalf("modes = %d, want shedding-off and shedding-on", len(res.Modes))
 	}

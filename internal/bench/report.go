@@ -12,9 +12,8 @@ import (
 // so that one runner (cmd/icgbench) serves them all; WriteReport marshals
 // the result itself.
 type Result interface {
-	// Format renders the printed report; withLog appends the applied
-	// fault-transition log where the experiment has one.
-	Format(withLog bool) string
+	// Format renders the printed report.
+	Format() string
 	// Violations counts what the run's consistency checks found.
 	Violations() int
 	// Traced returns the recorded tracer and gauge registry for Chrome

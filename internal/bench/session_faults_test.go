@@ -20,12 +20,9 @@ func TestSessionGuaranteesAcrossFaultCatalog(t *testing.T) {
 		t.Run(scen, func(t *testing.T) {
 			t.Parallel()
 			run := func() *CheckReport {
-				res, err := FaultStudy(Config{Seed: 42, Quick: true, Faults: scen, Check: true})
+				res, err := FaultStudy(Config{Seed: 42, Quick: true, Faults: scen})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if res.Check == nil {
-					t.Fatal("Check requested but no report produced")
 				}
 				return res.Check
 			}
@@ -51,14 +48,51 @@ func TestSessionGuaranteesAcrossFaultCatalog(t *testing.T) {
 	}
 }
 
-// TestCheckReportDistinguishesSeeds guards the digest against being too
-// weak to notice a different run.
-func TestCheckReportDistinguishesSeeds(t *testing.T) {
-	a, err := FaultStudy(Config{Seed: 7, Quick: true, Check: true})
+// TestEveryFaultExperimentChecks: verification is not an option. With
+// nothing but a seed and Quick, the fault study, failover, both overload
+// modes and every capacity cell carry a history check that recorded
+// operations and found no violation.
+func TestEveryFaultExperimentChecks(t *testing.T) {
+	cfg := Config{Seed: 42, Quick: true}
+	fs, err := FaultStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FaultStudy(Config{Seed: 8, Quick: true, Check: true})
+	fo, err := Failover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ov, err := Overload(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := map[string]*CheckReport{"faultstudy": fs.Check, "failover": fo.Check}
+	for _, m := range ov.Modes {
+		checks["overload "+m.Mode] = m.Check
+	}
+	for _, r := range Capacity(cfg).Rows {
+		checks[fmt.Sprintf("capacity shards=%d", r.Shards)] = r.Check
+	}
+	for name, c := range checks {
+		switch {
+		case c == nil:
+			t.Errorf("%s: no history check", name)
+		case c.Ops == 0:
+			t.Errorf("%s: the checked population recorded no operations", name)
+		case c.Violations() != 0:
+			t.Errorf("%s: %d violations: %v %v", name, c.Violations(), c.SessionViolations, c.LinViolations)
+		}
+	}
+}
+
+// TestCheckReportDistinguishesSeeds guards the digest against being too
+// weak to notice a different run.
+func TestCheckReportDistinguishesSeeds(t *testing.T) {
+	a, err := FaultStudy(Config{Seed: 7, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := FaultStudy(Config{Seed: 8, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +114,9 @@ func TestFailoverAcrossSeedSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			run := func() *FailoverResult {
-				res, err := Failover(Config{Seed: seed, Quick: true, Check: true})
+				res, err := Failover(Config{Seed: seed, Quick: true})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if res.Check == nil {
-					t.Fatal("Check requested but no report produced")
 				}
 				return res
 			}

@@ -19,7 +19,7 @@ func TestSweepQuorumGeography(t *testing.T) {
 		return res, js
 	}
 	res, js := run()
-	t.Logf("\n%s", res.Format(false))
+	t.Logf("\n%s", res.Format())
 	if len(res.Rows) != 12 {
 		t.Fatalf("rows = %d, want 3 geographies x 3 quorums + 3 shard counts", len(res.Rows))
 	}

@@ -447,15 +447,16 @@ func TestDeposedLeaderAckIsLost(t *testing.T) {
 }
 
 // TestForwardStalledAtDeposedLeaderIsProposedBySuccessor pins the one read
-// of leadership no server could make (ROADMAP item 13): a forward is proposed
+// of leadership no server could make (ROADMAP item 2(b)): a forward is proposed
 // by whichever server leads when it lands, not by the server it was sent to.
 // FRK leads and is partitioned away at once; at 1s the IRL contact forwards
 // an enqueue to FRK, where it waits for the 4s heal; IRL wins epoch 1 at
 // ~2.59s meanwhile, so the forward that lands at FRK is numbered by IRL, after
 // IRL's own watermark, and committed in epoch 1 — and the element is on every
-// server. The client library's 5s deadline outlasts the stall. Item 13's step
-// 2, which sends forwards to the contact's own view of the leader and
-// re-routes them on a new epoch, inverts this test.
+// server. The client library's 5s deadline outlasts the stall. Item 2's fix,
+// which proposes a forward only at the server it reached and only while that
+// server leads in its own epoch, and re-sends pending forwards on a new
+// epoch, inverts this test.
 func TestForwardStalledAtDeposedLeaderIsProposedBySuccessor(t *testing.T) {
 	e, inj, clock, _ := newElectionEnsemble(t, netsim.FRK, netsim.IRL, netsim.VRG)
 	qc := NewQueueClient(e, netsim.IRL, netsim.IRL)
