@@ -96,20 +96,21 @@ type VirtualClock struct {
 // actor with the pool full exits, as every actor goroutine used to. The
 // bound is what a burst may leave parked until the next Drain — the 10^5
 // actors of a wide ycsb.Run all end at the horizon — and 256 is where the
-// measured reuse levels off. Re-measured now that request/response legs and
-// cassandra reads and writes are records and no actors, over whole runs of
-// the benchmark's workloads (seed 101; set-up, warm-up and five
-// repetitions, each world on a clock of its own, whose first actors start
-// their goroutines whatever the bound): the deepest the pool ever wants to
-// be is 102 (ads_spec_closed), 12 (sessions_rw_checked), 20
+// measured reuse levels off. Re-measured, as counts, now that request and
+// response legs and cassandra and zk operations are records and no actors,
+// over whole runs of the benchmark's workloads (seed 101; set-up, warm-up
+// and five repetitions, each world on a clock of its own, whose first actors
+// start their goroutines whatever the bound): the deepest the pool ever
+// wants to be is 102 (ads_spec_closed), 12 (sessions_rw_checked), 20
 // (worlds_faults_parallel), 633 (sharded_open_ramp, whose batched reads are
-// still actors) and 384 (zk_queue_failover, the actors parked through the
-// outage ending together), and the share of Go calls that start a goroutine
-// is 0.16%, 50%, 26%, 1.5% and 49% at a bound of 64 against 0.09%, 50%, 26%,
-// 0.26% and 1.1% at 256 — with no bound, 0.8% on zk and the same elsewhere.
-// sessions_rw_checked makes 120 Go calls in all and the 900 short worlds
-// start theirs fresh at any bound; only the open ramp and zk still lean on
-// the pool. Peak RSS did not tell 64, 256 and no bound apart on any of them
+// still actors) and 192 (zk_queue_failover: its client actors, which end
+// together at each phase's horizon). The share of Go calls that start a
+// goroutine is 0.16%, 50%, 26%, 1.5% and 83% at a bound of 64 against
+// 0.09%, 50%, 26%, 0.26% and 50% at 256 and with no bound.
+// sessions_rw_checked makes 120 Go calls in all and zk_queue_failover 1,920
+// (230,880 while its operations were actors), half of them each world's
+// first, and the 900 short worlds start theirs fresh at any bound; only the
+// open ramp's readBatch still leans on the pool. Peak RSS did not tell 64, 256 and no bound apart on any of them
 // when the bound was chosen; that was not measured again.
 const maxIdleWorkers = 256
 

@@ -17,22 +17,27 @@ import (
 // free lists populated). The budgets are absolute, and what is left is what
 // the operation creates or the caller keeps:
 //
-//   - enqueue, 19 (40 before items were copied once and shared, names were
+//   - enqueue, 17 (40 before items were copied once and shared, names were
 //     formatted without fmt, and the binding and the propose round ran on
 //     recycled records; 20 before the contact's simulation read the queue's
-//     directory off the item prefix): the boxed operation, the Correctable
-//     and the library's result callback; the item's one copy; the queue's
-//     item prefix; the predicted name, the preliminary element, its flush
-//     callback and the final element; the boxed transaction; on each of the
-//     three servers the znode and its sequential path; the commit broadcast's
-//     callback; the two views' boxes on the binding wire.
-//   - dequeue, 16 (26 before): the same three from the library, the
-//     directory, the preliminary element and its flush callback, the boxed
-//     transaction, the broadcast's callback and the two view boxes; and on
-//     each server the head's path and the element the transaction returns.
+//     directory off the item prefix; 19 before the operation became one
+//     record, whose preliminary flush and whose proposal's commit broadcast
+//     are steps bound once): the boxed operation, the Correctable and the
+//     library's result callback; the item's one copy; the queue's item
+//     prefix; the predicted name, the preliminary element and the final
+//     element; the boxed transaction; on each of the three servers the znode
+//     and its sequential path; the two views' boxes on the binding wire.
+//   - dequeue, 14 (26, then 16 before): the same three from the library, the
+//     directory, the preliminary element, the boxed transaction and the two
+//     view boxes; and on each server the head's path and the element the
+//     transaction returns.
 //
-// Counts of actors repeat exactly: an enqueue starts one, the operation's own
-// (three before the two follower legs of its proposal became records).
+// The contact's applied-wait takes a pooled event and a slot in a reused
+// slice, and here never waits: each operation finds its commit applied.
+//
+// Counts of actors repeat exactly: an enqueue starts none (three before the
+// two follower legs of its proposal became records, one before the
+// operation did).
 func TestAllocGateQueueOps(t *testing.T) {
 	e, _, clock := newTestEnsemble(t, true, netsim.IRL)
 	e.Bootstrap(CreateTxn{Path: "/queues"})
@@ -65,8 +70,8 @@ func TestAllocGateQueueOps(t *testing.T) {
 		op     func()
 		budget float64
 	}{
-		{"enqueue", enqueue, 19},
-		{"dequeue", dequeue, 16},
+		{"enqueue", enqueue, 17},
+		{"dequeue", dequeue, 14},
 	} {
 		got := testing.AllocsPerRun(300, g.op)
 		t.Logf("allocs/%s: %.1f", g.name, got)
@@ -76,8 +81,8 @@ func TestAllocGateQueueOps(t *testing.T) {
 	}
 	before := clock.Spawned()
 	enqueue()
-	if n := clock.Spawned() - before; n != 1 {
-		t.Errorf("an enqueue starts %d actors, want 1", n)
+	if n := clock.Spawned() - before; n != 0 {
+		t.Errorf("an enqueue starts %d actors, want 0", n)
 	}
 	clock.Drain()
 }

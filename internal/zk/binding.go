@@ -7,7 +7,6 @@ import (
 
 	"correctables/internal/binding"
 	"correctables/internal/core"
-	"correctables/internal/netsim"
 )
 
 // itemOf converts a protocol-level QueueView into the store-agnostic typed
@@ -29,37 +28,6 @@ func itemOf(v QueueView) binding.Item {
 // are binding.Item and carry zxids as version tokens.
 type Binding struct {
 	qc *QueueClient
-
-	// free recycles the records of finished operations.
-	free netsim.FreeList[opRecord]
-}
-
-// opRecord is the state of one SubmitOperation for the life of its protocol
-// actor, in place of a closure per hop (the idiom of cassandra.Binding's
-// record): the actor body and the view sink are methods bound once, when the
-// record is built. The actor returns the record as its last act — after the
-// queue client has delivered or given up on every view — and nothing else
-// does: an invocation the client library timed out keeps its record until
-// its actor ends.
-type opRecord struct {
-	b  *Binding
-	op binding.Operation
-	cb binding.Callback
-	// The requested levels, and for a weak-only request whether its one view
-	// has gone out.
-	wantWeak, wantStrong, delivered bool
-
-	run  func()          // r.exec: the actor body
-	view func(QueueView) // r.emit: the queue client's view sink
-}
-
-func (b *Binding) getRecord() *opRecord {
-	r := b.free.Take()
-	if r == nil {
-		r = &opRecord{b: b}
-		r.run, r.view = r.exec, r.emit
-	}
-	return r
 }
 
 var _ binding.Binding = (*Binding)(nil)
@@ -80,12 +48,15 @@ func (b *Binding) ConsistencyLevels() core.Levels {
 	return core.Levels{core.LevelStrong}
 }
 
-// SubmitOperation implements binding.Binding. The client library bounds
-// each invocation with the binding's DefaultOpTimeout (model time); the
-// protocol below has no deadline of its own, and a late completion's views
-// are refused by the closed Correctable.
+// SubmitOperation implements binding.Binding. The operation is a record
+// whose first step takes the ready slot a spawned actor would (Clock.Run);
+// a vanilla dequeue, the client-side recipe, is still an actor. The client
+// library bounds each invocation with the binding's DefaultOpTimeout (model
+// time); the protocol below has no deadline of its own, and a late
+// completion's views are refused by the closed Correctable.
 func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
-	clock := b.qc.Ensemble().Transport().Clock()
+	e := b.qc.Ensemble()
+	clock := e.Transport().Clock()
 	wantWeak := levels.Contains(core.LevelWeak)
 	wantStrong := levels.Contains(core.LevelStrong)
 	if !wantWeak && !wantStrong {
@@ -94,39 +65,42 @@ func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, lev
 		clock.RunAfter(0, func() { cb(binding.Result{Err: fmt.Errorf("%w: %v", binding.ErrUnsupportedLevel, levels)}) })
 		return
 	}
-	r := b.getRecord()
-	r.op, r.cb, r.wantWeak, r.wantStrong = op, cb, wantWeak, wantStrong
-	clock.Go(r.run)
+	r := e.getRecord()
+	r.b, r.op, r.cb, r.onView, r.wantWeak, r.wantStrong = b, op, cb, r.view, wantWeak, wantStrong
+	if _, ok := op.(binding.Dequeue); ok && !e.cfg.Correctable {
+		clock.Go(r.recipe)
+		return
+	}
+	clock.Run(r.step)
 }
 
-// putRecord recycles r, cleared of the operation's references.
-func (b *Binding) putRecord(r *opRecord) {
-	r.op, r.cb, r.delivered = nil, nil, false
-	b.free.Put(r)
-}
-
-// exec is the operation's protocol actor. The local simulation runs exactly
-// when the weak level was asked for; emit decides what each view goes out
-// as.
-func (r *opRecord) exec() {
-	var err error
+// decode makes the record the request its operation asks for, or answers
+// the operation with the error that zk queues have no such thing and reports
+// false. The local simulation runs exactly when the weak level was asked
+// for; emit decides what each view goes out as.
+func (r *opRecord) decode() bool {
+	qc := r.b.qc
 	switch o := r.op.(type) {
 	case binding.Enqueue:
-		err = r.b.qc.Enqueue(o.Queue, o.Item, r.wantWeak, r.view)
+		r.setRequest(qc, enqueueTxn(o.Queue, o.Item), r.wantWeak && r.e.cfg.Correctable)
 	case binding.Dequeue:
-		err = r.b.qc.Dequeue(o.Queue, r.wantWeak, r.view)
+		r.setRequest(qc, DequeueMinTxn{Dir: queueDir(o.Queue)}, r.wantWeak)
 	default:
-		err = fmt.Errorf("%w: zk queues have no %q", binding.ErrUnsupportedOperation, r.op.OpName())
+		r.cb(binding.Result{Err: fmt.Errorf("%w: zk queues have no %q", binding.ErrUnsupportedOperation, r.op.OpName())})
+		return false
 	}
-	// A weak-only request that got its view is answered: what became of the
-	// commit behind it is not its business.
-	if err != nil && !r.delivered {
-		r.cb(binding.Result{Err: err})
-	}
-	r.b.putRecord(r)
+	return true
 }
 
-// emit is the record's view sink.
+// dequeueRecipe is a vanilla dequeue's actor body (QueueClient.dequeueRecipe).
+func (r *opRecord) dequeueRecipe() {
+	if err := r.b.qc.dequeueRecipe(r.op.(binding.Dequeue).Queue, r.view); err != nil && !r.answered {
+		r.cb(binding.Result{Err: err})
+	}
+	r.e.putRecord(r)
+}
+
+// emit is the binding's view sink.
 func (r *opRecord) emit(v QueueView) {
 	level := v.Level
 	switch {
@@ -138,10 +112,10 @@ func (r *opRecord) emit(v QueueView) {
 		// InvokeWeak semantics (§4.3): answer from the local simulation
 		// immediately; the operation itself completes in the background and
 		// its final (committed) view is dropped.
-		if r.delivered {
+		if r.answered {
 			return
 		}
-		r.delivered = true
+		r.answered = true
 		level = core.LevelWeak
 	}
 	r.cb(binding.Result{Value: itemOf(v), Level: level, Version: v.Zxid})

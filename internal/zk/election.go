@@ -276,15 +276,12 @@ func (el *elector) install(s *Server, tally map[uint64]acceptedTxn, now time.Dur
 	if s.accepted != nil {
 		s.accepted = make(map[uint64]acceptedTxn)
 	}
-	fire := s.applyPendingLocked()
+	s.applyPendingLocked()
 	s.mu.Unlock()
 
 	el.log = append(el.log, ElectionRecord{Epoch: epoch, Leader: s.Region, At: now})
 	if e.trc != nil {
 		e.trc.Instant(e.electTrk, "elected", string(s.Region), now)
-	}
-	for _, w := range fire {
-		w.Fire()
 	}
 	el.runBeats(s, epoch)
 	e.resyncLagging(s)

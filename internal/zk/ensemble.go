@@ -75,7 +75,9 @@ type Server struct {
 	mu          sync.Mutex
 	lastApplied uint64
 	pending     map[uint64]Txn
-	waiters     map[uint64][]*netsim.Event
+	// waiters are the contact-side waits for a zxid to apply (awaitApplied),
+	// sorted by zxid, ties in the order they began.
+	waiters []applyWaiter
 
 	// dataEpoch is the election epoch the applied state belongs to, and on
 	// the leader the epoch its proposals commit under. Commits and snapshots
@@ -119,7 +121,9 @@ type Ensemble struct {
 	elect *elector
 	inv   invState // the in-line invariants; empty in the default build
 
-	// proposals recycles the records of finished propose rounds.
+	// records and proposals recycle the records of finished operations and
+	// propose rounds.
+	records   netsim.FreeList[opRecord]
 	proposals netsim.FreeList[proposal]
 
 	// trc, when set, records proposal quorum waits on per-server tracks
@@ -153,7 +157,6 @@ func NewEnsemble(cfg Config) (*Ensemble, error) {
 			proc:     netsim.NewServer(cfg.Transport.Clock(), cfg.Workers),
 			tree:     NewTree(),
 			pending:  make(map[uint64]Txn),
-			waiters:  make(map[uint64][]*netsim.Event),
 		}
 		e.order = append(e.order, region)
 	}
@@ -234,7 +237,6 @@ func (s *Server) epochApplied() (uint64, uint64) {
 // accept logs wholesale: their entries belong to a superseded leader's
 // numbering and must not merge with the new epoch's commit stream.
 func (s *Server) installSnapshot(nodes map[string]*node, zxid, epoch uint64) {
-	var fire []*netsim.Event
 	s.mu.Lock()
 	if epoch < s.dataEpoch || (epoch == s.dataEpoch && zxid <= s.lastApplied) {
 		s.mu.Unlock()
@@ -254,11 +256,8 @@ func (s *Server) installSnapshot(nodes map[string]*node, zxid, epoch uint64) {
 			delete(s.pending, z)
 		}
 	}
-	fire = s.applyPendingLocked()
+	s.applyPendingLocked()
 	s.mu.Unlock()
-	for _, w := range fire {
-		w.Fire()
-	}
 }
 
 // accept records a proposal in the server's accept log (elections enabled
@@ -309,10 +308,9 @@ func (s *Server) acceptedTail(above uint64) map[uint64]acceptedTxn {
 }
 
 // applyPendingLocked drains buffered commits in strict zxid order (stopping
-// at the first gap) and returns the waiters the new watermark satisfies, in
-// zxid order (map iteration order would perturb determinism). Callers hold
-// s.mu and fire the returned events after releasing it.
-func (s *Server) applyPendingLocked() []*netsim.Event {
+// at the first gap) and fires the waiters the new watermark satisfies, in
+// zxid order. Callers hold s.mu.
+func (s *Server) applyPendingLocked() {
 	for {
 		next, ok := s.pending[s.lastApplied+1]
 		if !ok {
@@ -323,41 +321,35 @@ func (s *Server) applyPendingLocked() []*netsim.Event {
 		s.lastApplied++
 	}
 	s.ensemble.inv.checkApplied(s)
-	// Most commits have nobody waiting, and a commit somebody waits on
-	// (every forwarded operation's) satisfies that one zxid: its waiter list
-	// goes out as it is.
-	if len(s.waiters) == 0 {
-		return nil
-	}
-	var satisfied uint64
 	n := 0
-	for z := range s.waiters {
-		if z <= s.lastApplied {
-			satisfied = z
-			n++
-		}
+	for n < len(s.waiters) && s.waiters[n].zxid <= s.lastApplied {
+		s.waiters[n].ev.Fire()
+		n++
 	}
-	switch n {
-	case 0:
+	s.waiters = slices.Delete(s.waiters, 0, n)
+}
+
+// applyWaiter is one wait for a server to apply a zxid.
+type applyWaiter struct {
+	zxid uint64
+	ev   *netsim.Event
+}
+
+// awaitApplied returns nil when the server has applied zxid, and otherwise
+// an event that fires once it has; its one waiter releases it.
+func (s *Server) awaitApplied(zxid uint64) *netsim.Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lastApplied >= zxid {
 		return nil
-	case 1:
-		fire := s.waiters[satisfied]
-		delete(s.waiters, satisfied)
-		return fire
 	}
-	zs := make([]uint64, 0, n)
-	for z := range s.waiters {
-		if z <= s.lastApplied {
-			zs = append(zs, z)
-		}
+	ev := s.ensemble.tr.Clock().NewEvent()
+	i := len(s.waiters)
+	for i > 0 && s.waiters[i-1].zxid > zxid {
+		i--
 	}
-	slices.Sort(zs)
-	var fire []*netsim.Event
-	for _, z := range zs {
-		fire = append(fire, s.waiters[z]...)
-		delete(s.waiters, z)
-	}
-	return fire
+	s.waiters = slices.Insert(s.waiters, i, applyWaiter{zxid: zxid, ev: ev})
+	return ev
 }
 
 // SetTrace threads a span tracer through the ensemble: each server's
@@ -468,10 +460,11 @@ func (e *Ensemble) Bootstrap(txn Txn) TxnResult {
 
 // proposal is the record of one propose round, in place of an ack queue and
 // a closure per follower per proposal: the leader fills in the round, starts
-// every follower's leg and takes a majority of acks off the queue. The legs
-// outlive the round — it returns on a majority, the stragglers still travel
-// — so the record counts its holders, and whoever lets go last drains the
-// acks nobody waited for and recycles it.
+// every follower's leg, takes a majority of acks off the queue and sends the
+// commits. The legs and the commits outlive the round — it ends on a
+// majority, the stragglers and the commits still travel — so the record
+// counts its holders, and whoever lets go last drains the acks nobody waited
+// for and recycles it.
 type proposal struct {
 	e    *Ensemble
 	acks *netsim.Queue
@@ -481,15 +474,17 @@ type proposal struct {
 	txn         Txn
 	zxid, epoch uint64
 	need        int          // acks the round waits for
-	refs        atomic.Int32 // started legs still running, plus the round itself
+	refs        atomic.Int32 // started legs and commits in flight, plus the round itself
 }
 
 // followerLeg is one follower's slot of a proposal: proposal out, accept,
-// ack back, as a round trip on a record and no actor (netsim.RoundTrip).
+// ack back, as a round trip on a record and no actor (netsim.RoundTrip), and
+// later the commit, whose delivery is a step bound once.
 type followerLeg struct {
 	p        *proposal
 	follower *Server
 	trip     netsim.RoundTrip
+	commit   func() // l.committed
 }
 
 func (l *followerLeg) start() {
@@ -513,12 +508,21 @@ func (l *followerLeg) Done() {
 	l.p.release()
 }
 
+// committed is the commit's arrival at the follower.
+func (l *followerLeg) committed() {
+	p := l.p
+	l.follower.deliverCommit(p.zxid, p.epoch, p.txn)
+	p.release()
+}
+
 func (e *Ensemble) getProposal() *proposal {
 	p := e.proposals.Take()
 	if p == nil {
 		p = &proposal{e: e, acks: e.tr.Clock().NewQueue(), legs: make([]followerLeg, len(e.order))}
 		for i, region := range e.order {
-			p.legs[i].p, p.legs[i].follower = p, e.servers[region]
+			l := &p.legs[i]
+			l.p, l.follower = p, e.servers[region]
+			l.commit = l.committed
 		}
 	}
 	return p
@@ -539,69 +543,43 @@ func (p *proposal) release() {
 	p.e.proposals.Put(p)
 }
 
-// forward runs a client request's transaction through the ordered-commit
-// protocol: the contact->leader hop, the leader's prep-apply and numbering,
-// a majority of follower acks, and the commit and result back to the
-// contact on one message. It returns once the contact has applied the
-// transaction, with its zxid and result; the other followers' commits
-// travel on asynchronously.
-//
-// Fail-fast validation errors (missing node, node exists) return with
-// zxid 0 and no broadcast, like ZooKeeper's prep processor.
-func (e *Ensemble) forward(contact *Server, txn Txn) (uint64, TxnResult) {
-	via := e.Leader()
-	if contact != via {
-		e.tr.Travel(contact.Region, via.Region, netsim.LinkReplica, proposalSize(txn))
+// commit broadcasts the commit asynchronously to every follower but the
+// contact, whose commit rides on its reply, and lets go of the record on
+// behalf of the round. Each commit holds the record, whose zxid, epoch and
+// transaction it carries, until it is delivered; one that does not leave
+// lets go at once.
+func (p *proposal) commit(contact *Server) {
+	e := p.e
+	for i, region := range e.order {
+		if region == p.leader.Region || region == contact.Region {
+			continue
+		}
+		p.refs.Add(1)
+		if !e.tr.Send(p.leader.Region, region, netsim.LinkReplica, commitSize(p.txn), p.legs[i].commit) {
+			p.release()
+		}
 	}
-	// Leadership is read again once the request has landed, so a forward
-	// stalled at a deposed leader is proposed by its successor (ROADMAP item
-	// 2(b), pinned by TestForwardStalledAtDeposedLeaderIsProposedBySuccessor).
-	leader := e.Leader()
-	leader.proc.Process(e.cfg.ServiceTime)
-	zxid, epoch, res := leader.prepare(txn)
-	if zxid != 0 {
-		// Gather follower acks; majority includes the leader itself.
-		clock := e.tr.Clock()
-		need := e.quorum()
-		var quorumSp trace.SpanID
-		if e.trc != nil && need > 0 {
-			quorumSp = e.trc.Begin(e.phaseTrk[leader.Region], trace.CatQuorum, "propose", "", clock.Now())
-		}
-		p := e.getProposal()
-		p.leader, p.txn, p.zxid, p.epoch, p.need = leader, txn, zxid, epoch, need
-		p.refs.Store(int32(len(e.order))) // the followers' legs and this round
-		for i, region := range e.order {
-			if region != leader.Region {
-				p.legs[i].start()
-			}
-		}
-		for i := 0; i < need; i++ {
-			p.acks.Get()
-		}
-		e.inv.checkCommit(leader.Region, epoch)
-		p.release()
-		e.trc.End(quorumSp, clock.Now())
+	p.release()
+}
 
-		// Broadcast commits asynchronously to all followers except the
-		// contact, whose commit rides on the reply below.
-		for _, region := range e.order {
-			if region == leader.Region || region == contact.Region {
-				continue
-			}
-			follower := e.servers[region]
-			e.tr.Send(leader.Region, region, netsim.LinkReplica, commitSize(txn), func() {
-				follower.deliverCommit(zxid, epoch, txn)
-			})
-		}
+// forward runs a client request's transaction through the ordered-commit
+// protocol from the contact (see opRecord.forward) and blocks until the
+// contact has applied it, returning its zxid and result. It is the record's
+// blocking caller; the vanilla queue recipes commit this way.
+func (e *Ensemble) forward(contact *Server, txn Txn) (uint64, TxnResult) {
+	r := e.getRecord()
+	r.contact, r.txn = contact, txn
+	r.finished = e.tr.Clock().NewEvent()
+	r.forward()
+	r.finished.Wait()
+	r.finished.Release()
+	if r.applied != nil {
+		r.applied.Wait()
+		r.applied.Release()
+		r.applied = nil
 	}
-	if contact != via {
-		// Commit + result ride back to the contact on one message.
-		e.tr.Travel(via.Region, contact.Region, netsim.LinkReplica, commitSize(txn))
-		if zxid != 0 {
-			contact.deliverCommit(zxid, epoch, txn)
-			contact.waitApplied(zxid)
-		}
-	}
+	zxid, res := r.zxid, r.res
+	e.putRecord(r)
 	return zxid, res
 }
 
@@ -630,29 +608,11 @@ func (s *Server) prepare(txn Txn) (uint64, uint64, TxnResult) {
 // commit stream.
 func (s *Server) deliverCommit(zxid, epoch uint64, txn Txn) {
 	s.mu.Lock()
-	var fire []*netsim.Event
 	if epoch >= s.dataEpoch && zxid > s.lastApplied {
 		s.pending[zxid] = txn
-		fire = s.applyPendingLocked()
+		s.applyPendingLocked()
 	}
 	s.mu.Unlock()
-	for _, w := range fire {
-		w.Fire()
-	}
-}
-
-// waitApplied blocks until the server has applied the given zxid.
-func (s *Server) waitApplied(zxid uint64) {
-	s.mu.Lock()
-	if s.lastApplied >= zxid {
-		s.mu.Unlock()
-		return
-	}
-	w := s.ensemble.tr.Clock().NewEvent()
-	s.waiters[zxid] = append(s.waiters[zxid], w)
-	s.mu.Unlock()
-	w.Wait()
-	w.Release() // private to this wait, and fired: nobody holds it any more
 }
 
 // process charges one message's local work on the server.

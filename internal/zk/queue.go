@@ -36,7 +36,11 @@ type QueueView struct {
 // fault makes impossible blocks until the fault heals. The client library
 // owns the operation deadline (binding.Client bounds each invocation through
 // the Binding with Config.OpTimeout under fault injection); call the methods
-// directly only where nothing can stall them.
+// directly only where nothing can stall them. Enqueue and the CZK Dequeue
+// block their calling actor on the record the Binding runs the same
+// operation on (opRecord); the vanilla recipes are actor code that commits
+// through one. A preliminary view reaches onView in callback context, where
+// it must not block.
 type QueueClient struct {
 	ensemble *Ensemble
 	Region   netsim.Region
@@ -77,10 +81,14 @@ func (c *QueueClient) CreateQueue(queue string) error {
 // state and leaks the predicted element name (weak view); the committed
 // result follows (strong view). Blocks until the final view is delivered.
 func (c *QueueClient) Enqueue(queue string, data []byte, wantPrelim bool, onView func(QueueView)) error {
-	// The item enters the store here: this one copy is what the proposal,
-	// all three servers' znodes and every view of the element share.
-	txn := CreateTxn{Path: queueItemPrefix(queue), Data: binding.CopyIn(data), Sequential: true}
-	return c.request(txn, wantPrelim && c.ensemble.cfg.Correctable, onView)
+	return c.request(enqueueTxn(queue, data), wantPrelim && c.ensemble.cfg.Correctable, onView)
+}
+
+// enqueueTxn is an enqueue's transaction. The item enters the store here:
+// this one copy is what the proposal, all three servers' znodes and every
+// view of the element share.
+func enqueueTxn(queue string, data []byte) CreateTxn {
+	return CreateTxn{Path: queueItemPrefix(queue), Data: binding.CopyIn(data), Sequential: true}
 }
 
 // Dequeue removes the queue head.
@@ -115,45 +123,30 @@ type queueTxn interface {
 }
 
 // request is one queue operation at the contact, the CZK protocol (§5.2):
-// the request hop, the contact's slot, with wantPrelim the local
-// simulation flushed as the preliminary, the commit through the leader, the
-// reply hop, and the final view, delivered after the preliminary. Every
-// reply crosses the client link, a failed commit's too; that one carries
-// no element and delivers no view.
+// the request hop, the contact's slot, with wantPrelim the local simulation
+// flushed as the preliminary, the commit through the leader, the reply hop,
+// and the final view, delivered after the preliminary. Every reply crosses
+// the client link, a failed commit's too; that one carries no element and
+// delivers no view. The operation is a record (opRecord): request plays its
+// first step on the caller's stack, waits until the reply has reached the
+// client, and then, as the actor did, holds the final view back until the
+// preliminary has been delivered.
 func (c *QueueClient) request(txn queueTxn, wantPrelim bool, onView func(QueueView)) error {
-	tr := c.ensemble.tr
-	contact := c.ensemble.Server(c.Contact)
-	tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(txn.PayloadSize()))
-	contact.process()
-
-	var flushed *netsim.Event
-	left := false
-	if wantPrelim {
-		zxid := contact.LastApplied()
-		if elem, remaining, err := txn.simulate(contact.tree); err == nil {
-			// The leaked preliminary rides back as a callback-timer message:
-			// no goroutine per flush.
-			delivered := tr.Clock().NewEvent()
-			flushed = delivered
-			left = tr.Send(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(elem)), func() {
-				onView(QueueView{Element: elem, Remaining: remaining, Level: core.LevelWeak, Zxid: zxid})
-				delivered.Fire()
-			})
-		}
+	e := c.ensemble
+	r := e.getRecord()
+	r.setRequest(c, txn, wantPrelim)
+	r.onView = onView
+	r.finished = e.tr.Clock().NewEvent()
+	r.advance()
+	r.finished.Wait()
+	r.finished.Release()
+	netsim.AwaitFlush(r.delivered, r.left)
+	err, final := r.res.Err, r.final
+	e.putRecord(r)
+	if err != nil {
+		return err
 	}
-
-	zxid, res := c.ensemble.forward(contact, txn)
-	var elem *QueueElement
-	remaining := 0
-	if res.Err == nil {
-		elem, remaining = txn.outcome(res)
-	}
-	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(elem)))
-	netsim.AwaitFlush(flushed, left)
-	if res.Err != nil {
-		return res.Err
-	}
-	onView(QueueView{Element: elem, Remaining: remaining, Level: core.LevelStrong, Final: true, Zxid: zxid})
+	onView(final)
 	return nil
 }
 
