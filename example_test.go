@@ -308,8 +308,8 @@ func Example_overload() {
 
 // Example_capacity runs the sharded-plane capacity study at smoke scale:
 // per shard count, open-loop Poisson session storms flow through the AIMD
-// admission gate into per-region token-aware batched coordinator stacks on
-// one virtual clock, and each cell reports attained throughput, per-shard
+// admission gate into per-region token-aware coordinator stacks on one
+// virtual clock, and each cell reports attained throughput, per-shard
 // fairness and a consistency-checked sub-population. The full-size run
 // (`icgbench -exp capacity`) starts over a million sessions in the widest
 // cell and writes BENCH_capacity.json.

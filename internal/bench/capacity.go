@@ -19,7 +19,7 @@ import (
 // One cell per shard count runs an open-loop session storm on a fresh
 // VirtualClock — three Poisson arrival generators (one per region) drive
 // closed-loop sessions through the admission gate into per-region
-// coordinator Batchers — and the row records attained throughput,
+// token-aware cassandra bindings — and the row records attained throughput,
 // coordinator saturation, per-shard fairness and sampled view latencies.
 // Offered load deliberately exceeds a cell's estimated capacity by the
 // same factor at every shard count, so the throughput column measures what
@@ -44,16 +44,11 @@ const (
 	// latencies (exact-sample histograms; sampling bounds their memory).
 	capLatencySample = 8
 	// capCheckedSessions/capCheckedKeys size the checked sub-population:
-	// recorded sessions running through the same batched dispatch path on
-	// an exclusive, non-preloaded keyspace, verified per cell with the
-	// session checkers plus register linearizability.
+	// recorded sessions running through the same bindings on an exclusive,
+	// non-preloaded keyspace, verified per cell with the session checkers
+	// plus register linearizability.
 	capCheckedSessions = 6
 	capCheckedKeys     = 12
-	// capBatchWindow is the coordinator dispatch tick. Sized at half the
-	// replica service time: wide enough that concurrent sessions' reads
-	// coalesce under load, narrow enough to be invisible in the final-view
-	// latency (which is dominated by the cross-region quorum leg).
-	capBatchWindow = time.Millisecond
 )
 
 // CapacityRow is one shard-count cell of the study.
@@ -79,9 +74,6 @@ type CapacityRow struct {
 	WeakP99Ms   float64 `json:"weak_p99_ms"`
 	FinalMeanMs float64 `json:"final_mean_ms"`
 	FinalP99Ms  float64 `json:"final_p99_ms"`
-	// BatchMeanOps is the mean coalesced-dispatch size across the
-	// per-region Batchers (total batched ops / total dispatches).
-	BatchMeanOps float64 `json:"batch_mean_ops"`
 	// UtilizationPct is aggregate coordinator saturation: total reserved
 	// service time across every replica server over total slot capacity
 	// (regions x shards x workers x elapsed).
@@ -185,12 +177,12 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 		MinRate:     aggregateOps / 10,
 		MaxRate:     2 * aggregateOps,
 	})
-	// One coordinator Batcher per region: sessions are colocated with
-	// their coordinator (capacity, not geography, is the axis here) and
-	// the clients are token-aware — the dispatch queues are per shard, so
-	// the contact-node routing hop would only re-serialize what sharding
-	// just spread out.
-	batchers := make([]*binding.Batcher, len(regions))
+	// One binding per region: sessions are colocated with their
+	// coordinator (capacity, not geography, is the axis here) and the
+	// clients are token-aware — each operation goes to its key's
+	// owner-shard coordinator, so the contact-node routing hop would only
+	// re-serialize what sharding just spread out.
+	bindings := make([]binding.Binding, len(regions))
 	bulk := make([]*binding.Client, len(regions))
 	for i, region := range regions {
 		cc := cassandra.NewClient(cluster, region, region)
@@ -199,10 +191,8 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 		// register-linearizability check on the recorded sub-population is
 		// sound (the paper's W=1 default would make strong reads able to
 		// miss a completed write outright).
-		batchers[i] = binding.NewBatcher(
-			cassandra.NewBinding(cc, cassandra.BindingConfig{StrongQuorum: 2, WriteQuorum: 2}),
-			clock, capBatchWindow)
-		bulk[i] = binding.NewClient(batchers[i],
+		bindings[i] = cassandra.NewBinding(cc, cassandra.BindingConfig{StrongQuorum: 2, WriteQuorum: 2})
+		bulk[i] = binding.NewClient(bindings[i],
 			binding.WithLabel(fmt.Sprintf("cap-%s", region)),
 			binding.WithAdmission(gate))
 	}
@@ -259,7 +249,7 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 		})
 	}
 
-	// Checked sub-population: recorded sessions through the same Batchers
+	// Checked sub-population: recorded sessions through the same bindings
 	// on an exclusive, non-preloaded keyspace (preloads would be phantom
 	// writes to the register checker), no admission and no retries (a
 	// retried write could land twice server-side and break attribution).
@@ -267,7 +257,7 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 	h.sessions(rec, sessionMix{
 		n:       capCheckedSessions,
 		label:   "chk-%02d",
-		binding: func(i int) binding.Binding { return batchers[i%len(batchers)] },
+		binding: func(i int) binding.Binding { return bindings[i%len(bindings)] },
 		seed:    func(i int) int64 { return cfg.Seed + 500_009*int64(i) + 29 },
 		key:     capCheckedKey,
 		keys:    capCheckedKeys,
@@ -278,12 +268,6 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 
 	elapsed := h.mustRun()
 
-	var batchedOps, dispatches int64
-	for _, bt := range batchers {
-		o, d := bt.Stats()
-		batchedOps += o
-		dispatches += d
-	}
 	perShard := make([]int64, shards)
 	var busy time.Duration
 	for s := 0; s < shards; s++ {
@@ -294,7 +278,7 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 		}
 	}
 	capacity := float64(len(regions)*shards*cassandraWorkers) * elapsed.Seconds()
-	row := CapacityRow{
+	return CapacityRow{
 		Shards:                shards,
 		OfferedSessionsPerSec: perRegionRate * float64(len(regions)),
 		SessionsStarted:       started.Load(),
@@ -313,10 +297,6 @@ func capacityCell(cfg Config, shards int, horizon time.Duration, perRegionRate f
 		PerShardHandled:       perShard,
 		Check:                 buildCheckReport(rec, capCheckedSessions, modelRegisters),
 	}
-	if dispatches > 0 {
-		row.BatchMeanOps = float64(batchedOps) / float64(dispatches)
-	}
-	return row
 }
 
 // Capacity runs the shard-count capacity study. Quick mode shrinks the
@@ -326,7 +306,7 @@ func Capacity(cfg Config) *CapacityResult {
 	horizon := cfg.pickDur(70*time.Second, 1500*time.Millisecond)
 	ratePerShardRegion := float64(cfg.pick(capSessionsPerShardRegion, 120))
 	res := &CapacityResult{
-		Description: "attained throughput, saturation and fairness vs shard count (open-loop sessions through admission gate, coordinator batching)",
+		Description: "attained throughput, saturation and fairness vs shard count (open-loop sessions through admission gate)",
 		Seed:        cfg.Seed,
 		HorizonMs:   metrics.Ms(horizon),
 	}

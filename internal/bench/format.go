@@ -356,12 +356,11 @@ func (res *CapacityResult) Format() string {
 			fmt.Sprintf("%.0f", r.ThroughputOps), fmt.Sprintf("%.0f", r.ThroughputSessions),
 			fmt.Sprintf("%.1f", r.WeakMeanMs), fmt.Sprintf("%.1f", r.FinalMeanMs),
 			fmt.Sprintf("%.1f", r.FinalP99Ms),
-			fmt.Sprintf("%.1f", r.BatchMeanOps),
 			fmt.Sprintf("%.0f", r.UtilizationPct), fmt.Sprintf("%.3f", r.FairnessJain)}
 	}
 	b.WriteString(table("Capacity: session throughput and saturation vs shard count",
 		[]string{"shards", "offered/s", "started", "done", "aborted", "ops/s", "sess/s",
-			"weak ms", "final ms", "p99 ms", "batch", "util %", "jain"}, out))
+			"weak ms", "final ms", "p99 ms", "util %", "jain"}, out))
 	fmt.Fprintf(&b, "scaling: %.2fx ops throughput from %d to %d shards\n",
 		res.ScalingX, res.Rows[0].Shards, res.Rows[len(res.Rows)-1].Shards)
 	for _, r := range res.Rows {

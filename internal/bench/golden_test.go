@@ -135,7 +135,7 @@ func TestGoldenOutputs(t *testing.T) {
 		{name: "overload-trace", run: overload(with(func(c *Config) { c.Trace = true })),
 			json: "553c68067d4d6aaf5262ee5ca78aeb49d2ae050e513ea6402831837ffa373a9f"},
 		{name: "capacity", run: func(*testing.T) (any, []byte) { return Capacity(goldenCfg), nil },
-			json: "d8b848dd146260881a71f014b8cd9abd291111f519c2142b07c48240e8bcb4bb"},
+			json: "9eb815874a376cc97e3a976d154258ce6a39b0d95283aa71417112f09a1bcbfe"},
 		{name: "sweep", run: func(*testing.T) (any, []byte) { return Sweep(goldenCfg), nil },
 			json: "4ab18c6a82db78f88e59eb4ce830125e9a0e9074605faa47dcd2f523da6d92b3"},
 		{name: "hunt-clean", run: hunt(false),

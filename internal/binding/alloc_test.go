@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"correctables/internal/core"
 	"correctables/internal/netsim"
 	"correctables/internal/trace"
 )
@@ -74,44 +73,6 @@ func TestAllocGateFullInvoke(t *testing.T) {
 	const budget = 3
 	if typed > budget {
 		t.Errorf("typed ICG invoke allocates %.1f/op, budget %d", typed, budget)
-	}
-}
-
-// TestAllocGateBatchedDispatch is the coordinator-batching allocation gate:
-// once the per-shard entry slices, the freelist and the shard's flush timer
-// are warm, a full cycle — several same-shard enqueues, the window timer
-// firing, the flush handing the batch to the store and the slice being
-// recycled — allocates nothing. This is what keeps the 10^6-session
-// capacity runs at a flat heap profile on the dispatch plane.
-func TestAllocGateBatchedDispatch(t *testing.T) {
-	clock := netsim.NewVirtualClock()
-	bt := NewBatcher(&batchStub{newSyncBinding()}, clock, time.Millisecond)
-	ctx := context.Background()
-	var op Operation = Get{Key: "k"}
-	levels := core.Levels{core.LevelWeak, core.LevelStrong}
-	served := 0
-	cb := func(Result) { served++ }
-
-	const perWindow = 8
-	cycle := func() {
-		for i := 0; i < perWindow; i++ {
-			bt.SubmitOperation(ctx, op, levels, cb)
-		}
-		clock.Sleep(2 * time.Millisecond)
-	}
-	// Warm: entry-slice capacities, the recycle rotation, the timer heap.
-	for i := 0; i < 8; i++ {
-		cycle()
-	}
-	warm := served
-
-	allocs := testing.AllocsPerRun(200, cycle)
-	t.Logf("allocs/batched dispatch cycle (%d ops): %.1f", perWindow, allocs)
-	if allocs != 0 {
-		t.Errorf("batched dispatch cycle allocates %.1f, want 0", allocs)
-	}
-	if served <= warm || (served-warm)%(perWindow*len(levels)) != 0 {
-		t.Fatalf("served %d views after warm %d — flushes lost entries", served, warm)
 	}
 }
 

@@ -39,8 +39,8 @@ func (onHost) Scheduler() core.Scheduler { return hostScheduler{} }
 
 // syncBinding answers synchronously from a pre-boxed value, isolating the
 // client library's own allocations: everything the allocation gates observe
-// is invoke-path overhead, not storage work. It is also the base storage
-// stub for the batching tests (untagged file: the race suite needs it too).
+// is invoke-path overhead, not storage work (untagged file: the race suite
+// needs it too).
 type syncBinding struct {
 	onHost
 	levels core.Levels
@@ -70,28 +70,3 @@ type clocked struct {
 }
 
 func (b clocked) Scheduler() core.Scheduler { return SchedulerFor(b.clock) }
-
-// batchStub is a BatchBinding that serves every coalesced entry
-// synchronously from the pre-boxed value, so the allocations the
-// batched-dispatch gate observes belong to the Batcher's
-// enqueue/flush/recycle machinery alone.
-type batchStub struct {
-	*syncBinding
-}
-
-func (b *batchStub) BatchShards() int { return 1 }
-
-func (b *batchStub) BatchKey(op Operation) (int, bool) {
-	_, ok := op.(Get)
-	return 0, ok
-}
-
-func (b *batchStub) SubmitBatch(shard int, entries []BatchEntry, done func([]BatchEntry)) {
-	for i := range entries {
-		e := &entries[i]
-		for _, l := range e.Levels {
-			e.Cb(Result{Value: b.value, Level: l})
-		}
-	}
-	done(entries)
-}

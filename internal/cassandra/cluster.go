@@ -179,22 +179,17 @@ type gather struct {
 	shard int
 	key   string
 	v     Versioned // the mutation the legs of a write carry
-	// A coalesced read is about many keys (see batch.go): the batch's items
-	// and the indexes of those that want a quorum view.
-	items  []batchItem
-	strong []int
 }
 
 // peerLeg is one slot of a gather: the round trip to the slot's peer, a
 // record and no actor (netsim.RoundTrip). What happens at the two ends
-// depends on the round, so the slot is a netsim.Exchange under three names:
-// readLeg, writeLeg and, for a coalesced read, batchLeg (batch.go).
+// depends on the round, so the slot is a netsim.Exchange under two names:
+// readLeg and writeLeg.
 type peerLeg struct {
 	g       *gather
 	slot    int
-	replica *Replica    // the slot's peer for the round
-	reply   Versioned   // what a read leg brought back
-	replies []Versioned // what a coalesced read's leg brought back, per strong item
+	replica *Replica  // the slot's peer for the round
+	reply   Versioned // what a read leg brought back
 	trip    netsim.RoundTrip
 }
 
@@ -205,7 +200,6 @@ func (l *peerLeg) start(x netsim.Exchange, reqSize int, cost time.Duration) {
 	cl, coord := g.c.cluster, g.c.Coordinator
 	peer := cl.othersByProximity(coord)[l.slot]
 	l.replica = cl.ReplicaAt(g.shard, peer)
-	l.trip.Slots = len(g.strong) // a coalesced read reserves one per item
 	l.trip.Start(cl.tr, coord, peer, netsim.LinkReplica, reqSize, l.replica.server, cost, x)
 }
 
@@ -256,12 +250,9 @@ func (c *Cluster) getGather(client *Client, shard int, key string) *gather {
 // the round's references.
 func (c *Cluster) putGather(g *gather) {
 	for i := range g.legs {
-		l := &g.legs[i]
-		l.reply = Versioned{}
-		clear(l.replies)
-		l.replies = l.replies[:0]
+		g.legs[i].reply = Versioned{}
 	}
-	g.c, g.key, g.v, g.items, g.strong = nil, "", Versioned{}, nil, nil
+	g.c, g.key, g.v = nil, "", Versioned{}
 	c.gathers.Put(g)
 }
 
@@ -317,8 +308,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // SetTrace threads a span tracer through the cluster: each replica's
 // bounded server records queue/service spans on "server/<region>" (shard 0)
 // or "server/<region>#<shard>", and the client protocol paths record phase
-// spans (preliminary flush, quorum wait, read repair, shard routing, batch
-// dispatch, hint replay) on "cass/<region>" coordinator tracks. Install at
+// spans (preliminary flush, quorum wait, read repair, shard routing, hint
+// replay) on "cass/<region>" coordinator tracks. Install at
 // wiring time, before traffic starts.
 func (c *Cluster) SetTrace(t *trace.Tracer) {
 	c.trc = t

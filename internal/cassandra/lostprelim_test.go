@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"correctables/internal/binding"
 	"correctables/internal/core"
 	"correctables/internal/netsim"
 )
@@ -48,40 +47,21 @@ func waitGoroutines(t *testing.T, base int) {
 // fire-and-forget preliminary flush must cost the read that one view and
 // nothing else. The final is already at the client; were it withheld behind
 // an event only the lost message's callback can fire, the read would time
-// out with ErrUnreachable and its record would stay parked for good. Single
-// and coalesced reads share the idiom (netsim.AwaitFlush and the record's
-// twin of it).
+// out with ErrUnreachable and its record would stay parked for good.
 func TestLostPreliminaryCostsOnlyThePreliminary(t *testing.T) {
 	const client, coord = netsim.IRL, netsim.FRK
 	sites := []struct {
 		name string
 		// read issues one R=2 incremental read of "k" and returns the levels
 		// of the views it delivered, in order.
-		read func(cluster *Cluster, clock netsim.Clock) ([]core.Level, error)
+		read func(cluster *Cluster) ([]core.Level, error)
 	}{
-		{"read", func(cluster *Cluster, _ netsim.Clock) (levels []core.Level, err error) {
+		{"read", func(cluster *Cluster) (levels []core.Level, err error) {
 			cor := NewKV(NewBinding(NewClient(cluster, client, coord), BindingConfig{})).Get(context.Background(), "k")
 			_, err = cor.Final(context.Background())
 			for _, v := range cor.Views() {
 				levels = append(levels, v.Level)
 			}
-			return levels, err
-		}},
-		{"batched", func(cluster *Cluster, clock netsim.Clock) (levels []core.Level, err error) {
-			b := NewBinding(NewClient(cluster, client, coord), BindingConfig{})
-			entries := []binding.BatchEntry{{
-				Op:     binding.Get{Key: "k"},
-				Levels: core.Levels{core.LevelWeak, core.LevelStrong},
-				Cb: func(r binding.Result) {
-					if r.Err != nil {
-						err = r.Err
-					}
-					levels = append(levels, r.Level)
-				},
-			}}
-			done := clock.NewEvent()
-			b.SubmitBatch(cluster.ShardOf("k"), entries, func([]binding.BatchEntry) { done.Fire() })
-			done.Wait()
 			return levels, err
 		}},
 	}
@@ -95,7 +75,7 @@ func TestLostPreliminaryCostsOnlyThePreliminary(t *testing.T) {
 				// with the cluster's OpTimeout.
 				cluster.tr.SetInterceptor(&dropReplies{coord: coord, client: client, n: lose})
 				start := clock.Now()
-				levels, err := site.read(cluster, clock)
+				levels, err := site.read(cluster)
 				took := clock.Now() - start
 				if err != nil {
 					t.Fatalf("%d preliminaries lost: read failed: %v", lose, err)

@@ -19,13 +19,13 @@ import (
 // nothing ever writes into it. These tests pin the three things a caller may
 // rely on — its own buffer is its own again once the write returned, a view
 // it kept survives any later write of the key, and an append to a view
-// cannot reach shared memory — for single and coalesced reads.
+// cannot reach shared memory.
 
 // valueReader reads key at both levels and returns the weak and the strong
 // view's bytes, as delivered.
 type valueReader func(ctx context.Context, key string) (weak, strong []byte)
 
-func readersUnderTest(t *testing.T, cluster *Cluster, clock netsim.Clock) map[string]valueReader {
+func readersUnderTest(t *testing.T, cluster *Cluster) map[string]valueReader {
 	b := NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{})
 	read := func(c *binding.Client) valueReader {
 		return func(ctx context.Context, key string) ([]byte, []byte) {
@@ -42,8 +42,7 @@ func readersUnderTest(t *testing.T, cluster *Cluster, clock netsim.Clock) map[st
 		}
 	}
 	return map[string]valueReader{
-		"single":  read(binding.NewClient(b)),
-		"batched": read(binding.NewClient(binding.NewBatcher(b, clock, 200*time.Microsecond))),
+		"single": read(binding.NewClient(b)),
 	}
 }
 
@@ -51,7 +50,7 @@ func TestStoredValuesAreCopiedOnceAndShared(t *testing.T) {
 	cluster, _, clock := newTestCluster(t, true, true)
 	kv := NewKV(NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{WriteQuorum: 3}))
 	ctx := context.Background()
-	for name, read := range readersUnderTest(t, cluster, clock) {
+	for name, read := range readersUnderTest(t, cluster) {
 		t.Run(name, func(t *testing.T) {
 			// The caller's buffer is the caller's again after the write.
 			buf := []byte("written-1")

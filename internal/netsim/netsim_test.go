@@ -229,7 +229,7 @@ func TestServerZeroWorkersClamped(t *testing.T) {
 }
 
 // TestServerReserveMatchesProcess: Reserve books exactly the capacity
-// Process would, and a batch that reserves k slots then sleeps once on the
+// Process would, and a caller that reserves k slots then sleeps once on the
 // latest deadline observes the same completion time as k serial Process
 // calls spread over the worker slots.
 func TestServerReserveMatchesProcess(t *testing.T) {
@@ -245,7 +245,7 @@ func TestServerReserveMatchesProcess(t *testing.T) {
 		}
 	}
 	if latest != 8*time.Millisecond {
-		t.Fatalf("latest batch deadline = %v, want 8ms", latest)
+		t.Fatalf("latest deadline = %v, want 8ms", latest)
 	}
 	c.SleepUntil(latest)
 	if got := s.BusyModelTime(); got != 16*time.Millisecond {

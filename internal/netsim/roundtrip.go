@@ -101,11 +101,6 @@ type Exchange interface {
 // is bound at the first Start, so a warm leg allocates nothing, dropped and
 // stalled included. It must not be copied once started.
 type RoundTrip struct {
-	// Slots is how many server slots the request reserves, one per coalesced
-	// operation, the leg waiting for the latest (see Server.Reserve). Zero
-	// means one. Start leaves it alone.
-	Slots int
-
 	hop    Hop
 	server *Server
 	cost   time.Duration
@@ -149,12 +144,8 @@ func (r *RoundTrip) advance() {
 		if !h.Arrived() {
 			return
 		}
-		var latest time.Duration
-		for range max(r.Slots, 1) {
-			latest = max(latest, r.server.Reserve(r.cost))
-		}
 		r.state = legServed
-		h.tr.clock.At(latest, r.step)
+		h.tr.clock.At(r.server.Reserve(r.cost), r.step)
 	case legServed:
 		r.state = legResponse
 		h.Send(h.tr, h.to, h.from, h.class, r.x.Serve(), r.step)

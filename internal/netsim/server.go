@@ -80,11 +80,8 @@ func (s *Server) Process(cost time.Duration) {
 }
 
 // Reserve books a worker slot for cost without blocking and returns the
-// model instant the reserved work completes; the caller SleepUntils the
-// deadline itself. The batched dispatch path reserves one slot per
-// coalesced operation — paying the queueing model exactly per op — and
-// then blocks once on the latest deadline, so a batch of k operations
-// arms one timer instead of k.
+// model instant the reserved work completes; the caller waits for the
+// deadline itself, a record by At(Reserve(cost), step).
 func (s *Server) Reserve(cost time.Duration) time.Duration {
 	now := s.clock.Now()
 	end := s.reserve(cost, now)

@@ -97,20 +97,22 @@ type VirtualClock struct {
 // bound is what a burst may leave parked until the next Drain — the 10^5
 // actors of a wide ycsb.Run all end at the horizon — and 256 is where the
 // measured reuse levels off. Re-measured, as counts, now that request and
-// response legs and cassandra and zk operations are records and no actors,
-// over whole runs of the benchmark's workloads (seed 101; set-up, warm-up
-// and five repetitions, each world on a clock of its own, whose first actors
-// start their goroutines whatever the bound): the deepest the pool ever
-// wants to be is 102 (ads_spec_closed), 12 (sessions_rw_checked), 20
-// (worlds_faults_parallel), 633 (sharded_open_ramp, whose batched reads are
-// still actors) and 192 (zk_queue_failover: its client actors, which end
-// together at each phase's horizon). The share of Go calls that start a
-// goroutine is 0.16%, 50%, 26%, 1.5% and 83% at a bound of 64 against
-// 0.09%, 50%, 26%, 0.26% and 50% at 256 and with no bound.
-// sessions_rw_checked makes 120 Go calls in all and zk_queue_failover 1,920
-// (230,880 while its operations were actors), half of them each world's
-// first, and the 900 short worlds start theirs fresh at any bound; only the
-// open ramp's readBatch still leans on the pool. Peak RSS did not tell 64, 256 and no bound apart on any of them
+// response legs and every cassandra and zk protocol operation are records
+// and no actors, over whole runs of the benchmark's workloads (seed 101;
+// set-up, warm-up and five repetitions, each world on a clock of its own,
+// whose first actors start their goroutines whatever the bound). The
+// deepest the pool ever wants to be is 102 (ads_spec_closed), 12
+// (sessions_rw_checked), 20 (worlds_faults_parallel), 398
+// (sharded_open_ramp: one actor per arrival, each blocking on its
+// operation's final view, which end together as the backlog drains) and
+// 192 (zk_queue_failover: its client actors, which end together at each
+// phase's horizon). Of the Go calls — 659,461, 120, 255,700, 734,960 and
+// 1,920 — these many start a goroutine: 1,071, 60, 67,050, 4,570 and 1,600
+// at a bound of 64, against 593, 60, 67,050, 1,990 and 960 at 256 and with
+// no bound. sessions_rw_checked and zk_queue_failover start half their
+// actors fresh at any bound (each world's first), and the 900 short worlds
+// start theirs fresh too; the open ramp's arrivals are the pool's heaviest
+// user. Peak RSS did not tell 64, 256 and no bound apart on any of them
 // when the bound was chosen; that was not measured again.
 const maxIdleWorkers = 256
 

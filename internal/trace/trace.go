@@ -54,9 +54,6 @@ const (
 	// key lives on another shard's coordinator (token-ring lookup plus the
 	// intra-region hop).
 	CatRoute
-	// CatBatch is a coalesced dispatch: one coordinator round serving every
-	// same-shard operation collected in a batch window.
-	CatBatch
 
 	numCategories
 )
@@ -64,7 +61,7 @@ const (
 var catNames = [numCategories]string{
 	"op", "admission", "net.client", "net.replica", "queue",
 	"server", "flush", "quorum", "repair", "hint", "election",
-	"route", "batch",
+	"route",
 }
 
 // String returns the category's stable report/export name.
