@@ -194,8 +194,8 @@ func TestInvariantWritesEventuallyVisibleEverywhere(t *testing.T) {
 	}
 	cluster.Transport().Clock().Drain() // run the asynchronous replication out
 	for _, region := range cluster.Regions() {
-		if v := cluster.Replica(region).Get("conv"); string(v.Value) != "done" {
-			t.Errorf("replica %s never converged: %q", region, v.Value)
+		if v := cluster.Replica(region).Get("conv"); string(v.Bytes()) != "done" {
+			t.Errorf("replica %s never converged: %q", region, v.Bytes())
 		}
 	}
 }

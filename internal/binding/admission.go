@@ -156,11 +156,16 @@ func (p *retryPolicy) delay(n int) time.Duration {
 // fires as a no-op instead of failing the newer attempt.
 type governedCall struct {
 	mu        sync.Mutex
-	gen       int        // bumped on every (re)submission and retry grant
-	retries   int        // spent retry budget
-	strongest core.Level // strongest level of the current attempt's set
-	resubmit  func()     // re-runs the attempt if the Correctable is still open
+	gen       int         // bumped on every (re)submission and retry grant
+	retries   int         // spent retry budget
+	strongest core.Level  // strongest level of the current attempt's set
+	loop      resubmitter // the governed record that embeds this call
 }
+
+// resubmitter re-runs a governed invocation's attempt if its Correctable is
+// still open: the governed[T] that embeds the governedCall, reached
+// without the call knowing T.
+type resubmitter interface{ resubmit() }
 
 // begin records a new attempt's level set; returns its generation.
 func (g *governedCall) begin(strongest core.Level) int {
@@ -203,7 +208,6 @@ func (g *governedCall) tryRetry(c *Client, err error) bool {
 	g.retries++
 	n := g.retries
 	g.gen++
-	resub := g.resubmit
 	g.mu.Unlock()
 	d := p.delay(n)
 	if p.OnRetry != nil {
@@ -215,6 +219,6 @@ func (g *governedCall) tryRetry(c *Client, err error) bool {
 		now := c.now()
 		c.trc.Span(c.trcTrack, trace.CatAdmission, "backoff", "", now, now+d)
 	}
-	c.sched.After(d, resub)
+	c.sched.After(d, g.loop.resubmit)
 	return true
 }

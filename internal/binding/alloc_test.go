@@ -76,6 +76,32 @@ func TestAllocGateFullInvoke(t *testing.T) {
 	}
 }
 
+// admitAll is an admission gate that admits every attempt.
+type admitAll struct{}
+
+func (admitAll) Admit(string, Operation) (AdmissionDecision, error) { return AdmissionAdmit, nil }
+
+// TestAllocGateGovernedInvoke bounds the governed path: an invocation under
+// an admission gate costs the plain invoke's three allocations plus one,
+// the governed record, whose attempt and resubmit are methods and which
+// embeds the state its timers and retries consult (6 while that state, the
+// attempt and the resubmission were an object and two closures).
+func TestAllocGateGovernedInvoke(t *testing.T) {
+	c := NewClient(newSyncBinding(), WithAdmission(admitAll{}))
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		cor := Invoke[[]byte](ctx, c, Get{Key: "k"})
+		if _, err := cor.Final(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs/governed invoke: %.1f", allocs)
+	const budget = 4
+	if allocs > budget {
+		t.Errorf("governed invoke allocates %.1f/op, budget %d", allocs, budget)
+	}
+}
+
 // TestAllocGateTracedInvoke bounds the tracing-ENABLED invoke path: the
 // root op span, per-view instants and track-handle reuse must cost at most
 // three allocations over the plain pipeline (the observer-path frames).

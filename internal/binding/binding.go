@@ -189,6 +189,10 @@ func (Dequeue) ResultOf(v any) (Item, error) { return decodeItem(v) }
 // immutable: a store copies a value once, on its way in (CopyIn), and every
 // view of it — and every replica, hint, repair and snapshot behind the
 // binding — aliases that one buffer. Retain them freely, never modify them.
+// Value itself may be the store's box, shared too: a store that keeps its
+// values boxed (cassandra's Versioned) hands that one box out with every
+// view, so a view costs no allocation, and answers an absent value with a
+// []byte(nil), whose box is free.
 type Result struct {
 	Value interface{}
 	Level core.Level

@@ -341,7 +341,9 @@ func submit[T any](ctx context.Context, c *Client, op OperationFor[T], requested
 		c.obs.OpStart(inv.obs.info)
 	}
 	if c.gate != nil || c.retry != nil {
-		inv.gov = &governedCall{strongest: strongest}
+		g := &governed[T]{governedCall: governedCall{strongest: strongest}}
+		g.loop = g
+		inv.gov = &g.governedCall
 	}
 	if d := c.OpTimeout(); d > 0 {
 		inv.guard = &timeoutGuard[T]{d: d}
@@ -397,11 +399,11 @@ func submit[T any](ctx context.Context, c *Client, op OperationFor[T], requested
 				}
 			}
 		}
-		dispatch(ctx, cor, inv, op, requested, cb)
+		dispatch(ctx, inv, op, requested, cb)
 	} else {
 		// Plain path: one flat closure, no self-reference — the invoke hot
 		// path stays at its pre-session allocation budget.
-		dispatch(ctx, cor, inv, op, requested, func(r Result) {
+		dispatch(ctx, inv, op, requested, func(r Result) {
 			if r.Err != nil {
 				inv.fail(r.Err)
 				return
@@ -424,59 +426,71 @@ func submit[T any](ctx context.Context, c *Client, op OperationFor[T], requested
 // dispatch hands a wired callback to the binding: directly on the plain
 // path (arming the whole-invocation timeout), through the governed attempt
 // loop otherwise.
-func dispatch[T any](ctx context.Context, cor *core.Correctable[T], inv invocation[T], op Operation, requested core.Levels, cb Callback) {
+func dispatch[T any](ctx context.Context, inv invocation[T], op Operation, requested core.Levels, cb Callback) {
 	if inv.gov == nil {
 		inv.c.b.SubmitOperation(ctx, op, requested, cb)
 		armTimeout(inv, 0)
 		return
 	}
-	submitGoverned(ctx, cor, inv, op, requested, cb)
+	g := inv.gov.loop.(*governed[T])
+	g.ctx, g.inv, g.op, g.requested, g.cb = ctx, inv, op, requested, cb
+	g.attempt()
 }
 
-// submitGoverned runs the governed attempt loop. Each attempt consults the
-// admission gate, picks its level set (requested, or the binding's weakest
-// under AdmissionDegrade), arms a fresh per-attempt timeout stamped with
-// the attempt generation, and submits. Re-submissions arrive through
-// governedCall.resubmit, scheduled by invocation.fail when the retry
-// policy grants a retry; a closed Correctable (op timeout, terminal
-// failure) stops the loop.
-func submitGoverned[T any](ctx context.Context, cor *core.Correctable[T], inv invocation[T], op Operation, requested core.Levels, cb Callback) {
+// governed is the attempt loop of one governed invocation as one record:
+// the shared state every attempt and timer consults (governedCall) and
+// what each attempt submits. Its attempt and resubmit are methods, so the
+// loop costs the invocation this one allocation.
+type governed[T any] struct {
+	governedCall
+	ctx       context.Context
+	inv       invocation[T]
+	op        Operation
+	requested core.Levels
+	cb        Callback
+}
+
+// attempt runs one attempt: it consults the admission gate, picks its
+// level set (requested, or the binding's weakest under AdmissionDegrade),
+// arms a fresh per-attempt timeout stamped with the attempt generation,
+// and submits.
+func (g *governed[T]) attempt() {
+	inv, op := g.inv, g.op
 	c := inv.c
-	gov := inv.gov
-	var attempt func()
-	attempt = func() {
-		lv := requested
-		if c.gate != nil {
-			dec, err := c.gate.Admit(c.label, op)
-			switch dec {
-			case AdmissionReject:
-				if err == nil {
-					err = errRejectedNoReason
-				}
+	lv := g.requested
+	if c.gate != nil {
+		dec, err := c.gate.Admit(c.label, op)
+		switch dec {
+		case AdmissionReject:
+			if err == nil {
+				err = errRejectedNoReason
+			}
+			if c.trc != nil {
+				c.trc.Instant(c.trcTrack, "admission.reject", "", c.now())
+			}
+			inv.fail(err)
+			return
+		case AdmissionDegrade:
+			if !op.OpMutates() && len(c.weakSet) > 0 {
+				lv = c.weakSet
 				if c.trc != nil {
-					c.trc.Instant(c.trcTrack, "admission.reject", "", c.now())
-				}
-				inv.fail(err)
-				return
-			case AdmissionDegrade:
-				if !op.OpMutates() && len(c.weakSet) > 0 {
-					lv = c.weakSet
-					if c.trc != nil {
-						c.trc.Instant(c.trcTrack, "admission.degrade", "", c.now())
-					}
+					c.trc.Instant(c.trcTrack, "admission.degrade", "", c.now())
 				}
 			}
 		}
-		gen := gov.begin(lv.Strongest())
-		armTimeout(inv, gen)
-		c.b.SubmitOperation(ctx, op, lv, cb)
 	}
-	gov.resubmit = func() {
-		if cor.State() == core.StateUpdating {
-			attempt()
-		}
+	gen := g.begin(lv.Strongest())
+	armTimeout(inv, gen)
+	c.b.SubmitOperation(g.ctx, op, lv, g.cb)
+}
+
+// resubmit re-runs the attempt if the Correctable is still open: a
+// closed one (op timeout, terminal failure) stops the loop.
+// invocation.fail schedules it when the retry policy grants a retry.
+func (g *governed[T]) resubmit() {
+	if g.inv.ctrl.Correctable().State() == core.StateUpdating {
+		g.attempt()
 	}
-	attempt()
 }
 
 // armTimeout bounds one attempt to the invocation's operation timeout (a

@@ -133,15 +133,20 @@ func (r *opRecord) decode() bool {
 // emit is the record's view sink: one read view to the binding callback. The
 // last view of a request goes out at the strongest level it asked for,
 // whatever quorum served it — a strong level configured as R=1 still closes
-// the Correctable, a weak-only request is answered weak. ReadView.Value is
-// the replica's immutable buffer and goes out as is, shared (see
-// binding.Result).
+// the Correctable, a weak-only request is answered weak. The value goes out
+// in the box the store made when its bytes came in, shared (see
+// binding.Result), so a view costs no allocation. An absent value still
+// goes out as a []byte: []byte(nil), whose box costs nothing either.
 func (r *opRecord) emit(v ReadView) {
 	level := v.Level
 	if v.Final {
 		level = r.levels.Strongest()
 	}
-	r.cb(binding.Result{Value: v.Value, Level: level, Version: v.Version.Token()})
+	value := v.Version.wire
+	if value == nil {
+		value = []byte(nil)
+	}
+	r.cb(binding.Result{Value: value, Level: level, Version: v.Version.Token()})
 }
 
 // acknowledge answers a write: the single acknowledgment closes the

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"correctables/internal/binding"
 	"correctables/internal/core"
@@ -40,8 +41,8 @@ func newTestCluster(t *testing.T, correctable, confirmOpt bool) (*Cluster, *nets
 }
 
 func TestVersionedNewerAndSame(t *testing.T) {
-	a := Versioned{Value: []byte("a"), TS: 1, Exists: true}
-	b := Versioned{Value: []byte("b"), TS: 2, Exists: true}
+	a := Versioned{wire: []byte("a"), TS: 1, Exists: true}
+	b := Versioned{wire: []byte("b"), TS: 2, Exists: true}
 	if !b.Newer(a) || a.Newer(b) {
 		t.Error("timestamp ordering broken")
 	}
@@ -54,11 +55,41 @@ func TestVersionedNewerAndSame(t *testing.T) {
 	if !tie2.Newer(tie1) || tie1.Newer(tie2) {
 		t.Error("node-id tiebreak broken")
 	}
-	if !a.Same(Versioned{Value: []byte("a"), TS: 1, Exists: true}) {
+	if !a.Same(Versioned{wire: []byte("a"), TS: 1, Exists: true}) {
 		t.Error("Same broken for equal versions")
 	}
 	if a.Same(b) {
 		t.Error("Same true for different versions")
+	}
+}
+
+// TestVersionedSize: a Versioned holds its value as the one box every read
+// view of it shares, not as a slice beside it.
+func TestVersionedSize(t *testing.T) {
+	if got := unsafe.Sizeof(Versioned{}); got > 32 {
+		t.Errorf("Versioned is %d B, want at most 32", got)
+	}
+}
+
+// TestAbsentValueKeepsWireType: a read of a key never written answers, at
+// both levels, a []byte(nil) on the binding wire — the dynamic type every
+// present value has — not a nil interface, and token 0.
+func TestAbsentValueKeepsWireType(t *testing.T) {
+	cluster, _, clock := newTestCluster(t, true, false)
+	b := NewBinding(NewClient(cluster, netsim.IRL, netsim.FRK), BindingConfig{})
+	var got []binding.Result
+	b.SubmitOperation(context.Background(), binding.Get{Key: "never-written"}, b.ConsistencyLevels(),
+		func(r binding.Result) { got = append(got, r) })
+	clock.Drain()
+	if len(got) != 2 {
+		t.Fatalf("%d results, want preliminary + final", len(got))
+	}
+	for i, r := range got {
+		v, ok := r.Value.([]byte)
+		if r.Err != nil || !ok || v != nil || r.Version != 0 {
+			t.Errorf("result %d: value %#v (%T), version %d, err %v; want []byte(nil), version 0",
+				i, r.Value, r.Value, r.Version, r.Err)
+		}
 	}
 }
 
@@ -72,7 +103,7 @@ func TestPropertyLWWConvergence(t *testing.T) {
 		versions := make([]Versioned, len(tsList))
 		for i, ts := range tsList {
 			versions[i] = Versioned{
-				Value:  []byte(fmt.Sprintf("v%d", ts)),
+				wire:   []byte(fmt.Sprintf("v%d", ts)),
 				TS:     uint64(ts),
 				NodeID: uint8(i % 3),
 				Exists: true,
@@ -375,7 +406,7 @@ func TestPropertyFullQuorumReadsNewest(t *testing.T) {
 		var newest Versioned
 		for i, region := range regions {
 			v := Versioned{
-				Value:  []byte(fmt.Sprintf("val-%d", tss[i])),
+				wire:   []byte(fmt.Sprintf("val-%d", tss[i])),
 				TS:     uint64(tss[i]) + 1,
 				NodeID: uint8(i),
 				Exists: true,
@@ -473,7 +504,7 @@ func TestBindingPut(t *testing.T) {
 	if _, err := kv.Put(context.Background(), "k", []byte("v")).Final(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := cluster.Replica(netsim.FRK).Get("k"); string(got.Value) != "v" {
+	if got := cluster.Replica(netsim.FRK).Get("k"); string(got.Bytes()) != "v" {
 		t.Errorf("coordinator state = %+v", got)
 	}
 }
@@ -548,7 +579,7 @@ func TestPreloadReachesAllReplicas(t *testing.T) {
 	cluster, _, _ := newTestCluster(t, false, false)
 	cluster.Preload("k", []byte("v"))
 	for _, region := range cluster.Regions() {
-		if got := cluster.Replica(region).Get("k"); !got.Exists || string(got.Value) != "v" {
+		if got := cluster.Replica(region).Get("k"); !got.Exists || string(got.Bytes()) != "v" {
 			t.Errorf("replica %s missing preloaded value", region)
 		}
 	}

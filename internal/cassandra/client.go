@@ -14,9 +14,10 @@ type ReadView struct {
 	// Value is the (possibly nil) value bytes: the replica's own buffer,
 	// shared and immutable — retain freely, never modify. The table
 	// replaces a Versioned, it never writes into one, so a retained view
-	// survives any later write of its key.
+	// survives any later write of its key. It is Version.Bytes().
 	Value []byte
-	// Version identifies the value for divergence accounting.
+	// Version identifies the value for divergence accounting; it holds the
+	// value's box, which the binding hands on as binding.Result.Value.
 	Version Versioned
 	// Level is LevelWeak for single-replica views, LevelStrong for
 	// quorum-reconciled views.
@@ -302,7 +303,7 @@ func (r *opRecord) advance() {
 	case opFlushed:
 		// A fault may destroy the flush; the read then completes with its
 		// final view alone.
-		r.left = tr.Send(c.Coordinator, c.Region, netsim.LinkClient, readResponseSize(r.local.Value), r.flush)
+		r.left = tr.Send(c.Coordinator, c.Region, netsim.LinkClient, readResponseSize(r.local.Bytes()), r.flush)
 		r.gather()
 	case opSynced:
 		cl.putGather(r.g)
@@ -351,7 +352,7 @@ func (r *opRecord) flushed() {
 		r.c.cluster.trc.End(r.flushSp, r.c.cluster.tr.Clock().Now())
 		r.flushSp = 0
 	}
-	r.deliver(ReadView{Value: r.local.Value, Version: r.local, Level: core.LevelWeak})
+	r.deliver(ReadView{Value: r.local.Bytes(), Version: r.local, Level: core.LevelWeak})
 	r.delivered.Fire()
 }
 
@@ -411,7 +412,7 @@ func (r *opRecord) replied(slot any) {
 // a final view that matches the preliminary shrinks to a confirmation
 // message.
 func (r *opRecord) respondRead() {
-	size := readResponseSize(r.reconciled.Value)
+	size := readResponseSize(r.reconciled.Bytes())
 	if r.wantPrelim && r.reconciled.Same(r.local) && r.c.cluster.cfg.ConfirmationOpt {
 		size = ConfirmationSize
 	}
@@ -433,7 +434,7 @@ func (r *opRecord) replicate() {
 	tr := cl.tr
 	key := r.key
 	v := Versioned{
-		Value:  binding.CopyIn(r.value),
+		wire:   binding.CopyIn(r.value),
 		TS:     cl.nextTS(),
 		NodeID: r.coord.ID,
 		Exists: true,
@@ -487,7 +488,7 @@ func (r *opRecord) finish() {
 	}
 	if !r.write {
 		final := ReadView{
-			Value:   r.reconciled.Value,
+			Value:   r.reconciled.Bytes(),
 			Version: r.reconciled,
 			Level:   core.LevelStrong,
 			Final:   true,
@@ -526,7 +527,7 @@ func (c *Client) repairAsync(shard int, key string, v Versioned) {
 			continue
 		}
 		c.cluster.tr.Send(c.Coordinator, region, netsim.LinkReplica,
-			replicationSize(key, v.Value), func() {
+			replicationSize(key, v.Bytes()), func() {
 				replica.tab.apply(key, v)
 			})
 	}

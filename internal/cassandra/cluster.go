@@ -212,7 +212,7 @@ func (l *peerLeg) read() {
 
 func (l *readLeg) Serve() int {
 	l.reply = l.replica.tab.get(l.g.key)
-	return replicaReadResponseSize(l.reply.Value)
+	return replicaReadResponseSize(l.reply.Bytes())
 }
 
 func (l *readLeg) Done() { l.g.arrived.Put(l.slot) }
@@ -222,7 +222,7 @@ type writeLeg peerLeg
 
 func (l *peerLeg) write() {
 	g := l.g
-	l.start((*writeLeg)(l), replicationSize(g.key, g.v.Value), g.c.cluster.cfg.WriteServiceTime)
+	l.start((*writeLeg)(l), replicationSize(g.key, g.v.Bytes()), g.c.cluster.cfg.WriteServiceTime)
 }
 
 func (l *writeLeg) Serve() int {
@@ -414,7 +414,7 @@ func (c *Cluster) NearestRemote(from netsim.Region) netsim.Region {
 // Preload writes initial data directly into the key's owner-shard replicas
 // (no traffic, no latency): the dataset-loading phase of an experiment.
 func (c *Cluster) Preload(key string, value []byte) {
-	v := Versioned{Value: binding.CopyIn(value), TS: c.nextTS(), Exists: true}
+	v := Versioned{wire: binding.CopyIn(value), TS: c.nextTS(), Exists: true}
 	sh := c.ShardOf(key)
 	for _, region := range c.order {
 		c.replicas[region][sh].tab.apply(key, v)

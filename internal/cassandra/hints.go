@@ -161,7 +161,7 @@ func (c *Cluster) replayHints() {
 		for _, hn := range f.hints {
 			hn := hn
 			c.tr.Send(f.coord, f.peer, netsim.LinkReplica,
-				replicationSize(hn.key, hn.v.Value), func() {
+				replicationSize(hn.key, hn.v.Bytes()), func() {
 					reps[hn.shard].tab.apply(hn.key, hn.v)
 					if remaining.Add(-1) == 0 {
 						c.trc.End(replaySp, c.tr.Clock().Now())

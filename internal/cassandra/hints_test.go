@@ -61,13 +61,13 @@ func TestHintedHandoffReplaysOnRestart(t *testing.T) {
 		t.Fatalf("stats = %+v, want 5 queued, none replayed", st)
 	}
 	if got := cluster.Replica(netsim.VRG).Get("k"); got.Exists {
-		t.Fatalf("crashed replica saw %q while down", got.Value)
+		t.Fatalf("crashed replica saw %q while down", got.Bytes())
 	}
 
 	inj.Apply(faults.Restart{Region: netsim.VRG})
 	clock.Sleep(time.Second) // replayed hints travel FRK->VRG
-	if got := cluster.Replica(netsim.VRG).Get("k"); string(got.Value) != "e" {
-		t.Fatalf("rejoined replica has %q, want final write %q via hints", got.Value, "e")
+	if got := cluster.Replica(netsim.VRG).Get("k"); string(got.Bytes()) != "e" {
+		t.Fatalf("rejoined replica has %q, want final write %q via hints", got.Bytes(), "e")
 	}
 	if st := cluster.HintStats(); st.Replayed != 5 || st.Expired != 0 || st.Dropped != 0 {
 		t.Fatalf("stats = %+v, want all 5 replayed", st)
@@ -92,7 +92,7 @@ func TestHintTTLExpiry(t *testing.T) {
 	clock.Sleep(time.Second)
 
 	if got := cluster.Replica(netsim.VRG).Get("k"); got.Exists {
-		t.Fatalf("expired hint still delivered %q", got.Value)
+		t.Fatalf("expired hint still delivered %q", got.Bytes())
 	}
 	if st := cluster.HintStats(); st.Expired != 1 || st.Replayed != 0 {
 		t.Fatalf("stats = %+v, want the one hint expired", st)
@@ -155,8 +155,8 @@ func TestHintsFollowPartitionHeal(t *testing.T) {
 
 	inj.Apply(faults.Heal{})
 	clock.Sleep(time.Second)
-	if got := cluster.Replica(netsim.VRG).Get("k"); string(got.Value) != "v" {
-		t.Fatalf("severed replica has %q after heal, want %q via hints", got.Value, "v")
+	if got := cluster.Replica(netsim.VRG).Get("k"); string(got.Bytes()) != "v" {
+		t.Fatalf("severed replica has %q after heal, want %q via hints", got.Bytes(), "v")
 	}
 	inj.Quiesce()
 	clock.Drain()

@@ -104,9 +104,9 @@ func (c *Client) actorRead(key string, quorum int, wantPrelim bool, onView func(
 		}
 		coord.server.Process(cfg.FlushServiceTime)
 		prelim := local
-		prelimLeft = tr.Send(c.Coordinator, c.Region, netsim.LinkClient, readResponseSize(prelim.Value), func() {
+		prelimLeft = tr.Send(c.Coordinator, c.Region, netsim.LinkClient, readResponseSize(prelim.Bytes()), func() {
 			c.cluster.trc.End(flushSp, clock.Now())
-			onView(ReadView{Value: prelim.Value, Version: prelim, Level: core.LevelWeak})
+			onView(ReadView{Value: prelim.Bytes(), Version: prelim, Level: core.LevelWeak})
 			prelimDelivered.Fire()
 		})
 	}
@@ -141,11 +141,11 @@ func (c *Client) actorRead(key string, quorum int, wantPrelim bool, onView func(
 	}
 
 	confirmed := wantPrelim && reconciled.Same(local)
-	respSize := readResponseSize(reconciled.Value)
+	respSize := readResponseSize(reconciled.Bytes())
 	if confirmed && cfg.ConfirmationOpt {
 		respSize = ConfirmationSize
 	}
-	final := ReadView{Value: reconciled.Value, Version: reconciled, Level: core.LevelStrong, Final: true}
+	final := ReadView{Value: reconciled.Bytes(), Version: reconciled, Level: core.LevelStrong, Final: true}
 	if quorum == 1 {
 		final.Level = core.LevelWeak
 	}
@@ -167,7 +167,7 @@ func (c *Client) actorWrite(key string, value []byte, w int) (Versioned, error) 
 	coord := c.actorRoute(shard, writeRequestSize(key, value))
 	coord.server.Process(cfg.WriteServiceTime)
 
-	v := Versioned{Value: binding.CopyIn(value), TS: c.cluster.nextTS(), NodeID: coord.ID, Exists: true}
+	v := Versioned{wire: binding.CopyIn(value), TS: c.cluster.nextTS(), NodeID: coord.ID, Exists: true}
 	coord.tab.apply(key, v)
 
 	peers := c.cluster.othersByProximity(c.Coordinator)
@@ -383,7 +383,7 @@ func playRecordScene(seed int64, faulted, traced bool, submit submitter) recordS
 			state := fmt.Sprintf("%s#%d handled=%d busy=%v", region, rep.Shard, rep.server.Handled(), rep.server.BusyModelTime())
 			for _, k := range keys {
 				v := rep.Get(k)
-				state += fmt.Sprintf(" %s=%q@%d", k, v.Value, v.TS)
+				state += fmt.Sprintf(" %s=%q@%d", k, v.Bytes(), v.TS)
 			}
 			res.servers = append(res.servers, state)
 		}

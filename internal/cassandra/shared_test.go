@@ -79,7 +79,7 @@ func TestStoredValuesAreCopiedOnceAndShared(t *testing.T) {
 					t.Errorf("view has cap %d, len %d: an append would write into shared memory", cap(v), len(v))
 				}
 			}
-			if stored := cluster.Replica(netsim.FRK).Get("put"); &stored.Value[0] != &strong[0] {
+			if stored := cluster.Replica(netsim.FRK).Get("put"); &stored.Bytes()[0] != &strong[0] {
 				t.Error("the view is a copy of the replica's value, not the value")
 			}
 

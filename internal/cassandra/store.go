@@ -22,14 +22,24 @@ import (
 )
 
 // Versioned is a timestamped value; reconciliation is last-write-wins by
-// (TS, NodeID). Value is immutable once the Versioned exists: replicas,
-// hints, repairs and read views all share the one buffer the write copied
-// in (binding.CopyIn).
+// (TS, NodeID). Its bytes are immutable once the Versioned exists:
+// replicas, hints, repairs and read views all share the one buffer the
+// write copied in (binding.CopyIn). The buffer is held boxed, as the
+// binding.Result.Value every read view of it carries: the store boxes a
+// value once, where its bytes enter (a write, Preload), and no view boxes
+// it again. Bytes reads the buffer back.
 type Versioned struct {
-	Value  []byte
+	wire   any // the value's []byte, boxed; nil if absent
 	TS     uint64
 	NodeID uint8
 	Exists bool
+}
+
+// Bytes returns the value's bytes (nil if absent): the shared buffer,
+// never to be modified.
+func (v Versioned) Bytes() []byte {
+	b, _ := v.wire.([]byte)
+	return b
 }
 
 // Newer reports whether v is strictly newer than other.
@@ -49,7 +59,7 @@ func (v Versioned) Newer(other Versioned) bool {
 // Same reports whether two versions are identical (same version and bytes).
 func (v Versioned) Same(other Versioned) bool {
 	return v.Exists == other.Exists && v.TS == other.TS && v.NodeID == other.NodeID &&
-		bytes.Equal(v.Value, other.Value)
+		bytes.Equal(v.Bytes(), other.Bytes())
 }
 
 // Token flattens the (TS, NodeID) version into the binding's per-object

@@ -114,14 +114,23 @@ type Correctable[T any] struct {
 
 	mu          sync.Mutex
 	state       State
+	dispatching bool
+	subscribed  bool // first holds a subscriber
 	views       []View[T]
 	viewBuf     [inlineViews]View[T] // inline storage for the common ≤2-view case
 	err         error
-	entries     []*cbEntry[T]
-	dispatching bool
-	waiter      Event   // first blocked consumer, fired on every transition
-	moreWaiters []Event // further ones, in arrival order
-	levelSet    Levels  // advisory: levels this correctable will deliver
+	first       cbEntry[T]   // the first subscriber, inline: the usual lone one costs nothing
+	waiter      Event        // first blocked consumer, fired on every transition
+	more        *overflow[T] // the second and later subscribers and blocked consumers
+	levelSet    Levels       // advisory: levels this correctable will deliver
+}
+
+// overflow holds what a Correctable rarely has: a second or later
+// subscriber, a second or later blocked consumer. It is allocated on the
+// first such arrival and never on the usual path.
+type overflow[T any] struct {
+	entries []*cbEntry[T] // in attachment order, after Correctable.first
+	waiters []Event       // in arrival order, after Correctable.waiter
 }
 
 // Controller is the producer-side handle of a Correctable. The library hands
@@ -215,8 +224,13 @@ func (c *Correctable[T]) deliver(value T, level Level, final bool, failure error
 			c.state = StateFinal
 		}
 	}
-	first, more := c.waiter, c.moreWaiters
-	c.waiter, c.moreWaiters = nil, nil
+	first := c.waiter
+	c.waiter = nil
+	var more []Event
+	if c.more != nil {
+		more = c.more.waiters
+		c.more.waiters = nil
+	}
 	c.dispatch()
 	c.mu.Unlock()
 
@@ -240,38 +254,14 @@ func (c *Correctable[T]) dispatch() {
 	c.dispatching = true
 	for {
 		progressed := false
-		for i := 0; i < len(c.entries); i++ {
-			e := c.entries[i]
-			for e.next < len(c.views) {
-				v := c.views[e.next]
-				e.next++
-				cb := e.cbs.OnUpdate
-				if cb != nil {
-					c.mu.Unlock()
-					cb(v)
-					c.mu.Lock()
-				}
+		if c.subscribed {
+			progressed = c.drain(&c.first)
+		}
+		// c.more and its entries may grow while a callback runs: re-read
+		// both on every turn.
+		for i := 0; c.more != nil && i < len(c.more.entries); i++ {
+			if c.drain(c.more.entries[i]) {
 				progressed = true
-			}
-			if !e.terminalSent && c.state != StateUpdating && e.next == len(c.views) {
-				e.terminalSent = true
-				progressed = true
-				switch c.state {
-				case StateFinal:
-					if cb := e.cbs.OnFinal; cb != nil && len(c.views) > 0 {
-						v := c.views[len(c.views)-1]
-						c.mu.Unlock()
-						cb(v)
-						c.mu.Lock()
-					}
-				case StateError:
-					if cb := e.cbs.OnError; cb != nil {
-						err := c.err
-						c.mu.Unlock()
-						cb(err)
-						c.mu.Lock()
-					}
-				}
 			}
 		}
 		if !progressed {
@@ -279,6 +269,46 @@ func (c *Correctable[T]) dispatch() {
 		}
 	}
 	c.dispatching = false
+}
+
+// drain delivers to e the views and the terminal callback it has not seen
+// yet; it reports whether it delivered anything. Like dispatch it is called
+// with c.mu held, returns with c.mu held and runs callbacks with the lock
+// released.
+func (c *Correctable[T]) drain(e *cbEntry[T]) bool {
+	progressed := false
+	for e.next < len(c.views) {
+		v := c.views[e.next]
+		e.next++
+		cb := e.cbs.OnUpdate
+		if cb != nil {
+			c.mu.Unlock()
+			cb(v)
+			c.mu.Lock()
+		}
+		progressed = true
+	}
+	if !e.terminalSent && c.state != StateUpdating && e.next == len(c.views) {
+		e.terminalSent = true
+		progressed = true
+		switch c.state {
+		case StateFinal:
+			if cb := e.cbs.OnFinal; cb != nil && len(c.views) > 0 {
+				v := c.views[len(c.views)-1]
+				c.mu.Unlock()
+				cb(v)
+				c.mu.Lock()
+			}
+		case StateError:
+			if cb := e.cbs.OnError; cb != nil {
+				err := c.err
+				c.mu.Unlock()
+				cb(err)
+				c.mu.Lock()
+			}
+		}
+	}
+	return progressed
 }
 
 // SetCallbacks attaches a callback bundle (§3.1). If views were already
@@ -290,7 +320,14 @@ func (c *Correctable[T]) dispatch() {
 //	Speculate(invoke(op), f, nil).SetCallbacks(...)
 func (c *Correctable[T]) SetCallbacks(cbs Callbacks[T]) *Correctable[T] {
 	c.mu.Lock()
-	c.entries = append(c.entries, &cbEntry[T]{cbs: cbs})
+	if !c.subscribed {
+		c.first, c.subscribed = cbEntry[T]{cbs: cbs}, true
+	} else {
+		if c.more == nil {
+			c.more = &overflow[T]{}
+		}
+		c.more.entries = append(c.more.entries, &cbEntry[T]{cbs: cbs})
+	}
 	c.dispatch()
 	c.mu.Unlock()
 	return c
@@ -385,13 +422,16 @@ func (c *Correctable[T]) awaitTerminal() {
 
 // addWaiterLocked registers a fresh event that the next transition fires.
 // The first waiter sits in a field of its own, so the usual lone consumer
-// blocked in Final costs no slice. Callers hold c.mu.
+// blocked in Final costs no overflow. Callers hold c.mu.
 func (c *Correctable[T]) addWaiterLocked() Event {
 	w := c.sched.NewEvent()
 	if c.waiter == nil {
 		c.waiter = w
 	} else {
-		c.moreWaiters = append(c.moreWaiters, w)
+		if c.more == nil {
+			c.more = &overflow[T]{}
+		}
+		c.more.waiters = append(c.more.waiters, w)
 	}
 	return w
 }

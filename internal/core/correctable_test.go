@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestStatesAndTransitions(t *testing.T) {
@@ -146,6 +147,118 @@ func TestReentrantAttachFromCallback(t *testing.T) {
 	_ = ctrl.Close(20, LevelStrong)
 	if len(inner) != 2 || inner[0] != 10 || inner[1] != 20 {
 		t.Errorf("inner saw %v, want [10 20]", inner)
+	}
+}
+
+// TestOverflowSubscribersAndWaiters drives everything past a Correctable's
+// inline subscriber and inline waiter through the overflow: a second and a
+// third subscriber, one attached from inside a callback, two consumers
+// blocked in Final across two transitions, and a late subscriber that
+// replays the history. Every subscriber must see every view exactly once
+// and in order, then its final callback once; both consumers must return
+// the final view.
+func TestOverflowSubscribersAndWaiters(t *testing.T) {
+	// Each consumer parked in Final registers one event per transition:
+	// two consumers, three transitions.
+	sched := parkSignal{made: make(chan struct{}, 6)}
+	c, ctrl := NewScheduled[int](sched, nil)
+	var mu sync.Mutex
+	seen := map[string][]int{} // views by subscriber, then -1 for OnFinal
+	subscribe := func(name string, onView func(View[int])) {
+		c.SetCallbacks(Callbacks[int]{
+			OnUpdate: func(v View[int]) {
+				mu.Lock()
+				if v.Index != len(seen[name]) {
+					t.Errorf("%s: view %d arrived after %d views", name, v.Index, len(seen[name]))
+				}
+				seen[name] = append(seen[name], v.Value)
+				mu.Unlock()
+				if onView != nil {
+					onView(v)
+				}
+			},
+			OnFinal: func(View[int]) {
+				mu.Lock()
+				seen[name] = append(seen[name], -1)
+				mu.Unlock()
+			},
+		})
+	}
+	subscribe("first", func(v View[int]) {
+		if v.Index == 0 {
+			subscribe("from-callback", nil)
+		}
+	})
+	subscribe("second", nil)
+	subscribe("third", nil)
+
+	// awaitParked returns once n consumers have registered for the next
+	// transition: a consumer registers under c.mu, which the next delivery
+	// takes, so the delivery comes after the registration.
+	awaitParked := func(n int) {
+		for i := 0; i < n; i++ {
+			select {
+			case <-sched.made:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d of %d consumers parked in Final", i, n)
+			}
+		}
+	}
+	finals := make(chan View[int], 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			v, err := c.Final(context.Background())
+			if err != nil {
+				t.Error(err)
+			}
+			finals <- v
+		}()
+	}
+	awaitParked(2)
+	_ = ctrl.Update(10, LevelWeak)
+	awaitParked(2) // both woke and parked again: the overflow waiter was fired
+	_ = ctrl.Update(20, LevelWeak)
+	awaitParked(2)
+	_ = ctrl.Close(30, LevelStrong)
+	for i := 0; i < 2; i++ {
+		select {
+		case v := <-finals:
+			if v.Value != 30 || !v.Final {
+				t.Errorf("consumer %d got %+v, want the final view 30", i, v)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("consumer %d never woke from Final", i)
+		}
+	}
+	subscribe("late", nil)
+
+	want := []int{10, 20, 30, -1}
+	for _, name := range []string{"first", "second", "third", "from-callback", "late"} {
+		if got := seen[name]; len(got) != len(want) ||
+			got[0] != want[0] || got[1] != want[1] || got[2] != want[2] || got[3] != want[3] {
+			t.Errorf("%s saw %v, want %v", name, got, want)
+		}
+	}
+}
+
+// parkSignal is hostScheduler reporting each event a consumer parks on.
+type parkSignal struct {
+	hostScheduler
+	made chan struct{}
+}
+
+func (s parkSignal) NewEvent() Event {
+	s.made <- struct{}{}
+	return s.hostScheduler.NewEvent()
+}
+
+// TestCorrectableSize: the first subscriber inline and the rest in one
+// lazily allocated overflow keep a Correctable no larger than the slices
+// they replaced. Every invocation allocates one.
+func TestCorrectableSize(t *testing.T) {
+	var c Correctable[[]byte]
+	if got := unsafe.Sizeof(c); got > 280 {
+		t.Errorf("Correctable[[]byte] is %d B, want at most 280", got)
 	}
 }
 

@@ -79,18 +79,40 @@ func (p *OnOff) Next() time.Duration {
 // context and must not block; blocking work belongs in an actor it spawns
 // (clock.Go). Arrivals strictly at or past horizon are not fired, and the
 // chain of callbacks ends with them — a drained VirtualClock holds no
-// generator residue. Returns the number of arrivals scheduled so far is
-// not knowable up front (open loop); the caller counts in fire.
+// generator residue. The number of arrivals is not knowable up front (open
+// loop); the caller counts in fire.
 func Start(clock netsim.Clock, proc ArrivalProcess, horizon time.Duration, fire func(i int)) {
-	var schedule func(at time.Duration, i int)
-	schedule = func(at time.Duration, i int) {
-		if at >= horizon {
-			return
-		}
-		clock.RunAt(at, func() {
-			fire(i)
-			schedule(at+proc.Next(), i+1)
-		})
+	g := &generator{clock: clock, proc: proc, horizon: horizon, fire: fire}
+	g.step = g.arrive
+	g.schedule(clock.Now() + proc.Next())
+}
+
+// generator is one arrival chain as a record: at most one arrival is
+// pending at a time, so the chain needs one record and one step, bound
+// once, however many arrivals it fires.
+type generator struct {
+	clock   netsim.Clock
+	proc    ArrivalProcess
+	horizon time.Duration
+	fire    func(i int)
+	at      time.Duration // the pending arrival's instant
+	i       int           // the pending arrival's index
+	step    func()        // g.arrive
+}
+
+// schedule makes at the next arrival, unless it falls at or past the
+// horizon.
+func (g *generator) schedule(at time.Duration) {
+	if at >= g.horizon {
+		return
 	}
-	schedule(clock.Now()+proc.Next(), 0)
+	g.at = at
+	g.clock.RunAt(at, g.step)
+}
+
+// arrive fires the pending arrival and schedules the one after it.
+func (g *generator) arrive() {
+	g.fire(g.i)
+	g.i++
+	g.schedule(g.at + g.proc.Next())
 }
