@@ -19,6 +19,7 @@ import (
 	"correctables/internal/history"
 	"correctables/internal/load"
 	"correctables/internal/netsim"
+	"correctables/internal/zk"
 )
 
 // The hunt world's fixed shape. Every knob that varies lives in huntWorld
@@ -31,6 +32,13 @@ const (
 	huntSessions    = 4
 	huntCausal      = 2
 	huntArrivalRate = 80 // open-loop arrivals/second across the arrival clients
+	// The zk queue population: clients, two to a queue, one contacting FRK
+	// (the ensemble's initial leader) and one IRL. The zk-leader track cuts
+	// FRK off for huntLeaderCut units; an operation may take huntQueueTimeout
+	// units, longer than the cut, so one in flight at FRK outlasts it.
+	huntQueues       = 4
+	huntLeaderCut    = 6
+	huntQueueTimeout = 10
 )
 
 // HuntOptions parameterizes the seed-space violation hunt.
@@ -101,6 +109,7 @@ type huntWorld struct {
 	Horizon     time.Duration  `json:"horizon_ns"`
 	Sessions    int            `json:"sessions"`
 	Causal      int            `json:"causal_clients"`
+	Queues      int            `json:"queue_clients"`
 	ArrivalRate float64        `json:"arrival_rate"`
 	Planted     bool           `json:"planted"`
 	Tracks      []faults.Track `json:"tracks"`
@@ -123,12 +132,25 @@ func newHuntWorld(profile string, seed int64, plant bool) (huntWorld, error) {
 		Seed:        seed,
 		Unit:        huntUnit,
 		Horizon:     horizon,
-		Tracks:      faults.RandomTracks(seed, profs),
+		Tracks:      append(faults.RandomTracks(seed, profs), leaderCut(seed, horizon)),
 		Sessions:    huntSessions,
 		Causal:      huntCausal,
+		Queues:      huntQueues,
 		ArrivalRate: huntArrivalRate,
 		Planted:     plant,
 	}, nil
+}
+
+// leaderCut is the zk-leader track: one partition that cuts FRK, where the
+// zk ensemble starts out leading, off from IRL and VRG for huntLeaderCut
+// units, starting at a seeded instant in the second quarter of the horizon.
+// The majority elects a successor meanwhile, and operations in flight at FRK
+// when the cut begins are still within their timeout when it heals.
+func leaderCut(seed int64, horizon time.Duration) faults.Track {
+	at := horizon/4 + time.Duration(rand.New(rand.NewSource(seed+59)).Int63n(int64(horizon/4)))
+	cut := faults.Partition{Groups: [][]netsim.Region{{netsim.FRK}, {netsim.IRL, netsim.VRG}}, ID: 1}
+	return faults.Track{Name: "zk-leader",
+		Schedule: faults.NewSchedule().At(at, cut).At(at+huntLeaderCut*huntUnit, faults.Heal{ID: 1})}
 }
 
 // huntOutcome is one world's verdict.
@@ -215,7 +237,11 @@ func huntShards(profile string) int {
 //     product, on the same recorded keyspace;
 //   - plain (sessionless) ladder clients on the causal store, on their own
 //     recorder, checked with causal-cut only: the three-level ladder must
-//     hold without any session machinery in front of it.
+//     hold without any session machinery in front of it;
+//   - session clients on Correctable ZooKeeper queues, on a recorder of
+//     their own, checked for session guarantees and per-queue
+//     linearizability: half contact FRK, the initial leader, which the
+//     zk-leader track cuts off, and their operations outlast the cut.
 func runHuntWorld(w huntWorld) *huntOutcome {
 	return w.runOn(newWorld(Config{Seed: w.Seed}, faults.Compose(w.Tracks...), w.Horizon))
 }
@@ -257,6 +283,7 @@ func (w huntWorld) runOn(h *world) *huntOutcome {
 
 	recA := history.NewRecorder() // cassandra sessions + arrivals
 	recB := history.NewRecorder() // plain causal ladder clients
+	recC := history.NewRecorder() // zk queue sessions
 	ctx := context.Background()
 
 	sessionBinding := func(client, coord netsim.Region) binding.Binding {
@@ -331,13 +358,40 @@ func (w huntWorld) runOn(h *world) *huntOutcome {
 		})
 	}
 
+	// Correctable ZooKeeper queue sessions.
+	if w.Queues > 0 {
+		e := h.newZK(cfg, zkOpts{
+			correctable:     true,
+			leader:          netsim.FRK,
+			opTimeout:       huntQueueTimeout * w.Unit,
+			heartbeat:       w.Unit / 4,
+			electionTimeout: w.Unit,
+		})
+		e.Bootstrap(zk.CreateTxn{Path: "/queues"})
+		for q := 0; q < (w.Queues+1)/2; q++ {
+			e.Bootstrap(zk.CreateTxn{Path: "/queues/" + huntQueue(q)})
+		}
+		for i := 0; i < w.Queues; i++ {
+			contact := alternate(i, netsim.FRK, netsim.IRL)
+			sess := h.session(recC, fmt.Sprintf("zkq-%02d", i), zk.NewBinding(zk.NewQueueClient(e, contact, contact)))
+			queue := huntQueue(i / 2)
+			h.loop(w.Seed+700_001*int64(i)+17, w.Unit/10, func(rng *rand.Rand) {
+				if rng.Float64() < 0.6 {
+					_, _ = sess.Enqueue(ctx, queue, val).Final(ctx)
+				} else {
+					_, _ = sess.Dequeue(ctx, queue).Final(ctx)
+				}
+			})
+		}
+	}
+
 	_, stuck := h.run()
 
-	a, b := checkHistory(recA, modelRegisters), checkHistory(recB, modelLadder)
+	a, b, c := checkHistory(recA, modelRegisters), checkHistory(recB, modelLadder), checkHistory(recC, modelQueues)
 	out := &huntOutcome{
-		ops:          len(a.ops) + len(b.ops),
-		inconclusive: a.inconclusive,
-		digest:       historyDigest(a.ops, b.ops),
+		ops:          len(a.ops) + len(b.ops) + len(c.ops),
+		inconclusive: append(a.inconclusive, c.inconclusive...),
+		digest:       historyDigest(a.ops, b.ops, c.ops), // an empty history adds nothing
 	}
 	if stuck != nil {
 		// A world that does not come to rest goes first: its histories are
@@ -348,8 +402,12 @@ func (w huntWorld) runOn(h *world) *huntOutcome {
 	out.violations = append(out.violations, a.session...)
 	out.violations = append(out.violations, a.lin...)
 	out.violations = append(out.violations, b.session...)
+	out.violations = append(out.violations, c.session...)
+	out.violations = append(out.violations, c.lin...)
 	return out
 }
+
+func huntQueue(q int) string { return fmt.Sprintf("hq-%d", q) }
 
 // cloneTracks deep-copies the track list (schedules rebuilt, so candidate
 // mutations never alias the original).
@@ -366,10 +424,10 @@ func cloneTracks(ts []faults.Track) []faults.Track {
 }
 
 // clientCount is the world's total client population: paced sessions,
-// plain ladder clients, and the two arrival-driven clients when the
-// generator is on.
+// plain ladder clients, zk queue clients, and the two arrival-driven clients
+// when the generator is on.
 func clientCount(w huntWorld) int {
-	n := w.Sessions + w.Causal
+	n := w.Sessions + w.Causal + w.Queues
 	if w.ArrivalRate > 0 {
 		n += 2
 	}
@@ -440,7 +498,7 @@ func minimizeWorld(w huntWorld, tgt huntTarget) (huntWorld, int) {
 		}
 
 		// Populations: fewer session clients, no arrivals, fewer ladder
-		// clients.
+		// clients, fewer queue clients.
 		for w.Sessions > 1 {
 			cand := w
 			cand.Sessions--
@@ -461,6 +519,15 @@ func minimizeWorld(w huntWorld, tgt huntTarget) (huntWorld, int) {
 		for w.Causal > 0 {
 			cand := w
 			cand.Causal--
+			if !reproduces(cand) {
+				break
+			}
+			w = cand
+			changed = true
+		}
+		for w.Queues > 0 {
+			cand := w
+			cand.Queues--
 			if !reproduces(cand) {
 				break
 			}

@@ -2,8 +2,81 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"testing"
 )
+
+// deposedLeaderRepro is the shrunk world in which the hunt, with its zk
+// queue population, found ROADMAP item 2(a) before the fix: the zk-leader
+// track cuts FRK off while an FRK-contact enqueue is in flight, the deposed
+// FRK acknowledged it after the heal, and the element was on no server, so
+// hq-1's history had no linearization.
+const deposedLeaderRepro = "testdata/hunt-zk-deposed-leader.json"
+
+// TestHuntDeposedLeaderReproIsClean replays that world: with each zk server
+// acting on its own epoch, every checker passes, and the world still has
+// its cut and its zk queue clients.
+func TestHuntDeposedLeaderReproIsClean(t *testing.T) {
+	data, err := os.ReadFile(deposedLeaderRepro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ParseHuntRepro(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := worldOf(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Queues == 0 || len(w.Tracks) != 1 || w.Tracks[0].Name != "zk-leader" {
+		t.Fatalf("repro world has %d queue clients and tracks %v, want queue clients and the zk-leader track", w.Queues, w.Tracks)
+	}
+	out := runHuntWorld(w)
+	for _, v := range out.violations {
+		t.Error(v.String())
+	}
+	if out.ops == 0 {
+		t.Error("the repro world ran no operations")
+	}
+}
+
+// FuzzParseHuntRepro: a hunt repro's wire form is a fixed point after one
+// trip, like a fault track's (faults.FuzzTrackJSON), which it embeds.
+// Whatever bytes parse as a repro, encoding them, parsing that and encoding
+// again must give the same bytes. The checked-in repro seeds the corpus;
+// run it with:
+// go test ./internal/bench/ -run '^$' -fuzz FuzzParseHuntRepro -fuzztime 10s
+func FuzzParseHuntRepro(f *testing.F) {
+	seed, err := os.ReadFile(deposedLeaderRepro)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"version":1,"tracks":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r1, err := ParseHuntRepro(data)
+		if err != nil {
+			return
+		}
+		b1, err := json.Marshal(r1)
+		if err != nil {
+			t.Fatalf("parsed repro does not encode: %v", err)
+		}
+		r2, err := ParseHuntRepro(b1)
+		if err != nil {
+			t.Fatalf("encoded repro %s does not parse: %v", b1, err)
+		}
+		b2, err := json.Marshal(r2)
+		if err != nil {
+			t.Fatalf("re-parsed repro does not encode: %v", err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("repro is no fixed point:\n%s\n%s", b1, b2)
+		}
+	})
+}
 
 // huntTestOpts is a bounded seed budget the planted bug must fall within:
 // faults are in force for most of the tracks-harsh horizon, so the very

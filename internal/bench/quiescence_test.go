@@ -100,6 +100,7 @@ func TestWorldQuiescenceReportsStrandedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hw.Queues = 0 // the first peer leg to leave is then a Cassandra coordinator's
 	h := newWorld(Config{Seed: hw.Seed}, faults.Compose(hw.Tracks...), hw.Horizon)
 	// Once the stores are built on the injector and the world runs, strand
 	// the first peer leg that leaves.

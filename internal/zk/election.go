@@ -24,8 +24,14 @@ import (
 // accept-log tail. A voter that heard its leader within the lease (two
 // heartbeat intervals) denies without adopting the candidate's epoch and
 // flags the live leader: this pre-vote stops a healed minority server from
-// deposing a healthy leader. A win takes a majority, own vote included, so
-// at most one server wins an epoch.
+// deposing a healthy leader, and the candidate withdraws its candidacy's
+// epoch, so that it goes on hearing that leader. A win takes a majority,
+// own vote included, so at most one server wins an epoch.
+//
+// Each server also keeps the leader it has heard of (electState.heard):
+// where it forwards requests as a contact. A heartbeat of a newer epoch, a
+// win, or a failed forward's reply naming a newer leader moves it, and
+// re-sends the forwards the server keeps that have not landed.
 //
 // After construction a role changes only in elector.become, along the moves
 // of this table (legal); any other move panics. A retry re-enters candidacy
@@ -42,8 +48,9 @@ import (
 //	        request of a newer epoch     close the span
 //	C -> L  majority of votes            as C -> F, handing install the win,
 //	                                     the tally on       or L -> F if stale
-//	L -> F  heartbeat of a newer epoch;  none yet           -
-//	        stale win
+//	L -> F  heartbeat of a newer epoch;  -                  -
+//	        stale win; a majority
+//	        refused a round (stepDown)
 //
 // Crash integration rides one injector subscription, which reads every
 // region's Down after each fault transition: a down server is suspended (no
@@ -104,22 +111,41 @@ type acceptedTxn struct {
 // electState is one server's election-protocol state, guarded by its
 // ensemble's elector.mu.
 type electState struct {
-	role     role
-	timeout  time.Duration // the server's election timeout, fixed at construction
-	epoch    uint64        // highest election epoch seen
+	role    role
+	timeout time.Duration // the server's election timeout, fixed at construction
+	epoch   uint64        // highest election epoch seen
+	// promised is the newest epoch it has heard of from another server — a
+	// heartbeat, a vote request it took up — or won: it refuses proposals
+	// of older epochs (Server.accept). Its own candidacy's epoch does not
+	// count: a candidate that loses has promised nothing, and one that wins
+	// installs what it accepted meanwhile.
+	promised uint64
 	votedFor netsim.Region
 	votedEp  uint64
 	lastBeat time.Duration // last heartbeat heard (or grace reset)
 	// suspended mirrors the region's crash state (injector Down), read
 	// after every fault transition.
 	suspended bool
-	// candidate bookkeeping
-	votes   int
-	sawDeny bool // a live peer denied (not lease-deny): bump epoch on retry
-	tally   map[uint64]acceptedTxn
+	// candidate bookkeeping: preEpoch is the epoch it stood from
+	preEpoch uint64
+	votes    int
+	sawDeny  bool // a live peer denied (not lease-deny): bump epoch on retry
+	tally    map[uint64]acceptedTxn
 	// sp is the open election-window span (tracing only): candidacy start
 	// to win or step-down.
 	sp trace.SpanID
+
+	// heard is the leader this server has heard of, in epoch heardEp: the
+	// sender of its newest heartbeat, or itself after a win (at first, the
+	// configured leader). As a contact it forwards there, and forwards
+	// keeps what it sent that has not landed; learning a newer epoch
+	// re-sends those (resendForwards).
+	heard    *Server
+	heardEp  uint64
+	forwards []forwarder
+	// rounds are the proposals this server, as leader, has not decided, in
+	// zxid order.
+	rounds []*proposal
 }
 
 // elector runs the election protocol for every server of one ensemble.
@@ -127,9 +153,11 @@ type elector struct {
 	e  *Ensemble
 	hb time.Duration
 
-	mu      sync.Mutex
-	stopped bool
-	log     []ElectionRecord
+	mu sync.Mutex
+	// quiescing is set by the final Quiesce, and stopped once a server
+	// leads in its own epoch then (see newElector).
+	quiescing, stopped bool
+	log                []ElectionRecord
 }
 
 func newElector(e *Ensemble, inj *faults.Injector, leader *Server) *elector {
@@ -148,9 +176,16 @@ func newElector(e *Ensemble, inj *faults.Injector, leader *Server) *elector {
 		}
 		if t.Quiesced() {
 			// Armed timers fire once more, see stopped, and do not re-arm,
-			// so Drain terminates.
+			// so Drain terminates. An ensemble no server leads — its leader
+			// stepped down, and no candidacy has won yet — elects one
+			// first, whose win resyncs the servers the faults left behind
+			// (install); otherwise a contact waiting for a commit past a gap
+			// would wait for good.
 			el.mu.Lock()
-			el.stopped = true
+			el.quiescing = true
+			for _, r := range e.order {
+				el.stopped = el.stopped || e.servers[r].leadsLocked()
+			}
 			el.mu.Unlock()
 		}
 	})
@@ -217,9 +252,10 @@ func (el *elector) exit(s *Server, now time.Duration) map[uint64]acceptedTxn {
 		}
 		return tally
 	case roleLeader:
-		// Nothing to undo yet: the heartbeat chain ends by reading the role.
-		// This is where the deposed-leader fix (ROADMAP item 2) fails the
-		// proposals still pending at the leader.
+		// Nothing to undo: the heartbeat chain ends by reading the role, and
+		// a round the deposed leader still waits on ends on its followers'
+		// answers — refusals from those that promised the newer epoch
+		// (proposal.tally) — which fail its operation.
 	}
 	return nil
 }
@@ -243,11 +279,13 @@ func (el *elector) enter(s *Server, tally map[uint64]acceptedTxn, now time.Durat
 }
 
 // install puts a win into effect: materialize every transaction of the
-// merged accept log above the applied watermark in zxid order, advance the
-// data epoch its proposals commit under, start heartbeats, and resync
-// lagging followers by state transfer. A zxid gap in the merged log means no
-// majority accepted the missing proposal, so it was never
-// client-acknowledged and is safe to lose. A win whose epoch a later
+// merged accept log — the voters' tails and its own accept log — above the
+// applied watermark in zxid order, advance the data epoch its proposals
+// commit under, start heartbeats, resync lagging followers by state
+// transfer, and re-send the forwards it kept to itself. A zxid gap in the
+// merged log means no majority accepted the missing proposal, so it was
+// never client-acknowledged and is safe to lose, and neither was anything
+// numbered after it (a leader's rounds commit in order). A win whose epoch a later
 // election already passed — a candidate whose majority arrived late, which
 // takes five or more servers — is stale: that later winner still leads, in
 // a newer epoch, and the server follows instead. Callers hold el.mu.
@@ -259,7 +297,17 @@ func (el *elector) install(s *Server, tally map[uint64]acceptedTxn, now time.Dur
 		s.election.lastBeat = now
 		return
 	}
+	s.election.promised = epoch
 	s.mu.Lock()
+	// What it accepted while it stood counts as its own vote's tail.
+	for z, a := range s.accepted {
+		if cur, ok := tally[z]; !ok || a.Epoch > cur.Epoch {
+			if tally == nil {
+				tally = make(map[uint64]acceptedTxn)
+			}
+			tally[z] = a
+		}
+	}
 	zxids := make([]uint64, 0, len(tally))
 	for z := range tally {
 		if z > s.lastApplied {
@@ -273,9 +321,7 @@ func (el *elector) install(s *Server, tally map[uint64]acceptedTxn, now time.Dur
 	}
 	s.dataEpoch = epoch
 	s.pending = make(map[uint64]Txn)
-	if s.accepted != nil {
-		s.accepted = make(map[uint64]acceptedTxn)
-	}
+	s.clearAcceptedLocked()
 	s.applyPendingLocked()
 	s.mu.Unlock()
 
@@ -285,6 +331,24 @@ func (el *elector) install(s *Server, tally map[uint64]acceptedTxn, now time.Dur
 	}
 	el.runBeats(s, epoch)
 	e.resyncLagging(s)
+	s.election.heard, s.election.heardEp = s, epoch
+	el.resendForwards(s)
+	el.stopped = el.quiescing
+}
+
+// resendForwards re-sends every forward s keeps that has not landed to the
+// leader s has just heard of, in the order they were first sent. One that
+// s now leads for itself leaves the list: it has arrived. Callers hold
+// el.mu.
+func (el *elector) resendForwards(s *Server) {
+	st := &s.election
+	fs := st.forwards
+	if st.heard == s {
+		st.forwards = nil
+	}
+	for _, f := range fs {
+		f.resend(st.heard)
+	}
 }
 
 // --- timers -------------------------------------------------------------
@@ -316,6 +380,7 @@ func (el *elector) timerFired(s *Server) {
 			return
 		}
 		// Timed out: fresh candidacy in a new epoch.
+		st.preEpoch = st.epoch
 		st.epoch++
 	} else if st.sawDeny {
 		// Candidate retry after a live denial (e.g. a split vote): a new
@@ -362,7 +427,7 @@ func (el *elector) beat(s *Server, epoch uint64) {
 		for _, r := range el.e.order {
 			if other := el.e.servers[r]; other != s {
 				el.e.tr.Send(s.Region, r, netsim.LinkReplica, HeartbeatSize, func() {
-					el.onHeartbeat(other, epoch)
+					el.onHeartbeat(other, s, epoch)
 				})
 			}
 		}
@@ -370,9 +435,11 @@ func (el *elector) beat(s *Server, epoch uint64) {
 	el.runBeats(s, epoch)
 }
 
-// onHeartbeat runs at a server hearing a leader heartbeat: adopt the epoch,
-// step down from any candidacy (or stale leadership), refresh the lease.
-func (el *elector) onHeartbeat(s *Server, epoch uint64) {
+// onHeartbeat runs at a server hearing leader's heartbeat: adopt the epoch,
+// step down from any candidacy (or stale leadership), refresh the lease,
+// and, on a newer epoch than the one it heard of, re-send its forwards to
+// leader.
+func (el *elector) onHeartbeat(s, leader *Server, epoch uint64) {
 	el.mu.Lock()
 	st := &s.election
 	if el.stopped || st.suspended || epoch < st.epoch {
@@ -380,12 +447,37 @@ func (el *elector) onHeartbeat(s *Server, epoch uint64) {
 		return
 	}
 	now := el.e.tr.Clock().Now()
-	st.epoch = epoch
+	st.epoch, st.promised = epoch, max(st.promised, epoch)
 	if st.role != roleFollower {
 		el.become(s, roleFollower, now)
 	}
 	st.lastBeat = now
+	el.learn(s, leader, epoch)
 	el.mu.Unlock()
+}
+
+// learn is s hearing of leader in epoch — from its heartbeat, or from the
+// reply to a forward that failed at a server which had heard of it: a newer
+// epoch than the one s heard of makes leader where s forwards, and s
+// re-sends its pending forwards there. Callers hold el.mu.
+func (el *elector) learn(s, leader *Server, epoch uint64) {
+	if st := &s.election; epoch > st.heardEp {
+		st.heard, st.heardEp = leader, epoch
+		el.resendForwards(s)
+	}
+}
+
+// stepDown is s, leading epoch, learning from a majority's refusals that
+// they have seen a newer one: it follows, with a fresh lease, until it hears
+// the newer leader or stands again.
+func (el *elector) stepDown(s *Server, epoch uint64) {
+	el.mu.Lock()
+	defer el.mu.Unlock()
+	if st := &s.election; st.role == roleLeader && st.epoch == epoch {
+		now := el.e.tr.Clock().Now()
+		el.become(s, roleFollower, now)
+		st.lastBeat = now
+	}
 }
 
 // --- votes --------------------------------------------------------------
@@ -417,7 +509,7 @@ func (el *elector) onVoteRequest(v, cand *Server, epoch, candEpoch, candApplied,
 		return
 	}
 	if epoch > st.epoch {
-		st.epoch = epoch
+		st.epoch, st.promised = epoch, epoch
 		if st.role != roleFollower {
 			el.become(v, roleFollower, now)
 		}
@@ -447,9 +539,13 @@ func (el *elector) onVoteReply(cand *Server, epoch uint64, granted, leaderLive b
 	now := el.e.tr.Clock().Now()
 	if !granted {
 		if leaderLive {
-			// The cluster has a live leader: stand down and wait to hear it.
+			// The cluster has a live leader: stand down, withdraw the
+			// candidacy's epoch — a pre-vote that failed — and wait to hear
+			// it. A server left in an epoch no one leads would ignore the
+			// live leader's heartbeats and refuse its proposals.
 			el.become(cand, roleFollower, now)
 			st.lastBeat = now
+			st.epoch = st.preEpoch
 		} else {
 			st.sawDeny = true
 		}

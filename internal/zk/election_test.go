@@ -1,6 +1,7 @@
 package zk
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -405,15 +406,15 @@ func TestIllegalMovePanics(t *testing.T) {
 	}
 }
 
-// TestDeposedLeaderAckIsLost pins ROADMAP item 2's bug as it stands: a
-// leader cut off from the majority keeps the operation it was proposing,
-// gathers its acks after the heal and acknowledges it to the client, although
-// the majority elected a new leader meanwhile and the acknowledged element is
-// on no server afterwards. FRK leads and is partitioned away at once; IRL
-// wins epoch 1 at ~2.59s; the FRK-contact enqueue commits at FRK only after
-// the 4s heal, at ~4.17s. The fix of item 2 — a deposed leader fails the
-// operation instead — inverts the assertions on the acknowledgement.
-func TestDeposedLeaderAckIsLost(t *testing.T) {
+// TestDeposedLeaderFailsItsEnqueue is ROADMAP item 2(a), fixed: a leader cut
+// off from the majority cannot commit the operation it was proposing, and
+// after the heal it fails the operation instead of acknowledging it. FRK
+// leads and is partitioned away at once; IRL wins epoch 1 at ~2.59s; the
+// FRK-contact enqueue's round takes the refusals of IRL and VRG, which
+// promised epoch 1, just after the 4s heal, and the enqueue returns
+// ErrLeaderLost with no view. An enqueue through IRL then commits, and once FRK is resynced every
+// server holds exactly the acknowledged element.
+func TestDeposedLeaderFailsItsEnqueue(t *testing.T) {
 	e, inj, clock := newFaultedEnsemble(t)
 	qc := NewQueueClient(e, netsim.FRK, netsim.FRK)
 	if err := qc.CreateQueue("q"); err != nil {
@@ -422,42 +423,44 @@ func TestDeposedLeaderAckIsLost(t *testing.T) {
 	start := clock.Now()
 	inj.Apply(faults.Partition{Groups: [][]netsim.Region{{netsim.FRK}, {netsim.IRL, netsim.VRG}}})
 	clock.RunAt(start+4*time.Second, func() { inj.Apply(faults.Heal{}) })
-	var acked *QueueElement
-	err := qc.Enqueue("q", []byte("lost"), false, func(v QueueView) { acked = v.Element })
+	var views []QueueView
+	err := qc.Enqueue("q", []byte("lost"), false, func(v QueueView) { views = append(views, v) })
 	at := clock.Now() - start
 
 	recs := e.Elections()
 	if len(recs) != 1 || recs[0].Leader != netsim.IRL || recs[0].Epoch != 1 || recs[0].At-start > 3*time.Second {
 		t.Fatalf("elections = %+v, want IRL to win epoch 1 before 3s", recs)
 	}
-	if err != nil || acked == nil {
-		t.Fatalf("enqueue at the deposed leader: err %v, element %v; want the acknowledgement item 2 must refuse", err, acked)
+	if !errors.Is(err, ErrLeaderLost) || len(views) != 0 {
+		t.Fatalf("enqueue at the deposed leader: err %v, views %v; want ErrLeaderLost and no view", err, views)
 	}
 	if at < 4*time.Second || at > 4300*time.Millisecond {
-		t.Errorf("enqueue acknowledged %v after the cut, want just after the 4s heal", at)
+		t.Errorf("enqueue failed %v after the cut, want just after the 4s heal", at)
+	}
+	var acked *QueueElement
+	if err := NewQueueClient(e, netsim.IRL, netsim.IRL).Enqueue("q", []byte("kept"), false, func(v QueueView) { acked = v.Element }); err != nil {
+		t.Fatalf("enqueue through the new leader: %v", err)
 	}
 	clock.Sleep(2 * time.Second) // resync from the new leader, FRK steps down
 	for _, r := range []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG} {
-		if kids, err := e.Server(r).Tree().Children("/queues/q"); err != nil || len(kids) != 0 {
-			t.Errorf("%s holds %v (%v); want the acknowledged element lost", r, kids, err)
+		if kids, err := e.Server(r).Tree().Children("/queues/q"); err != nil || len(kids) != 1 || kids[0] != acked.Name {
+			t.Errorf("%s holds %v (%v); want exactly the acknowledged [%s]", r, kids, err, acked.Name)
 		}
 	}
 	inj.Quiesce()
 	clock.Drain()
 }
 
-// TestForwardStalledAtDeposedLeaderIsProposedBySuccessor pins the one read
-// of leadership no server could make (ROADMAP item 2(b)): a forward is proposed
-// by whichever server leads when it lands, not by the server it was sent to.
-// FRK leads and is partitioned away at once; at 1s the IRL contact forwards
-// an enqueue to FRK, where it waits for the 4s heal; IRL wins epoch 1 at
-// ~2.59s meanwhile, so the forward that lands at FRK is numbered by IRL, after
-// IRL's own watermark, and committed in epoch 1 — and the element is on every
-// server. The client library's 5s deadline outlasts the stall. Item 2's fix,
-// which proposes a forward only at the server it reached and only while that
-// server leads in its own epoch, and re-sends pending forwards on a new
-// epoch, inverts this test.
-func TestForwardStalledAtDeposedLeaderIsProposedBySuccessor(t *testing.T) {
+// TestForwardStalledAtDeposedLeaderIsResent is ROADMAP item 2(b), fixed: a
+// forward stalled on its way to a deposed leader is re-sent when its contact
+// hears of a newer epoch, and is proposed by the leader it was re-sent to,
+// never by a server it did not reach. FRK leads and is partitioned away at
+// once; at 1s the IRL contact forwards an enqueue to FRK, the leader it has
+// heard of, and the forward stalls; IRL wins epoch 1 at ~2.59s and proposes
+// the enqueue itself, after its own watermark, committed in epoch 1 with
+// VRG's ack before the 4s heal. The stalled forward lands at FRK after the
+// heal and is discarded there, and the element is on every server.
+func TestForwardStalledAtDeposedLeaderIsResent(t *testing.T) {
 	e, inj, clock, _ := newElectionEnsemble(t, netsim.FRK, netsim.IRL, netsim.VRG)
 	qc := NewQueueClient(e, netsim.IRL, netsim.IRL)
 	if err := qc.CreateQueue("q"); err != nil {
@@ -467,8 +470,20 @@ func TestForwardStalledAtDeposedLeaderIsProposedBySuccessor(t *testing.T) {
 	inj.Apply(faults.Partition{Groups: [][]netsim.Region{{netsim.FRK}, {netsim.IRL, netsim.VRG}}})
 	clock.RunAt(start+4*time.Second, func() { inj.Apply(faults.Heal{}) })
 	clock.SleepUntil(start + time.Second)
-	irl := e.Server(netsim.IRL)
+	irl, frk := e.Server(netsim.IRL), e.Server(netsim.FRK)
 	next := irl.LastApplied() + 1
+	frkEpoch, frkApplied := frk.epochApplied()
+	numbered := false // FRK's own-epoch watermark moved: it numbered something
+	var watch func()
+	watch = func() {
+		if ep, ap := frk.epochApplied(); ep == frkEpoch && ap != frkApplied {
+			numbered = true
+		}
+		if clock.Now() < start+5*time.Second {
+			clock.RunAfter(time.Millisecond, watch)
+		}
+	}
+	watch()
 	views, err := invoke(binding.NewClient(NewBinding(qc)), binding.Enqueue{Queue: "q", Item: []byte("forwarded")})
 	at := clock.Now() - start
 	irlEpoch, irlApplied := irl.epochApplied()
@@ -480,19 +495,22 @@ func TestForwardStalledAtDeposedLeaderIsProposedBySuccessor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("forwarded enqueue: %v", err)
 	}
-	if at < 4*time.Second || at > 4300*time.Millisecond {
-		t.Errorf("forwarded enqueue completed %v after the cut, want just after the 4s heal", at)
+	if at < recs[0].At-start || at > 4*time.Second {
+		t.Errorf("forwarded enqueue completed %v after the cut, want after IRL's win at %v and before the 4s heal", at, recs[0].At-start)
 	}
 	if irlEpoch != 1 || irlApplied != next {
 		t.Errorf("IRL at (epoch %d, zxid %d) after the commit, want (1, %d): its own next zxid", irlEpoch, irlApplied, next)
 	}
-	clock.Sleep(2 * time.Second) // the commit reaches FRK, which steps down
 	vrg := e.Server(netsim.VRG)
 	vrg.mu.Lock()
 	accepted := vrg.accepted[next]
 	vrg.mu.Unlock()
 	if accepted.Epoch != 1 {
 		t.Errorf("VRG accepted zxid %d in epoch %d, want 1", next, accepted.Epoch)
+	}
+	clock.Sleep(2 * time.Second) // FRK is resynced and steps down
+	if numbered {
+		t.Errorf("FRK numbered a transaction in epoch %d after zxid %d", frkEpoch, frkApplied)
 	}
 	name := views[len(views)-1].Value.ID
 	for _, r := range []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG} {

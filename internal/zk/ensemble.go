@@ -102,6 +102,15 @@ type Server struct {
 // CZK simulations.
 func (s *Server) Tree() *Tree { return s.tree }
 
+// stamp is the version token of zxid in epoch, as ZooKeeper numbers its
+// transactions: the epoch in the high 32 bits, so that tokens order states
+// across elections, where a new epoch's zxids may run below a deposed
+// leader's. Without an election the epoch is 0 and the token is the zxid.
+func stamp(epoch, zxid uint64) uint64 { return epoch<<32 | zxid }
+
+// version is the version token of the server's applied state.
+func (s *Server) version() uint64 { return stamp(s.epochApplied()) }
+
 // LastApplied returns the highest zxid applied locally.
 func (s *Server) LastApplied() uint64 {
 	s.mu.Lock()
@@ -121,10 +130,11 @@ type Ensemble struct {
 	elect *elector
 	inv   invState // the in-line invariants; empty in the default build
 
-	// records and proposals recycle the records of finished operations and
-	// propose rounds.
-	records   netsim.FreeList[opRecord]
-	proposals netsim.FreeList[proposal]
+	// records, forwardMsgs and proposals recycle the records of finished
+	// operations, forward attempts and propose rounds.
+	records     netsim.FreeList[opRecord]
+	forwardMsgs netsim.FreeList[forwardMsg]
+	proposals   netsim.FreeList[proposal]
 
 	// trc, when set, records proposal quorum waits on per-server tracks
 	// and the election/resync timeline on "zk/election". Nil = off.
@@ -165,16 +175,27 @@ func NewEnsemble(cfg Config) (*Ensemble, error) {
 		return nil, fmt.Errorf("zk: leader region %s not in ensemble", cfg.LeaderRegion)
 	}
 	leader.election.role = roleLeader
+	for _, region := range e.order {
+		e.servers[region].election.heard = leader
+	}
 	// On a faulted transport, wire Zab-style recovery: after every fault
 	// transition (a restart, a heal, an expiring drop rule), followers that
 	// missed commits — a crashed server loses its in-flight commit stream,
-	// a partitioned one has it severed — resync from the leader by state
-	// transfer, like ZooKeeper's SNAP sync. With 3+ servers the ensemble
-	// also runs leader elections (see election.go): a crashed or isolated
-	// leader is replaced by a majority-elected one instead of wedging
-	// finals until restart.
+	// a partitioned one has it severed — resync by state transfer, like
+	// ZooKeeper's SNAP sync, from every server that leads in its own epoch:
+	// a deposed leader that has not heard its successor yet resyncs only
+	// servers behind it in (epoch, zxid), and its successor overwrites
+	// those. With 3+ servers the ensemble also runs leader elections (see
+	// election.go): a crashed or isolated leader is replaced by a
+	// majority-elected one instead of wedging finals until restart.
 	if inj, ok := cfg.Transport.Interceptor().(*faults.Injector); ok {
-		inj.Subscribe(func(faults.Transition) { e.resyncLagging(e.Leader()) })
+		inj.Subscribe(func(faults.Transition) {
+			for _, region := range e.order {
+				if s := e.servers[region]; s.leads() {
+					e.resyncLagging(s)
+				}
+			}
+		})
 		if len(cfg.Regions) >= 3 {
 			e.elect = newElector(e, inj, leader)
 		}
@@ -243,14 +264,12 @@ func (s *Server) installSnapshot(nodes map[string]*node, zxid, epoch uint64) {
 		return
 	}
 	s.tree.Restore(nodes)
-	if epoch > s.dataEpoch {
-		s.dataEpoch = epoch
+	advanced := epoch > s.dataEpoch
+	s.dataEpoch, s.lastApplied = epoch, zxid
+	if advanced {
 		s.pending = make(map[uint64]Txn)
-		if s.accepted != nil {
-			s.accepted = make(map[uint64]acceptedTxn)
-		}
+		s.clearAcceptedLocked()
 	}
-	s.lastApplied = zxid
 	for z := range s.pending {
 		if z <= zxid {
 			delete(s.pending, z)
@@ -260,21 +279,58 @@ func (s *Server) installSnapshot(nodes map[string]*node, zxid, epoch uint64) {
 	s.mu.Unlock()
 }
 
-// accept records a proposal in the server's accept log (elections enabled
-// only); called on the follower leg of a proposal before the ack travels back.
-// The ack does not imply the record: a follower already holding a newer-epoch
-// entry at the same zxid keeps that entry and acks all the same, which is how
-// a deposed leader's commit can rest on acks no accept log remembers (ROADMAP
-// item 2(a)).
-func (s *Server) accept(zxid, epoch uint64, txn Txn) {
+// accept is a follower's answer to a proposal (elections enabled only),
+// given on the follower leg before the answer travels back: it acks a
+// proposal by recording it in its accept log, and refuses one older than an
+// epoch it has promised (electState.promised), than the epoch of its
+// applied state, or than an entry it already accepted at the zxid —
+// recording nothing. An ack therefore always leaves the entry behind, so a
+// commit rests on a majority of accept logs.
+func (s *Server) accept(zxid, epoch uint64, txn Txn) answer {
+	el := s.ensemble.elect
+	el.mu.Lock()
+	seen := s.election.promised
+	el.mu.Unlock()
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cur, ok := s.accepted[zxid]; epoch < max(seen, s.dataEpoch) || ok && cur.Epoch > epoch {
+		return refused
+	}
 	if s.accepted == nil {
 		s.accepted = make(map[uint64]acceptedTxn)
 	}
-	if cur, ok := s.accepted[zxid]; !ok || epoch >= cur.Epoch {
-		s.accepted[zxid] = acceptedTxn{Txn: txn, Epoch: epoch}
+	s.accepted[zxid] = acceptedTxn{Txn: txn, Epoch: epoch}
+	return acked
+}
+
+// clearAcceptedLocked empties the accept log of a server whose applied state
+// has just moved to a newer epoch, once the in-line invariants have seen
+// what it carries out of the old one. Callers hold s.mu.
+func (s *Server) clearAcceptedLocked() {
+	if s.accepted != nil {
+		s.ensemble.inv.checkApplied(s)
+		s.accepted = make(map[uint64]acceptedTxn)
 	}
-	s.mu.Unlock()
+}
+
+// leads reports whether s leads in its own epoch: it holds the leader role,
+// and its applied state is of the epoch it won. It is the one test of
+// leadership on the operation path: only such a server numbers and
+// proposes, and only such servers resync the others.
+func (s *Server) leads() bool {
+	if el := s.ensemble.elect; el != nil {
+		el.mu.Lock()
+		defer el.mu.Unlock()
+	}
+	return s.leadsLocked()
+}
+
+// leadsLocked is leads for callers that hold the elector lock (or run
+// without elections).
+func (s *Server) leadsLocked() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.election.role == roleLeader && s.election.epoch == s.dataEpoch
 }
 
 // electInfo returns the server's vote-comparison key (dataEpoch, lastZxid)
@@ -369,9 +425,14 @@ func (e *Ensemble) SetTrace(t *trace.Tracer) {
 
 // CommitEpoch returns the epoch new proposals currently commit under: the
 // current leader's own data epoch, which advances on every election win (a
-// natural election-state gauge).
+// natural election-state gauge), or 0 while no server holds the leader role
+// (one whose round a majority refused has stepped down).
 func (e *Ensemble) CommitEpoch() uint64 {
-	epoch, _ := e.Leader().epochApplied()
+	leader := e.Leader()
+	if leader == nil {
+		return 0
+	}
+	epoch, _ := leader.epochApplied()
 	return epoch
 }
 
@@ -392,8 +453,10 @@ func (e *Ensemble) Server(region netsim.Region) *Server {
 
 // Leader returns the current leader: of the servers in the leader role (a
 // deposed one keeps it until it hears its successor), the one with the
-// newest election epoch. Callers that need a consistent view across several
-// steps should read it once.
+// newest election epoch, or nil if none does. No server could read it: the
+// operation path never does (each server acts on its own election state),
+// only gauges (CommitEpoch), setup on a quiescent ensemble (Bootstrap) and
+// tests.
 func (e *Ensemble) Leader() *Server {
 	if el := e.elect; el != nil {
 		el.mu.Lock()
@@ -403,7 +466,10 @@ func (e *Ensemble) Leader() *Server {
 }
 
 // leaderLocked is Leader for callers that hold the elector lock (or run
-// without elections, when roles never change after construction).
+// without elections, when roles never change after construction). Besides
+// Leader, only install's stale-win check reads it: a candidate whose late
+// majority arrives after a newer epoch was won has heard nothing of that
+// epoch, so no state of its own tells it the win is stale.
 func (e *Ensemble) leaderLocked() *Server {
 	var leader *Server
 	for _, region := range e.order {
@@ -460,14 +526,14 @@ func (e *Ensemble) Bootstrap(txn Txn) TxnResult {
 
 // proposal is the record of one propose round, in place of an ack queue and
 // a closure per follower per proposal: the leader fills in the round, starts
-// every follower's leg, takes a majority of acks off the queue and sends the
-// commits. The legs and the commits outlive the round — it ends on a
-// majority, the stragglers and the commits still travel — so the record
-// counts its holders, and whoever lets go last drains the acks nobody waited
-// for and recycles it.
+// every follower's leg, takes answers off the queue until the round is
+// decided (tally) and, if it commits, sends the commits. The legs and the
+// commits outlive the round — it ends on a majority, the stragglers and the
+// commits still travel — so the record counts its holders, and whoever lets
+// go last drains the answers nobody waited for and recycles it.
 type proposal struct {
 	e    *Ensemble
-	acks *netsim.Queue
+	acks *netsim.Queue // the followers' answers
 	legs []followerLeg // indexed like e.order; the leader's own stays idle
 
 	leader      *Server
@@ -475,15 +541,37 @@ type proposal struct {
 	zxid, epoch uint64
 	need        int          // acks the round waits for
 	refs        atomic.Int32 // started legs and commits in flight, plus the round itself
+	// What the round has taken off acks.
+	taken, acked, refusals int
+
+	// With elections, a leader's rounds commit in zxid order — each was
+	// numbered on the state of those before it — so they stay on its list
+	// of rounds (electState.rounds) until decided. A round a majority
+	// acked waits on turn while an earlier round is undecided; one that an
+	// earlier round's failure aborts fails too (abortFrom).
+	turn    *netsim.Event
+	aborted bool
+	aborts  int // aborted answers put on acks: 0 or 1
 }
 
+// An answer is what a proposal's queue carries: a follower's ack or
+// refusal (Server.accept), or the word that an earlier round failed.
+type answer uint8
+
+const (
+	acked answer = iota
+	refused
+	aborted
+)
+
 // followerLeg is one follower's slot of a proposal: proposal out, accept,
-// ack back, as a round trip on a record and no actor (netsim.RoundTrip), and
-// later the commit, whose delivery is a step bound once.
+// answer back, as a round trip on a record and no actor (netsim.RoundTrip),
+// and later the commit, whose delivery is a step bound once.
 type followerLeg struct {
 	p        *proposal
 	follower *Server
 	trip     netsim.RoundTrip
+	ans      answer
 	commit   func() // l.committed
 }
 
@@ -494,17 +582,18 @@ func (l *followerLeg) start() {
 		proposalSize(p.txn), l.follower.proc, e.cfg.ServiceTime, l)
 }
 
-// Serve implements netsim.Exchange: the follower accepts and acks.
+// Serve implements netsim.Exchange: the follower acks or refuses.
 func (l *followerLeg) Serve() int {
+	l.ans = acked
 	if p := l.p; p.e.elect != nil {
-		l.follower.accept(p.zxid, p.epoch, p.txn)
+		l.ans = l.follower.accept(p.zxid, p.epoch, p.txn)
 	}
 	return AckSize
 }
 
-// Done implements netsim.Exchange: the ack is back at the leader.
+// Done implements netsim.Exchange: the answer is back at the leader.
 func (l *followerLeg) Done() {
-	l.p.acks.Put(struct{}{})
+	l.p.acks.Put(l.ans)
 	l.p.release()
 }
 
@@ -528,18 +617,127 @@ func (e *Ensemble) getProposal() *proposal {
 	return p
 }
 
+// open fills in a round of txn, numbered zxid in epoch at leader, starts
+// every follower's leg and, with elections, appends the round to the
+// leader's rounds.
+func (p *proposal) open(leader *Server, txn Txn, zxid, epoch uint64) {
+	e := p.e
+	p.leader, p.txn, p.zxid, p.epoch, p.need = leader, txn, zxid, epoch, e.quorum()
+	p.refs.Store(int32(len(e.order))) // the followers' legs and this round
+	for i, region := range e.order {
+		if region != leader.Region {
+			p.legs[i].start()
+		}
+	}
+	if el := e.elect; el != nil {
+		el.mu.Lock()
+		leader.election.rounds = append(leader.election.rounds, p)
+		el.mu.Unlock()
+	}
+}
+
+// tally takes one answer off the round's queue and says whether the round
+// is decided and, if so, whether a majority acked it: it is acked on need
+// acks, and fails once so many followers refused that need acks cannot
+// come, or when an earlier round failed. Followers that refuse have seen a
+// newer epoch, so the round's owner steps its leader down
+// (elector.stepDown) once the failure's reply is on its way. A deposed
+// leader's round ends this way too, or commits on acks its followers gave
+// before they promised a newer epoch — which carry it into that epoch.
+func (p *proposal) tally(a answer) (decided, commits bool) {
+	p.taken++
+	switch a {
+	case acked:
+		p.acked++
+		return p.acked == p.need, true
+	case refused:
+		p.refusals++
+		return p.refusals > len(p.e.order)-1-p.need, false
+	}
+	return true, false
+}
+
+// waitTurn reports whether the round, which a majority acked, must wait for
+// an earlier round of its leader; then turn fires once that one is decided
+// (passTurn, abortFrom).
+func (p *proposal) waitTurn() bool {
+	el := p.e.elect
+	if el == nil {
+		return false
+	}
+	el.mu.Lock()
+	defer el.mu.Unlock()
+	if p.leader.election.rounds[0] == p {
+		return false
+	}
+	p.turn = p.e.tr.Clock().NewEvent()
+	return true
+}
+
+// leave takes the decided round out of its leader's rounds and returns the
+// round after it.
+func (p *proposal) leave() *proposal {
+	el := p.e.elect
+	if el == nil {
+		return nil
+	}
+	el.mu.Lock()
+	defer el.mu.Unlock()
+	st := &p.leader.election
+	i := slices.Index(st.rounds, p)
+	st.rounds = slices.Delete(st.rounds, i, i+1)
+	if i == len(st.rounds) {
+		return nil
+	}
+	return st.rounds[i]
+}
+
+// passTurn lets next, now its leader's first round, commit if it has been
+// waiting its turn with a majority.
+func passTurn(next *proposal) {
+	if next != nil && next.turn != nil {
+		next.turn.Fire()
+	}
+}
+
+// abortFrom fails q and every round after it: each was numbered on a state
+// holding the round that failed. A round still taking answers takes an
+// aborted one; a round waiting its turn is woken to find itself aborted.
+func abortFrom(q *proposal) {
+	if q == nil {
+		return
+	}
+	el := q.e.elect
+	el.mu.Lock()
+	defer el.mu.Unlock()
+	rounds := q.leader.election.rounds
+	for _, q := range rounds[slices.Index(rounds, q):] {
+		if q.aborted {
+			break
+		}
+		q.aborted = true
+		if q.turn != nil {
+			q.turn.Fire()
+		} else {
+			q.aborts++
+			q.acks.Put(aborted)
+		}
+	}
+}
+
 // release lets go of the record on behalf of a finished leg or of the round
-// itself. The last holder finds every ack put and a majority of them taken:
-// it takes the rest, none of which can block, and recycles the record
-// cleared of the round's references.
+// itself. The last holder finds every answer put and the round's taken: it
+// takes the rest, none of which can block, and recycles the record cleared
+// of the round's references.
 func (p *proposal) release() {
 	if p.refs.Add(-1) != 0 {
 		return
 	}
-	for i := len(p.e.order) - 1 - p.need; i > 0; i-- {
+	for i := len(p.e.order) - 1 + p.aborts - p.taken; i > 0; i-- {
 		p.acks.Get()
 	}
 	p.leader, p.txn = nil, nil
+	p.taken, p.acked, p.refusals, p.aborted, p.aborts = 0, 0, 0, false, 0
 	p.e.proposals.Put(p)
 }
 
@@ -564,7 +762,7 @@ func (p *proposal) commit(contact *Server) {
 
 // forward runs a client request's transaction through the ordered-commit
 // protocol from the contact (see opRecord.forward) and blocks until the
-// contact has applied it, returning its zxid and result. It is the record's
+// contact has applied it, returning its version (stamp) and result. It is the record's
 // blocking caller; the vanilla queue recipes commit this way.
 func (e *Ensemble) forward(contact *Server, txn Txn) (uint64, TxnResult) {
 	r := e.getRecord()
@@ -578,9 +776,9 @@ func (e *Ensemble) forward(contact *Server, txn Txn) (uint64, TxnResult) {
 		r.applied.Release()
 		r.applied = nil
 	}
-	zxid, res := r.zxid, r.res
+	version, res := stamp(r.epoch, r.zxid), r.res
 	e.putRecord(r)
-	return zxid, res
+	return version, res
 }
 
 // prepare prep-applies txn on the leader's tree and numbers it from the

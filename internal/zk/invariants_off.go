@@ -2,11 +2,9 @@
 
 package zk
 
-import "correctables/internal/netsim"
-
 // invState is empty in the default build: the in-line invariants live in
 // invariants.go, under the invariants build tag.
 type invState struct{}
 
-func (*invState) checkCommit(netsim.Region, uint64) {}
-func (*invState) checkApplied(*Server)              {}
+func (*invState) checkCommit(*Ensemble, *Server, uint64, uint64) {}
+func (*invState) checkApplied(*Server)                           {}

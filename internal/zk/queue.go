@@ -1,6 +1,8 @@
 package zk
 
 import (
+	"errors"
+
 	"correctables/internal/binding"
 	"correctables/internal/core"
 	"correctables/internal/keys"
@@ -23,8 +25,9 @@ type QueueView struct {
 	Final bool
 	// Zxid is the version token of the state this view reflects: the
 	// committed transaction's zxid for final views, the contact server's
-	// last-applied zxid for preliminary (locally simulated) views. It is
-	// the binding's per-queue version token.
+	// last-applied zxid for preliminary (locally simulated) views, each
+	// qualified by its epoch (stamp). It is the binding's per-queue version
+	// token.
 	Zxid uint64
 }
 
@@ -70,9 +73,24 @@ func (c *QueueClient) CreateQueue(queue string) error {
 	// here: it force-advances every server's applied watermark, and a queue
 	// can be created while protocol traffic is in flight — the jump would make
 	// followers discard committed transactions still on the wire.
-	_, _ = c.ensemble.forward(contact, CreateTxn{Path: "/queues"})
-	_, res := c.ensemble.forward(contact, CreateTxn{Path: dir})
+	_ = c.create(contact, "/queues")
+	err := c.create(contact, dir)
 	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(len(dir)))
+	return err
+}
+
+// create creates path through the ordered protocol, again after each
+// ErrLeaderLost — by then the contact has heard of the leader that the
+// failed forward's server knew — as ZooKeeper's recipes retry a create after
+// a lost connection. A create that failed that way may have taken effect,
+// so a retry that finds the node reports success.
+func (c *QueueClient) create(contact *Server, path string) error {
+	_, res := c.ensemble.forward(contact, CreateTxn{Path: path})
+	for errors.Is(res.Err, ErrLeaderLost) {
+		if _, res = c.ensemble.forward(contact, CreateTxn{Path: path}); errors.Is(res.Err, ErrNodeExists) {
+			return nil
+		}
+	}
 	return res.Err
 }
 
@@ -196,7 +214,7 @@ func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error 
 		}
 		if len(children) == 0 {
 			onView(QueueView{Element: nil, Remaining: 0, Level: core.LevelStrong, Final: true,
-				Zxid: contact.LastApplied()})
+				Zxid: contact.version()})
 			return nil
 		}
 		head := children[0]
@@ -216,12 +234,15 @@ func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error 
 		// delete through the ordered protocol.
 		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(path)))
 		contact.process()
-		zxid, res := c.ensemble.forward(contact, DeleteTxn{Path: path})
+		version, res := c.ensemble.forward(contact, DeleteTxn{Path: path})
 		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(4))
-		if res.Err != nil {
-			// Another consumer won the race (NoNode): retry from the top —
-			// this is the contention cost of the client-side recipe.
+		if errors.Is(res.Err, ErrNoNode) {
+			// Another consumer won the race: retry from the top — this is
+			// the contention cost of the client-side recipe.
 			continue
+		}
+		if res.Err != nil {
+			return res.Err
 		}
 		count := len(children) - 1
 		onView(QueueView{
@@ -229,7 +250,7 @@ func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error 
 			Remaining: count,
 			Level:     core.LevelStrong,
 			Final:     true,
-			Zxid:      zxid,
+			Zxid:      version,
 		})
 		return nil
 	}

@@ -3,6 +3,7 @@ package zk
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -18,7 +19,15 @@ import (
 )
 
 // The straight-line protocol opRecord replaced, kept as its reference: an
-// actor per operation that blocks at every hop, server slot and wait.
+// actor per operation that blocks at every hop, server slot and wait. It
+// follows the same leadership rule as the record: a contact forwards to the
+// leader it has heard of, a request the binding submitted is re-sent to the
+// leader of each newer epoch its contact hears of before the forward lands —
+// the re-sent attempt on an actor of its own, which carries the operation on
+// from there — and a superseded attempt is discarded where it lands.
+
+// actorResends counts the forwards the reference has re-sent.
+var actorResends int
 
 // actorSubmit is SubmitOperation as an actor.
 func (b *Binding) actorSubmit(op binding.Operation, levels core.Levels, cb binding.Callback) {
@@ -47,36 +56,39 @@ func (b *Binding) actorSubmit(op binding.Operation, levels core.Levels, cb bindi
 			}
 			cb(binding.Result{Value: itemOf(v), Level: level, Version: v.Zxid})
 		}
-		var err error
+		done := func(err error) {
+			if err != nil && !answered {
+				cb(binding.Result{Err: err})
+			}
+		}
 		switch o := op.(type) {
 		case binding.Enqueue:
-			err = qc.actorEnqueue(o.Queue, o.Item, wantWeak, emit)
+			qc.actorEnqueue(o.Queue, o.Item, wantWeak, true, emit, done)
 		case binding.Dequeue:
-			err = qc.actorDequeue(o.Queue, wantWeak, emit)
+			qc.actorDequeue(o.Queue, wantWeak, true, emit, done)
 		default:
-			err = fmt.Errorf("%w: zk queues have no %q", binding.ErrUnsupportedOperation, op.OpName())
-		}
-		if err != nil && !answered {
-			cb(binding.Result{Err: err})
+			done(fmt.Errorf("%w: zk queues have no %q", binding.ErrUnsupportedOperation, op.OpName()))
 		}
 	})
 }
 
-// actorEnqueue is Enqueue on the actor.
-func (c *QueueClient) actorEnqueue(queue string, data []byte, wantPrelim bool, onView func(QueueView)) error {
-	return c.actorRequest(enqueueTxn(queue, data), wantPrelim && c.ensemble.cfg.Correctable, onView)
+// actorEnqueue is Enqueue on the actor; done takes its error.
+func (c *QueueClient) actorEnqueue(queue string, data []byte, wantPrelim, resendable bool, onView func(QueueView), done func(error)) {
+	c.actorRequest(enqueueTxn(queue, data), wantPrelim && c.ensemble.cfg.Correctable, resendable, onView, done)
 }
 
-// actorDequeue is Dequeue on the actor.
-func (c *QueueClient) actorDequeue(queue string, wantPrelim bool, onView func(QueueView)) error {
+// actorDequeue is Dequeue on the actor; done takes its error.
+func (c *QueueClient) actorDequeue(queue string, wantPrelim, resendable bool, onView func(QueueView), done func(error)) {
 	if c.ensemble.cfg.Correctable {
-		return c.actorRequest(DequeueMinTxn{Dir: queueDir(queue)}, wantPrelim, onView)
+		c.actorRequest(DequeueMinTxn{Dir: queueDir(queue)}, wantPrelim, resendable, onView, done)
+		return
 	}
-	return c.actorRecipe(queue, onView)
+	done(c.actorRecipe(queue, onView))
 }
 
-// actorRequest is request as straight-line code.
-func (c *QueueClient) actorRequest(txn queueTxn, wantPrelim bool, onView func(QueueView)) error {
+// actorRequest is request as straight-line code. What follows the forward
+// runs on whichever actor carries its last attempt, and ends in done.
+func (c *QueueClient) actorRequest(txn queueTxn, wantPrelim, resendable bool, onView func(QueueView), done func(error)) {
 	tr := c.ensemble.tr
 	contact := c.ensemble.Server(c.Contact)
 	tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(txn.PayloadSize()))
@@ -85,7 +97,7 @@ func (c *QueueClient) actorRequest(txn queueTxn, wantPrelim bool, onView func(Qu
 	var flushed *netsim.Event
 	left := false
 	if wantPrelim {
-		zxid := contact.LastApplied()
+		zxid := contact.version()
 		if elem, remaining, err := txn.simulate(contact.tree); err == nil {
 			delivered := tr.Clock().NewEvent()
 			flushed = delivered
@@ -96,22 +108,24 @@ func (c *QueueClient) actorRequest(txn queueTxn, wantPrelim bool, onView func(Qu
 		}
 	}
 
-	zxid, res := c.ensemble.actorForward(contact, txn)
-	var elem *QueueElement
-	remaining := 0
-	if res.Err == nil {
-		elem, remaining = txn.outcome(res)
-	}
-	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(elem)))
-	netsim.AwaitFlush(flushed, left)
-	if res.Err != nil {
-		return res.Err
-	}
-	onView(QueueView{Element: elem, Remaining: remaining, Level: core.LevelStrong, Final: true, Zxid: zxid})
-	return nil
+	c.ensemble.actorForward(contact, txn, resendable, func(version uint64, res TxnResult) {
+		var elem *QueueElement
+		remaining := 0
+		if res.Err == nil {
+			elem, remaining = txn.outcome(res)
+		}
+		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(elem)))
+		netsim.AwaitFlush(flushed, left)
+		if res.Err != nil {
+			done(res.Err)
+			return
+		}
+		onView(QueueView{Element: elem, Remaining: remaining, Level: core.LevelStrong, Final: true, Zxid: version})
+		done(nil)
+	})
 }
 
-// actorRecipe is dequeueRecipe committing through actorForward.
+// actorRecipe is dequeueRecipe committing through actorCommit.
 func (c *QueueClient) actorRecipe(queue string, onView func(QueueView)) error {
 	tr := c.ensemble.tr
 	contact := c.ensemble.Server(c.Contact)
@@ -125,7 +139,7 @@ func (c *QueueClient) actorRecipe(queue string, onView func(QueueView)) error {
 			return err
 		}
 		if len(children) == 0 {
-			onView(QueueView{Level: core.LevelStrong, Final: true, Zxid: contact.LastApplied()})
+			onView(QueueView{Level: core.LevelStrong, Final: true, Zxid: contact.version()})
 			return nil
 		}
 		head := children[0]
@@ -140,10 +154,13 @@ func (c *QueueClient) actorRecipe(queue string, onView func(QueueView)) error {
 		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(len(data)))
 		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(path)))
 		contact.process()
-		zxid, res := c.ensemble.actorForward(contact, DeleteTxn{Path: path})
+		zxid, res := c.ensemble.actorCommit(contact, DeleteTxn{Path: path})
 		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(4))
-		if res.Err != nil {
+		if errors.Is(res.Err, ErrNoNode) {
 			continue
+		}
+		if res.Err != nil {
+			return res.Err
 		}
 		onView(QueueView{
 			Element:   &QueueElement{Name: head, Seq: seqOf(head), Data: data},
@@ -156,55 +173,123 @@ func (c *QueueClient) actorRecipe(queue string, onView func(QueueView)) error {
 	}
 }
 
-// actorForward is forward as straight-line code, its commit broadcast a
-// closure per follower.
-func (e *Ensemble) actorForward(contact *Server, txn Txn) (uint64, TxnResult) {
-	via := e.Leader()
-	if contact != via {
-		e.tr.Travel(contact.Region, via.Region, netsim.LinkReplica, proposalSize(txn))
-	}
-	leader := e.Leader()
-	leader.proc.Process(e.cfg.ServiceTime)
-	zxid, epoch, res := leader.prepare(txn)
-	if zxid != 0 {
-		clock := e.tr.Clock()
-		need := e.quorum()
-		var quorumSp trace.SpanID
-		if e.trc != nil && need > 0 {
-			quorumSp = e.trc.Begin(e.phaseTrk[leader.Region], trace.CatQuorum, "propose", "", clock.Now())
-		}
-		p := e.getProposal()
-		p.leader, p.txn, p.zxid, p.epoch, p.need = leader, txn, zxid, epoch, need
-		p.refs.Store(int32(len(e.order)))
-		for i, region := range e.order {
-			if region != leader.Region {
-				p.legs[i].start()
-			}
-		}
-		for i := 0; i < need; i++ {
-			p.acks.Get()
-		}
-		e.inv.checkCommit(leader.Region, epoch)
-		p.release()
-		e.trc.End(quorumSp, clock.Now())
-		for _, region := range e.order {
-			if region == leader.Region || region == contact.Region {
-				continue
-			}
-			follower := e.servers[region]
-			e.tr.Send(leader.Region, region, netsim.LinkReplica, commitSize(txn), func() {
-				follower.deliverCommit(zxid, epoch, txn)
-			})
-		}
-	}
-	if contact != via {
-		e.tr.Travel(via.Region, contact.Region, netsim.LinkReplica, commitSize(txn))
-		if zxid != 0 {
-			contact.deliverCommit(zxid, epoch, txn)
-			contact.waitApplied(zxid)
-		}
-	}
+// actorPending is the reference's forwarder: a re-send is a closure.
+type actorPending struct{ f func(to *Server) }
+
+func (p *actorPending) resend(to *Server) { p.f(to) }
+
+// actorCommit is forward's blocking caller on the actor: a forward that is
+// not re-sent, so it ends on the caller.
+func (e *Ensemble) actorCommit(contact *Server, txn Txn) (zxid uint64, res TxnResult) {
+	e.actorForward(contact, txn, false, func(z uint64, r TxnResult) { zxid, res = z, r })
 	return zxid, res
+}
+
+// actorForward is forward as straight-line code, its commit broadcast a
+// closure per follower, ending in rest with the version and result. Each attempt is one call of try: the
+// first on the caller, a re-sent one (resendable only) on an actor of its
+// own.
+func (e *Ensemble) actorForward(contact *Server, txn Txn, resendable bool, rest func(zxid uint64, res TxnResult)) {
+	clock := e.tr.Clock()
+	var attempt uint32
+	var pending *actorPending
+	var try func(n uint32, to *Server)
+	try = func(n uint32, to *Server) {
+		if n != attempt {
+			return // superseded before its turn came
+		}
+		if contact != to {
+			e.tr.Travel(contact.Region, to.Region, netsim.LinkReplica, proposalSize(txn))
+			if n != attempt {
+				return // superseded: discarded where it landed
+			}
+			if pending != nil {
+				contact.landed(pending)
+			}
+		}
+		to.proc.Process(e.cfg.ServiceTime)
+		var zxid, epoch uint64
+		var res TxnResult
+		var hint *Server
+		var hintEp uint64
+		if !to.leads() {
+			res = TxnResult{Err: ErrLeaderLost}
+			hint, hintEp = to.heardOf()
+		} else if zxid, epoch, res = to.prepare(txn); zxid != 0 {
+			var quorumSp trace.SpanID
+			if e.trc != nil && e.quorum() > 0 {
+				quorumSp = e.trc.Begin(e.phaseTrk[to.Region], trace.CatQuorum, "propose", "", clock.Now())
+			}
+			p := e.getProposal()
+			p.open(to, txn, zxid, epoch)
+			commits := true
+			if p.need > 0 {
+				for {
+					decided, c := p.tally(p.acks.Get().(answer))
+					if decided {
+						commits = c
+						break
+					}
+				}
+			}
+			if commits && p.waitTurn() {
+				p.turn.Wait()
+				p.turn.Release()
+				p.turn = nil
+				commits = !p.aborted
+			}
+			if commits {
+				e.inv.checkCommit(e, to, zxid, epoch)
+			}
+			e.trc.End(quorumSp, clock.Now())
+			next, refused := p.leave(), !p.aborted
+			p.release()
+			if commits {
+				for _, region := range e.order {
+					if region == to.Region || region == contact.Region {
+						continue
+					}
+					follower := e.servers[region]
+					e.tr.Send(to.Region, region, netsim.LinkReplica, commitSize(txn), func() {
+						follower.deliverCommit(zxid, epoch, txn)
+					})
+				}
+				passTurn(next)
+			} else {
+				lostEp := epoch
+				zxid, epoch, res = 0, 0, TxnResult{Err: ErrLeaderLost}
+				hint, hintEp = to.heardOf()
+				abortFrom(next)
+				if refused {
+					e.elect.stepDown(to, lostEp)
+				}
+			}
+		}
+		if contact != to {
+			e.tr.Travel(to.Region, contact.Region, netsim.LinkReplica, commitSize(txn))
+			if zxid != 0 {
+				contact.deliverCommit(zxid, epoch, txn)
+				contact.waitApplied(zxid)
+			}
+			if hint != nil {
+				contact.hear(hint, hintEp)
+			}
+		}
+		rest(stamp(epoch, zxid), res)
+	}
+	if resendable {
+		pending = &actorPending{func(to *Server) {
+			attempt++
+			actorResends++
+			n := attempt
+			clock.Go(func() { try(n, to) })
+		}}
+	}
+	var keep forwarder
+	if pending != nil {
+		keep = pending
+	}
+	try(0, contact.forwardTo(keep))
 }
 
 // waitApplied blocks until the server has applied the given zxid.
@@ -242,11 +327,14 @@ var (
 		submit: func(b *Binding, op binding.Operation, levels core.Levels, cb binding.Callback) {
 			b.actorSubmit(op, levels, cb)
 		},
-		call: func(qc *QueueClient, op binding.Operation, wantPrelim bool, onView func(QueueView)) error {
+		call: func(qc *QueueClient, op binding.Operation, wantPrelim bool, onView func(QueueView)) (err error) {
+			done := func(e error) { err = e }
 			if o, ok := op.(binding.Enqueue); ok {
-				return qc.actorEnqueue(o.Queue, o.Item, wantPrelim, onView)
+				qc.actorEnqueue(o.Queue, o.Item, wantPrelim, false, onView, done)
+			} else {
+				qc.actorDequeue(op.(binding.Dequeue).Queue, wantPrelim, false, onView, done)
 			}
-			return qc.actorDequeue(op.(binding.Dequeue).Queue, wantPrelim, onView)
+			return err
 		},
 	}
 )
@@ -462,7 +550,9 @@ func playQueueScene(seed int64, faulted, traced bool, way queueWay) queueScene {
 // played once with the actor per operation and once with the record must
 // produce the same (instant, event) log, every view with its level, element,
 // remaining count and zxid, the same meter counters (dropped included), the
-// same election log, server states and spans, and leave nothing parked.
+// same election log, server states and spans, and leave nothing parked. The
+// faulted modes must re-send forwards to a newer epoch's leader, or the
+// leadership rule goes untested.
 func TestForwardRecordMatchesActor(t *testing.T) {
 	seeds := int64(60)
 	if testing.Short() {
@@ -478,6 +568,7 @@ func TestForwardRecordMatchesActor(t *testing.T) {
 		{"faulted and traced", true, true},
 	} {
 		var prelims, finals, drops, stalls, elections int
+		resent := actorResends
 		for seed := int64(1); seed <= seeds; seed++ {
 			want := playQueueScene(seed, mode.faulted, mode.traced, onActor)
 			got := playQueueScene(seed, mode.faulted, mode.traced, onRecord)
@@ -516,13 +607,15 @@ func TestForwardRecordMatchesActor(t *testing.T) {
 			stalls += strings.Count(got.spans, `"detail":"stall"`)
 			elections += len(got.elections)
 		}
-		t.Logf("%s: %d scenes, %d preliminary and %d final views, %d drops, %d stalls, %d elections",
-			mode.name, seeds, prelims, finals, drops, stalls, elections)
+		resent = actorResends - resent
+		t.Logf("%s: %d scenes, %d preliminary and %d final views, %d drops, %d stalls, %d elections, %d re-sent forwards",
+			mode.name, seeds, prelims, finals, drops, stalls, elections, resent)
 		if prelims == 0 || finals == 0 {
 			t.Errorf("%s: %d preliminary and %d final views in %d scenes, want some of each", mode.name, prelims, finals, seeds)
 		}
-		if mode.faulted && (drops == 0 || elections == 0) {
-			t.Errorf("%s: %d drops and %d elections in %d scenes, want some of each", mode.name, drops, elections, seeds)
+		if mode.faulted && (drops == 0 || elections == 0 || resent == 0) {
+			t.Errorf("%s: %d drops, %d elections and %d re-sent forwards in %d scenes, want some of each",
+				mode.name, drops, elections, resent, seeds)
 		}
 		if mode.faulted && mode.traced && stalls == 0 {
 			t.Errorf("%s: no span was annotated stall in %d scenes", mode.name, seeds)

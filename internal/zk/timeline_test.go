@@ -16,7 +16,7 @@ import (
 )
 
 // timelineDigest pins the election timeline of the corpus below.
-const timelineDigest = "5007a737c62ed157be92cc46ba9685a64c08106b769d340f8622d304f37269fe"
+const timelineDigest = "ae281991b5f760a4f57a103c8677f03571b17fd3fc38b5ce9dfeb07cc554cc27"
 
 // timelineWorld runs one ensemble under faults.Random over its own regions
 // (40 s horizon: partitions, crashes, latency spikes and drops) with one

@@ -442,6 +442,62 @@ func TestReachability(t *testing.T) {
 	}
 }
 
+// zkLeaderCallers are the functions that may read zk leadership the way no
+// server could, all roles at once ((*Ensemble).Leader, leaderLocked), and
+// why: the operation path acts on each server's own election state.
+var zkLeaderCallers = map[string]string{
+	"zk.(*Ensemble).CommitEpoch": "a gauge",
+	"zk.(*Ensemble).Bootstrap":   "setup on a quiescent ensemble",
+	"zk.(*Ensemble).Leader":      "leaderLocked under the elector lock",
+	// By its own state the stale winner cannot tell: it has heard nothing
+	// of the newer epoch (TestStaleWinStepsDown).
+	"zk.(*elector).install": "the stale-win check",
+}
+
+// reachCallers lists the non-test functions outside benchmark/ whose bodies
+// name one of callees, each with the callee it names.
+func reachCallers(a *reachAnalysis, callees ...string) []string {
+	var out []string
+	for caller, fn := range a.funcs {
+		d := a.graph.decls[fn]
+		ast.Inspect(d.node, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				callee, ok := d.info.Uses[id].(*types.Func)
+				if ok && callee.Pkg() != nil && strings.HasPrefix(callee.Pkg().Path(), reachModule+"/internal/") {
+					if name := reachFuncName(callee.Origin()); slices.Contains(callees, name) {
+						out = append(out, caller+" -> "+name)
+					}
+				}
+			}
+			return true
+		})
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestZKLeadershipHasOneSource: no function outside zkLeaderCallers reads
+// zk leadership across servers, and each of them still does.
+func TestZKLeadershipHasOneSource(t *testing.T) {
+	a, err := analyseReachOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, call := range reachCallers(a, "zk.(*Ensemble).Leader", "zk.(*Ensemble).leaderLocked") {
+		caller, _, _ := strings.Cut(call, " -> ")
+		seen[caller] = true
+		if _, ok := zkLeaderCallers[caller]; !ok {
+			t.Errorf("%s: leadership read across servers off the list", call)
+		}
+	}
+	for caller := range zkLeaderCallers {
+		if !seen[caller] {
+			t.Errorf("stale entry: %s no longer reads leadership across servers", caller)
+		}
+	}
+}
+
 // The gate's own three properties: a keep entry that names nothing fails,
 // an exported method of a facade-aliased type that nothing calls is
 // reported, and the report is sorted so two runs diff cleanly.
