@@ -315,7 +315,7 @@ func (r *opRecord) advance() {
 			return
 		}
 		// Preserve view order even under jitter: the final waits for the
-		// preliminary, but only if the preliminary left (netsim.AwaitFlush).
+		// preliminary, but only if the preliminary left (Transport.Send).
 		if r.delivered != nil && r.left {
 			r.state = opOrdered
 			r.delivered.Then(r.step)

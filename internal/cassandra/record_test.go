@@ -150,7 +150,12 @@ func (c *Client) actorRead(key string, quorum int, wantPrelim bool, onView func(
 		final.Level = core.LevelWeak
 	}
 	tr.Travel(c.Coordinator, c.Region, netsim.LinkClient, respSize)
-	netsim.AwaitFlush(prelimDelivered, prelimLeft)
+	if prelimDelivered != nil {
+		if prelimLeft {
+			prelimDelivered.Wait()
+		}
+		prelimDelivered.Release()
+	}
 	onView(final)
 	return nil
 }

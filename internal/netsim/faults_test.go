@@ -72,46 +72,6 @@ func TestTransportInterceptorDropAndStallAsync(t *testing.T) {
 	}
 }
 
-// TestAwaitFlush: the final of an incremental operation waits for a
-// preliminary that left, however slow, and not for one a fault destroyed;
-// either way the event goes back to the clock and nothing stays parked.
-func TestAwaitFlush(t *testing.T) {
-	clock := NewVirtualClock()
-	tr := NewTransport(clock, DefaultLatencies(), NewMeter(), 1)
-	for _, lost := range []bool{false, true} {
-		if lost {
-			tr.SetInterceptor(&stubInterceptor{verdict: VerdictDrop, factor: 1})
-		}
-		start := clock.Now()
-		order := ""
-		delivered := clock.NewEvent()
-		left := tr.SendAfter(time.Second, FRK, IRL, LinkClient, 64, func() {
-			order += "prelim "
-			delivered.Fire()
-		})
-		if left == lost {
-			t.Fatalf("lost=%v: SendAfter reported left=%v", lost, left)
-		}
-		AwaitFlush(delivered, left)
-		order += "final"
-		waited := clock.Now() - start
-		if !lost && (order != "prelim final" || waited < time.Second) {
-			t.Errorf("delivered preliminary: order %q after %v, want the final held back behind it", order, waited)
-		}
-		if lost && (order != "final" || waited != 0) {
-			t.Errorf("lost preliminary: order %q after %v, want the final at once", order, waited)
-		}
-		if clock.NewEvent() != delivered {
-			t.Errorf("lost=%v: the event did not go back to the clock", lost)
-		}
-	}
-	AwaitFlush(nil, false) // no preliminary flushed
-	clock.Drain()
-	if n := clock.Parked(); n != 0 {
-		t.Errorf("%d actors parked after Drain", n)
-	}
-}
-
 // TestParkedCountsStrandedActors: an actor waiting on an event nobody will
 // fire is what Parked reports once the clock has drained.
 func TestParkedCountsStrandedActors(t *testing.T) {

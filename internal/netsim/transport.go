@@ -277,7 +277,14 @@ func (t *Transport) attempt(from, to Region, class string, size int, sp trace.Sp
 // counters) and fn never runs — which is exactly the in-flight state a
 // crashed or partitioned replica loses. Send reports whether the message
 // left: a sender that will later wait for something fn does must not wait
-// when it is false (see AwaitFlush).
+// when it is false. That is the "preliminary, then the final, in order"
+// idiom of a server-side incremental read (§5.2): the preliminary goes out
+// by Send with a callback that delivers the view and then fires an event,
+// and once the final response has reached the client it waits for that
+// event (Event.Then) — jitter may let the final overtake the preliminary on
+// the wire — but only if the preliminary left: one a fault destroyed will
+// never fire the event, and costs the operation exactly its preliminary
+// view, never its final one.
 func (t *Transport) Send(from, to Region, class string, size int, fn func()) bool {
 	return t.send(0, from, to, class, size, fn)
 }
@@ -287,31 +294,6 @@ func (t *Transport) Send(from, to Region, class string, size int, fn func()) boo
 // taken at send time, not delivery time.
 func (t *Transport) SendAfter(extra time.Duration, from, to Region, class string, size int, fn func()) bool {
 	return t.send(extra, from, to, class, size, fn)
-}
-
-// AwaitFlush is the second half of the "preliminary, then the final, in
-// order" idiom of a server-side incremental read (§5.2). The first half is
-// the sender's: take an event from the clock, Send the preliminary with a
-// callback that delivers the view and then fires the event, and keep what
-// Send reported. Once the final response has reached the client, AwaitFlush
-// holds it back until the preliminary has been delivered — jitter may let
-// the final overtake it on the wire — but only if the preliminary left: one
-// a fault destroyed will never fire the event, and costs the operation
-// exactly its preliminary view, never its final one. Either way the event
-// goes back to its clock. A nil event means no preliminary was flushed.
-//
-// The caller keeps the event in a local it never reassigns (the Send
-// callback captures it; a reassigned capture moves to the heap) and left in
-// a separate one. A protocol written as a record waits with Event.Then
-// instead, after the final's Hop has arrived, and then releases the event.
-func AwaitFlush(delivered *Event, left bool) {
-	if delivered == nil {
-		return
-	}
-	if left {
-		delivered.Wait()
-	}
-	delivered.Release()
 }
 
 func (t *Transport) send(extra time.Duration, from, to Region, class string, size int, fn func()) bool {

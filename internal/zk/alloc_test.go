@@ -86,3 +86,42 @@ func TestAllocGateQueueOps(t *testing.T) {
 	}
 	clock.Drain()
 }
+
+// TestAllocGateVanillaDequeue is TestAllocGateQueueOps for the vanilla
+// dequeue recipe through the Binding on a warm clock: getChildren, getData
+// and delete at the contact, the delete through one propose round. It
+// starts no actor (one, its body, before the recipe became record states;
+// a pooled worker ran it without allocating), and its budget, 9 (9 then
+// too), is the library's three, the queue's directory, the child list the
+// contact returns, the head's path, the boxed delete, the removed element
+// and its view's box.
+func TestAllocGateVanillaDequeue(t *testing.T) {
+	e, _, clock := newTestEnsemble(t, false, netsim.IRL)
+	e.Bootstrap(CreateTxn{Path: "/queues"})
+	e.Bootstrap(CreateTxn{Path: "/queues/t"})
+	for i := 0; i < 1000; i++ {
+		e.Bootstrap(CreateTxn{Path: "/queues/t/q-", Data: []byte("payload"), Sequential: true})
+	}
+	c := binding.NewClient(NewBinding(NewQueueClient(e, netsim.IRL, netsim.FRK)))
+	ctx := context.Background()
+	dequeue := func() {
+		v, err := binding.Invoke[binding.Item](ctx, c, binding.Dequeue{Queue: "t"}).Final(ctx)
+		if err != nil || !v.Value.Exists {
+			t.Fatalf("dequeue = %+v, %v", v.Value, err)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		dequeue()
+	}
+	got := testing.AllocsPerRun(300, dequeue)
+	t.Logf("allocs/dequeue: %.1f", got)
+	if budget := 9.0; got > budget {
+		t.Errorf("a vanilla dequeue allocates %.1f/op, budget %.0f", got, budget)
+	}
+	before := clock.Spawned()
+	dequeue()
+	if n := clock.Spawned() - before; n != 0 {
+		t.Errorf("a vanilla dequeue starts %d actors, want 0", n)
+	}
+	clock.Drain()
+}

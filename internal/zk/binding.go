@@ -49,14 +49,14 @@ func (b *Binding) ConsistencyLevels() core.Levels {
 }
 
 // SubmitOperation implements binding.Binding. The operation is a record
-// whose first step takes the ready slot a spawned actor would (Clock.Run);
-// a vanilla dequeue, the client-side recipe, is still an actor. The client
-// library bounds each invocation with the binding's DefaultOpTimeout (model
-// time); the protocol below has no deadline of its own, and a late
-// completion's views are refused by the closed Correctable.
+// (opRecord) whose first step takes the ready slot a spawned actor would
+// (Clock.Run); the local simulation runs exactly when the weak level was
+// asked for, and emit decides what each view goes out as. The client library
+// bounds each invocation with the binding's DefaultOpTimeout (model time);
+// the protocol below has no deadline of its own, and a late completion's
+// views are refused by the closed Correctable.
 func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
-	e := b.qc.Ensemble()
-	clock := e.Transport().Clock()
+	clock := b.qc.Ensemble().Transport().Clock()
 	wantWeak := levels.Contains(core.LevelWeak)
 	wantStrong := levels.Contains(core.LevelStrong)
 	if !wantWeak && !wantStrong {
@@ -65,39 +65,21 @@ func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, lev
 		clock.RunAfter(0, func() { cb(binding.Result{Err: fmt.Errorf("%w: %v", binding.ErrUnsupportedLevel, levels)}) })
 		return
 	}
-	r := e.getRecord()
-	r.b, r.op, r.cb, r.onView, r.wantWeak, r.wantStrong = b, op, cb, r.view, wantWeak, wantStrong
-	if _, ok := op.(binding.Dequeue); ok && !e.cfg.Correctable {
-		clock.Go(r.recipe)
+	r := b.qc.record()
+	switch o := op.(type) {
+	case binding.Enqueue:
+		r.enqueue(o.Queue, o.Item, wantWeak)
+	case binding.Dequeue:
+		r.dequeue(o.Queue, wantWeak)
+	default:
+		r.e.putRecord(r)
+		clock.Run(func() {
+			cb(binding.Result{Err: fmt.Errorf("%w: zk queues have no %q", binding.ErrUnsupportedOperation, op.OpName())})
+		})
 		return
 	}
+	r.cb, r.onView, r.wantWeak, r.wantStrong = cb, r.view, wantWeak, wantStrong
 	clock.Run(r.step)
-}
-
-// decode makes the record the request its operation asks for, or answers
-// the operation with the error that zk queues have no such thing and reports
-// false. The local simulation runs exactly when the weak level was asked
-// for; emit decides what each view goes out as.
-func (r *opRecord) decode() bool {
-	qc := r.b.qc
-	switch o := r.op.(type) {
-	case binding.Enqueue:
-		r.setRequest(qc, enqueueTxn(o.Queue, o.Item), r.wantWeak && r.e.cfg.Correctable)
-	case binding.Dequeue:
-		r.setRequest(qc, DequeueMinTxn{Dir: queueDir(o.Queue)}, r.wantWeak)
-	default:
-		r.cb(binding.Result{Err: fmt.Errorf("%w: zk queues have no %q", binding.ErrUnsupportedOperation, r.op.OpName())})
-		return false
-	}
-	return true
-}
-
-// dequeueRecipe is a vanilla dequeue's actor body (QueueClient.dequeueRecipe).
-func (r *opRecord) dequeueRecipe() {
-	if err := r.b.qc.dequeueRecipe(r.op.(binding.Dequeue).Queue, r.view); err != nil && !r.answered {
-		r.cb(binding.Result{Err: err})
-	}
-	r.e.putRecord(r)
 }
 
 // emit is the binding's view sink.

@@ -2,6 +2,8 @@ package zk
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -214,6 +216,12 @@ func TestCandidateCrashAfterVoting(t *testing.T) {
 // timeouts: 2s, 2.5s, 3s, 3.5s, 4s.
 func newElectionEnsemble(t *testing.T, regions ...netsim.Region) (*Ensemble, *faults.Injector, *netsim.VirtualClock, *trace.Tracer) {
 	t.Helper()
+	return newElectionEnsembleOf(t, true, regions...)
+}
+
+// newElectionEnsembleOf is newElectionEnsemble, CZK or vanilla.
+func newElectionEnsembleOf(t *testing.T, correctable bool, regions ...netsim.Region) (*Ensemble, *faults.Injector, *netsim.VirtualClock, *trace.Tracer) {
+	t.Helper()
 	clock := netsim.NewVirtualClock()
 	tr := netsim.NewTransport(clock, netsim.DefaultLatencies(), netsim.NewMeter(), 1)
 	inj := faults.Attach(tr, nil, 1)
@@ -221,7 +229,7 @@ func newElectionEnsemble(t *testing.T, regions ...netsim.Region) (*Ensemble, *fa
 		Regions:      regions,
 		LeaderRegion: regions[0],
 		Transport:    tr,
-		Correctable:  true,
+		Correctable:  correctable,
 		ServiceTime:  100 * time.Microsecond,
 	})
 	if err != nil {
@@ -461,9 +469,69 @@ func TestDeposedLeaderFailsItsEnqueue(t *testing.T) {
 // VRG's ack before the 4s heal. The stalled forward lands at FRK after the
 // heal and is discarded there, and the element is on every server.
 func TestForwardStalledAtDeposedLeaderIsResent(t *testing.T) {
-	e, inj, clock, _ := newElectionEnsemble(t, netsim.FRK, netsim.IRL, netsim.VRG)
+	resentScene(t, true, 1, func(qc *QueueClient) error { return qc.CreateQueue("q") }, func(qc *QueueClient) ([]string, error) {
+		views, err := invoke(binding.NewClient(NewBinding(qc)), binding.Enqueue{Queue: "q", Item: []byte("forwarded")})
+		if err != nil {
+			return nil, err
+		}
+		return []string{views[len(views)-1].Value.ID}, nil
+	})
+}
+
+// TestBlockingEnqueueStalledAtDeposedLeaderIsResent is its twin for a
+// blocking call: the forward of QueueClient.Enqueue is re-sent too, and the
+// call returns before the heal.
+func TestBlockingEnqueueStalledAtDeposedLeaderIsResent(t *testing.T) {
+	resentScene(t, true, 1, func(qc *QueueClient) error { return qc.CreateQueue("q") }, func(qc *QueueClient) ([]string, error) {
+		var final QueueView
+		err := qc.Enqueue("q", []byte("forwarded"), true, func(v QueueView) { final = v })
+		if err != nil || final.Element == nil {
+			return nil, fmt.Errorf("final view %+v, error %v", final, err)
+		}
+		return []string{final.Element.Name}, nil
+	})
+}
+
+// TestVanillaDequeueStalledAtDeposedLeaderIsResent is its twin for the
+// vanilla dequeue recipe through the Binding: the contact reads the queue
+// itself, and the delete's forward is re-sent; the queue is empty on every
+// server.
+func TestVanillaDequeueStalledAtDeposedLeaderIsResent(t *testing.T) {
+	resentScene(t, false, 1, func(qc *QueueClient) error {
+		if err := qc.CreateQueue("q"); err != nil {
+			return err
+		}
+		return qc.Enqueue("q", []byte("stocked"), false, func(QueueView) {})
+	}, func(qc *QueueClient) ([]string, error) {
+		views, err := invoke(binding.NewClient(NewBinding(qc)), binding.Dequeue{Queue: "q"})
+		if err == nil && (len(views) != 1 || string(views[0].Value.Data) != "stocked") {
+			err = fmt.Errorf("views %+v, want the stocked element's", views)
+		}
+		return []string{}, err
+	})
+}
+
+// TestCreateQueueStalledAtDeposedLeaderIsResent is its twin for
+// CreateQueue: the forward of its create of /queues is re-sent, and the
+// directory's create follows it to IRL; both commit in epoch 1.
+func TestCreateQueueStalledAtDeposedLeaderIsResent(t *testing.T) {
+	resentScene(t, true, 2, func(*QueueClient) error { return nil }, func(qc *QueueClient) ([]string, error) {
+		return []string{}, qc.CreateQueue("q")
+	})
+}
+
+// resentScene plays the scene of TestForwardStalledAtDeposedLeaderIsResent
+// on a CZK or vanilla ensemble: prepare runs at an IRL client with contact
+// IRL on the healthy ensemble, then FRK is cut off, and at 1s op runs there,
+// committing commits transactions. op must return before the heal, after
+// IRL's win, with those transactions numbered by IRL in epoch 1 after its
+// own watermark and acked by VRG, none by FRK; in the end every server's
+// queue q holds exactly the elements op names.
+func resentScene(t *testing.T, correctable bool, commits uint64, prepare func(*QueueClient) error, op func(*QueueClient) ([]string, error)) {
+	t.Helper()
+	e, inj, clock, _ := newElectionEnsembleOf(t, correctable, netsim.FRK, netsim.IRL, netsim.VRG)
 	qc := NewQueueClient(e, netsim.IRL, netsim.IRL)
-	if err := qc.CreateQueue("q"); err != nil {
+	if err := prepare(qc); err != nil {
 		t.Fatal(err)
 	}
 	start := clock.Now()
@@ -484,7 +552,7 @@ func TestForwardStalledAtDeposedLeaderIsResent(t *testing.T) {
 		}
 	}
 	watch()
-	views, err := invoke(binding.NewClient(NewBinding(qc)), binding.Enqueue{Queue: "q", Item: []byte("forwarded")})
+	kids, err := op(qc)
 	at := clock.Now() - start
 	irlEpoch, irlApplied := irl.epochApplied()
 
@@ -493,13 +561,13 @@ func TestForwardStalledAtDeposedLeaderIsResent(t *testing.T) {
 		t.Fatalf("elections = %+v, want IRL to win epoch 1 before 3s", recs)
 	}
 	if err != nil {
-		t.Fatalf("forwarded enqueue: %v", err)
+		t.Fatalf("forwarded operation: %v", err)
 	}
 	if at < recs[0].At-start || at > 4*time.Second {
-		t.Errorf("forwarded enqueue completed %v after the cut, want after IRL's win at %v and before the 4s heal", at, recs[0].At-start)
+		t.Errorf("forwarded operation completed %v after the cut, want after IRL's win at %v and before the 4s heal", at, recs[0].At-start)
 	}
-	if irlEpoch != 1 || irlApplied != next {
-		t.Errorf("IRL at (epoch %d, zxid %d) after the commit, want (1, %d): its own next zxid", irlEpoch, irlApplied, next)
+	if last := next + commits - 1; irlEpoch != 1 || irlApplied != last {
+		t.Errorf("IRL at (epoch %d, zxid %d) after the commit, want (1, %d): its own next zxids", irlEpoch, irlApplied, last)
 	}
 	vrg := e.Server(netsim.VRG)
 	vrg.mu.Lock()
@@ -512,10 +580,9 @@ func TestForwardStalledAtDeposedLeaderIsResent(t *testing.T) {
 	if numbered {
 		t.Errorf("FRK numbered a transaction in epoch %d after zxid %d", frkEpoch, frkApplied)
 	}
-	name := views[len(views)-1].Value.ID
 	for _, r := range []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG} {
-		if kids, err := e.Server(r).Tree().Children("/queues/q"); err != nil || len(kids) != 1 || kids[0] != name {
-			t.Errorf("%s holds %v (%v); want [%s]", r, kids, err, name)
+		if got, err := e.Server(r).Tree().Children("/queues/q"); err != nil || !slices.Equal(got, kids) {
+			t.Errorf("%s holds %v (%v); want %v", r, got, err, kids)
 		}
 	}
 	inj.Quiesce()

@@ -760,27 +760,6 @@ func (p *proposal) commit(contact *Server) {
 	p.release()
 }
 
-// forward runs a client request's transaction through the ordered-commit
-// protocol from the contact (see opRecord.forward) and blocks until the
-// contact has applied it, returning its version (stamp) and result. It is the record's
-// blocking caller; the vanilla queue recipes commit this way.
-func (e *Ensemble) forward(contact *Server, txn Txn) (uint64, TxnResult) {
-	r := e.getRecord()
-	r.contact, r.txn = contact, txn
-	r.finished = e.tr.Clock().NewEvent()
-	r.forward()
-	r.finished.Wait()
-	r.finished.Release()
-	if r.applied != nil {
-		r.applied.Wait()
-		r.applied.Release()
-		r.applied = nil
-	}
-	version, res := stamp(r.epoch, r.zxid), r.res
-	e.putRecord(r)
-	return version, res
-}
-
 // prepare prep-applies txn on the leader's tree and numbers it from the
 // leader's own watermark and epoch: the leader state is authoritative and
 // strictly ordered. A fail-fast result is numbered 0.
@@ -812,6 +791,3 @@ func (s *Server) deliverCommit(zxid, epoch uint64, txn Txn) {
 	}
 	s.mu.Unlock()
 }
-
-// process charges one message's local work on the server.
-func (s *Server) process() { s.proc.Process(s.ensemble.cfg.ServiceTime) }

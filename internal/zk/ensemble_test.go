@@ -51,27 +51,28 @@ func TestEnsembleValidation(t *testing.T) {
 
 func TestProposeReplicatesInOrder(t *testing.T) {
 	e, _, clock := newTestEnsemble(t, false, netsim.IRL)
-	e.Bootstrap(CreateTxn{Path: "/q"})
-	contact := e.Server(netsim.FRK)
+	e.Bootstrap(CreateTxn{Path: "/queues"})
+	e.Bootstrap(CreateTxn{Path: "/queues/q"})
+	qc := NewQueueClient(e, netsim.FRK, netsim.FRK)
 	const n = 10
 	for i := 0; i < n; i++ {
-		zxid, res := e.forward(contact, CreateTxn{Path: "/q/item-", Data: []byte{byte(i)}, Sequential: true})
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		var final QueueView
+		if err := qc.Enqueue("q", []byte{byte(i)}, false, func(v QueueView) { final = v }); err != nil {
+			t.Fatal(err)
 		}
-		if zxid == 0 {
+		if final.Zxid == 0 {
 			t.Fatal("zxid 0 for successful txn")
 		}
 	}
 	// All servers converge to the same sorted child list once the async
 	// commit broadcasts have been drained.
 	clock.Drain()
-	if kids, err := e.Server(netsim.VRG).Tree().Children("/q"); err != nil || len(kids) != n {
+	if kids, err := e.Server(netsim.VRG).Tree().Children("/queues/q"); err != nil || len(kids) != n {
 		t.Fatalf("VRG never converged: %v, %v", kids, err)
 	}
-	want, _ := e.Leader().Tree().Children("/q")
+	want, _ := e.Leader().Tree().Children("/queues/q")
 	for _, region := range e.order {
-		got, err := e.Server(region).Tree().Children("/q")
+		got, err := e.Server(region).Tree().Children("/queues/q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,15 +82,20 @@ func TestProposeReplicatesInOrder(t *testing.T) {
 	}
 }
 
+// TestProposeFailFastNoCommit: a transaction the leader's prep-apply fails
+// — a dequeue of a queue that does not exist — comes back with its error
+// and consumes no zxid on any server.
 func TestProposeFailFastNoCommit(t *testing.T) {
-	e, _, _ := newTestEnsemble(t, false, netsim.IRL)
-	contact := e.Server(netsim.FRK)
-	zxid, res := e.forward(contact, DeleteTxn{Path: "/missing"})
-	if !errors.Is(res.Err, ErrNoNode) {
-		t.Errorf("err = %v", res.Err)
+	e, _, clock := newTestEnsemble(t, true, netsim.IRL)
+	qc := NewQueueClient(e, netsim.FRK, netsim.FRK)
+	if err := qc.Dequeue("missing", false, func(QueueView) {}); !errors.Is(err, ErrNoNode) {
+		t.Errorf("err = %v", err)
 	}
-	if zxid != 0 {
-		t.Error("failed validation must not consume a zxid broadcast")
+	clock.Drain()
+	for _, region := range e.order {
+		if z := e.Server(region).LastApplied(); z != 0 {
+			t.Errorf("%s applied zxid %d: failed validation must not consume a zxid", region, z)
+		}
 	}
 }
 

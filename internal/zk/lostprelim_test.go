@@ -34,7 +34,7 @@ func (d *dropReplies) Changed() *netsim.Event { return nil } // it never stalls
 // operation that one view and nothing else. Were the committed view,
 // already at the client, withheld behind an event only the lost message's
 // callback can fire, the operation would time out with ErrUnreachable and
-// its protocol actor would stay parked for good (netsim.AwaitFlush).
+// its record would stay parked for good (opRecord.replied).
 func TestLostPreliminaryCostsOnlyThePreliminary(t *testing.T) {
 	// A follower contact (the leader is FRK) and a client in a third region,
 	// so the link direction tells the contact's replies from the requests.

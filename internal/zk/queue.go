@@ -39,11 +39,10 @@ type QueueView struct {
 // fault makes impossible blocks until the fault heals. The client library
 // owns the operation deadline (binding.Client bounds each invocation through
 // the Binding with Config.OpTimeout under fault injection); call the methods
-// directly only where nothing can stall them. Enqueue and the CZK Dequeue
-// block their calling actor on the record the Binding runs the same
-// operation on (opRecord); the vanilla recipes are actor code that commits
-// through one. A preliminary view reaches onView in callback context, where
-// it must not block.
+// directly only where nothing can stall them. Each method submits the
+// record the Binding submits for the same operation (opRecord) and blocks
+// the calling actor until it has finished. A view reaches onView in
+// callback context, where it must not block.
 type QueueClient struct {
 	ensemble *Ensemble
 	Region   netsim.Region
@@ -60,38 +59,14 @@ func NewQueueClient(e *Ensemble, clientRegion, contactRegion netsim.Region) *Que
 // Ensemble returns the client's ensemble.
 func (c *QueueClient) Ensemble() *Ensemble { return c.ensemble }
 
-// CreateQueue creates the queue directory through the ordered protocol.
+// CreateQueue creates the queue directory through the ordered protocol: one
+// request to the contact, which creates /queues and then the directory,
+// each through the leader, and replies. A create lost with its leader is
+// retried at another leader the contact has heard of, if any (created).
 func (c *QueueClient) CreateQueue(queue string) error {
-	dir := queueDir(queue)
-	tr := c.ensemble.tr
-	contact := c.ensemble.Server(c.Contact)
-	tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(dir)))
-	contact.process()
-	// Ensure the /queues parent through the ordered protocol. When it already
-	// exists the create fails fast (no zxid, no broadcast), so this is an
-	// idempotent no-op on every call but the first. Bootstrap must NOT be used
-	// here: it force-advances every server's applied watermark, and a queue
-	// can be created while protocol traffic is in flight — the jump would make
-	// followers discard committed transactions still on the wire.
-	_ = c.create(contact, "/queues")
-	err := c.create(contact, dir)
-	tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(len(dir)))
-	return err
-}
-
-// create creates path through the ordered protocol, again after each
-// ErrLeaderLost — by then the contact has heard of the leader that the
-// failed forward's server knew — as ZooKeeper's recipes retry a create after
-// a lost connection. A create that failed that way may have taken effect,
-// so a retry that finds the node reports success.
-func (c *QueueClient) create(contact *Server, path string) error {
-	_, res := c.ensemble.forward(contact, CreateTxn{Path: path})
-	for errors.Is(res.Err, ErrLeaderLost) {
-		if _, res = c.ensemble.forward(contact, CreateTxn{Path: path}); errors.Is(res.Err, ErrNodeExists) {
-			return nil
-		}
-	}
-	return res.Err
+	r := c.record()
+	r.call, r.dir = callCreate, queueDir(queue)
+	return r.run(nil)
 }
 
 // Enqueue appends data to the queue. On a correctable ensemble with
@@ -99,14 +74,9 @@ func (c *QueueClient) create(contact *Server, path string) error {
 // state and leaks the predicted element name (weak view); the committed
 // result follows (strong view). Blocks until the final view is delivered.
 func (c *QueueClient) Enqueue(queue string, data []byte, wantPrelim bool, onView func(QueueView)) error {
-	return c.request(enqueueTxn(queue, data), wantPrelim && c.ensemble.cfg.Correctable, onView)
-}
-
-// enqueueTxn is an enqueue's transaction. The item enters the store here:
-// this one copy is what the proposal, all three servers' znodes and every
-// view of the element share.
-func enqueueTxn(queue string, data []byte) CreateTxn {
-	return CreateTxn{Path: queueItemPrefix(queue), Data: binding.CopyIn(data), Sequential: true}
+	r := c.record()
+	r.enqueue(queue, data, wantPrelim)
+	return r.run(onView)
 }
 
 // Dequeue removes the queue head.
@@ -122,10 +92,32 @@ func enqueueTxn(queue string, data []byte) CreateTxn {
 // transaction; the committed element is the final view. Blocks until the
 // final view is delivered.
 func (c *QueueClient) Dequeue(queue string, wantPrelim bool, onView func(QueueView)) error {
-	if c.ensemble.cfg.Correctable {
-		return c.request(DequeueMinTxn{Dir: queueDir(queue)}, wantPrelim, onView)
+	r := c.record()
+	r.dequeue(queue, wantPrelim)
+	return r.run(onView)
+}
+
+// enqueue makes r an enqueue of data: a request, simulated at the contact on
+// a correctable ensemble with wantPrelim.
+func (r *opRecord) enqueue(queue string, data []byte, wantPrelim bool) {
+	r.request(enqueueTxn(queue, data), wantPrelim && r.e.cfg.Correctable)
+}
+
+// enqueueTxn is an enqueue's transaction. The item enters the store here:
+// this one copy is what the proposal, all three servers' znodes and every
+// view of the element share.
+func enqueueTxn(queue string, data []byte) CreateTxn {
+	return CreateTxn{Path: queueItemPrefix(queue), Data: binding.CopyIn(data), Sequential: true}
+}
+
+// dequeue makes r a dequeue: the CZK request on a correctable ensemble, the
+// recipe, from its getChildren, on a vanilla one.
+func (r *opRecord) dequeue(queue string, wantPrelim bool) {
+	if r.e.cfg.Correctable {
+		r.request(DequeueMinTxn{Dir: queueDir(queue)}, wantPrelim)
+		return
 	}
-	return c.dequeueRecipe(queue, onView)
+	r.call, r.dir = callChildren, queueDir(queue)
 }
 
 // queueTxn is the part of a queue operation that is the operation's own:
@@ -140,32 +132,160 @@ type queueTxn interface {
 	outcome(res TxnResult) (*QueueElement, int)
 }
 
-// request is one queue operation at the contact, the CZK protocol (§5.2):
-// the request hop, the contact's slot, with wantPrelim the local simulation
+// request makes r a queue operation as the CZK protocol (§5.2) runs it: the
+// request hop, the contact's slot, with wantPrelim the local simulation
 // flushed as the preliminary, the commit through the leader, the reply hop,
 // and the final view, delivered after the preliminary. Every reply crosses
 // the client link, a failed commit's too; that one carries no element and
-// delivers no view. The operation is a record (opRecord): request plays its
-// first step on the caller's stack, waits until the reply has reached the
-// client, and then, as the actor did, holds the final view back until the
-// preliminary has been delivered.
-func (c *QueueClient) request(txn queueTxn, wantPrelim bool, onView func(QueueView)) error {
-	e := c.ensemble
-	r := e.getRecord()
-	r.setRequest(c, txn, wantPrelim)
-	r.onView = onView
-	r.finished = e.tr.Clock().NewEvent()
-	r.advance()
-	r.finished.Wait()
-	r.finished.Release()
-	netsim.AwaitFlush(r.delivered, r.left)
-	err, final := r.res.Err, r.final
-	e.putRecord(r)
-	if err != nil {
-		return err
+// delivers no view.
+func (r *opRecord) request(txn queueTxn, wantPrelim bool) {
+	r.call, r.qtxn, r.txn, r.wantPrelim = callRequest, txn, txn, wantPrelim
+}
+
+// opCall is the call the client has in flight at its contact.
+type opCall uint8
+
+const (
+	callRequest  opCall = iota // a queue transaction: the CZK enqueue and dequeue, the vanilla enqueue
+	callChildren               // the recipe's getChildren of the queue
+	callData                   // the recipe's getData of the head
+	callDelete                 // the recipe's delete of the head
+	callCreate                 // CreateQueue
+)
+
+// served is the contact's work on the call, once its slot is done.
+func (r *opRecord) served() {
+	switch r.call {
+	case callRequest:
+		if r.wantPrelim {
+			r.simulate()
+		}
+		r.forward()
+	case callChildren:
+		// The whole child list crosses the client link.
+		r.children, r.res.Err = r.contact.tree.Children(r.dir)
+		r.reply(childrenResponseSize(r.children))
+	case callData:
+		if r.data, r.res.Err = r.contact.tree.Get(r.path); r.res.Err != nil {
+			r.reply(responseSize(4))
+			return
+		}
+		r.reply(responseSize(len(r.data)))
+	case callDelete:
+		r.txn = DeleteTxn{Path: r.path}
+		r.forward()
+	case callCreate:
+		// The /queues parent, through the ordered protocol: once it exists
+		// the create fails fast (no zxid, no broadcast). Not Bootstrap, whose
+		// jump of every server's applied watermark would make followers
+		// discard committed transactions still on the wire.
+		r.create("/queues")
 	}
-	onView(final)
-	return nil
+}
+
+// committed is where the forward ends, once the contact has applied its
+// commit: a request replies to its client, with the committed element
+// unless the commit failed, in which case the reply carries no element; the
+// recipe's delete replies with its status; CreateQueue goes on (created).
+func (r *opRecord) committed() {
+	switch r.call {
+	case callRequest:
+		var elem *QueueElement
+		remaining := 0
+		if r.res.Err == nil {
+			elem, remaining = r.qtxn.outcome(r.res)
+		}
+		r.final = QueueView{Element: elem, Remaining: remaining, Level: core.LevelStrong, Final: true, Zxid: stamp(r.epoch, r.zxid)}
+		r.reply(responseSize(elementPayload(elem)))
+	case callDelete:
+		r.reply(responseSize(4))
+	case callCreate:
+		r.created()
+	}
+}
+
+// replied is the client's turn, once the contact's reply has arrived. A
+// request's final view waits for the preliminary, but only if the
+// preliminary left (Transport.Send): jitter may let it overtake. The
+// recipe goes on to its next call, again from getChildren when the head was
+// removed under it — the contention cost of the client-side recipe — and
+// ends on a delete it won, an empty queue or an error.
+func (r *opRecord) replied() {
+	switch r.call {
+	case callRequest:
+		if r.delivered != nil && r.left {
+			r.state = opOrdered
+			r.delivered.Then(r.step)
+			return
+		}
+	case callChildren:
+		if r.res.Err != nil {
+			break
+		}
+		if len(r.children) == 0 {
+			r.final = QueueView{Level: core.LevelStrong, Final: true, Zxid: r.contact.version()}
+			break
+		}
+		r.head = r.children[0]
+		r.path = r.dir + "/" + r.head
+		r.ask(callData)
+		return
+	case callData:
+		if r.res.Err != nil {
+			r.ask(callChildren)
+			return
+		}
+		r.ask(callDelete)
+		return
+	case callDelete:
+		if errors.Is(r.res.Err, ErrNoNode) {
+			r.ask(callChildren)
+			return
+		}
+		if r.res.Err == nil {
+			r.final = QueueView{
+				Element:   &QueueElement{Name: r.head, Seq: seqOf(r.head), Data: r.data},
+				Remaining: len(r.children) - 1,
+				Level:     core.LevelStrong,
+				Final:     true,
+				Zxid:      stamp(r.epoch, r.zxid),
+			}
+		}
+	}
+	r.finish()
+}
+
+// create forwards the create of path.
+func (r *opRecord) create(path string) {
+	r.path, r.txn, r.retried = path, CreateTxn{Path: path}, false
+	r.forward()
+}
+
+// created is a create's end. It is forwarded again after an ErrLeaderLost
+// if by then the contact has heard of another leader than the server that
+// failed it — the leader that server knew, say — as ZooKeeper's recipes
+// retry a create after a lost connection; a retry to the same server would
+// fail the same way, for as long as the contact hears of no other, so the
+// create fails. A create that failed that way may have taken effect, so a
+// retry that finds the node reports success. The directory's create follows
+// /queues', whose outcome does not matter, and its outcome is CreateQueue's.
+func (r *opRecord) created() {
+	switch {
+	case errors.Is(r.res.Err, ErrLeaderLost):
+		if to, _ := r.contact.heardOf(); to == r.via {
+			break
+		}
+		r.retried = true
+		r.forward()
+		return
+	case r.retried && errors.Is(r.res.Err, ErrNodeExists):
+		r.res.Err = nil
+	}
+	if r.path != r.dir {
+		r.create(r.dir)
+		return
+	}
+	r.reply(responseSize(len(r.dir)))
 }
 
 // simulate predicts the name a sequential create of x would get on t.
@@ -196,62 +316,4 @@ func (x DequeueMinTxn) simulate(t *Tree) (*QueueElement, int, error) {
 // outcome is the removed head and what is left behind it.
 func (x DequeueMinTxn) outcome(res TxnResult) (*QueueElement, int) {
 	return res.Element, res.Remaining
-}
-
-func (c *QueueClient) dequeueRecipe(queue string, onView func(QueueView)) error {
-	tr := c.ensemble.tr
-	contact := c.ensemble.Server(c.Contact)
-	dir := queueDir(queue)
-
-	for {
-		// getChildren: the whole child list crosses the client link.
-		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(dir)))
-		contact.process()
-		children, err := contact.tree.Children(dir)
-		tr.Travel(c.Contact, c.Region, netsim.LinkClient, childrenResponseSize(children))
-		if err != nil {
-			return err
-		}
-		if len(children) == 0 {
-			onView(QueueView{Element: nil, Remaining: 0, Level: core.LevelStrong, Final: true,
-				Zxid: contact.version()})
-			return nil
-		}
-		head := children[0]
-		path := elementPath(queue, head)
-
-		// getData for the head element.
-		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(path)))
-		contact.process()
-		data, err := contact.tree.Get(path)
-		if err != nil {
-			// Removed under us between the two reads; retry.
-			tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(4))
-			continue
-		}
-		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(len(data)))
-
-		// delete through the ordered protocol.
-		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(path)))
-		contact.process()
-		version, res := c.ensemble.forward(contact, DeleteTxn{Path: path})
-		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(4))
-		if errors.Is(res.Err, ErrNoNode) {
-			// Another consumer won the race: retry from the top — this is
-			// the contention cost of the client-side recipe.
-			continue
-		}
-		if res.Err != nil {
-			return res.Err
-		}
-		count := len(children) - 1
-		onView(QueueView{
-			Element:   &QueueElement{Name: head, Seq: seqOf(head), Data: data},
-			Remaining: count,
-			Level:     core.LevelStrong,
-			Final:     true,
-			Zxid:      version,
-		})
-		return nil
-	}
 }

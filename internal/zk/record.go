@@ -10,63 +10,64 @@ import (
 	"correctables/internal/trace"
 )
 
-// opRecord is one queue operation in flight — the CZK request of §5.2 — or
-// one bare commit: a client request's transaction carried through Zab, from
-// the contact to the leader, its proposal and back. It stands in place of an
-// actor that blocks at every hop, server slot and wait. Its step is a
-// continuation chain that takes exactly the slots the actor took — the ready
-// slot of its spawn (Clock.Run), the timers of its hops and server slots
-// (netsim.Hop, Clock.At), the waiter slots of its acks (Queue.Then), of its
-// round's turn, the contact's applied-wait and the preliminary-ordering
-// wait (Event.Then) — so no event moves, and no goroutine, spawn or token
-// handoff is left. The
-// steps are methods bound once, when the record is built; every later
-// operation that takes it off the ensemble's free list reuses them.
+// opRecord is one zk operation in flight, and the only way one runs: the
+// CZK request of §5.2, the vanilla enqueue, the vanilla dequeue recipe
+// (getChildren, getData and delete, again after each lost race) and
+// CreateQueue — each call from the client to its contact and, for each
+// transaction it commits, the hop to the leader, its proposal and back. It
+// stands in place of an actor that blocks at every hop, server slot and
+// wait. Its step is a continuation chain that takes exactly the slots the
+// actor took — the ready slot of its spawn (Clock.Run), the timers of its
+// hops and server slots (netsim.Hop, Clock.At), the waiter slots of its
+// acks (Queue.Then), of its round's turn, the contact's applied-wait and the
+// preliminary-ordering wait (Event.Then) — so no event moves, and no
+// goroutine, spawn or token handoff is left. The steps are methods bound
+// once, when the record is built, and reused by every later operation that
+// takes it off the ensemble's free list.
 //
-// A blocking call (QueueClient.request, Ensemble.forward) starts the record
-// on its caller's stack and waits for it. The record wakes the caller at the
-// start of the step in which the actor would have returned, before that step
-// readies anyone else, so the caller resumes where the actor did; a wait the
-// actor would still have made there, on the preliminary or the contact's
-// applied zxid, the caller then makes itself.
-//
-// A record the binding submitted goes back to the free list when its last
-// step has run, and nothing else returns it: an invocation the client
-// library timed out is abandoned, not recycled — its record runs on until the
-// fault heals, its late views are refused by the closed Correctable, and only
-// then does it go back. A blocking call's record goes back once its caller
-// has taken the result. Either way, a forward the record superseded (see
-// forwardMsg) still holds it until that forward has landed.
+// The binding submits a record (Binding.SubmitOperation), and so does a
+// blocking call (QueueClient's methods), which then waits for it (run). The
+// operation ends in finish: the final view or the error, and a blocking
+// caller woken. The record goes back to the free list once nothing holds it:
+// not its operation, until finish; not a blocking caller, until it has taken
+// the result; not a forward it superseded (forwardMsg), until that has
+// landed. An invocation the client library timed out is abandoned: its
+// record runs on until the fault heals, its late views refused by the
+// closed Correctable, and only then goes back.
 //
 // Leadership is the contact's and the leader's own: the contact forwards to
 // the leader it has heard of, and the server the forward reaches proposes
 // only while it leads in its own epoch (Server.leads); otherwise, or if its
-// round cannot commit in that epoch, the operation fails with
-// ErrLeaderLost. A request the binding submitted stays on its contact's list
-// of pending forwards until its forward lands, and is re-sent to the leader
-// of a newer epoch the contact hears of meanwhile (resend). A blocking
-// call's forward is not re-sent: it lands where it was sent.
+// round cannot commit in that epoch, the transaction fails with
+// ErrLeaderLost. Every forward stays on its contact's list of pending
+// forwards until it lands, and is re-sent to the leader of a newer epoch
+// the contact hears of meanwhile (resend).
 type opRecord struct {
 	e *Ensemble
 
-	// The binding's request; b is nil on a blocking call.
-	b                    *Binding
-	op                   binding.Operation
+	// The binding's request (cb nil on a blocking call); the view sink, the
+	// binding's emit or a blocking caller's (nil for CreateQueue); the event
+	// a blocking caller waits on.
 	cb                   binding.Callback
 	wantWeak, wantStrong bool
 	answered             bool // a weak-only request has had its one view
-	// The view sink (the binding's emit, or a blocking caller's), and the
-	// event a blocking caller waits on.
-	onView   func(QueueView)
-	finished *netsim.Event
+	onView               func(QueueView)
+	done                 *netsim.Event
 
-	// The operation: a request from the client region, or a bare commit
-	// (qtxn nil).
+	// The operation: calls from the client region to its contact.
 	client     netsim.Region
 	contact    *Server
-	qtxn       queueTxn
-	txn        Txn // what the forward commits
+	call       opCall   // the call in flight
+	qtxn       queueTxn // a request's transaction
 	wantPrelim bool
+	dir        string // the recipe's queue, CreateQueue's directory
+	// The recipe's child list, its head, the head's path and data;
+	// CreateQueue's path is the node it creates, retried whether that
+	// create is a retry after ErrLeaderLost.
+	children   []string
+	head, path string
+	data       []byte
+	retried    bool
 
 	// Where it is.
 	state     opState
@@ -74,25 +75,25 @@ type opRecord struct {
 	prelim    QueueView     // the contact's simulation
 	delivered *netsim.Event // fired once the preliminary view is delivered
 	left      bool          // the preliminary left (Transport.Send)
+	txn       Txn           // what the forward commits
 	via       *Server       // where the current attempt went: the leader the contact heard of
 	attempt   uint32        // the forward's attempt; each re-send is a new one
 	hint      *Server       // on ErrLeaderLost, the leader via had heard of, in epoch hintEp
 	hintEp    uint64
 	zxid      uint64
 	epoch     uint64
-	res       TxnResult
+	res       TxnResult // the last call's result: the forward's, or the contact's local read's
 	p         *proposal
 	sp        trace.SpanID  // the open quorum span
 	applied   *netsim.Event // the contact's applied-wait
 	final     QueueView
-	refs      int // the operation, plus each superseded forward not yet landed
+	refs      int // the operation, a blocking caller, each superseded forward not yet landed
 
-	step   func()          // r.advance
-	flush  func()          // r.flushed: the preliminary's delivery
-	ack    func(any)       // r.acked: one answer to the round
-	turn   func()          // r.turned: the earlier rounds are decided
-	view   func(QueueView) // r.emit: the binding's view sink
-	recipe func()          // r.dequeueRecipe: a vanilla dequeue's actor body
+	step  func()          // r.advance
+	flush func()          // r.flushed: the preliminary's delivery
+	ack   func(any)       // r.acked: one answer to the round
+	turn  func()          // r.turned: the earlier rounds are decided
+	view  func(QueueView) // r.emit: the binding's view sink
 }
 
 // ErrLeaderLost fails an operation whose forward reached a server that did
@@ -106,9 +107,9 @@ var ErrLeaderLost = errors.New("zk: the leader lost its epoch before committing 
 type opState uint8
 
 const (
-	opBegin    opState = iota // its first turn: send the request
-	opRequest                 // the request is on the way to the contact
-	opServed                  // the contact's slot is done: simulate, forward (forwardMsg)
+	opBegin    opState = iota // its first turn: send the first call
+	opRequest                 // a call is on the way to the contact
+	opServed                  // the contact's slot is done: serve the call
 	opPrepared                // the leader's slot is done: number and propose
 	opBack                    // commit and result are on the way back to the contact
 	opApplied                 // the contact has applied the commit
@@ -116,35 +117,30 @@ const (
 	opOrdered                 // the preliminary view has been delivered
 )
 
-func (e *Ensemble) getRecord() *opRecord {
+// record takes a record for an operation of c's.
+func (c *QueueClient) record() *opRecord {
+	e := c.ensemble
 	r := e.records.Take()
 	if r == nil {
 		r = &opRecord{e: e}
-		r.step, r.flush, r.ack, r.turn, r.view, r.recipe = r.advance, r.flushed, r.acked, r.turned, r.emit, r.dequeueRecipe
+		r.step, r.flush, r.ack, r.turn, r.view = r.advance, r.flushed, r.acked, r.turned, r.emit
 	}
-	r.refs = 1
+	r.refs, r.client, r.contact = 1, c.Region, e.Server(c.Contact)
 	return r
 }
 
-// putRecord lets go of r on behalf of its operation or of a superseded
-// forward. The last one recycles it, cleared of the operation's references,
-// for its next operation's first step.
+// putRecord lets go of r on behalf of its operation, its blocking caller or
+// a superseded forward. The last one recycles it, cleared of the
+// operation's references, for its next operation's first step.
 func (e *Ensemble) putRecord(r *opRecord) {
 	if r.refs--; r.refs > 0 {
 		return
 	}
-	r.state, r.attempt = opBegin, 0
-	r.b, r.op, r.cb, r.answered, r.onView, r.finished = nil, nil, nil, false, nil, nil
-	r.contact, r.qtxn, r.txn = nil, nil, nil
+	r.state, r.attempt, r.retried = opBegin, 0, false
+	r.cb, r.answered, r.onView, r.done = nil, false, nil, nil
+	r.contact, r.qtxn, r.txn, r.dir, r.children, r.head, r.path, r.data = nil, nil, nil, "", nil, "", "", nil
 	r.prelim, r.delivered, r.via, r.hint, r.res, r.final = QueueView{}, nil, nil, nil, TxnResult{}, QueueView{}
 	e.records.Put(r)
-}
-
-// setRequest makes r the request of txn from the client region c.Region via
-// its contact.
-func (r *opRecord) setRequest(c *QueueClient, txn queueTxn, wantPrelim bool) {
-	r.client, r.contact = c.Region, r.e.Server(c.Contact)
-	r.qtxn, r.txn, r.wantPrelim = txn, txn, wantPrelim
 }
 
 // advance is the record's one step: it runs whenever what the operation last
@@ -152,36 +148,22 @@ func (r *opRecord) setRequest(c *QueueClient, txn queueTxn, wantPrelim bool) {
 // preliminary — has come.
 func (r *opRecord) advance() {
 	e := r.e
-	tr := e.tr
 	switch r.state {
 	case opBegin:
-		if r.b != nil && !r.decode() {
-			e.putRecord(r)
-			return
-		}
-		r.state = opRequest
-		r.hop.Send(tr, r.client, r.contact.Region, netsim.LinkClient, requestSize(r.txn.PayloadSize()), r.step)
+		r.ask(r.call)
 	case opRequest:
 		if !r.hop.Arrived() {
 			return
 		}
 		r.state = opServed
-		tr.Clock().At(r.contact.proc.Reserve(e.cfg.ServiceTime), r.step)
+		e.tr.Clock().At(r.contact.proc.Reserve(e.cfg.ServiceTime), r.step)
 	case opServed:
-		if r.wantPrelim {
-			r.simulate()
-		}
-		r.forward()
+		r.served()
 	case opPrepared:
 		r.propose()
 	case opBack:
 		if !r.hop.Arrived() {
 			return
-		}
-		if r.qtxn == nil {
-			// A bare commit's caller resumes here, before the commit below
-			// readies anyone, and makes the applied-wait itself.
-			r.finished.Fire()
 		}
 		if r.zxid != 0 {
 			r.contact.deliverCommit(r.zxid, r.epoch, r.txn)
@@ -189,9 +171,6 @@ func (r *opRecord) advance() {
 		}
 		if r.hint != nil {
 			r.contact.hear(r.hint, r.hintEp)
-		}
-		if r.qtxn == nil {
-			return
 		}
 		if r.applied != nil {
 			r.state = opApplied
@@ -207,22 +186,29 @@ func (r *opRecord) advance() {
 		if !r.hop.Arrived() {
 			return
 		}
-		if r.finished != nil {
-			// A blocking caller resumes here and orders the views itself.
-			r.finished.Fire()
-			return
-		}
-		// Preserve view order even under jitter: the final waits for the
-		// preliminary, but only if the preliminary left (netsim.AwaitFlush).
-		if r.delivered != nil && r.left {
-			r.state = opOrdered
-			r.delivered.Then(r.step)
-			return
-		}
-		r.finish()
+		r.replied()
 	case opOrdered:
 		r.finish()
 	}
+}
+
+// ask sends the client's next call to the contact.
+func (r *opRecord) ask(call opCall) {
+	r.call, r.state = call, opRequest
+	payload := len(r.dir) // getChildren, CreateQueue
+	switch call {
+	case callRequest:
+		payload = r.txn.PayloadSize()
+	case callData, callDelete:
+		payload = len(r.path)
+	}
+	r.hop.Send(r.e.tr, r.client, r.contact.Region, netsim.LinkClient, requestSize(payload), r.step)
+}
+
+// reply sends the contact's reply to the call, of size bytes, to the client.
+func (r *opRecord) reply(size int) {
+	r.state = opResponse
+	r.hop.Send(r.e.tr, r.contact.Region, r.client, netsim.LinkClient, size, r.step)
 }
 
 // simulate has the contact predict the operation's outcome on its local
@@ -247,22 +233,19 @@ func (r *opRecord) flushed() {
 	r.delivered.Fire()
 }
 
-// forward starts the transaction's way through the ordered-commit protocol:
-// the hop to the leader the contact has heard of, its prep-apply and
-// numbering there, a majority of follower acks, and the commit and result
-// back to the contact on one message. The record goes on once the contact
-// has applied the transaction (committed); the other followers' commits
-// travel on asynchronously.
+// forward starts r.txn's way through the ordered-commit protocol: the hop to
+// the leader the contact has heard of, its prep-apply and numbering there, a
+// majority of follower acks, and the commit and result back to the contact
+// on one message. The record goes on once the contact has applied the
+// transaction (committed); the other followers' commits travel on
+// asynchronously.
 //
 // Fail-fast validation errors (missing node, node exists) come back with
 // zxid 0 and no broadcast, like ZooKeeper's prep processor, and so does
 // ErrLeaderLost.
 func (r *opRecord) forward() {
-	var keep forwarder
-	if r.b != nil {
-		keep = r
-	}
-	r.via = r.contact.forwardTo(keep)
+	r.hint = nil
+	r.via = r.contact.forwardTo(r)
 	if r.via == r.contact {
 		r.arrived()
 		return
@@ -400,43 +383,41 @@ func (r *opRecord) back() {
 	r.committed()
 }
 
-// committed is where the forward ends. A bare commit's caller resumes here;
-// a request replies to its client, with the committed element unless the
-// commit failed, in which case the reply carries no element.
-func (r *opRecord) committed() {
-	if r.qtxn == nil {
-		r.finished.Fire()
-		return
-	}
-	var elem *QueueElement
-	remaining := 0
-	if r.res.Err == nil {
-		elem, remaining = r.qtxn.outcome(r.res)
-	}
-	r.final = QueueView{Element: elem, Remaining: remaining, Level: core.LevelStrong, Final: true, Zxid: stamp(r.epoch, r.zxid)}
-	r.state = opResponse
-	r.hop.Send(r.e.tr, r.contact.Region, r.client, netsim.LinkClient, responseSize(elementPayload(elem)), r.step)
-}
-
-// finish ends a request the binding submitted: the final view, or the
-// error, to the binding callback. A weak-only request that got its view is
-// answered: what became of the commit behind it is not its business.
+// finish ends the operation: the final view, or the error, to the binding
+// callback or the blocking caller, which it then wakes. A weak-only request
+// that got its view is answered: what became of the commit behind it is not
+// its business.
 func (r *opRecord) finish() {
 	if r.delivered != nil {
 		r.delivered.Release()
 	}
-	if r.res.Err == nil {
-		r.emit(r.final)
-	} else if !r.answered {
+	switch {
+	case r.res.Err == nil && r.onView != nil:
+		r.onView(r.final)
+	case r.res.Err != nil && r.cb != nil && !r.answered:
 		r.cb(binding.Result{Err: r.res.Err})
+	}
+	if r.done != nil {
+		r.done.Fire()
 	}
 	r.e.putRecord(r)
 }
 
-// forwardMsg is one attempt of a forward on its way from the contact to the
-// server the contact sent it to, with a hop of its own: a superseded attempt
-// still travels — the contact cannot call back what it sent — and is
-// discarded where it lands, unseen by that server. It holds its record until
+// run submits the record of a blocking caller's operation, with the
+// caller's view sink, and waits for it to finish; it takes the operation's
+// error and lets go of the record.
+func (r *opRecord) run(onView func(QueueView)) error {
+	clock := r.e.tr.Clock()
+	r.onView, r.done = onView, clock.NewEvent()
+	r.refs++ // the caller's, until it has taken the result
+	clock.Run(r.step)
+	r.done.Wait()
+	r.done.Release()
+	err := r.res.Err
+	r.e.putRecord(r)
+	return err
+}
+
 // then. A fresh attempt starts at once (forward) or in a turn of its own
 // (resend).
 type forwardMsg struct {
@@ -484,9 +465,7 @@ func (m *forwardMsg) landed() {
 		m.discard()
 		return
 	}
-	if r.b != nil {
-		r.contact.landed(r)
-	}
+	r.contact.landed(r)
 	m.put()
 	r.arrived()
 }
@@ -512,9 +491,9 @@ type forwarder interface {
 }
 
 // forwardTo returns the server s, as a contact, forwards a request to: the
-// leader it has heard of. Unless that is s itself, a non-nil f waits on s's
-// list of pending forwards until it lands there (landed) or a newer epoch
-// re-sends it.
+// leader it has heard of. Unless that is s itself, f waits on s's list of
+// pending forwards until it lands there (landed) or a newer epoch re-sends
+// it.
 func (s *Server) forwardTo(f forwarder) *Server {
 	el := s.ensemble.elect
 	if el == nil {
@@ -523,7 +502,7 @@ func (s *Server) forwardTo(f forwarder) *Server {
 	el.mu.Lock()
 	defer el.mu.Unlock()
 	to := s.election.heard
-	if to != s && f != nil {
+	if to != s {
 		s.election.forwards = append(s.election.forwards, f)
 	}
 	return to

@@ -21,13 +21,16 @@ import (
 // The straight-line protocol opRecord replaced, kept as its reference: an
 // actor per operation that blocks at every hop, server slot and wait. It
 // follows the same leadership rule as the record: a contact forwards to the
-// leader it has heard of, a request the binding submitted is re-sent to the
-// leader of each newer epoch its contact hears of before the forward lands —
-// the re-sent attempt on an actor of its own, which carries the operation on
-// from there — and a superseded attempt is discarded where it lands.
+// leader it has heard of, every forward is re-sent to the leader of each
+// newer epoch its contact hears of before the forward lands — the re-sent
+// attempt on an actor of its own, which carries the operation on from there
+// — and a superseded attempt is discarded where it lands. An operation ends
+// in done, on whichever actor carries it then; a blocking caller waits on
+// an event done fires.
 
-// actorResends counts the forwards the reference has re-sent.
-var actorResends int
+// actorResends and actorBlockingResends count the forwards the reference
+// has re-sent: the binding's operations' and the blocking calls'.
+var actorResends, actorBlockingResends int
 
 // actorSubmit is SubmitOperation as an actor.
 func (b *Binding) actorSubmit(op binding.Operation, levels core.Levels, cb binding.Callback) {
@@ -63,32 +66,48 @@ func (b *Binding) actorSubmit(op binding.Operation, levels core.Levels, cb bindi
 		}
 		switch o := op.(type) {
 		case binding.Enqueue:
-			qc.actorEnqueue(o.Queue, o.Item, wantWeak, true, emit, done)
+			qc.actorEnqueue(o.Queue, o.Item, wantWeak, &actorResends, emit, done)
 		case binding.Dequeue:
-			qc.actorDequeue(o.Queue, wantWeak, true, emit, done)
+			qc.actorDequeue(o.Queue, wantWeak, &actorResends, emit, done)
 		default:
 			done(fmt.Errorf("%w: zk queues have no %q", binding.ErrUnsupportedOperation, op.OpName()))
 		}
 	})
 }
 
-// actorEnqueue is Enqueue on the actor; done takes its error.
-func (c *QueueClient) actorEnqueue(queue string, data []byte, wantPrelim, resendable bool, onView func(QueueView), done func(error)) {
-	c.actorRequest(enqueueTxn(queue, data), wantPrelim && c.ensemble.cfg.Correctable, resendable, onView, done)
+// actorBlocking is a blocking call on the reference: it spawns the
+// operation and waits for its end, which a re-sent attempt's actor may
+// reach.
+func (c *QueueClient) actorBlocking(run func(done func(error))) error {
+	clock := c.ensemble.tr.Clock()
+	ev := clock.NewEvent()
+	var err error
+	clock.Go(func() { run(func(e error) { err = e; ev.Fire() }) })
+	ev.Wait()
+	return err
+}
+
+// actorEnqueue is Enqueue on the actor; done takes its error. Re-sends
+// count in resends.
+func (c *QueueClient) actorEnqueue(queue string, data []byte, wantPrelim bool, resends *int, onView func(QueueView), done func(error)) {
+	c.actorRequest(enqueueTxn(queue, data), wantPrelim && c.ensemble.cfg.Correctable, resends, onView, done)
 }
 
 // actorDequeue is Dequeue on the actor; done takes its error.
-func (c *QueueClient) actorDequeue(queue string, wantPrelim, resendable bool, onView func(QueueView), done func(error)) {
+func (c *QueueClient) actorDequeue(queue string, wantPrelim bool, resends *int, onView func(QueueView), done func(error)) {
 	if c.ensemble.cfg.Correctable {
-		c.actorRequest(DequeueMinTxn{Dir: queueDir(queue)}, wantPrelim, resendable, onView, done)
+		c.actorRequest(DequeueMinTxn{Dir: queueDir(queue)}, wantPrelim, resends, onView, done)
 		return
 	}
-	done(c.actorRecipe(queue, onView))
+	c.actorRecipe(queue, resends, onView, done)
 }
+
+// process charges one message's local work on the server.
+func (s *Server) process() { s.proc.Process(s.ensemble.cfg.ServiceTime) }
 
 // actorRequest is request as straight-line code. What follows the forward
 // runs on whichever actor carries its last attempt, and ends in done.
-func (c *QueueClient) actorRequest(txn queueTxn, wantPrelim, resendable bool, onView func(QueueView), done func(error)) {
+func (c *QueueClient) actorRequest(txn queueTxn, wantPrelim bool, resends *int, onView func(QueueView), done func(error)) {
 	tr := c.ensemble.tr
 	contact := c.ensemble.Server(c.Contact)
 	tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(txn.PayloadSize()))
@@ -108,14 +127,19 @@ func (c *QueueClient) actorRequest(txn queueTxn, wantPrelim, resendable bool, on
 		}
 	}
 
-	c.ensemble.actorForward(contact, txn, resendable, func(version uint64, res TxnResult) {
+	c.ensemble.actorForward(contact, txn, resends, func(version uint64, res TxnResult, _ *Server) {
 		var elem *QueueElement
 		remaining := 0
 		if res.Err == nil {
 			elem, remaining = txn.outcome(res)
 		}
 		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(elementPayload(elem)))
-		netsim.AwaitFlush(flushed, left)
+		if flushed != nil {
+			if left {
+				flushed.Wait()
+			}
+			flushed.Release()
+		}
 		if res.Err != nil {
 			done(res.Err)
 			return
@@ -125,8 +149,10 @@ func (c *QueueClient) actorRequest(txn queueTxn, wantPrelim, resendable bool, on
 	})
 }
 
-// actorRecipe is dequeueRecipe committing through actorCommit.
-func (c *QueueClient) actorRecipe(queue string, onView func(QueueView)) error {
+// actorRecipe is the vanilla dequeue recipe as straight-line code, its
+// delete committed through actorForward; after a lost race it starts again
+// on whichever actor carries the delete's last attempt.
+func (c *QueueClient) actorRecipe(queue string, resends *int, onView func(QueueView), done func(error)) {
 	tr := c.ensemble.tr
 	contact := c.ensemble.Server(c.Contact)
 	dir := queueDir(queue)
@@ -136,14 +162,16 @@ func (c *QueueClient) actorRecipe(queue string, onView func(QueueView)) error {
 		children, err := contact.tree.Children(dir)
 		tr.Travel(c.Contact, c.Region, netsim.LinkClient, childrenResponseSize(children))
 		if err != nil {
-			return err
+			done(err)
+			return
 		}
 		if len(children) == 0 {
 			onView(QueueView{Level: core.LevelStrong, Final: true, Zxid: contact.version()})
-			return nil
+			done(nil)
+			return
 		}
 		head := children[0]
-		path := elementPath(queue, head)
+		path := dir + "/" + head
 		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(path)))
 		contact.process()
 		data, err := contact.tree.Get(path)
@@ -154,22 +182,69 @@ func (c *QueueClient) actorRecipe(queue string, onView func(QueueView)) error {
 		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(len(data)))
 		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(path)))
 		contact.process()
-		zxid, res := c.ensemble.actorCommit(contact, DeleteTxn{Path: path})
-		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(4))
-		if errors.Is(res.Err, ErrNoNode) {
-			continue
-		}
-		if res.Err != nil {
-			return res.Err
-		}
-		onView(QueueView{
-			Element:   &QueueElement{Name: head, Seq: seqOf(head), Data: data},
-			Remaining: len(children) - 1,
-			Level:     core.LevelStrong,
-			Final:     true,
-			Zxid:      zxid,
+		c.ensemble.actorForward(contact, DeleteTxn{Path: path}, resends, func(zxid uint64, res TxnResult, _ *Server) {
+			tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(4))
+			switch {
+			case errors.Is(res.Err, ErrNoNode):
+				c.actorRecipe(queue, resends, onView, done)
+			case res.Err != nil:
+				done(res.Err)
+			default:
+				onView(QueueView{
+					Element:   &QueueElement{Name: head, Seq: seqOf(head), Data: data},
+					Remaining: len(children) - 1,
+					Level:     core.LevelStrong,
+					Final:     true,
+					Zxid:      zxid,
+				})
+				done(nil)
+			}
 		})
-		return nil
+		return
+	}
+}
+
+// actorCreateQueue is CreateQueue as straight-line code.
+func (c *QueueClient) actorCreateQueue(queue string, resends *int, done func(error)) {
+	tr := c.ensemble.tr
+	contact := c.ensemble.Server(c.Contact)
+	dir := queueDir(queue)
+	tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(dir)))
+	contact.process()
+	c.actorCreate(contact, "/queues", false, resends, func(error) {
+		c.actorCreate(contact, dir, false, resends, func(err error) {
+			tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(len(dir)))
+			done(err)
+		})
+	})
+}
+
+// actorCreate is one create of CreateQueue, again after each
+// ErrLeaderLost that left the contact with another leader than the server
+// that failed it; a retry that finds the node reports success. A retry on
+// the actor that made the failed attempt loops rather than recurs.
+func (c *QueueClient) actorCreate(contact *Server, path string, retried bool, resends *int, rest func(error)) {
+	for {
+		lost, returned := false, false
+		c.ensemble.actorForward(contact, CreateTxn{Path: path}, resends, func(_ uint64, res TxnResult, via *Server) {
+			if to, _ := contact.heardOf(); !errors.Is(res.Err, ErrLeaderLost) || to == via {
+				if retried && errors.Is(res.Err, ErrNodeExists) {
+					res.Err = nil
+				}
+				rest(res.Err)
+				return
+			}
+			if returned { // on a re-sent attempt's actor: retry from there
+				c.actorCreate(contact, path, true, resends, rest)
+				return
+			}
+			lost = true
+		})
+		returned = true
+		if !lost {
+			return
+		}
+		retried = true
 	}
 }
 
@@ -178,18 +253,12 @@ type actorPending struct{ f func(to *Server) }
 
 func (p *actorPending) resend(to *Server) { p.f(to) }
 
-// actorCommit is forward's blocking caller on the actor: a forward that is
-// not re-sent, so it ends on the caller.
-func (e *Ensemble) actorCommit(contact *Server, txn Txn) (zxid uint64, res TxnResult) {
-	e.actorForward(contact, txn, false, func(z uint64, r TxnResult) { zxid, res = z, r })
-	return zxid, res
-}
-
 // actorForward is forward as straight-line code, its commit broadcast a
-// closure per follower, ending in rest with the version and result. Each attempt is one call of try: the
-// first on the caller, a re-sent one (resendable only) on an actor of its
-// own.
-func (e *Ensemble) actorForward(contact *Server, txn Txn, resendable bool, rest func(zxid uint64, res TxnResult)) {
+// closure per follower, ending in rest with the version, the result and the
+// server the last attempt reached. Each attempt is one call of try: the
+// first on the caller, a re-sent one on an actor of its own, counted in
+// resends.
+func (e *Ensemble) actorForward(contact *Server, txn Txn, resends *int, rest func(zxid uint64, res TxnResult, via *Server)) {
 	clock := e.tr.Clock()
 	var attempt uint32
 	var pending *actorPending
@@ -203,9 +272,7 @@ func (e *Ensemble) actorForward(contact *Server, txn Txn, resendable bool, rest 
 			if n != attempt {
 				return // superseded: discarded where it landed
 			}
-			if pending != nil {
-				contact.landed(pending)
-			}
+			contact.landed(pending)
 		}
 		to.proc.Process(e.cfg.ServiceTime)
 		var zxid, epoch uint64
@@ -275,21 +342,15 @@ func (e *Ensemble) actorForward(contact *Server, txn Txn, resendable bool, rest 
 				contact.hear(hint, hintEp)
 			}
 		}
-		rest(stamp(epoch, zxid), res)
+		rest(stamp(epoch, zxid), res, to)
 	}
-	if resendable {
-		pending = &actorPending{func(to *Server) {
-			attempt++
-			actorResends++
-			n := attempt
-			clock.Go(func() { try(n, to) })
-		}}
-	}
-	var keep forwarder
-	if pending != nil {
-		keep = pending
-	}
-	try(0, contact.forwardTo(keep))
+	pending = &actorPending{func(to *Server) {
+		attempt++
+		*resends++
+		n := attempt
+		clock.Go(func() { try(n, to) })
+	}}
+	try(0, contact.forwardTo(pending))
 }
 
 // waitApplied blocks until the server has applied the given zxid.
@@ -301,12 +362,13 @@ func (s *Server) waitApplied(zxid uint64) {
 }
 
 // queueWay runs an operation one way: on the record or on the reference. A
-// binding operation is submitted; a blocking call runs on its caller, an
-// actor of its own.
+// binding operation is submitted; a blocking call, CreateQueue's too, runs
+// on its caller, an actor of its own.
 type queueWay struct {
 	name   string
 	submit func(b *Binding, op binding.Operation, levels core.Levels, cb binding.Callback)
 	call   func(qc *QueueClient, op binding.Operation, wantPrelim bool, onView func(QueueView)) error
+	create func(qc *QueueClient, queue string) error
 }
 
 var (
@@ -321,20 +383,24 @@ var (
 			}
 			return qc.Dequeue(op.(binding.Dequeue).Queue, wantPrelim, onView)
 		},
+		create: (*QueueClient).CreateQueue,
 	}
 	onActor = queueWay{
 		name: "actor",
 		submit: func(b *Binding, op binding.Operation, levels core.Levels, cb binding.Callback) {
 			b.actorSubmit(op, levels, cb)
 		},
-		call: func(qc *QueueClient, op binding.Operation, wantPrelim bool, onView func(QueueView)) (err error) {
-			done := func(e error) { err = e }
-			if o, ok := op.(binding.Enqueue); ok {
-				qc.actorEnqueue(o.Queue, o.Item, wantPrelim, false, onView, done)
-			} else {
-				qc.actorDequeue(op.(binding.Dequeue).Queue, wantPrelim, false, onView, done)
-			}
-			return err
+		call: func(qc *QueueClient, op binding.Operation, wantPrelim bool, onView func(QueueView)) error {
+			return qc.actorBlocking(func(done func(error)) {
+				if o, ok := op.(binding.Enqueue); ok {
+					qc.actorEnqueue(o.Queue, o.Item, wantPrelim, &actorBlockingResends, onView, done)
+				} else {
+					qc.actorDequeue(op.(binding.Dequeue).Queue, wantPrelim, &actorBlockingResends, onView, done)
+				}
+			})
+		},
+		create: func(qc *QueueClient, queue string) error {
+			return qc.actorBlocking(func(done func(error)) { qc.actorCreateQueue(queue, &actorBlockingResends, done) })
 		},
 	}
 )
@@ -359,7 +425,8 @@ type queueScene struct {
 // attaches a tracer. Clients in random regions, at random contacts, enqueue
 // and dequeue — at every level set through the binding, and with and
 // without a preliminary as blocking calls — on two stocked queues and one
-// that does not exist.
+// that does not exist until, perhaps, a blocking CreateQueue mid-run
+// creates it.
 func playQueueScene(seed int64, faulted, traced bool, way queueWay) queueScene {
 	rng := rand.New(rand.NewSource(seed))
 	all := []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG, netsim.NCA, netsim.ORE}
@@ -450,13 +517,14 @@ func playQueueScene(seed int64, faulted, traced bool, way queueWay) queueScene {
 	// Operations start on a 20 ms grid, each instant's from one driver actor
 	// that submits them back to back, with a background message between
 	// submissions, as in the cassandra scene; one in four is a blocking
-	// call on an actor of its own.
+	// call on an actor of its own, and so is the one CreateQueue.
 	type submission struct {
 		id     int
 		b      *Binding
 		op     binding.Operation
 		levels core.Levels
 		call   bool
+		create string // the queue a CreateQueue creates
 	}
 	byStart := map[time.Duration][]submission{}
 	nOps := 14 + rng.Intn(14)
@@ -475,6 +543,12 @@ func playQueueScene(seed int64, faulted, traced bool, way queueWay) queueScene {
 			levels: levelSets[rng.Intn(len(levelSets))], call: rng.Intn(4) == 0,
 		})
 	}
+	// Mid-run, a client creates the queue that did not exist, or one that
+	// does.
+	createAt := time.Duration(rng.Intn(50)) * 20 * ms
+	byStart[createAt] = append(byStart[createAt], submission{
+		id: nOps, b: bindings[rng.Intn(len(bindings))], create: queues[2*rng.Intn(2)],
+	})
 	for step := 0; step < 50; step++ {
 		start := time.Duration(step) * 20 * ms
 		subs := byStart[start]
@@ -485,8 +559,16 @@ func playQueueScene(seed int64, faulted, traced bool, way queueWay) queueScene {
 			clock.SleepUntil(start)
 			for i, sub := range subs {
 				qc := sub.b.qc
-				logf("op %d: %s %v from %s via %s", sub.id, sub.op.OpName(), sub.levels, qc.Region, qc.Contact)
-				if sub.call {
+				switch {
+				case sub.create != "":
+					logf("op %d: create %s from %s via %s", sub.id, sub.create, qc.Region, qc.Contact)
+					id, queue := sub.id, sub.create
+					clock.Go(func() {
+						err := way.create(qc, queue)
+						logf("op %d: returned %v", id, err)
+					})
+				case sub.call:
+					logf("op %d: %s %v from %s via %s", sub.id, sub.op.OpName(), sub.levels, qc.Region, qc.Contact)
 					id, op, prelim := sub.id, sub.op, sub.levels.Contains(core.LevelWeak)
 					clock.Go(func() {
 						err := way.call(qc, op, prelim, func(v QueueView) {
@@ -494,7 +576,8 @@ func playQueueScene(seed int64, faulted, traced bool, way queueWay) queueScene {
 						})
 						logf("op %d: returned %v", id, err)
 					})
-				} else {
+				default:
+					logf("op %d: %s %v from %s via %s", sub.id, sub.op.OpName(), sub.levels, qc.Region, qc.Contact)
 					id := sub.id
 					way.submit(sub.b, sub.op, sub.levels, func(r binding.Result) {
 						if r.Err != nil {
@@ -525,7 +608,7 @@ func playQueueScene(seed int64, faulted, traced bool, way queueWay) queueScene {
 		s := e.Server(region)
 		epoch, applied := s.epochApplied()
 		state := fmt.Sprintf("%s %s epoch=%d applied=%d handled=%d busy=%v", region, s.Role(), epoch, applied, s.proc.Handled(), s.proc.BusyModelTime())
-		for _, q := range queues[:2] {
+		for _, q := range queues {
 			kids, err := s.Tree().Children(queueDir(q))
 			state += fmt.Sprintf(" %s=%v/%v", q, kids, err)
 		}
@@ -568,7 +651,7 @@ func TestForwardRecordMatchesActor(t *testing.T) {
 		{"faulted and traced", true, true},
 	} {
 		var prelims, finals, drops, stalls, elections int
-		resent := actorResends
+		resent, blockingResent := actorResends, actorBlockingResends
 		for seed := int64(1); seed <= seeds; seed++ {
 			want := playQueueScene(seed, mode.faulted, mode.traced, onActor)
 			got := playQueueScene(seed, mode.faulted, mode.traced, onRecord)
@@ -607,15 +690,15 @@ func TestForwardRecordMatchesActor(t *testing.T) {
 			stalls += strings.Count(got.spans, `"detail":"stall"`)
 			elections += len(got.elections)
 		}
-		resent = actorResends - resent
-		t.Logf("%s: %d scenes, %d preliminary and %d final views, %d drops, %d stalls, %d elections, %d re-sent forwards",
-			mode.name, seeds, prelims, finals, drops, stalls, elections, resent)
+		resent, blockingResent = actorResends-resent, actorBlockingResends-blockingResent
+		t.Logf("%s: %d scenes, %d preliminary and %d final views, %d drops, %d stalls, %d elections, %d re-sent forwards, %d of blocking calls",
+			mode.name, seeds, prelims, finals, drops, stalls, elections, resent, blockingResent)
 		if prelims == 0 || finals == 0 {
 			t.Errorf("%s: %d preliminary and %d final views in %d scenes, want some of each", mode.name, prelims, finals, seeds)
 		}
-		if mode.faulted && (drops == 0 || elections == 0 || resent == 0) {
-			t.Errorf("%s: %d drops, %d elections and %d re-sent forwards in %d scenes, want some of each",
-				mode.name, drops, elections, resent, seeds)
+		if mode.faulted && (drops == 0 || elections == 0 || resent == 0 || blockingResent == 0) {
+			t.Errorf("%s: %d drops, %d elections, %d re-sent forwards and %d of blocking calls in %d scenes, want some of each",
+				mode.name, drops, elections, resent, blockingResent, seeds)
 		}
 		if mode.faulted && mode.traced && stalls == 0 {
 			t.Errorf("%s: no span was annotated stall in %d scenes", mode.name, seeds)

@@ -139,8 +139,3 @@ func queueDir(queue string) string {
 func queueItemPrefix(queue string) string {
 	return queueDir(queue) + "/q-"
 }
-
-// elementPath returns the full path of a queue element znode.
-func elementPath(queue, name string) string {
-	return queueDir(queue) + "/" + name
-}

@@ -498,6 +498,47 @@ func TestZKLeadershipHasOneSource(t *testing.T) {
 	}
 }
 
+// zkActorForms are the calls by which code runs as an actor — spawning one,
+// sleeping, crossing a hop or a server slot on its own stack, waiting for a
+// flush or an event — and which no non-test zk code makes: a zk operation
+// runs as a record (zk's opRecord), whose steps are continuations. The one
+// exception is the blocking call's wait for its record.
+var zkActorForms = []string{
+	"netsim.(*VirtualClock).Go",
+	"netsim.(*VirtualClock).Sleep",
+	"netsim.(*VirtualClock).SleepUntil",
+	"netsim.(*Transport).Travel",
+	"netsim.(*Server).Process",
+	"netsim.AwaitFlush",
+	"netsim.(*Event).Wait",
+}
+
+// zkBlockingWait is the one zk function that waits on an event: a blocking
+// call's (QueueClient's methods) wait for its record to finish.
+const zkBlockingWait = "zk.(*opRecord).run -> netsim.(*Event).Wait"
+
+// TestZKHasNoActorForms: non-test zk code calls none of zkActorForms but
+// for zkBlockingWait, which still waits.
+func TestZKHasNoActorForms(t *testing.T) {
+	a, err := analyseReachOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waits := false
+	for _, call := range reachCallers(a, zkActorForms...) {
+		switch {
+		case !strings.HasPrefix(call, "zk."):
+		case call == zkBlockingWait:
+			waits = true
+		default:
+			t.Errorf("%s: an actor form in zk", call)
+		}
+	}
+	if !waits {
+		t.Errorf("stale entry: %s no longer waits", zkBlockingWait)
+	}
+}
+
 // The gate's own three properties: a keep entry that names nothing fails,
 // an exported method of a facade-aliased type that nothing calls is
 // reported, and the report is sorted so two runs diff cleanly.
