@@ -363,7 +363,7 @@ func Example_hunt() {
 	fmt.Printf("replay identical: %v\n", rep.Identical)
 	// Output:
 	// findings: 2 of 2 runs
-	// first: cross-object-writes-follow-reads (client open-00) on "k-07", profile tracks-harsh seed 42
-	// shrunk: 23 -> 1 fault events, 12 -> 3 clients
+	// first: cross-object-writes-follow-reads (client sess-00) on "k-06", profile tracks-harsh seed 42
+	// shrunk: 23 -> 1 fault events, 12 -> 1 clients
 	// replay identical: true
 }

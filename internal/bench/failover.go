@@ -116,6 +116,7 @@ func Failover(cfg Config) (*FailoverResult, error) {
 	e := h.newZK(cfg, zkOpts{
 		correctable:     true,
 		leader:          netsim.FRK,
+		probe:           "maj-00", // the first majority queue, created below
 		opTimeout:       opTimeout,
 		heartbeat:       hb,
 		electionTimeout: et,

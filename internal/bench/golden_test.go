@@ -126,10 +126,10 @@ func TestGoldenOutputs(t *testing.T) {
 			json:  "d95c2486eec89ef921f367d4ef40eef2a043a7f2db8a67f84e6c58e8fc66aeab",
 			trace: "e4ba924b6a8a4fcad11c24bb19fdd80f1ea58caab85d060b6220f75653afd9a9"},
 		{name: "failover", run: failover(goldenCfg),
-			json: "2eec39acd694ea3166cb7ce67a4fa809257d8b687789bbb28308fd69348c7d11"},
+			json: "be603034746a922f57bd8e55e0c49078c63689d5df684e231a3f1cc7b985d946"},
 		{name: "failover-trace", run: failover(with(func(c *Config) { c.Trace = true })),
-			json:  "34aba86a5753db3f63677f0c431283c9ea3107f76a4c18c1ef4c840ba524f79f",
-			trace: "1c4fc317ca6996b5e4c59e2b8645bfef724b8773b35b4b001fbbb10aec3f058f"},
+			json:  "181a0593c9c45b48facd7893522ed6a063c7f3abd306ecefd63141927757d75c",
+			trace: "9bcda49e8925db065eb4a3c24b90d201e24d4af4149d9eb7820e7baab9879179"},
 		{name: "overload", run: overload(goldenCfg),
 			json: "e1262c035f3bd530e206d615b4b8b365cc74263f8c67891a08666443a5f0283d"},
 		{name: "overload-trace", run: overload(with(func(c *Config) { c.Trace = true })),
@@ -139,9 +139,9 @@ func TestGoldenOutputs(t *testing.T) {
 		{name: "sweep", run: func(*testing.T) (any, []byte) { return Sweep(goldenCfg), nil },
 			json: "4ab18c6a82db78f88e59eb4ce830125e9a0e9074605faa47dcd2f523da6d92b3"},
 		{name: "hunt-clean", run: hunt(false),
-			json: "8f3cde34814efdacacf3a74929cc3ddede701056b6cc2ca821c46c6ba6d5f725"},
+			json: "7d4a0871cf455f48576afeaed6aee7a509512b03c1fbf3d4ce9cc6c8059dffe1"},
 		{name: "hunt-planted-repro", run: hunt(true),
-			json: "1e36a8c30544ddb59f3298195fd376f6b3bd6cf1a6570f69e01c2c8d08dc4b59"},
+			json: "fbfaa92098ee5d8c29f8a22ebc8d79b6b45f42dae8b4893f5868e3b9124a8e63"},
 		// The claim ledger read off the seven figure drivers.
 		{name: "paper", run: rows(func() any { return Paper(goldenCfg) }),
 			json: "e06dee744175bd6fe317bcd4c98060e85c8e6eb32fbf56e831f24d798fa678b9"},

@@ -34,10 +34,11 @@ const (
 	huntArrivalRate = 80 // open-loop arrivals/second across the arrival clients
 	// The zk queue population: clients, two to a queue, one contacting FRK
 	// (the ensemble's initial leader) and one IRL. The zk-leader track cuts
-	// FRK off for huntLeaderCut units; an operation may take huntQueueTimeout
-	// units, longer than the cut, so one in flight at FRK outlasts it.
+	// FRK off for huntLeaderCut election timeouts, long enough for the rest
+	// to elect; an operation may take huntQueueTimeout units, longer than the
+	// cut, so one in flight at FRK outlasts it.
 	huntQueues       = 4
-	huntLeaderCut    = 6
+	huntLeaderCut    = 3
 	huntQueueTimeout = 10
 )
 
@@ -101,7 +102,8 @@ func (res *HuntResult) Violations() int { return len(res.Findings) }
 // huntWorld is one self-contained simulated world: a pure function of its
 // fields. The sweep generates worlds from (profile, seed); the minimizer
 // mutates copies; a repro embeds one, and the field order and tags are its
-// JSON form.
+// JSON form. ZKServers is the zk ensemble's size when it is 5, and 0 when it
+// is 3, the default: the field is then absent, as in repros from before it.
 type huntWorld struct {
 	Profile     string         `json:"profile"`
 	Seed        int64          `json:"seed"`
@@ -112,6 +114,7 @@ type huntWorld struct {
 	Queues      int            `json:"queue_clients"`
 	ArrivalRate float64        `json:"arrival_rate"`
 	Planted     bool           `json:"planted"`
+	ZKServers   int            `json:"zk_servers,omitempty"`
 	Tracks      []faults.Track `json:"tracks"`
 }
 
@@ -127,12 +130,17 @@ func newHuntWorld(profile string, seed int64, plant bool) (huntWorld, error) {
 			horizon = p.Horizon
 		}
 	}
+	servers := 0
+	if rand.New(rand.NewSource(seed+61)).Intn(2) == 1 {
+		servers = 5
+	}
 	return huntWorld{
 		Profile:     profile,
 		Seed:        seed,
 		Unit:        huntUnit,
 		Horizon:     horizon,
-		Tracks:      append(faults.RandomTracks(seed, profs), leaderCut(seed, horizon)),
+		ZKServers:   servers,
+		Tracks:      append(faults.RandomTracks(seed, profs), leaderCut(seed, horizon, servers)),
 		Sessions:    huntSessions,
 		Causal:      huntCausal,
 		Queues:      huntQueues,
@@ -142,15 +150,16 @@ func newHuntWorld(profile string, seed int64, plant bool) (huntWorld, error) {
 }
 
 // leaderCut is the zk-leader track: one partition that cuts FRK, where the
-// zk ensemble starts out leading, off from IRL and VRG for huntLeaderCut
-// units, starting at a seeded instant in the second quarter of the horizon.
-// The majority elects a successor meanwhile, and operations in flight at FRK
-// when the cut begins are still within their timeout when it heals.
-func leaderCut(seed int64, horizon time.Duration) faults.Track {
+// zk ensemble of servers (0 = 3) starts out leading, off from the rest for
+// huntLeaderCut election timeouts, starting at a seeded instant in the second
+// quarter of the horizon. The majority elects a successor meanwhile, and
+// operations in flight at FRK when the cut begins are still within their
+// timeout when it heals.
+func leaderCut(seed int64, horizon time.Duration, servers int) faults.Track {
 	at := horizon/4 + time.Duration(rand.New(rand.NewSource(seed+59)).Int63n(int64(horizon/4)))
-	cut := faults.Partition{Groups: [][]netsim.Region{{netsim.FRK}, {netsim.IRL, netsim.VRG}}, ID: 1}
-	return faults.Track{Name: "zk-leader",
-		Schedule: faults.NewSchedule().At(at, cut).At(at+huntLeaderCut*huntUnit, faults.Heal{ID: 1})}
+	cut := faults.Partition{Groups: [][]netsim.Region{{netsim.FRK}, zkRegions[1:max(servers, 3)]}, ID: 1}
+	heal := at + huntLeaderCut*huntElectionTimeout(servers)*huntUnit
+	return faults.Track{Name: "zk-leader", Schedule: faults.NewSchedule().At(at, cut).At(heal, faults.Heal{ID: 1})}
 }
 
 // huntOutcome is one world's verdict.
@@ -360,12 +369,15 @@ func (w huntWorld) runOn(h *world) *huntOutcome {
 
 	// Correctable ZooKeeper queue sessions.
 	if w.Queues > 0 {
+		timeout := huntElectionTimeout(w.ZKServers) * w.Unit
 		e := h.newZK(cfg, zkOpts{
 			correctable:     true,
 			leader:          netsim.FRK,
+			servers:         w.ZKServers,
+			probe:           huntQueue(0),
 			opTimeout:       huntQueueTimeout * w.Unit,
-			heartbeat:       w.Unit / 4,
-			electionTimeout: w.Unit,
+			heartbeat:       timeout / 4,
+			electionTimeout: timeout,
 		})
 		e.Bootstrap(zk.CreateTxn{Path: "/queues"})
 		for q := 0; q < (w.Queues+1)/2; q++ {
@@ -393,11 +405,12 @@ func (w huntWorld) runOn(h *world) *huntOutcome {
 		inconclusive: append(a.inconclusive, c.inconclusive...),
 		digest:       historyDigest(a.ops, b.ops, c.ops), // an empty history adds nothing
 	}
-	if stuck != nil {
-		// A world that does not come to rest goes first: its histories are
-		// missing the operations that hung, so the safety verdicts below
-		// are over less than the world issued.
-		out.violations = append(out.violations, history.Violation{Guarantee: "quiescence", Detail: stuck.Error()})
+	if b, ok := stuck.(*breach); ok {
+		// A world that does not come to rest, or whose zk contacts do not
+		// commit again, goes first: its histories are missing the
+		// operations that hung or could not commit, so the safety verdicts
+		// below are over less than the world issued.
+		out.violations = append(out.violations, history.Violation{Guarantee: b.guarantee, Detail: b.detail})
 	}
 	out.violations = append(out.violations, a.session...)
 	out.violations = append(out.violations, a.lin...)
@@ -408,6 +421,19 @@ func (w huntWorld) runOn(h *world) *huntOutcome {
 }
 
 func huntQueue(q int) string { return fmt.Sprintf("hq-%d", q) }
+
+// huntElectionTimeout is the election timeout, in units, of a hunt ensemble
+// of servers (0 = 3): the least that covers the longest round trip a server
+// needs to reach a majority, 83 ms (IRL-VRG) of three servers and 132 ms
+// (IRL-ORE) of five. A shorter timeout expires before a won election's
+// first heartbeat comes back to the voters, which then stand again, and
+// leadership churns on after every heal (zk.Config.ElectionTimeout).
+func huntElectionTimeout(servers int) time.Duration {
+	if servers == 5 {
+		return 3
+	}
+	return 2
+}
 
 // cloneTracks deep-copies the track list (schedules rebuilt, so candidate
 // mutations never alias the original).
@@ -445,9 +471,10 @@ func countEvents(ts []faults.Track) int {
 // minimizeWorld is the deterministic delta-debugging minimizer: greedily
 // drop whole fault tracks, then whole atoms (a partition with its heal, a
 // crash with its restart, a spike or drop alone) within the remaining
-// tracks, then shrink the client populations and switch off the arrival
-// generator — accepting each candidate iff re-running the candidate world
-// still reproduces the target violation (same guarantee, client, key).
+// tracks, then shrink the client populations, switch off the arrival
+// generator and move the zk ensemble to 3 servers — accepting each
+// candidate iff re-running the candidate world still reproduces the target
+// violation (same guarantee, client, key).
 // Passes repeat until a fixpoint. Everything is sequential and ordered, so
 // the same (world, target) always shrinks to the same repro, byte for
 // byte. Returns the shrunk world and the number of candidate runs spent.
@@ -533,6 +560,16 @@ func minimizeWorld(w huntWorld, tgt huntTarget) (huntWorld, int) {
 			}
 			w = cand
 			changed = true
+		}
+
+		// Configuration: the zk ensemble toward its default 3 servers.
+		if w.ZKServers != 0 {
+			cand := w
+			cand.ZKServers = 0
+			if reproduces(cand) {
+				w = cand
+				changed = true
+			}
 		}
 
 		if !changed {

@@ -42,18 +42,56 @@ func TestHuntDeposedLeaderReproIsClean(t *testing.T) {
 	}
 }
 
+// recoveryRepro is the shrunk world in which the hunt, drawing a 5-server
+// zk ensemble, found ROADMAP item 28 before the fix: after the zk-leader
+// cut healed, VRG led epoch 8 while the other four servers held promises of
+// epochs 9 to 12 from candidacies that lost, ignored its heartbeats and
+// refused its proposals, and every probe failed with ErrLeaderLost.
+const recoveryRepro = "testdata/hunt-zk-recovery.json"
+
+// TestHuntRecoveryReproIsClean replays that world: every server converges
+// on the live leader's epoch, so every post-heal probe commits and every
+// checker passes, and the world still has its 5 servers and its cut.
+func TestHuntRecoveryReproIsClean(t *testing.T) {
+	data, err := os.ReadFile(recoveryRepro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ParseHuntRepro(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := worldOf(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Guarantee != "recovery" || w.ZKServers != 5 || w.Queues == 0 || len(w.Tracks) != 1 || w.Tracks[0].Name != "zk-leader" {
+		t.Fatalf("repro of %q has %d zk servers, %d queue clients and tracks %v, want a recovery finding in a 5-server world with the zk-leader track",
+			r.Guarantee, w.ZKServers, w.Queues, w.Tracks)
+	}
+	out := runHuntWorld(w)
+	for _, v := range out.violations {
+		t.Error(v.String())
+	}
+	if out.ops == 0 {
+		t.Error("the repro world ran no operations")
+	}
+}
+
 // FuzzParseHuntRepro: a hunt repro's wire form is a fixed point after one
 // trip, like a fault track's (faults.FuzzTrackJSON), which it embeds.
 // Whatever bytes parse as a repro, encoding them, parsing that and encoding
-// again must give the same bytes. The checked-in repro seeds the corpus;
+// again must give the same bytes. The checked-in repros seed the corpus;
 // run it with:
 // go test ./internal/bench/ -run '^$' -fuzz FuzzParseHuntRepro -fuzztime 10s
 func FuzzParseHuntRepro(f *testing.F) {
-	seed, err := os.ReadFile(deposedLeaderRepro)
-	if err != nil {
-		f.Fatal(err)
+	for _, repro := range []string{deposedLeaderRepro, recoveryRepro} {
+		seed, err := os.ReadFile(repro)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
 	}
-	f.Add(seed)
 	f.Add([]byte(`{"version":1,"tracks":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r1, err := ParseHuntRepro(data)

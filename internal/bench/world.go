@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"correctables/internal/binding"
@@ -55,6 +56,10 @@ type world struct {
 	actors   *netsim.Group
 	gates    []*load.Controller
 	sampling bool
+	// probed is the faulted world's zk ensemble, and probeQueue the queue
+	// its post-heal probe enqueues into (run).
+	probed     *zk.Ensemble
+	probeQueue string
 }
 
 func newFabric(cfg Config) *world {
@@ -162,6 +167,11 @@ func (w *world) newCassandra(cfg Config, opts cassandraOpts) *cassandra.Cluster 
 type zkOpts struct {
 	correctable bool
 	leader      netsim.Region
+	// servers is the ensemble's size, the first of zkRegions (0 = 3).
+	servers int
+	// probe is the queue the post-heal probe enqueues into; a faulted world
+	// names one (run).
+	probe string
 	// opTimeout bounds client operations under fault injection (0 = default).
 	opTimeout time.Duration
 	// heartbeat/electionTimeout tune the recovery machinery (0 = defaults).
@@ -171,10 +181,17 @@ type zkOpts struct {
 	electionTimeout time.Duration
 }
 
-// newZK builds an ensemble on the world's fabric.
+// zkRegions place a zk ensemble's servers, in declaration order.
+var zkRegions = []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG, netsim.NCA, netsim.ORE}
+
+// newZK builds an ensemble on the world's fabric; in a faulted world, run
+// probes it after the last heal.
 func (w *world) newZK(cfg Config, opts zkOpts) *zk.Ensemble {
+	if opts.servers == 0 {
+		opts.servers = 3
+	}
 	e, err := zk.NewEnsemble(zk.Config{
-		Regions:           []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG},
+		Regions:           zkRegions[:opts.servers],
 		LeaderRegion:      opts.leader,
 		Transport:         w.tr,
 		Correctable:       opts.correctable,
@@ -189,6 +206,12 @@ func (w *world) newZK(cfg Config, opts zkOpts) *zk.Ensemble {
 	}
 	if w.trc != nil {
 		e.SetTrace(w.trc)
+	}
+	if w.inj != nil {
+		if opts.probe == "" {
+			panic("bench: a faulted zk world names the queue its post-heal probe enqueues into")
+		}
+		w.probed, w.probeQueue = e, opts.probe
 	}
 	return e
 }
@@ -479,30 +502,85 @@ func (p *phaseProbe) during(i int) phaseCounters {
 }
 
 // run plays the experiment out: wait for every population, stop the
-// admission gates, clear the faults so stalled traffic can finish, and
-// drain the background traffic. It returns the model instant the last
-// actor finished at.
+// admission gates, probe recovery, clear the faults so stalled traffic can
+// finish, and drain the background traffic. It returns the model instant
+// the last actor finished at.
 //
-// Quiescence is a checked post-condition: once the faults are cleared and
-// the clock drained, nothing is left that could wake a parked actor, so one
-// that remains is waiting for something a fault destroyed. That is a
-// liveness failure no checker over completed operations can see — the
-// operation never completed — and run reports it as an error.
+// It checks two post-conditions, each a liveness failure no checker over
+// completed operations can see, and reports the first that fails as a
+// *breach. Recovery: in a world with a faulted zk ensemble, once the last
+// heal has had zk.RecoveryTimeouts election timeouts to take effect, a strong
+// enqueue from every server as contact commits (probeRecovery). zk's
+// ErrLeaderLost is ambiguous, so the checkers count such an operation as
+// optional, and a contact that never commits again would pass them.
+// Quiescence: once the faults are cleared and the clock drained, nothing is
+// left that could wake a parked actor, so one that remains is waiting for
+// something a fault destroyed — the operation never completed.
 func (w *world) run() (time.Duration, error) {
 	w.actors.Wait()
 	for _, g := range w.gates {
 		g.Stop()
 	}
 	end := w.clock.Now()
+	var lost error
 	if w.inj != nil {
+		lost = w.probeRecovery()
 		w.inj.Quiesce()
 	}
 	w.clock.Drain()
 	if n := w.clock.Parked(); n > 0 {
-		return end, fmt.Errorf("%d actor(s) still parked after the faults cleared and the clock drained, "+
-			"each waiting for something that can no longer happen", n)
+		return end, &breach{guarantee: "quiescence", detail: fmt.Sprintf("%d actor(s) still parked after the faults cleared and the clock drained, "+
+			"each waiting for something that can no longer happen", n)}
 	}
-	return end, nil
+	return end, lost
+}
+
+// A breach is a post-condition of run that a world failed: the guarantee
+// it names ("quiescence", "recovery") and what was seen.
+type breach struct{ guarantee, detail string }
+
+func (b *breach) Error() string { return b.detail }
+
+// probeRecovery is the recovery post-condition, run before Quiesce so that
+// it judges the protocol and not the stopped timers: it heals the world's
+// partitions (faults.Heal, which stops no timer), lets zk.RecoveryTimeouts
+// election timeouts pass, and then sends one strong enqueue from every
+// server as contact, all at once, through the client library. It returns a
+// recovery breach naming each probe that failed. The probes record no
+// history and fall after every reported row.
+func (w *world) probeRecovery() error {
+	e := w.probed
+	if e == nil {
+		return nil
+	}
+	w.inj.Apply(faults.Heal{})
+	bound := zk.RecoveryTimeouts * e.Config().ElectionTimeout
+	w.clock.Sleep(bound)
+	ctx := context.Background()
+	regions := e.Config().Regions
+	errs := make([]error, len(regions))
+	g := w.clock.NewGroup()
+	for i, r := range regions {
+		c := binding.NewClient(zk.NewBinding(zk.NewQueueClient(e, r, r)))
+		g.Add(1)
+		w.clock.Go(func() {
+			defer g.Done()
+			op := binding.Enqueue{Queue: w.probeQueue, Item: []byte("probe")}
+			_, errs[i] = binding.InvokeStrong[binding.Item](ctx, c, op).Final(ctx)
+		})
+	}
+	g.Wait()
+	var failed []string
+	for i, err := range errs {
+		if err != nil {
+			failed = append(failed, fmt.Sprintf("%s: %v", regions[i], err))
+		}
+	}
+	if len(failed) == 0 {
+		return nil
+	}
+	return &breach{guarantee: "recovery", detail: fmt.Sprintf("%d of %d zk contacts did not commit %v after the last heal: %s",
+		len(failed), len(regions), bound, strings.Join(failed, "; "))}
 }
 
 // mustRun is run for the drivers that return rows and no error: their

@@ -2,6 +2,7 @@ package zk
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -21,28 +22,37 @@ import (
 // vote per epoch, and only to a candidate whose (dataEpoch, lastZxid) is at
 // least its own — the newest-state rule that keeps client-acknowledged
 // transactions on the winning side; the grant piggybacks the voter's
-// accept-log tail. A voter that heard its leader within the lease (two
+// accept-log tail and, as in Raft, restarts the voter's election timer. A
+// voter that heard another leader, or granted a vote, within the lease (two
 // heartbeat intervals) denies without adopting the candidate's epoch and
 // flags the live leader: this pre-vote stops a healed minority server from
-// deposing a healthy leader, and the candidate withdraws its candidacy's
-// epoch, so that it goes on hearing that leader. A win takes a majority,
-// own vote included, so at most one server wins an epoch.
+// deposing a healthy leader, and the candidate stands down and goes on
+// hearing that leader: a follower hears any heartbeat it has not promised
+// past, and a candidacy's own epoch promises nothing. A win takes a
+// majority of servers, itself included, so at most one server wins an
+// epoch.
+//
+// Convergence: a voter of a candidacy that lost may be left promising an
+// epoch no leader holds, and then ignores the live leader's heartbeats and
+// refuses its proposals. It answers those heartbeats (onStale), and the
+// leader stands again above its epoch, so that within RecoveryTimeouts
+// election timeouts of the last heal every server follows one leader.
 //
 // Each server also keeps the leader it has heard of (electState.heard):
 // where it forwards requests as a contact. A heartbeat of a newer epoch, a
-// win, or a failed forward's reply naming a newer leader moves it, and
-// re-sends the forwards the server keeps that have not landed.
+// win, or a snapshot from the leader of a newer epoch moves it, and re-sends
+// the forwards the server keeps that have not landed; a leader that steps
+// down names no leader until it hears one.
 //
 // After construction a role changes only in elector.become, along the moves
-// of this table (legal); any other move panics. A retry re-enters candidacy
-// without leaving it, so one election span covers a candidacy and its
-// retries. Follower has no hooks.
+// of this table (legal); any other move panics. A retry in the same epoch is
+// no move: it asks again, keeping the votes it holds. Follower has no hooks.
 //
 //	move    trigger                      exit action        enter action
-//	F -> C  no heartbeat for the         -                  self-vote; open
-//	        election timeout; epoch+1                       the election span
-//	C -> C  timer again: retry, epoch+1  - (re-entry)       self-vote again
-//	        only after a live denial
+//	F -> C  no heartbeat or grant for    -                  self-vote; open
+//	        its timeout; epoch+1                            the election span
+//	C -> C  timer after a live denial:   - (re-entry)       self-vote again
+//	        epoch+1
 //	C -> F  heartbeat of its epoch or    clear the denial   -
 //	        newer; lease denial; vote    flag and tally,
 //	        request of a newer epoch     close the span
@@ -51,6 +61,8 @@ import (
 //	L -> F  heartbeat of a newer epoch;  -                  -
 //	        stale win; a majority
 //	        refused a round (stepDown)
+//	L -> C  a server promised a newer    -                  as F -> C
+//	        epoch (onStale); above it
 //
 // Crash integration rides one injector subscription, which reads every
 // region's Down after each fault transition: a down server is suspended (no
@@ -88,7 +100,7 @@ func (r role) String() string {
 var legal = [3][3]bool{
 	roleFollower:  {roleCandidate: true},
 	roleCandidate: {roleFollower: true, roleCandidate: true, roleLeader: true},
-	roleLeader:    {roleFollower: true},
+	roleLeader:    {roleFollower: true, roleCandidate: true},
 }
 
 // ElectionRecord is one entry of the ensemble's election log.
@@ -122,15 +134,14 @@ type electState struct {
 	promised uint64
 	votedFor netsim.Region
 	votedEp  uint64
-	lastBeat time.Duration // last heartbeat heard (or grace reset)
+	lastBeat time.Duration // last heartbeat heard or vote granted (or grace reset)
 	// suspended mirrors the region's crash state (injector Down), read
 	// after every fault transition.
 	suspended bool
-	// candidate bookkeeping: preEpoch is the epoch it stood from
-	preEpoch uint64
-	votes    int
-	sawDeny  bool // a live peer denied (not lease-deny): bump epoch on retry
-	tally    map[uint64]acceptedTxn
+	// candidate bookkeeping
+	voters  []netsim.Region // the servers whose votes it holds, itself first
+	sawDeny bool            // a live peer denied (not lease-deny): bump epoch on retry
+	tally   map[uint64]acceptedTxn
 	// sp is the open election-window span (tracing only): candidacy start
 	// to win or step-down.
 	sp trace.SpanID
@@ -193,13 +204,6 @@ func newElector(e *Ensemble, inj *faults.Injector, leader *Server) *elector {
 	return el
 }
 
-// lease is how long a follower keeps trusting its leader after a
-// heartbeat: two intervals tolerate one lost beat.
-func (el *elector) lease() time.Duration { return 2 * el.hb }
-
-// majority is the vote count that wins an election (self included).
-func (el *elector) majority() int { return len(el.e.order)/2 + 1 }
-
 // setSuspended brings s's suspension in line with its region's crash state.
 // It is a no-op when the flag already matches, so only a real restart
 // grants a fresh grace period.
@@ -255,7 +259,8 @@ func (el *elector) exit(s *Server, now time.Duration) map[uint64]acceptedTxn {
 		// Nothing to undo: the heartbeat chain ends by reading the role, and
 		// a round the deposed leader still waits on ends on its followers'
 		// answers — refusals from those that promised the newer epoch
-		// (proposal.tally) — which fail its operation.
+		// (proposal.tally) — which fail its operation, or is aborted by its
+		// next win (install).
 	}
 	return nil
 }
@@ -267,7 +272,7 @@ func (el *elector) enter(s *Server, tally map[uint64]acceptedTxn, now time.Durat
 	switch st.role {
 	case roleCandidate:
 		// The self-vote, with this server's own accept-log tail.
-		st.votedFor, st.votedEp, st.votes, st.sawDeny = s.Region, st.epoch, 1, false
+		st.votedFor, st.votedEp, st.voters, st.sawDeny = s.Region, st.epoch, append(st.voters[:0], s.Region), false
 		_, applied, _ := s.electInfo()
 		st.tally = s.acceptedTail(applied)
 		if trc := el.e.trc; trc != nil && st.sp == 0 {
@@ -300,14 +305,7 @@ func (el *elector) install(s *Server, tally map[uint64]acceptedTxn, now time.Dur
 	s.election.promised = epoch
 	s.mu.Lock()
 	// What it accepted while it stood counts as its own vote's tail.
-	for z, a := range s.accepted {
-		if cur, ok := tally[z]; !ok || a.Epoch > cur.Epoch {
-			if tally == nil {
-				tally = make(map[uint64]acceptedTxn)
-			}
-			tally[z] = a
-		}
-	}
+	tally = merge(tally, s.accepted)
 	zxids := make([]uint64, 0, len(tally))
 	for z := range tally {
 		if z > s.lastApplied {
@@ -328,6 +326,9 @@ func (el *elector) install(s *Server, tally map[uint64]acceptedTxn, now time.Dur
 	el.log = append(el.log, ElectionRecord{Epoch: epoch, Leader: s.Region, At: now})
 	if e.trc != nil {
 		e.trc.Instant(e.electTrk, "elected", string(s.Region), now)
+	}
+	for _, q := range s.election.rounds {
+		q.abort() // an older epoch's, which the installed state holds
 	}
 	el.runBeats(s, epoch)
 	e.resyncLagging(s)
@@ -380,16 +381,26 @@ func (el *elector) timerFired(s *Server) {
 			return
 		}
 		// Timed out: fresh candidacy in a new epoch.
-		st.preEpoch = st.epoch
 		st.epoch++
 	} else if st.sawDeny {
 		// Candidate retry after a live denial (e.g. a split vote): a new
 		// epoch releases the deniers' votes. Without any reply — an
-		// isolated candidate — retry in the same epoch so a minority
-		// server cannot inflate epochs unboundedly while partitioned.
+		// isolated candidate — retry in the same epoch, keeping the votes
+		// it holds, so a minority server cannot inflate epochs unboundedly
+		// while partitioned.
 		st.epoch++
 	}
-	el.become(s, roleCandidate, now)
+	el.stand(s, now)
+	el.armTimer(s, st.timeout)
+}
+
+// stand makes s a candidate in its epoch, unless it already is one, and
+// asks the others for their votes. Callers hold el.mu; stand releases it.
+func (el *elector) stand(s *Server, now time.Duration) {
+	st := &s.election
+	if st.role != roleCandidate || st.votedEp != st.epoch {
+		el.become(s, roleCandidate, now)
+	}
 	epoch := st.epoch
 	candEpoch, candApplied, candZxid := s.electInfo()
 	el.mu.Unlock()
@@ -401,7 +412,6 @@ func (el *elector) timerFired(s *Server) {
 			})
 		}
 	}
-	el.armTimer(s, st.timeout)
 }
 
 // --- heartbeats ---------------------------------------------------------
@@ -421,6 +431,7 @@ func (el *elector) beat(s *Server, epoch uint64) {
 		return
 	}
 	suspended := st.suspended
+	el.e.inv.checkLeadership(el, s)
 	el.mu.Unlock()
 
 	if !suspended {
@@ -435,15 +446,28 @@ func (el *elector) beat(s *Server, epoch uint64) {
 	el.runBeats(s, epoch)
 }
 
-// onHeartbeat runs at a server hearing leader's heartbeat: adopt the epoch,
-// step down from any candidacy (or stale leadership), refresh the lease,
-// and, on a newer epoch than the one it heard of, re-send its forwards to
-// leader.
+// onHeartbeat runs at a server hearing leader's heartbeat of its epoch or a
+// newer one — or, at a follower, of any epoch it has not promised past, a
+// lost candidacy's epoch promising nothing: adopt the epoch, step down from
+// any candidacy (or stale leadership), refresh the lease, and, on a newer
+// epoch than the one it heard of, re-send its forwards to leader.
 func (el *elector) onHeartbeat(s, leader *Server, epoch uint64) {
 	el.mu.Lock()
 	st := &s.election
-	if el.stopped || st.suspended || epoch < st.epoch {
+	if el.stopped || st.suspended {
 		el.mu.Unlock()
+		return
+	}
+	if epoch < st.epoch && (st.role != roleFollower || epoch < st.promised) {
+		// A server that promised an epoch no leader it heard of holds (a
+		// lost candidacy's) answers: the leader stands again above it.
+		stuck, above := epoch < st.promised && st.heardEp < st.promised, st.epoch
+		el.mu.Unlock()
+		if stuck {
+			el.e.tr.Send(s.Region, leader.Region, netsim.LinkReplica, HeartbeatSize, func() {
+				el.onStale(leader, epoch, above)
+			})
+		}
 		return
 	}
 	now := el.e.tr.Clock().Now()
@@ -456,10 +480,9 @@ func (el *elector) onHeartbeat(s, leader *Server, epoch uint64) {
 	el.mu.Unlock()
 }
 
-// learn is s hearing of leader in epoch — from its heartbeat, or from the
-// reply to a forward that failed at a server which had heard of it: a newer
-// epoch than the one s heard of makes leader where s forwards, and s
-// re-sends its pending forwards there. Callers hold el.mu.
+// learn is s hearing of leader in epoch, from its heartbeat or its
+// snapshot: a newer epoch than the one s heard of makes leader where s
+// forwards, and s re-sends its pending forwards there. Callers hold el.mu.
 func (el *elector) learn(s, leader *Server, epoch uint64) {
 	if st := &s.election; epoch > st.heardEp {
 		st.heard, st.heardEp = leader, epoch
@@ -467,9 +490,24 @@ func (el *elector) learn(s, leader *Server, epoch uint64) {
 	}
 }
 
+// onStale runs at s, leading epoch, when a server that promised a newer one,
+// and so refuses s's proposals, ignored its heartbeat: s stands again above
+// that server's epoch.
+func (el *elector) onStale(s *Server, epoch, above uint64) {
+	el.mu.Lock()
+	st := &s.election
+	if el.stopped || st.suspended || st.role != roleLeader || st.epoch != epoch {
+		el.mu.Unlock()
+		return
+	}
+	st.epoch = above + 1
+	el.stand(s, el.e.tr.Clock().Now())
+}
+
 // stepDown is s, leading epoch, learning from a majority's refusals that
 // they have seen a newer one: it follows, with a fresh lease, until it hears
-// the newer leader or stands again.
+// the newer leader or stands again. Until then it names no leader, not
+// itself, so that a forward it fails tells its contact nothing stale.
 func (el *elector) stepDown(s *Server, epoch uint64) {
 	el.mu.Lock()
 	defer el.mu.Unlock()
@@ -477,6 +515,9 @@ func (el *elector) stepDown(s *Server, epoch uint64) {
 		now := el.e.tr.Clock().Now()
 		el.become(s, roleFollower, now)
 		st.lastBeat = now
+		if st.heard == s {
+			st.heard = nil
+		}
 	}
 }
 
@@ -494,17 +535,19 @@ func (el *elector) onVoteRequest(v, cand *Server, epoch, candEpoch, candApplied,
 	reply := func(granted, leaderLive bool, tail map[uint64]acceptedTxn) {
 		el.mu.Unlock()
 		el.e.tr.Send(v.Region, cand.Region, netsim.LinkReplica, voteReplySize(tail), func() {
-			el.onVoteReply(cand, epoch, granted, leaderLive, tail)
+			el.onVoteReply(cand, v, epoch, granted, leaderLive, tail)
 		})
 	}
 	if epoch < st.epoch {
 		reply(false, false, nil)
 		return
 	}
-	// Leader lease pre-vote: a live leader, or a follower that heard one
-	// within the lease, denies without adopting the epoch — a healed
-	// minority candidate steps down instead of deposing a healthy leader.
-	if st.role == roleLeader || now-st.lastBeat < el.lease() {
+	// Leader lease pre-vote: a live leader, or a server that heard
+	// another leader or granted a vote within the lease — two heartbeat
+	// intervals, which tolerate one lost beat — denies without adopting the
+	// epoch: a healed minority candidate steps down instead of deposing a
+	// healthy leader.
+	if st.role == roleLeader || now-st.lastBeat < 2*el.hb && st.heard != cand {
 		reply(false, true, nil)
 		return
 	}
@@ -524,12 +567,12 @@ func (el *elector) onVoteRequest(v, cand *Server, epoch, candEpoch, candApplied,
 		reply(false, false, nil)
 		return
 	}
-	st.votedFor, st.votedEp = cand.Region, epoch
+	st.votedFor, st.votedEp, st.lastBeat = cand.Region, epoch, now
 	reply(true, false, v.acceptedTail(candApplied))
 }
 
 // onVoteReply runs at the candidate.
-func (el *elector) onVoteReply(cand *Server, epoch uint64, granted, leaderLive bool, tail map[uint64]acceptedTxn) {
+func (el *elector) onVoteReply(cand, voter *Server, epoch uint64, granted, leaderLive bool, tail map[uint64]acceptedTxn) {
 	el.mu.Lock()
 	defer el.mu.Unlock()
 	st := &cand.election
@@ -539,28 +582,36 @@ func (el *elector) onVoteReply(cand *Server, epoch uint64, granted, leaderLive b
 	now := el.e.tr.Clock().Now()
 	if !granted {
 		if leaderLive {
-			// The cluster has a live leader: stand down, withdraw the
-			// candidacy's epoch — a pre-vote that failed — and wait to hear
-			// it. A server left in an epoch no one leads would ignore the
-			// live leader's heartbeats and refuse its proposals.
+			// The cluster has a live leader: stand down and wait to hear
+			// it. The candidacy's epoch promised nothing, so the follower
+			// hears the leader's heartbeats below it (onHeartbeat).
 			el.become(cand, roleFollower, now)
 			st.lastBeat = now
-			st.epoch = st.preEpoch
 		} else {
 			st.sawDeny = true
 		}
 		return
 	}
-	st.votes++
-	for z, a := range tail {
-		if cur, ok := st.tally[z]; !ok || a.Epoch > cur.Epoch {
-			if st.tally == nil {
-				st.tally = make(map[uint64]acceptedTxn)
-			}
-			st.tally[z] = a
-		}
+	if slices.Contains(st.voters, voter.Region) {
+		return // a grant to an earlier request of this candidacy
 	}
-	if st.votes >= el.majority() {
+	st.voters = append(st.voters, voter.Region)
+	st.tally = merge(st.tally, tail)
+	if len(st.voters) > len(el.e.order)/2 {
 		el.become(cand, roleLeader, now)
 	}
+}
+
+// merge adds tail's entries to tally, an entry of a higher epoch winning
+// at a zxid both hold, and returns tally.
+func merge(tally, tail map[uint64]acceptedTxn) map[uint64]acceptedTxn {
+	for z, a := range tail {
+		if cur, ok := tally[z]; !ok || a.Epoch > cur.Epoch {
+			if tally == nil {
+				tally = make(map[uint64]acceptedTxn)
+			}
+			tally[z] = a
+		}
+	}
+	return tally
 }

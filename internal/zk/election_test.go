@@ -240,6 +240,14 @@ func newElectionEnsembleOf(t *testing.T, correctable bool, regions ...netsim.Reg
 	return e, inj, clock, trc
 }
 
+// nameOf names a server, or none.
+func nameOf(s *Server) netsim.Region {
+	if s == nil {
+		return "none"
+	}
+	return s.Region
+}
+
 // roleAt sleeps until the model instant at and checks the server's role.
 func roleAt(t *testing.T, e *Ensemble, clock *netsim.VirtualClock, at time.Duration, r netsim.Region, want string) {
 	t.Helper()
@@ -357,23 +365,24 @@ func TestSplitVoteRetriesInNewEpoch(t *testing.T) {
 // TestStaleWinStepsDown: a candidate whose majority arrives after a higher
 // epoch has won does not lead; it follows, and the election log does not
 // list it. NCA stands for epoch 1 at 2.5s and ORE and VRG grant it, but a
-// latency spike holds both grants for ~1.5s; IRL cannot hear NCA, is denied
-// in epoch 1, and follows ORE, which stands for epoch 2 at 3.5s and wins at
-// ~3.63s. The held grants give NCA its majority at ~4s, long before ORE's
-// vote request or heartbeats reach it through the spike.
+// latency spike holds both grants for ~3.3s; IRL cannot hear NCA and is
+// denied in epoch 1 at 4s. ORE, whose grant restarted its timer, stands for
+// epoch 2 at ~5.51s and wins at ~5.64s on the votes of VRG and IRL. The held
+// grants give NCA its majority at ~5.88s, long before ORE's vote request or
+// heartbeats reach it through the spike.
 func TestStaleWinStepsDown(t *testing.T) {
-	e, inj, clock, trc := newElectionEnsemble(t, netsim.FRK, netsim.NCA, netsim.IRL, netsim.ORE, netsim.VRG)
+	e, inj, clock, trc := newElectionEnsemble(t, netsim.FRK, netsim.NCA, netsim.ORE, netsim.VRG, netsim.IRL)
 	inj.Apply(faults.Crash{Region: netsim.FRK})
 	inj.Apply(faults.Drop{From: netsim.IRL, To: netsim.NCA, Prob: 1})
 	clock.SleepUntil(2505 * time.Millisecond) // NCA's vote requests are on their way
-	// One-way ORE-NCA is 10.5ms and VRG-NCA 31ms: both grants take ~1.5s.
-	inj.Apply(faults.LatencySpike{From: netsim.ORE, To: netsim.NCA, Factor: 142, Duration: 3 * time.Second})
-	inj.Apply(faults.LatencySpike{From: netsim.VRG, To: netsim.NCA, Factor: 48, Duration: 3 * time.Second})
-	roleAt(t, e, clock, 3900*time.Millisecond, netsim.NCA, "candidate")
+	// One-way ORE-NCA is 10.5ms and VRG-NCA 31ms: both grants take ~3.3s.
+	inj.Apply(faults.LatencySpike{From: netsim.ORE, To: netsim.NCA, Factor: 310, Duration: 4 * time.Second})
+	inj.Apply(faults.LatencySpike{From: netsim.VRG, To: netsim.NCA, Factor: 105, Duration: 4 * time.Second})
+	roleAt(t, e, clock, 5700*time.Millisecond, netsim.NCA, "candidate")
 	if recs := e.Elections(); len(recs) != 1 || recs[0].Leader != netsim.ORE || recs[0].Epoch != 2 {
 		t.Fatalf("elections = %+v, want one epoch-2 win by %s", recs, netsim.ORE)
 	}
-	roleAt(t, e, clock, 4200*time.Millisecond, netsim.NCA, "follower")
+	roleAt(t, e, clock, 6*time.Second, netsim.NCA, "follower")
 	if recs := e.Elections(); len(recs) != 1 {
 		t.Fatalf("elections = %+v: the stale win was installed", recs)
 	}
@@ -388,14 +397,14 @@ func TestStaleWinStepsDown(t *testing.T) {
 }
 
 // TestIllegalMovePanics: a move the table does not list — a follower
-// leading without a candidacy, a leader standing for election — panics in
+// leading without a candidacy, or taking the role it holds — panics in
 // become and leaves the role alone.
 func TestIllegalMovePanics(t *testing.T) {
 	e, _, _ := newFaultedEnsemble(t)
 	for _, m := range []struct {
 		r  netsim.Region
 		to role
-	}{{netsim.IRL, roleLeader}, {netsim.FRK, roleCandidate}, {netsim.FRK, roleLeader}} {
+	}{{netsim.IRL, roleLeader}, {netsim.IRL, roleFollower}, {netsim.FRK, roleLeader}} {
 		s := e.Server(m.r)
 		from := s.Role()
 		func() {
@@ -518,6 +527,42 @@ func TestCreateQueueStalledAtDeposedLeaderIsResent(t *testing.T) {
 	resentScene(t, true, 2, func(*QueueClient) error { return nil }, func(qc *QueueClient) ([]string, error) {
 		return []string{}, qc.CreateQueue("q")
 	})
+}
+
+// TestResyncedContactForwardsToNewLeader: a snapshot from the leader of a
+// newer epoch tells the server it resyncs who leads. FRK leads and is cut
+// off at once; IRL wins epoch 1 at ~2.58s; the 4s heal resyncs FRK from IRL
+// by state transfer, and an enqueue at contact FRK at 4.02s — before IRL's
+// next heartbeat reaches FRK at ~4.09s — is forwarded to IRL on its first
+// attempt and commits there in epoch 1. Had FRK gone on naming itself, its
+// own leadership of epoch 0 would fail the enqueue with ErrLeaderLost.
+func TestResyncedContactForwardsToNewLeader(t *testing.T) {
+	e, inj, clock, _ := newElectionEnsemble(t, netsim.FRK, netsim.IRL, netsim.VRG)
+	qc := NewQueueClient(e, netsim.FRK, netsim.FRK)
+	if err := qc.CreateQueue("q"); err != nil {
+		t.Fatal(err)
+	}
+	start := clock.Now()
+	inj.Apply(faults.Partition{Groups: [][]netsim.Region{{netsim.FRK}, {netsim.IRL, netsim.VRG}}})
+	clock.SleepUntil(start + 4*time.Second)
+	inj.Apply(faults.Heal{})
+	clock.SleepUntil(start + 4020*time.Millisecond)
+	frk, irl := e.Server(netsim.FRK), e.Server(netsim.IRL)
+	if got := frk.Role(); got != "leader" {
+		t.Fatalf("FRK at 4.02s: role %s, want leader, not yet reached by IRL's heartbeat", got)
+	}
+	if heard, ep := frk.heardOf(); heard != irl || ep != 1 {
+		t.Fatalf("FRK resynced by IRL has heard of %s in epoch %d, want IRL in epoch 1", nameOf(heard), ep)
+	}
+	var final QueueView
+	if err := qc.Enqueue("q", []byte("x"), false, func(v QueueView) { final = v }); err != nil {
+		t.Fatalf("enqueue at the resynced contact: %v", err)
+	}
+	if at := clock.Now() - start; final.Zxid>>32 != 1 || at > 4090*time.Millisecond {
+		t.Errorf("enqueue committed at version %#x, %v after the cut; want epoch 1 and before IRL's heartbeat reaches FRK at ~4.09s", final.Zxid, at)
+	}
+	inj.Quiesce()
+	clock.Drain()
 }
 
 // resentScene plays the scene of TestForwardStalledAtDeposedLeaderIsResent

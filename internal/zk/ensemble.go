@@ -41,8 +41,16 @@ type Config struct {
 	// election (default 2s). Server i (in Regions order) waits
 	// ElectionTimeout + i*ElectionTimeout/4 — a deterministic stagger that
 	// replaces Raft's randomized timeouts, keeping elections seed-replayable.
+	// Like Raft's, it must exceed the round trip a server needs to reach a
+	// majority: a voter whose patience runs out before the winner's first
+	// heartbeat reaches it stands again, and leadership never settles.
 	ElectionTimeout time.Duration
 }
+
+// RecoveryTimeouts is the recovery bound in election timeouts: once the
+// last fault has healed for that long, one server leads, no server holds an
+// epoch or a promise above its epoch, and every contact commits again.
+const RecoveryTimeouts = 4
 
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
@@ -228,7 +236,7 @@ func (e *Ensemble) resyncLagging(leader *Server) {
 			e.trc.Instant(e.electTrk, "resync", string(region), e.tr.Clock().Now())
 		}
 		e.tr.Send(leader.Region, region, netsim.LinkReplica, size, func() {
-			s.installSnapshot(snap, zxid, epoch)
+			s.installSnapshot(leader, snap, zxid, epoch)
 		})
 	}
 }
@@ -250,14 +258,15 @@ func (s *Server) epochApplied() (uint64, uint64) {
 	return s.dataEpoch, s.lastApplied
 }
 
-// installSnapshot replaces the server's state with a leader snapshot taken
+// installSnapshot replaces the server's state with a snapshot leader took
 // at the given (epoch, zxid), then drains any buffered commits past it and
-// releases the waiters the snapshot satisfies. Stale snapshots — at or
-// below the server's own (epoch, zxid), compared lexicographically — are
-// ignored. An epoch-advancing snapshot clears the buffered-commit and
-// accept logs wholesale: their entries belong to a superseded leader's
-// numbering and must not merge with the new epoch's commit stream.
-func (s *Server) installSnapshot(nodes map[string]*node, zxid, epoch uint64) {
+// releases the waiters the snapshot satisfies, and learns of leader as the
+// leader of epoch. Stale snapshots — at or below the server's own (epoch,
+// zxid), compared lexicographically — are ignored. An epoch-advancing
+// snapshot clears the buffered-commit and accept logs wholesale: their
+// entries belong to a superseded leader's numbering and must not merge with
+// the new epoch's commit stream.
+func (s *Server) installSnapshot(leader *Server, nodes map[string]*node, zxid, epoch uint64) {
 	s.mu.Lock()
 	if epoch < s.dataEpoch || (epoch == s.dataEpoch && zxid <= s.lastApplied) {
 		s.mu.Unlock()
@@ -277,6 +286,11 @@ func (s *Server) installSnapshot(nodes map[string]*node, zxid, epoch uint64) {
 	}
 	s.applyPendingLocked()
 	s.mu.Unlock()
+	if el := s.ensemble.elect; el != nil {
+		el.mu.Lock()
+		el.learn(s, leader, epoch)
+		el.mu.Unlock()
+	}
 }
 
 // accept is a follower's answer to a proposal (elections enabled only),
@@ -700,9 +714,9 @@ func passTurn(next *proposal) {
 	}
 }
 
-// abortFrom fails q and every round after it: each was numbered on a state
-// holding the round that failed. A round still taking answers takes an
-// aborted one; a round waiting its turn is woken to find itself aborted.
+// abortFrom fails q and every round after it in its epoch: each was
+// numbered on a state holding the round that failed. (A later epoch's
+// rounds were numbered on the state the leader installed when it won it.)
 func abortFrom(q *proposal) {
 	if q == nil {
 		return
@@ -711,17 +725,27 @@ func abortFrom(q *proposal) {
 	el.mu.Lock()
 	defer el.mu.Unlock()
 	rounds := q.leader.election.rounds
-	for _, q := range rounds[slices.Index(rounds, q):] {
-		if q.aborted {
+	for _, r := range rounds[slices.Index(rounds, q):] {
+		if r.aborted || r.epoch != q.epoch {
 			break
 		}
-		q.aborted = true
-		if q.turn != nil {
-			q.turn.Fire()
-		} else {
-			q.aborts++
-			q.acks.Put(aborted)
-		}
+		r.abort()
+	}
+}
+
+// abort fails the round: one still taking answers takes an aborted one; one
+// waiting its turn is woken to find itself aborted. Callers hold the
+// elector lock.
+func (q *proposal) abort() {
+	if q.aborted {
+		return
+	}
+	q.aborted = true
+	if q.turn != nil {
+		q.turn.Fire()
+	} else {
+		q.aborts++
+		q.acks.Put(aborted)
 	}
 }
 

@@ -19,3 +19,10 @@ func (t *Tree) NodeCount() int {
 	defer t.mu.RUnlock()
 	return len(t.nodes)
 }
+
+// heardOf returns the leader s has heard of, and its epoch.
+func (s *Server) heardOf() (*Server, uint64) {
+	s.ensemble.elect.mu.Lock()
+	defer s.ensemble.elect.mu.Unlock()
+	return s.election.heard, s.election.heardEp
+}

@@ -5,7 +5,9 @@ package zk
 import (
 	"fmt"
 	"sync"
+	"time"
 
+	"correctables/internal/faults"
 	"correctables/internal/netsim"
 )
 
@@ -24,7 +26,10 @@ import (
 //	      vote), or whose applied state is of that epoch and at or past the
 //	      zxid. It holds because a follower acks only what it records
 //	      (Server.accept). Without elections no accept log is kept, and it
-//	      is not checked.
+//	      is not checked;
+//	(iv)  eventual leadership (Ω): at each heartbeat later than
+//	      RecoveryTimeouts election timeouts after the last heal, one server
+//	      leads, and no server's epoch or promise exceeds its epoch.
 type invState struct {
 	mu      sync.Mutex
 	leaders map[uint64]netsim.Region    // epoch -> the leader committing in it
@@ -97,4 +102,26 @@ func (v *invState) checkApplied(s *Server) {
 		v.applied = make(map[netsim.Region][2]uint64)
 	}
 	v.applied[s.Region] = cur
+}
+
+// checkLeadership is invariant (iv), called with the elector lock held at
+// each heartbeat leader sends in its epoch. The last heal is the injector's
+// last transition while no fault is in force.
+func (v *invState) checkLeadership(el *elector, leader *Server) {
+	inj := el.e.tr.Interceptor().(*faults.Injector)
+	var healed time.Duration
+	if log := inj.Log(); len(log) > 0 {
+		healed = log[len(log)-1].At
+	}
+	if inj.Faulted() || el.e.tr.Clock().Now() <= healed+RecoveryTimeouts*el.e.cfg.ElectionTimeout {
+		return
+	}
+	epoch := leader.election.epoch
+	for _, r := range el.e.order {
+		st := &el.e.servers[r].election
+		if st.epoch > epoch || st.promised > epoch || st.role == roleLeader && r != leader.Region {
+			panic(fmt.Sprintf("zk invariant: %s leads epoch %d past the recovery bound, but %s is %s at epoch %d with promise %d",
+				leader.Region, epoch, r, st.role, st.epoch, st.promised))
+		}
+	}
 }

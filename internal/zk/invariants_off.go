@@ -8,3 +8,4 @@ type invState struct{}
 
 func (*invState) checkCommit(*Ensemble, *Server, uint64, uint64) {}
 func (*invState) checkApplied(*Server)                           {}
+func (*invState) checkLeadership(*elector, *Server)              {}

@@ -62,7 +62,7 @@ func (c *QueueClient) Ensemble() *Ensemble { return c.ensemble }
 // CreateQueue creates the queue directory through the ordered protocol: one
 // request to the contact, which creates /queues and then the directory,
 // each through the leader, and replies. A create lost with its leader is
-// retried at another leader the contact has heard of, if any (created).
+// retried (created).
 func (c *QueueClient) CreateQueue(queue string) error {
 	r := c.record()
 	r.call, r.dir = callCreate, queueDir(queue)
@@ -261,20 +261,15 @@ func (r *opRecord) create(path string) {
 	r.forward()
 }
 
-// created is a create's end. It is forwarded again after an ErrLeaderLost
-// if by then the contact has heard of another leader than the server that
-// failed it — the leader that server knew, say — as ZooKeeper's recipes
-// retry a create after a lost connection; a retry to the same server would
-// fail the same way, for as long as the contact hears of no other, so the
-// create fails. A create that failed that way may have taken effect, so a
-// retry that finds the node reports success. The directory's create follows
-// /queues', whose outcome does not matter, and its outcome is CreateQueue's.
+// created is a create's end. It is forwarded again after an ErrLeaderLost,
+// as ZooKeeper's recipes retry a create after a lost connection: the
+// contact converges on the leader that has won. A create that failed that
+// way may have taken effect, so a retry that finds the node reports
+// success. The directory's create follows /queues', whose outcome does not
+// matter, and its outcome is CreateQueue's.
 func (r *opRecord) created() {
 	switch {
 	case errors.Is(r.res.Err, ErrLeaderLost):
-		if to, _ := r.contact.heardOf(); to == r.via {
-			break
-		}
 		r.retried = true
 		r.forward()
 		return

@@ -78,8 +78,6 @@ type opRecord struct {
 	txn       Txn           // what the forward commits
 	via       *Server       // where the current attempt went: the leader the contact heard of
 	attempt   uint32        // the forward's attempt; each re-send is a new one
-	hint      *Server       // on ErrLeaderLost, the leader via had heard of, in epoch hintEp
-	hintEp    uint64
 	zxid      uint64
 	epoch     uint64
 	res       TxnResult // the last call's result: the forward's, or the contact's local read's
@@ -139,7 +137,7 @@ func (e *Ensemble) putRecord(r *opRecord) {
 	r.state, r.attempt, r.retried = opBegin, 0, false
 	r.cb, r.answered, r.onView, r.done = nil, false, nil, nil
 	r.contact, r.qtxn, r.txn, r.dir, r.children, r.head, r.path, r.data = nil, nil, nil, "", nil, "", "", nil
-	r.prelim, r.delivered, r.via, r.hint, r.res, r.final = QueueView{}, nil, nil, nil, TxnResult{}, QueueView{}
+	r.prelim, r.delivered, r.via, r.res, r.final = QueueView{}, nil, nil, TxnResult{}, QueueView{}
 	e.records.Put(r)
 }
 
@@ -168,9 +166,6 @@ func (r *opRecord) advance() {
 		if r.zxid != 0 {
 			r.contact.deliverCommit(r.zxid, r.epoch, r.txn)
 			r.applied = r.contact.awaitApplied(r.zxid)
-		}
-		if r.hint != nil {
-			r.contact.hear(r.hint, r.hintEp)
 		}
 		if r.applied != nil {
 			r.state = opApplied
@@ -244,22 +239,25 @@ func (r *opRecord) flushed() {
 // zxid 0 and no broadcast, like ZooKeeper's prep processor, and so does
 // ErrLeaderLost.
 func (r *opRecord) forward() {
-	r.hint = nil
-	r.via = r.contact.forwardTo(r)
-	if r.via == r.contact {
+	switch r.via = r.contact.forwardTo(r); r.via {
+	case nil: // it waits on its contact's list for a leader
+	case r.contact:
 		r.arrived()
-		return
+	default:
+		r.e.getForward(r, r.via).start()
 	}
-	r.e.getForward(r, r.via).start()
 }
 
 // resend makes a new attempt of the forward, to the leader of a newer epoch
 // its contact has just heard of (elector.resendForwards, under the elector
-// lock); the attempt it supersedes holds the record until it lands. The new
-// attempt leaves in a turn of its own (Clock.Run), as a spawned actor would.
+// lock); the attempt it supersedes, if one left, holds the record until it
+// lands. The new attempt leaves in a turn of its own (Clock.Run), as a
+// spawned actor would.
 func (r *opRecord) resend(to *Server) {
+	if r.via != nil {
+		r.refs++
+	}
 	r.attempt++
-	r.refs++
 	r.via = to
 	r.e.tr.Clock().Run(r.e.getForward(r, to).send)
 }
@@ -347,11 +345,9 @@ func (r *opRecord) lost() {
 	}
 }
 
-// fail answers the forward with ErrLeaderLost, and with the leader the
-// server it reached has heard of, which the contact may not have.
+// fail answers the forward with ErrLeaderLost.
 func (r *opRecord) fail() {
 	r.zxid, r.epoch, r.res = 0, 0, TxnResult{Err: ErrLeaderLost}
-	r.hint, r.hintEp = r.via.heardOf()
 	r.back()
 }
 
@@ -491,9 +487,9 @@ type forwarder interface {
 }
 
 // forwardTo returns the server s, as a contact, forwards a request to: the
-// leader it has heard of. Unless that is s itself, f waits on s's list of
-// pending forwards until it lands there (landed) or a newer epoch re-sends
-// it.
+// leader it has heard of, or nil when it names none. Unless that is s
+// itself, f waits on s's list of pending forwards until it lands there
+// (landed) or a newer epoch re-sends it.
 func (s *Server) forwardTo(f forwarder) *Server {
 	el := s.ensemble.elect
 	if el == nil {
@@ -518,23 +514,5 @@ func (s *Server) landed(f forwarder) {
 	st := &s.election
 	i := slices.Index(st.forwards, f)
 	st.forwards = slices.Delete(st.forwards, i, i+1)
-	el.mu.Unlock()
-}
-
-// heardOf returns the leader s has heard of, and its epoch.
-func (s *Server) heardOf() (*Server, uint64) {
-	if el := s.ensemble.elect; el != nil {
-		el.mu.Lock()
-		defer el.mu.Unlock()
-	}
-	return s.election.heard, s.election.heardEp
-}
-
-// hear is s, as a contact, hearing of leader in epoch from the reply to a
-// forward that failed.
-func (s *Server) hear(leader *Server, epoch uint64) {
-	el := s.ensemble.elect
-	el.mu.Lock()
-	el.learn(s, leader, epoch)
 	el.mu.Unlock()
 }

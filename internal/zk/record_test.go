@@ -127,7 +127,7 @@ func (c *QueueClient) actorRequest(txn queueTxn, wantPrelim bool, resends *int, 
 		}
 	}
 
-	c.ensemble.actorForward(contact, txn, resends, func(version uint64, res TxnResult, _ *Server) {
+	c.ensemble.actorForward(contact, txn, resends, func(version uint64, res TxnResult) {
 		var elem *QueueElement
 		remaining := 0
 		if res.Err == nil {
@@ -182,7 +182,7 @@ func (c *QueueClient) actorRecipe(queue string, resends *int, onView func(QueueV
 		tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(len(data)))
 		tr.Travel(c.Region, c.Contact, netsim.LinkClient, requestSize(len(path)))
 		contact.process()
-		c.ensemble.actorForward(contact, DeleteTxn{Path: path}, resends, func(zxid uint64, res TxnResult, _ *Server) {
+		c.ensemble.actorForward(contact, DeleteTxn{Path: path}, resends, func(zxid uint64, res TxnResult) {
 			tr.Travel(c.Contact, c.Region, netsim.LinkClient, responseSize(4))
 			switch {
 			case errors.Is(res.Err, ErrNoNode):
@@ -220,14 +220,13 @@ func (c *QueueClient) actorCreateQueue(queue string, resends *int, done func(err
 }
 
 // actorCreate is one create of CreateQueue, again after each
-// ErrLeaderLost that left the contact with another leader than the server
-// that failed it; a retry that finds the node reports success. A retry on
+// ErrLeaderLost; a retry that finds the node reports success. A retry on
 // the actor that made the failed attempt loops rather than recurs.
 func (c *QueueClient) actorCreate(contact *Server, path string, retried bool, resends *int, rest func(error)) {
 	for {
 		lost, returned := false, false
-		c.ensemble.actorForward(contact, CreateTxn{Path: path}, resends, func(_ uint64, res TxnResult, via *Server) {
-			if to, _ := contact.heardOf(); !errors.Is(res.Err, ErrLeaderLost) || to == via {
+		c.ensemble.actorForward(contact, CreateTxn{Path: path}, resends, func(_ uint64, res TxnResult) {
+			if !errors.Is(res.Err, ErrLeaderLost) {
 				if retried && errors.Is(res.Err, ErrNodeExists) {
 					res.Err = nil
 				}
@@ -254,11 +253,10 @@ type actorPending struct{ f func(to *Server) }
 func (p *actorPending) resend(to *Server) { p.f(to) }
 
 // actorForward is forward as straight-line code, its commit broadcast a
-// closure per follower, ending in rest with the version, the result and the
-// server the last attempt reached. Each attempt is one call of try: the
-// first on the caller, a re-sent one on an actor of its own, counted in
-// resends.
-func (e *Ensemble) actorForward(contact *Server, txn Txn, resends *int, rest func(zxid uint64, res TxnResult, via *Server)) {
+// closure per follower, ending in rest with the version and the result.
+// Each attempt is one call of try: the first on the caller, a re-sent one
+// on an actor of its own, counted in resends.
+func (e *Ensemble) actorForward(contact *Server, txn Txn, resends *int, rest func(zxid uint64, res TxnResult)) {
 	clock := e.tr.Clock()
 	var attempt uint32
 	var pending *actorPending
@@ -277,11 +275,8 @@ func (e *Ensemble) actorForward(contact *Server, txn Txn, resends *int, rest fun
 		to.proc.Process(e.cfg.ServiceTime)
 		var zxid, epoch uint64
 		var res TxnResult
-		var hint *Server
-		var hintEp uint64
 		if !to.leads() {
 			res = TxnResult{Err: ErrLeaderLost}
-			hint, hintEp = to.heardOf()
 		} else if zxid, epoch, res = to.prepare(txn); zxid != 0 {
 			var quorumSp trace.SpanID
 			if e.trc != nil && e.quorum() > 0 {
@@ -325,7 +320,6 @@ func (e *Ensemble) actorForward(contact *Server, txn Txn, resends *int, rest fun
 			} else {
 				lostEp := epoch
 				zxid, epoch, res = 0, 0, TxnResult{Err: ErrLeaderLost}
-				hint, hintEp = to.heardOf()
 				abortFrom(next)
 				if refused {
 					e.elect.stepDown(to, lostEp)
@@ -338,11 +332,8 @@ func (e *Ensemble) actorForward(contact *Server, txn Txn, resends *int, rest fun
 				contact.deliverCommit(zxid, epoch, txn)
 				contact.waitApplied(zxid)
 			}
-			if hint != nil {
-				contact.hear(hint, hintEp)
-			}
 		}
-		rest(stamp(epoch, zxid), res, to)
+		rest(stamp(epoch, zxid), res)
 	}
 	pending = &actorPending{func(to *Server) {
 		attempt++
@@ -350,7 +341,9 @@ func (e *Ensemble) actorForward(contact *Server, txn Txn, resends *int, rest fun
 		n := attempt
 		clock.Go(func() { try(n, to) })
 	}}
-	try(0, contact.forwardTo(pending))
+	if to := contact.forwardTo(pending); to != nil {
+		try(0, to)
+	}
 }
 
 // waitApplied blocks until the server has applied the given zxid.
@@ -414,6 +407,7 @@ type queueScene struct {
 	elections        []ElectionRecord
 	spans            string // the Chrome export: every span with its annotation
 	parked           int
+	probes           []error // per server, the post-heal probe's outcome (probed scenes)
 }
 
 // playQueueScene plays the randomized zk world of one seed, running every
@@ -426,8 +420,9 @@ type queueScene struct {
 // and dequeue — at every level set through the binding, and with and
 // without a preliminary as blocking calls — on two stocked queues and one
 // that does not exist until, perhaps, a blocking CreateQueue mid-run
-// creates it.
-func playQueueScene(seed int64, faulted, traced bool, way queueWay) queueScene {
+// creates it. probed adds, at 2.5 s, one strong enqueue from every server as
+// contact (TestEveryContactCommitsAfterHeal).
+func playQueueScene(seed int64, faulted, traced, probed bool, way queueWay) queueScene {
 	rng := rand.New(rand.NewSource(seed))
 	all := []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG, netsim.NCA, netsim.ORE}
 	regions := all[:3+2*rng.Intn(2)]
@@ -593,13 +588,26 @@ func playQueueScene(seed int64, faulted, traced bool, way queueWay) queueScene {
 			}
 		})
 	}
+	var probes []error
+	if probed {
+		probes = make([]error, len(regions))
+		clock.RunAt(2500*ms, func() {
+			for i, region := range regions {
+				probes[i] = errors.New("no final")
+				b := NewBinding(NewQueueClient(e, region, region))
+				way.submit(b, binding.Enqueue{Queue: "q", Item: []byte("probe")}, core.Levels{core.LevelStrong}, func(r binding.Result) {
+					probes[i] = r.Err
+				})
+			}
+		})
+	}
 	if inj != nil {
 		clock.RunAt(3*time.Second, inj.Quiesce) // every operation gets home
 	}
 	clock.Drain()
 
 	res := queueScene{
-		log: log, end: clock.Now(),
+		log: log, end: clock.Now(), probes: probes,
 		traffic: meter.Snapshot(), dropped: meter.SnapshotDropped(),
 		elections: e.Elections(),
 		parked:    clock.Parked(),
@@ -653,8 +661,8 @@ func TestForwardRecordMatchesActor(t *testing.T) {
 		var prelims, finals, drops, stalls, elections int
 		resent, blockingResent := actorResends, actorBlockingResends
 		for seed := int64(1); seed <= seeds; seed++ {
-			want := playQueueScene(seed, mode.faulted, mode.traced, onActor)
-			got := playQueueScene(seed, mode.faulted, mode.traced, onRecord)
+			want := playQueueScene(seed, mode.faulted, mode.traced, false, onActor)
+			got := playQueueScene(seed, mode.faulted, mode.traced, false, onRecord)
 			for i := 0; i < max(len(got.log), len(want.log)); i++ {
 				a, b := "(nothing)", "(nothing)"
 				if i < len(want.log) {
@@ -704,6 +712,29 @@ func TestForwardRecordMatchesActor(t *testing.T) {
 			t.Errorf("%s: no span was annotated stall in %d scenes", mode.name, seeds)
 		}
 	}
+}
+
+// TestEveryContactCommitsAfterHeal is eventual leadership, checked from
+// the client side: in each faulted scene of TestForwardRecordMatchesActor,
+// whose faults have all healed by ~1.2 s, a strong enqueue from every server
+// as contact at 2.5 s — heartbeats and election timers still running, the
+// Quiesce at 3 s — must commit. A server left at an epoch above the live
+// leader's ignores its heartbeats and refuses its proposals, and a contact
+// that forwards to a leader of an old epoch fails with ErrLeaderLost; either
+// shows here as a failed probe.
+func TestEveryContactCommitsAfterHeal(t *testing.T) {
+	probes, failed := 0, 0
+	for seed := int64(1); seed <= 60; seed++ {
+		got := playQueueScene(seed, true, false, true, onRecord)
+		for i, err := range got.probes {
+			probes++
+			if err != nil {
+				failed++
+				t.Errorf("seed %d: the probe from server %d of %d: %v", seed, i, len(got.probes), err)
+			}
+		}
+	}
+	t.Logf("%d of %d probes failed", failed, probes)
 }
 
 // leaderCut is a netsim.Interceptor that stalls every replica message the

@@ -16,7 +16,7 @@ import (
 )
 
 // timelineDigest pins the election timeline of the corpus below.
-const timelineDigest = "ae281991b5f760a4f57a103c8677f03571b17fd3fc38b5ce9dfeb07cc554cc27"
+const timelineDigest = "7832d2a55a19f1fb6da7cceceed07abc86a9a3192bc7cc9f4b58c753eaf0e34c"
 
 // timelineWorld runs one ensemble under faults.Random over its own regions
 // (40 s horizon: partitions, crashes, latency spikes and drops) with one
@@ -26,7 +26,8 @@ const timelineDigest = "ae281991b5f760a4f57a103c8677f03571b17fd3fc38b5ce9dfeb07c
 // each client's operation outcomes. edges counts the role changes the
 // samples show, keyed "from->to". On the way it checks election safety
 // without hashing it: no two servers lead one epoch at any sample, and the
-// log's epochs strictly increase, so no epoch is won twice.
+// log's epochs strictly increase, so no epoch is won twice, and after
+// Quiesce every server has heard of the log's last leader.
 func timelineWorld(t *testing.T, seed int64, regions []netsim.Region, edges map[string]int) []byte {
 	t.Helper()
 	const horizon = 40 * time.Second
@@ -118,6 +119,15 @@ func timelineWorld(t *testing.T, seed int64, regions []netsim.Region, edges map[
 		prev = rec.Epoch
 		fmt.Fprintf(&out, "elected %d %s %d\n", rec.Epoch, rec.Leader, rec.At)
 	}
+	last := regions[0]
+	if recs := e.Elections(); len(recs) > 0 {
+		last = recs[len(recs)-1].Leader
+	}
+	for _, r := range regions {
+		if heard, ep := e.Server(r).heardOf(); heard == nil || heard.Region != last {
+			t.Errorf("world %d/%d: after Quiesce %s has heard of %s in epoch %d, want the last leader %s", seed, len(regions), r, nameOf(heard), ep, last)
+		}
+	}
 	for i := range logs {
 		out.WriteString(logs[i].String())
 	}
@@ -166,7 +176,7 @@ func TestElectionTimelineGolden(t *testing.T) {
 		}
 	}
 	t.Logf("role changes sampled: %v", edges)
-	for _, edge := range []string{"follower->candidate", "candidate->follower", "candidate->leader", "leader->follower"} {
+	for _, edge := range []string{"follower->candidate", "candidate->follower", "candidate->leader", "leader->follower", "leader->candidate"} {
 		if edges[edge] == 0 {
 			t.Errorf("the corpus never takes %s", edge)
 		}
