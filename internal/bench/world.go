@@ -515,7 +515,9 @@ func (p *phaseProbe) during(i int) phaseCounters {
 // optional, and a contact that never commits again would pass them.
 // Quiescence: once the faults are cleared and the clock drained, nothing is
 // left that could wake a parked actor, so one that remains is waiting for
-// something a fault destroyed — the operation never completed.
+// something a fault destroyed — the operation never completed. The same
+// holds for a zk forward its contact still keeps (zk's PendingForwards): it
+// waits on no actor, for a leader its contact no longer names.
 func (w *world) run() (time.Duration, error) {
 	w.actors.Wait()
 	for _, g := range w.gates {
@@ -531,6 +533,12 @@ func (w *world) run() (time.Duration, error) {
 	if n := w.clock.Parked(); n > 0 {
 		return end, &breach{guarantee: "quiescence", detail: fmt.Sprintf("%d actor(s) still parked after the faults cleared and the clock drained, "+
 			"each waiting for something that can no longer happen", n)}
+	}
+	if w.probed != nil {
+		if held := w.probed.PendingForwards(); len(held) > 0 {
+			return end, &breach{guarantee: "quiescence", detail: fmt.Sprintf("%d zk forward(s) still held by their contact (%v) after the faults cleared and the clock drained, "+
+				"each waiting for a leader its contact no longer names", len(held), held)}
+		}
 	}
 	return end, lost
 }

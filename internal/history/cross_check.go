@@ -10,12 +10,12 @@ import (
 // start order — the scope of the cross-object session checker.
 type clientGroup struct {
 	client string
-	ops    []Op
+	ops    []*Op
 }
 
 // clientGroups partitions keyed operations by client, each group sorted by
 // start time. Unkeyed operations are skipped (queue operations have their
-// own checkers).
+// own checkers). A group points into ops.
 func clientGroups(ops []Op) []clientGroup {
 	idx := map[string]int{}
 	var groups []clientGroup
@@ -30,7 +30,7 @@ func clientGroups(ops []Op) []clientGroup {
 			idx[op.Client] = gi
 			groups = append(groups, clientGroup{client: op.Client})
 		}
-		groups[gi].ops = append(groups[gi].ops, *op)
+		groups[gi].ops = append(groups[gi].ops, op)
 	}
 	for i := range groups {
 		slices.SortStableFunc(groups[i].ops, byStart)

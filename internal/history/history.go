@@ -27,9 +27,11 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"correctables/internal/binding"
 	"correctables/internal/core"
@@ -51,7 +53,10 @@ type View struct {
 	Note string
 }
 
-// noteOf compacts a view value into its recorded note.
+// noteOf compacts a view value into its recorded note. A byte value longer
+// than noteRunes is cut to its first noteRunes runes, as fmt's "%.16s"
+// cuts a []byte (an invalid byte counts as one rune and is kept as it is),
+// and followed by "…(<len>B)": one allocation, the note itself.
 func noteOf(v any) string {
 	switch val := v.(type) {
 	case binding.Item:
@@ -60,14 +65,40 @@ func noteOf(v any) string {
 		}
 		return val.ID
 	case []byte:
-		const max = 16
-		if len(val) > max {
-			return fmt.Sprintf("%.16s…(%dB)", val, len(val))
+		if len(val) <= noteRunes {
+			return string(val)
 		}
-		return string(val)
+		head := val[:runePrefix(val, noteRunes)]
+		var digits [20]byte
+		size := strconv.AppendInt(digits[:0], int64(len(val)), 10)
+		var b strings.Builder
+		b.Grow(len(head) + len("…(") + len(size) + len("B)"))
+		b.Write(head)
+		b.WriteString("…(")
+		b.Write(size)
+		b.WriteString("B)")
+		return b.String()
 	default:
 		return ""
 	}
+}
+
+// noteRunes is how many runes of a byte value a note keeps.
+const noteRunes = 16
+
+// runePrefix returns the length in bytes of b's first n runes, decoded as
+// utf8.DecodeRune does: an invalid byte is a rune of width one.
+func runePrefix(b []byte, n int) int {
+	i := 0
+	for ; n > 0 && i < len(b); n-- {
+		if b[i] < utf8.RuneSelf {
+			i++
+			continue
+		}
+		_, w := utf8.DecodeRune(b[i:])
+		i += w
+	}
+	return i
 }
 
 // Op is one recorded operation: identity, interval, outcome, views.
@@ -150,12 +181,37 @@ type opRef struct {
 // otherwise verify interleaved garbage). Under a VirtualClock all
 // callbacks are totally ordered, so the recorded op order (and hence
 // SerializeOps output) is deterministic per seed.
+//
+// Operations are stored by value in arenas: chunks of ops, and chunks of
+// views in which every op has two slots of its own (the two views of an
+// incremental invocation), handed out with a full slice expression so that
+// a third view moves the op's views out through append. Both grow
+// geometrically, from arenaFirst ops to arenaMax, so a recorder that sees
+// few operations stays small and one that sees millions allocates once per
+// arenaMax of them.
 type Recorder struct {
-	mu         sync.Mutex
-	ops        []*Op
+	mu sync.Mutex
+	// ops is the op arena's current chunk and full the chunks before it,
+	// in recording order. A chunk is never re-allocated, so the pointers
+	// in open stay valid; views is the view arena's current chunk. Each
+	// chunk's free room is s[len(s):cap(s)].
+	full       [][]Op
+	ops        []Op
+	views      []View
+	n          int
 	open       map[opRef]*Op
 	collisions int
 }
+
+// arenaFirst and arenaMax bound an arena chunk, in ops: the first holds
+// arenaFirst, each later one twice the one before, up to arenaMax.
+const (
+	arenaFirst = 16
+	arenaMax   = 1024
+)
+
+// viewSlots is the number of views an op records in the view arena.
+const viewSlots = 2
 
 // errLabelCollision marks a record evicted by a same-ref OpStart.
 const errLabelCollision = "history: evicted by a second client with the same label (give each client a distinct binding.WithLabel)"
@@ -176,16 +232,35 @@ func (r *Recorder) Collisions() int {
 	return r.collisions
 }
 
+// nextChunk is the capacity, in ops, of the arena chunk after one of
+// capacity last (0: none yet).
+func nextChunk(last int) int {
+	return min(max(2*last, arenaFirst), arenaMax)
+}
+
+// alloc appends a zero op to the arena and returns it, with its view slots.
+// Callers hold r.mu.
+func (r *Recorder) alloc() *Op {
+	if len(r.ops) == cap(r.ops) {
+		if r.ops != nil {
+			r.full = append(r.full, r.ops)
+		}
+		r.ops = make([]Op, 0, nextChunk(cap(r.ops)))
+	}
+	if cap(r.views)-len(r.views) < viewSlots {
+		r.views = make([]View, 0, viewSlots*nextChunk(cap(r.views)/viewSlots))
+	}
+	r.ops = r.ops[:len(r.ops)+1]
+	k := len(r.views)
+	r.views = r.views[:k+viewSlots]
+	rec := &r.ops[len(r.ops)-1]
+	rec.Views = r.views[k : k : k+viewSlots]
+	r.n++
+	return rec
+}
+
 // OpStart implements binding.Observer.
 func (r *Recorder) OpStart(op binding.OpInfo) {
-	rec := &Op{
-		ID:       uint64(op.ID),
-		Client:   op.Client,
-		Name:     op.Name,
-		Key:      op.Key,
-		Mutating: op.Mutating,
-		Start:    op.Start,
-	}
 	ref := opRef{op.Client, op.ID}
 	r.mu.Lock()
 	if old := r.open[ref]; old != nil {
@@ -195,7 +270,13 @@ func (r *Recorder) OpStart(op binding.OpInfo) {
 		old.Err = errLabelCollision
 		r.collisions++
 	}
-	r.ops = append(r.ops, rec)
+	rec := r.alloc()
+	rec.ID = uint64(op.ID)
+	rec.Client = op.Client
+	rec.Name = op.Name
+	rec.Key = op.Key
+	rec.Mutating = op.Mutating
+	rec.Start = op.Start
 	r.open[ref] = rec
 	r.mu.Unlock()
 }
@@ -230,21 +311,31 @@ func (r *Recorder) OpEnd(op binding.OpInfo, at time.Duration, err error) {
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.ops)
+	return r.n
 }
 
-// Ops returns a deep copy of the recorded operations in a deterministic
+// Ops returns a snapshot of the recorded operations in a deterministic
 // order: by start time, then client, then per-client sequence number.
 // (The raw append order is already deterministic under a VirtualClock;
 // the explicit sort makes the contract independent of recording order.)
+//
+// The snapshot copies the ops, in one allocation, and shares their views
+// with the recorder: each op's Views is capped at its length, so a view
+// the recorder takes later for an op that is still open is not seen by
+// the snapshot and cannot write into it. The snapshot is read-only: its
+// views are the recorder's, so neither a caller nor a checker writes them.
 func (r *Recorder) Ops() []Op {
 	r.mu.Lock()
-	out := make([]Op, len(r.ops))
-	for i, op := range r.ops {
-		out[i] = *op
-		out[i].Views = append([]View(nil), op.Views...)
+	out := make([]Op, 0, r.n)
+	for _, c := range r.full {
+		out = append(out, c...)
 	}
+	out = append(out, r.ops...)
 	r.mu.Unlock()
+	for i := range out {
+		v := out[i].Views
+		out[i].Views = v[:len(v):len(v)]
+	}
 	slices.SortStableFunc(out, func(a, b Op) int {
 		if c := cmp.Compare(a.Start, b.Start); c != 0 {
 			return c

@@ -314,12 +314,12 @@ func (QueueModel) Step(state string, op *LinOp) (string, bool) {
 
 // --- History conversion ---------------------------------------------------
 
-// keyedOps selects a key's operations from a history.
-func keyedOps(ops []Op, key string) []Op {
-	var out []Op
+// keyedOps selects a key's operations from a history, as pointers into it.
+func keyedOps(ops []Op, key string) []*Op {
+	var out []*Op
 	for i := range ops { // by index: ranging by value copies every Op just to read its key
 		if ops[i].Key == key {
-			out = append(out, ops[i])
+			out = append(out, &ops[i])
 		}
 	}
 	return out
@@ -329,17 +329,15 @@ func keyedOps(ops []Op, key string) []Op {
 func Keys(ops []Op) []string {
 	seen := map[string]bool{}
 	var keys []string
-	for _, op := range ops {
-		if op.Key != "" && !seen[op.Key] {
-			seen[op.Key] = true
-			keys = append(keys, op.Key)
+	for i := range ops {
+		if k := ops[i].Key; k != "" && !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
 		}
 	}
 	slices.Sort(keys)
 	return keys
 }
-
-func byStartRef(a, b *Op) int { return cmp.Compare(a.Start, b.Start) }
 
 // phantomViolation reports an output no recorded mutation could explain.
 func phantomViolation(key, detail string, witness ...Op) Violation {
@@ -357,12 +355,11 @@ func phantomViolation(key, detail string, witness ...Op) Violation {
 // them, excluding them can only under-approximate, never produce a false
 // violation.
 func RegisterHistory(ops []Op, key string) ([]LinOp, []Violation) {
-	var lin []LinOp
+	keyed := keyedOps(ops, key)
+	lin := make([]LinOp, 0, len(keyed))
 	known := map[uint64]bool{0: true}
 	var ambiguous []*Op // incomplete puts, in start order
-	keyed := keyedOps(ops, key)
-	for i := range keyed {
-		op := &keyed[i]
+	for _, op := range keyed {
 		switch op.Name {
 		case "put":
 			if op.Completed() {
@@ -410,12 +407,11 @@ func RegisterHistory(ops []Op, key string) ([]LinOp, []Violation) {
 // wildcard removals the search may apply anywhere after their call or omit
 // entirely.
 func QueueHistory(ops []Op, queue string) ([]LinOp, []Violation) {
-	var lin []LinOp
+	keyed := keyedOps(ops, queue)
+	lin := make([]LinOp, 0, len(keyed))
 	known := map[string]bool{}
 	var ambiguous []*Op
-	keyed := keyedOps(ops, queue)
-	for i := range keyed {
-		op := &keyed[i]
+	for _, op := range keyed {
 		fv, hasFinal := op.FinalView()
 		switch op.Name {
 		case "enqueue":
@@ -478,7 +474,7 @@ func attributePhantoms[K cmp.Ordered](lin []LinOp, key string, known map[K]bool,
 		}
 	}
 	slices.Sort(unknown)
-	slices.SortStableFunc(ambiguous, byStartRef)
+	slices.SortStableFunc(ambiguous, byStart)
 	var violations []Violation
 	for i, t := range unknown {
 		if i < len(ambiguous) {

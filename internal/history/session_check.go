@@ -47,12 +47,13 @@ func (v Violation) String() string {
 type sessionGroup struct {
 	client string
 	key    string
-	ops    []Op
+	ops    []*Op
 }
 
 // sessionGroups partitions keyed operations by (client, key), each group
-// sorted by start time. Unkeyed operations are skipped. Checkers that share
-// a history build the groups once and read them; none of them writes.
+// sorted by start time. Unkeyed operations are skipped. A group points into
+// ops: checkers that share a history build the groups once and read them in
+// place; none of them writes.
 func sessionGroups(ops []Op) []sessionGroup {
 	idx := map[[2]string]int{}
 	var groups []sessionGroup
@@ -68,7 +69,7 @@ func sessionGroups(ops []Op) []sessionGroup {
 			idx[gk] = gi
 			groups = append(groups, sessionGroup{client: op.Client, key: op.Key})
 		}
-		groups[gi].ops = append(groups[gi].ops, *op)
+		groups[gi].ops = append(groups[gi].ops, op)
 	}
 	for i := range groups {
 		slices.SortStableFunc(groups[i].ops, byStart)
@@ -83,7 +84,7 @@ func sessionGroups(ops []Op) []sessionGroup {
 }
 
 // byStart orders operations by invocation instant.
-func byStart(a, b Op) int { return cmp.Compare(a.Start, b.Start) }
+func byStart(a, b *Op) int { return cmp.Compare(a.Start, b.Start) }
 
 // tokenEvent is a version token established by an op that terminated at
 // end; it constrains only operations that start at or after end ("earlier"
@@ -104,13 +105,12 @@ func byEnd(a, b tokenEvent) int { return cmp.Compare(a.end, b.end) }
 // nil while floor is 0), after emit has (possibly) contributed each
 // terminated op's own event. It stops after check reports a violation, so
 // each scan yields at most one (minimal) witness.
-func floorScan(ops []Op,
+func floorScan(ops []*Op,
 	emit func(op *Op) (uint64, bool),
 	check func(op *Op, floor uint64, floorOp *Op) bool,
 ) {
 	events := make([]tokenEvent, 0, len(ops))
-	for i := range ops {
-		op := &ops[i]
+	for _, op := range ops {
 		if !op.Done {
 			continue
 		}
@@ -122,8 +122,7 @@ func floorScan(ops []Op,
 	var floor uint64
 	var floorOp *Op
 	next := 0
-	for i := range ops {
-		op := &ops[i]
+	for _, op := range ops {
 		for next < len(events) && events[next].end <= op.Start {
 			if events[next].version > floor {
 				floor = events[next].version

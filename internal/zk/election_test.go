@@ -1,6 +1,7 @@
 package zk
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"correctables/internal/binding"
+	"correctables/internal/core"
 	"correctables/internal/faults"
 	"correctables/internal/netsim"
 	"correctables/internal/trace"
@@ -563,6 +565,41 @@ func TestResyncedContactForwardsToNewLeader(t *testing.T) {
 	}
 	inj.Quiesce()
 	clock.Drain()
+}
+
+// TestHeldForwardIsPending: the shape playQueueScene's seed 18 took before
+// stepDown cleared only a self-reference. Contact IRL names no leader,
+// although its epoch is the leader's, so no heartbeat of that epoch moves
+// it: the forward of an enqueue waits on IRL's list, on no actor. Once the
+// faults are quiesced and the clock drained, Parked does not count it, and
+// PendingForwards names its contact.
+func TestHeldForwardIsPending(t *testing.T) {
+	e, inj, clock, _ := newElectionEnsemble(t, netsim.FRK, netsim.IRL, netsim.VRG)
+	qc := NewQueueClient(e, netsim.IRL, netsim.IRL)
+	if err := qc.CreateQueue("q"); err != nil {
+		t.Fatal(err)
+	}
+	if held := e.PendingForwards(); len(held) != 0 {
+		t.Fatalf("PendingForwards() = %v on a settled ensemble, want none", held)
+	}
+	irl := e.Server(netsim.IRL)
+	e.elect.mu.Lock()
+	irl.election.heard = nil
+	e.elect.mu.Unlock()
+	var views []binding.Result
+	NewBinding(qc).SubmitOperation(context.Background(), binding.Enqueue{Queue: "q", Item: []byte("x")},
+		core.Levels{core.LevelWeak, core.LevelStrong}, func(r binding.Result) { views = append(views, r) })
+	inj.Quiesce()
+	clock.Drain()
+	if n := clock.Parked(); n != 0 {
+		t.Errorf("Parked() = %d, want 0: the held forward waits on no actor", n)
+	}
+	if held := e.PendingForwards(); !slices.Equal(held, []netsim.Region{netsim.IRL}) {
+		t.Errorf("PendingForwards() = %v, want [IRL]", held)
+	}
+	if len(views) != 1 || views[0].Level != core.LevelWeak {
+		t.Errorf("the held enqueue delivered %v, want its preliminary alone", views)
+	}
 }
 
 // resentScene plays the scene of TestForwardStalledAtDeposedLeaderIsResent

@@ -506,6 +506,29 @@ func (e *Ensemble) Elections() []ElectionRecord {
 	return append([]ElectionRecord(nil), e.elect.log...)
 }
 
+// PendingForwards returns the contact of every forward that has not landed
+// (electState.forwards), one entry per forward, contacts in Regions order.
+// A forward in flight is one of them until it reaches its target; one
+// whose contact names no leader waits there, on no actor, until the
+// contact hears of one. Once the faults are cleared and the clock drained
+// there is none, unless a contact will never name a leader again: then
+// Clock.Parked does not count the operation, and only this does. Without
+// elections it is always empty.
+func (e *Ensemble) PendingForwards() []netsim.Region {
+	if e.elect == nil {
+		return nil
+	}
+	e.elect.mu.Lock()
+	defer e.elect.mu.Unlock()
+	var held []netsim.Region
+	for _, r := range e.order {
+		for range e.servers[r].election.forwards {
+			held = append(held, r)
+		}
+	}
+	return held
+}
+
 // quorum returns the ack count the leader needs from followers (majority
 // minus the leader's own implicit ack).
 func (e *Ensemble) quorum() int {
