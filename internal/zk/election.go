@@ -64,11 +64,13 @@ import (
 //	L -> C  a server promised a newer    -                  as F -> C
 //	        epoch (onStale); above it
 //
-// Crash integration rides one injector subscription, which reads every
-// region's Down after each fault transition: a down server is suspended (no
-// votes, beats, or candidacies); on restart it resumes in its role with a
-// fresh grace period. The final Quiesce stops every timer chain so
-// VirtualClock.Drain terminates.
+// The timers run whenever a fault injector is attached (elector.start), as
+// does the ensemble's one subscription to it, which reads every region's
+// Down after each fault transition: a down server is suspended (no votes,
+// beats, or candidacies); on restart it resumes in its role with a fresh
+// grace period. The final Quiesce stops every timer chain so
+// VirtualClock.Drain terminates. A fault-free ensemble arms no timer: its
+// configured leader leads throughout.
 //
 // Heartbeats and votes are control-plane traffic: they ride the transport
 // (so partitions and crashes apply to them) but charge no server worker
@@ -161,18 +163,27 @@ type electState struct {
 
 // elector runs the election protocol for every server of one ensemble.
 type elector struct {
-	e  *Ensemble
-	hb time.Duration
+	e       *Ensemble
+	running bool // start has armed the timers, before the first operation
 
 	mu sync.Mutex
 	// quiescing is set by the final Quiesce, and stopped once a server
-	// leads in its own epoch then (see newElector).
+	// leads in its own epoch then (see start).
 	quiescing, stopped bool
 	log                []ElectionRecord
 }
 
-func newElector(e *Ensemble, inj *faults.Injector, leader *Server) *elector {
-	el := &elector{e: e, hb: e.cfg.HeartbeatInterval}
+// start arms every server's election timer and the leader's heartbeats, and
+// subscribes to inj's fault transitions. After each (a restart, a heal, an
+// expiring drop rule), followers that missed commits — a crashed server
+// loses its in-flight commit stream, a partitioned one has it severed —
+// first resync by state transfer, like ZooKeeper's SNAP sync, from every
+// server that leads in its own epoch: a deposed leader that has not heard
+// its successor yet resyncs only servers behind it in (epoch, zxid), and its
+// successor overwrites those.
+func (el *elector) start(inj *faults.Injector, leader *Server) {
+	e := el.e
+	el.running = true
 	for i, r := range e.order {
 		s := e.servers[r]
 		// A quarter-base stagger per position in Regions order, so ties
@@ -182,6 +193,11 @@ func newElector(e *Ensemble, inj *faults.Injector, leader *Server) *elector {
 		el.armTimer(s, s.election.timeout)
 	}
 	inj.Subscribe(func(t faults.Transition) {
+		for _, r := range e.order {
+			if s := e.servers[r]; s.leads() {
+				e.resyncLagging(s)
+			}
+		}
 		for _, r := range e.order {
 			el.setSuspended(e.servers[r], inj.Down(r))
 		}
@@ -201,7 +217,6 @@ func newElector(e *Ensemble, inj *faults.Injector, leader *Server) *elector {
 		}
 	})
 	el.runBeats(leader, 0)
-	return el
 }
 
 // setSuspended brings s's suspension in line with its region's crash state.
@@ -417,7 +432,7 @@ func (el *elector) stand(s *Server, now time.Duration) {
 // --- heartbeats ---------------------------------------------------------
 
 func (el *elector) runBeats(s *Server, epoch uint64) {
-	el.e.tr.Clock().RunAfter(el.hb, func() { el.beat(s, epoch) })
+	el.e.tr.Clock().RunAfter(el.e.cfg.HeartbeatInterval, func() { el.beat(s, epoch) })
 }
 
 // beat is the leader heartbeat chain: it ends when the server is no longer
@@ -547,7 +562,7 @@ func (el *elector) onVoteRequest(v, cand *Server, epoch, candEpoch, candApplied,
 	// intervals, which tolerate one lost beat — denies without adopting the
 	// epoch: a healed minority candidate steps down instead of deposing a
 	// healthy leader.
-	if st.role == roleLeader || now-st.lastBeat < 2*el.hb && st.heard != cand {
+	if st.role == roleLeader || now-st.lastBeat < 2*el.e.cfg.HeartbeatInterval && st.heard != cand {
 		reply(false, true, nil)
 		return
 	}

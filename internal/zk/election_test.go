@@ -670,3 +670,43 @@ func resentScene(t *testing.T, correctable bool, commits uint64, prepare func(*Q
 	inj.Quiesce()
 	clock.Drain()
 }
+
+// TestSmallEnsembleRecoversFromPartition: elections run at every ensemble
+// size. A one-server ensemble cut off from its clients, and a two-server one
+// split in half, each commit the enqueue the partition caught in flight, and
+// a strong enqueue from every server as contact once the heal is
+// RecoveryTimeouts election timeouts old; after Drain nothing waits: no
+// actor is parked and no forward pends.
+func TestSmallEnsembleRecoversFromPartition(t *testing.T) {
+	for _, regions := range [][]netsim.Region{{netsim.FRK}, {netsim.FRK, netsim.IRL}} {
+		n := len(regions)
+		e, inj, clock, _ := newElectionEnsemble(t, regions...)
+		if err := NewQueueClient(e, netsim.FRK, netsim.FRK).CreateQueue("q"); err != nil {
+			t.Fatalf("%d servers: %v", n, err)
+		}
+		inj.Apply(faults.Partition{Groups: [][]netsim.Region{{netsim.FRK}, {netsim.IRL}}})
+		var caught []binding.Result
+		NewBinding(NewQueueClient(e, netsim.IRL, regions[n-1])).SubmitOperation(context.Background(),
+			binding.Enqueue{Queue: "q", Item: []byte("caught")}, core.Levels{core.LevelStrong},
+			func(r binding.Result) { caught = append(caught, r) })
+		clock.Sleep(3 * e.cfg.ElectionTimeout) // past every server's timeout
+		inj.Apply(faults.Heal{})
+		clock.Sleep(RecoveryTimeouts * e.cfg.ElectionTimeout)
+		if len(caught) != 1 || caught[0].Err != nil || caught[0].Level != core.LevelStrong {
+			t.Errorf("%d servers: the enqueue caught by the partition delivered %+v, want one strong view", n, caught)
+		}
+		for _, r := range regions {
+			if err := NewQueueClient(e, r, r).Enqueue("q", []byte(r), false, func(QueueView) {}); err != nil {
+				t.Errorf("%d servers: a strong enqueue from contact %s after the heal: %v", n, r, err)
+			}
+		}
+		inj.Quiesce()
+		clock.Drain()
+		if p := clock.Parked(); p != 0 {
+			t.Errorf("%d servers: Parked() = %d after Drain, want 0", n, p)
+		}
+		if held := e.PendingForwards(); len(held) != 0 {
+			t.Errorf("%d servers: PendingForwards() = %v after Drain, want none", n, held)
+		}
+	}
+}

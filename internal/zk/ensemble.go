@@ -17,8 +17,8 @@ import (
 type Config struct {
 	// Regions places one server per region (the paper uses 3).
 	Regions []netsim.Region
-	// LeaderRegion selects the initial leader (must appear in Regions); with
-	// elections on, leadership moves to whichever server wins one.
+	// LeaderRegion selects the initial leader (must appear in Regions);
+	// leadership moves to whichever server wins an election.
 	LeaderRegion netsim.Region
 	// Transport carries all messages (required).
 	Transport *netsim.Transport
@@ -33,9 +33,9 @@ type Config struct {
 	// a fault interceptor is attached to the Transport (default 5s); see
 	// cassandra.Config.OpTimeout for the semantics.
 	OpTimeout time.Duration
-	// HeartbeatInterval is the leader heartbeat period when elections are
-	// enabled (default 250ms). Followers treat a heartbeat gap longer than
-	// their election timeout as a dead leader.
+	// HeartbeatInterval is the leader heartbeat period while a fault
+	// interceptor is attached (default 250ms). Followers treat a heartbeat
+	// gap longer than their election timeout as a dead leader.
 	HeartbeatInterval time.Duration
 	// ElectionTimeout is the base follower patience before starting an
 	// election (default 2s). Server i (in Regions order) waits
@@ -97,12 +97,11 @@ type Server struct {
 	// of this log so an election winner can materialize every transaction a
 	// majority accepted (not every client-acknowledged one: see accept).
 	// Cleared when an epoch-advancing snapshot or election win supersedes
-	// it; nil while elections are disabled.
+	// it.
 	accepted map[uint64]acceptedTxn
 
 	// election is the server's place in the leader election (election.go),
-	// guarded by the ensemble's elector; without elections only its role,
-	// set at construction, is used.
+	// guarded by the ensemble's elector.
 	election electState
 }
 
@@ -133,9 +132,7 @@ type Ensemble struct {
 	servers map[netsim.Region]*Server
 	order   []netsim.Region
 
-	// elect is the leader-election machinery; nil when elections are
-	// disabled (no fault interceptor, or fewer than 3 servers).
-	elect *elector
+	elect elector  // the leader election; its timers run only under faults
 	inv   invState // the in-line invariants; empty in the default build
 
 	// records, forwardMsgs and proposals recycle the records of finished
@@ -186,27 +183,9 @@ func NewEnsemble(cfg Config) (*Ensemble, error) {
 	for _, region := range e.order {
 		e.servers[region].election.heard = leader
 	}
-	// On a faulted transport, wire Zab-style recovery: after every fault
-	// transition (a restart, a heal, an expiring drop rule), followers that
-	// missed commits — a crashed server loses its in-flight commit stream,
-	// a partitioned one has it severed — resync by state transfer, like
-	// ZooKeeper's SNAP sync, from every server that leads in its own epoch:
-	// a deposed leader that has not heard its successor yet resyncs only
-	// servers behind it in (epoch, zxid), and its successor overwrites
-	// those. With 3+ servers the ensemble also runs leader elections (see
-	// election.go): a crashed or isolated leader is replaced by a
-	// majority-elected one instead of wedging finals until restart.
+	e.elect.e = e
 	if inj, ok := cfg.Transport.Interceptor().(*faults.Injector); ok {
-		inj.Subscribe(func(faults.Transition) {
-			for _, region := range e.order {
-				if s := e.servers[region]; s.leads() {
-					e.resyncLagging(s)
-				}
-			}
-		})
-		if len(cfg.Regions) >= 3 {
-			e.elect = newElector(e, inj, leader)
-		}
+		e.elect.start(inj, leader)
 	}
 	return e, nil
 }
@@ -286,22 +265,21 @@ func (s *Server) installSnapshot(leader *Server, nodes map[string]*node, zxid, e
 	}
 	s.applyPendingLocked()
 	s.mu.Unlock()
-	if el := s.ensemble.elect; el != nil {
-		el.mu.Lock()
-		el.learn(s, leader, epoch)
-		el.mu.Unlock()
-	}
+	el := &s.ensemble.elect
+	el.mu.Lock()
+	el.learn(s, leader, epoch)
+	el.mu.Unlock()
 }
 
-// accept is a follower's answer to a proposal (elections enabled only),
-// given on the follower leg before the answer travels back: it acks a
-// proposal by recording it in its accept log, and refuses one older than an
-// epoch it has promised (electState.promised), than the epoch of its
-// applied state, or than an entry it already accepted at the zxid —
-// recording nothing. An ack therefore always leaves the entry behind, so a
-// commit rests on a majority of accept logs.
+// accept is a follower's answer to a proposal, given on the follower leg
+// before the answer travels back: it acks a proposal by recording it in its
+// accept log, and refuses one older than an epoch it has promised
+// (electState.promised), than the epoch of its applied state, or than an
+// entry it already accepted at the zxid — recording nothing. An ack
+// therefore always leaves the entry behind, so a commit rests on a majority
+// of accept logs.
 func (s *Server) accept(zxid, epoch uint64, txn Txn) answer {
-	el := s.ensemble.elect
+	el := &s.ensemble.elect
 	el.mu.Lock()
 	seen := s.election.promised
 	el.mu.Unlock()
@@ -332,15 +310,13 @@ func (s *Server) clearAcceptedLocked() {
 // leadership on the operation path: only such a server numbers and
 // proposes, and only such servers resync the others.
 func (s *Server) leads() bool {
-	if el := s.ensemble.elect; el != nil {
-		el.mu.Lock()
-		defer el.mu.Unlock()
-	}
+	el := &s.ensemble.elect
+	el.mu.Lock()
+	defer el.mu.Unlock()
 	return s.leadsLocked()
 }
 
-// leadsLocked is leads for callers that hold the elector lock (or run
-// without elections).
+// leadsLocked is leads for callers that hold the elector lock.
 func (s *Server) leadsLocked() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -472,15 +448,12 @@ func (e *Ensemble) Server(region netsim.Region) *Server {
 // only gauges (CommitEpoch), setup on a quiescent ensemble (Bootstrap) and
 // tests.
 func (e *Ensemble) Leader() *Server {
-	if el := e.elect; el != nil {
-		el.mu.Lock()
-		defer el.mu.Unlock()
-	}
+	e.elect.mu.Lock()
+	defer e.elect.mu.Unlock()
 	return e.leaderLocked()
 }
 
-// leaderLocked is Leader for callers that hold the elector lock (or run
-// without elections, when roles never change after construction). Besides
+// leaderLocked is Leader for callers that hold the elector lock. Besides
 // Leader, only install's stale-win check reads it: a candidate whose late
 // majority arrives after a newer epoch was won has heard nothing of that
 // epoch, so no state of its own tells it the win is stale.
@@ -496,11 +469,8 @@ func (e *Ensemble) leaderLocked() *Server {
 }
 
 // Elections returns the election log: one record per leader change, in
-// order. Empty without elections (or before the first leader change).
+// order. Empty before the first leader change.
 func (e *Ensemble) Elections() []ElectionRecord {
-	if e.elect == nil {
-		return nil
-	}
 	e.elect.mu.Lock()
 	defer e.elect.mu.Unlock()
 	return append([]ElectionRecord(nil), e.elect.log...)
@@ -512,12 +482,8 @@ func (e *Ensemble) Elections() []ElectionRecord {
 // whose contact names no leader waits there, on no actor, until the
 // contact hears of one. Once the faults are cleared and the clock drained
 // there is none, unless a contact will never name a leader again: then
-// Clock.Parked does not count the operation, and only this does. Without
-// elections it is always empty.
+// Clock.Parked does not count the operation, and only this does.
 func (e *Ensemble) PendingForwards() []netsim.Region {
-	if e.elect == nil {
-		return nil
-	}
 	e.elect.mu.Lock()
 	defer e.elect.mu.Unlock()
 	var held []netsim.Region
@@ -581,11 +547,11 @@ type proposal struct {
 	// What the round has taken off acks.
 	taken, acked, refusals int
 
-	// With elections, a leader's rounds commit in zxid order — each was
-	// numbered on the state of those before it — so they stay on its list
-	// of rounds (electState.rounds) until decided. A round a majority
-	// acked waits on turn while an earlier round is undecided; one that an
-	// earlier round's failure aborts fails too (abortFrom).
+	// A leader's rounds stay on its list of rounds (electState.rounds)
+	// until decided. Under faults they commit in zxid order — each was
+	// numbered on the state of those before it — so a round a majority
+	// acked waits on turn while an earlier round is undecided (waitTurn);
+	// one that an earlier round's failure aborts fails too (abortFrom).
 	turn    *netsim.Event
 	aborted bool
 	aborts  int // aborted answers put on acks: 0 or 1
@@ -621,10 +587,8 @@ func (l *followerLeg) start() {
 
 // Serve implements netsim.Exchange: the follower acks or refuses.
 func (l *followerLeg) Serve() int {
-	l.ans = acked
-	if p := l.p; p.e.elect != nil {
-		l.ans = l.follower.accept(p.zxid, p.epoch, p.txn)
-	}
+	p := l.p
+	l.ans = l.follower.accept(p.zxid, p.epoch, p.txn)
 	return AckSize
 }
 
@@ -655,8 +619,7 @@ func (e *Ensemble) getProposal() *proposal {
 }
 
 // open fills in a round of txn, numbered zxid in epoch at leader, starts
-// every follower's leg and, with elections, appends the round to the
-// leader's rounds.
+// every follower's leg and appends the round to the leader's rounds.
 func (p *proposal) open(leader *Server, txn Txn, zxid, epoch uint64) {
 	e := p.e
 	p.leader, p.txn, p.zxid, p.epoch, p.need = leader, txn, zxid, epoch, e.quorum()
@@ -666,11 +629,9 @@ func (p *proposal) open(leader *Server, txn Txn, zxid, epoch uint64) {
 			p.legs[i].start()
 		}
 	}
-	if el := e.elect; el != nil {
-		el.mu.Lock()
-		leader.election.rounds = append(leader.election.rounds, p)
-		el.mu.Unlock()
-	}
+	e.elect.mu.Lock()
+	leader.election.rounds = append(leader.election.rounds, p)
+	e.elect.mu.Unlock()
 }
 
 // tally takes one answer off the round's queue and says whether the round
@@ -696,10 +657,12 @@ func (p *proposal) tally(a answer) (decided, commits bool) {
 
 // waitTurn reports whether the round, which a majority acked, must wait for
 // an earlier round of its leader; then turn fires once that one is decided
-// (passTurn, abortFrom).
+// (passTurn, abortFrom). Only a running elector makes a round wait: without
+// faults no earlier round can fail, so each commits as soon as a majority
+// acks it, and the fault-free figures (Fig 12's pins) rest on that.
 func (p *proposal) waitTurn() bool {
-	el := p.e.elect
-	if el == nil {
+	el := &p.e.elect
+	if !el.running {
 		return false
 	}
 	el.mu.Lock()
@@ -714,10 +677,7 @@ func (p *proposal) waitTurn() bool {
 // leave takes the decided round out of its leader's rounds and returns the
 // round after it.
 func (p *proposal) leave() *proposal {
-	el := p.e.elect
-	if el == nil {
-		return nil
-	}
+	el := &p.e.elect
 	el.mu.Lock()
 	defer el.mu.Unlock()
 	st := &p.leader.election
@@ -744,7 +704,7 @@ func abortFrom(q *proposal) {
 	if q == nil {
 		return
 	}
-	el := q.e.elect
+	el := &q.e.elect
 	el.mu.Lock()
 	defer el.mu.Unlock()
 	rounds := q.leader.election.rounds

@@ -593,3 +593,60 @@ func TestMissingQueueRepliesWithNoNode(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultFreeEnsembleArmsNothing: without a fault injector the election
+// arms no timer and keeps nothing past the operations that used it. The
+// client sits far from its contact, so each operation's final view reaches
+// it after every leg and commit of its round has landed, and the heartbeat
+// and election timeouts outlast the run: the clock drains at the instant the
+// last operation completed, which any timer armed at construction or on the
+// way would carry past. No election is logged, no forward pends, and no
+// server keeps a round.
+func TestFaultFreeEnsembleArmsNothing(t *testing.T) {
+	for _, correctable := range []bool{true, false} {
+		clock := netsim.NewVirtualClock()
+		e, err := NewEnsemble(Config{
+			Regions:           []netsim.Region{netsim.FRK, netsim.IRL, netsim.VRG},
+			LeaderRegion:      netsim.IRL,
+			Transport:         netsim.NewTransport(clock, netsim.DefaultLatencies(), nil, 1),
+			Correctable:       correctable,
+			HeartbeatInterval: time.Minute,
+			ElectionTimeout:   time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Bootstrap(CreateTxn{Path: "/queues"})
+		e.Bootstrap(CreateTxn{Path: "/queues/q"})
+		qc := NewQueueClient(e, netsim.NCA, netsim.FRK)
+		for i := 0; i < 4; i++ {
+			if err := qc.Enqueue("q", []byte{byte(i)}, true, func(QueueView) {}); err != nil {
+				t.Fatalf("correctable=%v: enqueue %d: %v", correctable, i, err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			if err := qc.Dequeue("q", true, func(QueueView) {}); err != nil {
+				t.Fatalf("correctable=%v: dequeue %d: %v", correctable, i, err)
+			}
+		}
+		if e.elect.running {
+			t.Fatalf("correctable=%v: the elector runs without faults; its timers would keep Drain from returning", correctable)
+		}
+		done := clock.Now()
+		clock.Drain()
+		if now := clock.Now(); now != done {
+			t.Errorf("correctable=%v: the clock drained at %v, past the last operation's end at %v", correctable, now, done)
+		}
+		if recs := e.Elections(); len(recs) != 0 {
+			t.Errorf("correctable=%v: Elections() = %v, want none", correctable, recs)
+		}
+		if held := e.PendingForwards(); len(held) != 0 {
+			t.Errorf("correctable=%v: PendingForwards() = %v, want none", correctable, held)
+		}
+		for _, region := range e.order {
+			if n := len(e.servers[region].election.rounds); n != 0 {
+				t.Errorf("correctable=%v: %s keeps %d rounds, want none", correctable, region, n)
+			}
+		}
+	}
+}

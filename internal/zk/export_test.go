@@ -4,12 +4,10 @@ package zk
 
 // Role returns the server's own election role. A deposed leader reads
 // "leader" until it hears its successor (see Ensemble.Leader); without
-// elections the initial leader leads and every other server follows.
+// faults the initial leader leads and every other server follows.
 func (s *Server) Role() string {
-	if el := s.ensemble.elect; el != nil {
-		el.mu.Lock()
-		defer el.mu.Unlock()
-	}
+	s.ensemble.elect.mu.Lock()
+	defer s.ensemble.elect.mu.Unlock()
 	return s.election.role.String()
 }
 

@@ -25,8 +25,7 @@ import (
 //	      the follower moved to a newer epoch (an ack that crossed its
 //	      vote), or whose applied state is of that epoch and at or past the
 //	      zxid. It holds because a follower acks only what it records
-//	      (Server.accept). Without elections no accept log is kept, and it
-//	      is not checked;
+//	      (Server.accept);
 //	(iv)  eventual leadership (Ω): at each heartbeat later than
 //	      RecoveryTimeouts election timeouts after the last heal, one server
 //	      leads, and no server's epoch or promise exceeds its epoch.
@@ -51,9 +50,6 @@ func (v *invState) checkCommit(e *Ensemble, leader *Server, zxid, epoch uint64) 
 	}
 	v.leaders[epoch] = leader.Region
 	v.mu.Unlock()
-	if e.elect == nil {
-		return
-	}
 	held := 1
 	for _, region := range e.order {
 		s := e.servers[region]

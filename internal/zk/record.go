@@ -491,10 +491,7 @@ type forwarder interface {
 // itself, f waits on s's list of pending forwards until it lands there
 // (landed) or a newer epoch re-sends it.
 func (s *Server) forwardTo(f forwarder) *Server {
-	el := s.ensemble.elect
-	if el == nil {
-		return s.election.heard
-	}
+	el := &s.ensemble.elect
 	el.mu.Lock()
 	defer el.mu.Unlock()
 	to := s.election.heard
@@ -506,10 +503,7 @@ func (s *Server) forwardTo(f forwarder) *Server {
 
 // landed takes f, whose forward has reached its target, off s's list.
 func (s *Server) landed(f forwarder) {
-	el := s.ensemble.elect
-	if el == nil {
-		return
-	}
+	el := &s.ensemble.elect
 	el.mu.Lock()
 	st := &s.election
 	i := slices.Index(st.forwards, f)
