@@ -21,6 +21,7 @@ import (
 
 	"correctables"
 	"correctables/internal/chain"
+	"correctables/internal/history"
 	"correctables/internal/netsim"
 )
 
@@ -38,7 +39,9 @@ func main() {
 	defer ledger.Stop()
 
 	const depth = 6
-	client := correctables.NewClient(chain.NewBinding(ledger, depth))
+	// A history.Recorder on the invoke path records the submission and each
+	// of its views, as quickstart's does.
+	client := correctables.NewClient(chain.NewBinding(ledger, depth), correctables.WithObserver(history.NewRecorder()))
 	sw := clock.StartStopwatch()
 
 	fmt.Printf("submitting payment; waiting for %d confirmations...\n", depth)
@@ -53,8 +56,14 @@ func main() {
 		fmt.Printf("[%9v] %-6s %-6s confirmations: %d %s\n",
 			sw.ElapsedModel().Round(time.Second), v.Level, state(v), st.Confirmations, bar)
 	})
-	if _, err := cor.Final(context.Background()); err != nil {
+	final, err := cor.Final(context.Background())
+	if err != nil {
 		log.Fatal(err)
+	}
+	// Deepening is not divergence: the strong view names the block the first
+	// weak view did.
+	if first := cor.Views()[0]; !final.Value.EqualValue(first.Value) {
+		log.Fatalf("the transaction moved from block %d to block %d", first.Value.BlockHeight, final.Value.BlockHeight)
 	}
 	ledger.Stop()
 	clock.Drain()

@@ -78,6 +78,55 @@ func TestHuntRecoveryReproIsClean(t *testing.T) {
 	}
 }
 
+// openRecoveryRepros are two recovery findings of the tracks-harsh hunt that
+// ROADMAP item 28 leaves open, archived as they shrink: seed 989 to a
+// 5-server world with 21 fault events and 2 causal clients, in which two
+// contacts fail with ErrLeaderLost 600 ms after the last heal, and seed 1869
+// to a 3-server world with 6 fault events, in which every contact's probe
+// times out.
+var openRecoveryRepros = []struct {
+	file          string
+	zkServers     int // 0: the default 3
+	events        int
+	causalClients int
+}{
+	{"testdata/hunt-zk-recovery-989.json", 5, 21, 2},
+	{"testdata/hunt-zk-recovery-1869.json", 0, 6, 0},
+}
+
+// TestHuntOpenRecoveryReprosReplay replays each open finding and requires
+// its archived recovery violation and history digest byte for byte, in the
+// world it was archived with. When item 28's fix lands they replay clean,
+// and this test turns into TestHuntRecoveryReproIsClean's kind.
+func TestHuntOpenRecoveryReprosReplay(t *testing.T) {
+	for _, want := range openRecoveryRepros {
+		data, err := os.ReadFile(want.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ParseHuntRepro(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := worldOf(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Guarantee != "recovery" || w.ZKServers != want.zkServers || countEvents(w.Tracks) != want.events || w.Causal != want.causalClients {
+			t.Errorf("%s: a %q finding with %d zk servers, %d fault events and %d causal clients, want recovery, %d, %d and %d", want.file,
+				r.Guarantee, w.ZKServers, countEvents(w.Tracks), w.Causal, want.zkServers, want.events, want.causalClients)
+		}
+		rep, err := HuntReplay(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Identical {
+			t.Errorf("%s does not replay byte for byte:\narchived: %s\n  digest %s\nreplayed: %s\n  digest %s",
+				want.file, r.Violation, r.HistoryDigest, rep.Violation, rep.HistoryDigest)
+		}
+	}
+}
+
 // FuzzParseHuntRepro: a hunt repro's wire form is a fixed point after one
 // trip, like a fault track's (faults.FuzzTrackJSON), which it embeds.
 // Whatever bytes parse as a repro, encoding them, parsing that and encoding
@@ -85,7 +134,7 @@ func TestHuntRecoveryReproIsClean(t *testing.T) {
 // run it with:
 // go test ./internal/bench/ -run '^$' -fuzz FuzzParseHuntRepro -fuzztime 10s
 func FuzzParseHuntRepro(f *testing.F) {
-	for _, repro := range []string{deposedLeaderRepro, recoveryRepro} {
+	for _, repro := range []string{deposedLeaderRepro, recoveryRepro, openRecoveryRepros[0].file, openRecoveryRepros[1].file} {
 		seed, err := os.ReadFile(repro)
 		if err != nil {
 			f.Fatal(err)

@@ -58,33 +58,37 @@ type Binding struct {
 	free netsim.FreeList[opRecord]
 }
 
-// opRecord is the state of one SubmitOperation for the life of its protocol
-// actor, in place of a closure per hop and a queue per remote read (the
-// idiom of cassandra.Binding's record and gather): the actor body is a
-// method bound once, when the record is built, and the two remote reads are
-// legs of the record. The actor waits for every read it started before it
-// ends, which is when it returns the record — queues empty again — and
-// nothing else does.
+// opRecord is one SubmitOperation in flight, a record and no actor, like
+// cassandra's and zk's: a get's steps take the ready slots its actor's spawn
+// and wakes took (Clock.Run), its two remote reads are round trips of the
+// record, and a put is one round trip to the primary, served by
+// Store.commit. The record goes back to the free list from its last step.
 type opRecord struct {
 	b      *Binding
-	op     binding.Operation
 	levels core.Levels
 	cb     binding.Callback
 
 	key            string
-	causal, strong remoteRead // the nearest backup's read and the primary's
+	causal, strong remoteRead // a get's: the nearest backup's read and the primary's
 
-	run func() // r.exec: the actor body
+	value []byte           // a put's
+	entry Entry            // what the put committed
+	trip  netsim.RoundTrip // the put's, to the primary
+
+	// A get's steps, bound once: its first turn, and its turn after a read
+	// it waited for.
+	begin, resume func()
 }
 
 // remoteRead is one remote read of a get: the round trip to one replica, a
 // record and no actor (netsim.RoundTrip). It leaves the entry in its own
-// slot and signals its queue, so no entry is boxed.
+// slot, so no entry is boxed.
 type remoteRead struct {
 	r       *opRecord
-	replica *replica      // the replica the read goes to
-	entry   Entry         // what it brought back
-	arrived *netsim.Queue // signalled when the slot is filled
+	replica *replica // the replica the read goes to
+	entry   Entry    // what it brought back
+	pending bool     // started, and its view not delivered yet
+	back    bool     // the entry is at the client
 	trip    netsim.RoundTrip
 }
 
@@ -92,6 +96,7 @@ func (l *remoteRead) start(region netsim.Region) {
 	c := l.r.b.client
 	st := c.store
 	l.replica = st.replicas[region]
+	l.pending = true
 	l.trip.Start(st.tr, c.Region, region, netsim.LinkClient, 64+len(l.r.key), l.replica.proc, st.cfg.ServiceTime, l)
 }
 
@@ -103,30 +108,35 @@ func (l *remoteRead) Serve() int {
 
 // Done implements netsim.Exchange: the entry is back at the client. What the
 // primary says refreshes the cache on arrival, whichever view the ladder is
-// at.
+// at. The get waits for its reads in level order — for this one, unless it
+// is the strong read and the causal view is still to come — and one waiting
+// for this read takes its turn now, where its actor woke.
 func (l *remoteRead) Done() {
-	if l == &l.r.strong {
-		l.r.b.client.cacheMerge(l.r.key, l.entry)
+	r := l.r
+	if l == &r.strong {
+		r.b.client.cacheMerge(r.key, l.entry)
 	}
-	l.arrived.Put(nil)
+	l.back = true
+	if l == &r.causal || !r.causal.pending {
+		r.b.client.store.tr.Clock().Run(r.resume)
+	}
 }
 
 func (b *Binding) getRecord() *opRecord {
 	r := b.free.Take()
 	if r == nil {
-		clock := b.client.store.tr.Clock()
 		r = &opRecord{b: b}
-		r.causal = remoteRead{r: r, arrived: clock.NewQueue()}
-		r.strong = remoteRead{r: r, arrived: clock.NewQueue()}
-		r.run = r.exec
+		r.causal.r, r.strong.r = r, r
+		r.begin, r.resume = r.get, r.deliver
 	}
 	return r
 }
 
 // putRecord recycles r, cleared of the operation's references.
 func (b *Binding) putRecord(r *opRecord) {
-	r.op, r.levels, r.cb, r.key = nil, nil, nil, ""
-	r.causal.entry, r.strong.entry = Entry{}, Entry{}
+	r.levels, r.cb, r.key, r.value = nil, nil, "", nil
+	r.entry, r.causal.entry, r.strong.entry = Entry{}, Entry{}, Entry{}
+	r.causal.back, r.strong.back = false, false
 	b.free.Put(r)
 }
 
@@ -149,23 +159,23 @@ func (b *Binding) ConsistencyLevels() core.Levels {
 // (OnError) while already-delivered weaker views stand, and late views are
 // refused by the closed Correctable.
 func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
+	st := b.client.store
 	r := b.getRecord()
-	r.op, r.levels, r.cb = op, levels, cb
-	b.client.store.tr.Clock().Go(r.run)
-}
-
-// exec is the operation's protocol actor.
-func (r *opRecord) exec() {
-	switch o := r.op.(type) {
+	r.levels, r.cb = levels, cb
+	switch o := op.(type) {
 	case binding.Get:
 		r.key = o.Key
-		r.get()
+		st.tr.Clock().Run(r.begin)
 	case binding.Put:
-		r.put(o)
+		// The round trip's first step takes the ready slot of the submission.
+		r.key, r.value = o.Key, o.Value
+		r.trip.Start(st.tr, b.client.Region, st.cfg.Primary, netsim.LinkClient, 96+len(o.Key)+len(o.Value), st.replicas[st.cfg.Primary].proc, st.cfg.ServiceTime, r)
 	default:
-		r.cb(binding.Result{Err: fmt.Errorf("%w: causal store has no %q", binding.ErrUnsupportedOperation, r.op.OpName())})
+		b.putRecord(r)
+		st.tr.Clock().Run(func() {
+			cb(binding.Result{Err: fmt.Errorf("%w: causal store has no %q", binding.ErrUnsupportedOperation, op.OpName())})
+		})
 	}
-	r.b.putRecord(r)
 }
 
 // Scheduler implements binding.Binding: Correctables over this binding run
@@ -185,56 +195,59 @@ func (b *Binding) DefaultOpTimeout() time.Duration {
 	return st.cfg.OpTimeout
 }
 
-// get fans one logical access out to up to three actual requests (§4.4) and
-// delivers their responses in level order. A cache miss simply skips the
-// cache-level view.
+// get is a get's first step: it fans one logical access out to up to three
+// actual requests (§4.4) and delivers the cache view, if it has one. A cache
+// miss simply skips the cache-level view.
 func (r *opRecord) get() {
 	c := r.b.client
-	key, levels := r.key, r.levels
-
 	// Launch the remote reads in parallel.
-	wantCausal, wantStrong := levels.Contains(core.LevelCausal), levels.Contains(core.LevelStrong)
-	if wantCausal {
+	if r.levels.Contains(core.LevelCausal) {
 		r.causal.start(c.backup)
 	}
-	if wantStrong {
+	if r.levels.Contains(core.LevelStrong) {
 		r.strong.start(c.store.cfg.Primary)
 	}
 
-	// Deliver in level order: cache (immediately, if hit), causal, strong.
-	if levels.Contains(core.LevelCache) {
-		if e := c.CacheGet(key); e.Exists {
+	if r.levels.Contains(core.LevelCache) {
+		if e := c.CacheGet(r.key); e.Exists {
 			r.emit(e, core.LevelCache)
-		} else if levels.Strongest() == core.LevelCache {
+		} else if r.levels.Strongest() == core.LevelCache {
 			// Cache-only request with a miss: report absence.
 			r.emit(Entry{}, core.LevelCache)
 		}
 	}
-	if wantCausal {
-		// The backup lags the primary by the propagation delay, so its raw
-		// entry can be *older* than what this client has already observed —
-		// through its cache (populated by earlier writes and strong reads)
-		// or through the cache view delivered a moment ago. Serving that
-		// stale entry would break the ladder's causal cut: each view must
-		// refine, never regress, the ones before it. The causal view is
-		// therefore the max of the backup's entry and the client's causal
-		// past; the merged entry also refreshes the cache. The primary's
-		// per-key version is always ≥ every backup's, so the strong view
-		// still dominates.
-		r.causal.arrived.Get()
-		e := r.causal.entry
-		c.cacheMerge(key, e)
-		if cached := c.CacheGet(key); cached.newer(e) {
-			e = cached
+	r.deliver()
+}
+
+// deliver delivers the remote views in level order, causal then strong. It
+// returns to wait for a read that is not back yet, whose Done runs it again.
+func (r *opRecord) deliver() {
+	c := r.b.client
+	for _, l := range [...]*remoteRead{&r.causal, &r.strong} {
+		if !l.pending {
+			continue
 		}
-		r.emit(e, core.LevelCausal)
+		if !l.back {
+			return
+		}
+		l.pending = false
+		e, level := l.entry, core.LevelStrong
+		c.cacheMerge(r.key, e)
+		if l == &r.causal {
+			// The backup lags the primary, so its entry can be older than
+			// what this client has already seen through its cache (earlier
+			// writes, strong reads, the cache view just delivered): serving
+			// it would regress the ladder, whose views refine, never regress.
+			// The causal view is the max of the two; the primary's per-key
+			// version is ≥ every backup's, so the strong view dominates.
+			level = core.LevelCausal
+			if cached := c.CacheGet(r.key); cached.newer(e) {
+				e = cached
+			}
+		}
+		r.emit(e, level)
 	}
-	if wantStrong {
-		r.strong.arrived.Get()
-		e := r.strong.entry
-		c.cacheMerge(key, e)
-		r.emit(e, core.LevelStrong)
-	}
+	r.b.putRecord(r)
 }
 
 // emit delivers one view: the entry's value, shared (an absent entry has
@@ -243,10 +256,16 @@ func (r *opRecord) emit(e Entry, level core.Level) {
 	r.cb(binding.Result{Value: e.Value, Level: level, Version: e.Ver})
 }
 
-// put writes through the primary and the local cache.
-func (r *opRecord) put(op binding.Put) {
-	c := r.b.client
-	e := c.store.write(c.Region, op.Key, op.Value)
-	c.cacheMerge(op.Key, e)
-	r.cb(binding.Result{Value: nil, Level: r.levels.Strongest(), Version: e.Ver})
+// Serve implements netsim.Exchange: the put's service at the primary.
+func (r *opRecord) Serve() int {
+	r.entry = r.b.client.store.commit(r.key, r.value)
+	return 32
+}
+
+// Done implements netsim.Exchange: the put's acknowledgement is back; the
+// write goes through the local cache.
+func (r *opRecord) Done() {
+	r.b.client.cacheMerge(r.key, r.entry)
+	r.cb(binding.Result{Value: nil, Level: r.levels.Strongest(), Version: r.entry.Ver})
+	r.b.putRecord(r)
 }

@@ -250,13 +250,10 @@ func (r *replica) get(key string) Entry {
 	return r.data[key]
 }
 
-// write applies a value at the primary and propagates to backups in version
-// order, returning the committed entry.
-func (s *Store) write(clientRegion netsim.Region, key string, value []byte) Entry {
+// commit is a put's service at the primary: it applies the value there and
+// propagates it to the backups in version order, returning the entry.
+func (s *Store) commit(key string, value []byte) Entry {
 	primary := s.replicas[s.cfg.Primary]
-	s.tr.Travel(clientRegion, s.cfg.Primary, netsim.LinkClient, 96+len(key)+len(value))
-	primary.proc.Process(s.cfg.ServiceTime)
-
 	e := s.newEntry(value)
 
 	primary.mu.Lock()
@@ -271,7 +268,6 @@ func (s *Store) write(clientRegion netsim.Region, key string, value []byte) Entr
 				backup.deliver(e.Ver, key, e)
 			})
 	}
-	s.tr.Travel(s.cfg.Primary, clientRegion, netsim.LinkClient, 32)
 	return e
 }
 

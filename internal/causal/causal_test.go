@@ -43,9 +43,8 @@ func TestStoreValidation(t *testing.T) {
 
 func TestWritePropagatesInOrder(t *testing.T) {
 	s, clock := newTestStore(t)
-	for i, v := range []string{"v1", "v2", "v3"} {
-		_ = i
-		s.write(netsim.IRL, "k", []byte(v))
+	for _, v := range []string{"v1", "v2", "v3"} {
+		s.commit("k", []byte(v))
 	}
 	// Primary has v3 immediately.
 	if got := s.ReplicaEntry(netsim.VRG, "k"); string(got.Value) != "v3" {

@@ -3,6 +3,7 @@ package chain
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"correctables/internal/binding"
 	"correctables/internal/core"
@@ -87,48 +88,40 @@ func (b *Binding) Scheduler() core.Scheduler {
 
 // SubmitOperation implements binding.Binding.
 func (b *Binding) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
-	clock := b.chain.clock
 	tx, ok := op.(SubmitTx)
 	if !ok {
 		// Asynchronous error delivery needs no actor: run the callback at
 		// the current instant on the dispatcher.
-		clock.RunAfter(0, func() {
+		b.chain.clock.RunAfter(0, func() {
 			cb(binding.Result{Err: fmt.Errorf("%w: chain has no %q", binding.ErrUnsupportedOperation, op.OpName())})
 		})
 		return
 	}
+	// One follower per transaction, called by the mining timer with each
+	// block until the transaction is final or the chain stops.
 	wantWeak := levels.Contains(core.LevelWeak)
-	blocks, cancel := b.chain.Watch()
-	b.chain.Submit(Tx{ID: tx.ID, Data: tx.Data})
-	clock.Go(func() {
-		defer cancel()
-		includedAt := 0
-		for {
-			blk := blocks.Get().(Block)
-			if blk.Height < 0 {
-				cb(binding.Result{Err: ErrChainStopped})
-				return
-			}
-			if includedAt == 0 {
-				for _, id := range blk.TxIDs {
-					if id == tx.ID {
-						includedAt = blk.Height
-						break
-					}
-				}
-				if includedAt == 0 {
-					continue
-				}
-			}
-			conf := blk.Height - includedAt + 1
-			status := TxStatus{TxID: tx.ID, Confirmations: conf, BlockHeight: includedAt}
-			if conf >= b.depth {
-				cb(binding.Result{Value: status, Level: core.LevelStrong, Version: uint64(includedAt)})
-				return
-			}
-			if wantWeak {
-				cb(binding.Result{Value: status, Level: core.LevelWeak, Version: uint64(includedAt)})
-			}
+	includedAt := 0
+	b.chain.follow(func(blk Block) bool {
+		if blk.Height < 0 {
+			cb(binding.Result{Err: ErrChainStopped})
+			return true
 		}
+		if includedAt == 0 {
+			if !slices.Contains(blk.TxIDs, tx.ID) {
+				return false
+			}
+			includedAt = blk.Height
+		}
+		conf := blk.Height - includedAt + 1
+		status := TxStatus{TxID: tx.ID, Confirmations: conf, BlockHeight: includedAt}
+		if conf >= b.depth {
+			cb(binding.Result{Value: status, Level: core.LevelStrong, Version: uint64(includedAt)})
+			return true
+		}
+		if wantWeak {
+			cb(binding.Result{Value: status, Level: core.LevelWeak, Version: uint64(includedAt)})
+		}
+		return false
 	})
+	b.chain.Submit(Tx{ID: tx.ID, Data: tx.Data})
 }

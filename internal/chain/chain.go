@@ -78,12 +78,12 @@ type Chain struct {
 	cfg   Config
 	clock netsim.Clock
 
-	mu       sync.Mutex
-	rng      *randv2.Rand
-	mempool  []Tx
-	blocks   []Block
-	watchers []*netsim.Queue
-	stopped  bool
+	mu        sync.Mutex
+	rng       *randv2.Rand
+	mempool   []Tx
+	blocks    []Block
+	followers []func(Block) bool
+	stopped   bool
 	// inj is the fault injector mining asks whether cfg.MinerRegion is
 	// down; nil without one, or without a miner region.
 	inj *faults.Injector
@@ -113,20 +113,18 @@ func New(cfg Config) (*Chain, error) {
 	return c, nil
 }
 
-// stopSentinel is delivered to every watcher when the chain stops.
+// stopSentinel is delivered to every follower when the chain stops.
 var stopSentinel = Block{Height: -1}
 
 // Stop halts block production (effective at the next mining deadline) and
-// delivers a stop sentinel to every watcher.
+// hands the stop sentinel to every follower.
 func (c *Chain) Stop() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return
-	}
+	stopped := c.stopped
 	c.stopped = true
-	for _, w := range c.watchers {
-		w.Put(stopSentinel)
+	c.mu.Unlock()
+	if !stopped {
+		c.deliver(stopSentinel)
 	}
 }
 
@@ -137,28 +135,44 @@ func (c *Chain) Submit(tx Tx) {
 	c.mu.Unlock()
 }
 
-// Watch returns a queue receiving every newly mined block and a cancel
-// function. A Block with Height < 0 signals that the chain stopped. The
-// queue is unbounded, so slow consumers never stall mining.
-func (c *Chain) Watch() (*netsim.Queue, func()) {
-	q := c.clock.NewQueue()
+// follow has f called with every block mined from now on and, when the
+// chain stops, with a Block of Height < 0; f is dropped once it returns
+// true. On a stopped chain f gets that sentinel at once.
+func (c *Chain) follow(f func(Block) bool) {
 	c.mu.Lock()
-	if c.stopped {
-		q.Put(stopSentinel)
+	stopped := c.stopped
+	if !stopped {
+		c.followers = append(c.followers, f)
 	}
-	c.watchers = append(c.watchers, q)
 	c.mu.Unlock()
-	cancel := func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		for i, w := range c.watchers {
-			if w == q {
-				c.watchers = append(c.watchers[:i], c.watchers[i+1:]...)
-				return
-			}
+	if stopped {
+		f(stopSentinel)
+	}
+}
+
+// deliver hands blk to every follower in the order they followed, and drops
+// those that are done. The followers run without the lock, so they may
+// submit, follow and stop; one that stops the chain has those still
+// following after blk given the sentinel too.
+func (c *Chain) deliver(blk Block) {
+	c.mu.Lock()
+	fs := c.followers
+	c.followers = nil
+	c.mu.Unlock()
+	kept := fs[:0]
+	for _, f := range fs {
+		if !f(blk) {
+			kept = append(kept, f)
 		}
 	}
-	return q, cancel
+	clear(fs[len(kept):])
+	c.mu.Lock()
+	c.followers = append(kept, c.followers...)
+	stopped := c.stopped
+	c.mu.Unlock()
+	if stopped && blk.Height >= 0 {
+		c.deliver(stopSentinel)
+	}
 }
 
 // scheduleNext arms the next mining deadline as a callback timer: block
@@ -168,10 +182,9 @@ func (c *Chain) scheduleNext() {
 }
 
 // mineOnce produces one block at its deadline, sweeping the mempool into
-// it, and re-arms the timer — unless the chain stopped, in which case the
-// fired timer simply expires without rescheduling. It runs as a clock
-// callback and never blocks (watcher queues are unbounded; Put hands off
-// without waiting).
+// it, re-arms the timer and hands the block to the followers — unless the
+// chain stopped, in which case the fired timer simply expires without
+// rescheduling. It runs as a clock callback, and so do the followers.
 func (c *Chain) mineOnce() {
 	c.mu.Lock()
 	if c.stopped {
@@ -192,12 +205,9 @@ func (c *Chain) mineOnce() {
 	}
 	c.mempool = nil
 	c.blocks = append(c.blocks, blk)
-	watchers := append([]*netsim.Queue(nil), c.watchers...)
 	c.mu.Unlock()
-	for _, w := range watchers {
-		w.Put(blk)
-	}
 	c.scheduleNext()
+	c.deliver(blk)
 }
 
 func (c *Chain) nextInterval() time.Duration {

@@ -2,7 +2,9 @@ package chain
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -12,8 +14,8 @@ import (
 )
 
 // newTestChain starts a chain on a virtual clock whose root actor is the
-// calling test; when the test ends the chain is stopped and the clock
-// drained, which releases every transaction tracker.
+// calling test; when the test ends the chain is stopped, which fails and
+// drops every transaction's follower, and the clock drained.
 func newTestChain(t *testing.T, interval time.Duration) *Chain {
 	t.Helper()
 	clock := netsim.NewVirtualClock()
@@ -168,5 +170,101 @@ func TestManyTxsAllConfirm(t *testing.T) {
 		if _, err := cor.Final(ctx); err != nil {
 			t.Fatalf("tx %d: %v", i, err)
 		}
+	}
+}
+
+// stopCounter is a chain binding that counts, per transaction, the results
+// that fail it with ErrChainStopped.
+type stopCounter struct {
+	*Binding
+	stopped map[string]int
+}
+
+func (b stopCounter) SubmitOperation(ctx context.Context, op binding.Operation, levels core.Levels, cb binding.Callback) {
+	b.Binding.SubmitOperation(ctx, op, levels, func(r binding.Result) {
+		if errors.Is(r.Err, ErrChainStopped) {
+			b.stopped[op.OpKey()]++
+		}
+		cb(r)
+	})
+}
+
+// failedStopped reports whether cor has already failed with ErrChainStopped.
+// It never waits: a tracker the stop missed would wait for good.
+func failedStopped(cor *core.Correctable[TxStatus]) bool {
+	if cor.State() != core.StateError {
+		return false
+	}
+	_, err := cor.Final(context.Background())
+	return errors.Is(err, ErrChainStopped)
+}
+
+// TestStopFailsEveryTrackedTxOnce: Stop fails each transaction it finds
+// still short of its depth with ErrChainStopped, exactly once; a submission
+// after Stop fails at once; and no follower outlives the chain.
+func TestStopFailsEveryTrackedTxOnce(t *testing.T) {
+	c := newTestChain(t, 10*time.Millisecond)
+	b := stopCounter{NewBinding(c, 50), map[string]int{}}
+	client := binding.NewClient(b)
+	ctx := context.Background()
+	tracked := []*core.Correctable[TxStatus]{
+		Submit(ctx, client, SubmitTx{ID: "tx-1"}),
+		Submit(ctx, client, SubmitTx{ID: "tx-2"}),
+	}
+	for c.Height() < 3 {
+		c.clock.Sleep(time.Millisecond)
+	}
+	c.Stop()
+	c.Stop()
+	c.clock.Sleep(100 * time.Millisecond) // mining deadlines come and go
+	for i, cor := range tracked {
+		if !failedStopped(cor) {
+			t.Errorf("tx-%d is %v after Stop, want failed with ErrChainStopped", i+1, cor.State())
+		}
+		if len(cor.Views()) == 0 {
+			t.Errorf("tx-%d saw no confirmation in three blocks", i+1)
+		}
+	}
+
+	late := Submit(ctx, client, SubmitTx{ID: "tx-late"})
+	if !failedStopped(late) {
+		t.Errorf("a submission after Stop is %v when Submit returns, want failed with ErrChainStopped", late.State())
+	}
+	c.clock.Drain()
+	if want := map[string]int{"tx-1": 1, "tx-2": 1, "tx-late": 1}; !maps.Equal(b.stopped, want) {
+		t.Errorf("ErrChainStopped results per transaction = %v, want %v", b.stopped, want)
+	}
+	if n := c.Followers(); n != 0 {
+		t.Errorf("%d follower(s) left after Drain", n)
+	}
+}
+
+// TestStopFromAViewFailsTheOthers: a view callback that stops the chain,
+// mid-block, leaves no transaction tracked: the ones that follow it get the
+// block, then ErrChainStopped, once each.
+func TestStopFromAViewFailsTheOthers(t *testing.T) {
+	c := newTestChain(t, 10*time.Millisecond)
+	b := stopCounter{NewBinding(c, 50), map[string]int{}}
+	client := binding.NewClient(b)
+	ctx := context.Background()
+	first := Submit(ctx, client, SubmitTx{ID: "tx-1"})
+	first.OnUpdate(func(core.View[TxStatus]) { c.Stop() })
+	second := Submit(ctx, client, SubmitTx{ID: "tx-2"})
+	for c.Height() < 1 {
+		c.clock.Sleep(time.Millisecond)
+	}
+	for i, cor := range []*core.Correctable[TxStatus]{first, second} {
+		if !failedStopped(cor) {
+			t.Errorf("tx-%d is %v after the stop, want failed with ErrChainStopped", i+1, cor.State())
+		}
+		if n := len(cor.Views()); n != 1 {
+			t.Errorf("tx-%d: %d views before the stop, want the block the stop came in", i+1, n)
+		}
+	}
+	if want := map[string]int{"tx-1": 1, "tx-2": 1}; !maps.Equal(b.stopped, want) {
+		t.Errorf("ErrChainStopped results per transaction = %v, want %v", b.stopped, want)
+	}
+	if n := c.Followers(); n != 0 {
+		t.Errorf("%d follower(s) left after the stop", n)
 	}
 }

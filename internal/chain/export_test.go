@@ -18,3 +18,10 @@ func (c *Chain) ConfirmationsOf(height int) int {
 	}
 	return len(c.blocks) - height + 1
 }
+
+// Followers returns the number of callbacks following the chain.
+func (c *Chain) Followers() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.followers)
+}

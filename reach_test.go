@@ -498,12 +498,14 @@ func TestZKLeadershipHasOneSource(t *testing.T) {
 	}
 }
 
-// zkActorForms are the calls by which code runs as an actor — spawning one,
+// actorForms are the calls by which code runs as an actor — spawning one,
 // sleeping, crossing a hop or a server slot on its own stack, waiting for a
-// flush, an event, a queue's next item or a group — and which no non-test zk
-// code makes: a zk operation runs as a record (zk's opRecord), whose steps
-// are continuations. The exceptions are zkAllowedForms.
-var zkActorForms = []string{
+// flush, an event, a queue's next item or a group — and which no store's
+// non-test code makes: an operation of cassandra, causal or zk runs as a
+// record (each package's opRecord), whose steps are continuations, and a
+// chain transaction is followed by a mining-timer callback. The exceptions
+// are allowedActorForms.
+var actorForms = []string{
 	"netsim.(*VirtualClock).Go",
 	"netsim.(*VirtualClock).Sleep",
 	"netsim.(*VirtualClock).SleepUntil",
@@ -515,33 +517,37 @@ var zkActorForms = []string{
 	"netsim.(*Group).Wait",
 }
 
-// zkAllowedForms are the zk calls of zkActorForms that stay: a blocking
-// call's (QueueClient's methods) wait for its record to finish, and the
-// drain of a proposal's answers by its last holder, which takes only
-// answers already put and so never parks.
-var zkAllowedForms = []string{
+// actorStores are the packages actorForms is checked in.
+var actorStores = []string{"cassandra.", "causal.", "chain.", "zk."}
+
+// allowedActorForms are the store calls of actorForms that stay: a blocking
+// call's (cassandra's Client.Read and Write, zk's QueueClient methods) wait
+// for its record to finish, and the drain of a zk proposal's answers by its
+// last holder, which takes only answers already put and so never parks.
+var allowedActorForms = []string{
+	"cassandra.(*Client).run -> netsim.(*Event).Wait",
 	"zk.(*opRecord).run -> netsim.(*Event).Wait",
 	"zk.(*proposal).release -> netsim.(*Queue).Get",
 }
 
-// TestZKHasNoActorForms: non-test zk code calls none of zkActorForms but
-// for zkAllowedForms, each of which it still calls.
-func TestZKHasNoActorForms(t *testing.T) {
+// TestSubstratesHaveNoActorForms: the non-test code of the four stores calls
+// none of actorForms but for allowedActorForms, each of which it still calls.
+func TestSubstratesHaveNoActorForms(t *testing.T) {
 	a, err := analyseReachOnce()
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, call := range reachCallers(a, zkActorForms...) {
+	for _, call := range reachCallers(a, actorForms...) {
 		switch {
-		case !strings.HasPrefix(call, "zk."):
-		case slices.Contains(zkAllowedForms, call):
+		case !slices.ContainsFunc(actorStores, func(pkg string) bool { return strings.HasPrefix(call, pkg) }):
+		case slices.Contains(allowedActorForms, call):
 			seen[call] = true
 		default:
-			t.Errorf("%s: an actor form in zk", call)
+			t.Errorf("%s: an actor form in a store", call)
 		}
 	}
-	for _, call := range zkAllowedForms {
+	for _, call := range allowedActorForms {
 		if !seen[call] {
 			t.Errorf("stale entry: %s is no longer called", call)
 		}
