@@ -103,6 +103,11 @@ type (
 	Scheduler = core.Scheduler
 	// Event is the one-shot broadcast used by Scheduler implementations.
 	Event = core.Event
+	// Timer is the cancellable deadline Scheduler.After arms and
+	// Scheduler.Stop cancels.
+	Timer = core.Timer
+	// Alarm is what a Timer rings at its deadline.
+	Alarm = core.Alarm
 
 	// Client is the application-facing, consistency-based interface.
 	Client = binding.Client

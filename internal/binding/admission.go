@@ -6,9 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"correctables/internal/core"
 	"correctables/internal/faults"
-	"correctables/internal/trace"
 )
 
 // AdmissionDecision is an admission gate's verdict on one invocation
@@ -146,79 +144,4 @@ func (p *retryPolicy) delay(n int) time.Duration {
 		d -= time.Duration(p.Jitter * f * float64(d))
 	}
 	return d
-}
-
-// governedCall is the shared mutable state of one invocation running under
-// an admission gate and/or retry policy — the "governed" pipeline variant.
-// Plain invocations never allocate one (the hot path keeps its allocation
-// budget). The generation counter serializes attempts: each re-submission
-// bumps it, so a pending per-attempt timeout whose attempt was superseded
-// fires as a no-op instead of failing the newer attempt.
-type governedCall struct {
-	mu        sync.Mutex
-	gen       int         // bumped on every (re)submission and retry grant
-	retries   int         // spent retry budget
-	strongest core.Level  // strongest level of the current attempt's set
-	loop      resubmitter // the governed record that embeds this call
-}
-
-// resubmitter re-runs a governed invocation's attempt if its Correctable is
-// still open: the governed[T] that embeds the governedCall, reached
-// without the call knowing T.
-type resubmitter interface{ resubmit() }
-
-// begin records a new attempt's level set; returns its generation.
-func (g *governedCall) begin(strongest core.Level) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.gen++
-	g.strongest = strongest
-	return g.gen
-}
-
-// currentStrongest returns the strongest level of the attempt in flight —
-// the level that closes the Correctable. Under AdmissionDegrade this is
-// the binding's weakest level.
-func (g *governedCall) currentStrongest() core.Level {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.strongest
-}
-
-// generation returns the current attempt generation.
-func (g *governedCall) generation() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.gen
-}
-
-// tryRetry converts a failure into a scheduled re-submission when the
-// client's policy allows; reports whether it did. The generation bump
-// invalidates the failing attempt's outstanding timeout timer.
-func (g *governedCall) tryRetry(c *Client, err error) bool {
-	p := c.retry
-	if p == nil || !IsRetryable(err) {
-		return false
-	}
-	g.mu.Lock()
-	if g.retries >= p.Max {
-		g.mu.Unlock()
-		return false
-	}
-	g.retries++
-	n := g.retries
-	g.gen++
-	g.mu.Unlock()
-	d := p.delay(n)
-	if p.OnRetry != nil {
-		p.OnRetry(n, d, err)
-	}
-	if c.trc != nil {
-		// The backoff window is admission-plane time: the op is alive but
-		// deliberately parked.
-		now := c.now()
-		c.trc.Span(c.trcTrack, trace.CatAdmission, "backoff", "", now, now+d)
-	}
-	c.sched.After(d, g.loop.resubmit)
-	return true
 }

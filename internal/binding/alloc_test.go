@@ -4,9 +4,12 @@ package binding
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"correctables/internal/core"
+	"correctables/internal/faults"
 	"correctables/internal/netsim"
 	"correctables/internal/trace"
 )
@@ -128,11 +131,12 @@ func TestAllocGateTracedInvoke(t *testing.T) {
 }
 
 // TestAllocGateArmedInvoke bounds what an operation timeout adds to the
-// plain invoke: the guard the terminal transition empties and the timer
-// closure that holds it — two allocations, where the Finally/atomic.Pointer
-// indirection this replaced paid eight. Each run lets the timer fire, so
-// the disarmed no-op path is inside the measurement and the timer heap
-// stays at one entry.
+// plain invoke: one allocation, the invocation's record, whose timer the
+// client arms on the clock and whose method value is the callback (the
+// plain path's closure, which the record replaces). The guard, the timer
+// closure and the heap-moved callback it replaced cost two. A synchronous
+// binding closes the operation before the deadline is armed, so no timer
+// is left behind.
 func TestAllocGateArmedInvoke(t *testing.T) {
 	clock := netsim.NewVirtualClock()
 	ctx := context.Background()
@@ -149,7 +153,117 @@ func TestAllocGateArmedInvoke(t *testing.T) {
 	}
 	plain, armed := measure(), measure(WithOpTimeout(timeout))
 	t.Logf("allocs/invoke: plain=%.1f armed=%.1f", plain, armed)
-	if armed > plain+2 {
-		t.Errorf("armed invoke allocates %.1f/op, budget plain (%.1f) + 2", armed, plain)
+	if armed > plain+1 {
+		t.Errorf("armed invoke allocates %.1f/op, budget plain (%.1f) + 1", armed, plain)
 	}
+}
+
+// nopObserver is an observer that keeps nothing.
+type nopObserver struct{}
+
+func (nopObserver) OpStart(OpInfo)                     {}
+func (nopObserver) OpView(OpInfo, OpView)              {}
+func (nopObserver) OpEnd(OpInfo, time.Duration, error) {}
+
+// asyncBinding answers a strong read one millisecond after submission, on
+// the clock: the operation is open when the deadline is armed, and its
+// close stops the timer.
+type asyncBinding struct {
+	clock netsim.Clock
+	value any
+}
+
+func (b *asyncBinding) ConsistencyLevels() core.Levels { return core.Levels{core.LevelStrong} }
+func (b *asyncBinding) Scheduler() core.Scheduler      { return SchedulerFor(b.clock) }
+
+func (b *asyncBinding) SubmitOperation(ctx context.Context, op Operation, levels core.Levels, cb Callback) {
+	b.clock.After(time.Millisecond, func() { cb(Result{Value: b.value, Level: core.LevelStrong, Version: 1}) })
+}
+
+// TestAllocGateObservedSessionArmedInvoke: an observer, a session and an
+// operation timeout together cost the one record over the same invoke with
+// none of them (observedOp, sessionCall, the guard, the heap-moved
+// self-referencing callback, its closure and the timer closure were six,
+// against the plain closure). The binding's own answer (one closure) is on
+// both sides; the observer's boxed view value is budgeted apart. Each run closes before its deadline, and the closed
+// operations leave the heap empty.
+func TestAllocGateObservedSessionArmedInvoke(t *testing.T) {
+	clock := netsim.NewVirtualClock()
+	ctx := context.Background()
+	b := &asyncBinding{clock: clock, value: []byte("payload")}
+	plainC := NewClient(b)
+	plain := testing.AllocsPerRun(200, func() {
+		if _, err := InvokeStrong[[]byte](ctx, plainC, Get{Key: "k"}).Final(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sess := NewSession(NewClient(b, WithObserver(nopObserver{}), WithOpTimeout(time.Second)))
+	full := testing.AllocsPerRun(200, func() {
+		if _, err := SessionInvokeStrong[[]byte](ctx, sess, Get{Key: "k"}).Final(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs/invoke: plain=%.1f observed+session+timeout=%.1f", plain, full)
+	// The observer API boxes each delivered view's value (OpView.Value is
+	// an any): one view here, outside the record's budget.
+	const views = 1
+	if full > plain+1+views {
+		t.Errorf("observed session invoke with a timeout allocates %.1f/op, budget plain (%.1f) + 1 + %d boxed view", full, plain, views)
+	}
+	drainsAtOnce(t, clock)
+}
+
+// drainsAtOnce fails unless draining the clock leaves model time where it
+// is: a deadline left in the heap would run the clock on to its instant.
+func drainsAtOnce(t *testing.T, clock netsim.Clock) {
+	t.Helper()
+	now := clock.Now()
+	clock.Drain()
+	if end := clock.Now(); end != now {
+		t.Errorf("Drain ran the clock from %v to %v: a closed operation left a timer behind", now, end)
+	}
+}
+
+// failFirst fails the first left submissions with a retryable error, then
+// answers like the synchronous binding.
+type failFirst struct {
+	*syncBinding
+	left int
+}
+
+var errFlaky = fmt.Errorf("%w: injected", faults.ErrUnreachable)
+
+func (b *failFirst) SubmitOperation(ctx context.Context, op Operation, levels core.Levels, cb Callback) {
+	if b.left > 0 {
+		b.left--
+		cb(Result{Err: errFlaky})
+		return
+	}
+	b.syncBinding.SubmitOperation(ctx, op, levels, cb)
+}
+
+// TestAllocGateRetriedInvoke: a governed retry allocates nothing. The
+// backoff is the record's own timer, rung as the record (the resubmitting
+// method value each retry used to make is gone), and the retry stops the
+// failed attempt's deadline instead of leaving it in the heap.
+func TestAllocGateRetriedInvoke(t *testing.T) {
+	clock := netsim.NewVirtualClock()
+	ctx := context.Background()
+	b := &failFirst{syncBinding: newSyncBinding()}
+	c := NewClient(clocked{b, clock}, WithOpTimeout(time.Second),
+		WithRetry(RetryPolicy{Max: 8, Base: time.Millisecond}))
+	measure := func(retries int) float64 {
+		return testing.AllocsPerRun(200, func() {
+			b.left = retries
+			if _, err := Invoke[[]byte](ctx, c, Get{Key: "k"}).Final(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	once, retried := measure(0), measure(4)
+	t.Logf("allocs/governed invoke: no retry=%.1f four retries=%.1f", once, retried)
+	if retried > once {
+		t.Errorf("four retries add %.1f allocs/invoke, want 0", retried-once)
+	}
+	drainsAtOnce(t, clock)
 }

@@ -191,64 +191,69 @@ func (c *Client) requestedLevels(levels []core.Level) (core.Levels, error) {
 	return requested, nil
 }
 
-// invocation bundles the consumer handle of one in-flight operation with
-// what its optional features share. It is a small value — five words; the
-// compiler copies a capture into a closure only up to 128 bytes and moves a
-// larger one to the heap — captured by value in the delivery closures:
-// terminal helpers use the Controller's verdict (only the transition that
-// actually happened is observed), so duplicate binding callbacks and late
-// post-timeout views produce exactly one OpEnd and no spurious OpViews.
+// invocation is the record of one operation that needs more than the plain
+// path: an observer, a session, an operation timeout, or an admission gate
+// or retry policy (the governed path). Its one allocation holds the
+// observer identity, the session's floor and retries, the governed
+// attempt's level and spent retries, the callback's self-reference and the
+// deadline with its timer; what the operation itself can tell (its name,
+// key and kind) it does not copy. Terminal helpers use the Controller's
+// verdict (only the transition that actually happened is observed), so
+// duplicate binding callbacks and late post-timeout views produce exactly
+// one OpEnd and no spurious OpViews.
 type invocation[T any] struct {
-	c     *Client
-	ctrl  core.Controller[T]
-	obs   *observedOp      // non-nil iff an observer is attached
-	gov   *governedCall    // non-nil iff an admission gate or retry policy applies
-	guard *timeoutGuard[T] // non-nil iff an operation timeout applies
+	c    *Client
+	ctrl core.Controller[T]
+	ctx  context.Context
+	op   OperationFor[T]
+	cb   Callback // deliver, bound once: every attempt and session re-read submits it
+
+	// mu makes each (transition, emission) pair atomic, so observers never
+	// record an accepted view after the operation's end, or out of order,
+	// and guards the governed fields. The bindings' clocks already order
+	// deliveries totally; the mutex is safety code for a binding that calls
+	// back from goroutines of its own.
+	mu     sync.Mutex
+	id     OpID          // observer identity; 0 unless an observer is attached
+	start  time.Duration // submission instant, when observed
+	levels core.Levels   // the request
+
+	sess        sessionCall // sess.s is nil unless a session applies
+	sessRetries int32       // session re-reads left
+	retries     int32       // governed retries spent
+	// strongest is the level that closes the Correctable: the request's,
+	// or under an admission gate the current attempt's (an
+	// AdmissionDegrade attempt closes at the weakest level).
+	strongest core.Level
+	d         time.Duration // the operation bound, resolved once; 0 = none
+	// timer is the attempt's deadline, rung as the record itself, or a
+	// retry's backoff, rung as its retryBackoff.
+	timer core.Timer
 }
 
-// observedOp is an invocation's observer identity. Its mutex makes each
-// (transition, emission) pair atomic, so observers never record an
-// accepted view after the operation's end, or out of order. The bindings'
-// clocks already order deliveries totally; the mutex is safety code that
-// keeps the pair atomic for a binding that calls back from goroutines of
-// its own.
-type observedOp struct {
-	mu   sync.Mutex
-	info OpInfo
+// info is the invocation's identity as observers see it.
+func (inv *invocation[T]) info() OpInfo {
+	return opInfoOf(inv.id, inv.c.label, inv.op, inv.levels, inv.start)
 }
 
-// timeoutGuard is what an armed operation-timeout timer holds in place of
-// the invocation. Scheduler.After has no cancellation, so the timer
-// outlives an operation that completes early; every terminal transition
-// goes through invocation.close or invocation.fail, and those empty the
-// guard. A completed operation's Correctable and views are therefore not
-// kept alive for the rest of the timeout window, and the eventually-firing
-// timer is a reference-free no-op. One guard serves every attempt of a
-// governed invocation.
-type timeoutGuard[T any] struct {
-	d   time.Duration // the bound, resolved once per invocation
-	mu  sync.Mutex
-	inv invocation[T] // zero once the operation has closed
-}
+// governed reports whether an admission gate or retry policy applies.
+func (c *Client) governed() bool { return c.gate != nil || c.retry != nil }
 
-// disarm empties the invocation's timeout guard, if it has one.
-func (inv invocation[T]) disarm() {
-	if g := inv.guard; g != nil {
-		g.mu.Lock()
-		g.inv = invocation[T]{}
-		g.mu.Unlock()
+// strongestNow returns the level that closes the Correctable now.
+func (inv *invocation[T]) strongestNow() core.Level {
+	if inv.c.gate == nil {
+		return inv.strongest
 	}
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
+	return inv.strongest
 }
 
-// strongestNow returns the level that closes the Correctable: the frozen
-// request strongest on the plain path, the current attempt's strongest on
-// the governed path (an AdmissionDegrade attempt closes at the weakest
-// level).
-func (inv invocation[T]) strongestNow(fallback core.Level) core.Level {
-	if inv.gov == nil {
-		return fallback
+// stop cancels the record's timer, if it can have armed one.
+func (inv *invocation[T]) stop() {
+	if inv.d > 0 || inv.c.retry != nil {
+		inv.c.sched.Stop(&inv.timer)
 	}
-	return inv.gov.currentStrongest()
 }
 
 // fail closes the operation with err; reports whether this call closed it.
@@ -256,54 +261,55 @@ func (inv invocation[T]) strongestNow(fallback core.Level) core.Level {
 // converted into a scheduled re-submission instead (the op stays in
 // flight; observers see neither an OpEnd nor a new OpStart — retries are
 // internal to the one logical operation).
-func (inv invocation[T]) fail(err error) bool {
-	if inv.gov != nil &&
+func (inv *invocation[T]) fail(err error) bool {
+	if inv.c.governed() &&
 		inv.ctrl.Correctable().State() == core.StateUpdating &&
-		inv.gov.tryRetry(inv.c, err) {
+		inv.tryRetry(err) {
 		return false
 	}
-	inv.disarm()
-	if inv.obs == nil {
+	inv.stop()
+	if inv.c.obs == nil {
 		return inv.ctrl.Fail(err) == nil
 	}
-	inv.obs.mu.Lock()
-	defer inv.obs.mu.Unlock()
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
 	if inv.ctrl.Fail(err) != nil {
 		return false
 	}
-	inv.c.obs.OpEnd(inv.obs.info, inv.c.now(), err)
+	inv.c.obs.OpEnd(inv.info(), inv.c.now(), err)
 	return true
 }
 
 // update delivers a non-final view; reports whether it was accepted.
-func (inv invocation[T]) update(v T, level core.Level, version uint64) bool {
-	if inv.obs == nil {
+func (inv *invocation[T]) update(v T, level core.Level, version uint64) bool {
+	if inv.c.obs == nil {
 		return inv.ctrl.Update(v, level) == nil
 	}
-	inv.obs.mu.Lock()
-	defer inv.obs.mu.Unlock()
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
 	if inv.ctrl.Update(v, level) != nil {
 		return false
 	}
 	at := inv.c.now()
-	inv.c.obs.OpView(inv.obs.info, OpView{Level: level, Version: version, At: at, Value: v})
+	inv.c.obs.OpView(inv.info(), OpView{Level: level, Version: version, At: at, Value: v})
 	return true
 }
 
 // close delivers the final view; reports whether it was accepted.
-func (inv invocation[T]) close(v T, level core.Level, version uint64) bool {
-	inv.disarm()
-	if inv.obs == nil {
+func (inv *invocation[T]) close(v T, level core.Level, version uint64) bool {
+	inv.stop()
+	if inv.c.obs == nil {
 		return inv.ctrl.Close(v, level) == nil
 	}
-	inv.obs.mu.Lock()
-	defer inv.obs.mu.Unlock()
+	inv.mu.Lock()
+	defer inv.mu.Unlock()
 	if inv.ctrl.Close(v, level) != nil {
 		return false
 	}
 	at := inv.c.now()
-	inv.c.obs.OpView(inv.obs.info, OpView{Level: level, Final: true, Version: version, At: at, Value: v})
-	inv.c.obs.OpEnd(inv.obs.info, at, nil)
+	info := inv.info()
+	inv.c.obs.OpView(info, OpView{Level: level, Final: true, Version: version, At: at, Value: v})
+	inv.c.obs.OpEnd(info, at, nil)
 	return true
 }
 
@@ -318,10 +324,11 @@ func (inv invocation[T]) close(v T, level core.Level, version uint64) bool {
 // delivered version tokens advance the session's floors (see Session).
 //
 // When the client has an operation timeout (resolved here, once per
-// invocation), a timer on the client's scheduler bounds the invocation: on
-// expiry the Correctable fails with faults.ErrUnreachable; whatever
-// protocol work the binding still has in flight runs to its end — at the
-// latest when the fault clears — and its late views are refused.
+// invocation), the record's timer bounds the invocation: on expiry the
+// Correctable fails with faults.ErrUnreachable; whatever protocol work the
+// binding still has in flight runs to its end — at the latest when the
+// fault clears — and its late views are refused. An operation that ends
+// first stops the timer, so a closed operation leaves no deadline behind.
 //
 // An admission gate (WithAdmission) or retry policy (WithRetry) switches
 // the invocation onto the governed path: the gate is consulted before any
@@ -330,134 +337,108 @@ func (inv invocation[T]) close(v T, level core.Level, version uint64) bool {
 // Correctable honestly closes with the preliminary view, failures
 // IsRetryable accepts are re-submitted with seeded backoff, and
 // the operation timeout bounds each attempt rather than the whole
-// invocation. Plain invocations never touch any of it — the hot path keeps
-// its allocation budget.
+// invocation. Plain invocations — no observer, session, timeout or
+// governance — allocate no record: the hot path keeps its allocation
+// budget.
 func submit[T any](ctx context.Context, c *Client, op OperationFor[T], requested core.Levels, sess *Session) *core.Correctable[T] {
 	cor, ctrl := core.NewScheduled[T](c.sched, requested)
 	strongest := requested.Strongest()
-	inv := invocation[T]{c: c, ctrl: ctrl}
-	if c.obs != nil {
-		inv.obs = &observedOp{info: opInfoOf(OpID(c.opSeq.Add(1)), c.label, op, requested, c.now())}
-		c.obs.OpStart(inv.obs.info)
+	if sess != nil && op.OpKey() == "" {
+		sess = nil // nothing to hold the guarantees of
 	}
-	if c.gate != nil || c.retry != nil {
-		g := &governed[T]{governedCall: governedCall{strongest: strongest}}
-		g.loop = g
-		inv.gov = &g.governedCall
-	}
-	if d := c.OpTimeout(); d > 0 {
-		inv.guard = &timeoutGuard[T]{d: d}
-		inv.guard.inv = inv // last: the copy the timer fails carries every field
-	}
-	if call := sess.newCall(op); call != nil {
-		// Session path: the callback references itself so a stale final
-		// can re-submit the operation; the self-capture costs one extra
-		// allocation, which only session invocations pay. cb stays scoped
-		// to this branch: a shared variable captured by this self-reference
-		// would be heap-moved on the plain path too, breaking its budget.
-		var cb Callback
-		cb = func(r Result) {
+	d := c.OpTimeout()
+	if c.obs == nil && sess == nil && d <= 0 && !c.governed() {
+		// Plain path: one flat closure.
+		c.b.SubmitOperation(ctx, op, requested, func(r Result) {
 			if r.Err != nil {
-				inv.fail(r.Err)
-				return
-			}
-			st := inv.strongestNow(strongest)
-			switch call.check(r.Level == st, r.Version) {
-			case sessionSuppress:
-				return
-			case sessionRetry:
-				// Re-execute at the strongest requested level only: the
-				// weaker levels were already delivered (or suppressed) by
-				// the first execution, and re-running their protocol legs
-				// would deliver duplicate views and duplicate traffic.
-				// A closed Correctable (op timeout, binding error) refuses
-				// every result, so don't burn store operations chasing a
-				// token no consumer can observe. (Session re-reads bypass
-				// the admission gate: they chase a token the session
-				// already observed, at the cheapest level that can carry
-				// it.)
-				if inv.ctrl.Correctable().State() != core.StateUpdating {
-					return
-				}
-				c.b.SubmitOperation(ctx, op, core.Levels{st}, cb)
-				return
-			case sessionFail:
-				inv.fail(call.floorErr(r.Version))
+				ctrl.Fail(r.Err)
 				return
 			}
 			v, err := op.ResultOf(r.Value)
 			switch {
 			case err != nil:
-				inv.fail(err)
-			case r.Level == st:
-				if inv.close(v, r.Level, r.Version) {
-					call.observe(r.Version, true)
-				}
+				ctrl.Fail(err)
+			case r.Level == strongest:
+				ctrl.Close(v, r.Level)
 			default:
-				if inv.update(v, r.Level, r.Version) {
-					call.observe(r.Version, false)
-				}
-			}
-		}
-		dispatch(ctx, inv, op, requested, cb)
-	} else {
-		// Plain path: one flat closure, no self-reference — the invoke hot
-		// path stays at its pre-session allocation budget.
-		dispatch(ctx, inv, op, requested, func(r Result) {
-			if r.Err != nil {
-				inv.fail(r.Err)
-				return
-			}
-			v, err := op.ResultOf(r.Value)
-			st := inv.strongestNow(strongest)
-			switch {
-			case err != nil:
-				inv.fail(err)
-			case r.Level == st:
-				inv.close(v, r.Level, r.Version)
-			default:
-				inv.update(v, r.Level, r.Version)
+				ctrl.Update(v, r.Level)
 			}
 		})
+		return cor
+	}
+	inv := &invocation[T]{c: c, ctrl: ctrl, ctx: ctx, op: op, levels: requested, strongest: strongest, d: d}
+	inv.cb = inv.deliver
+	if c.obs != nil {
+		inv.id, inv.start = OpID(c.opSeq.Add(1)), c.now()
+		c.obs.OpStart(inv.info())
+	}
+	if sess != nil {
+		inv.sess, inv.sessRetries = sess.newCall(op.OpKey()), sessionRetries
+	}
+	if c.governed() {
+		inv.attempt()
+		return cor
+	}
+	c.b.SubmitOperation(ctx, op, requested, inv.cb)
+	if d > 0 && ctrl.Correctable().State() == core.StateUpdating {
+		c.sched.After(d, &inv.timer, inv)
 	}
 	return cor
 }
 
-// dispatch hands a wired callback to the binding: directly on the plain
-// path (arming the whole-invocation timeout), through the governed attempt
-// loop otherwise.
-func dispatch[T any](ctx context.Context, inv invocation[T], op Operation, requested core.Levels, cb Callback) {
-	if inv.gov == nil {
-		inv.c.b.SubmitOperation(ctx, op, requested, cb)
-		armTimeout(inv, 0)
+// deliver is the binding's callback: it threads one Result through the
+// session's checks, if any, and into the Correctable.
+func (inv *invocation[T]) deliver(r Result) {
+	if r.Err != nil {
+		inv.fail(r.Err)
 		return
 	}
-	g := inv.gov.loop.(*governed[T])
-	g.ctx, g.inv, g.op, g.requested, g.cb = ctx, inv, op, requested, cb
-	g.attempt()
+	st := inv.strongestNow()
+	if inv.sess.s != nil {
+		switch inv.sess.check(r.Level == st, r.Version, inv.op.OpMutates(), &inv.sessRetries) {
+		case sessionSuppress:
+			return
+		case sessionRetry:
+			// Re-execute at the strongest requested level only: the
+			// weaker levels were already delivered (or suppressed) by the
+			// first execution, and re-running their protocol legs would
+			// deliver duplicate views and duplicate traffic. A closed
+			// Correctable (op timeout, binding error) refuses every
+			// result, so don't burn store operations chasing a token no
+			// consumer can observe. (Session re-reads bypass the
+			// admission gate: they chase a token the session already
+			// observed, at the cheapest level that can carry it.)
+			if inv.ctrl.Correctable().State() != core.StateUpdating {
+				return
+			}
+			inv.c.b.SubmitOperation(inv.ctx, inv.op, core.Levels{st}, inv.cb)
+			return
+		case sessionFail:
+			inv.fail(inv.sess.floorErr(inv.op.OpKey(), r.Version))
+			return
+		}
+	}
+	v, err := inv.op.ResultOf(r.Value)
+	switch {
+	case err != nil:
+		inv.fail(err)
+	case r.Level == st:
+		if inv.close(v, r.Level, r.Version) && inv.sess.s != nil {
+			inv.sess.s.observe(inv.op.OpKey(), r.Version, inv.op.OpMutates())
+		}
+	default:
+		if inv.update(v, r.Level, r.Version) && inv.sess.s != nil {
+			inv.sess.s.observe(inv.op.OpKey(), r.Version, false)
+		}
+	}
 }
 
-// governed is the attempt loop of one governed invocation as one record:
-// the shared state every attempt and timer consults (governedCall) and
-// what each attempt submits. Its attempt and resubmit are methods, so the
-// loop costs the invocation this one allocation.
-type governed[T any] struct {
-	governedCall
-	ctx       context.Context
-	inv       invocation[T]
-	op        Operation
-	requested core.Levels
-	cb        Callback
-}
-
-// attempt runs one attempt: it consults the admission gate, picks its
-// level set (requested, or the binding's weakest under AdmissionDegrade),
-// arms a fresh per-attempt timeout stamped with the attempt generation,
-// and submits.
-func (g *governed[T]) attempt() {
-	inv, op := g.inv, g.op
-	c := inv.c
-	lv := g.requested
+// attempt runs one governed attempt: it consults the admission gate, picks
+// its level set (requested, or the binding's weakest under
+// AdmissionDegrade), arms the attempt's deadline and submits.
+func (inv *invocation[T]) attempt() {
+	c, op := inv.c, inv.op
+	lv := inv.levels
 	if c.gate != nil {
 		dec, err := c.gate.Admit(c.label, op)
 		switch dec {
@@ -478,44 +459,62 @@ func (g *governed[T]) attempt() {
 				}
 			}
 		}
+		inv.mu.Lock()
+		inv.strongest = lv.Strongest()
+		inv.mu.Unlock()
 	}
-	gen := g.begin(lv.Strongest())
-	armTimeout(inv, gen)
-	c.b.SubmitOperation(g.ctx, op, lv, g.cb)
+	if inv.d > 0 {
+		c.sched.After(inv.d, &inv.timer, inv)
+	}
+	c.b.SubmitOperation(inv.ctx, op, lv, inv.cb)
 }
 
-// resubmit re-runs the attempt if the Correctable is still open: a
-// closed one (op timeout, terminal failure) stops the loop.
-// invocation.fail schedules it when the retry policy grants a retry.
-func (g *governed[T]) resubmit() {
-	if g.inv.ctrl.Correctable().State() == core.StateUpdating {
-		g.attempt()
+// Ring is the record's timer as the deadline of the operation (of the
+// attempt, on the governed path): it fails the operation.
+func (inv *invocation[T]) Ring() {
+	inv.fail(fmt.Errorf("%w: no terminal view within %v (client op timeout)", faults.ErrUnreachable, inv.d))
+}
+
+// retryBackoff is the record as the alarm of a retry's backoff: the same
+// pointer, so arming it allocates nothing.
+type retryBackoff[T any] invocation[T]
+
+// Ring re-runs the attempt if the Correctable is still open: a closed one
+// (a late view, a terminal failure) stops the loop.
+func (b *retryBackoff[T]) Ring() {
+	inv := (*invocation[T])(b)
+	if inv.ctrl.Correctable().State() == core.StateUpdating {
+		inv.attempt()
 	}
 }
 
-// armTimeout bounds one attempt to the invocation's operation timeout (a
-// no-op without one). The timer reaches the invocation through its
-// timeoutGuard, so an attempt that has already closed — a synchronous
-// binding closes inside SubmitOperation, before the plain path arms — costs
-// a timer that finds the guard empty. On the governed path gen stamps the
-// attempt: a timer whose attempt a retry has already superseded is a no-op
-// too (the retry armed its own), so a slow timer never fails a newer
-// attempt.
-func armTimeout[T any](inv invocation[T], gen int) {
-	g := inv.guard
-	if g == nil {
-		return
+// tryRetry converts a failure into a scheduled re-submission when the
+// client's policy allows; reports whether it did. Arming the backoff stops
+// the failing attempt's deadline.
+func (inv *invocation[T]) tryRetry(err error) bool {
+	c := inv.c
+	p := c.retry
+	if p == nil || !IsRetryable(err) {
+		return false
 	}
-	inv.c.sched.After(g.d, func() {
-		g.mu.Lock()
-		iv := g.inv
-		g.mu.Unlock()
-		if iv.c == nil {
-			return
-		}
-		if iv.gov != nil && iv.gov.generation() != gen {
-			return
-		}
-		iv.fail(fmt.Errorf("%w: no terminal view within %v (client op timeout)", faults.ErrUnreachable, g.d))
-	})
+	inv.mu.Lock()
+	if int(inv.retries) >= p.Max {
+		inv.mu.Unlock()
+		return false
+	}
+	inv.retries++
+	n := int(inv.retries)
+	inv.mu.Unlock()
+	d := p.delay(n)
+	if p.OnRetry != nil {
+		p.OnRetry(n, d, err)
+	}
+	if c.trc != nil {
+		// The backoff window is admission-plane time: the op is alive but
+		// deliberately parked.
+		now := c.now()
+		c.trc.Span(c.trcTrack, trace.CatAdmission, "backoff", "", now, now+d)
+	}
+	c.sched.After(d, &inv.timer, (*retryBackoff[T])(inv))
+	return true
 }

@@ -17,7 +17,10 @@ func (s clockScheduler) Go(fn func())         { s.c.Go(fn) }
 func (s clockScheduler) NewEvent() core.Event { return s.c.NewEvent() }
 func (s clockScheduler) Now() time.Duration   { return s.c.Now() }
 
-// After rides the clock's callback-timer heap: no actor spawn, no
-// channel rendezvous, deterministic interleave with traffic. fn must not
-// block (Controller methods never do).
-func (s clockScheduler) After(d time.Duration, fn func()) { s.c.RunAfter(d, fn) }
+// After arms the clock's cancellable timer (VirtualClock.ArmAfter): no
+// actor spawn, no channel rendezvous, no closure, deterministic interleave
+// with traffic. The alarm must not block (Controller methods never do).
+func (s clockScheduler) After(d time.Duration, t *core.Timer, a core.Alarm) { s.c.ArmAfter(t, d, a) }
+
+// Stop takes t out of the clock's timer heap.
+func (s clockScheduler) Stop(t *core.Timer) bool { return s.c.StopTimer(t) }

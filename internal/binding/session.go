@@ -98,60 +98,48 @@ const (
 	sessionFail                           // fail with ErrSessionGuarantee
 )
 
-// sessionCall is the per-invocation session state: the floor frozen at
-// submission (guarantees are relative to operations that completed before
-// this one began) and the retry budget. Callbacks for one operation are
-// delivered sequentially, so retries need no locking.
+// sessionCall is the per-invocation session state, part of the
+// invocation's record: the session and the floor frozen at submission
+// (guarantees are relative to operations that completed before this one
+// began). Callbacks for one operation are delivered sequentially, so the
+// retry budget the record keeps next to it needs no locking.
 type sessionCall struct {
-	s        *Session
-	key      string
-	mutating bool
-	floor    uint64
-	retries  int
+	s     *Session
+	floor uint64
 }
 
-// newCall prepares the session state for one invocation; nil when the
-// session is nil (plain invoke) or the operation carries no object identity.
-func (s *Session) newCall(op Operation) *sessionCall {
-	if s == nil {
-		return nil
-	}
-	key := op.OpKey()
-	if key == "" {
-		return nil
-	}
-	return &sessionCall{s: s, key: key, mutating: op.OpMutates(), floor: s.Floor(key), retries: sessionRetries}
+// newCall prepares the session state for one invocation of an operation
+// on key (never "": an operation without object identity passes through
+// the session unfiltered).
+func (s *Session) newCall(key string) sessionCall {
+	return sessionCall{s: s, floor: s.Floor(key)}
 }
 
-// check classifies one incoming view against the call's floor. Mutating
-// finals always pass: the store ordered them itself, and re-executing a
-// mutation to chase a token would duplicate its side effects.
-func (call *sessionCall) check(final bool, version uint64) sessionVerdict {
+// check classifies one incoming view against the call's floor, spending
+// one of retries on a re-read. Mutating finals always pass: the store
+// ordered them itself, and re-executing a mutation to chase a token would
+// duplicate its side effects.
+func (call sessionCall) check(final bool, version uint64, mutating bool, retries *int32) sessionVerdict {
 	if version >= call.floor {
 		return sessionDeliver
 	}
 	if !final {
 		return sessionSuppress
 	}
-	if call.mutating {
+	if mutating {
 		return sessionDeliver
 	}
-	if call.retries > 0 {
-		call.retries--
+	if *retries > 0 {
+		*retries--
 		return sessionRetry
 	}
 	return sessionFail
 }
 
 // floorErr builds the terminal staleness error.
-func (call *sessionCall) floorErr(version uint64) error {
+func (call sessionCall) floorErr(key string, version uint64) error {
 	return fmt.Errorf("%w: final view of %q at version %d, session floor %d (retries exhausted)",
-		ErrSessionGuarantee, call.key, version, call.floor)
-}
-
-// observe forwards a delivered view's token to the session.
-func (call *sessionCall) observe(version uint64, final bool) {
-	call.s.observe(call.key, version, final && call.mutating)
+		ErrSessionGuarantee, key, version, call.floor)
 }
 
 // SessionInvoke executes op through s with incremental consistency

@@ -17,10 +17,48 @@ type hostScheduler struct{}
 // hostEpoch anchors hostScheduler's time axis.
 var hostEpoch = time.Now()
 
-func (hostScheduler) Go(fn func())                     { go fn() }
-func (hostScheduler) NewEvent() core.Event             { return &hostEvent{ch: make(chan struct{})} }
-func (hostScheduler) After(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
-func (hostScheduler) Now() time.Duration               { return time.Since(hostEpoch) }
+func (hostScheduler) Go(fn func())         { go fn() }
+func (hostScheduler) NewEvent() core.Event { return &hostEvent{ch: make(chan struct{})} }
+func (hostScheduler) Now() time.Duration   { return time.Since(hostEpoch) }
+
+// hostTimers maps each pending core.Timer to the host timer standing for
+// it; a host timer that finds itself replaced or removed does not ring.
+var hostTimers struct {
+	mu sync.Mutex
+	m  map[*core.Timer]*time.Timer
+}
+
+func (hostScheduler) After(d time.Duration, t *core.Timer, a core.Alarm) {
+	hostTimers.mu.Lock()
+	defer hostTimers.mu.Unlock()
+	if old := hostTimers.m[t]; old != nil {
+		old.Stop()
+	}
+	if hostTimers.m == nil {
+		hostTimers.m = map[*core.Timer]*time.Timer{}
+	}
+	var ht *time.Timer
+	ht = time.AfterFunc(d, func() {
+		hostTimers.mu.Lock()
+		current := hostTimers.m[t] == ht
+		if current {
+			delete(hostTimers.m, t)
+		}
+		hostTimers.mu.Unlock()
+		if current {
+			a.Ring()
+		}
+	})
+	hostTimers.m[t] = ht
+}
+
+func (hostScheduler) Stop(t *core.Timer) bool {
+	hostTimers.mu.Lock()
+	defer hostTimers.mu.Unlock()
+	ht := hostTimers.m[t]
+	delete(hostTimers.m, t)
+	return ht != nil && ht.Stop()
+}
 
 // hostEvent is hostScheduler's Event: a channel closed once.
 type hostEvent struct {

@@ -13,10 +13,16 @@ type hostScheduler struct{}
 // hostEpoch anchors hostScheduler's time axis.
 var hostEpoch = time.Now()
 
-func (hostScheduler) Go(fn func())                     { go fn() }
-func (hostScheduler) NewEvent() Event                  { return &hostEvent{ch: make(chan struct{})} }
-func (hostScheduler) After(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
-func (hostScheduler) Now() time.Duration               { return time.Since(hostEpoch) }
+func (hostScheduler) Go(fn func())       { go fn() }
+func (hostScheduler) NewEvent() Event    { return &hostEvent{ch: make(chan struct{})} }
+func (hostScheduler) Now() time.Duration { return time.Since(hostEpoch) }
+func (hostScheduler) Stop(t *Timer) bool { return false }
+
+// After is never called: the client library arms deadlines, and core's
+// tests drive Correctables without it.
+func (hostScheduler) After(time.Duration, *Timer, Alarm) {
+	panic("core: hostScheduler arms no timers")
+}
 
 // hostEvent is hostScheduler's Event: a channel closed once.
 type hostEvent struct {

@@ -40,6 +40,23 @@ func TestAllocGateRunAfterSteadyState(t *testing.T) {
 	}
 }
 
+// TestAllocGateTimer: arming, stopping and ringing a Timer allocate
+// nothing — the alarm is the owner's object, not a closure.
+func TestAllocGateTimer(t *testing.T) {
+	c := NewVirtualClock()
+	var tm, stopped Timer
+	var a benchAlarm
+	c.Sleep(time.Millisecond) // seed the vactor freelist
+	if got := testing.AllocsPerRun(2000, func() {
+		c.ArmAfter(&stopped, time.Second, a)
+		c.ArmAfter(&tm, time.Millisecond, a)
+		c.StopTimer(&stopped)
+		c.Sleep(2 * time.Millisecond)
+	}); got != 0 {
+		t.Errorf("Timer arm+stop+ring cycle allocs/op = %v, want 0", got)
+	}
+}
+
 // TestAllocGateQueueHandoff: a warm ready-queue handoff (Put to a waiting
 // actor, token round trip) must not allocate on the scheduler's side. The
 // single allocation budgeted here is the interface boxing of the queue

@@ -26,7 +26,8 @@ import "time"
 // (asynchronous replication applying a mutation, a commit delivery, a
 // block-mining tick) should use RunAt/RunAfter instead: a callback costs no
 // goroutine spawn and no channel rendezvous, which is what makes
-// million-actor runs affordable. Callbacks MUST NOT block — a blocking call
+// million-actor runs affordable. A deadline that is usually called off
+// (an operation timeout) is a Timer, which StopTimer takes back. Callbacks MUST NOT block — a blocking call
 // from a callback panics (fail fast); a callback that needs to block spawns
 // an actor with Go.
 type Clock = *VirtualClock

@@ -137,3 +137,45 @@ func BenchmarkTimerHeap(b *testing.B) {
 	b.StopTimer()
 	c.Drain()
 }
+
+// benchAlarm is a Timer's alarm that does nothing.
+type benchAlarm struct{}
+
+func (benchAlarm) Ring() {}
+
+// BenchmarkTimerHeapCancel measures the client library's deadline shape on
+// zk's scale: one 5 s deadline armed per operation and stopped about 100 ms
+// of model time later, when the operation closes, with about 5k pending.
+// Fifty operations start per model millisecond, so the timer re-armed each
+// iteration is the one armed 5k operations (100 ms) before: it is stopped
+// and armed again, and no deadline ever rings.
+func BenchmarkTimerHeapCancel(b *testing.B) {
+	c := NewVirtualClock()
+	const pending, perMs = 5000, 50
+	timers := make([]Timer, pending)
+	var a benchAlarm
+	for i := range timers {
+		c.ArmAfter(&timers[i], 5*time.Second, a)
+		if i%perMs == perMs-1 {
+			c.Sleep(time.Millisecond)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := &timers[i%pending]
+		c.StopTimer(t)
+		c.ArmAfter(t, 5*time.Second, a)
+		if i%perMs == perMs-1 {
+			c.Sleep(time.Millisecond)
+		}
+	}
+	b.StopTimer()
+	if n := c.PendingTimers(); n != pending {
+		b.Fatalf("%d timers pending, want %d", n, pending)
+	}
+	for i := range timers {
+		c.StopTimer(&timers[i])
+	}
+	c.Drain()
+}

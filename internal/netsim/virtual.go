@@ -33,6 +33,14 @@ import (
 // still needs an actor: spawn one with Go from inside the callback if
 // necessary.
 //
+// A callback timer cannot be taken back; a Timer can. ArmAfter arms one on
+// storage its owner keeps, to ring an Alarm — the owner's record, so no
+// closure either — on the deadline and arming sequence RunAfter would take,
+// and StopTimer takes it out of the heap at once. That is the shape of a
+// deadline that is mostly cancelled, like an operation timeout: an
+// operation that closes early leaves nothing behind, where a RunAfter
+// would stay in the heap as a no-op until its instant.
+//
 // Work that waits more than once need not be an actor either. Each way an
 // actor takes its turn has a continuation twin that takes the same turn
 // without one: Run takes over the ready-queue slot of Go, After and At the
@@ -56,7 +64,8 @@ import (
 // deque (no reslice churn, memory bounded by the live depth); every park
 // goes through a freelist of rendezvous channels (token handoff is a
 // buffered send, not a channel close); timers live in a concrete 4-ary
-// heap of value entries (no container/heap boxing); and actors run on
+// heap of value entries (no container/heap boxing) — a sleeping actor
+// parks on a Timer of its own — and actors run on
 // pooled worker goroutines — a worker whose actor returned parks on its own
 // rendezvous channel in a bounded idle pool, and the next Go hands it the
 // new body instead of starting a goroutine (no newproc, no fresh stack to
@@ -123,12 +132,13 @@ const maxIdleWorkers = 256
 // A vactor with then set stands in the same slots for a continuation, which
 // has no goroutine to wake: dispatch runs it inline when its turn comes.
 type vactor struct {
-	seq  uint64
-	ch   chan struct{}
-	val  any
-	fn   func()    // the body a worker runs when woken; nil retires it
-	then func()    // a continuation's step (Run, Event.Then, Group.Then), in place of a wake
-	take func(any) // a Queue.Then continuation, handed val in place of a wake
+	seq   uint64
+	ch    chan struct{}
+	val   any
+	fn    func()    // the body a worker runs when woken; nil retires it
+	then  func()    // a continuation's step (Run, Event.Then, Group.Then), in place of a wake
+	take  func(any) // a Queue.Then continuation, handed val in place of a wake
+	sleep Timer     // the timer a Sleep parks on, which wakes this actor
 }
 
 // NewVirtualClock returns a virtual clock at model time zero. The calling
@@ -253,11 +263,18 @@ func (c *VirtualClock) dispatchLocked() {
 			if e.at > c.now {
 				c.now = e.at
 			}
-			if e.fn == nil {
-				e.p.wake()
+			if e.fn != nil {
+				c.callLocked(e.fn, nil, nil)
+				continue
+			}
+			if p := e.t.p; p != nil {
+				e.t.p = nil
+				p.wake()
 				return
 			}
-			c.callLocked(e.fn, nil, nil)
+			a := e.t.a
+			e.t.a = nil
+			c.callLocked(a.Ring, nil, nil)
 			continue
 		}
 		if c.idler != nil {
@@ -271,7 +288,10 @@ func (c *VirtualClock) dispatchLocked() {
 			// Parked actors can now only be woken by other actors — and none
 			// remain, whether the yielder parked itself or exited. Any
 			// pending callback timers have already run above without
-			// unblocking anyone. Fail fast instead of hanging silently.
+			// unblocking anyone. Fail fast instead of hanging silently, and
+			// leave the clock unlocked: a test that recovers the panic may
+			// still Drain it (from a cleanup, say) and must not hang.
+			c.mu.Unlock()
 			panic(fmt.Sprintf(
 				"netsim: virtual clock deadlock: %d actor(s) blocked with no runnable actors and no pending timers",
 				c.blocked))
@@ -329,7 +349,8 @@ func (c *VirtualClock) sleepUntilLocked(t time.Duration) {
 	}
 	c.checkCanBlockLocked("Sleep")
 	p := c.newActorLocked()
-	c.timers.push(timerEntry{at: t, seq: p.seq, p: p})
+	p.sleep.p = p
+	c.timers.push(timerEntry{at: t, seq: p.seq, t: &p.sleep})
 	c.dispatchLocked()
 	c.mu.Unlock()
 	<-p.ch
@@ -358,6 +379,49 @@ func (c *VirtualClock) RunAfter(d time.Duration, fn func()) {
 func (c *VirtualClock) armLocked(t time.Duration, fn func()) {
 	c.timers.push(timerEntry{at: t, seq: c.seq, fn: fn})
 	c.seq++
+}
+
+// Alarm is what a Timer rings when its deadline passes: in practice the
+// record the deadline belongs to, so that arming one costs no closure.
+type Alarm interface{ Ring() }
+
+// Timer is the clock's cancellable callback timer. Its owner keeps it —
+// typically a field of the record whose deadline it is — and arms it with
+// ArmAfter, so arming allocates nothing. A stopped timer is out of the heap
+// at once: it never rings, never advances the clock and holds no reference
+// to its alarm. The zero Timer is stopped. A Timer belongs to the clock that
+// armed it until it rings or is stopped.
+type Timer struct {
+	a Alarm
+	p *vactor // in place of a, the actor a Sleep parked on this timer
+	i int     // heap position + 1 while pending, 0 once stopped or rung
+}
+
+// ArmAfter arms t to ring a once d of model time has passed: RunAfter's
+// callback, on the deadline and arming sequence RunAfter(d, a.Ring) would
+// take. A pending t is stopped first.
+func (c *VirtualClock) ArmAfter(t *Timer, d time.Duration, a Alarm) {
+	c.mu.Lock()
+	if t.i != 0 {
+		c.timers.remove(t.i - 1)
+	}
+	t.a = a
+	c.timers.push(timerEntry{at: c.now + max(d, 0), seq: c.seq, t: t})
+	c.seq++
+	c.mu.Unlock()
+}
+
+// StopTimer takes t out of the heap; it reports whether t was pending.
+// Stopping a timer that has rung or was stopped already does nothing.
+func (c *VirtualClock) StopTimer(t *Timer) bool {
+	c.mu.Lock()
+	pending := t.i != 0
+	if pending {
+		c.timers.remove(t.i - 1)
+	}
+	t.a = nil
+	c.mu.Unlock()
+	return pending
 }
 
 // After is the continuation twin of Sleep: fn runs once d of model time has
@@ -806,15 +870,16 @@ func (g *Group) Then(fn func()) {
 	g.c.mu.Unlock()
 }
 
-// timerEntry is one pending deadline: either a parked actor to wake (p set)
-// or a callback to run inline (fn set). Ordering is (deadline, arming
-// sequence), making same-instant wakeups — and the interleaving of
-// callbacks with actor wakeups — deterministic.
+// timerEntry is one pending deadline: a callback to run inline (fn set) or
+// a Timer (t set) — an owner's, which rings its alarm, or a sleeping
+// actor's, which wakes it. Ordering is (deadline, arming sequence), making
+// same-instant wakeups — and the interleaving of callbacks with actor
+// wakeups — deterministic.
 type timerEntry struct {
 	at  time.Duration
 	seq uint64
-	p   *vactor
 	fn  func()
+	t   *Timer
 }
 
 func (e timerEntry) before(o timerEntry) bool {
@@ -827,52 +892,85 @@ func (e timerEntry) before(o timerEntry) bool {
 // timerHeap is a 4-ary min-heap of value entries. Compared to
 // container/heap over a slice of pointers, it avoids the interface boxing
 // on every Push/Pop and halves the tree depth (sift-down dominates pops;
-// four comparisons per level beats two levels of two).
+// four comparisons per level beats two levels of two). Sifting moves an
+// entry into a hole rather than swapping, and every placement of a Timer's
+// entry records its position in the Timer, which is what lets StopTimer
+// remove it at once.
 type timerHeap struct {
 	a []timerEntry
 }
 
 func (h *timerHeap) len() int { return len(h.a) }
 
-func (h *timerHeap) push(e timerEntry) {
-	h.a = append(h.a, e)
-	i := len(h.a) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !h.a[i].before(h.a[parent]) {
-			break
-		}
-		h.a[i], h.a[parent] = h.a[parent], h.a[i]
-		i = parent
+// set places e at position i.
+func (h *timerHeap) set(i int, e timerEntry) {
+	h.a[i] = e
+	if e.t != nil {
+		e.t.i = i + 1
 	}
 }
 
-func (h *timerHeap) pop() timerEntry {
+func (h *timerHeap) push(e timerEntry) {
+	h.a = append(h.a, timerEntry{})
+	h.up(len(h.a)-1, e)
+}
+
+func (h *timerHeap) pop() timerEntry { return h.remove(0) }
+
+// remove takes the entry at position i out of the heap and returns it.
+func (h *timerHeap) remove(i int) timerEntry {
 	a := h.a
-	top := a[0]
+	e := a[i]
 	n := len(a) - 1
-	a[0] = a[n]
-	a[n] = timerEntry{} // release the fn/p references
-	a = a[:n]
-	h.a = a
-	i := 0
-	for {
-		min := i
-		first := i*4 + 1
-		last := first + 4
-		if last > n {
-			last = n
+	last := a[n]
+	a[n] = timerEntry{} // release the fn/t references
+	h.a = a[:n]
+	if i < n {
+		if i > 0 && last.before(a[(i-1)/4]) {
+			h.up(i, last)
+		} else {
+			h.down(i, last)
 		}
-		for ci := first; ci < last; ci++ {
+	}
+	if e.t != nil {
+		e.t.i = 0
+	}
+	return e
+}
+
+// up places e at the hole i or above it, moving later parents down.
+func (h *timerHeap) up(i int, e timerEntry) {
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !e.before(h.a[parent]) {
+			break
+		}
+		h.set(i, h.a[parent])
+		i = parent
+	}
+	h.set(i, e)
+}
+
+// down places e at the hole i or below it, moving earlier children up.
+func (h *timerHeap) down(i int, e timerEntry) {
+	a := h.a
+	n := len(a)
+	for {
+		first := i*4 + 1
+		if first >= n {
+			break
+		}
+		min := first
+		for ci := first + 1; ci < first+4 && ci < n; ci++ {
 			if a[ci].before(a[min]) {
 				min = ci
 			}
 		}
-		if min == i {
+		if !a[min].before(e) {
 			break
 		}
-		a[i], a[min] = a[min], a[i]
+		h.set(i, a[min])
 		i = min
 	}
-	return top
+	h.set(i, e)
 }

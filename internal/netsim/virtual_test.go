@@ -142,6 +142,34 @@ func TestVirtualDeadlockPanics(t *testing.T) {
 	c.NewEvent().Wait()
 }
 
+// TestDeadlockPanicReleasesTheClock: the deadlock panic leaves the clock
+// unlocked, so a test that recovers it can still Drain the clock (as a
+// t.Cleanup(clock.Drain) does) and gets a return, not a hang.
+func TestDeadlockPanicReleasesTheClock(t *testing.T) {
+	c := NewVirtualClock()
+	func() {
+		defer func() {
+			if r := recover(); !strings.Contains(fmt.Sprint(r), "deadlock") {
+				t.Fatalf("panic = %v, want the deadlock panic", r)
+			}
+		}()
+		c.NewEvent().Wait()
+	}()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		c.Drain()
+	}()
+	select {
+	case r := <-done:
+		if r != nil && !strings.Contains(fmt.Sprint(r), "deadlock") {
+			t.Fatalf("Drain after the deadlock panicked with %v", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain after a recovered deadlock panic hangs: the clock stayed locked")
+	}
+}
+
 // TestVirtualSleepZeroAndPast: non-positive and past deadlines return
 // immediately without yielding.
 func TestVirtualSleepZeroAndPast(t *testing.T) {

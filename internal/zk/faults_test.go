@@ -17,6 +17,12 @@ import (
 // with Apply).
 func newFaultedEnsemble(t *testing.T) (*Ensemble, *faults.Injector, *netsim.VirtualClock) {
 	t.Helper()
+	return faultedEnsemble(t, 500*time.Millisecond)
+}
+
+// faultedEnsemble is newFaultedEnsemble with the given OpTimeout.
+func faultedEnsemble(t *testing.T, opTimeout time.Duration) (*Ensemble, *faults.Injector, *netsim.VirtualClock) {
+	t.Helper()
 	clock := netsim.NewVirtualClock()
 	tr := netsim.NewTransport(clock, netsim.DefaultLatencies(), netsim.NewMeter(), 1)
 	inj := faults.Attach(tr, nil, 1)
@@ -26,7 +32,7 @@ func newFaultedEnsemble(t *testing.T) (*Ensemble, *faults.Injector, *netsim.Virt
 		Transport:    tr,
 		Correctable:  true,
 		ServiceTime:  100 * time.Microsecond,
-		OpTimeout:    500 * time.Millisecond,
+		OpTimeout:    opTimeout,
 	})
 	if err != nil {
 		t.Fatal(err)

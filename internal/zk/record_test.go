@@ -846,3 +846,88 @@ func TestCountGateFaultedQueueOps(t *testing.T) {
 		t.Errorf("%d parked after Drain", n)
 	}
 }
+
+// TestClosedOperationLeavesNoTimer plays TestCountGateFaultedQueueOps's
+// faulted scene: an operation that closes stops its deadline. Once every
+// operation has closed, the clock's heap holds no operation deadline — only
+// the ensemble's heartbeat and election timers and the injector's. At the
+// scene's 500 ms OpTimeout some operations time out (the failing path
+// stops its timer too); at zk's default 5 s none does, and after Quiesce
+// the drain ends before the last operation's start plus OpTimeout — before
+// the last close plus OpTimeout a fortiori — where that operation's
+// deadline used to keep the clock running. (At 500 ms the election timers
+// armed before Quiesce outlast that bound.)
+func TestClosedOperationLeavesNoTimer(t *testing.T) {
+	for _, opTimeout := range []time.Duration{500 * time.Millisecond, 5 * time.Second} {
+		t.Run(opTimeout.String(), func(t *testing.T) { closedOperationLeavesNoTimer(t, opTimeout) })
+	}
+}
+
+func closedOperationLeavesNoTimer(t *testing.T, opTimeout time.Duration) {
+	e, inj, clock := faultedEnsemble(t, opTimeout)
+	qc := NewQueueClient(e, netsim.IRL, netsim.IRL)
+	if err := qc.CreateQueue("q"); err != nil {
+		t.Fatal(err)
+	}
+	start := clock.Now()
+	clock.RunAt(start+300*time.Millisecond, func() {
+		inj.Apply(faults.Partition{Groups: [][]netsim.Region{{netsim.FRK}, {netsim.IRL, netsim.VRG}}})
+	})
+	clock.RunAt(start+4*time.Second, func() { inj.Apply(faults.Heal{}) })
+	const clients, each = 4, 50
+	var lastStart, lastClose time.Duration
+	failed := 0
+	g := clock.NewGroup()
+	for i := 0; i < clients; i++ {
+		contact := []netsim.Region{netsim.IRL, netsim.VRG}[i%2]
+		c := binding.NewClient(NewBinding(NewQueueClient(e, contact, contact)))
+		g.Add(1)
+		clock.Go(func() {
+			defer g.Done()
+			for n := 0; n < each; n++ {
+				clock.SleepUntil(start + time.Duration(n)*100*time.Millisecond)
+				var op binding.OperationFor[binding.Item] = binding.Dequeue{Queue: "q"}
+				if (n+i)%2 == 0 {
+					op = binding.Enqueue{Queue: "q", Item: []byte{byte(n)}}
+				}
+				lastStart = max(lastStart, clock.Now())
+				if _, err := invoke(c, op); err != nil {
+					failed++
+				}
+				lastClose = max(lastClose, clock.Now())
+			}
+		})
+	}
+	g.Wait()
+	deadlines, pending := heapTimers(clock)
+	if deadlines != 0 {
+		t.Errorf("%d operation deadlines pending once every operation closed, want 0", deadlines)
+	}
+	if servers := len(e.Config().Regions); pending > 2*servers+1 {
+		t.Errorf("%d timers pending once every operation closed, want at most a heartbeat and an election timer per server and the injector's", pending)
+	}
+	inj.Quiesce()
+	clock.Drain()
+	switch faultedTimeout := opTimeout < time.Second; {
+	case faultedTimeout && failed == 0:
+		t.Errorf("no operation failed: the scene must time some out")
+	case !faultedTimeout && clock.Now() >= lastStart+opTimeout:
+		t.Errorf("Drain returned at %v, want before the last start (%v) plus OpTimeout; the last close was at %v",
+			clock.Now(), lastStart, lastClose)
+	}
+}
+
+// heapTimers counts the clock's pending timer entries and, of those, the
+// cancellable Timers: the operation deadlines and retry backoffs of the
+// client library, their only user. The clock shows its heap to netsim's
+// own tests alone, so this reads it by reflection; the caller holds the
+// token, so nothing moves it meanwhile.
+func heapTimers(clock *netsim.VirtualClock) (timers, all int) {
+	heap := reflect.ValueOf(clock).Elem().FieldByName("timers").FieldByName("a")
+	for i := 0; i < heap.Len(); i++ {
+		if !heap.Index(i).FieldByName("t").IsNil() {
+			timers++
+		}
+	}
+	return timers, heap.Len()
+}
