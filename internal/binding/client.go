@@ -280,35 +280,37 @@ func (inv *invocation[T]) fail(err error) bool {
 	return true
 }
 
-// update delivers a non-final view; reports whether it was accepted.
-func (inv *invocation[T]) update(v T, level core.Level, version uint64) bool {
+// update delivers r, decoded as v, as a non-final view; reports whether it
+// was accepted. Observers get r's own wire box, not v boxed again.
+func (inv *invocation[T]) update(v T, r Result) bool {
 	if inv.c.obs == nil {
-		return inv.ctrl.Update(v, level) == nil
+		return inv.ctrl.Update(v, r.Level) == nil
 	}
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	if inv.ctrl.Update(v, level) != nil {
+	if inv.ctrl.Update(v, r.Level) != nil {
 		return false
 	}
 	at := inv.c.now()
-	inv.c.obs.OpView(inv.info(), OpView{Level: level, Version: version, At: at, Value: v})
+	inv.c.obs.OpView(inv.info(), OpView{Level: r.Level, Version: r.Version, At: at, Value: r.Value})
 	return true
 }
 
-// close delivers the final view; reports whether it was accepted.
-func (inv *invocation[T]) close(v T, level core.Level, version uint64) bool {
+// close delivers r, decoded as v, as the final view; reports whether it was
+// accepted.
+func (inv *invocation[T]) close(v T, r Result) bool {
 	inv.stop()
 	if inv.c.obs == nil {
-		return inv.ctrl.Close(v, level) == nil
+		return inv.ctrl.Close(v, r.Level) == nil
 	}
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
-	if inv.ctrl.Close(v, level) != nil {
+	if inv.ctrl.Close(v, r.Level) != nil {
 		return false
 	}
 	at := inv.c.now()
 	info := inv.info()
-	inv.c.obs.OpView(info, OpView{Level: level, Final: true, Version: version, At: at, Value: v})
+	inv.c.obs.OpView(info, OpView{Level: r.Level, Final: true, Version: r.Version, At: at, Value: r.Value})
 	inv.c.obs.OpEnd(info, at, nil)
 	return true
 }
@@ -423,11 +425,11 @@ func (inv *invocation[T]) deliver(r Result) {
 	case err != nil:
 		inv.fail(err)
 	case r.Level == st:
-		if inv.close(v, r.Level, r.Version) && inv.sess.s != nil {
+		if inv.close(v, r) && inv.sess.s != nil {
 			inv.sess.s.observe(inv.op.OpKey(), r.Version, inv.op.OpMutates())
 		}
 	default:
-		if inv.update(v, r.Level, r.Version) && inv.sess.s != nil {
+		if inv.update(v, r) && inv.sess.s != nil {
 			inv.sess.s.observe(inv.op.OpKey(), r.Version, false)
 		}
 	}

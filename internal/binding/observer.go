@@ -47,10 +47,12 @@ type OpView struct {
 	Version uint64
 	// At is the delivery instant.
 	At time.Duration
-	// Value is the decoded view value (the same T the application sees,
-	// boxed). It is shared with the store and immutable (see Result.Value):
+	// Value is the view's wire value: the binding's own Result.Value, the
+	// box the application's T was decoded from, handed on without a copy.
+	// It is shared with the store and immutable (see Result.Value):
 	// observers must not modify it; the history recorder keeps only a
-	// compact rendering.
+	// compact rendering. A write's value is whatever its binding sent (nil
+	// for a cassandra or causal put, whose T is Ack).
 	Value any
 }
 
@@ -59,6 +61,10 @@ type OpView struct {
 // view (weakest first, the last one Final), and OpEnd exactly once with the
 // terminal outcome — nil after a final view, the failure otherwise
 // (including faults.ErrUnreachable on an operation timeout).
+//
+// A view's value (OpView.Value) is the binding's Result.Value, shared and
+// immutable, not the decoded T re-boxed: for a write it is whatever the
+// binding sent.
 //
 // Callbacks run inline on the delivery path — binding actors and clock
 // callback timers — so they must be cheap and must not block through the

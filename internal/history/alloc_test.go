@@ -18,7 +18,8 @@ import (
 // arena, so recording n two-view ops allocates only the arena chunks (and
 // the recorder), amortized at most 0.1 per op, when the views carry queue
 // items, whose note is the item's ID. A byte value over 16 bytes costs its
-// note, one string per view.
+// note, one string per op: the second view renders the same note and
+// shares the first one's string (noteAfter).
 func TestAllocGateRecorder(t *testing.T) {
 	const n = 4096
 	record := func(weak, strong binding.OpView) func() {
@@ -47,7 +48,7 @@ func TestAllocGateRecorder(t *testing.T) {
 			binding.OpView{Level: core.LevelStrong, Final: true, Value: item}, 0.1},
 		{"64-byte values",
 			binding.OpView{Level: core.LevelWeak, Value: value},
-			binding.OpView{Level: core.LevelStrong, Final: true, Value: value}, 2.1},
+			binding.OpView{Level: core.LevelStrong, Final: true, Value: value}, 1.1},
 	} {
 		got := testing.AllocsPerRun(5, record(c.weak, c.strong)) / n
 		t.Logf("%s: %.3f allocs per recorded op", c.name, got)

@@ -68,19 +68,44 @@ func noteOf(v any) string {
 		if len(val) <= noteRunes {
 			return string(val)
 		}
-		head := val[:runePrefix(val, noteRunes)]
-		var digits [20]byte
-		size := strconv.AppendInt(digits[:0], int64(len(val)), 10)
-		var b strings.Builder
-		b.Grow(len(head) + len("…(") + len(size) + len("B)"))
-		b.Write(head)
-		b.WriteString("…(")
-		b.Write(size)
-		b.WriteString("B)")
-		return b.String()
+		var buf [maxLongNote]byte
+		return string(appendLongNote(buf[:0], val))
 	default:
 		return ""
 	}
+}
+
+// noteAfter is noteOf(v) for a view whose operation's previous view has the
+// note prev. A byte value that renders as prev again (for a long value: the
+// same length and the same head) gets prev itself, so the op's views share
+// one string; the comparison renders on the stack and allocates nothing.
+func noteAfter(v any, prev string) string {
+	if b, ok := v.([]byte); ok && prev != "" {
+		if len(b) <= noteRunes {
+			if string(b) == prev {
+				return prev
+			}
+		} else if len(prev) > noteRunes {
+			var buf [maxLongNote]byte
+			if string(appendLongNote(buf[:0], b)) == prev {
+				return prev
+			}
+		}
+	}
+	return noteOf(v)
+}
+
+// maxLongNote bounds a long note's bytes: noteRunes runes of up to four
+// bytes, "…(", at most 20 digits and "B)".
+const maxLongNote = noteRunes*utf8.UTFMax + len("…(") + 20 + len("B)")
+
+// appendLongNote appends the note of a byte value longer than noteRunes to
+// dst: its first noteRunes runes, then "…(<len>B)".
+func appendLongNote(dst, b []byte) []byte {
+	dst = append(dst, b[:runePrefix(b, noteRunes)]...)
+	dst = append(dst, "…("...)
+	dst = strconv.AppendInt(dst, int64(len(b)), 10)
+	return append(dst, "B)"...)
 }
 
 // noteRunes is how many runes of a byte value a note keeps.
@@ -285,8 +310,12 @@ func (r *Recorder) OpStart(op binding.OpInfo) {
 func (r *Recorder) OpView(op binding.OpInfo, v binding.OpView) {
 	r.mu.Lock()
 	if rec := r.open[opRef{op.Client, op.ID}]; rec != nil {
+		prev := ""
+		if n := len(rec.Views); n > 0 {
+			prev = rec.Views[n-1].Note
+		}
 		rec.Views = append(rec.Views, View{
-			Level: v.Level, Final: v.Final, Version: v.Version, At: v.At, Note: noteOf(v.Value),
+			Level: v.Level, Final: v.Final, Version: v.Version, At: v.At, Note: noteAfter(v.Value, prev),
 		})
 	}
 	r.mu.Unlock()

@@ -222,7 +222,7 @@ func (e *Ensemble) resyncLagging(leader *Server) {
 
 // snapshot captures the server's tree, zxid and epoch atomically (mu
 // serializes every mutation of the server's state, proposals included).
-func (s *Server) snapshot() (map[string]*node, uint64, uint64, int) {
+func (s *Server) snapshot() (map[string]node, uint64, uint64, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap, size := s.tree.Snapshot()
@@ -245,7 +245,7 @@ func (s *Server) epochApplied() (uint64, uint64) {
 // snapshot clears the buffered-commit and accept logs wholesale: their
 // entries belong to a superseded leader's numbering and must not merge with
 // the new epoch's commit stream.
-func (s *Server) installSnapshot(leader *Server, nodes map[string]*node, zxid, epoch uint64) {
+func (s *Server) installSnapshot(leader *Server, nodes map[string]node, zxid, epoch uint64) {
 	s.mu.Lock()
 	if epoch < s.dataEpoch || (epoch == s.dataEpoch && zxid <= s.lastApplied) {
 		s.mu.Unlock()

@@ -308,7 +308,12 @@ func (x DequeueMinTxn) simulate(t *Tree) (*QueueElement, int, error) {
 	return &QueueElement{Name: name, Seq: seqOf(name), Data: data}, count - 1, nil
 }
 
-// outcome is the removed head and what is left behind it.
+// outcome is the removed head, the one element of the final view, and what
+// is left behind it.
 func (x DequeueMinTxn) outcome(res TxnResult) (*QueueElement, int) {
-	return res.Element, res.Remaining
+	if res.Head.Name == "" {
+		return nil, 0
+	}
+	head := res.Head
+	return &head, res.Remaining
 }

@@ -42,14 +42,18 @@ type node struct {
 // Tree is a concurrency-safe znode tree. All mutation goes through
 // deterministic transactions so that replicas applying the same committed
 // sequence reach identical states.
+//
+// Znodes are stored by value: a create allocates no node, and a step that
+// changes a directory (its child list, its sequence counter) reads the
+// node, changes the copy and writes it back.
 type Tree struct {
 	mu    sync.RWMutex
-	nodes map[string]*node
+	nodes map[string]node
 }
 
 // NewTree returns a tree containing only the root node "/".
 func NewTree() *Tree {
-	return &Tree{nodes: map[string]*node{"/": {}}}
+	return &Tree{nodes: map[string]node{"/": {}}}
 }
 
 func parentOf(path string) string {
@@ -87,7 +91,8 @@ func (t *Tree) Create(path string, data []byte, sequential bool) (string, error)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	parent, ok := t.nodes[parentOf(path)]
+	dir := parentOf(path)
+	parent, ok := t.nodes[dir]
 	if !ok {
 		return "", fmt.Errorf("%w: parent of %s", ErrNoNode, path)
 	}
@@ -97,9 +102,11 @@ func (t *Tree) Create(path string, data []byte, sequential bool) (string, error)
 		parent.nextSeq++
 	}
 	if _, exists := t.nodes[actual]; exists {
+		// A sequential create spends its number even when the name is taken.
+		t.nodes[dir] = parent
 		return "", fmt.Errorf("%w: %s", ErrNodeExists, actual)
 	}
-	t.nodes[actual] = &node{data: data}
+	t.nodes[actual] = node{data: data}
 	// Sequential names arrive in ascending order, so the common insert is an
 	// append; anything else finds its place by binary search.
 	name := baseOf(actual)
@@ -109,6 +116,7 @@ func (t *Tree) Create(path string, data []byte, sequential bool) (string, error)
 		i, _ := slices.BinarySearch(parent.children, name)
 		parent.children = slices.Insert(parent.children, i, name)
 	}
+	t.nodes[dir] = parent
 	return actual, nil
 }
 
@@ -148,16 +156,56 @@ func (t *Tree) Delete(path string) error {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, path)
 	}
 	delete(t.nodes, path)
-	parent := t.nodes[parentOf(path)]
-	if i, ok := slices.BinarySearch(parent.children, baseOf(path)); i == 0 && ok {
-		// The queue head, the common delete: drop it without moving the
-		// rest (append reclaims the dead prefix when it next grows).
-		parent.children[0] = ""
-		parent.children = parent.children[1:]
-	} else if ok {
+	dir := parentOf(path)
+	parent := t.nodes[dir]
+	i, ok := slices.BinarySearch(parent.children, baseOf(path))
+	if !ok {
+		return nil // the root, which no directory lists
+	}
+	if i == 0 {
+		parent.dropHead()
+	} else {
 		parent.children = slices.Delete(parent.children, i, i+1)
 	}
+	t.nodes[dir] = parent
 	return nil
+}
+
+// dropHead removes n's first child name without moving the rest (append
+// reclaims the dead prefix when it next grows): the queue head, the common
+// delete.
+func (n *node) dropHead() {
+	n.children[0] = ""
+	n.children = n.children[1:]
+}
+
+// RemoveHead removes the first child of dir, the queue head, and returns its
+// name and data and dir's child count before the removal, as FirstChild
+// reads them: FirstChild and Delete of the head under one lock, without a
+// path on the heap. A dir with no children removes nothing and returns ""
+// and a nil error; a head with children of its own is not removed
+// (ErrNotEmpty).
+func (t *Tree) RemoveHead(dir string) (name string, data []byte, count int, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	parent, ok := t.nodes[dir]
+	if !ok {
+		return "", nil, 0, fmt.Errorf("%w: %s", ErrNoNode, dir)
+	}
+	if len(parent.children) == 0 {
+		return "", nil, 0, nil
+	}
+	name = parent.children[0]
+	path := dir + "/" + name // only indexes the map: a short one stays on the stack
+	head := t.nodes[path]
+	if len(head.children) > 0 {
+		return "", nil, 0, fmt.Errorf("%w: %s/%s", ErrNotEmpty, dir, name)
+	}
+	delete(t.nodes, path)
+	count = len(parent.children)
+	parent.dropHead()
+	t.nodes[dir] = parent
+	return name, head.data, count, nil
 }
 
 // Children returns the sorted child names of a znode.
@@ -192,21 +240,17 @@ func (t *Tree) FirstChild(path string) (name string, data []byte, count int, err
 
 // Snapshot returns a copy of the tree's node state plus its approximate
 // encoded size in bytes, for state-transfer accounting. The copy owns its
-// nodes and their child lists — a create or delete on either tree must not
-// show in the other — and shares the znode data, which is immutable. Each
-// recipient needs its own snapshot: Restore installs the map without
-// copying.
-func (t *Tree) Snapshot() (map[string]*node, int) {
+// child lists — a create or delete on either tree must not show in the
+// other — and shares the znode data, which is immutable. Each recipient
+// needs its own snapshot: Restore installs the map without copying.
+func (t *Tree) Snapshot() (map[string]node, int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	nodes := make(map[string]*node, len(t.nodes))
+	nodes := make(map[string]node, len(t.nodes))
 	size := 0
 	for path, n := range t.nodes {
-		nodes[path] = &node{
-			data:     n.data,
-			children: slices.Clone(n.children),
-			nextSeq:  n.nextSeq,
-		}
+		n.children = slices.Clone(n.children)
+		nodes[path] = n
 		size += len(path) + len(n.data) + 16
 	}
 	return nodes, size
@@ -214,7 +258,7 @@ func (t *Tree) Snapshot() (map[string]*node, int) {
 
 // Restore replaces the tree's node state with a snapshot taken from
 // another tree.
-func (t *Tree) Restore(nodes map[string]*node) {
+func (t *Tree) Restore(nodes map[string]node) {
 	t.mu.Lock()
 	t.nodes = nodes
 	t.mu.Unlock()

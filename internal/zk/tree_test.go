@@ -162,60 +162,176 @@ func TestPathHelpers(t *testing.T) {
 }
 
 // Property: for arbitrary interleavings of sequential creates, creates under
-// arbitrary names (landing anywhere in the order, duplicates refused) and
-// deletes of any child (head, middle or tail), Children is the sorted set of
-// live names and FirstChild is its first element with the matching count.
+// arbitrary names (landing anywhere in the order, duplicates refused, some
+// taking a name the sequence will reach), deletes of any child (head, middle
+// or tail), in-place dequeues of the head and a snapshot restored into a
+// second tree, which the ops go on with while the source diverges, the tree
+// matches a model of its one directory after every op: Children is the
+// sorted set of live names, FirstChild is its first element with the
+// matching count and the stored data, NextSeq is the model's counter, and a
+// snapshot's size is the sum over its znodes of path, data and 16 bytes.
 func TestPropertyFirstChildMatchesChildren(t *testing.T) {
 	f := func(ops []uint8) bool {
-		tr := NewTree()
-		mkdirs(t, tr, "/q")
-		live := map[string]bool{}
-		for _, op := range ops {
-			switch op % 4 {
-			case 0:
-				if kids, _ := tr.Children("/q"); len(kids) > 0 {
-					victim := kids[int(op/4)%len(kids)]
-					if tr.Delete("/q/"+victim) != nil {
-						return false
-					}
-					delete(live, victim)
-				}
-			case 1:
-				// Sorts before, between or after the sequential names.
-				name := fmt.Sprintf("%c-%d", "aqz"[int(op/4)%3], op/12)
-				if _, err := tr.Create("/q/"+name, []byte{op}, false); err == nil {
-					live[name] = true
-				} else if !errors.Is(err, ErrNodeExists) || !live[name] {
-					return false
-				}
-			default:
-				path, err := tr.Create("/q/q-", []byte{op}, true)
-				if err != nil {
-					return false
-				}
-				live[baseOf(path)] = true
-			}
-			want := slices.Sorted(maps.Keys(live))
-			kids, _ := tr.Children("/q")
-			if !slices.Equal(kids, want) {
-				return false
-			}
-			name, data, count, err := tr.FirstChild("/q")
-			if err != nil || count != len(want) {
-				return false
-			}
-			if len(want) == 0 {
-				if name != "" {
-					return false
-				}
-			} else if stored, _ := tr.Get("/q/" + want[0]); name != want[0] || &data[0] != &stored[0] {
-				return false
-			}
+		if err := runTreeOps(ops); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzTreeOps is TestPropertyFirstChildMatchesChildren over fuzzed op
+// strings.
+func FuzzTreeOps(f *testing.F) {
+	for _, ops := range []string{
+		"",
+		"\x02\x03\x04\x04\x04",         // enqueue twice, dequeue three times
+		"\x02\x02\x05\x00\x04\x02",     // a restore, then a delete, a dequeue and a create on the copy
+		"\x13\x02\x02\x04",             // a named create takes q-0000000000 before the sequence reaches it
+		"\x01\x0d\x19\x02\x03\x00\x04", // names before (a-0), after (z-0) and among (q-1) the sequential ones
+	} {
+		f.Add([]byte(ops))
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if err := runTreeOps(ops); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// runTreeOps plays ops (one byte each) on a tree with one directory, /q, and
+// checks it against a model after every op; see
+// TestPropertyFirstChildMatchesChildren.
+func runTreeOps(ops []byte) error {
+	tr := NewTree()
+	if _, err := tr.Create("/q", nil, false); err != nil {
+		return err
+	}
+	live := map[string]bool{}
+	var seq uint64 // the model's next sequence number under /q
+	for i, op := range ops {
+		switch op % 6 {
+		case 0:
+			if kids, _ := tr.Children("/q"); len(kids) > 0 {
+				victim := kids[int(op/6)%len(kids)]
+				if err := tr.Delete("/q/" + victim); err != nil {
+					return fmt.Errorf("op %d: delete %s: %w", i, victim, err)
+				}
+				delete(live, victim)
+			}
+		case 1:
+			// Sorts before, between or after the sequential names, or is
+			// one of the first sequential names.
+			name := fmt.Sprintf("%c-%d", "aqz"[int(op/6)%3], op/18)
+			if op/6%4 == 3 {
+				name = fmt.Sprintf("q-%010d", op/24)
+			}
+			if _, err := tr.Create("/q/"+name, []byte{op}, false); err == nil {
+				live[name] = true
+			} else if !errors.Is(err, ErrNodeExists) || !live[name] {
+				return fmt.Errorf("op %d: create %s: %v", i, name, err)
+			}
+		case 2, 3:
+			want := fmt.Sprintf("q-%010d", seq)
+			seq++ // spent even when the name is taken
+			path, err := tr.Create("/q/q-", []byte{op}, true)
+			switch {
+			case live[want] && !errors.Is(err, ErrNodeExists):
+				return fmt.Errorf("op %d: sequential create onto %s = %q, %v, want ErrNodeExists", i, want, path, err)
+			case !live[want] && (err != nil || path != "/q/"+want):
+				return fmt.Errorf("op %d: sequential create = %q, %v, want /q/%s", i, path, err, want)
+			}
+			live[want] = true
+		case 4:
+			want := slices.Sorted(maps.Keys(live))
+			var stored []byte
+			if len(want) > 0 {
+				stored, _ = tr.Get("/q/" + want[0])
+			}
+			res := DequeueMinTxn{Dir: "/q"}.Apply(tr)
+			switch {
+			case res.Err != nil:
+				return fmt.Errorf("op %d: dequeue: %w", i, res.Err)
+			case len(want) == 0:
+				if res.Head.Name != "" || res.Head.Data != nil || res.Remaining != 0 {
+					return fmt.Errorf("op %d: dequeue of an empty queue = %+v", i, res)
+				}
+			case res.Head.Name != want[0] || res.Head.Seq != seqOf(want[0]) ||
+				&res.Head.Data[0] != &stored[0] || res.Remaining != len(want)-1:
+				return fmt.Errorf("op %d: dequeue = %+v, want %s of %d and its stored data", i, res, want[0], len(want))
+			default:
+				delete(live, want[0])
+			}
+		case 5:
+			nodes, size := tr.Snapshot()
+			if want := len("/") + 16 + len("/q") + 16 + 17*len(live) + len("/q/")*len(live) + namesLen(live); size != want {
+				return fmt.Errorf("op %d: snapshot size %d, want %d", i, size, want)
+			}
+			next := NewTree()
+			next.Restore(nodes)
+			// The source diverges: a create there must not show in the copy.
+			if _, err := tr.Create("/q/q-", nil, true); err != nil && !errors.Is(err, ErrNodeExists) {
+				return fmt.Errorf("op %d: create on the snapshot's source: %w", i, err)
+			}
+			tr = next
+		}
+		if err := treeMatches(tr, live, seq); err != nil {
+			return fmt.Errorf("op %d (%d): %w", i, op, err)
+		}
+	}
+	return nil
+}
+
+// namesLen is the total length of the names in live.
+func namesLen(live map[string]bool) int {
+	n := 0
+	for name := range live {
+		n += len(name)
+	}
+	return n
+}
+
+// treeMatches checks /q of tr against the model: its live names and its
+// sequence counter.
+func treeMatches(tr *Tree, live map[string]bool, seq uint64) error {
+	want := slices.Sorted(maps.Keys(live))
+	if kids, _ := tr.Children("/q"); !slices.Equal(kids, want) {
+		return fmt.Errorf("children %v, want %v", kids, want)
+	}
+	if next, err := tr.NextSeq("/q"); err != nil || next != seq {
+		return fmt.Errorf("NextSeq = %d, %v, want %d", next, err, seq)
+	}
+	name, data, count, err := tr.FirstChild("/q")
+	if err != nil || count != len(want) {
+		return fmt.Errorf("FirstChild = %q of %d, %v, want %d children", name, count, err, len(want))
+	}
+	if len(want) == 0 {
+		if name != "" {
+			return fmt.Errorf("FirstChild of an empty directory = %q", name)
+		}
+	} else if stored, _ := tr.Get("/q/" + want[0]); name != want[0] || &data[0] != &stored[0] {
+		return fmt.Errorf("FirstChild = %q, want %q and its stored data", name, want[0])
+	}
+	return nil
+}
+
+// TestSequentialCollisionAdvancesSeq: a sequential create whose name is
+// already taken fails, and still spends its number, so the next one moves
+// past the taken name instead of failing on it for ever.
+func TestSequentialCollisionAdvancesSeq(t *testing.T) {
+	tr := NewTree()
+	mkdirs(t, tr, "/q", "/q/q-0000000000")
+	if path, err := tr.Create("/q/q-", nil, true); !errors.Is(err, ErrNodeExists) {
+		t.Fatalf("sequential create onto a taken name = %q, %v, want ErrNodeExists", path, err)
+	}
+	if seq, _ := tr.NextSeq("/q"); seq != 1 {
+		t.Errorf("NextSeq after the collision = %d, want 1", seq)
+	}
+	if path, err := tr.Create("/q/q-", nil, true); err != nil || path != "/q/q-0000000001" {
+		t.Errorf("next sequential create = %q, %v, want /q/q-0000000001", path, err)
 	}
 }
 
@@ -226,7 +342,9 @@ func TestSequentialNamesMatchSprintf(t *testing.T) {
 	tr := NewTree()
 	mkdirs(t, tr, "/q")
 	for _, seq := range []uint64{0, 7, 9_999_999_999, 10_000_000_000} {
-		tr.nodes["/q"].nextSeq = seq
+		dir := tr.nodes["/q"]
+		dir.nextSeq = seq
+		tr.nodes["/q"] = dir
 		got, err := tr.Create("/q/item-", nil, true)
 		if want := fmt.Sprintf("%s%010d", "/q/item-", seq); err != nil || got != want {
 			t.Errorf("sequential create #%d = %q, %v, want %q", seq, got, err, want)

@@ -13,9 +13,11 @@ type TxnResult struct {
 	// CreatedPath is the actual path of a created znode (sequential names
 	// resolved).
 	CreatedPath string
-	// Element is the dequeued element for DequeueMinTxn (nil if the queue
-	// was empty).
-	Element *QueueElement
+	// Head is the element a DequeueMinTxn removed, by value: every server
+	// applies the transaction, and only the result that reaches the client
+	// becomes a view's element (outcome). Its Name is "" if the queue was
+	// empty.
+	Head QueueElement
 	// Remaining is the number of elements left in the queue after a
 	// DequeueMinTxn.
 	Remaining int
@@ -106,16 +108,14 @@ type DequeueMinTxn struct {
 	Dir string
 }
 
-// Apply implements Txn: it removes the head the contact's simulation reads.
+// Apply implements Txn: it removes the head the contact's simulation reads,
+// in place (Tree.RemoveHead).
 func (x DequeueMinTxn) Apply(t *Tree) TxnResult {
-	head, remaining, err := x.simulate(t)
-	if err == nil && head != nil {
-		err = t.Delete(x.Dir + "/" + head.Name)
-	}
-	if err != nil {
+	name, data, count, err := t.RemoveHead(x.Dir)
+	if err != nil || name == "" {
 		return TxnResult{Err: err}
 	}
-	return TxnResult{Element: head, Remaining: remaining}
+	return TxnResult{Head: QueueElement{Name: name, Seq: seqOf(name), Data: data}, Remaining: count - 1}
 }
 
 // PayloadSize implements Txn.
